@@ -4,7 +4,8 @@ Output is deterministic for fixed arguments: bases and product entries are
 emitted in a canonical sort order and scalars are integers in [0, p); the
 scalar 1/2 appears as (p+1)/2.
 
-Exit codes: 0 success, 2 invalid arguments, 3 internal check failure.
+Exit codes: 0 success, 2 invalid arguments or environment (including an
+empty spadesuit window), 3 internal check failure.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ import sys
 
 from . import __version__
 from .exactlin import is_odd_prime
+from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
+                       KIND_THETA_SIGMA, max_cells)
+from .spadesuit import OUT_OF_WINDOW, WindowEmpty
 
-COEFFS = ("omega", "theta", "theta-sigma", "omega-dual", "omega-ep-omega")
+COEFFS = (KIND_OMEGA, KIND_THETA, KIND_THETA_SIGMA, KIND_DUAL, KIND_IDEAL)
 
 
 def _emit(doc: dict, fmt: str) -> str:
@@ -38,21 +42,15 @@ def _basis_row(name: str, a, b, i, j, k, h, x) -> dict:
 
 
 def cmd_hh(p: int, coefficient: str, fmt: str) -> tuple[str, int]:
-    from .clubsuit import NaturalMaps
+    from .clubsuit import PRODUCT_TABLE, NaturalMaps
     from .koszulhh import build_model, cup, format_name, homology_named
 
     nm = NaturalMaps(p)
-    mods = {"omega": nm.reg, "theta": nm.theta, "theta-sigma": nm.theta_sigma,
-            "omega-dual": nm.dual, "omega-ep-omega": nm.ideal}
-    x_mod = mods[coefficient]
-    model = build_model(nm.c, x_mod)
+    model = build_model(nm.c, nm.modules[coefficient])
     hh = homology_named(model, coefficient)
     chi_model = build_model(nm.c, nm.reg)
-    chi = homology_named(chi_model, "omega")
-    pairing = nm.pairings["mult" if coefficient == "omega" else {
-        "theta": "act_l:Theta", "theta-sigma": "act_l:ThetaSigma",
-        "omega-dual": "act_l:OmegaDual", "omega-ep-omega": "mult_into_ideal_l",
-    }[coefficient]]
+    chi = homology_named(chi_model, KIND_OMEGA)
+    pairing = nm.pairings[PRODUCT_TABLE[(KIND_OMEGA, coefficient, coefficient)]]
 
     basis = []
     for cl in sorted(hh.classes, key=lambda c: (c.h, c.k, c.j, c.name)):
@@ -80,7 +78,7 @@ def cmd_spadesuit(p: int, a_min: int, a_max: int, fmt: str,
                   check_associativity: bool = False,
                   run_first_principles: bool = False) -> tuple[str, int]:
     from .koszulhh import format_name
-    from .spadesuit import OUT_OF_WINDOW, build_spade, verify_first_principles
+    from .spadesuit import build_spade, verify_first_principles
 
     alg = build_spade(p, a_min, a_max)
     basis = []
@@ -103,7 +101,7 @@ def cmd_spadesuit(p: int, a_min: int, a_max: int, fmt: str,
     products.sort(key=lambda e: (e["left"], e["right"]))
 
     if check_associativity:
-        n_checked, n_failed = _spade_associativity(alg)
+        n_checked, n_failed = _spade_associativity(_product_rows(alg.basis, alg.product), p)
         checks.append({"name": f"associativity ({n_checked} triples)",
                        "status": "PASS" if n_failed == 0 else "FAIL"})
         if n_failed:
@@ -121,21 +119,24 @@ def cmd_spadesuit(p: int, a_min: int, a_max: int, fmt: str,
     return _emit(doc, fmt), status
 
 
-def _spade_associativity(alg) -> tuple[int, int]:
-    """Full triple scan with integer-indexed product rows (None = truncated)."""
-    from .spadesuit import OUT_OF_WINDOW
-    basis = alg.basis
-    n = len(basis)
-    p = alg.p
+def _product_rows(basis: list, product) -> list[list]:
+    """rows[i][j] = basis[i] * basis[j] as ((index, coeff), ...), or None
+    when the product leaves the window; one product call per pair."""
     idx = {m: i for i, m in enumerate(basis)}
-    rows: list[list] = [[None] * n for _ in range(n)]
-    for i, m1 in enumerate(basis):
-        for j, m2 in enumerate(basis):
-            r = alg.product(m1, m2)
-            if r is OUT_OF_WINDOW:
-                rows[i][j] = None
-            else:
-                rows[i][j] = tuple((idx[el], c) for el, c in r.items())
+    rows = []
+    for m1 in basis:
+        row = []
+        for m2 in basis:
+            r = product(m1, m2)
+            row.append(None if r is OUT_OF_WINDOW
+                       else tuple((idx[el], c) for el, c in r.items()))
+        rows.append(row)
+    return rows
+
+
+def _associativity(rows: list[list], p: int) -> tuple[int, int]:
+    """(checked, failed) over all triples whose products stay in the window."""
+    n = len(rows)
     checked = failed = 0
     for i in range(n):
         row_i = rows[i]
@@ -177,6 +178,43 @@ def _spade_associativity(alg) -> tuple[int, int]:
     return checked, failed
 
 
+def _supercommutativity(rows: list[list], ks: list[int], p: int) -> int:
+    """Number of in-window pairs with x y != (-1)^{k(x) k(y)} y x, where
+    ks[i] is the k-degree of basis element i."""
+    bad = 0
+    for i, row in enumerate(rows):
+        for j, r12 in enumerate(row):
+            r21 = rows[j][i]
+            if r12 is None or r21 is None:
+                continue
+            sign = -1 if (ks[i] * ks[j]) % 2 else 1
+            ex = {el: (sign * c) % p for el, c in r21}
+            if dict(r12) != {el: c for el, c in ex.items() if c}:
+                bad += 1
+    return bad
+
+
+def _spade_associativity(rows: list[list], p: int) -> tuple[int, int]:
+    """Associativity of the grid algebra from its product rows.
+
+    A name of its own, so that profiles tell the grid scan from the club scan.
+    """
+    return _associativity(rows, p)
+
+
+def _club_associativity(win) -> tuple[int, int]:
+    """Associativity of the club window, scanned like the grid algebra."""
+    from .clubsuit import CLUB_OUT
+
+    def product(x, y):
+        target, combo = win.product(*x, *y)  # a genuine zero has combo == {}
+        if target is CLUB_OUT:
+            return OUT_OF_WINDOW
+        return {(target, m): c for m, c in combo.items()}
+
+    return _associativity(_product_rows(win.basis(), product), win.p)
+
+
 def cmd_hhl(p: int, level: int, k_max: int | None, fmt: str) -> tuple[str, int]:
     from .operators import build_hhl
     from .spadesuit import build_spade
@@ -197,13 +235,12 @@ def run_verify(p: int) -> list[tuple[str, bool, str]]:
     """Every invariant of the build at this prime; (name, passed, detail)."""
     import numpy as np
 
-    from . import quiver
     from .clubsuit import ClubWindow, NaturalMaps
     from .exactlin import rank
     from .koszulhh import bar_oracle, build_model, cup, homology_named
     from .operators import build_hhl, project
-    from .spadesuit import (OUT_OF_WINDOW, build_spade, chi_mul,
-                            duality_form_checks, verify_first_principles)
+    from .spadesuit import (build_spade, chi_mul, duality_form_checks,
+                            verify_first_principles)
 
     results: list[tuple[str, bool, str]] = []
 
@@ -217,12 +254,10 @@ def run_verify(p: int) -> list[tuple[str, bool, str]]:
     except AssertionError as exc:
         check("natural maps intertwine with stated ranks", False, str(exc))
 
-    mods = {"omega": nm.reg, "theta": nm.theta, "theta-sigma": nm.theta_sigma,
-            "omega-dual": nm.dual, "omega-ep-omega": nm.ideal}
-    models = {kind: build_model(nm.c, mod) for kind, mod in mods.items()}
-    hhs = {kind: homology_named(models[kind], kind) for kind in mods}
-    expect = {"omega": 3 * p - 2, "theta": 2 * (p - 1), "theta-sigma": 2 * (p - 1),
-              "omega-dual": p, "omega-ep-omega": p}
+    models = {kind: build_model(nm.c, mod) for kind, mod in nm.modules.items()}
+    hhs = {kind: homology_named(models[kind], kind) for kind in nm.modules}
+    expect = {KIND_OMEGA: 3 * p - 2, KIND_THETA: 2 * (p - 1), KIND_THETA_SIGMA: 2 * (p - 1),
+              KIND_DUAL: p, KIND_IDEAL: p}
     for kind in COEFFS:
         n = len(hhs[kind].classes)
         check(f"dim HH(Omega, {kind}) = {expect[kind]}", n == expect[kind], f"got {n}")
@@ -230,18 +265,17 @@ def run_verify(p: int) -> list[tuple[str, bool, str]]:
     h_max = 4 if p == 3 else 3
     if p <= 5:
         for kind in COEFFS:
-            oracle = bar_oracle(nm.omega, mods[kind], h_max)
+            oracle = bar_oracle(nm.omega, nm.modules[kind], h_max)
             model_dims = hhs[kind].dims_by_h(h_max)
             check(f"bar oracle h<={h_max} agrees ({kind})", oracle == model_dims,
                   f"oracle {oracle} vs model {model_dims}")
 
     # chi presentation: computed cup table equals the presented table exactly
-    chi = hhs["omega"]
+    chi, chi_model = hhs[KIND_OMEGA], models[KIND_OMEGA]
     table_ok = True
     for u in chi.classes:
         for v in chi.classes:
-            w = cup(models["omega"], u.rep, models["omega"], v.rep,
-                    nm.pairings["mult"], models["omega"])
+            w = cup(chi_model, u.rep, chi_model, v.rep, nm.pairings["mult"], chi_model)
             res = chi.project(w)
             if res != {n: c for n, c in chi_mul(p, u.name, v.name).items() if c % p}:
                 table_ok = False
@@ -272,21 +306,12 @@ def run_verify(p: int) -> list[tuple[str, bool, str]]:
 
     a_lo, a_hi = (-3, 4) if p <= 5 else (-2, 3)
     spade = build_spade(p, a_lo, a_hi)
-    n_checked, n_bad = _spade_associativity(spade)
+    rows = _product_rows(spade.basis, spade.product)
+    n_checked, n_bad = _spade_associativity(rows, p)
     check(f"spade associativity ({n_checked} triples)", n_bad == 0)
-
-    sc_bad = 0
-    for m1 in spade.basis:
-        for m2 in spade.basis:
-            r12 = spade.product(m1, m2)
-            r21 = spade.product(m2, m1)
-            if r12 is OUT_OF_WINDOW or r21 is OUT_OF_WINDOW:
-                continue
-            sign = -1 if (m1.k * m2.k) % 2 else 1
-            ex = {el: (sign * c) % p for el, c in r21.items()}
-            if r12 != {el: c for el, c in ex.items() if c}:
-                sc_bad += 1
+    sc_bad = _supercommutativity(rows, [m.k for m in spade.basis], p)
     check("spade supercommutative on window", sc_bad == 0, f"{sc_bad} failures")
+    del rows  # the tower below needs the memory, not these rows
 
     hh0 = build_hhl(p, 0, spade)
     hh1 = build_hhl(p, 1, spade)
@@ -307,22 +332,15 @@ def run_verify(p: int) -> list[tuple[str, bool, str]]:
         for el in hh2_.basis:
             images.update(project(hh2_, el, hh1))
         check("hh_2 -> hh_1 surjective", all(el in images for el in hh1.basis))
+        rows = _product_rows(hh2_.basis, hh2_.product)
         mult_ok = True
-        sc2_bad = 0
-        for e1 in hh2_.basis:
-            for e2 in hh2_.basis:
-                pr = hh2_.product(e1, e2)
-                r21 = hh2_.product(e2, e1)
-                if pr is not OUT_OF_WINDOW and r21 is not OUT_OF_WINDOW:
-                    sign = -1 if (e1.k * e2.k) % 2 else 1
-                    ex = {el: (sign * c) % p for el, c in r21.items()}
-                    if pr != {el: c for el, c in ex.items() if c}:
-                        sc2_bad += 1
-                if pr is OUT_OF_WINDOW:
+        for e1, row in zip(hh2_.basis, rows):
+            for e2, pr in zip(hh2_.basis, row):
+                if pr is None:
                     continue
                 lhs: dict = {}
-                for el, c in pr.items():
-                    for im, ci in project(hh2_, el, hh1).items():
+                for el, c in pr:
+                    for im, ci in project(hh2_, hh2_.basis[el], hh1).items():
                         lhs[im] = (lhs.get(im, 0) + c * ci) % p
                 rhs: dict = {}
                 for i1, c1 in project(hh2_, e1, hh1).items():
@@ -335,63 +353,9 @@ def run_verify(p: int) -> list[tuple[str, bool, str]]:
                 if {a: b for a, b in lhs.items() if b} != {a: b for a, b in rhs.items() if b}:
                     mult_ok = False
         check("projection hh_2 -> hh_1 multiplicative", mult_ok)
+        sc2_bad = _supercommutativity(rows, [e.k for e in hh2_.basis], p)
         check("hh_2 supercommutative in window", sc2_bad == 0)
     return results
-
-
-def _club_associativity(win) -> tuple[int, int]:
-    from .clubsuit import CLUB_OUT
-    elems = win.basis()
-    p = win.p
-    prods = {}
-    for i, (c1, m1) in enumerate(elems):
-        for j, (c2, m2) in enumerate(elems):
-            prods[(i, j)] = win.product(c1, m1, c2, m2)
-    idx_of = {}
-    for i, (c, m) in enumerate(elems):
-        idx_of[((c.a, c.b), m)] = i
-    n = len(elems)
-    checked = bad = 0
-    for i in range(n):
-        for j in range(n):
-            t12, r12 = prods[(i, j)]
-            if t12 is CLUB_OUT:
-                continue
-            for k in range(n):
-                t23, r23 = prods[(j, k)]
-                if t23 is CLUB_OUT:
-                    continue
-                ok = True
-                lhs: dict = {}
-                if t12 is not None and r12:
-                    for m, c in r12.items():
-                        t, r = prods[(idx_of[((t12.a, t12.b), m)], k)]
-                        if t is CLUB_OUT:
-                            ok = False
-                            break
-                        if t is not None:
-                            for m2, c2 in r.items():
-                                key = ((t.a, t.b), m2)
-                                lhs[key] = (lhs.get(key, 0) + c * c2) % p
-                if not ok:
-                    continue
-                rhs: dict = {}
-                if t23 is not None and r23:
-                    for m, c in r23.items():
-                        t, r = prods[(i, idx_of[((t23.a, t23.b), m)])]
-                        if t is CLUB_OUT:
-                            ok = False
-                            break
-                        if t is not None:
-                            for m2, c2 in r.items():
-                                key = ((t.a, t.b), m2)
-                                rhs[key] = (rhs.get(key, 0) + c * c2) % p
-                if not ok:
-                    continue
-                checked += 1
-                if {a: b for a, b in lhs.items() if b} != {a: b for a, b in rhs.items() if b}:
-                    bad += 1
-    return checked, bad
 
 
 def cmd_verify(p: int, fmt: str) -> tuple[str, int]:
@@ -450,6 +414,11 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --l must be >= 0", file=sys.stderr)
         return 2
     try:
+        max_cells()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         if args.command == "hh":
             out, status = cmd_hh(args.p, args.coefficient, args.format)
         elif args.command == "spadesuit":
@@ -462,6 +431,9 @@ def main(argv: list[str] | None = None) -> int:
             out, status = cmd_verify(args.p, args.format)
         else:  # pragma: no cover
             return 2
+    except WindowEmpty as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # internal check failure
         print(f"internal check failure: {exc}", file=sys.stderr)
         return 3

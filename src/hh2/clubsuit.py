@@ -18,15 +18,19 @@ from dataclasses import dataclass
 
 from . import quiver
 from .exactlin import rank, zeros
-from .koszulhh import Pairing
+from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
+                       KIND_THETA_SIGMA, Pairing)
 from .quiver import (BasedBimodule, BimoduleMap, Combo, OmegaAlgebra,
                      combo_add, tensor_over)
 
-KIND_OMEGA = "Omega"
-KIND_THETA_SIGMA = "ThetaSigma"
-KIND_THETA = "Theta"
-KIND_DUAL = "OmegaDual"
-KIND_IDEAL = "OmegaEpOmega"
+# spade labels: which piece of the class algebra a grid slot carries
+CHI = "chi"
+CHIBAR_MINUS = "chibar_minus"
+CHIBARSTAR_MINUS = "chibar_star_minus"
+CHIUNDER = "chi_under"
+CHIBAR_PLUS = "chibar_plus"
+CHIBARSTAR_PLUS = "chibar_star_plus"
+OMEGA0 = "omega0_plus"
 
 
 class ConstructionFailure(Exception):
@@ -174,26 +178,9 @@ class NaturalMaps:
             put(self._action_pairing(mod, "left", reg, f"act_l:{kind}"))
             put(self._action_pairing(mod, "right", reg, f"act_r:{kind}"))
 
-        # Omega x I and I x Omega multiplication into the ideal
-        pos_in_ideal = {old: new for new, old in enumerate(ideal.parent_index)}
+        # Omega x I and I x Omega multiplication landing in the ambient algebra
+        # (into the ideal itself they are the action pairings above)
         table: dict[tuple[int, int], Combo] = {}
-        for a in range(reg.dim):
-            for m in range(ideal.dim):
-                prod = om.mul_basis(a, ideal.parent_index[m])
-                mapped = {pos_in_ideal[i]: c for i, c in prod.items()}
-                if mapped:
-                    table[(a, m)] = mapped
-        put(Pairing(reg, ideal, ideal, table, name="mult_into_ideal_l"))
-        table = {}
-        for m in range(ideal.dim):
-            for a in range(reg.dim):
-                prod = om.mul_basis(ideal.parent_index[m], a)
-                mapped = {pos_in_ideal[i]: c for i, c in prod.items()}
-                if mapped:
-                    table[(m, a)] = mapped
-        put(Pairing(ideal, reg, ideal, table, name="mult_into_ideal_r"))
-        # same multiplications but landing in the ambient algebra
-        table = {}
         for a in range(reg.dim):
             for m in range(ideal.dim):
                 prod = om.mul_basis(a, ideal.parent_index[m])
@@ -325,15 +312,6 @@ class NaturalMaps:
             put(Pairing(base.x_mod, base.y_mod, dualm, table, name=tag,
                         factor=(base, self.mu)))
 
-        # literal zero pairings for the tensor-vanishing products
-        for tag, (xm, ym) in {
-            "zero:ideal,theta": (ideal, theta), "zero:theta,ideal": (theta, ideal),
-            "zero:ideal,theta_sigma": (ideal, ths), "zero:theta_sigma,ideal": (ths, ideal),
-            "zero:dual,theta": (dualm, theta), "zero:theta,dual": (theta, dualm),
-            "zero:dual,theta_sigma": (dualm, ths), "zero:theta_sigma,dual": (ths, dualm),
-        }.items():
-            put(Pairing(xm, ym, dualm, {}, name=tag))
-
     # -- consistency checks --------------------------------------------------
 
     def check_maps(self) -> None:
@@ -377,7 +355,8 @@ class NaturalMaps:
 class GridComponent:
     a: int
     b: int
-    kind: str
+    kind: str   # coefficient kind: which bimodule sits at the slot
+    label: str  # spade label: which piece of its class algebra
     jshift: int
     kshift: int
 
@@ -387,69 +366,61 @@ class GridComponent:
 
 
 def component_at(p: int, a: int, b: int) -> GridComponent | None:
-    """Kind and shifts of the grid slot (a, b), or None if the slot is vacant."""
+    """Kind, label and shifts of the grid slot (a, b), or None if it is vacant."""
     if b == 0:
         if a <= 0:
-            return GridComponent(a, b, KIND_OMEGA, a * p, a * (1 - p))
+            return GridComponent(a, b, KIND_OMEGA, CHI, a * p, a * (1 - p))
         if a == 1:
-            return GridComponent(a, b, KIND_IDEAL, p, 1 - p)
-        return GridComponent(a, b, KIND_DUAL, 2 + (a - 2) * p, (a - 2) * (1 - p))
+            return GridComponent(a, b, KIND_IDEAL, CHIUNDER, p, 1 - p)
+        return GridComponent(a, b, KIND_DUAL, OMEGA0, 2 + (a - 2) * p, (a - 2) * (1 - p))
     if a <= 0 and b <= -1:
-        kind = KIND_THETA_SIGMA if b % 2 else KIND_THETA
-        return GridComponent(a, b, kind, a * p, a * (1 - p))
+        kind, label = ((KIND_THETA_SIGMA, CHIBARSTAR_MINUS) if b % 2
+                       else (KIND_THETA, CHIBAR_MINUS))
+        return GridComponent(a, b, kind, label, a * p, a * (1 - p))
     if a >= 2 and b >= 1:
-        kind = KIND_THETA if b % 2 else KIND_THETA_SIGMA
-        return GridComponent(a, b, kind, (a - 1) * p, (a - 1) * (1 - p) + 1)
+        kind, label = ((KIND_THETA, CHIBAR_PLUS) if b % 2
+                       else (KIND_THETA_SIGMA, CHIBARSTAR_PLUS))
+        return GridComponent(a, b, kind, label, (a - 1) * p, (a - 1) * (1 - p) + 1)
     return None
 
 
-# the five-part multiplication table: which pairing applies at which target
-def select_pairing(maps: NaturalMaps, k1: str, k2: str, target: GridComponent | None):
-    """Pairing for a product of component kinds, or None for a zero product."""
-    if target is None:
-        return None
-    kt = target.kind
-    P = maps.pairings
-    theta_kinds = (KIND_THETA, KIND_THETA_SIGMA)
-    if k1 == KIND_OMEGA:
-        if k2 == KIND_OMEGA:
-            return P["mult"]
-        if k2 == KIND_IDEAL:
-            return {KIND_IDEAL: P["mult_into_ideal_l"], KIND_OMEGA: P["mult_incl_l"]}.get(kt)
-        if k2 in theta_kinds:
-            return P[f"act_l:{k2}"] if kt in theta_kinds else None
-        if k2 == KIND_DUAL:
-            return {KIND_DUAL: P["act_l:OmegaDual"], KIND_IDEAL: P["theta_l"],
-                    KIND_OMEGA: P["iota_l"]}.get(kt)
-    if k2 == KIND_OMEGA:
-        if k1 == KIND_IDEAL:
-            return {KIND_IDEAL: P["mult_into_ideal_r"], KIND_OMEGA: P["mult_incl_r"]}.get(kt)
-        if k1 in theta_kinds:
-            return P[f"act_r:{k1}"] if kt in theta_kinds else None
-        if k1 == KIND_DUAL:
-            return {KIND_DUAL: P["act_r:OmegaDual"], KIND_IDEAL: P["theta_r"],
-                    KIND_OMEGA: P["iota_r"]}.get(kt)
-    if k1 == KIND_IDEAL and k2 == KIND_IDEAL:
-        return P["eta"]
-    if k1 == KIND_IDEAL and k2 == KIND_DUAL:
-        return P["zeta_l"]
-    if k1 == KIND_DUAL and k2 == KIND_IDEAL:
-        return P["zeta_r"]
-    if k1 == KIND_DUAL and k2 == KIND_DUAL:
-        return P["eps"]
-    if k1 in theta_kinds and k2 in theta_kinds:
-        x_s, y_s = k1 == KIND_THETA_SIGMA, k2 == KIND_THETA_SIGMA
-        if kt in theta_kinds:
-            return P[f"collapse:{'s' if x_s else 'p'}{'s' if y_s else 'p'}"]
-        if kt == KIND_DUAL:
-            if not x_s and y_s:
-                return P["nu_l"]
-            if x_s and not y_s:
-                return P["nu_r"]
-            return None
-        return None
-    # ideal against preprojective quotients and duals against them: zero
-    return None
+# The five-part product table: (left kind, right kind, target kind) -> the
+# pairing of NaturalMaps that multiplies the components.  A kind pair with no
+# entry multiplies to zero through the tensor product over Omega.  The
+# collapse pairings are also listed at the theta-type target of the other
+# twist, where their codomain is not the target's module; the club window
+# meets those products only outside its rows and reports them as truncated.
+PRODUCT_TABLE: dict[tuple[str, str, str], str] = {
+    (KIND_OMEGA, KIND_OMEGA, KIND_OMEGA): "mult",
+    (KIND_OMEGA, KIND_IDEAL, KIND_IDEAL): "act_l:omega-ep-omega",
+    (KIND_IDEAL, KIND_OMEGA, KIND_IDEAL): "act_r:omega-ep-omega",
+    (KIND_OMEGA, KIND_IDEAL, KIND_OMEGA): "mult_incl_l",
+    (KIND_IDEAL, KIND_OMEGA, KIND_OMEGA): "mult_incl_r",
+    (KIND_OMEGA, KIND_THETA, KIND_THETA): "act_l:theta",
+    (KIND_THETA, KIND_OMEGA, KIND_THETA): "act_r:theta",
+    (KIND_OMEGA, KIND_THETA_SIGMA, KIND_THETA_SIGMA): "act_l:theta-sigma",
+    (KIND_THETA_SIGMA, KIND_OMEGA, KIND_THETA_SIGMA): "act_r:theta-sigma",
+    (KIND_OMEGA, KIND_DUAL, KIND_DUAL): "act_l:omega-dual",
+    (KIND_DUAL, KIND_OMEGA, KIND_DUAL): "act_r:omega-dual",
+    (KIND_OMEGA, KIND_DUAL, KIND_IDEAL): "theta_l",
+    (KIND_DUAL, KIND_OMEGA, KIND_IDEAL): "theta_r",
+    (KIND_OMEGA, KIND_DUAL, KIND_OMEGA): "iota_l",
+    (KIND_DUAL, KIND_OMEGA, KIND_OMEGA): "iota_r",
+    (KIND_IDEAL, KIND_IDEAL, KIND_DUAL): "eta",
+    (KIND_IDEAL, KIND_DUAL, KIND_DUAL): "zeta_l",
+    (KIND_DUAL, KIND_IDEAL, KIND_DUAL): "zeta_r",
+    (KIND_DUAL, KIND_DUAL, KIND_DUAL): "eps",
+    (KIND_THETA, KIND_THETA, KIND_THETA): "collapse:pp",
+    (KIND_THETA, KIND_THETA, KIND_THETA_SIGMA): "collapse:pp",
+    (KIND_THETA, KIND_THETA_SIGMA, KIND_THETA_SIGMA): "collapse:ps",
+    (KIND_THETA, KIND_THETA_SIGMA, KIND_THETA): "collapse:ps",
+    (KIND_THETA_SIGMA, KIND_THETA, KIND_THETA_SIGMA): "collapse:sp",
+    (KIND_THETA_SIGMA, KIND_THETA, KIND_THETA): "collapse:sp",
+    (KIND_THETA_SIGMA, KIND_THETA_SIGMA, KIND_THETA): "collapse:ss",
+    (KIND_THETA_SIGMA, KIND_THETA_SIGMA, KIND_THETA_SIGMA): "collapse:ss",
+    (KIND_THETA, KIND_THETA_SIGMA, KIND_DUAL): "nu_l",
+    (KIND_THETA_SIGMA, KIND_THETA, KIND_DUAL): "nu_r",
+}
 
 
 class ClubWindow:
@@ -490,12 +461,12 @@ class ClubWindow:
         target = component_at(self.p, a, b)
         if target is None:
             return None, {}
-        pairing = select_pairing(self.maps, comp1.kind, comp2.kind, target)
-        if pairing is None:
+        name = PRODUCT_TABLE.get((comp1.kind, comp2.kind, target.kind))
+        if name is None:
             return None, {}
         if (a, b) not in self.components:
             return CLUB_OUT, None
-        return target, pairing.apply(m1, m2)
+        return target, self.maps.pairings[name].apply(m1, m2)
 
     def socle_evaluation(self, combo) -> int:
         """Sum of the coefficients on idempotent duals of a dual-algebra element."""
@@ -508,16 +479,11 @@ class ClubWindow:
 
     def extend_to_row(self, row: int) -> None:
         """Add all grid slots of a row to the window."""
-        if row <= 0:
-            slots = [(a, row - a) for a in range(row, 1)]
-        elif row == 1:
-            slots = [(1, 0)]
-        else:
-            slots = [(a, row - a) for a in range(2, row + 1)]
-        for (a, b) in slots:
-            comp = component_at(self.p, a, b)
-            if comp is not None and (a, b) not in self.components:
-                self.components[(a, b)] = comp
+        # component_at is vacant outside min(row, 0) <= a <= max(row, 1)
+        for a in range(min(row, 0), max(row, 1) + 1):
+            comp = component_at(self.p, a, row - a)
+            if comp is not None and (a, row - a) not in self.components:
+                self.components[(a, row - a)] = comp
         self.i_min = min(self.i_min, row)
         self.i_max = max(self.i_max, row)
 

@@ -104,20 +104,6 @@ def rank_and_kernel(mat: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     return len(pivots), kern
 
 
-def solve_coordinates(basis_rows: np.ndarray, pivots: list[int], v: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates of v in the span of RREF rows; raises if v is outside."""
-    v = np.array(v, dtype=np.int64, copy=True) % p
-    coeffs = zeros(1, basis_rows.shape[0])[0]
-    for i, c in enumerate(pivots):
-        coeff = int(v[c]) % p
-        if coeff:
-            coeffs[i] = coeff
-            v = (v - coeff * basis_rows[i]) % p
-    if np.any(v % p):
-        raise ValueError("vector not in span")
-    return coeffs
-
-
 class Homology:
     """Homology of a two-step complex  F^a --d_in--> F^mid --d_out--> F^b.
 
@@ -130,9 +116,9 @@ class Homology:
 
     def __init__(self, d_in: np.ndarray, d_out: np.ndarray, p: int):
         self.p = p
-        mid = d_in.shape[0] if d_in.size or d_in.shape[0] else d_out.shape[1]
         if d_in.shape[0] != d_out.shape[1]:
             raise ValueError("middle dimensions disagree")
+        mid = d_in.shape[0]
         comp = matmul(d_out, d_in, p)
         if np.any(comp):
             raise CompositionNotZero("d_out . d_in != 0")

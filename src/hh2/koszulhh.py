@@ -61,7 +61,15 @@ DEFAULT_MAX_CELLS = 2_000_000
 
 
 def max_cells() -> int:
-    return int(os.environ.get("HH2_MAX_CELLS", DEFAULT_MAX_CELLS))
+    """The bar-oracle cell cap: HH2_MAX_CELLS, a positive integer, if set."""
+    raw = os.environ.get("HH2_MAX_CELLS", str(DEFAULT_MAX_CELLS))
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise ValueError(f"HH2_MAX_CELLS must be a positive integer, got {raw!r}")
+    return cap
 
 
 class Pairing:

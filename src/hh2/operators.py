@@ -222,8 +222,6 @@ class HHLAlgebra:
         for tup, c in partial:
             el = TowerElement(tup, e1.alpha + e2.alpha)
             if el not in self.index:
-                if self.k_max is not None and el.k > self.k_max:
-                    return OUT_OF_WINDOW
                 return OUT_OF_WINDOW
             out[el] = (out.get(el, 0) + c) % p
         return {k: v for k, v in out.items() if v}

@@ -112,15 +112,6 @@ def combo_add(dst: Combo, src: Combo, coeff: int, p: int) -> None:
             dst.pop(idx, None)
 
 
-def combo_scale(src: Combo, coeff: int, p: int) -> Combo:
-    out: Combo = {}
-    for idx, c in src.items():
-        v = (coeff * c) % p
-        if v:
-            out[idx] = v
-    return out
-
-
 class BasedAlgebra:
     """Finite-dimensional algebra with a fixed basis and structure constants.
 
@@ -443,9 +434,6 @@ class OmegaAlgebra(BasedAlgebra):
             out.append(combo)
         return out
 
-    def z_power(self, ell: int) -> Combo:
-        return self.center_basis()[ell]
-
 
 def build_omega(p: int) -> OmegaAlgebra:
     return OmegaAlgebra(p)
@@ -492,21 +480,7 @@ def sub_ideal_epep(omega: OmegaAlgebra) -> BasedBimodule:
 def quotient_theta(omega: OmegaAlgebra) -> BasedBimodule:
     """The preprojective quotient by the ideal above, as an Omega-bimodule."""
     keep = [i for i in range(omega.dim) if not omega.in_ideal(i)]
-    reindex = {old: new for new, old in enumerate(keep)}
-    basis = [omega.basis[i] for i in keep]
-    left: dict[tuple[int, int], Combo] = {}
-    right: dict[tuple[int, int], Combo] = {}
-    for new, old in enumerate(keep):
-        for a in range(omega.dim):
-            prod = omega.mul_basis(a, old)
-            mapped = {reindex[i]: c for i, c in prod.items() if i in reindex}
-            if mapped:
-                left[(a, new)] = mapped
-            prod = omega.mul_basis(old, a)
-            mapped = {reindex[i]: c for i, c in prod.items() if i in reindex}
-            if mapped:
-                right[(new, a)] = mapped
-    mod = BasedBimodule(omega, basis, left, right, name="Theta")
+    mod = _sub_bimodule(omega, keep, "Theta")
     mod.parent_index = keep
     return mod
 

@@ -10,6 +10,8 @@ computations, placed at grid positions (a, b):
 * (a, b), a >= 2, b >= 1 odd: "chibar" again; b >= 2 even: "chibar*";
 * (a, 0), a >= 2: the vertex algebra ("omega0"), names e_s.
 
+Which piece sits at which slot, with its shifts, is ``clubsuit.component_at``.
+
 Products are implemented from closed-form name tables (frozen from cup
 computations in the cochain models; see verify_first_principles) together
 with a suspension sign for components whose k-shift is odd.
@@ -19,28 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .clubsuit import (CHI, CHIBAR_MINUS, CHIBAR_PLUS, CHIBARSTAR_MINUS,
+                       CHIBARSTAR_PLUS, CHIUNDER, OMEGA0, PRODUCT_TABLE,
+                       GridComponent, NaturalMaps, component_at)
 from .exactlin import check_odd_prime
-from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
-                       KIND_THETA_SIGMA, Name, NameCombo, format_name)
-
-CHI = "chi"
-CHIBAR_MINUS = "chibar_minus"
-CHIBARSTAR_MINUS = "chibar_star_minus"
-CHIUNDER = "chi_under"
-CHIBAR_PLUS = "chibar_plus"
-CHIBARSTAR_PLUS = "chibar_star_plus"
-OMEGA0 = "omega0_plus"
-
-# which of the five coefficient computations underlies each component kind
-COEFF_OF_KIND = {
-    CHI: KIND_OMEGA,
-    CHIBAR_MINUS: KIND_THETA,
-    CHIBAR_PLUS: KIND_THETA,
-    CHIBARSTAR_MINUS: KIND_THETA_SIGMA,
-    CHIBARSTAR_PLUS: KIND_THETA_SIGMA,
-    CHIUNDER: KIND_IDEAL,
-    OMEGA0: KIND_DUAL,
-}
+from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Name, NameCombo,
+                       build_model, cup, format_name, homology_named, push_named)
 
 
 class WindowEmpty(Exception):
@@ -55,32 +41,6 @@ class OutOfWindow:
 
 
 OUT_OF_WINDOW = OutOfWindow()
-
-
-def slot_kind(a: int, b: int) -> str | None:
-    if b == 0:
-        if a <= 0:
-            return CHI
-        if a == 1:
-            return CHIUNDER
-        return OMEGA0
-    if a <= 0 and b <= -1:
-        return CHIBARSTAR_MINUS if b % 2 else CHIBAR_MINUS
-    if a >= 2 and b >= 1:
-        return CHIBAR_PLUS if b % 2 else CHIBARSTAR_PLUS
-    return None
-
-
-def slot_shift(p: int, a: int, b: int) -> tuple[int, int]:
-    """(j, k) shift of the slot relative to the unshifted class degrees."""
-    kind = slot_kind(a, b)
-    if kind in (CHI, CHIBAR_MINUS, CHIBARSTAR_MINUS, CHIUNDER):
-        return a * p, a * (1 - p)
-    if kind in (CHIBAR_PLUS, CHIBARSTAR_PLUS):
-        return (a - 1) * p, (a - 1) * (1 - p) + 1
-    if kind == OMEGA0:
-        return 2 + (a - 2) * p, (a - 2) * (1 - p)
-    raise ValueError(f"vacant slot {(a, b)}")
 
 
 def concrete_degree(p: int, name: Name) -> tuple[int, int, int]:
@@ -137,11 +97,12 @@ class SpadeElement:
 
 
 def make_element(p: int, a: int, b: int, name: Name) -> SpadeElement:
-    kind = slot_kind(a, b)
-    js, ks = slot_shift(p, a, b)
+    comp = component_at(p, a, b)
+    if comp is None:
+        raise ValueError(f"vacant slot {(a, b)}")
     j, k, _h = concrete_degree(p, name)
     x = "1" if name[0] in ("z", "kz", "mu", "nu") else f"e_{name[1]}"
-    return SpadeElement(a, b, name, kind, a + b, j + js, k + ks, x)
+    return SpadeElement(a, b, name, comp.label, a + b, j + comp.jshift, k + comp.kshift, x)
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +244,6 @@ def name_product(p: int, kind1: str, n1: Name, kind2: str, n2: Name,
     return {}
 
 
-def suspension_sign(p: int, m1: SpadeElement, m2: SpadeElement) -> int:
-    """Koszul sign from the odd k-suspension of the plus-side components.
-
-    Only the right factor's slot shift against the left factor's unshifted
-    k-degree enters; this is the unique rule of this shape compatible with
-    associativity and supercommutativity on full windows.
-    """
-    _, k2s = slot_shift(p, m2.a, m2.b)
-    _, k1c, _ = concrete_degree(p, m1.name)
-    return -1 if (k2s * k1c) % 2 else 1
-
-
 class SpadeAlgebra:
     """Windowed realization with the closed-form product."""
 
@@ -307,18 +256,26 @@ class SpadeAlgebra:
         self.b_min = b_min if b_min is not None else a_min
         self.b_max = b_max if b_max is not None else a_max
         self.basis: list[SpadeElement] = []
-        self.slots: dict[tuple[int, int], str] = {}
+        self.slots: dict[tuple[int, int], GridComponent] = {}
         for a in range(a_min, a_max + 1):
             for b in range(self.b_min, self.b_max + 1):
-                kind = slot_kind(a, b)
-                if kind is None:
+                comp = component_at(p, a, b)
+                if comp is None:
                     continue
-                self.slots[(a, b)] = kind
-                for name in component_names(p, kind):
+                self.slots[(a, b)] = comp
+                for name in component_names(p, comp.label):
                     self.basis.append(make_element(p, a, b, name))
         if not self.basis:
             raise WindowEmpty("no grid slots in the requested window")
         self.index = {(m.a, m.b, m.name): i for i, m in enumerate(self.basis)}
+        # every slot that an element or a product of two elements occupies,
+        # as nested lists so that a product looks its slots up without
+        # allocating
+        self._a0 = min(a_min, 2 * a_min)
+        self._b0 = min(self.b_min, 2 * self.b_min)
+        self._grid = [[component_at(p, a, b)
+                       for b in range(self._b0, max(self.b_max, 2 * self.b_max) + 1)]
+                      for a in range(self._a0, max(a_max, 2 * a_max) + 1)]
 
     @property
     def dim(self) -> int:
@@ -332,19 +289,25 @@ class SpadeAlgebra:
 
     def product(self, m1: SpadeElement, m2: SpadeElement):
         """Linear combination {SpadeElement: coeff}, or OUT_OF_WINDOW."""
-        a, b = m1.a + m2.a, m1.b + m2.b
-        kind = slot_kind(a, b)
-        if kind is None:
+        grid, a0, b0 = self._grid, self._a0, self._b0
+        target = grid[m1.a + m2.a - a0][m1.b + m2.b - b0]
+        if target is None:
             return {}
-        names = name_product(self.p, m1.kind, m1.name, m2.kind, m2.name, kind)
+        names = name_product(self.p, m1.kind, m1.name, m2.kind, m2.name, target.label)
         if not names:
             return {}
-        if (a, b) not in self.slots:
+        if not (self.a_min <= target.a <= self.a_max and self.b_min <= target.b <= self.b_max):
             return OUT_OF_WINDOW
-        sign = suspension_sign(self.p, m1, m2)
+        # Koszul sign from the odd k-suspension of the plus-side components:
+        # only the right factor's slot shift against the left factor's
+        # unshifted k-degree enters; this is the unique rule of this shape
+        # compatible with associativity and supercommutativity on full windows.
+        k2_shift = grid[m2.a - a0][m2.b - b0].kshift
+        k1_unshifted = m1.k - grid[m1.a - a0][m1.b - b0].kshift
+        sign = -1 if (k2_shift * k1_unshifted) % 2 else 1
         out = {}
         for name, coeff in names.items():
-            el = self.basis[self.index[(a, b, name)]]
+            el = self.basis[self.index[(target.a, target.b, name)]]
             out[el] = (sign * coeff) % self.p
         return out
 
@@ -447,70 +410,25 @@ class VerificationReport:
                 f"{len(self.mismatches)} mismatches, zeros by reason {reasons}")
 
 
-# (coeff1, coeff2, coeff_target) -> pairing name; "factored:" entries compose
-# an even cup with the class-level socle-embedding map
-_PAIRING_FOR = {
-    ("omega", "omega", "omega"): "mult",
-    ("omega", "theta", "theta"): "act_l:Theta",
-    ("theta", "omega", "theta"): "act_r:Theta",
-    ("omega", "theta-sigma", "theta-sigma"): "act_l:ThetaSigma",
-    ("theta-sigma", "omega", "theta-sigma"): "act_r:ThetaSigma",
-    ("omega", "omega-ep-omega", "omega-ep-omega"): "mult_into_ideal_l",
-    ("omega-ep-omega", "omega", "omega-ep-omega"): "mult_into_ideal_r",
-    ("omega", "omega-ep-omega", "omega"): "mult_incl_l",
-    ("omega-ep-omega", "omega", "omega"): "mult_incl_r",
-    ("omega", "omega-dual", "omega-dual"): "act_l:OmegaDual",
-    ("omega-dual", "omega", "omega-dual"): "act_r:OmegaDual",
-    ("omega", "omega-dual", "omega-ep-omega"): "theta_l",
-    ("omega-dual", "omega", "omega-ep-omega"): "theta_r",
-    ("omega", "omega-dual", "omega"): "iota_l",
-    ("omega-dual", "omega", "omega"): "iota_r",
-    ("theta", "theta", "theta"): "collapse:pp",
-    ("theta", "theta-sigma", "theta-sigma"): "collapse:ps",
-    ("theta-sigma", "theta", "theta-sigma"): "collapse:sp",
-    ("theta-sigma", "theta-sigma", "theta"): "collapse:ss",
-    ("theta", "theta-sigma", "omega-dual"): "factored:collapse:ps",
-    ("theta-sigma", "theta", "omega-dual"): "factored:collapse:sp",
-    ("omega-ep-omega", "omega-ep-omega", "omega-dual"): "eta",
-    ("omega-ep-omega", "omega-dual", "omega-dual"): "zeta_l",
-    ("omega-dual", "omega-ep-omega", "omega-dual"): "zeta_r",
-    ("omega-dual", "omega-dual", "omega-dual"): "eps",
-    ("omega-ep-omega", "theta", None): "zero:ideal,theta",
-    ("theta", "omega-ep-omega", None): "zero:theta,ideal",
-    ("omega-ep-omega", "theta-sigma", None): "zero:ideal,theta_sigma",
-    ("theta-sigma", "omega-ep-omega", None): "zero:theta_sigma,ideal",
-    ("omega-dual", "theta", None): "zero:dual,theta",
-    ("theta", "omega-dual", None): "zero:theta,dual",
-    ("omega-dual", "theta-sigma", None): "zero:dual,theta_sigma",
-    ("theta-sigma", "omega-dual", None): "zero:theta_sigma,dual",
-}
-
-
 def verify_first_principles(p: int, a_min: int = -3, a_max: int = 4) -> VerificationReport:
     """Recompute every product cell of the window from cup products.
 
     For each pair of realized components and each pair of canonical class
     names, the closed-form table value is compared with the cup product of
-    the canonical representatives through the matching grid pairing.  Zero
-    cells are tagged with their reason: ``slot`` when the target grid slot is
-    vacant, ``degree`` when no class lives at the product degree, ``tensor``
-    when the cup itself vanishes in homology.
+    the canonical representatives through the pairing that the grid's product
+    table selects.  Zero cells are tagged with their reason: ``slot`` when
+    the target grid slot is vacant, ``tensor`` when the kind pair has no
+    pairing at any target, ``degree`` when no pairing lands in the target's
+    module, ``class-degree`` when the cup vanishes in homology.
     """
-    from .clubsuit import NaturalMaps
-    from .koszulhh import build_model, cup, homology_named, push_named
-
     nm = NaturalMaps(p)
-    coeff_mod = {
-        "omega": nm.reg, "theta": nm.theta, "theta-sigma": nm.theta_sigma,
-        "omega-dual": nm.dual, "omega-ep-omega": nm.ideal,
-    }
-    models = {kind: build_model(nm.c, mod) for kind, mod in coeff_mod.items()}
-    hhs = {kind: homology_named(models[kind], kind) for kind in coeff_mod}
+    models = {kind: build_model(nm.c, mod) for kind, mod in nm.modules.items()}
+    hhs = {kind: homology_named(models[kind], kind) for kind in nm.modules}
 
     # the class-level map induced by the socle embedding: verified on the nose
     mu_names: dict[Name, NameCombo] = {}
-    sig_model, dual_model = models["theta-sigma"], models["omega-dual"]
-    for cl in hhs["theta-sigma"].classes:
+    sig_model, dual_model = models[KIND_THETA_SIGMA], models[KIND_DUAL]
+    for cl in hhs[KIND_THETA_SIGMA].classes:
         image = {}
         for n, coeff in cl.rep.items():
             ci, xi = sig_model.pairs[n]
@@ -519,63 +437,69 @@ def verify_first_principles(p: int, a_min: int = -3, a_max: int = 4) -> Verifica
                 image[key] = (image.get(key, 0) + coeff * c2) % p
         image = {k: v for k, v in image.items() if v}
         if cl.name[0] == "soc":
-            expect = hhs["omega-dual"].by_name[("e", cl.name[1])].rep
+            expect = hhs[KIND_DUAL].by_name[("e", cl.name[1])].rep
             if image != expect:
                 raise AssertionError("socle embedding does not match class reps")
             mu_names[cl.name] = {("e", cl.name[1]): 1}
         else:
             mu_names[cl.name] = {}
 
+    paired = {(k1, k2) for k1, k2, _kt in PRODUCT_TABLE}
     alg = build_spade(p, a_min, a_max)
     cells: list[CellCheck] = []
     seen: set[tuple] = set()
     slots = sorted(alg.slots)
     for (a1, b1) in slots:
-        k1 = alg.slots[(a1, b1)]
+        s1 = alg.slots[(a1, b1)]
+        k1 = s1.label
         for (a2, b2) in slots:
-            k2 = alg.slots[(a2, b2)]
-            at, bt = a1 + a2, b1 + b2
-            tk = slot_kind(at, bt)
-            c1, c2 = COEFF_OF_KIND[k1], COEFF_OF_KIND[k2]
-            ct = COEFF_OF_KIND[tk] if tk else None
+            s2 = alg.slots[(a2, b2)]
+            k2 = s2.label
+            st = component_at(p, a1 + a2, b1 + b2)
+            tk = st.label if st else None
             cell_sig = (k1, k2, tk)
             if cell_sig in seen:
                 continue
             seen.add(cell_sig)
+            # the reason every cell of this slot pair is zero, if one applies
+            if st is None:
+                zero = "slot"
+            elif (s1.kind, s2.kind) not in paired:
+                zero = "tensor"
+            else:
+                pr_name = PRODUCT_TABLE.get((s1.kind, s2.kind, st.kind))
+                pairing = nm.pairings[pr_name] if pr_name else None
+                lands = pairing is not None and pairing.z_mod is nm.modules[st.kind]
+                zero = None if lands else "degree"
             for n1 in component_names(p, k1):
                 for n2 in component_names(p, k2):
-                    table = name_product(p, k1, n1, k2, n2, tk) if tk else {}
-                    if tk is None:
+                    if zero == "slot":
                         cells.append(CellCheck(k1, n1, k2, n2, tk, {}, None, "slot", True))
                         continue
-                    pr_name = _PAIRING_FOR.get((c1, c2, ct))
-                    if pr_name is None:
-                        pr_name = _PAIRING_FOR.get((c1, c2, None))
-                    if pr_name is None:
-                        # no natural map lands here: product is zero by degrees
+                    table = name_product(p, k1, n1, k2, n2, tk)
+                    if zero:
                         ok = not table
                         cells.append(CellCheck(k1, n1, k2, n2, tk, table, {},
-                                               "degree" if ok else None, ok))
+                                               zero if ok else None, ok))
                         continue
-                    u = hhs[c1].by_name[n1].rep
-                    v = hhs[c2].by_name[n2].rep
-                    if pr_name.startswith("factored:"):
-                        inner = nm.pairings[pr_name.split(":", 1)[1]]
-                        mid_kind = "theta-sigma"
-                        w = cup(models[c1], u, models[c2], v, inner, models[mid_kind])
-                        mid = hhs[mid_kind].project(w)
-                        res = push_named(hhs[mid_kind], hhs["omega-dual"], mu_names, mid)
+                    u = hhs[s1.kind].by_name[n1].rep
+                    v = hhs[s2.kind].by_name[n2].rep
+                    if pairing.factor is not None:
+                        # an even cup into Theta^sigma, then the socle embedding
+                        inner, _mu = pairing.factor
+                        w = cup(models[s1.kind], u, models[s2.kind], v, inner,
+                                models[KIND_THETA_SIGMA])
+                        mid = hhs[KIND_THETA_SIGMA].project(w)
+                        res = push_named(hhs[KIND_THETA_SIGMA], hhs[KIND_DUAL], mu_names, mid)
                     else:
-                        pairing = nm.pairings[pr_name]
-                        w = cup(models[c1], u, models[c2], v, pairing, models[ct])
-                        res = hhs[ct].project(w) if w else {}
+                        w = cup(models[s1.kind], u, models[s2.kind], v, pairing,
+                                models[st.kind])
+                        res = hhs[st.kind].project(w) if w else {}
                     # compare inside the target component's name set
                     res_t = truncate_to(p, tk, res)
                     dropped = {n: c for n, c in res.items() if n not in res_t}
                     ok = res_t == table and not dropped
-                    reason = None
-                    if ok and not table:
-                        reason = "tensor" if pr_name.startswith("zero:") else "class-degree"
+                    reason = "class-degree" if ok and not table else None
                     cells.append(CellCheck(k1, n1, k2, n2, tk, table, res, reason, ok))
     return VerificationReport(p, cells)
 

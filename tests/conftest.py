@@ -14,25 +14,15 @@ def maps5():
     return NaturalMaps(5)
 
 
-def coefficient_modules(nm):
-    return {
-        "omega": nm.reg,
-        "theta": nm.theta,
-        "theta-sigma": nm.theta_sigma,
-        "omega-dual": nm.dual,
-        "omega-ep-omega": nm.ideal,
-    }
-
-
 @pytest.fixture(scope="session")
 def named3(maps3):
-    mods = coefficient_modules(maps3)
+    mods = maps3.modules
     models = {k: build_model(maps3.c, m) for k, m in mods.items()}
     return models, {k: homology_named(models[k], k) for k in mods}
 
 
 @pytest.fixture(scope="session")
 def named5(maps5):
-    mods = coefficient_modules(maps5)
+    mods = maps5.modules
     models = {k: build_model(maps5.c, m) for k, m in mods.items()}
     return models, {k: homology_named(models[k], k) for k in mods}

@@ -30,8 +30,7 @@ def report(criterion: str, elapsed: float) -> None:
 
 def build_named(p):
     nm = NaturalMaps(p)
-    mods = {"omega": nm.reg, "theta": nm.theta, "theta-sigma": nm.theta_sigma,
-            "omega-dual": nm.dual, "omega-ep-omega": nm.ideal}
+    mods = nm.modules
     models = {k: build_model(nm.c, m) for k, m in mods.items()}
     return nm, mods, models, {k: homology_named(models[k], k) for k in mods}
 
@@ -131,6 +130,7 @@ def test_criterion_7_club_window():
     win = ClubWindow(3, -3, 4)
     checked, bad = _club_associativity(win)
     assert bad == 0 and checked > 1_000_000
+    assert (checked, bad) == (1676825, 0)
     for i in range(0, 3):
         for (_sa, _sb), (mat, d1, d2) in win.symmetry_form(i).items():
             arr = np.zeros((d1, d2), dtype=np.int64)

@@ -18,6 +18,20 @@ def test_invalid_coefficient_exits_2():
     assert main(["hh", "--p", "3", "--coefficient", "bogus"]) == 2
 
 
+def test_malformed_max_cells_exits_2(capsys, monkeypatch):
+    for value in ("abc", "0"):
+        monkeypatch.setenv("HH2_MAX_CELLS", value)
+        assert main(["verify", "--p", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: HH2_MAX_CELLS")
+
+
+def test_empty_spadesuit_window_exits_2(capsys):
+    assert main(["spadesuit", "--p", "3", "--a-min", "2", "--a-max", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 def test_hh_json_schema_and_rows(capsys):
     status, out = run(capsys, ["hh", "--p", "5", "--coefficient", "omega"])
     assert status == 0
@@ -73,6 +87,7 @@ def test_spadesuit_check_flag(capsys):
     doc = json.loads(out)
     assert any(c["name"].startswith("associativity") and c["status"] == "PASS"
                for c in doc["checks"])
+    assert {"name": "associativity (426379 triples)", "status": "PASS"} in doc["checks"]
 
 
 def test_spadesuit_first_principles_flag(capsys):

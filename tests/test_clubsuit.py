@@ -5,6 +5,7 @@ from hh2.clubsuit import (CLUB_OUT, ClubWindow, WindowTooSmall,
                           build_club_window, component_at, ideal_partner,
                           theta_partner)
 from hh2.exactlin import rank
+from hh2.koszulhh import KIND_DUAL, KIND_IDEAL, KIND_THETA, KIND_THETA_SIGMA
 
 
 def test_natural_maps_checks(maps3, maps5):
@@ -52,16 +53,16 @@ def test_grid_shifts_match_stated_rows():
     p = 5
     assert component_at(p, -2, 0).jshift == -2 * p
     assert component_at(p, -2, 0).kshift == 2 * (p - 1)
-    assert component_at(p, 0, -1).kind == "ThetaSigma"
-    assert component_at(p, 0, -2).kind == "Theta"
-    assert component_at(p, 1, 0).kind == "OmegaEpOmega"
+    assert component_at(p, 0, -1).kind == KIND_THETA_SIGMA
+    assert component_at(p, 0, -2).kind == KIND_THETA
+    assert component_at(p, 1, 0).kind == KIND_IDEAL
     assert component_at(p, 1, 0).jshift == p and component_at(p, 1, 0).kshift == 1 - p
-    assert component_at(p, 2, 0).kind == "OmegaDual"
+    assert component_at(p, 2, 0).kind == KIND_DUAL
     assert component_at(p, 2, 0).jshift == 2
     assert component_at(p, 3, 0).jshift == 2 + p
-    assert component_at(p, 2, 1).kind == "Theta"
+    assert component_at(p, 2, 1).kind == KIND_THETA
     assert component_at(p, 2, 1).jshift == p and component_at(p, 2, 1).kshift == 2 - p
-    assert component_at(p, 2, 2).kind == "ThetaSigma"
+    assert component_at(p, 2, 2).kind == KIND_THETA_SIGMA
     assert component_at(p, 1, 1) is None
     assert component_at(p, 0, 1) is None
 
@@ -77,7 +78,7 @@ def test_club_products_examples(maps3):
     dual_comp = win.components[(2, 0)]
     # (ideal).(ideal) lands in the dual component via the perfect pairing
     tgt, combo = win.product(ideal_comp, 0, ideal_comp, 0)
-    assert tgt.kind == "OmegaDual" and (tgt.a, tgt.b) == (2, 0)
+    assert tgt.kind == KIND_DUAL and (tgt.a, tgt.b) == (2, 0)
     # Theta- against the ideal is zero
     theta_comp = win.components[(0, -1)]
     for m1 in range(win.module_of(theta_comp).dim):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from hh2 import quiver
-from hh2.exactlin import (CompositionNotZero, NotOddPrime, check_odd_prime,
-                          homology, rank, rank_and_kernel, rref, sparse_rank,
-                          zeros)
+from hh2.exactlin import (CompositionNotZero, Homology, NotOddPrime,
+                          check_odd_prime, homology, rank, rank_and_kernel,
+                          rref, sparse_rank, zeros)
 from hh2.koszulhh import build_model
 
 
@@ -141,3 +145,51 @@ def test_rref_deterministic():
     r1, p1 = rref(a, 5)
     r2, p2 = rref(a.copy(), 5)
     assert np.array_equal(r1, r2) and p1 == p2
+
+
+def _sympy_rank(mat: np.ndarray, p: int) -> int:
+    if 0 in mat.shape:
+        return 0
+    dm = DomainMatrix.from_list_sympy(*mat.shape, mat.tolist())
+    return dm.convert_to(sympy.GF(p)).rank()
+
+
+@st.composite
+def complexes(draw):
+    """F^a -> F^mid -> F^b with d_out . d_in = 0 mod p, in a random basis.
+
+    d_in hits the first r1 coordinates and d_out reads the next r2; a
+    unit-triangular change of basis S of F^mid then mixes them.
+    """
+    p = draw(st.sampled_from([3, 5, 7]))
+    a, b, r1, r2, free = (draw(st.integers(0, n)) for n in (4, 4, 3, 3, 2))
+    mid = r1 + r2 + free
+
+    def rand(rows, cols):
+        vals = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols,
+                             max_size=rows * cols))
+        return np.array(vals, dtype=np.int64).reshape(rows, cols)
+
+    d_in, d_out = zeros(mid, a), zeros(b, mid)
+    d_in[:r1] = rand(r1, a)
+    d_out[:, r1:r1 + r2] = rand(b, r2)
+    if mid == 0:
+        return p, d_in, d_out
+    eye = np.eye(mid, dtype=np.int64)
+    s = (np.tril(rand(mid, mid), -1) + eye) @ (np.triu(rand(mid, mid), 1) + eye) % p
+    s_inv = np.array(sympy.Matrix(s.tolist()).inv_mod(p).tolist(), dtype=np.int64)
+    return p, s @ d_in % p, d_out @ s_inv % p
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes())
+def test_homology_matches_sympy_ranks(case):
+    p, d_in, d_out = case
+    hom = Homology(d_in, d_out, p)
+    assert hom.mid == d_in.shape[0]
+    nullity_out = d_out.shape[1] - _sympy_rank(d_out, p)
+    assert hom.dimension == nullity_out - _sympy_rank(d_in, p)
+    for i, rep in enumerate(hom.representatives):
+        unit = np.zeros(hom.dimension, dtype=np.int64)
+        unit[i] = 1
+        assert np.array_equal(hom.project(rep), unit)

@@ -97,9 +97,7 @@ def test_bar_oracle_cap(maps3):
                                   "omega-dual", "omega-ep-omega"])
 def test_bar_oracle_matches_model_p3(kind, maps3, named3):
     _models, hhs = named3
-    mods = {"omega": maps3.reg, "theta": maps3.theta, "theta-sigma": maps3.theta_sigma,
-            "omega-dual": maps3.dual, "omega-ep-omega": maps3.ideal}
-    assert bar_oracle(maps3.omega, mods[kind], 4) == hhs[kind].dims_by_h(4)
+    assert bar_oracle(maps3.omega, maps3.modules[kind], 4) == hhs[kind].dims_by_h(4)
 
 
 def test_cup_unit_law(maps3, named3):
@@ -107,9 +105,9 @@ def test_cup_unit_law(maps3, named3):
     chi = hhs["omega"]
     one = chi.by_name[("z", 0)].rep
     for kind in ("theta", "theta-sigma", "omega-dual"):
-        pairing = maps3.pairings[{"theta": "act_l:Theta",
-                                  "theta-sigma": "act_l:ThetaSigma",
-                                  "omega-dual": "act_l:OmegaDual"}[kind]]
+        pairing = maps3.pairings[{"theta": "act_l:theta",
+                                  "theta-sigma": "act_l:theta-sigma",
+                                  "omega-dual": "act_l:omega-dual"}[kind]]
         for cl in hhs[kind].classes:
             w = cup(models["omega"], one, models[kind], cl.rep, pairing, models[kind])
             assert hhs[kind].project(w) == {cl.name: 1}
@@ -135,7 +133,7 @@ def test_cup_kappa_mu(maps5, named5):
     # normalization nu_l = v_h - v_{h+1}; see the decisions ledger
     models, hhs = named5
     chi, sig = hhs["omega"], hhs["theta-sigma"]
-    pairing = maps5.pairings["act_l:ThetaSigma"]
+    pairing = maps5.pairings["act_l:theta-sigma"]
     kappa = chi.by_name[("kz", 0)].rep
     half = (5 + 1) // 2
     for ell in (1, 2):
@@ -176,7 +174,7 @@ def test_cup_associativity_on_action_pairings(maps3, named3):
     models, hhs = named3
     chi, thb = hhs["omega"], hhs["theta"]
     mult = maps3.pairings["mult"]
-    act = maps3.pairings["act_l:Theta"]
+    act = maps3.pairings["act_l:theta"]
     for u in chi.classes:
         for v in chi.classes:
             uv = cup(models["omega"], u.rep, models["omega"], v.rep, mult, models["omega"])
@@ -243,7 +241,7 @@ def test_cup_associativity_on_sigma_action(maps3, named3):
     models, hhs = named3
     chi, sig = hhs["omega"], hhs["theta-sigma"]
     mult = maps3.pairings["mult"]
-    act = maps3.pairings["act_l:ThetaSigma"]
+    act = maps3.pairings["act_l:theta-sigma"]
     for u in chi.classes:
         for v in chi.classes:
             uv = cup(models["omega"], u.rep, models["omega"], v.rep, mult, models["omega"])

@@ -176,6 +176,9 @@ def test_verify_first_principles(p):
     assert reasons.get("tensor", 0) > 0
     assert reasons.get("degree", 0) > 0
     assert reasons.get("slot", 0) > 0
+    if p == 3:
+        assert (len(rep.cells), reasons) == (
+            1591, {"class-degree": 586, "degree": 288, "slot": 336, "tensor": 192})
 
 
 def test_half_coefficient_cells():
