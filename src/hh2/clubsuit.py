@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import quiver
+from . import Hh2Error, quiver
 from .exactlin import rank, zeros
 from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
                        KIND_THETA_SIGMA, Pairing)
@@ -33,11 +33,11 @@ CHIBARSTAR_PLUS = "chibar_star_plus"
 OMEGA0 = "omega0_plus"
 
 
-class ConstructionFailure(Exception):
+class ConstructionFailure(Hh2Error):
     pass
 
 
-class WindowTooSmall(Exception):
+class WindowTooSmall(Hh2Error):
     pass
 
 

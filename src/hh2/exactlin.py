@@ -2,21 +2,28 @@
 
 Matrices are dense numpy int64 arrays with entries reduced to [0, p).
 A matrix of shape (m, n) is a linear map F_p^n -> F_p^m acting on column
-vectors.  All pivoting uses a fixed column order, so echelon forms, kernel
+vectors.  ``rref`` pivots in a fixed column order, so echelon forms, kernel
 bases and homology representatives are canonical: the same input always
-produces byte-identical output.
+produces byte-identical output.  ``sparse_rank`` takes sparse columns,
+reorders rows and columns to keep fill-in low, and returns only a rank.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
+from operator import itemgetter
+
 import numpy as np
 
+from . import Hh2Error
 
-class NotOddPrime(Exception):
+
+class NotOddPrime(Hh2Error):
     """Raised when a modulus is not an odd prime >= 3."""
 
 
-class CompositionNotZero(Exception):
+class CompositionNotZero(Hh2Error):
     """Raised when two maps passed as a complex fail d_out . d_in = 0."""
 
 
@@ -178,13 +185,22 @@ def homology(d_in: np.ndarray, d_out: np.ndarray, p: int) -> Homology:
 def sparse_rank(columns: list[dict], p: int) -> int:
     """Rank of a matrix given as sparse columns {row: coeff} over F_p.
 
-    Left-looking elimination keyed on smallest row index; columns are
-    consumed in order, so the result is deterministic.
+    Left-looking elimination that pivots on the smallest row label.  The rank
+    does not depend on the order of rows or columns, so the matrix is
+    reordered first to keep fill-in low (the Markowitz-style ordering of
+    structured Gaussian elimination): rows are relabelled by ascending
+    number of stored entries, ties broken by row id, and the lightest columns
+    are eliminated first.  Only the rank is returned, so the reordering shows in
+    nothing but the running time.
     """
+    count = Counter(chain.from_iterable(columns))
+    label = {r: i for i, (r, _) in enumerate(sorted(count.items(), key=itemgetter(1, 0)))}
+    reduced = sorted(({label[r]: v for r, c in col.items() if (v := c % p)} for col in columns),
+                     key=len)
+
     pivots: dict[int, dict] = {}
     rank_ = 0
-    for col in columns:
-        cur = {r: c % p for r, c in col.items() if c % p}
+    for cur in reduced:
         while cur:
             r = min(cur)
             piv = pivots.get(r)

@@ -26,34 +26,35 @@ import os
 
 import numpy as np
 
-from .exactlin import Homology, matmul, zeros
+from . import Hh2Error
+from .exactlin import Homology, matmul, sparse_rank, zeros
 from .quiver import BasedAlgebra, BasedBimodule, Combo, OmegaAlgebra, combo_add
 
 Name = tuple  # ("z", l) | ("kz", l) | ("c2", s) | ("soc", s) | ("mu", l) | ("nu", l) | ("e", s)
 NameCombo = dict[Name, int]
 
 
-class MismatchedP(Exception):
+class MismatchedP(Hh2Error):
     pass
 
 
-class NonMatchingIdempotents(Exception):
+class NonMatchingIdempotents(Hh2Error):
     pass
 
 
-class NotACocycle(Exception):
+class NotACocycle(Hh2Error):
     pass
 
 
-class PairingDegreeMismatch(Exception):
+class PairingDegreeMismatch(Hh2Error):
     pass
 
 
-class UnrecognizedSignature(Exception):
+class UnrecognizedSignature(Hh2Error):
     pass
 
 
-class TooLarge(Exception):
+class TooLarge(Hh2Error):
     pass
 
 
@@ -594,174 +595,172 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int,
     Cochains in degree n are A0-bimodule maps (rad A)^{(x)_{A0} n} -> X,
     graded by the difference of internal (j, k) degrees; the computation is
     done one graded piece at a time.  No Koszulity is used anywhere.
+
+    Raises TooLarge, before the chains are built, when the cochains would
+    pass the cell cap.  Checks d_{n+1} . d_n = 0 for every n < n_max, and
+    logs the shape and rank of each graded piece at DEBUG level.
     """
     cap = cell_cap if cell_cap is not None else max_cells()
     p = alg.p
     rad = [i for i, b in enumerate(alg.basis) if b.j != 0 or b.k != 0]
+    rad_by_left: dict[int, list[int]] = {}
+    rad_by_right: dict[int, list[int]] = {}
+    for r in rad:
+        rad_by_left.setdefault(alg.basis[r].left, []).append(r)
+        rad_by_right.setdefault(alg.basis[r].right, []).append(r)
+    # x_mod basis by slot (left, right): (index, j, k) in index order
+    x_by_slot: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for xi, xb in enumerate(x_mod.basis):
+        x_by_slot.setdefault((xb.left, xb.right), []).append((xi, xb.j, xb.k))
 
-    # chains[n] maps a tuple of radical indices to its slot (left, right)
-    chains: list[list[tuple]] = [[()]]
+    # chains[n] lists (chain, left, right, j, k): a tuple of n radical indices
+    # with its slot and total degree, extended through the left vertex index;
+    # degree 0 uses the vertex chain (v,) as a stand-in for the empty chain
+    chains: list[list[tuple]] = [[((v,), v, v, 0, 0) for v in alg.vertices]]
     cells = 0
+    per_chain = max(1, x_mod.dim // max(1, len(alg.vertices)))
     for n in range(1, n_max + 2):
         prev = chains[n - 1]
-        cur = []
-        for ch in prev:
-            last_right = alg.basis[ch[-1]].right if ch else None
-            for r in rad:
-                if ch and alg.basis[r].left != last_right:
-                    continue
-                cur.append(ch + (r,))
-        chains.append(cur)
-        cells += len(cur) * max(1, x_mod.dim // max(1, len(alg.vertices)))
+        # the cap is checked before the chains are built
+        count = len(rad) if n == 1 else sum(len(rad_by_left.get(rgt, ()))
+                                            for _, _, rgt, _, _ in prev)
+        cells += per_chain * count
         if cells > cap:
             raise TooLarge(f"bar complex would exceed {cap} cells")
-
-    def chain_slot(ch: tuple) -> tuple[int, int] | None:
-        if not ch:
-            return None
-        return alg.basis[ch[0]].left, alg.basis[ch[-1]].right
-
-    def chain_degree(ch: tuple) -> tuple[int, int]:
-        j = sum(alg.basis[r].j for r in ch)
-        k = sum(alg.basis[r].k for r in ch)
-        return j, k
+        cur = []
+        if n == 1:
+            for r in rad:
+                b = alg.basis[r]
+                cur.append(((r,), b.left, b.right, b.j, b.k))
+        else:
+            for ch, lft, rgt, j, k in prev:
+                for r in rad_by_left.get(rgt, ()):
+                    b = alg.basis[r]
+                    cur.append((ch + (r,), lft, b.right, j + b.j, k + b.k))
+        chains.append(cur)
 
     # cochain basis in degree n: (chain, x_index) with matching slots,
-    # bucketed by (j(x) - j(chain), k(x) - k(chain)); degree 0 uses the
-    # vertex chain (v,) as a stand-in for the empty chain at vertex v
-    basis_by_n = []
-    index_by_n = []
-    rad_set = set(rad)
+    # bucketed by (j(x) - j(chain), k(x) - k(chain)).  sizes_by_n[n][bucket]
+    # counts the basis of a piece and loc_by_n[n] maps a chain to
+    # {x_index: (bucket, position in bucket)}
+    sizes_by_n: list[dict[tuple[int, int], int]] = []
+    loc_by_n: list[dict[tuple, dict[int, tuple[tuple[int, int], int]]]] = []
+    # the (x_index, bucket) pairs of a chain depend only on its slot and degree
+    x_keys: dict[tuple[int, int, int, int], list[tuple[int, tuple[int, int]]]] = {}
     for n in range(0, n_max + 2):
-        buckets: dict[tuple[int, int], list[tuple[tuple, int]]] = {}
-        if n == 0:
-            for v in alg.vertices:
-                for xi, xb in enumerate(x_mod.basis):
-                    if xb.left == v and xb.right == v:
-                        buckets.setdefault((xb.j, xb.k), []).append(((v,), xi))
-        else:
-            for ch in chains[n]:
-                lft, rgt = chain_slot(ch)
-                dj, dk = chain_degree(ch)
-                for xi, xb in enumerate(x_mod.basis):
-                    if xb.left == lft and xb.right == rgt:
-                        buckets.setdefault((xb.j - dj, xb.k - dk), []).append((ch, xi))
-        basis_by_n.append(buckets)
-        index = {}
-        for key, members in buckets.items():
-            for pos, b in enumerate(members):
-                index[b] = (key, pos)
-        index_by_n.append(index)
+        sizes: dict[tuple[int, int], int] = {}
+        locs = {}
+        for ch, lft, rgt, dj, dk in chains[n]:
+            pairs = x_keys.get((lft, rgt, dj, dk))
+            if pairs is None:
+                pairs = x_keys[(lft, rgt, dj, dk)] = [
+                    (xi, (xj - dj, xk - dk)) for xi, xj, xk in x_by_slot.get((lft, rgt), ())]
+            loc = {}
+            for xi, key in pairs:
+                pos = sizes.get(key, 0)
+                loc[xi] = (key, pos)
+                sizes[key] = pos + 1
+            locs[ch] = loc
+        sizes_by_n.append(sizes)
+        loc_by_n.append(locs)
+
+    # split[m] lists (a, b, coeff of m in a b) over radical a, b: the ways
+    # an inner collapse can land on the radical element m
+    rad_set = set(rad)
+    split: dict[int, list[tuple[int, int, int]]] = {}
+    for a in rad:
+        for b in rad_by_left.get(alg.basis[a].right, ()):
+            for mid, cm in alg.mul_basis(a, b).items():
+                if mid in rad_set:
+                    split.setdefault(mid, []).append((a, b, cm))
 
     # differentials as sparse columns per graded bucket; the oracle only
     # needs ranks: dim HH^n = |C^n| - rank(d_n) - rank(d_{n-1})
-    from .exactlin import sparse_rank
-
+    no_loc: dict = {}
     col_cache: dict[int, dict[tuple[int, int], list[Combo]]] = {}
 
     def d_columns(n: int) -> dict[tuple[int, int], list[Combo]]:
+        """Columns of d_n, built one source chain at a time:
+        d(phi)(r0..rn) = r0 . phi(r1..rn) + sum_i (-1)^{i+1} phi(.. r_i r_{i+1} ..)
+                         + (-1)^{n+1} phi(r0..r_{n-1}) . rn."""
         if n in col_cache:
             return col_cache[n]
-        cols = {key: [dict() for _ in members] for key, members in basis_by_n[n].items()}
-        src_index = index_by_n[n]
-        tgt_index = index_by_n[n + 1]
-
-        def scatter(tgt_b, src_b, coeff: int) -> None:
-            loc = src_index.get(src_b)
-            if loc is None:
-                return
-            key, col = loc
-            key2, row = tgt_index[tgt_b]
-            assert key == key2
-            d = cols[key][col]
-            v = (d.get(row, 0) + coeff) % p
-            if v:
-                d[row] = v
-            else:
-                d.pop(row, None)
-
-        for long_ch in chains[n + 1]:
-            lft, rgt = chain_slot(long_ch)
-            for xi, xb in enumerate(x_mod.basis):
-                if xb.left != lft or xb.right != rgt:
-                    continue
-                tgt_b = (long_ch, xi)
-                # r0 . phi(r1..rn)
-                head = long_ch[1:] if n >= 1 else (alg.basis[long_ch[0]].right,)
-                for src_x, c in _left_sources(x_mod, long_ch[0], xi).items():
-                    scatter(tgt_b, (head, src_x), c)
-                # inner collapses phi(.. r_i r_{i+1} ..)
-                for i in range(0, n):
-                    prod = alg.mul_basis(long_ch[i], long_ch[i + 1])
-                    if not prod:
+        cols = {key: [dict() for _ in range(size)] for key, size in sizes_by_n[n].items()}
+        src_loc = loc_by_n[n]
+        tgt_loc = loc_by_n[n + 1]
+        sgn_last = -1 if (n + 1) % 2 else 1
+        for ch, lft, rgt, _, _ in chains[n]:
+            sources = src_loc[ch]
+            if not sources:
+                continue
+            body = () if n == 0 else ch
+            # the longer chains this one sits in, with the x-independent parts
+            heads = [(r0, tgt_loc[(r0,) + body]) for r0 in rad_by_right.get(lft, ())]
+            tails = [(rn, tgt_loc[body + (rn,)]) for rn in rad_by_left.get(rgt, ())]
+            collapses = []
+            for i in range(n):
+                sgn = -1 if (i + 1) % 2 else 1
+                for a, b, cm in split.get(ch[i], ()):
+                    collapses.append((tgt_loc.get(ch[:i] + (a, b) + ch[i + 1:], no_loc),
+                                      sgn * cm))
+            for xi, (key, col) in sources.items():
+                d = cols[key][col]
+                terms = [(loc.get(tx), c) for r0, loc in heads
+                         for tx, c in x_mod.left.get((r0, xi), no_loc).items()]
+                terms += [(loc.get(xi), c) for loc, c in collapses]
+                terms += [(loc.get(tx), sgn_last * c) for rn, loc in tails
+                          for tx, c in x_mod.right.get((xi, rn), no_loc).items()]
+                for tgt, coeff in terms:
+                    if tgt is None:
                         continue
-                    sgn = -1 if (i + 1) % 2 else 1
-                    for mid, cm in prod.items():
-                        if mid in rad_set:
-                            collapsed = long_ch[:i] + (mid,) + long_ch[i + 2:]
-                            scatter(tgt_b, (collapsed, xi), sgn * cm)
-                # (-1)^{n+1} phi(r0..r_{n-1}) . rn
-                tail = long_ch[:-1] if n >= 1 else (alg.basis[long_ch[-1]].left,)
-                sgn = -1 if (n + 1) % 2 else 1
-                for src_x, c in _right_sources(x_mod, long_ch[-1], xi).items():
-                    scatter(tgt_b, (tail, src_x), sgn * c)
+                    tgt_key, row = tgt
+                    assert tgt_key == key
+                    v = (d.get(row, 0) + coeff) % p
+                    if v:
+                        d[row] = v
+                    else:
+                        d.pop(row, None)
         col_cache[n] = cols
         return cols
 
+    # imported here, not at module level, so that only the oracle's callers
+    # pay for loading logging at start-up
+    import logging
+    log = logging.getLogger(__name__)
+    debug = log.isEnabledFor(logging.DEBUG)
     rank_cache: dict[tuple[int, tuple[int, int]], int] = {}
 
     def d_rank(n: int, key: tuple[int, int]) -> int:
         if (n, key) not in rank_cache:
             cols = d_columns(n).get(key, [])
-            rank_cache[(n, key)] = sparse_rank(cols, p)
+            rank_cache[(n, key)] = r = sparse_rank(cols, p)
+            if debug:
+                log.debug("bar piece n=%d bucket=%s rows=%d cols=%d nnz=%d rank=%d",
+                          n, key, sizes_by_n[n + 1].get(key, 0), len(cols),
+                          sum(len(col) for col in cols), r)
         return rank_cache[(n, key)]
 
-    # spot-check d.d = 0 on the lowest degree with both maps present
-    lower = d_columns(0)
-    upper = d_columns(1)
-    for key, cols in lower.items():
-        nxt = upper.get(key)
-        if nxt is None:
-            continue
-        for col in cols:
-            acc: Combo = {}
-            for row, c in col.items():
-                for row2, c2 in nxt[row].items():
-                    acc[row2] = (acc.get(row2, 0) + c * c2) % p
-            if any(v % p for v in acc.values()):
-                raise AssertionError("bar differential does not square to zero")
+    # d_{n+1} . d_n = 0 in every degree whose columns the ranks below use
+    for n in range(0, n_max):
+        upper = d_columns(n + 1)
+        for key, cols in d_columns(n).items():
+            nxt = upper.get(key)
+            if nxt is None:
+                continue
+            for col in cols:
+                acc: Combo = {}
+                for row, c in col.items():
+                    for row2, c2 in nxt[row].items():
+                        acc[row2] = (acc.get(row2, 0) + c * c2) % p
+                if any(acc.values()):
+                    raise AssertionError("bar differential does not square to zero")
 
     dims = []
     for n in range(0, n_max + 1):
         total = 0
-        for key in sorted(basis_by_n[n]):
-            size = len(basis_by_n[n][key])
+        for key, size in sorted(sizes_by_n[n].items()):
             r_out = d_rank(n, key)
             r_in = d_rank(n - 1, key) if n >= 1 else 0
             total += size - r_out - r_in
         dims.append(total)
     return dims
-
-
-def _left_sources(x_mod: BasedBimodule, a: int, target_x: int) -> Combo:
-    """{x : coeff of target_x in a . x}."""
-    cache = getattr(x_mod, "_left_sources_cache", None)
-    if cache is None:
-        cache = {}
-        for (aa, m), prod in x_mod.left.items():
-            for tgt, c in prod.items():
-                cache.setdefault((aa, tgt), {})[m] = c
-        x_mod._left_sources_cache = cache
-    return cache.get((a, target_x), {})
-
-
-def _right_sources(x_mod: BasedBimodule, a: int, target_x: int) -> Combo:
-    """{x : coeff of target_x in x . a}."""
-    cache = getattr(x_mod, "_right_sources_cache", None)
-    if cache is None:
-        cache = {}
-        for (m, aa), prod in x_mod.right.items():
-            for tgt, c in prod.items():
-                cache.setdefault((aa, tgt), {})[m] = c
-        x_mod._right_sources_cache = cache
-    return cache.get((a, target_x), {})

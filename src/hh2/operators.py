@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from . import Hh2Error
 from .spadesuit import OUT_OF_WINDOW, SpadeAlgebra, SpadeElement, augmentation
 
 
-class UnboundedWindow(Exception):
+class UnboundedWindow(Hh2Error):
     pass
 
 

@@ -24,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import Hh2Error
 from .exactlin import check_odd_prime, rref, zeros
 
 Combo = dict[int, int]
 
 
-class IncompatibleAlgebras(Exception):
+class IncompatibleAlgebras(Hh2Error):
     pass
 
 

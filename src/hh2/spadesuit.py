@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import Hh2Error
 from .clubsuit import (CHI, CHIBAR_MINUS, CHIBAR_PLUS, CHIBARSTAR_MINUS,
                        CHIBARSTAR_PLUS, CHIUNDER, OMEGA0, PRODUCT_TABLE,
                        GridComponent, NaturalMaps, component_at)
@@ -29,7 +30,7 @@ from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Name, NameCombo,
                        build_model, cup, format_name, homology_named, push_named)
 
 
-class WindowEmpty(Exception):
+class WindowEmpty(Hh2Error):
     pass
 
 

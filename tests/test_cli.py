@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hh2.cli import main
 
 
@@ -97,3 +99,49 @@ def test_spadesuit_first_principles_flag(capsys):
     doc = json.loads(out)
     assert any(c["name"].startswith("first-principles") and c["status"] == "PASS"
                for c in doc["checks"])
+
+
+def test_verify_reports_skipped_checks(capsys):
+    status, out = run(capsys, ["verify", "--p", "7"])
+    assert status == 0
+    checks = json.loads(out)["checks"]
+    skipped = {c["name"]: c["reason"] for c in checks if c["status"] == "SKIP"}
+    for kind in ("omega", "theta", "theta-sigma", "omega-dual", "omega-ep-omega"):
+        assert f"bar oracle h<=3 agrees ({kind})" in skipped
+    assert "spade table vs cup" in skipped and "club window associativity" in skipped
+    assert all(skipped.values())
+    assert all(c["status"] == "PASS" for c in checks if c["status"] != "SKIP")
+
+
+def test_verify_statuses_in_text_and_json(monkeypatch):
+    import hh2.cli
+    results = [("a", "PASS", ""), ("b", "SKIP", "why not"), ("c", "FAIL", "got 2")]
+    monkeypatch.setattr(hh2.cli, "run_verify", lambda p: results)
+    out, status = hh2.cli.cmd_verify(3, "csv")
+    assert status == 3
+    assert out.splitlines() == ["PASS  a", "SKIP  b  [why not]", "FAIL  c  [got 2]"]
+    out, status = hh2.cli.cmd_verify(3, "json")
+    assert json.loads(out)["checks"] == [{"name": "a", "status": "PASS"},
+                                         {"name": "b", "status": "SKIP", "reason": "why not"},
+                                         {"name": "c", "status": "FAIL"}]
+    monkeypatch.setattr(hh2.cli, "run_verify", lambda p: results[:2])
+    assert hh2.cli.cmd_verify(3, "csv")[1] == 0
+
+
+def test_crash_is_not_a_check_failure(capsys, monkeypatch):
+    import hh2.cli
+    from hh2.koszulhh import TooLarge
+
+    def raising(exc):
+        def cmd(*args):
+            raise exc
+        return cmd
+
+    argv = ["hh", "--p", "3", "--coefficient", "omega"]
+    monkeypatch.setattr(hh2.cli, "cmd_hh", raising(KeyError("bug")))
+    with pytest.raises(KeyError):
+        main(argv)
+    for exc in (TooLarge("cap"), AssertionError("d^2 != 0")):
+        monkeypatch.setattr(hh2.cli, "cmd_hh", raising(exc))
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("internal check failure")

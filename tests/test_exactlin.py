@@ -193,3 +193,48 @@ def test_homology_matches_sympy_ranks(case):
         unit = np.zeros(hom.dimension, dtype=np.int64)
         unit[i] = 1
         assert np.array_equal(hom.project(rep), unit)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(p, columns, dense) for a tall, thin, sparse matrix like the bar
+    oracle's pieces: a few entries per column, with empty and repeated
+    columns, and coefficients outside [0, p) (negative, >= p, multiples of
+    p) that sparse_rank must reduce."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n_rows = draw(st.integers(1, 40))
+    coeff = st.one_of(st.integers(-3 * p, 3 * p), st.sampled_from([-p, p, 2 * p]))
+    columns: list[dict] = []
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["sparse", "sparse", "empty", "repeat"]))
+        if shape == "repeat" and columns:
+            scale = draw(st.integers(1, p - 1))
+            columns.append({r: c * scale for r, c in draw(st.sampled_from(columns)).items()})
+        elif shape == "empty":
+            columns.append({r: p * k for r, k in
+                            draw(st.dictionaries(st.integers(0, n_rows - 1),
+                                                 st.integers(-2, 2), max_size=2)).items()})
+        else:
+            columns.append(draw(st.dictionaries(st.integers(0, n_rows - 1), coeff,
+                                                min_size=1, max_size=4)))
+    dense = zeros(n_rows, len(columns))
+    for j, col in enumerate(columns):
+        for r, c in col.items():
+            dense[r, j] = c % p
+    return p, columns, dense
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+def test_sparse_rank_matches_dense_rank(case, rnd):
+    p, columns, dense = case
+    want = rank(dense, p)
+    assert sparse_rank(columns, p) == want
+    # the rank ignores row labels and column order: relabel the rows by a
+    # random injection and shuffle the columns
+    ids = rnd.sample(range(10 * dense.shape[0] + 10), dense.shape[0])
+    moved = [{ids[r]: c for r, c in col.items()} for col in columns]
+    rnd.shuffle(moved)
+    assert sparse_rank(moved, p) == want
+    # the input columns are left as they were
+    assert all(dense[r, j] == c % p for j, col in enumerate(columns) for r, c in col.items())

@@ -1,9 +1,12 @@
+import logging
+import re
+
 import pytest
 
 from hh2.koszulhh import (NotACocycle, PairingDegreeMismatch, TooLarge,
                           UnrecognizedSignature, bar_oracle, build_model, cup,
                           homology_named)
-from hh2.quiver import zero_bimodule
+from hh2.quiver import BasedAlgebra, zero_bimodule
 
 
 def test_zero_coefficients_give_empty_model(maps3):
@@ -91,6 +94,43 @@ def test_bar_oracle_examples(maps3):
 def test_bar_oracle_cap(maps3):
     with pytest.raises(TooLarge):
         bar_oracle(maps3.omega, maps3.reg, 4, cell_cap=10)
+
+
+def test_bar_oracle_logs_each_piece(maps3, caplog):
+    with caplog.at_level(logging.DEBUG, logger="hh2.koszulhh"):
+        assert bar_oracle(maps3.omega, maps3.theta, 4) == [1, 1, 2, 0, 0]
+    pattern = re.compile(r"bar piece n=(\d+) bucket=\((-?\d+), (-?\d+)\) "
+                         r"rows=(\d+) cols=(\d+) nnz=(\d+) rank=(\d+)$")
+    pieces = [tuple(map(int, pattern.match(rec.getMessage()).groups()))
+              for rec in caplog.records if rec.name == "hh2.koszulhh"]
+    assert pieces and len({pc[:3] for pc in pieces}) == len(pieces)
+    assert {pc[0] for pc in pieces} == set(range(5))
+    for _n, _j, _k, rows, cols, nnz, rank_ in pieces:
+        assert rank_ <= min(rows, cols) and nnz <= rows * cols
+    # the logged sizes and ranks give back the dimensions:
+    # dim HH^n = sum over pieces of (cols - rank of d_n) - rank of d_{n-1}
+    dims = [sum(cols - r for n2, _, _, _, cols, _, r in pieces if n2 == n)
+            - sum(r for n2, *_, r in pieces if n2 == n - 1) for n in range(5)]
+    assert dims == [1, 1, 2, 0, 0]
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="hh2.koszulhh"):
+        bar_oracle(maps3.omega, maps3.theta, 4)
+    assert not caplog.records
+
+
+def test_bar_oracle_checks_d_squared_in_every_degree(maps3):
+    # doubling one product of Omega breaks associativity on radical triples;
+    # with theta coefficients d . d stays zero up to d_2 . d_1 and only
+    # d_3 . d_2 fails, where a check of the lowest degree alone would have
+    # returned the dimensions [1, 1, 2, -5]
+    omega = maps3.omega
+    key = (omega.index["y1e1"], omega.index["x1e2"])
+    products = dict(omega.products)
+    products[key] = {t: 2 * c % 3 for t, c in products[key].items()}
+    broken = BasedAlgebra(3, omega.basis, products, omega.idem)
+    assert bar_oracle(broken, maps3.theta, 2) == [1, 1, 2]
+    with pytest.raises(AssertionError, match="square to zero"):
+        bar_oracle(broken, maps3.theta, 3)
 
 
 @pytest.mark.parametrize("kind", ["omega", "theta", "theta-sigma",
