@@ -138,46 +138,67 @@ def _product_rows(basis: list, product) -> list[list]:
 
 
 def _associativity(rows: list[list], p: int) -> tuple[int, int]:
-    """(checked, failed) over all triples whose products stay in the window."""
+    """(checked, failed) over all triples whose products stay in the window.
+
+    A triple (i, j, k) with rows[i][j] and rows[j][k] in the window is
+    checked unless it is spoiled: some term el of rows[i][j] has
+    rows[el][k] out of the window, or some term el of rows[j][k] has
+    rows[i][el] out of it.  It fails if (xy)z - x(yz) is nonzero mod p.
+
+    Both conditions need a term, so a triple whose two products are empty
+    is checked and holds (0 = 0).  The scan therefore takes one middle index
+    j at a time: it counts all #{i: rows[i][j] in window} x
+    #{k: rows[j][k] in window} triples, then walks only the terms of the
+    nonempty rows[i][j] (along row el) and of the nonempty rows[j][k] (down
+    column el).  Out-of-window entries met on the walk mark (i, k) spoiled;
+    nonempty ones add to (xy)z or subtract for x(yz).  Every triple the walk
+    does not reach has both sides 0.  Spoiled pairs are taken off the count
+    and every other pair the walk reached fails if its sum is nonzero mod p,
+    so the result equals the full n^3 triple scan with work that grows with
+    the nonempty products instead.
+    """
     n = len(rows)
-    checked = failed = 0
+    row_out = [[k for k, r in enumerate(row) if r is None] for row in rows]
+    row_nz = [[(k, r) for k, r in enumerate(row) if r] for row in rows]
+    col_out: list[list] = [[] for _ in range(n)]
+    col_nz: list[list] = [[] for _ in range(n)]
     for i in range(n):
-        row_i = rows[i]
-        for j in range(n):
-            r12 = row_i[j]
-            if r12 is None:
-                continue
-            row_j = rows[j]
-            for k in range(n):
-                r23 = row_j[k]
-                if r23 is None:
-                    continue
-                if not r12 and not r23:
-                    checked += 1
-                    continue
-                ok = True
-                acc: dict = {}
-                for el, c in r12:
-                    r = rows[el][k]
-                    if r is None:
-                        ok = False
-                        break
-                    for el2, c2 in r:
-                        acc[el2] = (acc.get(el2, 0) + c * c2) % p
-                if not ok:
-                    continue
-                for el, c in r23:
-                    r = row_i[el]
-                    if r is None:
-                        ok = False
-                        break
-                    for el2, c2 in r:
-                        acc[el2] = (acc.get(el2, 0) - c * c2) % p
-                if not ok:
-                    continue
-                checked += 1
-                if any(acc.values()):
-                    failed += 1
+        for j in row_out[i]:
+            col_out[j].append(i)
+        for j, r in row_nz[i]:
+            col_nz[j].append((i, r))
+
+    checked = failed = 0
+    for j in range(n):
+        row_j = rows[j]
+        left_in = [row[j] is not None for row in rows]
+        checked += (n - len(col_out[j])) * (n - len(row_out[j]))
+        spoiled: set[int] = set()
+        acc: dict[int, dict] = {}  # i * n + k -> (xy)z - x(yz) by basis index
+        for i, r12 in col_nz[j]:
+            for el, c in r12:
+                for k in row_out[el]:
+                    if row_j[k] is not None:
+                        spoiled.add(i * n + k)
+                for k, r in row_nz[el]:
+                    if row_j[k] is not None:
+                        d = acc.setdefault(i * n + k, {})
+                        for el2, c2 in r:
+                            d[el2] = d.get(el2, 0) + c * c2
+        for k, r23 in row_nz[j]:
+            for el, c in r23:
+                for i in col_out[el]:
+                    if left_in[i]:
+                        spoiled.add(i * n + k)
+                for i, r in col_nz[el]:
+                    if left_in[i]:
+                        d = acc.setdefault(i * n + k, {})
+                        for el2, c2 in r:
+                            d[el2] = d.get(el2, 0) - c * c2
+        checked -= len(spoiled)
+        for key, d in acc.items():
+            if key not in spoiled and any(v % p for v in d.values()):
+                failed += 1
     return checked, failed
 
 

@@ -27,6 +27,15 @@ class CompositionNotZero(Hh2Error):
     """Raised when two maps passed as a complex fail d_out . d_in = 0."""
 
 
+class NotACocycle(Hh2Error):
+    """Raised when a vector or cochain that must be a cocycle is not one."""
+
+
+class NotInSpan(Hh2Error):
+    """Raised when a cocycle does not reduce to zero against the boundaries
+    and representatives of its homology: a failed internal invariant."""
+
+
 def is_odd_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:
         return False
@@ -162,7 +171,7 @@ class Homology:
         """Homology coordinates of a cocycle v; raises if v is not a cocycle."""
         v = np.array(v, dtype=np.int64, copy=True) % self.p
         if self._dout.size and np.any(matmul(self._dout, v.reshape(-1, 1), self.p)):
-            raise ValueError("vector is not a cocycle")
+            raise NotACocycle("vector is not a cocycle")
         out = zeros(1, self.dimension)[0]
         for i, c in enumerate(self._bnd_piv):
             coeff = int(v[c]) % self.p
@@ -174,7 +183,7 @@ class Homology:
                 out[i] = coeff
                 v = (v - coeff * self.representatives[i]) % self.p
         if np.any(v % self.p):
-            raise ValueError("cocycle not in ker(d_out) + im(d_in) span (bug)")
+            raise NotInSpan("cocycle not in ker(d_out) + im(d_in) span (bug)")
         return out
 
 

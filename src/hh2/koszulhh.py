@@ -27,7 +27,7 @@ import os
 import numpy as np
 
 from . import Hh2Error
-from .exactlin import Homology, matmul, sparse_rank, zeros
+from .exactlin import Homology, NotACocycle, matmul, sparse_rank, zeros
 from .quiver import BasedAlgebra, BasedBimodule, Combo, OmegaAlgebra, combo_add
 
 Name = tuple  # ("z", l) | ("kz", l) | ("c2", s) | ("soc", s) | ("mu", l) | ("nu", l) | ("e", s)
@@ -42,7 +42,7 @@ class NonMatchingIdempotents(Hh2Error):
     pass
 
 
-class NotACocycle(Hh2Error):
+class NotHomogeneous(Hh2Error):
     pass
 
 
@@ -253,14 +253,14 @@ class CochainModel:
         for n, coeff in chain.items():
             k2, pos = self.pos_in_bucket[n]
             if k2 != key:
-                raise ValueError("cochain not homogeneous")
+                raise NotHomogeneous("cochain not homogeneous")
             vec[pos] = coeff % self.p
         return vec
 
     def chain_degree(self, chain: Cochain) -> tuple[int, int]:
         keys = {self.pos_in_bucket[n][0] for n in chain}
         if len(keys) != 1:
-            raise ValueError(f"cochain not homogeneous: {keys}")
+            raise NotHomogeneous(f"cochain not homogeneous: {keys}")
         return keys.pop()
 
     def is_cocycle(self, chain: Cochain) -> bool:

@@ -145,3 +145,18 @@ def test_crash_is_not_a_check_failure(capsys, monkeypatch):
         monkeypatch.setattr(hh2.cli, "cmd_hh", raising(exc))
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("internal check failure")
+
+
+def test_failed_invariant_in_linear_algebra_exits_3(capsys, monkeypatch):
+    import numpy as np
+
+    import hh2.cli
+    from hh2.exactlin import Homology, zeros
+
+    def cmd(*args):
+        # d_out is the identity, so e_0 is not a cocycle
+        Homology(zeros(2, 0), np.eye(2, dtype=np.int64), 3).project([1, 0])
+
+    monkeypatch.setattr(hh2.cli, "cmd_hh", cmd)
+    assert main(["hh", "--p", "3", "--coefficient", "omega"]) == 3
+    assert capsys.readouterr().err == "internal check failure: vector is not a cocycle\n"

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from hh2 import quiver
-from hh2.exactlin import (CompositionNotZero, Homology, NotOddPrime,
-                          check_odd_prime, homology, rank, rank_and_kernel,
-                          rref, sparse_rank, zeros)
+from hh2 import Hh2Error
+from hh2.exactlin import (CompositionNotZero, Homology, NotACocycle,
+                          NotOddPrime, check_odd_prime, homology, matmul,
+                          rank, rank_and_kernel, rref, sparse_rank, zeros)
 from hh2.koszulhh import build_model
 
 
@@ -238,3 +239,63 @@ def test_sparse_rank_matches_dense_rank(case, rnd):
     assert sparse_rank(moved, p) == want
     # the input columns are left as they were
     assert all(dense[r, j] == c % p for j, col in enumerate(columns) for r, c in col.items())
+
+
+def test_project_rejects_non_cocycle():
+    # d_out is the identity on F^2, so only 0 is a cocycle
+    hom = homology(zeros(2, 0), np.eye(2, dtype=np.int64), 5)
+    with pytest.raises(NotACocycle, match="vector is not a cocycle") as exc:
+        hom.project([0, 3])
+    assert isinstance(exc.value, Hh2Error)
+
+
+@st.composite
+def dense_matrices(draw):
+    """(p, mat): from empty and single-row to wide shapes; all-zero,
+    random (entries outside [0, p) included, which rref reduces) or of low
+    rank with dependent rows."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 9))
+    fill = draw(st.sampled_from(["zero", "random", "random", "low rank"]))
+
+    def rand(rows, cols, lo, hi):
+        vals = draw(st.lists(st.integers(lo, hi), min_size=rows * cols, max_size=rows * cols))
+        return np.array(vals, dtype=np.int64).reshape(rows, cols)
+
+    if fill == "zero":
+        return p, zeros(m, n)
+    if fill == "random":
+        return p, rand(m, n, -p, 2 * p)
+    r = draw(st.integers(0, 2))
+    return p, rand(m, r, 0, p - 1) @ rand(r, n, 0, p - 1) % p
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_matrices())
+def test_rref_matches_sympy(case):
+    p, mat = case
+    red, piv = rref(mat, p)
+    r = _sympy_rank(mat, p)
+    assert len(piv) == r and rank(mat, p) == r
+    assert red.shape == mat.shape and not np.any(red[r:])
+    rows = red[:r]
+    # each pivot is the leading column of its row, holds a 1 and is the
+    # only nonzero entry of its column; pivots increase strictly
+    assert all(a < b for a, b in zip(piv, piv[1:]))
+    for i, c in enumerate(piv):
+        assert not np.any(rows[i, :c])
+        assert np.array_equal(rows[:, c], np.eye(r, dtype=np.int64)[i])
+    # the r independent rows lie in the r-dimensional row space of mat
+    assert _sympy_rank(np.vstack([mat % p, rows]), p) == r
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_matrices())
+def test_rank_and_kernel_matches_sympy(case):
+    p, mat = case
+    n = mat.shape[1]
+    r, kern = rank_and_kernel(mat, p)
+    assert r == _sympy_rank(mat, p)
+    assert kern.shape == (n - r, n)
+    assert not np.any(matmul(mat, kern.T, p))
+    assert _sympy_rank(kern, p) == n - r

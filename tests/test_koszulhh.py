@@ -3,9 +3,10 @@ import re
 
 import pytest
 
-from hh2.koszulhh import (NotACocycle, PairingDegreeMismatch, TooLarge,
-                          UnrecognizedSignature, bar_oracle, build_model, cup,
-                          homology_named)
+from hh2 import Hh2Error
+from hh2.koszulhh import (NotACocycle, NotHomogeneous, PairingDegreeMismatch,
+                          TooLarge, UnrecognizedSignature, bar_oracle,
+                          build_model, cup, homology_named)
 from hh2.quiver import BasedAlgebra, zero_bimodule
 
 
@@ -206,6 +207,20 @@ def test_cup_rejects_odd_pairing_without_factor(maps3, named3):
         cup(models["theta"], hhs["theta"].by_name[("z", 0)].rep,
             models["theta-sigma"], hhs["theta-sigma"].by_name[("soc", 1)].rep,
             maps3.pairings["nu_l"], models["omega-dual"])
+
+
+def test_inhomogeneous_cochain_is_an_hh2_error(named3):
+    model = named3[0]["omega"]
+    by_key: dict = {}
+    for n, (key, _pos) in model.pos_in_bucket.items():
+        by_key.setdefault(key, n)
+    (key1, n1), (_key2, n2) = list(by_key.items())[:2]
+    chain = {n1: 1, n2: 1}
+    with pytest.raises(NotHomogeneous, match="cochain not homogeneous") as exc:
+        model.chain_degree(chain)
+    assert isinstance(exc.value, Hh2Error)
+    with pytest.raises(NotHomogeneous, match="cochain not homogeneous"):
+        model.cochain_vector(chain, key1)
 
 
 def test_cup_associativity_on_action_pairings(maps3, named3):
