@@ -262,7 +262,7 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
     does not run at this prime."""
     import numpy as np
 
-    from .clubsuit import ClubWindow, NaturalMaps
+    from .clubsuit import ClubWindow, ConstructionFailure, NaturalMaps
     from .exactlin import rank
     from .koszulhh import bar_oracle, build_model, cup, homology_named
     from .operators import build_hhl, project
@@ -278,11 +278,20 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
         results.append((name, "SKIP", reason))
 
     nm = NaturalMaps(p)
-    try:
-        nm.check_maps()
-        check("natural maps intertwine with stated ranks", True)
-    except AssertionError as exc:
-        check("natural maps intertwine with stated ranks", False, str(exc))
+    for name, run, runs_here in (
+            ("natural maps intertwine with stated ranks", nm.check_maps, True),
+            ("Omega associative", nm.omega.check_associativity, p <= 7),
+            ("coefficient bimodules satisfy the axioms", nm.check_bimodules, p <= 7),
+            ("pairings balanced and equivariant", nm.check_pairings, p <= 7)):
+        if not runs_here:
+            skip(name, "runs at p <= 7 only: the structure scans take several seconds at p >= 11")
+            continue
+        try:
+            run()
+        except (AssertionError, ConstructionFailure) as exc:
+            check(name, False, str(exc))
+        else:
+            check(name, True)
 
     models = {kind: build_model(nm.c, mod) for kind, mod in nm.modules.items()}
     hhs = {kind: homology_named(models[kind], kind) for kind in nm.modules}

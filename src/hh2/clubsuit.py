@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import Hh2Error, quiver
-from .exactlin import rank, zeros
+from .exactlin import rank, sparse_rank, zeros
 from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
                        KIND_THETA_SIGMA, Pairing)
 from .quiver import (BasedBimodule, BimoduleMap, Combo, OmegaAlgebra,
@@ -318,19 +318,18 @@ class NaturalMaps:
         for mp in (self.alpha, self.beta, self.gamma, self.kappa, self.lam, self.mu):
             mp.check_intertwines()
             mp.check_degree_shift()
-        p = self.p
-        if rank(self.beta.matrix(), p) != self.ideal.dim:
-            raise ConstructionFailure("beta is not an isomorphism")
-        if rank(self.lam.matrix(), p) != self.theta.dim:
-            raise ConstructionFailure("lambda is not an isomorphism")
-        if rank(self.alpha.matrix(), p) != self.ideal.dim:
-            raise ConstructionFailure("alpha is not injective")
-        if rank(self.gamma.matrix(), p) != self.ideal.dim:
-            raise ConstructionFailure("gamma is not surjective")
-        if rank(self.kappa.matrix(), p) != self.theta.dim:
-            raise ConstructionFailure("kappa is not surjective")
-        if rank(self.mu.matrix(), p) != self.theta.dim:
-            raise ConstructionFailure("mu is not injective")
+        for mp, want, failure in ((self.beta, self.ideal.dim, "beta is not an isomorphism"),
+                                  (self.lam, self.theta.dim, "lambda is not an isomorphism"),
+                                  (self.alpha, self.ideal.dim, "alpha is not injective"),
+                                  (self.gamma, self.ideal.dim, "gamma is not surjective"),
+                                  (self.kappa, self.theta.dim, "kappa is not surjective"),
+                                  (self.mu, self.theta.dim, "mu is not injective")):
+            if sparse_rank(mp.columns, self.p) != want:
+                raise ConstructionFailure(failure)
+
+    def check_bimodules(self) -> None:
+        for mod in self.modules.values():
+            mod.check_bimodule()
 
     def check_pairings(self) -> None:
         for pr in self.pairings.values():
@@ -518,13 +517,6 @@ class ClubWindow:
                             mat[(u, v)] = val
                 out[((a1, b1), (a2, b2))] = (mat, m1d, m2d)
         return out
-
-
-def build_natural_maps(p: int) -> NaturalMaps:
-    """Construct and check the full set of natural maps at this prime."""
-    maps = NaturalMaps(p)
-    maps.check_maps()
-    return maps
 
 
 def build_club_window(p: int, i_min: int, i_max: int,

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import Hh2Error
 from .exactlin import Homology, NotACocycle, matmul, sparse_rank, zeros
-from .quiver import BasedAlgebra, BasedBimodule, Combo, OmegaAlgebra, combo_add
+from .quiver import BasedAlgebra, BasedBimodule, Combo, OmegaAlgebra, failing_triple
 
 Name = tuple  # ("z", l) | ("kz", l) | ("c2", s) | ("soc", s) | ("mu", l) | ("nu", l) | ("e", s)
 NameCombo = dict[Name, int]
@@ -94,52 +94,15 @@ class Pairing:
     def apply(self, x: int, y: int) -> Combo:
         return self.table.get((x, y), {})
 
-    def apply_combo(self, xc: Combo, yc: Combo) -> Combo:
-        out: Combo = {}
-        for x, cx in xc.items():
-            for y, cy in yc.items():
-                prod = self.apply(x, y)
-                if prod:
-                    combo_add(out, prod, cx * cy, self.p)
-        return out
-
     def check(self) -> None:
-        """Balancedness and one-sided equivariance over the full algebra basis."""
-        omega = self.x_mod.over
-        p = self.p
-        for x in range(self.x_mod.dim):
-            for a in range(omega.dim):
-                xa = self.x_mod.right.get((x, a), {})
-                for y in range(self.y_mod.dim):
-                    ay = self.y_mod.left.get((a, y), {})
-                    lhs: Combo = {}
-                    for t, c in xa.items():
-                        combo_add(lhs, self.apply(t, y), c, p)
-                    rhs: Combo = {}
-                    for t, c in ay.items():
-                        combo_add(rhs, self.apply(x, t), c, p)
-                    if lhs != rhs:
-                        raise AssertionError(f"{self.name}: not balanced")
-        for a in range(omega.dim):
-            for x in range(self.x_mod.dim):
-                ax = self.x_mod.left.get((a, x), {})
-                for y in range(self.y_mod.dim):
-                    lhs = self.z_mod.act_left({a: 1}, self.apply(x, y))
-                    rhs: Combo = {}
-                    for t, c in ax.items():
-                        combo_add(rhs, self.apply(t, y), c, p)
-                    if lhs != rhs:
-                        raise AssertionError(f"{self.name}: not left equivariant")
-        for y in range(self.y_mod.dim):
-            for a in range(omega.dim):
-                ya = self.y_mod.right.get((y, a), {})
-                for x in range(self.x_mod.dim):
-                    lhs = self.z_mod.act_right(self.apply(x, y), {a: 1})
-                    rhs = {}
-                    for t, c in ya.items():
-                        combo_add(rhs, self.apply(x, t), c, p)
-                    if lhs != rhs:
-                        raise AssertionError(f"{self.name}: not right equivariant")
+        """Balancedness and one-sided equivariance over the full algebra basis:
+        (x a, y) = (x, a y), a (x, y) = (a x, y) and (x, y) a = (x, y a)."""
+        x, y, z, t = self.x_mod, self.y_mod, self.z_mod, self.table
+        for tables, what in (((x.right, t, y.left, t), "not balanced"),
+                             ((x.left, t, t, z.left), "not left equivariant"),
+                             ((t, z.right, y.right, t), "not right equivariant")):
+            if failing_triple(*tables, self.p) is not None:
+                raise AssertionError(f"{self.name}: {what}")
 
 
 # model cochains are dicts {(c_index, x_index): coeff}

@@ -113,6 +113,58 @@ def combo_add(dst: Combo, src: Combo, coeff: int, p: int) -> None:
             dst.pop(idx, None)
 
 
+Table = dict[tuple[int, int], Combo]
+
+
+def _grouped(table: Table, by: int) -> dict[int, list[tuple[int, Combo]]]:
+    """{key[by]: [(other index of key, combo)]} over the nonempty entries."""
+    out: dict[int, list[tuple[int, Combo]]] = {}
+    for key, combo in table.items():
+        if combo:
+            out.setdefault(key[by], []).append((key[1 - by], combo))
+    return out
+
+
+def failing_triple(a: Table, b: Table, c: Table, d: Table,
+                   p: int) -> tuple[int, int, int] | None:
+    """The first (u, g, w), by g, then u, then w, at which
+
+        sum_t a[u, g][t] * b[t, w]  =  sum_t c[g, w][t] * d[u, t]   (mod p)
+
+    fails, or None.  Each table maps an index pair to a combo, a missing key
+    to zero.  Associativity, the bimodule axioms, intertwining maps and
+    balanced equivariant pairings are all identities of this shape.
+
+    Each side is a sum over the terms of nonempty entries, so a triple that
+    no such term reaches reads 0 = 0.  The scan takes one middle index g at a
+    time, walks the terms t of each nonempty a[u, g] along b[t, .] and of
+    each nonempty c[g, w] along d[., t], and sums left minus right per
+    (u, w): the result of a loop over every triple, with work that grows
+    with the nonempty products instead.
+    """
+    a_by_g, b_by_t = _grouped(a, 1), _grouped(b, 0)
+    c_by_g, d_by_t = _grouped(c, 0), _grouped(d, 1)
+    for g in sorted(a_by_g.keys() | c_by_g.keys()):
+        acc: dict[tuple[int, int, int], int] = {}  # (u, w, basis index) -> left - right
+        get = acc.get
+        for u, combo in a_by_g.get(g, ()):
+            for t, coeff in combo.items():
+                for w, prod in b_by_t.get(t, ()):
+                    for idx, c2 in prod.items():
+                        key = (u, w, idx)
+                        acc[key] = get(key, 0) + coeff * c2
+        for w, combo in c_by_g.get(g, ()):
+            for t, coeff in combo.items():
+                for u, prod in d_by_t.get(t, ()):
+                    for idx, c2 in prod.items():
+                        key = (u, w, idx)
+                        acc[key] = get(key, 0) - coeff * c2
+        if any(v % p for v in acc.values()):
+            u, w, _ = min(key for key, v in acc.items() if v % p)
+            return u, g, w
+    return None
+
+
 class BasedAlgebra:
     """Finite-dimensional algebra with a fixed basis and structure constants.
 
@@ -152,19 +204,18 @@ class BasedAlgebra:
                     combo_add(out, prod, ca * cb, self.p)
         return out
 
+    def slot_products(self) -> Table:
+        """The products that ``mul_basis`` returns: slot-matched keys only."""
+        basis = self.basis
+        return {(i, j): prod for (i, j), prod in self.products.items()
+                if basis[i].right == basis[j].left}
+
     def check_associativity(self) -> None:
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                ij = self.mul_basis(i, j)
-                for k in range(n):
-                    left = self.mul({idx: c for idx, c in ij.items()}, {k: 1})
-                    jk = self.mul_basis(j, k)
-                    right = self.mul({i: 1}, jk)
-                    if left != right:
-                        raise AssertionError(
-                            f"associativity fails at {self.basis[i].name},"
-                            f" {self.basis[j].name}, {self.basis[k].name}")
+        mul = self.slot_products()
+        bad = failing_triple(mul, mul, mul, mul, self.p)
+        if bad is not None:
+            i, j, k = (self.basis[x].name for x in bad)
+            raise AssertionError(f"associativity fails at {i}, {j}, {k}")
 
     def check_unit_and_idempotents(self) -> None:
         one = self.unit()
@@ -264,32 +315,26 @@ class BasedBimodule:
                 "basis": _basis_rows(self.basis), "products": products, "checks": []}
 
     def check_bimodule(self) -> None:
-        alg = self.over
-        for v, iv in alg.idem.items():
-            for m, bm in enumerate(self.basis):
-                el = self.left.get((iv, m), {})
-                er = self.right.get((m, iv), {})
-                if el != ({m: 1} if bm.left == v else {}):
-                    raise AssertionError(f"e_{v} . {bm.name} wrong in {self.name}")
-                if er != ({m: 1} if bm.right == v else {}):
-                    raise AssertionError(f"{bm.name} . e_{v} wrong in {self.name}")
-        n = alg.dim
-        for i in range(n):
-            for j in range(n):
-                ab = alg.mul_basis(i, j)
-                for m in range(self.dim):
-                    lhs = self.act_left({i: 1}, self.left.get((j, m), {}))
-                    rhs = self.act_left(ab, {m: 1})
-                    if lhs != rhs:
-                        raise AssertionError(f"(ab)m != a(bm) in {self.name}")
-                    lhs = self.act_right(self.right.get((m, i), {}), {j: 1})
-                    rhs = self.act_right({m: 1}, ab)
-                    if lhs != rhs:
-                        raise AssertionError(f"m(ab) != (ma)b in {self.name}")
-                    mid = self.act_right(self.left.get((i, m), {}), {j: 1})
-                    mid2 = self.act_left({i: 1}, self.right.get((m, j), {}))
-                    if mid != mid2:
-                        raise AssertionError(f"(am)b != a(mb) in {self.name}")
+        alg, basis, name = self.over, self.basis, self.name
+        # idempotent entries as stored: e_v m = m if v is the slot of m, else empty
+        for m, bm in enumerate(basis):
+            if bm.left in alg.idem and self.left.get((alg.idem[bm.left], m)) != {m: 1}:
+                raise AssertionError(f"e_{bm.left} . {bm.name} wrong in {name}")
+            if bm.right in alg.idem and self.right.get((m, alg.idem[bm.right])) != {m: 1}:
+                raise AssertionError(f"{bm.name} . e_{bm.right} wrong in {name}")
+        vertex = {iv: v for v, iv in alg.idem.items()}
+        for (a, m), prod in self.left.items():
+            if a in vertex and prod and vertex[a] != basis[m].left:
+                raise AssertionError(f"e_{vertex[a]} . {basis[m].name} wrong in {name}")
+        for (m, a), prod in self.right.items():
+            if a in vertex and prod and vertex[a] != basis[m].right:
+                raise AssertionError(f"{basis[m].name} . e_{vertex[a]} wrong in {name}")
+        mul, left, right = alg.slot_products(), self.left, self.right
+        for tables, law in (((mul, left, left, left), "(ab)m != a(bm)"),
+                            ((right, right, mul, right), "m(ab) != (ma)b"),
+                            ((left, right, right, left), "(am)b != a(mb)")):
+            if failing_triple(*tables, self.p) is not None:
+                raise AssertionError(f"{law} in {name}")
 
     def check_degrees(self) -> None:
         for (i, m), prod in self.left.items():
@@ -683,25 +728,15 @@ class BimoduleMap:
             combo_add(out, self.columns[idx], c, self.source.p)
         return out
 
-    def matrix(self):
-        mat = zeros(self.target.dim, self.source.dim)
-        for col, combo in enumerate(self.columns):
-            for row, c in combo.items():
-                mat[row, col] = c
-        return mat
-
     def check_intertwines(self) -> None:
-        alg = self.source.over
-        for a in range(alg.dim):
-            for m in range(self.source.dim):
-                lhs = self.apply(self.source.left.get((a, m), {}))
-                rhs = self.target.act_left({a: 1}, self.columns[m])
-                if lhs != rhs:
-                    raise AssertionError(f"{self.name}: left action not intertwined")
-                lhs = self.apply(self.source.right.get((m, a), {}))
-                rhs = self.target.act_right(self.columns[m], {a: 1})
-                if lhs != rhs:
-                    raise AssertionError(f"{self.name}: right action not intertwined")
+        # f(a m) = a f(m) and f(m a) = f(m) a, f as a table with a dummy index 0
+        f_m0 = {(m, 0): col for m, col in enumerate(self.columns)}
+        f_0m = {(0, m): col for m, col in enumerate(self.columns)}
+        src, tgt, p = self.source, self.target, self.source.p
+        if failing_triple(src.left, f_m0, f_m0, tgt.left, p) is not None:
+            raise AssertionError(f"{self.name}: left action not intertwined")
+        if failing_triple(f_0m, tgt.right, src.right, f_0m, p) is not None:
+            raise AssertionError(f"{self.name}: right action not intertwined")
 
     def check_degree_shift(self) -> None:
         for m, combo in enumerate(self.columns):

@@ -160,3 +160,58 @@ def test_failed_invariant_in_linear_algebra_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(hh2.cli, "cmd_hh", cmd)
     assert main(["hh", "--p", "3", "--coefficient", "omega"]) == 3
     assert capsys.readouterr().err == "internal check failure: vector is not a cocycle\n"
+
+
+STRUCTURE_CHECKS = ("Omega associative", "coefficient bimodules satisfy the axioms",
+                    "pairings balanced and equivariant")
+
+
+def test_verify_certifies_the_structure_it_uses(capsys):
+    status, out = run(capsys, ["verify", "--p", "3", "--format", "csv"])
+    assert status == 0
+    lines = out.splitlines()
+    for name in STRUCTURE_CHECKS:
+        assert f"PASS  {name}" in lines
+
+
+def corrupt_beta(monkeypatch, change_columns):
+    """Build NaturalMaps with beta's columns passed through change_columns."""
+    from hh2.clubsuit import NaturalMaps
+    from hh2.quiver import BimoduleMap
+
+    build = NaturalMaps._build_maps
+
+    def build_maps(self):
+        build(self)
+        b = self.beta
+        self.beta = BimoduleMap(b.source, b.target, change_columns([dict(c) for c in b.columns]),
+                                b.dj, b.dk, name="beta")
+
+    monkeypatch.setattr(NaturalMaps, "_build_maps", build_maps)
+
+
+def test_rank_failure_of_natural_maps_is_a_failed_check(capsys, monkeypatch):
+    # the zero map intertwines and has the right degree: only its rank fails
+    corrupt_beta(monkeypatch, lambda cols: [{} for _ in cols])
+    status, out = run(capsys, ["verify", "--p", "3", "--format", "csv"])
+    assert status == 3
+    lines = out.splitlines()
+    assert lines[0] == ("FAIL  natural maps intertwine with stated ranks"
+                        "  [beta is not an isomorphism]")
+    assert sum(line.startswith("FAIL") for line in lines) == 1
+    assert any(line.startswith("PASS  spade associativity") for line in lines)
+    assert lines[-1] == "PASS  hh_2 supercommutative in window"
+
+
+def test_map_that_does_not_intertwine_is_a_failed_check(capsys, monkeypatch):
+    def scale_one_column(cols):
+        cols[1] = {t: 2 * c for t, c in cols[1].items()}  # rank stays full
+        return cols
+
+    corrupt_beta(monkeypatch, scale_one_column)
+    status, out = run(capsys, ["verify", "--p", "3", "--format", "csv"])
+    assert status == 3
+    lines = out.splitlines()
+    assert lines[0] in (f"FAIL  natural maps intertwine with stated ranks"
+                        f"  [beta: {side} action not intertwined]" for side in ("left", "right"))
+    assert sum(line.startswith("FAIL") for line in lines) == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hh2.clubsuit import (CLUB_OUT, ClubWindow, WindowTooSmall,
+from hh2.clubsuit import (CLUB_OUT, ClubWindow, NaturalMaps, WindowTooSmall,
                           build_club_window, component_at, ideal_partner,
                           theta_partner)
 from hh2.exactlin import rank
@@ -151,3 +151,11 @@ def test_club_products_degree_additive(maps3):
                     for idx in combo:
                         it, jt, kt = win.total_degree(tgt, idx)
                         assert (it, jt, kt) == (i1 + i2, j1 + j2, k1 + k2)
+
+
+def test_structure_checks_at_larger_primes(maps5):
+    for nm in (maps5, NaturalMaps(7)):
+        nm.check_pairings()
+        for mod in nm.modules.values():
+            mod.check_bimodule()
+        nm.omega.check_associativity()

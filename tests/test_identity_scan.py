@@ -1,0 +1,463 @@
+"""The structure identities behind ``verify`` and the tests: one sparse scan.
+
+``quiver.failing_triple`` walks only the nonempty products of four tables.
+Associativity, the bimodule axioms, intertwining maps and balanced
+equivariant pairings all call it.  Here each caller is compared with the
+loop over every tuple that it replaced, kept in this file as the reference,
+on small random structures that are mostly broken on purpose.
+"""
+
+import random
+import re
+import time
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hh2.koszulhh import Pairing
+from hh2.quiver import (BasedAlgebra, BasedBimodule, BasisElement, BimoduleMap,
+                        combo_add, failing_triple)
+
+# -- the loops over every tuple, as they stood before the sparse scan --------
+# (verbatim method bodies, so each takes the checked object as ``self``)
+
+
+def dense_check_associativity(self) -> None:
+    n = self.dim
+    for i in range(n):
+        for j in range(n):
+            ij = self.mul_basis(i, j)
+            for k in range(n):
+                left = self.mul({idx: c for idx, c in ij.items()}, {k: 1})
+                jk = self.mul_basis(j, k)
+                right = self.mul({i: 1}, jk)
+                if left != right:
+                    raise AssertionError(
+                        f"associativity fails at {self.basis[i].name},"
+                        f" {self.basis[j].name}, {self.basis[k].name}")
+
+
+def dense_check_bimodule(self) -> None:
+    alg = self.over
+    for v, iv in alg.idem.items():
+        for m, bm in enumerate(self.basis):
+            el = self.left.get((iv, m), {})
+            er = self.right.get((m, iv), {})
+            if el != ({m: 1} if bm.left == v else {}):
+                raise AssertionError(f"e_{v} . {bm.name} wrong in {self.name}")
+            if er != ({m: 1} if bm.right == v else {}):
+                raise AssertionError(f"{bm.name} . e_{v} wrong in {self.name}")
+    n = alg.dim
+    for i in range(n):
+        for j in range(n):
+            ab = alg.mul_basis(i, j)
+            for m in range(self.dim):
+                lhs = self.act_left({i: 1}, self.left.get((j, m), {}))
+                rhs = self.act_left(ab, {m: 1})
+                if lhs != rhs:
+                    raise AssertionError(f"(ab)m != a(bm) in {self.name}")
+                lhs = self.act_right(self.right.get((m, i), {}), {j: 1})
+                rhs = self.act_right({m: 1}, ab)
+                if lhs != rhs:
+                    raise AssertionError(f"m(ab) != (ma)b in {self.name}")
+                mid = self.act_right(self.left.get((i, m), {}), {j: 1})
+                mid2 = self.act_left({i: 1}, self.right.get((m, j), {}))
+                if mid != mid2:
+                    raise AssertionError(f"(am)b != a(mb) in {self.name}")
+
+
+def dense_check_intertwines(self) -> None:
+    alg = self.source.over
+    for a in range(alg.dim):
+        for m in range(self.source.dim):
+            lhs = self.apply(self.source.left.get((a, m), {}))
+            rhs = self.target.act_left({a: 1}, self.columns[m])
+            if lhs != rhs:
+                raise AssertionError(f"{self.name}: left action not intertwined")
+            lhs = self.apply(self.source.right.get((m, a), {}))
+            rhs = self.target.act_right(self.columns[m], {a: 1})
+            if lhs != rhs:
+                raise AssertionError(f"{self.name}: right action not intertwined")
+
+
+def dense_pairing_check(self) -> None:
+    """Balancedness and one-sided equivariance over the full algebra basis."""
+    omega = self.x_mod.over
+    p = self.p
+    for x in range(self.x_mod.dim):
+        for a in range(omega.dim):
+            xa = self.x_mod.right.get((x, a), {})
+            for y in range(self.y_mod.dim):
+                ay = self.y_mod.left.get((a, y), {})
+                lhs: dict = {}
+                for t, c in xa.items():
+                    combo_add(lhs, self.apply(t, y), c, p)
+                rhs: dict = {}
+                for t, c in ay.items():
+                    combo_add(rhs, self.apply(x, t), c, p)
+                if lhs != rhs:
+                    raise AssertionError(f"{self.name}: not balanced")
+    for a in range(omega.dim):
+        for x in range(self.x_mod.dim):
+            ax = self.x_mod.left.get((a, x), {})
+            for y in range(self.y_mod.dim):
+                lhs = self.z_mod.act_left({a: 1}, self.apply(x, y))
+                rhs: dict = {}
+                for t, c in ax.items():
+                    combo_add(rhs, self.apply(t, y), c, p)
+                if lhs != rhs:
+                    raise AssertionError(f"{self.name}: not left equivariant")
+    for y in range(self.y_mod.dim):
+        for a in range(omega.dim):
+            ya = self.y_mod.right.get((y, a), {})
+            for x in range(self.x_mod.dim):
+                lhs = self.z_mod.act_right(self.apply(x, y), {a: 1})
+                rhs = {}
+                for t, c in ya.items():
+                    combo_add(rhs, self.apply(x, t), c, p)
+                if lhs != rhs:
+                    raise AssertionError(f"{self.name}: not right equivariant")
+
+
+def outcome(check, obj) -> str | None:
+    """The AssertionError message of check(obj), or None if it passes."""
+    try:
+        check(obj)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+# -- small structures ----------------------------------------------------------
+# One or two vertices; the basis of an algebra starts with its idempotents
+# e1, e2, then its radical elements r0, r1, ...  Half of the structures are
+# real ones (truncated polynomial rings, their regular bimodules, maps and
+# multiplication) with a few entries overwritten; the others are random.
+# An entry is empty or has 1-3 terms with coefficients in [-p, 2p).
+
+
+def algebra(p, n_vertices, radical, products):
+    """Idempotents e_v and radical elements with the given (left, right)
+    slots; idempotents multiply as they should, ``products`` adds the rest."""
+    basis = [BasisElement(f"e{v}", v, v, 0, 0) for v in range(1, n_vertices + 1)]
+    basis += [BasisElement(f"r{i}", lt, rt, 1, 0) for i, (lt, rt) in enumerate(radical)]
+    table = {}
+    for i, bi in enumerate(basis):
+        table[(bi.left - 1, i)] = {i: 1}
+        table[(i, bi.right - 1)] = {i: 1}
+    table.update(products)
+    return BasedAlgebra(p, basis, table, {v: v - 1 for v in range(1, n_vertices + 1)}, "A")
+
+
+def truncated(p, n):
+    """F_p[x]/(x^n): basis element i is x^i."""
+    return algebra(p, 1, [(1, 1)] * (n - 1),
+                   {(i, j): {i + j: 1} for i in range(1, n) for j in range(1, n - i)})
+
+
+def bimodule(alg, slots, left, right, name="M"):
+    """Elements m0, m1, ... with the given slots; idempotents act as they
+    should, ``left`` and ``right`` add the rest."""
+    basis = [BasisElement(f"m{i}", lt, rt, 0, 0) for i, (lt, rt) in enumerate(slots)]
+    lt_, rt_ = {}, {}
+    for m, bm in enumerate(basis):
+        lt_[(alg.idem[bm.left], m)] = {m: 1}
+        rt_[(m, alg.idem[bm.right])] = {m: 1}
+    lt_.update(left)
+    rt_.update(right)
+    return BasedBimodule(alg, basis, lt_, rt_, name=name)
+
+
+def regular(alg, name="A"):
+    """The algebra as a bimodule over itself."""
+    return BasedBimodule(alg, list(alg.basis), dict(alg.products), dict(alg.products), name=name)
+
+
+class Draw:
+    """Random structures from one seeded source, which keeps generation fast."""
+
+    def __init__(self, rnd, p):
+        self.rnd, self.p = rnd, p
+
+    def combo(self, n):
+        """1-3 terms with coefficients in [-p, 2p), or empty if n == 0."""
+        rnd = self.rnd
+        return {rnd.randrange(n): rnd.randrange(-self.p, 2 * self.p)
+                for _ in range(rnd.randint(1, 3) if n else 0)}
+
+    def real(self) -> bool:
+        return self.rnd.random() < 0.5
+
+    def overwrite(self, table, rows, cols, n):
+        """Overwrite 0-2 entries of the table (none in a sixth of the draws)
+        with an empty or a random entry."""
+        rnd = self.rnd
+        for _ in range(0 if rnd.random() < 1 / 6 else rnd.randint(1, 2)):
+            key = (rnd.randrange(rows), rnd.randrange(cols))
+            table[key] = rnd.choice(({}, self.combo(n), self.combo(n)))
+
+    def random_table(self, rows, cols, n, skip=lambda i, j: False):
+        """Entries in about a third of the places, none where skip holds."""
+        return {(i, j): self.combo(n) for i in range(rows) for j in range(cols)
+                if not skip(i, j) and self.rnd.random() < 0.35}
+
+    def algebra(self):
+        rnd = self.rnd
+        if self.real():
+            alg = truncated(self.p, rnd.randint(1, 6))
+            self.overwrite(alg.products, alg.dim, alg.dim, alg.dim)
+            return alg
+        nv = rnd.randint(1, 2)
+        radical = [(rnd.randint(1, nv), rnd.randint(1, nv))
+                   for _ in range(rnd.randint(1, 6 - nv))]
+        n = nv + len(radical)
+        products = self.random_table(n, n, n, lambda i, j: i < nv or j < nv)
+        return algebra(self.p, nv, radical, products)
+
+    def bimodule(self, alg, name="M"):
+        rnd = self.rnd
+        nv = len(alg.idem)
+        slots = [(rnd.randint(1, nv), rnd.randint(1, nv)) for _ in range(rnd.randint(1, 6))]
+        n = len(slots)
+        mod = bimodule(alg, slots, self.random_table(alg.dim, n, n, lambda a, m: a < nv),
+                       self.random_table(n, alg.dim, n, lambda m, a: a < nv), name)
+        if rnd.random() < 0.25:  # break the idempotent actions
+            if rnd.random() < 0.5:
+                self.overwrite(mod.left, nv, n, n)
+            else:
+                self.overwrite(mod.right, n, nv, n)
+        return mod
+
+
+@st.composite
+def draws(draw):
+    return Draw(random.Random(draw(st.integers(0, 2 ** 32))), draw(st.sampled_from([3, 5, 7])))
+
+
+@st.composite
+def algebras(draw):
+    return draw(draws()).algebra()
+
+
+@st.composite
+def bimodules(draw):
+    """A truncated polynomial ring as a bimodule over itself, with 0-2
+    entries of one action overwritten, or a random module."""
+    d = draw(draws())
+    if d.real():
+        alg = truncated(d.p, d.rnd.randint(1, 6))
+        mod = regular(alg)
+        d.overwrite(d.rnd.choice((mod.left, mod.right)), alg.dim, alg.dim, alg.dim)
+        return mod
+    return d.bimodule(d.algebra())
+
+
+@st.composite
+def maps(draw):
+    """Right multiplication by a power of x on a truncated polynomial ring,
+    which commutes with both actions, or a random map; then each column is
+    overwritten with probability 1 / (dim + 1)."""
+    d = draw(draws())
+    rnd = d.rnd
+    if d.real():
+        alg = truncated(d.p, rnd.randint(1, 6))
+        source = target = regular(alg)
+        power = rnd.randrange(alg.dim)
+        columns = [dict(alg.products.get((m, power), {})) for m in range(alg.dim)]
+    else:
+        alg = d.algebra()
+        source, target = d.bimodule(alg, "M"), d.bimodule(alg, "N")
+        columns = [d.combo(target.dim) if rnd.random() < 0.5 else {} for _ in range(source.dim)]
+    for m in range(source.dim):
+        if rnd.random() < 1 / (source.dim + 1):
+            columns[m] = d.combo(target.dim)
+    return BimoduleMap(source, target, columns, name="f")
+
+
+@st.composite
+def pairings(draw):
+    """Multiplication on a truncated polynomial ring, with 0-2 entries of its
+    table or of the target's left or right action overwritten, or a random
+    table on random modules."""
+    d = draw(draws())
+    rnd = d.rnd
+    if d.real():
+        alg = truncated(d.p, rnd.randint(1, 6))
+        reg, z = regular(alg), regular(alg, "Z")
+        table = dict(alg.products)
+        d.overwrite(rnd.choice((table, z.left, z.right)), alg.dim, alg.dim, alg.dim)
+        return Pairing(reg, reg, z, table, name="mult")
+    alg = d.algebra()
+    x, y, z = d.bimodule(alg, "X"), d.bimodule(alg, "Y"), d.bimodule(alg, "Z")
+    return Pairing(x, y, z, d.random_table(x.dim, y.dim, z.dim), name="T")
+
+
+# -- the identities, one tuple at a time ---------------------------------------
+
+
+BIMODULE_LAWS = {
+    "(ab)m != a(bm)": lambda mod, i, j, m: (
+        mod.act_left({i: 1}, mod.left.get((j, m), {})),
+        mod.act_left(mod.over.mul_basis(i, j), {m: 1})),
+    "m(ab) != (ma)b": lambda mod, i, j, m: (
+        mod.act_right(mod.right.get((m, i), {}), {j: 1}),
+        mod.act_right({m: 1}, mod.over.mul_basis(i, j))),
+    "(am)b != a(mb)": lambda mod, i, j, m: (
+        mod.act_right(mod.left.get((i, m), {}), {j: 1}),
+        mod.act_left({i: 1}, mod.right.get((m, j), {}))),
+}
+
+
+def bimodule_law_fails(mod, law) -> bool:
+    n = mod.over.dim
+    return any(lhs != rhs for i in range(n) for j in range(n) for m in range(mod.dim)
+               for lhs, rhs in [BIMODULE_LAWS[law](mod, i, j, m)])
+
+
+def idempotent_pair_wrong(mod, v, m, side) -> bool:
+    iv, bm = mod.over.idem[v], mod.basis[m]
+    if side == "left":
+        return mod.left.get((iv, m), {}) != ({m: 1} if bm.left == v else {})
+    return mod.right.get((m, iv), {}) != ({m: 1} if bm.right == v else {})
+
+
+def intertwining_fails(mp, side) -> bool:
+    src, tgt = mp.source, mp.target
+    for a in range(src.over.dim):
+        for m in range(src.dim):
+            if side == "left":
+                fails = mp.apply(src.left.get((a, m), {})) != tgt.act_left({a: 1}, mp.columns[m])
+            else:
+                fails = mp.apply(src.right.get((m, a), {})) != tgt.act_right(mp.columns[m], {a: 1})
+            if fails:
+                return True
+    return False
+
+
+# -- hand-made cases: one passing structure and one failure per identity -------
+# Over one vertex at p = 5 unless stated.
+
+A_ZERO = algebra(5, 1, [(1, 1)], {})                             # e1, r0 with r0 r0 = 0
+A_TWO = algebra(5, 1, [(1, 1), (1, 1)], {})                      # r0, r1, all products 0
+A_BAD = algebra(5, 1, [(1, 1), (1, 1)], {(1, 1): {2: 1}, (2, 1): {1: 1}})  # (r0r0)r0 != r0(r0r0)
+# two vertices at p = 3: r0 r1 = e1 but r1 r0 = 0, so (r0 r1) r0 != r0 (r1 r0)
+A_TWO_VERTICES = algebra(3, 2, [(1, 2), (2, 1)], {(1, 2): {0: 1}})
+M_LEFT = bimodule(A_ZERO, [(1, 1)] * 2, {(1, 0): {1: 1}, (1, 1): {0: 1}}, {})   # (ab)m
+M_RIGHT = bimodule(A_ZERO, [(1, 1)] * 2, {}, {(0, 1): {1: 1}, (1, 1): {0: 1}})  # m(ab)
+M_MIXED = bimodule(A_TWO, [(1, 1)] * 3, {(1, 0): {1: 1}}, {(1, 2): {2: 1}})      # (am)b
+M_IDEM = bimodule(A_ZERO, [(1, 1)], {(0, 0): {0: 2}}, {})                        # e1 m0 = 2 m0
+# e2 m0 = 3 m0 and m0 e2 = 3 m0 at p = 3: zero mod p, so every law holds,
+# but the idempotent entries are compared as stored
+M_IDEM_L = bimodule(A_TWO_VERTICES, [(1, 1)], {(1, 0): {0: 3}}, {})
+M_IDEM_R = bimodule(A_TWO_VERTICES, [(1, 1)], {}, {(0, 1): {0: 3}})
+M_ACT = bimodule(A_ZERO, [(1, 1)] * 2, {(1, 0): {1: 1}}, {(0, 1): {1: 1}})      # a bimodule
+A_REG = regular(A_ZERO)
+
+
+@example(A_ZERO)
+@example(A_TWO_VERTICES)
+@example(A_BAD)
+@settings(max_examples=100, deadline=None)
+@given(algebras())
+def test_associativity_matches_dense_loop(alg):
+    got = outcome(BasedAlgebra.check_associativity, alg)
+    want = outcome(dense_check_associativity, alg)
+    assert (got is None) == (want is None), (got, want)
+    if got is not None:
+        match = re.fullmatch(r"associativity fails at (\w+), (\w+), (\w+)", got)
+        i, j, k = (alg.index[name] for name in match.groups())
+        assert alg.mul(alg.mul_basis(i, j), {k: 1}) != alg.mul({i: 1}, alg.mul_basis(j, k))
+
+
+@example(M_ACT)
+@example(A_REG)
+@example(M_LEFT)
+@example(M_RIGHT)
+@example(M_MIXED)
+@example(M_IDEM)
+@example(M_IDEM_L)
+@example(M_IDEM_R)
+@settings(max_examples=100, deadline=None)
+@given(bimodules())
+def test_bimodule_axioms_match_dense_loop(mod):
+    got = outcome(BasedBimodule.check_bimodule, mod)
+    want = outcome(dense_check_bimodule, mod)
+    assert (got is None) == (want is None), (got, want)
+    if got is None:
+        return
+    law = got.removesuffix(f" in {mod.name}")
+    if law in BIMODULE_LAWS:
+        assert bimodule_law_fails(mod, law)
+        return
+    left = re.fullmatch(r"e_(\d+) \. (\w+) wrong", law)
+    right = re.fullmatch(r"(\w+) \. e_(\d+) wrong", law)
+    assert left or right, got
+    if left:
+        assert idempotent_pair_wrong(mod, int(left[1]), mod.index[left[2]], "left")
+    else:
+        assert idempotent_pair_wrong(mod, int(right[2]), mod.index[right[1]], "right")
+
+
+def identity_map(mod, scale=1, name="f"):
+    return BimoduleMap(mod, mod, [{m: scale} for m in range(mod.dim)], name=name)
+
+
+@example(identity_map(M_ACT, 3))
+@example(BimoduleMap(M_LEFT, M_LEFT, [{0: 1}, {1: 3}], name="f"))  # f(r0 m0) != r0 f(m0)
+@example(BimoduleMap(M_RIGHT, M_RIGHT, [{0: 1}, {1: 3}], name="f"))  # f(m0 r0) != f(m0) r0
+@example(BimoduleMap(M_ACT, M_ACT, [{0: 2}, {1: 1}], name="f"))  # both sides fail
+@settings(max_examples=100, deadline=None)
+@given(maps())
+def test_intertwining_matches_dense_loop(mp):
+    got = outcome(BimoduleMap.check_intertwines, mp)
+    want = outcome(dense_check_intertwines, mp)
+    assert (got is None) == (want is None), (got, want)
+    if got is not None:
+        side = re.fullmatch(r"f: (left|right) action not intertwined", got)[1]
+        assert intertwining_fails(mp, side)
+
+
+def drop(table, key):
+    return {k: v for k, v in table.items() if k != key}
+
+
+@example(Pairing(A_REG, A_REG, A_REG, dict(A_ZERO.products), name="mult"))
+@example(Pairing(A_REG, A_REG, A_REG, drop(A_ZERO.products, (1, 0)), name="T"))  # balanced
+@example(Pairing(A_REG, A_REG, bimodule(A_ZERO, [(1, 1)] * 2, {}, dict(A_ZERO.products)),
+                 dict(A_ZERO.products), name="T"))  # left equivariance
+@example(Pairing(A_REG, A_REG, bimodule(A_ZERO, [(1, 1)] * 2, dict(A_ZERO.products), {}),
+                 dict(A_ZERO.products), name="T"))  # right equivariance
+@settings(max_examples=100, deadline=None)
+@given(pairings())
+def test_pairing_check_matches_dense_loop(pr):
+    # the three identities are checked one after the other on both paths,
+    # so the first one that fails is reported by both
+    assert outcome(Pairing.check, pr) == outcome(dense_pairing_check, pr)
+
+
+def test_failing_triple_reports_first_failure_by_middle_index():
+    # a and b are empty, so the identity fails wherever the right side
+    # sum_t c[g, w][t] d[u, t] is nonzero mod p
+    c = {(0, 4): {0: 1}, (1, 4): {1: 1}, (1, 2): {1: 1}}
+    d = {(0, 1): {0: 1}, (2, 1): {0: 1}, (1, 0): {0: 3}}
+    # g = 0 reaches only (u, w) = (1, 4), where the right side is 3; g = 1
+    # reaches u in {0, 2} and w in {2, 4}, where it is 1
+    assert failing_triple({}, {}, c, d, 3) == (0, 1, 2)
+    assert failing_triple({}, {}, c, d, 5) == (1, 0, 4)
+
+
+def test_checks_cost_follows_nonempty_products():
+    # k^3000: 3000 vertices and their idempotents, nothing else.  The loops
+    # over every tuple would take minutes here; the scans visit only the
+    # 3000 idempotent products of each table.
+    n = 3000
+    alg = algebra(3, n, [], {})
+    reg = regular(alg)
+    scale = identity_map(reg, 2)
+    mult = Pairing(reg, reg, reg, dict(alg.products), name="mult")
+    start = time.perf_counter()
+    alg.check_associativity()
+    reg.check_bimodule()
+    scale.check_intertwines()
+    mult.check()
+    assert time.perf_counter() - start < 1.0
