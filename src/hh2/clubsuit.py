@@ -14,13 +14,15 @@ sigma-mirrored slots.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 from . import Hh2Error, quiver
 from .exactlin import rank, sparse_rank, zeros
 from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
                        KIND_THETA_SIGMA, Pairing)
-from .quiver import (BasedBimodule, BimoduleMap, Combo, OmegaAlgebra,
+from .quiver import (BasedBimodule, BimoduleMap, GroupedViews, OmegaAlgebra, Table,
                      combo_add, tensor_over)
 
 # spade labels: which piece of the class algebra a grid slot carries
@@ -66,8 +68,76 @@ def theta_partner(omega: OmegaAlgebra, idx: int) -> int:
     return omega.key[(left, src - 1 - a, p - 1 - b - src)]
 
 
+def _restrict(table: Table, rows: dict[int, int] | None = None,
+              cols: dict[int, int] | None = None) -> Table:
+    """A copy of the nonempty entries whose row (col) index is a key of rows
+    (cols), renumbered by it; None keeps every index of that side as it is."""
+    out: Table = {}
+    for (x, y), prod in table.items():
+        if prod and (rows is None or x in rows) and (cols is None or y in cols):
+            out[(x if rows is None else rows[x], y if cols is None else cols[y])] = dict(prod)
+    return out
+
+
+def _compose(table: Table, mp: BimoduleMap, p: int, inner: bool = False) -> Table:
+    """A table followed by a map, (x, y) -> mp(t(x, y)), or with ``inner`` the
+    map applied to y first, (x, g) -> t(x, mp(g)).  Empty values are dropped.
+
+    The maps composed here are monomial: each term goes to at most one place.
+    """
+    out: Table = {}
+    if inner:
+        preimages: dict[int, list[tuple[int, int]]] = {}
+        for g, col in enumerate(mp.columns):
+            for u, c in col.items():
+                preimages.setdefault(u, []).append((g, c))
+        for (x, u), prod in table.items():
+            for g, c in preimages.get(u, ()):
+                combo_add(out.setdefault((x, g), {}), prod, c, p)
+    else:
+        for key, prod in table.items():
+            acc = out[key] = {}
+            for t, c in prod.items():
+                combo_add(acc, mp.columns[t], c, p)
+    return {key: combo for key, combo in out.items() if combo}
+
+
+class Pairings(Mapping):
+    """The pairings of NaturalMaps by name; each is built when first read.
+
+    Membership, length and iteration see every name, in the listed order,
+    without building anything; reading a value builds it once.
+    """
+
+    def __init__(self, builders: dict[str, Callable[[], Pairing]]):
+        self._builders = builders
+        self._built: dict[str, Pairing] = {}
+
+    def __getitem__(self, name: str) -> Pairing:
+        pr = self._built.get(name)
+        if pr is None:
+            pr = self._built[name] = self._builders[name]()
+        return pr
+
+    def __contains__(self, name) -> bool:
+        return name in self._builders
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._builders)
+
+    def __len__(self) -> int:
+        return len(self._builders)
+
+    def built(self) -> list[str]:
+        """The names built so far, in the order they were built."""
+        return list(self._built)
+
+
 class NaturalMaps:
-    """Bimodules and all natural maps/pairings for one prime p."""
+    """Bimodules and all natural maps/pairings for one prime p.
+
+    Modules and maps are built at once; each pairing when first read.
+    """
 
     def __init__(self, p: int):
         self.p = p
@@ -86,8 +156,10 @@ class NaturalMaps:
             KIND_DUAL: self.dual,
             KIND_IDEAL: self.ideal,
         }
+        self._pos_in_ideal = {old: new for new, old in enumerate(self.ideal.parent_index)}
+        self._pos_in_theta = {old: new for new, old in enumerate(self.theta.parent_index)}
         self._build_maps()
-        self._build_pairings()
+        self.pairings = Pairings(self._pairing_builders())
 
     # -- linear maps ---------------------------------------------------------
 
@@ -95,228 +167,140 @@ class NaturalMaps:
         om, p = self.omega, self.p
         ideal, reg, dualm = self.ideal, self.reg, self.dual
         theta, ths = self.theta, self.theta_sigma
+        pos_in_ideal, pos_in_theta = self._pos_in_ideal, self._pos_in_theta
 
         # alpha: ideal -> Omega (inclusion)
         cols = [{ideal.parent_index[m]: 1} for m in range(ideal.dim)]
         self.alpha = BimoduleMap(ideal, reg, cols, name="alpha")
 
         # beta: ideal -> ideal* via the complementing form
-        ideal_dual = quiver.dual(ideal)
-        pos_in_ideal = {old: new for new, old in enumerate(ideal.parent_index)}
-        cols = []
-        for m in range(ideal.dim):
-            partner = ideal_partner(om, ideal.parent_index[m])
-            cols.append({pos_in_ideal[partner]: 1})
-        self.ideal_dual = ideal_dual
-        self.beta = BimoduleMap(ideal, ideal_dual, cols,
+        self.ideal_dual = quiver.dual(ideal)
+        cols = [{pos_in_ideal[ideal_partner(om, m)]: 1} for m in ideal.parent_index]
+        self.beta = BimoduleMap(ideal, self.ideal_dual, cols,
                                 dj=2 * (p - 1), dk=-2 * (p - 1), name="beta")
 
         # gamma: Omega* ->> ideal,  m* -> beta-partner(m) for ideal monomials
-        cols = []
-        for f in range(dualm.dim):
-            m = f  # dual basis is indexed like Omega's
-            if om.in_ideal(m):
-                cols.append({pos_in_ideal[ideal_partner(om, m)]: 1})
-            else:
-                cols.append({})
+        # (the dual basis is indexed like Omega's)
+        cols = [{pos_in_ideal[ideal_partner(om, m)]: 1} if om.in_ideal(m) else {}
+                for m in range(dualm.dim)]
         self.gamma = BimoduleMap(dualm, ideal, cols,
                                  dj=2 - 2 * p, dk=2 * p - 2, name="gamma")
 
         # kappa: Omega ->> Theta
-        pos_in_theta = {old: new for new, old in enumerate(theta.parent_index)}
-        cols = []
-        for m in range(reg.dim):
-            cols.append({pos_in_theta[m]: 1} if m in pos_in_theta else {})
+        cols = [{pos_in_theta[m]: 1} if m in pos_in_theta else {} for m in range(reg.dim)]
         self.kappa = BimoduleMap(reg, theta, cols, name="kappa")
 
-        # lam: Theta^sigma -> Theta* (self-injectivity) and mu = kappa* o lam
-        theta_dual = quiver.dual(theta)
-        cols = []
-        for m in range(ths.dim):
-            m_omega = theta.parent_index[m]  # underlying monomial
-            partner = theta_partner(om, m_omega)
-            cols.append({pos_in_theta[partner]: 1})
-        self.theta_dual = theta_dual
-        self.lam = BimoduleMap(ths, theta_dual, cols,
+        # lam: Theta^sigma -> Theta* (self-injectivity) and mu = kappa* o lam,
+        # Theta^sigma -> Omega*: m -> the form partner of its underlying monomial
+        partners = [theta_partner(om, m) for m in theta.parent_index]
+        self.theta_dual = quiver.dual(theta)
+        self.lam = BimoduleMap(ths, self.theta_dual, [{pos_in_theta[n]: 1} for n in partners],
                                dj=p - 2, dk=-(p - 2), name="lambda")
-
-        # mu: Theta^sigma -> Omega*, m -> (Omega-monomial of the form partner)*
-        cols = []
-        for m in range(ths.dim):
-            m_omega = theta.parent_index[m]
-            partner = theta_partner(om, m_omega)
-            cols.append({partner: 1})
-        self.mu = BimoduleMap(ths, dualm, cols, dj=p - 2, dk=-(p - 2), name="mu")
+        self.mu = BimoduleMap(ths, dualm, [{n: 1} for n in partners],
+                              dj=p - 2, dk=-(p - 2), name="mu")
 
     # -- pairings ------------------------------------------------------------
 
-    def _action_pairing(self, x_mod: BasedBimodule, side: str,
-                        other: BasedBimodule, name: str) -> Pairing:
-        table: dict[tuple[int, int], Combo] = {}
-        if side == "left":  # Omega x X -> X through the regular bimodule index
-            for (a, m), prod in x_mod.left.items():
-                table[(a, m)] = dict(prod)
-            return Pairing(other, x_mod, x_mod, table, name=name)
-        for (m, a), prod in x_mod.right.items():
-            table[(m, a)] = dict(prod)
-        return Pairing(x_mod, other, x_mod, table, name=name)
+    def _pairing_builders(self) -> dict[str, Callable[[], Pairing]]:
+        """The builder of each pairing, by name, in the order they are listed."""
+        def sided(name: str, build) -> dict[str, Callable[[], Pairing]]:
+            return {f"{name}_{side}": partial(build, side) for side in "lr"}
 
-    def _build_pairings(self) -> None:
-        om, p = self.omega, self.p
-        reg, ideal, dualm = self.reg, self.ideal, self.dual
-        theta, ths = self.theta, self.theta_sigma
+        builders: dict[str, Callable[[], Pairing]] = {
+            "mult": partial(self._action, KIND_OMEGA, "l", "mult")}
+        for kind in (KIND_THETA, KIND_THETA_SIGMA, KIND_DUAL, KIND_IDEAL):
+            builders |= {f"act_{side}:{kind}": partial(self._action, kind, side) for side in "lr"}
+        builders |= sided("mult_incl", self._mult_incl) | {"eta": self._eta}
+        builders |= sided("zeta", self._zeta) | {"eps": self._eps}
+        for side in "lr":
+            builders |= {f"theta_{side}": partial(self._theta, side),
+                         f"iota_{side}": partial(self._iota, side)}
+        builders |= {f"collapse:{tag}": partial(self._collapse, tag)
+                     for tag in ("ss", "sp", "ps", "pp")}
+        return builders | sided("nu", self._nu)
 
-        self.pairings: dict[str, Pairing] = {}
+    def _action(self, kind: str, side: str, name: str = "") -> Pairing:
+        # Omega x X -> X and X x Omega -> X: the action tables themselves
+        # (mult is Omega acting on itself)
+        mod, reg, name = self.modules[kind], self.reg, name or f"act_{side}:{kind}"
+        if side == "l":
+            return Pairing(reg, mod, mod, _restrict(mod.left), name=name)
+        return Pairing(mod, reg, mod, _restrict(mod.right), name=name)
 
-        def put(pr: Pairing) -> None:
-            self.pairings[pr.name] = pr
-
-        put(Pairing(reg, reg, reg, {k: dict(v) for k, v in om.products.items()}, name="mult"))
-        for kind, mod in self.modules.items():
-            if kind == KIND_OMEGA:
-                continue
-            put(self._action_pairing(mod, "left", reg, f"act_l:{kind}"))
-            put(self._action_pairing(mod, "right", reg, f"act_r:{kind}"))
-
+    def _mult_incl(self, side: str) -> Pairing:
         # Omega x I and I x Omega multiplication landing in the ambient algebra
         # (into the ideal itself they are the action pairings above)
-        table: dict[tuple[int, int], Combo] = {}
-        for a in range(reg.dim):
-            for m in range(ideal.dim):
-                prod = om.mul_basis(a, ideal.parent_index[m])
-                if prod:
-                    table[(a, m)] = dict(prod)
-        put(Pairing(reg, ideal, reg, table, name="mult_incl_l"))
-        table = {}
-        for m in range(ideal.dim):
-            for a in range(reg.dim):
-                prod = om.mul_basis(ideal.parent_index[m], a)
-                if prod:
-                    table[(m, a)] = dict(prod)
-        put(Pairing(ideal, reg, reg, table, name="mult_incl_r"))
+        reg, ideal, pos = self.reg, self.ideal, self._pos_in_ideal
+        if side == "l":
+            return Pairing(reg, ideal, reg, _restrict(reg.left, cols=pos), name="mult_incl_l")
+        return Pairing(ideal, reg, reg, _restrict(reg.right, rows=pos), name="mult_incl_r")
 
+    def _eta(self) -> Pairing:
         # eta: I x I -> Omega*,  (u, v) -> gamma^{-1}(u) . v
-        table = {}
-        for u in range(ideal.dim):
-            f = ideal_partner(om, ideal.parent_index[u])  # gamma(f*) = u
-            for v in range(ideal.dim):
-                prod = dualm.right.get((f, ideal.parent_index[v]), {})
-                if prod:
-                    table[(u, v)] = dict(prod)
-        put(Pairing(ideal, ideal, dualm, table, name="eta"))
+        ideal = self.ideal
+        gamma_inv = {ideal_partner(self.omega, m): u  # gamma(f*) = u
+                     for u, m in enumerate(ideal.parent_index)}
+        table = _restrict(self.dual.right, gamma_inv, self._pos_in_ideal)
+        return Pairing(ideal, ideal, self.dual, table, name="eta")
 
+    def _zeta(self, side: str) -> Pairing:
         # zeta_l / zeta_r: ideal acting on Omega*
-        table = {}
-        for u in range(ideal.dim):
-            for f in range(dualm.dim):
-                prod = dualm.left.get((ideal.parent_index[u], f), {})
-                if prod:
-                    table[(u, f)] = dict(prod)
-        put(Pairing(ideal, dualm, dualm, table, name="zeta_l"))
-        table = {}
-        for f in range(dualm.dim):
-            for u in range(ideal.dim):
-                prod = dualm.right.get((f, ideal.parent_index[u]), {})
-                if prod:
-                    table[(f, u)] = dict(prod)
-        put(Pairing(dualm, ideal, dualm, table, name="zeta_r"))
+        ideal, dualm, pos = self.ideal, self.dual, self._pos_in_ideal
+        if side == "l":
+            return Pairing(ideal, dualm, dualm, _restrict(dualm.left, rows=pos), name="zeta_l")
+        return Pairing(dualm, ideal, dualm, _restrict(dualm.right, cols=pos), name="zeta_r")
 
-        # eps: Omega* x Omega* -> Omega*,  (f, g) -> f . gamma(g)
-        table = {}
-        for f in range(dualm.dim):
-            for g in range(dualm.dim):
-                gg = self.gamma.columns[g]
-                out: Combo = {}
-                for tgt, c in gg.items():
-                    combo_add(out, dualm.right.get((f, ideal.parent_index[tgt]), {}), c, p)
-                if out:
-                    table[(f, g)] = out
-        put(Pairing(dualm, dualm, dualm, table, name="eps"))
+    def _eps(self) -> Pairing:
+        # eps: Omega* x Omega* -> Omega*,  (f, g) -> f . gamma(g) = zeta_r(f, gamma(g))
+        dualm = self.dual
+        table = _compose(self.pairings["zeta_r"].table, self.gamma, self.p, inner=True)
+        return Pairing(dualm, dualm, dualm, table, name="eps")
 
-        # theta_l / theta_r: Omega x Omega* -> ideal via gamma, iota via alpha
-        table = {}
-        t_iota: dict[tuple[int, int], Combo] = {}
-        for a in range(reg.dim):
-            for f in range(dualm.dim):
-                af = dualm.left.get((a, f), {})
-                out = {}
-                for tgt, c in af.items():
-                    combo_add(out, self.gamma.columns[tgt], c, p)
-                if out:
-                    table[(a, f)] = out
-                    t_iota[(a, f)] = self.alpha.apply(out)
-        put(Pairing(reg, dualm, ideal, table, name="theta_l"))
-        put(Pairing(reg, dualm, reg, t_iota, name="iota_l"))
-        table = {}
-        t_iota = {}
-        for f in range(dualm.dim):
-            for a in range(reg.dim):
-                fa = dualm.right.get((f, a), {})
-                out = {}
-                for tgt, c in fa.items():
-                    combo_add(out, self.gamma.columns[tgt], c, p)
-                if out:
-                    table[(f, a)] = out
-                    t_iota[(f, a)] = self.alpha.apply(out)
-        put(Pairing(dualm, reg, ideal, table, name="theta_r"))
-        put(Pairing(dualm, reg, reg, t_iota, name="iota_r"))
+    def _theta(self, side: str) -> Pairing:
+        # theta_l / theta_r: Omega x Omega* -> ideal, the action followed by gamma
+        reg, dualm, ideal, p = self.reg, self.dual, self.ideal, self.p
+        if side == "l":
+            return Pairing(reg, dualm, ideal, _compose(dualm.left, self.gamma, p), name="theta_l")
+        return Pairing(dualm, reg, ideal, _compose(dualm.right, self.gamma, p), name="theta_r")
 
-        # collapse pairings between the preprojective-type components
-        def sigma_idx(m_omega: int) -> int:
-            return quiver.theta_sigma_index(om, m_omega)
+    def _iota(self, side: str) -> Pairing:
+        # iota_l / iota_r: theta followed by the inclusion alpha
+        th = self.pairings[f"theta_{side}"]
+        return Pairing(th.x_mod, th.y_mod, self.reg, _compose(th.table, self.alpha, self.p),
+                       name=f"iota_{side}")
 
-        theta_alg_mul = {}
-        pos_in_theta = {old: new for new, old in enumerate(theta.parent_index)}
-        for i_new, i_old in enumerate(theta.parent_index):
-            for j_new, j_old in enumerate(theta.parent_index):
-                prod = om.mul_basis(i_old, j_old)
-                mapped = {pos_in_theta[i]: c for i, c in prod.items() if i in pos_in_theta}
-                if mapped:
-                    theta_alg_mul[(i_new, j_new)] = mapped
+    @cached_property
+    def _theta_mul(self) -> Table:
+        return quiver.theta_products(self.omega, self.theta.parent_index)
 
-        def collapse(x_sigma: bool, y_sigma: bool) -> Pairing:
-            x_mod = ths if x_sigma else theta
-            y_mod = ths if y_sigma else theta
-            z_mod = ths if (x_sigma != y_sigma) else theta
-            table: dict[tuple[int, int], Combo] = {}
-            for m in range(theta.dim):
-                m_omega = theta.parent_index[m]
-                for n in range(theta.dim):
-                    n_omega = theta.parent_index[n]
-                    nn = sigma_idx(n_omega) if x_sigma else n_omega
-                    nn_new = pos_in_theta.get(nn)
-                    if nn_new is None:
-                        continue
-                    prod = theta_alg_mul.get((m, nn_new))
-                    if prod:
-                        table[(m, n)] = dict(prod)
-            tag = f"collapse:{'s' if x_sigma else 'p'}{'s' if y_sigma else 'p'}"
-            return Pairing(x_mod, y_mod, z_mod, table, name=tag)
+    def _collapse(self, tag: str) -> Pairing:
+        # collapse pairings between the preprojective-type components: the
+        # product of Theta, where a twisted x reads (m, n) at (m, sigma(n))
+        x_sigma, y_sigma = (t == "s" for t in tag)
+        theta, ths = self.theta, self.theta_sigma
+        x_mod = ths if x_sigma else theta
+        y_mod = ths if y_sigma else theta
+        z_mod = ths if x_sigma != y_sigma else theta
+        sigma = None
+        if x_sigma:  # an involution of Theta's basis, so it renumbers (m, sigma(n)) as (m, n)
+            sigma = {n: self._pos_in_theta[quiver.theta_sigma_index(self.omega, m)]
+                     for n, m in enumerate(theta.parent_index)}
+        return Pairing(x_mod, y_mod, z_mod, _restrict(self._theta_mul, cols=sigma),
+                       name=f"collapse:{tag}")
 
-        put(collapse(True, True))
-        put(collapse(True, False))
-        put(collapse(False, True))
-        put(collapse(False, False))
-
+    def _nu(self, side: str) -> Pairing:
         # nu_l: Theta x Theta^sigma -> Omega*; nu_r: Theta^sigma x Theta -> Omega*
         # (odd k-shift through mu, so they carry their factorization for cup)
-        for tag, inner in (("nu_l", "collapse:ps"), ("nu_r", "collapse:sp")):
-            base = self.pairings[inner]
-            table = {}
-            for key, prod in base.table.items():
-                out: Combo = {}
-                for tgt, c in prod.items():
-                    combo_add(out, self.mu.columns[tgt], c, p)
-                if out:
-                    table[key] = out
-            put(Pairing(base.x_mod, base.y_mod, dualm, table, name=tag,
-                        factor=(base, self.mu)))
+        base = self.pairings["collapse:ps" if side == "l" else "collapse:sp"]
+        return Pairing(base.x_mod, base.y_mod, self.dual, _compose(base.table, self.mu, self.p),
+                       name=f"nu_{side}", factor=(base, self.mu))
 
     # -- consistency checks --------------------------------------------------
 
     def check_maps(self) -> None:
+        views = GroupedViews()
         for mp in (self.alpha, self.beta, self.gamma, self.kappa, self.lam, self.mu):
-            mp.check_intertwines()
+            mp.check_intertwines(views)
             mp.check_degree_shift()
         for mp, want, failure in ((self.beta, self.ideal.dim, "beta is not an isomorphism"),
                                   (self.lam, self.theta.dim, "lambda is not an isomorphism"),
@@ -332,8 +316,9 @@ class NaturalMaps:
             mod.check_bimodule()
 
     def check_pairings(self) -> None:
+        views = GroupedViews()
         for pr in self.pairings.values():
-            pr.check()
+            pr.check(views)
 
     def pairing_rank_on_tensor(self, name: str) -> tuple[int, int]:
         """Rank of the induced map (X (x)_Omega Y) -> Z for a pairing."""

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import Hh2Error
 from .exactlin import Homology, NotACocycle, matmul, sparse_rank, zeros
-from .quiver import BasedAlgebra, BasedBimodule, Combo, OmegaAlgebra, failing_triple
+from .quiver import (BasedAlgebra, BasedBimodule, Combo, GroupedViews, OmegaAlgebra,
+                     failing_triple)
 
 Name = tuple  # ("z", l) | ("kz", l) | ("c2", s) | ("soc", s) | ("mu", l) | ("nu", l) | ("e", s)
 NameCombo = dict[Name, int]
@@ -94,14 +95,15 @@ class Pairing:
     def apply(self, x: int, y: int) -> Combo:
         return self.table.get((x, y), {})
 
-    def check(self) -> None:
+    def check(self, views: GroupedViews | None = None) -> None:
         """Balancedness and one-sided equivariance over the full algebra basis:
         (x a, y) = (x, a y), a (x, y) = (a x, y) and (x, y) a = (x, y a)."""
         x, y, z, t = self.x_mod, self.y_mod, self.z_mod, self.table
+        views = views or GroupedViews()
         for tables, what in (((x.right, t, y.left, t), "not balanced"),
                              ((x.left, t, t, z.left), "not left equivariant"),
                              ((t, z.right, y.right, t), "not right equivariant")):
-            if failing_triple(*tables, self.p) is not None:
+            if failing_triple(*tables, self.p, views) is not None:
                 raise AssertionError(f"{self.name}: {what}")
 
 

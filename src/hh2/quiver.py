@@ -125,8 +125,25 @@ def _grouped(table: Table, by: int) -> dict[int, list[tuple[int, Combo]]]:
     return out
 
 
-def failing_triple(a: Table, b: Table, c: Table, d: Table,
-                   p: int) -> tuple[int, int, int] | None:
+class GroupedViews:
+    """Each table grouped by one index (``_grouped``), made once and then reused.
+
+    One instance serves all the scans of one check, during which no table
+    changes; a table is known by its identity, and held so that it stays so.
+    """
+
+    def __init__(self) -> None:
+        self._made: dict[tuple[int, int], tuple[Table, dict]] = {}
+
+    def by(self, table: Table, index: int) -> dict[int, list[tuple[int, Combo]]]:
+        key = (id(table), index)
+        if key not in self._made:
+            self._made[key] = (table, _grouped(table, index))
+        return self._made[key][1]
+
+
+def failing_triple(a: Table, b: Table, c: Table, d: Table, p: int,
+                   views: GroupedViews | None = None) -> tuple[int, int, int] | None:
     """The first (u, g, w), by g, then u, then w, at which
 
         sum_t a[u, g][t] * b[t, w]  =  sum_t c[g, w][t] * d[u, t]   (mod p)
@@ -140,10 +157,12 @@ def failing_triple(a: Table, b: Table, c: Table, d: Table,
     time, walks the terms t of each nonempty a[u, g] along b[t, .] and of
     each nonempty c[g, w] along d[., t], and sums left minus right per
     (u, w): the result of a loop over every triple, with work that grows
-    with the nonempty products instead.
+    with the nonempty products instead.  ``views`` shares the groupings of
+    the four tables with other scans of the same check.
     """
-    a_by_g, b_by_t = _grouped(a, 1), _grouped(b, 0)
-    c_by_g, d_by_t = _grouped(c, 0), _grouped(d, 1)
+    views = views or GroupedViews()
+    a_by_g, b_by_t = views.by(a, 1), views.by(b, 0)
+    c_by_g, d_by_t = views.by(c, 0), views.by(d, 1)
     for g in sorted(a_by_g.keys() | c_by_g.keys()):
         acc: dict[tuple[int, int, int], int] = {}  # (u, w, basis index) -> left - right
         get = acc.get
@@ -231,15 +250,8 @@ class BasedAlgebra:
 
     def to_document(self) -> dict:
         """Basis and structure constants in the command line JSON shape."""
-        products = []
-        for (i, j), prod in sorted(self.products.items()):
-            products.append({
-                "left": self.basis[i].name, "right": self.basis[j].name,
-                "result": [{"name": self.basis[t].name, "coeff": int(c)}
-                           for t, c in sorted(prod.items())],
-            })
-        return {"p": self.p, "object": self.name or "algebra",
-                "basis": _basis_rows(self.basis), "products": products, "checks": []}
+        return _document(self.p, self.name or "algebra", self.basis,
+                         [(self.products, self.basis, self.basis)])
 
     def check_degrees(self) -> None:
         for (i, j), prod in self.products.items():
@@ -250,9 +262,16 @@ class BasedAlgebra:
                     raise AssertionError(f"degree additivity fails on {bi.name}*{bj.name}")
 
 
-def _basis_rows(basis: list[BasisElement]) -> list[dict]:
-    return [{"name": b.name, "a": None, "b": None, "i": None, "j": b.j, "k": b.k,
+def _document(p: int, name: str, basis: list[BasisElement], tables) -> dict:
+    """The command line JSON shape of a basis and of (table, left factor basis,
+    right factor basis) triples whose values are combos over that basis."""
+    rows = [{"name": b.name, "a": None, "b": None, "i": None, "j": b.j, "k": b.k,
              "h": None, "idempotent": f"e_{b.left}|e_{b.right}"} for b in basis]
+    products = [{"left": x_basis[i].name, "right": y_basis[j].name,
+                 "result": [{"name": basis[t].name, "coeff": int(c)}
+                            for t, c in sorted(prod.items())]}
+                for table, x_basis, y_basis in tables for (i, j), prod in sorted(table.items())]
+    return {"p": p, "object": name, "basis": rows, "products": products, "checks": []}
 
 
 class BasedBimodule:
@@ -298,21 +317,9 @@ class BasedBimodule:
 
     def to_document(self) -> dict:
         """Basis plus both action tables in the command line JSON shape."""
-        products = []
-        for (a, m), prod in sorted(self.left.items()):
-            products.append({
-                "left": self.over.basis[a].name, "right": self.basis[m].name,
-                "result": [{"name": self.basis[t].name, "coeff": int(c)}
-                           for t, c in sorted(prod.items())],
-            })
-        for (m, a), prod in sorted(self.right.items()):
-            products.append({
-                "left": self.basis[m].name, "right": self.over.basis[a].name,
-                "result": [{"name": self.basis[t].name, "coeff": int(c)}
-                           for t, c in sorted(prod.items())],
-            })
-        return {"p": self.p, "object": self.name or "bimodule",
-                "basis": _basis_rows(self.basis), "products": products, "checks": []}
+        alg_basis, basis = self.over.basis, self.basis
+        return _document(self.p, self.name or "bimodule", basis,
+                         [(self.left, alg_basis, basis), (self.right, basis, alg_basis)])
 
     def check_bimodule(self) -> None:
         alg, basis, name = self.over, self.basis, self.name
@@ -330,25 +337,23 @@ class BasedBimodule:
             if a in vertex and prod and vertex[a] != basis[m].right:
                 raise AssertionError(f"{basis[m].name} . e_{vertex[a]} wrong in {name}")
         mul, left, right = alg.slot_products(), self.left, self.right
+        views = GroupedViews()
         for tables, law in (((mul, left, left, left), "(ab)m != a(bm)"),
                             ((right, right, mul, right), "m(ab) != (ma)b"),
                             ((left, right, right, left), "(am)b != a(mb)")):
-            if failing_triple(*tables, self.p) is not None:
+            if failing_triple(*tables, self.p, views) is not None:
                 raise AssertionError(f"{law} in {name}")
 
     def check_degrees(self) -> None:
-        for (i, m), prod in self.left.items():
-            a, bm = self.over.basis[i], self.basis[m]
-            for idx in prod:
-                b = self.basis[idx]
-                if (b.j, b.k) != (a.j + bm.j, a.k + bm.k):
-                    raise AssertionError(f"left degree additivity fails in {self.name}")
-        for (m, i), prod in self.right.items():
-            a, bm = self.over.basis[i], self.basis[m]
-            for idx in prod:
-                b = self.basis[idx]
-                if (b.j, b.k) != (a.j + bm.j, a.k + bm.k):
-                    raise AssertionError(f"right degree additivity fails in {self.name}")
+        alg_basis, basis = self.over.basis, self.basis
+        for side, table, x_basis, y_basis in (("left", self.left, alg_basis, basis),
+                                              ("right", self.right, basis, alg_basis)):
+            for (i, m), prod in table.items():
+                x, y = x_basis[i], y_basis[m]
+                for idx in prod:
+                    b = basis[idx]
+                    if (b.j, b.k) != (x.j + y.j, x.k + y.k):
+                        raise AssertionError(f"{side} degree additivity fails in {self.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +443,19 @@ class OmegaAlgebra(BasedAlgebra):
         for s in range(1, p + 1):
             idem[s] = key[(s, 0, 0)]
 
+        # the partners of i are the monomials that end where i starts
+        data = [self._data_of(b) for b in basis]
+        ending_at: dict[int, list[int]] = {}
+        for j, bj in enumerate(basis):
+            ending_at.setdefault(bj.left, []).append(j)
         products: dict[tuple[int, int], Combo] = {}
         for i, bi in enumerate(basis):
-            si, ai, bbi = self._data_of(bi)
-            for jdx, bj in enumerate(basis):
-                sj, aj, bbj = self._data_of(bj)
-                if bi.right != bj.left:
-                    continue
-                a, b = ai + aj, bbi + bbj
+            _, ai, bbi = data[i]
+            for j in ending_at[bi.right]:
+                sj, aj, bbj = data[j]
+                a = ai + aj
                 if sj - a >= 1:
-                    products[(i, jdx)] = {key[(sj, a, b)]: 1}
+                    products[(i, j)] = {key[(sj, a, bbi + bbj)]: 1}
         super().__init__(p, basis, products, idem, name="Omega")
         self.key = key
         self.presentation = dual_presentation(p)
@@ -487,12 +495,14 @@ def build_omega(p: int) -> OmegaAlgebra:
 
 def regular_bimodule(omega: OmegaAlgebra) -> BasedBimodule:
     """Omega as a bimodule over itself."""
-    left = {}
-    right = {}
-    for (i, j), prod in omega.products.items():
-        left[(i, j)] = dict(prod)
-        right[(i, j)] = dict(prod)
+    left = {key: dict(prod) for key, prod in omega.products.items()}
+    right = {key: dict(prod) for key, prod in omega.products.items()}
     return BasedBimodule(omega, list(omega.basis), left, right, name="Omega")
+
+
+def _kept(prod: Combo, reindex: dict[int, int]) -> Combo:
+    """The terms of prod on kept monomials, renumbered; the others are dropped."""
+    return {reindex[i]: c for i, c in prod.items() if i in reindex}
 
 
 def _sub_bimodule(omega: OmegaAlgebra, keep: list[int], name: str) -> BasedBimodule:
@@ -500,18 +510,14 @@ def _sub_bimodule(omega: OmegaAlgebra, keep: list[int], name: str) -> BasedBimod
     basis = [omega.basis[i] for i in keep]
     left: dict[tuple[int, int], Combo] = {}
     right: dict[tuple[int, int], Combo] = {}
-    for new, old in enumerate(keep):
-        for a in range(omega.dim):
-            prod = omega.mul_basis(a, old)
-            if prod:
-                mapped = {reindex[i]: c for i, c in prod.items() if i in reindex}
-                if mapped:
-                    left[(a, new)] = mapped
-            prod = omega.mul_basis(old, a)
-            if prod:
-                mapped = {reindex[i]: c for i, c in prod.items() if i in reindex}
-                if mapped:
-                    right[(new, a)] = mapped
+    for (a, b), prod in omega.slot_products().items():
+        mapped = _kept(prod, reindex)
+        if not mapped:
+            continue
+        if b in reindex:
+            left[(a, reindex[b])] = mapped
+        if a in reindex:
+            right[(reindex[a], b)] = dict(mapped)
     return BasedBimodule(omega, basis, left, right, name=name)
 
 
@@ -531,6 +537,19 @@ def quotient_theta(omega: OmegaAlgebra) -> BasedBimodule:
     return mod
 
 
+def theta_products(omega: OmegaAlgebra, keep: list[int]) -> Table:
+    """Products of the monomials in keep (Theta's: the non-ideal ones) modulo
+    the others, numbered by their place in keep."""
+    reindex = {old: new for new, old in enumerate(keep)}
+    products: Table = {}
+    for (i, j), prod in omega.slot_products().items():
+        if i in reindex and j in reindex:
+            mapped = _kept(prod, reindex)
+            if mapped:
+                products[(reindex[i], reindex[j])] = mapped
+    return products
+
+
 def build_theta(p: int, omega: OmegaAlgebra | None = None) -> BasedAlgebra:
     """The preprojective algebra of type A_{p-1} as a BasedAlgebra."""
     omega = omega or build_omega(p)
@@ -538,14 +557,7 @@ def build_theta(p: int, omega: OmegaAlgebra | None = None) -> BasedAlgebra:
     reindex = {old: new for new, old in enumerate(keep)}
     basis = [omega.basis[i] for i in keep]
     idem = {v: reindex[i] for v, i in omega.idem.items() if i in reindex}
-    products: dict[tuple[int, int], Combo] = {}
-    for i_new, i_old in enumerate(keep):
-        for j_new, j_old in enumerate(keep):
-            prod = omega.mul_basis(i_old, j_old)
-            mapped = {reindex[i]: c for i, c in prod.items() if i in reindex}
-            if mapped:
-                products[(i_new, j_new)] = mapped
-    alg = BasedAlgebra(p, basis, products, idem, name="Theta")
+    alg = BasedAlgebra(p, basis, theta_products(omega, keep), idem, name="Theta")
     alg.parent_index = keep
     return alg
 
@@ -578,13 +590,11 @@ def twist_sigma(mod: BasedBimodule) -> BasedBimodule:
             tgt = src - a + b
             if tgt != p and src != p:
                 sigma_of[i] = omega.key[(p - src, b, a)]
+    # m . a here is m . sigma(a) there, and sigma is an involution of its domain
     right: dict[tuple[int, int], Combo] = {}
-    for m in range(mod.dim):
-        for a in range(omega.dim):
-            if a in sigma_of:
-                prod = mod.right.get((m, sigma_of[a]))
-                if prod:
-                    right[(m, a)] = dict(prod)
+    for (m, s), prod in mod.right.items():
+        if prod and s in sigma_of:
+            right[(m, sigma_of[s])] = dict(prod)
     new_name = mod.name[:-5] if mod.name.endswith("Sigma") else mod.name + "Sigma"
     new = BasedBimodule(omega, basis, {k: dict(v) for k, v in mod.left.items()}, right,
                         name=new_name)
@@ -728,14 +738,15 @@ class BimoduleMap:
             combo_add(out, self.columns[idx], c, self.source.p)
         return out
 
-    def check_intertwines(self) -> None:
+    def check_intertwines(self, views: GroupedViews | None = None) -> None:
         # f(a m) = a f(m) and f(m a) = f(m) a, f as a table with a dummy index 0
         f_m0 = {(m, 0): col for m, col in enumerate(self.columns)}
         f_0m = {(0, m): col for m, col in enumerate(self.columns)}
         src, tgt, p = self.source, self.target, self.source.p
-        if failing_triple(src.left, f_m0, f_m0, tgt.left, p) is not None:
+        views = views or GroupedViews()
+        if failing_triple(src.left, f_m0, f_m0, tgt.left, p, views) is not None:
             raise AssertionError(f"{self.name}: left action not intertwined")
-        if failing_triple(f_0m, tgt.right, src.right, f_0m, p) is not None:
+        if failing_triple(f_0m, tgt.right, src.right, f_0m, p, views) is not None:
             raise AssertionError(f"{self.name}: right action not intertwined")
 
     def check_degree_shift(self) -> None:

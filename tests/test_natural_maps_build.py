@@ -1,0 +1,384 @@
+"""The builders of NaturalMaps and of the quiver modules against dense loops.
+
+``NaturalMaps`` builds each pairing when it is first read, and every table
+here is made by walking nonempty products only.  The loops over every pair
+of basis elements that they replaced are kept in this file as references,
+with their bodies verbatim, and each table is compared with its reference as
+a dict at p = 3, 5 and 7.  The laziness of ``NaturalMaps.pairings`` is tested
+at the end.
+"""
+
+import functools
+import types
+
+import pytest
+
+from hh2 import quiver
+from hh2.clubsuit import NaturalMaps, ideal_partner
+from hh2.koszulhh import KIND_OMEGA, Pairing
+from hh2.quiver import (BasedBimodule, BasisElement, Combo, IncompatibleAlgebras,
+                        OmegaAlgebra, combo_add)
+
+PRIMES = (3, 5, 7)
+
+# the 25 pairings in the order NaturalMaps lists them
+NAMES = ["mult",
+         "act_l:theta", "act_r:theta", "act_l:theta-sigma", "act_r:theta-sigma",
+         "act_l:omega-dual", "act_r:omega-dual",
+         "act_l:omega-ep-omega", "act_r:omega-ep-omega",
+         "mult_incl_l", "mult_incl_r", "eta", "zeta_l", "zeta_r", "eps",
+         "theta_l", "iota_l", "theta_r", "iota_r",
+         "collapse:ss", "collapse:sp", "collapse:ps", "collapse:pp", "nu_l", "nu_r"]
+
+# -- the dense builders, as they stood before the sparse walks ---------------
+# (verbatim bodies: the methods take their object as ``self``, and the loops
+# that sat inside a constructor are wrapped in a function of the names they
+# read)
+
+
+def dense_action_pairing(self, x_mod: BasedBimodule, side: str,
+                         other: BasedBimodule, name: str) -> Pairing:
+    table: dict[tuple[int, int], Combo] = {}
+    if side == "left":  # Omega x X -> X through the regular bimodule index
+        for (a, m), prod in x_mod.left.items():
+            table[(a, m)] = dict(prod)
+        return Pairing(other, x_mod, x_mod, table, name=name)
+    for (m, a), prod in x_mod.right.items():
+        table[(m, a)] = dict(prod)
+    return Pairing(x_mod, other, x_mod, table, name=name)
+
+
+def dense_build_pairings(self) -> None:
+    om, p = self.omega, self.p
+    reg, ideal, dualm = self.reg, self.ideal, self.dual
+    theta, ths = self.theta, self.theta_sigma
+
+    self.pairings: dict[str, Pairing] = {}
+
+    def put(pr: Pairing) -> None:
+        self.pairings[pr.name] = pr
+
+    put(Pairing(reg, reg, reg, {k: dict(v) for k, v in om.products.items()}, name="mult"))
+    for kind, mod in self.modules.items():
+        if kind == KIND_OMEGA:
+            continue
+        put(self._action_pairing(mod, "left", reg, f"act_l:{kind}"))
+        put(self._action_pairing(mod, "right", reg, f"act_r:{kind}"))
+
+    # Omega x I and I x Omega multiplication landing in the ambient algebra
+    # (into the ideal itself they are the action pairings above)
+    table: dict[tuple[int, int], Combo] = {}
+    for a in range(reg.dim):
+        for m in range(ideal.dim):
+            prod = om.mul_basis(a, ideal.parent_index[m])
+            if prod:
+                table[(a, m)] = dict(prod)
+    put(Pairing(reg, ideal, reg, table, name="mult_incl_l"))
+    table = {}
+    for m in range(ideal.dim):
+        for a in range(reg.dim):
+            prod = om.mul_basis(ideal.parent_index[m], a)
+            if prod:
+                table[(m, a)] = dict(prod)
+    put(Pairing(ideal, reg, reg, table, name="mult_incl_r"))
+
+    # eta: I x I -> Omega*,  (u, v) -> gamma^{-1}(u) . v
+    table = {}
+    for u in range(ideal.dim):
+        f = ideal_partner(om, ideal.parent_index[u])  # gamma(f*) = u
+        for v in range(ideal.dim):
+            prod = dualm.right.get((f, ideal.parent_index[v]), {})
+            if prod:
+                table[(u, v)] = dict(prod)
+    put(Pairing(ideal, ideal, dualm, table, name="eta"))
+
+    # zeta_l / zeta_r: ideal acting on Omega*
+    table = {}
+    for u in range(ideal.dim):
+        for f in range(dualm.dim):
+            prod = dualm.left.get((ideal.parent_index[u], f), {})
+            if prod:
+                table[(u, f)] = dict(prod)
+    put(Pairing(ideal, dualm, dualm, table, name="zeta_l"))
+    table = {}
+    for f in range(dualm.dim):
+        for u in range(ideal.dim):
+            prod = dualm.right.get((f, ideal.parent_index[u]), {})
+            if prod:
+                table[(f, u)] = dict(prod)
+    put(Pairing(dualm, ideal, dualm, table, name="zeta_r"))
+
+    # eps: Omega* x Omega* -> Omega*,  (f, g) -> f . gamma(g)
+    table = {}
+    for f in range(dualm.dim):
+        for g in range(dualm.dim):
+            gg = self.gamma.columns[g]
+            out: Combo = {}
+            for tgt, c in gg.items():
+                combo_add(out, dualm.right.get((f, ideal.parent_index[tgt]), {}), c, p)
+            if out:
+                table[(f, g)] = out
+    put(Pairing(dualm, dualm, dualm, table, name="eps"))
+
+    # theta_l / theta_r: Omega x Omega* -> ideal via gamma, iota via alpha
+    table = {}
+    t_iota: dict[tuple[int, int], Combo] = {}
+    for a in range(reg.dim):
+        for f in range(dualm.dim):
+            af = dualm.left.get((a, f), {})
+            out = {}
+            for tgt, c in af.items():
+                combo_add(out, self.gamma.columns[tgt], c, p)
+            if out:
+                table[(a, f)] = out
+                t_iota[(a, f)] = self.alpha.apply(out)
+    put(Pairing(reg, dualm, ideal, table, name="theta_l"))
+    put(Pairing(reg, dualm, reg, t_iota, name="iota_l"))
+    table = {}
+    t_iota = {}
+    for f in range(dualm.dim):
+        for a in range(reg.dim):
+            fa = dualm.right.get((f, a), {})
+            out = {}
+            for tgt, c in fa.items():
+                combo_add(out, self.gamma.columns[tgt], c, p)
+            if out:
+                table[(f, a)] = out
+                t_iota[(f, a)] = self.alpha.apply(out)
+    put(Pairing(dualm, reg, ideal, table, name="theta_r"))
+    put(Pairing(dualm, reg, reg, t_iota, name="iota_r"))
+
+    # collapse pairings between the preprojective-type components
+    def sigma_idx(m_omega: int) -> int:
+        return quiver.theta_sigma_index(om, m_omega)
+
+    theta_alg_mul = {}
+    pos_in_theta = {old: new for new, old in enumerate(theta.parent_index)}
+    for i_new, i_old in enumerate(theta.parent_index):
+        for j_new, j_old in enumerate(theta.parent_index):
+            prod = om.mul_basis(i_old, j_old)
+            mapped = {pos_in_theta[i]: c for i, c in prod.items() if i in pos_in_theta}
+            if mapped:
+                theta_alg_mul[(i_new, j_new)] = mapped
+
+    def collapse(x_sigma: bool, y_sigma: bool) -> Pairing:
+        x_mod = ths if x_sigma else theta
+        y_mod = ths if y_sigma else theta
+        z_mod = ths if (x_sigma != y_sigma) else theta
+        table: dict[tuple[int, int], Combo] = {}
+        for m in range(theta.dim):
+            m_omega = theta.parent_index[m]
+            for n in range(theta.dim):
+                n_omega = theta.parent_index[n]
+                nn = sigma_idx(n_omega) if x_sigma else n_omega
+                nn_new = pos_in_theta.get(nn)
+                if nn_new is None:
+                    continue
+                prod = theta_alg_mul.get((m, nn_new))
+                if prod:
+                    table[(m, n)] = dict(prod)
+        tag = f"collapse:{'s' if x_sigma else 'p'}{'s' if y_sigma else 'p'}"
+        return Pairing(x_mod, y_mod, z_mod, table, name=tag)
+
+    put(collapse(True, True))
+    put(collapse(True, False))
+    put(collapse(False, True))
+    put(collapse(False, False))
+
+    # nu_l: Theta x Theta^sigma -> Omega*; nu_r: Theta^sigma x Theta -> Omega*
+    # (odd k-shift through mu, so they carry their factorization for cup)
+    for tag, inner in (("nu_l", "collapse:ps"), ("nu_r", "collapse:sp")):
+        base = self.pairings[inner]
+        table = {}
+        for key, prod in base.table.items():
+            out: Combo = {}
+            for tgt, c in prod.items():
+                combo_add(out, self.mu.columns[tgt], c, p)
+            if out:
+                table[key] = out
+        put(Pairing(base.x_mod, base.y_mod, dualm, table, name=tag,
+                    factor=(base, self.mu)))
+
+
+def dense_omega_products(self, basis, key):
+    products: dict[tuple[int, int], Combo] = {}
+    for i, bi in enumerate(basis):
+        si, ai, bbi = self._data_of(bi)
+        for jdx, bj in enumerate(basis):
+            sj, aj, bbj = self._data_of(bj)
+            if bi.right != bj.left:
+                continue
+            a, b = ai + aj, bbi + bbj
+            if sj - a >= 1:
+                products[(i, jdx)] = {key[(sj, a, b)]: 1}
+    return products
+
+
+def dense_sub_bimodule(omega: OmegaAlgebra, keep: list[int], name: str) -> BasedBimodule:
+    reindex = {old: new for new, old in enumerate(keep)}
+    basis = [omega.basis[i] for i in keep]
+    left: dict[tuple[int, int], Combo] = {}
+    right: dict[tuple[int, int], Combo] = {}
+    for new, old in enumerate(keep):
+        for a in range(omega.dim):
+            prod = omega.mul_basis(a, old)
+            if prod:
+                mapped = {reindex[i]: c for i, c in prod.items() if i in reindex}
+                if mapped:
+                    left[(a, new)] = mapped
+            prod = omega.mul_basis(old, a)
+            if prod:
+                mapped = {reindex[i]: c for i, c in prod.items() if i in reindex}
+                if mapped:
+                    right[(new, a)] = mapped
+    return BasedBimodule(omega, basis, left, right, name=name)
+
+
+def dense_theta_products(omega, keep, reindex):
+    products: dict[tuple[int, int], Combo] = {}
+    for i_new, i_old in enumerate(keep):
+        for j_new, j_old in enumerate(keep):
+            prod = omega.mul_basis(i_old, j_old)
+            mapped = {reindex[i]: c for i, c in prod.items() if i in reindex}
+            if mapped:
+                products[(i_new, j_new)] = mapped
+    return products
+
+
+def dense_twist_sigma(mod: BasedBimodule) -> BasedBimodule:
+    """Right twist of a preprojective-type bimodule by its diagram involution.
+
+    The underlying space is unchanged; the right slot label of m becomes
+    p - right(m) and the right action of w is the action of sigma(w).
+    Applying it twice gives back the original module.
+    """
+    omega = mod.over
+    if not isinstance(omega, OmegaAlgebra):
+        raise IncompatibleAlgebras("twist_sigma needs a module over the quadratic dual")
+    p = omega.p
+    for b in mod.basis:
+        if b.left == p or b.right == p:
+            raise IncompatibleAlgebras("twist_sigma only applies to modules killed by e_p")
+    basis = [BasisElement(b.name, b.left, p - b.right, b.j, b.k) for b in mod.basis]
+    sigma_of: dict[int, int] = {}
+    for i in range(omega.dim):
+        if not omega.in_ideal(i):
+            src, a, b = omega.data(i)
+            tgt = src - a + b
+            if tgt != p and src != p:
+                sigma_of[i] = omega.key[(p - src, b, a)]
+    right: dict[tuple[int, int], Combo] = {}
+    for m in range(mod.dim):
+        for a in range(omega.dim):
+            if a in sigma_of:
+                prod = mod.right.get((m, sigma_of[a]))
+                if prod:
+                    right[(m, a)] = dict(prod)
+    new_name = mod.name[:-5] if mod.name.endswith("Sigma") else mod.name + "Sigma"
+    new = BasedBimodule(omega, basis, {k: dict(v) for k, v in mod.left.items()}, right,
+                        name=new_name)
+    if hasattr(mod, "parent_index"):
+        new.parent_index = mod.parent_index
+    return new
+
+
+def dense_pairings(nm: NaturalMaps) -> dict[str, Pairing]:
+    """Every pairing of nm, built eagerly by the dense builders."""
+    self = types.SimpleNamespace(
+        **{name: getattr(nm, name) for name in
+           ("p", "omega", "reg", "ideal", "dual", "theta", "theta_sigma", "modules",
+            "alpha", "gamma", "mu")})
+    self._action_pairing = functools.partial(dense_action_pairing, self)
+    dense_build_pairings(self)
+    return self.pairings
+
+
+@pytest.fixture(scope="module", params=PRIMES)
+def maps(request):
+    return NaturalMaps(request.param)
+
+
+def test_pairings_match_dense_builders(maps):
+    ref = dense_pairings(maps)
+    assert list(ref) == NAMES
+    for name in NAMES:
+        got, want = maps.pairings[name], ref[name]
+        assert got.name == name
+        assert got.table == want.table, name
+        assert (got.x_mod, got.y_mod, got.z_mod) == (want.x_mod, want.y_mod, want.z_mod), name
+    for name, inner in (("nu_l", "collapse:ps"), ("nu_r", "collapse:sp")):
+        base, mu = maps.pairings[name].factor
+        assert base is maps.pairings[inner] and mu is maps.mu
+        assert ref[name].factor[0].table == base.table
+
+
+def test_omega_products_match_dense_loop(maps):
+    om = maps.omega
+    assert om.products == dense_omega_products(om, om.basis, om.key)
+
+
+def test_sub_bimodules_match_dense_loop(maps):
+    om = maps.omega
+    for mod in (maps.ideal, maps.theta):
+        ref = dense_sub_bimodule(om, mod.parent_index, mod.name)
+        assert mod.left == ref.left, mod.name
+        assert mod.right == ref.right, mod.name
+
+
+def test_twist_sigma_matches_dense_loop(maps):
+    ref = dense_twist_sigma(maps.theta)
+    assert maps.theta_sigma.right == ref.right
+    assert maps.theta_sigma.left == ref.left
+
+
+def test_theta_products_match_dense_loop(maps):
+    om = maps.omega
+    keep = maps.theta.parent_index
+    reindex = {old: new for new, old in enumerate(keep)}
+    ref = dense_theta_products(om, keep, reindex)
+    assert quiver.theta_products(om, keep) == ref
+    assert quiver.build_theta(om.p, om).products == ref
+
+
+# -- laziness ----------------------------------------------------------------
+
+def test_reading_one_pairing_builds_only_that_one():
+    nm = NaturalMaps(5)
+    assert nm.pairings.built() == []
+    mult = nm.pairings["mult"]
+    assert nm.pairings.built() == ["mult"]
+    assert nm.pairings["mult"] is mult
+    # the names are all known without building any of them
+    assert len(nm.pairings) == 25
+    assert list(nm.pairings) == NAMES
+    assert list(nm.pairings.keys()) == NAMES
+    assert all(name in nm.pairings for name in NAMES)
+    assert "no such pairing" not in nm.pairings
+    assert nm.pairings.built() == ["mult"]
+    with pytest.raises(KeyError):
+        nm.pairings["no such pairing"]
+
+
+def test_nu_pairings_factor_through_the_cached_collapse():
+    nm = NaturalMaps(3)
+    assert nm.pairings["nu_l"].factor[0] is nm.pairings["collapse:ps"]
+    assert nm.pairings["nu_r"].factor[0] is nm.pairings["collapse:sp"]
+    assert nm.pairings["nu_l"].factor[1] is nm.mu
+
+
+def test_check_pairings_checks_all_25_in_order():
+    nm = NaturalMaps(3)
+    nm.pairings["mult"]
+    nm.check_pairings()
+    assert nm.pairings.built() == NAMES
+
+
+def test_corrupted_last_pairing_fails_check_pairings():
+    # the check reaches the last pairing and fails there with its own message
+    nm = NaturalMaps(3)
+    table = nm.pairings["nu_r"].table
+    key = min(table)
+    table[key] = {i: (c + 1) % nm.p for i, c in table[key].items()}
+    with pytest.raises(AssertionError, match=r"^nu_r: not balanced$"):
+        nm.check_pairings()
+    assert sorted(nm.pairings.built()) == sorted(NAMES)
