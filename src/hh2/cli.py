@@ -90,21 +90,21 @@ def cmd_spadesuit(p: int, a_min: int, a_max: int, fmt: str,
                                 None, m.x))
     checks = []
     status = 0
+    rows = alg.product_rows()
+    display = [m.display() for m in alg.basis]
     products = []
-    for m1 in alg.basis:
-        for m2 in alg.basis:
-            r = alg.product(m1, m2)
-            if r is OUT_OF_WINDOW or not r:
-                continue
-            products.append({
-                "left": m1.display(), "right": m2.display(),
-                "result": [{"name": el.display(), "coeff": int(c)}
-                           for el, c in sorted(r.items(), key=lambda t: t[0].display())],
-            })
+    for i, row in enumerate(rows):
+        for j, r in enumerate(row):
+            if r:  # neither out of the window nor zero
+                products.append({
+                    "left": display[i], "right": display[j],
+                    "result": [{"name": display[el], "coeff": int(c)}
+                               for el, c in sorted(r, key=lambda t: display[t[0]])],
+                })
     products.sort(key=lambda e: (e["left"], e["right"]))
 
     if check_associativity:
-        n_checked, n_failed = _spade_associativity(_product_rows(alg.basis, alg.product), p)
+        n_checked, n_failed = _spade_associativity(rows, p)
         checks.append({"name": f"associativity ({n_checked} triples)",
                        "status": "PASS" if n_failed == 0 else "FAIL"})
         if n_failed:
@@ -204,12 +204,13 @@ def _associativity(rows: list[list], p: int) -> tuple[int, int]:
 
 def _supercommutativity(rows: list[list], ks: list[int], p: int) -> int:
     """Number of in-window pairs with x y != (-1)^{k(x) k(y)} y x, where
-    ks[i] is the k-degree of basis element i."""
+    ks[i] is the k-degree of basis element i.  A pair whose two products
+    are both () holds (0 = 0) and is not compared."""
     bad = 0
     for i, row in enumerate(rows):
         for j, r12 in enumerate(row):
             r21 = rows[j][i]
-            if r12 is None or r21 is None:
+            if r12 is None or r21 is None or not (r12 or r21):
                 continue
             sign = -1 if (ks[i] * ks[j]) % 2 else 1
             ex = {el: (sign * c) % p for el, c in r21}
@@ -352,7 +353,7 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
 
     a_lo, a_hi = (-3, 4) if p <= 5 else (-2, 3)
     spade = build_spade(p, a_lo, a_hi)
-    rows = _product_rows(spade.basis, spade.product)
+    rows = spade.product_rows()
     n_checked, n_bad = _spade_associativity(rows, p)
     check(f"spade associativity ({n_checked} triples)", n_bad == 0)
     sc_bad = _supercommutativity(rows, [m.k for m in spade.basis], p)

@@ -200,6 +200,7 @@ class BasedAlgebra:
         self.name = name
         self.index = {b.name: i for i, b in enumerate(basis)}
         self.vertices = sorted(idem)
+        self._slot_products: Table | None = None
 
     @property
     def dim(self) -> int:
@@ -224,10 +225,18 @@ class BasedAlgebra:
         return out
 
     def slot_products(self) -> Table:
-        """The products that ``mul_basis`` returns: slot-matched keys only."""
-        basis = self.basis
-        return {(i, j): prod for (i, j), prod in self.products.items()
-                if basis[i].right == basis[j].left}
+        """The products that ``mul_basis`` returns: slot-matched keys only.
+
+        Made on the first call and kept, so ``products`` must not change
+        after that; it is ``products`` itself when every key is slot-matched,
+        as for Omega.  Callers only read it."""
+        if self._slot_products is None:
+            basis = self.basis
+            matched = {(i, j): prod for (i, j), prod in self.products.items()
+                       if basis[i].right == basis[j].left}
+            self._slot_products = (self.products if len(matched) == len(self.products)
+                                   else matched)
+        return self._slot_products
 
     def check_associativity(self) -> None:
         mul = self.slot_products()

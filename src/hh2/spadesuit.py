@@ -134,6 +134,8 @@ def chi_mul(p: int, n1: Name, n2: Name) -> NameCombo:
 
 def truncate_to(p: int, kind: str, combo: NameCombo) -> NameCombo:
     """Project a chi-name combination onto the names of a target kind."""
+    if not combo:
+        return {}
     allowed = set(component_names(p, kind))
     return {n: c for n, c in combo.items() if n in allowed}
 
@@ -311,6 +313,45 @@ class SpadeAlgebra:
             el = self.basis[self.index[(target.a, target.b, name)]]
             out[el] = (sign * coeff) % self.p
         return out
+
+    def product_rows(self) -> list[list]:
+        """rows[i][j] = basis[i] * basis[j] as ((index, coeff), ...), () for
+        zero, or None out of the window: the rows of one ``product`` call per
+        pair.  ``product`` is {} when the target slot is vacant or
+        ``name_product`` is empty, which depends only on the two names and the
+        labels of the two slots and the target; so ``product`` is called only
+        on the name pairs that one table per label triple lists.
+        """
+        p, basis, index = self.p, self.basis, self.index
+        grid, a0, b0 = self._grid, self._a0, self._b0
+        product = self.product
+        n = len(basis)
+        rows: list[list] = [[()] * n for _ in range(n)]
+        names: dict[str, list[Name]] = {}
+        slots, first = [], 0  # (a, b, label, index of its first element)
+        for (a, b), comp in self.slots.items():
+            names.setdefault(comp.label, component_names(p, comp.label))
+            slots.append((a, b, comp.label, first))
+            first += len(names[comp.label])
+        nonzero: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
+        for a1, b1, label1, first1 in slots:
+            for a2, b2, label2, first2 in slots:
+                target = grid[a1 + a2 - a0][b1 + b2 - b0]
+                if target is None:
+                    continue
+                key = (label1, label2, target.label)
+                pairs = nonzero.get(key)
+                if pairs is None:
+                    pairs = nonzero[key] = [
+                        (u, v) for u, n1 in enumerate(names[label1])
+                        for v, n2 in enumerate(names[label2])
+                        if name_product(p, label1, n1, label2, n2, target.label)]
+                for u, v in pairs:
+                    i, j = first1 + u, first2 + v
+                    r = product(basis[i], basis[j])
+                    rows[i][j] = (None if r is OUT_OF_WINDOW else
+                                  tuple((index[(el.a, el.b, el.name)], c) for el, c in r.items()))
+        return rows
 
 
 def build_spade(p: int, a_min: int, a_max: int,

@@ -19,7 +19,7 @@ from hh2.cli import COEFFS, main
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 JOBS = ([("hh", "--p", str(p), "--coefficient", c) for p in (7, 11) for c in COEFFS]
-        + [("spadesuit", "--p", "5")])
+        + [("spadesuit", "--p", str(p)) for p in (5, 7)])
 
 
 @pytest.fixture(scope="module")
