@@ -136,7 +136,8 @@ class Pairings(Mapping):
 class NaturalMaps:
     """Bimodules and all natural maps/pairings for one prime p.
 
-    Modules and maps are built at once; each pairing when first read.
+    Modules and maps are built at once, except beta and lambda and the duals
+    they land in; each of those and each pairing is built when first read.
     """
 
     def __init__(self, p: int):
@@ -173,12 +174,6 @@ class NaturalMaps:
         cols = [{ideal.parent_index[m]: 1} for m in range(ideal.dim)]
         self.alpha = BimoduleMap(ideal, reg, cols, name="alpha")
 
-        # beta: ideal -> ideal* via the complementing form
-        self.ideal_dual = quiver.dual(ideal)
-        cols = [{pos_in_ideal[ideal_partner(om, m)]: 1} for m in ideal.parent_index]
-        self.beta = BimoduleMap(ideal, self.ideal_dual, cols,
-                                dj=2 * (p - 1), dk=-2 * (p - 1), name="beta")
-
         # gamma: Omega* ->> ideal,  m* -> beta-partner(m) for ideal monomials
         # (the dual basis is indexed like Omega's)
         cols = [{pos_in_ideal[ideal_partner(om, m)]: 1} if om.in_ideal(m) else {}
@@ -190,14 +185,38 @@ class NaturalMaps:
         cols = [{pos_in_theta[m]: 1} if m in pos_in_theta else {} for m in range(reg.dim)]
         self.kappa = BimoduleMap(reg, theta, cols, name="kappa")
 
-        # lam: Theta^sigma -> Theta* (self-injectivity) and mu = kappa* o lam,
-        # Theta^sigma -> Omega*: m -> the form partner of its underlying monomial
-        partners = [theta_partner(om, m) for m in theta.parent_index]
-        self.theta_dual = quiver.dual(theta)
-        self.lam = BimoduleMap(ths, self.theta_dual, [{pos_in_theta[n]: 1} for n in partners],
-                               dj=p - 2, dk=-(p - 2), name="lambda")
-        self.mu = BimoduleMap(ths, dualm, [{n: 1} for n in partners],
+        # mu = kappa* o lam, Theta^sigma -> Omega*: m -> the form partner of
+        # its underlying monomial
+        cols = [{theta_partner(om, m): 1} for m in theta.parent_index]
+        self.mu = BimoduleMap(ths, dualm, cols,
                               dj=p - 2, dk=-(p - 2), name="mu")
+
+    # beta and lambda, and the duals they land in, are read by check_maps
+    # only, so they are built on first read
+
+    @cached_property
+    def ideal_dual(self) -> BasedBimodule:
+        return quiver.dual(self.ideal)
+
+    @cached_property
+    def beta(self) -> BimoduleMap:
+        # beta: ideal -> ideal* via the complementing form
+        om, ideal, p = self.omega, self.ideal, self.p
+        cols = [{self._pos_in_ideal[ideal_partner(om, m)]: 1} for m in ideal.parent_index]
+        return BimoduleMap(ideal, self.ideal_dual, cols,
+                           dj=2 * (p - 1), dk=-2 * (p - 1), name="beta")
+
+    @cached_property
+    def theta_dual(self) -> BasedBimodule:
+        return quiver.dual(self.theta)
+
+    @cached_property
+    def lam(self) -> BimoduleMap:
+        # lam: Theta^sigma -> Theta* (self-injectivity)
+        om, pos_in_theta, p = self.omega, self._pos_in_theta, self.p
+        cols = [{pos_in_theta[theta_partner(om, m)]: 1} for m in self.theta.parent_index]
+        return BimoduleMap(self.theta_sigma, self.theta_dual, cols,
+                           dj=p - 2, dk=-(p - 2), name="lambda")
 
     # -- pairings ------------------------------------------------------------
 

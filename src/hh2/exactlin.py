@@ -4,8 +4,9 @@ Matrices are dense numpy int64 arrays with entries reduced to [0, p).
 A matrix of shape (m, n) is a linear map F_p^n -> F_p^m acting on column
 vectors.  ``rref`` pivots in a fixed column order, so echelon forms, kernel
 bases and homology representatives are canonical: the same input always
-produces byte-identical output.  ``sparse_rank`` takes sparse columns,
-reorders rows and columns to keep fill-in low, and returns only a rank.
+produces byte-identical output.  ``sparse_pivot_rows`` takes sparse columns,
+reorders rows and columns to keep fill-in low, and returns the original ids
+of its pivot rows; ``sparse_rank`` is their number.
 """
 
 from __future__ import annotations
@@ -191,24 +192,27 @@ def homology(d_in: np.ndarray, d_out: np.ndarray, p: int) -> Homology:
     return Homology(d_in, d_out, p)
 
 
-def sparse_rank(columns: list[dict], p: int) -> int:
-    """Rank of a matrix given as sparse columns {row: coeff} over F_p.
+def sparse_pivot_rows(columns: list[dict], p: int) -> list[int]:
+    """Pivot rows of a matrix given as sparse columns {row: coeff} over F_p.
 
     Left-looking elimination that pivots on the smallest row label.  The rank
     does not depend on the order of rows or columns, so the matrix is
     reordered first to keep fill-in low (the Markowitz-style ordering of
     structured Gaussian elimination): rows are relabelled by ascending
     number of stored entries, ties broken by row id, and the lightest columns
-    are eliminated first.  Only the rank is returned, so the reordering shows in
-    nothing but the running time.
+    are eliminated first.  Returns the original row ids of the pivots in the
+    order they are found; their number is the rank.
+
+    Each reduced pivot column vanishes on the rows labelled below its pivot,
+    so the column space projects isomorphically onto the returned rows.
     """
     count = Counter(chain.from_iterable(columns))
-    label = {r: i for i, (r, _) in enumerate(sorted(count.items(), key=itemgetter(1, 0)))}
+    order = [r for r, _ in sorted(count.items(), key=itemgetter(1, 0))]
+    label = {r: i for i, r in enumerate(order)}
     reduced = sorted(({label[r]: v for r, c in col.items() if (v := c % p)} for col in columns),
                      key=len)
 
     pivots: dict[int, dict] = {}
-    rank_ = 0
     for cur in reduced:
         while cur:
             r = min(cur)
@@ -216,7 +220,6 @@ def sparse_rank(columns: list[dict], p: int) -> int:
             if piv is None:
                 inv = pow(cur[r], -1, p)
                 pivots[r] = {rr: (cc * inv) % p for rr, cc in cur.items()}
-                rank_ += 1
                 break
             f = cur[r]
             for rr, cc in piv.items():
@@ -226,4 +229,9 @@ def sparse_rank(columns: list[dict], p: int) -> int:
                 else:
                     cur.pop(rr, None)
         # empty cur: column was dependent
-    return rank_
+    return [order[r] for r in pivots]
+
+
+def sparse_rank(columns: list[dict], p: int) -> int:
+    """Rank of a matrix given as sparse columns {row: coeff} over F_p."""
+    return len(sparse_pivot_rows(columns, p))

@@ -27,7 +27,7 @@ import os
 import numpy as np
 
 from . import Hh2Error
-from .exactlin import Homology, NotACocycle, matmul, sparse_rank, zeros
+from .exactlin import Homology, NotACocycle, matmul, sparse_pivot_rows, zeros
 from .quiver import (BasedAlgebra, BasedBimodule, Combo, GroupedViews, OmegaAlgebra,
                      failing_triple)
 
@@ -564,45 +564,35 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int,
     Raises TooLarge, before the chains are built, when the cochains would
     pass the cell cap.  Checks d_{n+1} . d_n = 0 for every n < n_max, and
     logs the shape and rank of each graded piece at DEBUG level.
+
+    Each piece of d_n is ranked only on the columns that are not pivot rows
+    of d_{n-1} in the same piece (both are indexed by the cochains of degree
+    n).  Let R be those pivot rows, as ``sparse_pivot_rows`` returns them.
+    Its reduced pivot columns are a basis of im d_{n-1}, and each vanishes on
+    the rows eliminated before its own pivot, so their restriction to R is
+    triangular with a nonzero diagonal: im d_{n-1} projects isomorphically
+    onto the coordinates R.  Hence the coordinate vectors off R span a
+    complement of im d_{n-1}, and since d_n kills im d_{n-1} (checked above
+    before any rank is taken), rank d_n is the rank of d_n on the columns
+    off R.  The result is exact and does not depend on the elimination order.
     """
     cap = cell_cap if cell_cap is not None else max_cells()
     p = alg.p
-    rad = [i for i, b in enumerate(alg.basis) if b.j != 0 or b.k != 0]
-    rad_by_left: dict[int, list[int]] = {}
-    rad_by_right: dict[int, list[int]] = {}
-    for r in rad:
-        rad_by_left.setdefault(alg.basis[r].left, []).append(r)
-        rad_by_right.setdefault(alg.basis[r].right, []).append(r)
+    bar = alg.radical_chains()
     # x_mod basis by slot (left, right): (index, j, k) in index order
     x_by_slot: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for xi, xb in enumerate(x_mod.basis):
         x_by_slot.setdefault((xb.left, xb.right), []).append((xi, xb.j, xb.k))
 
-    # chains[n] lists (chain, left, right, j, k): a tuple of n radical indices
-    # with its slot and total degree, extended through the left vertex index;
-    # degree 0 uses the vertex chain (v,) as a stand-in for the empty chain
-    chains: list[list[tuple]] = [[((v,), v, v, 0, 0) for v in alg.vertices]]
     cells = 0
     per_chain = max(1, x_mod.dim // max(1, len(alg.vertices)))
+    chains = [bar.level(0)]
     for n in range(1, n_max + 2):
-        prev = chains[n - 1]
-        # the cap is checked before the chains are built
-        count = len(rad) if n == 1 else sum(len(rad_by_left.get(rgt, ()))
-                                            for _, _, rgt, _, _ in prev)
-        cells += per_chain * count
+        # the cap is checked before the chains of degree n are built
+        cells += per_chain * bar.count(n)
         if cells > cap:
             raise TooLarge(f"bar complex would exceed {cap} cells")
-        cur = []
-        if n == 1:
-            for r in rad:
-                b = alg.basis[r]
-                cur.append(((r,), b.left, b.right, b.j, b.k))
-        else:
-            for ch, lft, rgt, j, k in prev:
-                for r in rad_by_left.get(rgt, ()):
-                    b = alg.basis[r]
-                    cur.append((ch + (r,), lft, b.right, j + b.j, k + b.k))
-        chains.append(cur)
+        chains.append(bar.level(n))
 
     # cochain basis in degree n: (chain, x_index) with matching slots,
     # bucketed by (j(x) - j(chain), k(x) - k(chain)).  sizes_by_n[n][bucket]
@@ -629,15 +619,7 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int,
         sizes_by_n.append(sizes)
         loc_by_n.append(locs)
 
-    # split[m] lists (a, b, coeff of m in a b) over radical a, b: the ways
-    # an inner collapse can land on the radical element m
-    rad_set = set(rad)
-    split: dict[int, list[tuple[int, int, int]]] = {}
-    for a in rad:
-        for b in rad_by_left.get(alg.basis[a].right, ()):
-            for mid, cm in alg.mul_basis(a, b).items():
-                if mid in rad_set:
-                    split.setdefault(mid, []).append((a, b, cm))
+    rad_by_left, rad_by_right, split = bar.by_left, bar.by_right, bar.split
 
     # differentials as sparse columns per graded bucket; the oracle only
     # needs ranks: dim HH^n = |C^n| - rank(d_n) - rank(d_{n-1})
@@ -693,17 +675,23 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int,
     import logging
     log = logging.getLogger(__name__)
     debug = log.isEnabledFor(logging.DEBUG)
-    rank_cache: dict[tuple[int, tuple[int, int]], int] = {}
+    pivot_cache: dict[tuple[int, tuple[int, int]], list[int]] = {}
 
     def d_rank(n: int, key: tuple[int, int]) -> int:
-        if (n, key) not in rank_cache:
+        """rank d_n on the piece key, taken off the pivot rows of d_{n-1}."""
+        if (n, key) not in pivot_cache:
+            skip: set[int] = set()
+            if n >= 1 and key in sizes_by_n[n - 1]:
+                d_rank(n - 1, key)
+                skip = set(pivot_cache[(n - 1, key)])
             cols = d_columns(n).get(key, [])
-            rank_cache[(n, key)] = r = sparse_rank(cols, p)
+            pivot_cache[(n, key)] = rows = sparse_pivot_rows(
+                [col for i, col in enumerate(cols) if i not in skip], p)
             if debug:
                 log.debug("bar piece n=%d bucket=%s rows=%d cols=%d nnz=%d rank=%d",
                           n, key, sizes_by_n[n + 1].get(key, 0), len(cols),
-                          sum(len(col) for col in cols), r)
-        return rank_cache[(n, key)]
+                          sum(len(col) for col in cols), len(rows))
+        return len(pivot_cache[(n, key)])
 
     # d_{n+1} . d_n = 0 in every degree whose columns the ranks below use
     for n in range(0, n_max):

@@ -184,6 +184,62 @@ def failing_triple(a: Table, b: Table, c: Table, d: Table, p: int,
     return None
 
 
+class RadicalChains:
+    """Composable chains of radical basis elements of an algebra: the basis
+    of the reduced bar complex over the vertex subalgebra.
+
+    ``level(n)`` lists (chain, left, right, j, k): a tuple of n radical
+    indices, extended through the left vertex index, with its slot and total
+    degree.  Degree 0 uses the vertex chain (v,) as a stand-in for the empty
+    chain.  Levels are built on first request and kept.  ``split[m]`` lists
+    (a, b, coeff of m in a b) over radical a, b: the ways an inner collapse
+    a (x) b -> a b can land on the radical element m.
+    """
+
+    def __init__(self, alg: "BasedAlgebra"):
+        self.basis = alg.basis
+        self.rad = [i for i, b in enumerate(alg.basis) if b.j != 0 or b.k != 0]
+        self.by_left: dict[int, list[int]] = {}
+        self.by_right: dict[int, list[int]] = {}
+        for r in self.rad:
+            self.by_left.setdefault(alg.basis[r].left, []).append(r)
+            self.by_right.setdefault(alg.basis[r].right, []).append(r)
+        rad_set = set(self.rad)
+        self.split: dict[int, list[tuple[int, int, int]]] = {}
+        for a in self.rad:
+            for b in self.by_left.get(alg.basis[a].right, ()):
+                for mid, cm in alg.mul_basis(a, b).items():
+                    if mid in rad_set:
+                        self.split.setdefault(mid, []).append((a, b, cm))
+        self._levels: list[list[tuple]] = [[((v,), v, v, 0, 0) for v in alg.vertices]]
+
+    def count(self, n: int) -> int:
+        """The number of chains of degree n; builds at most level n - 1."""
+        if n < len(self._levels):
+            return len(self._levels[n])
+        if n == 1:
+            return len(self.rad)
+        return sum(len(self.by_left.get(rgt, ())) for _, _, rgt, _, _ in self.level(n - 1))
+
+    def level(self, n: int) -> list[tuple]:
+        """The chains of degree n, built on first request from level n - 1."""
+        basis = self.basis
+        while len(self._levels) <= n:
+            m = len(self._levels)
+            cur = []
+            if m == 1:
+                for r in self.rad:
+                    b = basis[r]
+                    cur.append(((r,), b.left, b.right, b.j, b.k))
+            else:
+                for ch, lft, rgt, j, k in self._levels[m - 1]:
+                    for r in self.by_left.get(rgt, ()):
+                        b = basis[r]
+                        cur.append((ch + (r,), lft, b.right, j + b.j, k + b.k))
+            self._levels.append(cur)
+        return self._levels[n]
+
+
 class BasedAlgebra:
     """Finite-dimensional algebra with a fixed basis and structure constants.
 
@@ -201,6 +257,7 @@ class BasedAlgebra:
         self.index = {b.name: i for i, b in enumerate(basis)}
         self.vertices = sorted(idem)
         self._slot_products: Table | None = None
+        self._radical_chains: RadicalChains | None = None
 
     @property
     def dim(self) -> int:
@@ -237,6 +294,15 @@ class BasedAlgebra:
             self._slot_products = (self.products if len(matched) == len(self.products)
                                    else matched)
         return self._slot_products
+
+    def radical_chains(self) -> RadicalChains:
+        """The reduced bar chains and collapse table of this algebra.
+
+        Made on the first call and kept, like ``slot_products``, so the
+        basis and ``products`` must not change after that."""
+        if self._radical_chains is None:
+            self._radical_chains = RadicalChains(self)
+        return self._radical_chains
 
     def check_associativity(self) -> None:
         mul = self.slot_products()

@@ -388,7 +388,11 @@ def duality_form(p: int, n_sigma: Name, n_theta: Name) -> int:
 
 
 def duality_form_checks(p: int) -> tuple[bool, bool]:
-    """(is perfect, is associative over all basis triples)."""
+    """(is perfect, is associative over all basis triples).
+
+    Associativity <chi_on_dual(m, h), t> = <h, m t> is compared, for each chi
+    name m, as two sparse tables over (h, t) built from the nonzero entries
+    of the form and of the products only."""
     import numpy as np
 
     from .exactlin import rank
@@ -400,18 +404,29 @@ def duality_form_checks(p: int) -> tuple[bool, bool]:
             mat[i, j] = duality_form(p, n1, n2)
     perfect = rank(mat, p) == len(sig_names) == len(th_names)
 
-    chi_names = component_names(p, CHI)
-    assoc = True
-    for n_h in sig_names:
-        for n_mid in chi_names:
-            for n_t in th_names:
-                rhs_combo = truncate_to(p, CHIBAR_MINUS, chi_mul(p, n_mid, n_t))
-                lhs_combo = chi_on_dual(p, n_mid, n_h)  # right action value
-                lhs = sum(c * duality_form(p, n2, n_t) for n2, c in lhs_combo.items()) % p
-                rhs = sum(c * duality_form(p, n_h, n2) for n2, c in rhs_combo.items()) % p
-                if lhs != rhs:
-                    assoc = False
-    return perfect, assoc
+    # chi_on_dual sends dual names to dual names, so the form's values on
+    # sig_names x th_names are all that either side reads
+    by_sig: dict[Name, list[tuple[Name, int]]] = {}
+    by_th: dict[Name, list[tuple[Name, int]]] = {}
+    for i, j in zip(*np.nonzero(mat)):
+        n_h, n_t, f = sig_names[i], th_names[j], int(mat[i, j])
+        by_sig.setdefault(n_h, []).append((n_t, f))
+        by_th.setdefault(n_t, []).append((n_h, f))
+    for n_mid in component_names(p, CHI):
+        lhs: dict[tuple[Name, Name], int] = {}
+        for n_h in sig_names:
+            for n2, c in chi_on_dual(p, n_mid, n_h).items():
+                for n_t, f in by_sig.get(n2, ()):
+                    lhs[(n_h, n_t)] = (lhs.get((n_h, n_t), 0) + c * f) % p
+        rhs: dict[tuple[Name, Name], int] = {}
+        for n_t in th_names:
+            # by_th has truncation names only, which truncates m t
+            for n2, c in chi_mul(p, n_mid, n_t).items():
+                for n_h, f in by_th.get(n2, ()):
+                    rhs[(n_h, n_t)] = (rhs.get((n_h, n_t), 0) + c * f) % p
+        if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+            return perfect, False
+    return perfect, True
 
 
 # ---------------------------------------------------------------------------

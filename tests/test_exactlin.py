@@ -9,7 +9,8 @@ from hh2 import quiver
 from hh2 import Hh2Error
 from hh2.exactlin import (CompositionNotZero, Homology, NotACocycle,
                           NotOddPrime, check_odd_prime, homology, matmul,
-                          rank, rank_and_kernel, rref, sparse_rank, zeros)
+                          rank, rank_and_kernel, rref, sparse_pivot_rows, sparse_rank,
+                          zeros)
 from hh2.koszulhh import build_model
 
 
@@ -299,3 +300,38 @@ def test_rank_and_kernel_matches_sympy(case):
     assert kern.shape == (n - r, n)
     assert not np.any(matmul(mat, kern.T, p))
     assert _sympy_rank(kern, p) == n - r
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+def test_sparse_pivot_rows_are_independent_original_rows(case, rnd):
+    p, columns, dense = case
+    rows = sparse_pivot_rows(columns, p)
+    assert len(rows) == len(set(rows)) == rank(dense, p) == sparse_rank(columns, p)
+    # the pivot rows carry the full rank of the matrix
+    assert rank(dense[rows], p) == len(rows)
+    # under a random injection of row ids the pivots come back as the new ids
+    ids = rnd.sample(range(10 * dense.shape[0] + 10), dense.shape[0])
+    back = {new: old for old, new in enumerate(ids)}
+    moved = [{ids[r]: c for r, c in col.items()} for col in columns]
+    rnd.shuffle(moved)
+    moved_rows = sparse_pivot_rows(moved, p)
+    assert set(moved_rows) <= set(back)
+    assert len(moved_rows) == rank(dense[[back[r] for r in moved_rows]], p) == len(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(complexes())
+def test_rank_off_pivot_rows_of_previous_map(case):
+    # with d_out . d_in = 0 the coordinates off the pivot rows R of d_in span a
+    # complement of im d_in, so d_out has the same rank on the columns off R
+    p, d_in, d_out = case
+    mid = d_in.shape[0]
+    cols_in = [{i: int(v) for i, v in enumerate(col) if v} for col in d_in.T]
+    cols_out = [{i: int(v) for i, v in enumerate(col) if v} for col in d_out.T]
+    pivots = set(sparse_pivot_rows(cols_in, p))
+    off = [j for j in range(mid) if j not in pivots]
+    complement = np.hstack([d_in, np.eye(mid, dtype=np.int64)[:, off]])
+    assert _sympy_rank(complement, p) == mid
+    want = _sympy_rank(d_out, p)
+    assert sparse_rank([cols_out[j] for j in off], p) == sparse_rank(cols_out, p) == want

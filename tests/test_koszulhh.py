@@ -1,9 +1,11 @@
+import inspect
 import logging
 import re
 
 import pytest
 
-from hh2 import Hh2Error
+from hh2 import Hh2Error, koszulhh
+from hh2.exactlin import sparse_pivot_rows, sparse_rank
 from hh2.koszulhh import (NotACocycle, NotHomogeneous, PairingDegreeMismatch,
                           TooLarge, UnrecognizedSignature, bar_oracle,
                           build_model, cup, homology_named)
@@ -322,3 +324,66 @@ def test_bar_oracle_p7_low_degrees_and_guard():
     assert bar_oracle(nm.omega, nm.reg, 2) == [7, 6, 6]
     with pytest.raises(TooLarge):
         bar_oracle(nm.omega, nm.reg, 3)  # exceeds the default cell cap
+
+
+def _broken_omega3(maps3):
+    # as in test_bar_oracle_checks_d_squared_in_every_degree: d_3 . d_2 != 0
+    omega = maps3.omega
+    key = (omega.index["y1e1"], omega.index["x1e2"])
+    products = dict(omega.products)
+    products[key] = {t: 2 * c % 3 for t, c in products[key].items()}
+    return BasedAlgebra(3, omega.basis, products, omega.idem)
+
+
+def test_bar_oracle_checks_d_squared_before_any_rank(maps3, monkeypatch):
+    # the ranks rely on d_n . d_{n-1} = 0, so no rank may be taken before
+    # every composition has been checked
+    calls = []
+
+    def recording(columns, p):
+        calls.append(len(columns))
+        return sparse_pivot_rows(columns, p)
+
+    monkeypatch.setattr(koszulhh, "sparse_pivot_rows", recording)
+    with pytest.raises(AssertionError, match="square to zero"):
+        bar_oracle(_broken_omega3(maps3), maps3.theta, 3)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["omega", "theta", "theta-sigma",
+                                  "omega-dual", "omega-ep-omega"])
+def test_bar_pieces_rank_like_their_full_columns_p3(kind, maps3, monkeypatch, caplog):
+    # each piece of d_n is ranked off the pivot rows of d_{n-1}; its logged
+    # rank must still be the rank of all its columns
+    full_rank, skipped = {}, []
+
+    def recording(columns, p):
+        caller = inspect.currentframe().f_back.f_locals
+        full_rank[(caller["n"], caller["key"])] = sparse_rank(caller["cols"], p)
+        skipped.append(len(caller["cols"]) - len(columns))
+        return sparse_pivot_rows(columns, p)
+
+    monkeypatch.setattr(koszulhh, "sparse_pivot_rows", recording)
+    with caplog.at_level(logging.DEBUG, logger="hh2.koszulhh"):
+        bar_oracle(maps3.omega, maps3.modules[kind], 4)
+    pattern = re.compile(r"bar piece n=(\d+) bucket=\((-?\d+), (-?\d+)\) "
+                         r"rows=\d+ cols=\d+ nnz=\d+ rank=(\d+)$")
+    logged = {(n, (j, k)): r for n, j, k, r in
+              (map(int, pattern.match(rec.getMessage()).groups())
+               for rec in caplog.records if rec.name == "hh2.koszulhh")}
+    assert logged == full_rank
+    assert sum(skipped) > 0
+
+
+def test_bar_chains_are_built_once_per_algebra(maps3):
+    omega = maps3.omega
+    bar = omega.radical_chains()
+    bar_oracle(omega, maps3.reg, 3)
+    levels = [bar.level(n) for n in range(5)]
+    bar_oracle(omega, maps3.theta, 3)
+    assert omega.radical_chains() is bar
+    assert all(bar.level(n) is levels[n] for n in range(5))
+    assert [bar.count(n) for n in range(6)] == [len(bar.level(n)) for n in range(6)]
+    # the cap still holds when the chains it counts are already built
+    with pytest.raises(TooLarge):
+        bar_oracle(omega, maps3.reg, 4, cell_cap=10)

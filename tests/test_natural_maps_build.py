@@ -382,3 +382,13 @@ def test_corrupted_last_pairing_fails_check_pairings():
     with pytest.raises(AssertionError, match=r"^nu_r: not balanced$"):
         nm.check_pairings()
     assert sorted(nm.pairings.built()) == sorted(NAMES)
+
+
+def test_beta_and_lambda_are_built_when_first_read():
+    nm = NaturalMaps(3)
+    lazy = ("ideal_dual", "beta", "theta_dual", "lam")
+    assert not any(name in vars(nm) for name in lazy)
+    nm.check_maps()
+    assert all(name in vars(nm) for name in lazy)
+    assert nm.beta.target is nm.ideal_dual and nm.lam.target is nm.theta_dual
+    assert (nm.beta.source, nm.lam.source) == (nm.ideal, nm.theta_sigma)

@@ -1,11 +1,14 @@
+import sys
+
 import pytest
 
+from hh2 import spadesuit
 from hh2.exactlin import NotOddPrime
 from hh2.spadesuit import (CHI, CHIBAR_MINUS, CHIBARSTAR_MINUS, CHIUNDER,
                            OMEGA0, OUT_OF_WINDOW, augmentation, build_spade,
-                           component_names, duality_form, duality_form_checks,
-                           half, make_element, spade_product,
-                           verify_first_principles)
+                           chi_mul, chi_on_dual, component_names, duality_form,
+                           duality_form_checks, half, make_element, spade_product,
+                           truncate_to, verify_first_principles)
 
 
 def test_component_name_counts():
@@ -220,3 +223,60 @@ def test_augmentation_is_algebra_homomorphism():
                 lhs = sum(c * augmentation(el) for el, c in r.items()) % p
                 rhs = (augmentation(m1) * augmentation(m2)) % p
                 assert lhs == rhs
+
+
+def _duality_form_checks_dense(p: int) -> tuple[bool, bool]:
+    """The dense loop over every (dual, chi, truncation) name triple that
+    ``duality_form_checks`` replaced, kept as its reference."""
+    import numpy as np
+
+    from hh2.exactlin import rank
+    sig_names = component_names(p, CHIBARSTAR_MINUS)
+    th_names = component_names(p, CHIBAR_MINUS)
+    mat = np.zeros((len(sig_names), len(th_names)), dtype=np.int64)
+    for i, n1 in enumerate(sig_names):
+        for j, n2 in enumerate(th_names):
+            mat[i, j] = duality_form(p, n1, n2)
+    perfect = rank(mat, p) == len(sig_names) == len(th_names)
+
+    chi_names = component_names(p, CHI)
+    assoc = True
+    for n_h in sig_names:
+        for n_mid in chi_names:
+            for n_t in th_names:
+                rhs_combo = truncate_to(p, CHIBAR_MINUS, chi_mul(p, n_mid, n_t))
+                lhs_combo = chi_on_dual(p, n_mid, n_h)  # right action value
+                lhs = sum(c * duality_form(p, n2, n_t) for n2, c in lhs_combo.items()) % p
+                rhs = sum(c * duality_form(p, n_h, n2) for n2, c in rhs_combo.items()) % p
+                if lhs != rhs:
+                    assoc = False
+    return perfect, assoc
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_duality_form_checks_match_dense_loop(p):
+    assert duality_form_checks(p) == _duality_form_checks_dense(p) == (True, True)
+
+
+_form = spadesuit.duality_form
+
+
+def _double_nu1_z0(p, n_sigma, n_theta):
+    value = _form(p, n_sigma, n_theta)
+    return 2 * value % p if (n_sigma, n_theta) == (("nu", 1), ("z", 0)) else value
+
+
+def _negate_soc1_c2_1(p, n_sigma, n_theta):
+    value = _form(p, n_sigma, n_theta)
+    return -value % p if (n_sigma, n_theta) == (("soc", 1), ("c2", 1)) else value
+
+
+@pytest.mark.parametrize("form", [_double_nu1_z0, _negate_soc1_c2_1])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_duality_form_checks_reject_a_perturbed_form(p, form, monkeypatch):
+    # the check and its reference both read the perturbed form
+    monkeypatch.setattr(spadesuit, "duality_form", form)
+    monkeypatch.setattr(sys.modules[__name__], "duality_form", form)
+    got = duality_form_checks(p)
+    assert got == _duality_form_checks_dense(p)
+    assert got[1] is False
