@@ -46,7 +46,7 @@ def _basis_row(name: str, a, b, i, j, k, h, x) -> dict:
 
 def cmd_hh(p: int, coefficient: str, fmt: str) -> tuple[str, int]:
     from .clubsuit import PRODUCT_TABLE, NaturalMaps
-    from .koszulhh import build_model, cup, format_name, homology_named
+    from .koszulhh import build_model, cup, format_name, homology_named, idempotent_label
 
     nm = NaturalMaps(p)
     model = build_model(nm.c, nm.modules[coefficient])
@@ -57,8 +57,8 @@ def cmd_hh(p: int, coefficient: str, fmt: str) -> tuple[str, int]:
 
     basis = []
     for cl in sorted(hh.classes, key=lambda c: (c.h, c.k, c.j, c.name)):
-        x = "1" if cl.name[0] in ("z", "kz", "mu", "nu") else f"e_{cl.name[1]}"
-        basis.append(_basis_row(format_name(cl.name), 0, 0, 0, cl.j, cl.k, cl.h, x))
+        basis.append(_basis_row(format_name(cl.name), 0, 0, 0, cl.j, cl.k, cl.h,
+                                idempotent_label(cl.name)))
     products = []
     for u in chi.classes:
         for v in hh.classes:

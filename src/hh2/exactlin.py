@@ -4,16 +4,12 @@ Matrices are dense numpy int64 arrays with entries reduced to [0, p).
 A matrix of shape (m, n) is a linear map F_p^n -> F_p^m acting on column
 vectors.  ``rref`` pivots in a fixed column order, so echelon forms, kernel
 bases and homology representatives are canonical: the same input always
-produces byte-identical output.  ``sparse_pivot_rows`` takes sparse columns,
-reorders rows and columns to keep fill-in low, and returns the original ids
-of its pivot rows; ``sparse_rank`` is their number.
+produces byte-identical output.  ``sparse_pivot_rows`` eliminates sparse
+columns in the order given, pivoting on the smallest row id, and returns the
+ids of its pivot rows; ``sparse_rank`` is their number.
 """
 
 from __future__ import annotations
-
-from collections import Counter
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -195,25 +191,16 @@ def homology(d_in: np.ndarray, d_out: np.ndarray, p: int) -> Homology:
 def sparse_pivot_rows(columns: list[dict], p: int) -> list[int]:
     """Pivot rows of a matrix given as sparse columns {row: coeff} over F_p.
 
-    Left-looking elimination that pivots on the smallest row label.  The rank
-    does not depend on the order of rows or columns, so the matrix is
-    reordered first to keep fill-in low (the Markowitz-style ordering of
-    structured Gaussian elimination): rows are relabelled by ascending
-    number of stored entries, ties broken by row id, and the lightest columns
-    are eliminated first.  Returns the original row ids of the pivots in the
-    order they are found; their number is the rank.
+    Left-looking elimination of the columns in the order given, pivoting on
+    the smallest row id; rows and columns are not reordered.  Returns the row
+    ids of the pivots in the order they are found; their number is the rank.
 
-    Each reduced pivot column vanishes on the rows labelled below its pivot,
-    so the column space projects isomorphically onto the returned rows.
+    Each reduced pivot column vanishes on the rows below its pivot, so the
+    column space projects isomorphically onto the returned rows.
     """
-    count = Counter(chain.from_iterable(columns))
-    order = [r for r, _ in sorted(count.items(), key=itemgetter(1, 0))]
-    label = {r: i for i, r in enumerate(order)}
-    reduced = sorted(({label[r]: v for r, c in col.items() if (v := c % p)} for col in columns),
-                     key=len)
-
     pivots: dict[int, dict] = {}
-    for cur in reduced:
+    for col in columns:
+        cur = {r: v for r, c in col.items() if (v := c % p)}
         while cur:
             r = min(cur)
             piv = pivots.get(r)
@@ -229,7 +216,7 @@ def sparse_pivot_rows(columns: list[dict], p: int) -> list[int]:
                 else:
                     cur.pop(rr, None)
         # empty cur: column was dependent
-    return [order[r] for r in pivots]
+    return list(pivots)
 
 
 def sparse_rank(columns: list[dict], p: int) -> int:

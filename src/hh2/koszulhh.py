@@ -286,6 +286,12 @@ def format_name(name: Name) -> str:
     return "_".join(str(t) for t in name)
 
 
+def idempotent_label(name: Name) -> str:
+    """The idempotent a named class sits at: "1" for the z, kz, mu and nu
+    families, else e_s."""
+    return "1" if name[0] in ("z", "kz", "mu", "nu") else f"e_{name[1]}"
+
+
 class HHModule:
     """Named homology classes of a cochain model, with projection to names."""
 
@@ -579,141 +585,86 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int,
     cap = cell_cap if cell_cap is not None else max_cells()
     p = alg.p
     bar = alg.radical_chains()
-    # x_mod basis by slot (left, right): (index, j, k) in index order
-    x_by_slot: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for xi, xb in enumerate(x_mod.basis):
-        x_by_slot.setdefault((xb.left, xb.right), []).append((xi, xb.j, xb.k))
-
     cells = 0
     per_chain = max(1, x_mod.dim // max(1, len(alg.vertices)))
-    chains = [bar.level(0)]
     for n in range(1, n_max + 2):
         # the cap is checked before the chains of degree n are built
         cells += per_chain * bar.count(n)
         if cells > cap:
             raise TooLarge(f"bar complex would exceed {cap} cells")
-        chains.append(bar.level(n))
+        bar.level(n)
 
-    # cochain basis in degree n: (chain, x_index) with matching slots,
-    # bucketed by (j(x) - j(chain), k(x) - k(chain)).  sizes_by_n[n][bucket]
-    # counts the basis of a piece and loc_by_n[n] maps a chain to
-    # {x_index: (bucket, position in bucket)}
-    sizes_by_n: list[dict[tuple[int, int], int]] = []
-    loc_by_n: list[dict[tuple, dict[int, tuple[tuple[int, int], int]]]] = []
-    # the (x_index, bucket) pairs of a chain depend only on its slot and degree
-    x_keys: dict[tuple[int, int, int, int], list[tuple[int, tuple[int, int]]]] = {}
-    for n in range(0, n_max + 2):
-        sizes: dict[tuple[int, int], int] = {}
-        locs = {}
-        for ch, lft, rgt, dj, dk in chains[n]:
-            pairs = x_keys.get((lft, rgt, dj, dk))
-            if pairs is None:
-                pairs = x_keys[(lft, rgt, dj, dk)] = [
-                    (xi, (xj - dj, xk - dk)) for xi, xj, xk in x_by_slot.get((lft, rgt), ())]
-            loc = {}
-            for xi, key in pairs:
-                pos = sizes.get(key, 0)
-                loc[xi] = (key, pos)
-                sizes[key] = pos + 1
-            locs[ch] = loc
-        sizes_by_n.append(sizes)
-        loc_by_n.append(locs)
+    # x_mod basis by slot (left, right): (index, j, k) in index order
+    x_by_slot: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for xi, xb in enumerate(x_mod.basis):
+        x_by_slot.setdefault((xb.left, xb.right), []).append((xi, xb.j, xb.k))
+    width = x_mod.dim
 
-    rad_by_left, rad_by_right, split = bar.by_left, bar.by_right, bar.split
+    def pieces(n: int) -> dict[tuple[int, int], list[int]]:
+        """The cochains of degree n, each with the id (place of its chain in
+        level n) * dim X + (x index), bucketed by (j(x) - j(chain), k(x) - k(chain))."""
+        out: dict[tuple[int, int], list[int]] = {}
+        for pos, (_, lft, rgt, dj, dk) in enumerate(bar.level(n)):
+            for xi, xj, xk in x_by_slot.get((lft, rgt), ()):
+                out.setdefault((xj - dj, xk - dk), []).append(pos * width + xi)
+        return out
 
-    # differentials as sparse columns per graded bucket; the oracle only
-    # needs ranks: dim HH^n = |C^n| - rank(d_n) - rank(d_{n-1})
-    no_loc: dict = {}
-    col_cache: dict[int, dict[tuple[int, int], list[Combo]]] = {}
-
-    def d_columns(n: int) -> dict[tuple[int, int], list[Combo]]:
-        """Columns of d_n, built one source chain at a time:
+    def d_columns(n: int) -> dict[int, Combo]:
+        """The columns of d_n by cochain id, rows by cochain id of degree n + 1:
         d(phi)(r0..rn) = r0 . phi(r1..rn) + sum_i (-1)^{i+1} phi(.. r_i r_{i+1} ..)
                          + (-1)^{n+1} phi(r0..r_{n-1}) . rn."""
-        if n in col_cache:
-            return col_cache[n]
-        cols = {key: [dict() for _ in range(size)] for key, size in sizes_by_n[n].items()}
-        src_loc = loc_by_n[n]
-        tgt_loc = loc_by_n[n + 1]
         sgn_last = -1 if (n + 1) % 2 else 1
-        for ch, lft, rgt, _, _ in chains[n]:
-            sources = src_loc[ch]
-            if not sources:
-                continue
-            body = () if n == 0 else ch
-            # the longer chains this one sits in, with the x-independent parts
-            heads = [(r0, tgt_loc[(r0,) + body]) for r0 in rad_by_right.get(lft, ())]
-            tails = [(rn, tgt_loc[body + (rn,)]) for rn in rad_by_left.get(rgt, ())]
-            collapses = []
-            for i in range(n):
-                sgn = -1 if (i + 1) % 2 else 1
-                for a, b, cm in split.get(ch[i], ()):
-                    collapses.append((tgt_loc.get(ch[:i] + (a, b) + ch[i + 1:], no_loc),
-                                      sgn * cm))
-            for xi, (key, col) in sources.items():
-                d = cols[key][col]
-                terms = [(loc.get(tx), c) for r0, loc in heads
-                         for tx, c in x_mod.left.get((r0, xi), no_loc).items()]
-                terms += [(loc.get(xi), c) for loc, c in collapses]
-                terms += [(loc.get(tx), sgn_last * c) for rn, loc in tails
-                          for tx, c in x_mod.right.get((xi, rn), no_loc).items()]
-                for tgt, coeff in terms:
-                    if tgt is None:
-                        continue
-                    tgt_key, row = tgt
-                    assert tgt_key == key
-                    v = (d.get(row, 0) + coeff) % p
-                    if v:
-                        d[row] = v
-                    else:
-                        d.pop(row, None)
-        col_cache[n] = cols
+        cols: dict[int, Combo] = {}
+        for pos, ((_, lft, rgt, _, _), (heads, collapses, tails)) in enumerate(
+                zip(bar.level(n), bar.cofaces(n))):
+            for xi, _, _ in x_by_slot.get((lft, rgt), ()):
+                acc: dict[int, int] = {}
+                for r0, t in heads:
+                    for tx, cx in x_mod.left.get((r0, xi), {}).items():
+                        acc[t * width + tx] = acc.get(t * width + tx, 0) + cx
+                for t, cm in collapses:
+                    acc[t * width + xi] = acc.get(t * width + xi, 0) + cm
+                for rn, t in tails:
+                    for tx, cx in x_mod.right.get((xi, rn), {}).items():
+                        acc[t * width + tx] = acc.get(t * width + tx, 0) + sgn_last * cx
+                cols[pos * width + xi] = {row: v for row, c in acc.items() if (v := c % p)}
         return cols
+
+    # the oracle only needs ranks: dim HH^n = |C^n| - rank(d_n) - rank(d_{n-1})
+    ids = [pieces(n) for n in range(n_max + 1)]
+    d = [d_columns(n) for n in range(n_max + 1)]
+
+    # d_{n+1} . d_n = 0 in every degree whose columns the ranks below use
+    for n in range(0, n_max):
+        upper = d[n + 1]
+        for col in d[n].values():
+            acc = {}
+            for row, c in col.items():
+                for row2, c2 in upper[row].items():
+                    acc[row2] = (acc.get(row2, 0) + c * c2) % p
+            if any(acc.values()):
+                raise AssertionError("bar differential does not square to zero")
 
     # imported here, not at module level, so that only the oracle's callers
     # pay for loading logging at start-up
     import logging
     log = logging.getLogger(__name__)
     debug = log.isEnabledFor(logging.DEBUG)
-    pivot_cache: dict[tuple[int, tuple[int, int]], list[int]] = {}
-
-    def d_rank(n: int, key: tuple[int, int]) -> int:
-        """rank d_n on the piece key, taken off the pivot rows of d_{n-1}."""
-        if (n, key) not in pivot_cache:
-            skip: set[int] = set()
-            if n >= 1 and key in sizes_by_n[n - 1]:
-                d_rank(n - 1, key)
-                skip = set(pivot_cache[(n - 1, key)])
-            cols = d_columns(n).get(key, [])
-            pivot_cache[(n, key)] = rows = sparse_pivot_rows(
-                [col for i, col in enumerate(cols) if i not in skip], p)
-            if debug:
-                log.debug("bar piece n=%d bucket=%s rows=%d cols=%d nnz=%d rank=%d",
-                          n, key, sizes_by_n[n + 1].get(key, 0), len(cols),
-                          sum(len(col) for col in cols), len(rows))
-        return len(pivot_cache[(n, key)])
-
-    # d_{n+1} . d_n = 0 in every degree whose columns the ranks below use
-    for n in range(0, n_max):
-        upper = d_columns(n + 1)
-        for key, cols in d_columns(n).items():
-            nxt = upper.get(key)
-            if nxt is None:
-                continue
-            for col in cols:
-                acc: Combo = {}
-                for row, c in col.items():
-                    for row2, c2 in nxt[row].items():
-                        acc[row2] = (acc.get(row2, 0) + c * c2) % p
-                if any(acc.values()):
-                    raise AssertionError("bar differential does not square to zero")
+    if debug:
+        ids.append(pieces(n_max + 1))  # counted only for the rows of d_{n_max}
 
     dims = []
+    skip: set[int] = set()  # the pivot rows of d_{n-1}
     for n in range(0, n_max + 1):
-        total = 0
-        for key, size in sorted(sizes_by_n[n].items()):
-            r_out = d_rank(n, key)
-            r_in = d_rank(n - 1, key) if n >= 1 else 0
-            total += size - r_out - r_in
-        dims.append(total)
+        found: list[int] = []
+        for key, piece in ids[n].items():
+            cols = [d[n][i] for i in piece]
+            rows = sparse_pivot_rows([col for i, col in zip(piece, cols) if i not in skip], p)
+            found += rows
+            if debug:
+                log.debug("bar piece n=%d bucket=%s rows=%d cols=%d nnz=%d rank=%d",
+                          n, key, len(ids[n + 1].get(key, ())), len(cols),
+                          sum(len(col) for col in cols), len(rows))
+        dims.append(sum(map(len, ids[n].values())) - len(found) - len(skip))
+        skip = set(found)
     return dims

@@ -194,6 +194,10 @@ class RadicalChains:
     chain.  Levels are built on first request and kept.  ``split[m]`` lists
     (a, b, coeff of m in a b) over radical a, b: the ways an inner collapse
     a (x) b -> a b can land on the radical element m.
+
+    ``cofaces(n)`` is the part of the bar differential that does not depend
+    on the coefficients: for each chain of degree n, the places in
+    ``level(n + 1)`` of the chains that have it as a face.
     """
 
     def __init__(self, alg: "BasedAlgebra"):
@@ -212,6 +216,7 @@ class RadicalChains:
                     if mid in rad_set:
                         self.split.setdefault(mid, []).append((a, b, cm))
         self._levels: list[list[tuple]] = [[((v,), v, v, 0, 0) for v in alg.vertices]]
+        self._cofaces: list[list[tuple[list, list, list]]] = []
 
     def count(self, n: int) -> int:
         """The number of chains of degree n; builds at most level n - 1."""
@@ -238,6 +243,29 @@ class RadicalChains:
                         cur.append((ch + (r,), lft, b.right, j + b.j, k + b.k))
             self._levels.append(cur)
         return self._levels[n]
+
+    def cofaces(self, n: int) -> list[tuple[list, list, list]]:
+        """(heads, collapses, tails) for each chain ch of ``level(n)``, in order.
+
+        heads lists (r, place of (r,) + ch), tails (r, place of ch + (r,)) and
+        collapses (place of ch[:i] + (a, b) + ch[i + 1:], (-1)^(i+1) coeff)
+        for each (a, b, coeff) in ``split[ch[i]]``; a place is an index into
+        ``level(n + 1)``, and degree 0 stands for the empty chain.  Built on
+        first request, with level n + 1, and kept.
+        """
+        while len(self._cofaces) <= n:
+            m = len(self._cofaces)
+            place = {ch: i for i, (ch, *_) in enumerate(self.level(m + 1))}
+            table = []
+            for ch, lft, rgt, _, _ in self.level(m):
+                body = () if m == 0 else ch
+                table.append((
+                    [(r0, place[(r0,) + body]) for r0 in self.by_right.get(lft, ())],
+                    [(place[ch[:i] + (a, b) + ch[i + 1:]], (-1) ** (i + 1) * cm)
+                     for i in range(m) for a, b, cm in self.split.get(ch[i], ())],
+                    [(r, place[body + (r,)]) for r in self.by_left.get(rgt, ())]))
+            self._cofaces.append(table)
+        return self._cofaces[n]
 
 
 class BasedAlgebra:
@@ -664,7 +692,7 @@ def twist_sigma(mod: BasedBimodule) -> BasedBimodule:
             src, a, b = omega.data(i)
             tgt = src - a + b
             if tgt != p and src != p:
-                sigma_of[i] = omega.key[(p - src, b, a)]
+                sigma_of[i] = theta_sigma_index(omega, i)
     # m . a here is m . sigma(a) there, and sigma is an involution of its domain
     right: dict[tuple[int, int], Combo] = {}
     for (m, s), prod in mod.right.items():

@@ -27,7 +27,8 @@ from .clubsuit import (CHI, CHIBAR_MINUS, CHIBAR_PLUS, CHIBARSTAR_MINUS,
                        GridComponent, NaturalMaps, component_at)
 from .exactlin import check_odd_prime
 from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Name, NameCombo,
-                       build_model, cup, format_name, homology_named, push_named)
+                       build_model, cup, format_name, homology_named, idempotent_label,
+                       push_named)
 
 
 class WindowEmpty(Hh2Error):
@@ -102,8 +103,8 @@ def make_element(p: int, a: int, b: int, name: Name) -> SpadeElement:
     if comp is None:
         raise ValueError(f"vacant slot {(a, b)}")
     j, k, _h = concrete_degree(p, name)
-    x = "1" if name[0] in ("z", "kz", "mu", "nu") else f"e_{name[1]}"
-    return SpadeElement(a, b, name, comp.label, a + b, j + comp.jshift, k + comp.kshift, x)
+    return SpadeElement(a, b, name, comp.label, a + b, j + comp.jshift, k + comp.kshift,
+                        idempotent_label(name))
 
 
 # ---------------------------------------------------------------------------
