@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 from . import Hh2Error, quiver
-from .exactlin import rank, sparse_rank, zeros
+from .exactlin import sparse_rank
 from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
                        KIND_THETA_SIGMA, Pairing)
 from .quiver import (BasedBimodule, BimoduleMap, GroupedViews, OmegaAlgebra, Table,
-                     combo_add, tensor_over)
+                     TensorProduct, combo_add)
 
 # spade labels: which piece of the class algebra a grid slot carries
 CHI = "chi"
@@ -342,13 +342,9 @@ class NaturalMaps:
     def pairing_rank_on_tensor(self, name: str) -> tuple[int, int]:
         """Rank of the induced map (X (x)_Omega Y) -> Z for a pairing."""
         pr = self.pairings[name]
-        tp = tensor_over(pr.x_mod, pr.y_mod)
-        mat = zeros(pr.z_mod.dim, tp.dim)
-        for col, c in enumerate(tp.free):
-            i, j = tp.pairs[c]
-            for row, coeff in pr.apply(i, j).items():
-                mat[row, col] = coeff
-        return rank(mat, self.p), tp.dim
+        tp = TensorProduct(pr.x_mod, pr.y_mod)
+        columns = [pr.apply(*tp.pairs[c]) for c in tp.free]
+        return sparse_rank(columns, self.p), tp.dim
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +517,3 @@ class ClubWindow:
                             mat[(u, v)] = val
                 out[((a1, b1), (a2, b2))] = (mat, m1d, m2d)
         return out
-
-
-def build_club_window(p: int, i_min: int, i_max: int,
-                      maps: NaturalMaps | None = None) -> ClubWindow:
-    return ClubWindow(p, i_min, i_max, maps=maps)

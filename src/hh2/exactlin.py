@@ -4,9 +4,11 @@ Matrices are dense numpy int64 arrays with entries reduced to [0, p).
 A matrix of shape (m, n) is a linear map F_p^n -> F_p^m acting on column
 vectors.  ``rref`` pivots in a fixed column order, so echelon forms, kernel
 bases and homology representatives are canonical: the same input always
-produces byte-identical output.  ``sparse_pivot_rows`` eliminates sparse
-columns in the order given, pivoting on the smallest row id, and returns the
-ids of its pivot rows; ``sparse_rank`` is their number.
+produces byte-identical output.  ``sparse_pivots`` is the one sparse
+elimination: it reduces columns {row: coeff} in the order given, pivoting on
+the smallest row id, into {pivot row: reduced column}, each 1 at its pivot
+and empty on the rows below it.  ``sparse_pivot_rows`` lists those rows and
+``sparse_rank`` counts them.
 """
 
 from __future__ import annotations
@@ -184,19 +186,15 @@ class Homology:
         return out
 
 
-def homology(d_in: np.ndarray, d_out: np.ndarray, p: int) -> Homology:
-    return Homology(d_in, d_out, p)
-
-
-def sparse_pivot_rows(columns: list[dict], p: int) -> list[int]:
-    """Pivot rows of a matrix given as sparse columns {row: coeff} over F_p.
+def sparse_pivots(columns: list[dict], p: int) -> dict[int, dict]:
+    """{pivot row: reduced column} of a matrix given as sparse columns
+    {row: coeff} over F_p, keyed in the order found; their number is the rank.
 
     Left-looking elimination of the columns in the order given, pivoting on
-    the smallest row id; rows and columns are not reordered.  Returns the row
-    ids of the pivots in the order they are found; their number is the rank.
-
-    Each reduced pivot column vanishes on the rows below its pivot, so the
-    column space projects isomorphically onto the returned rows.
+    the smallest row id; rows and columns are not reordered.  Each reduced
+    column is 1 at its pivot and vanishes on the rows below it, so the pivot
+    rows are the leading rows of the column span, and the span projects
+    isomorphically onto them.
     """
     pivots: dict[int, dict] = {}
     for col in columns:
@@ -216,7 +214,12 @@ def sparse_pivot_rows(columns: list[dict], p: int) -> list[int]:
                 else:
                     cur.pop(rr, None)
         # empty cur: column was dependent
-    return list(pivots)
+    return pivots
+
+
+def sparse_pivot_rows(columns: list[dict], p: int) -> list[int]:
+    """Pivot row ids of ``sparse_pivots``, in the order they are found."""
+    return list(sparse_pivots(columns, p))
 
 
 def sparse_rank(columns: list[dict], p: int) -> int:

@@ -27,7 +27,7 @@ import os
 import numpy as np
 
 from . import Hh2Error
-from .exactlin import Homology, NotACocycle, matmul, sparse_pivot_rows, zeros
+from .exactlin import Homology, NotACocycle, rref, sparse_pivot_rows, zeros
 from .quiver import (BasedAlgebra, BasedBimodule, Combo, GroupedViews, OmegaAlgebra,
                      failing_triple)
 
@@ -189,11 +189,9 @@ class CochainModel:
         return out
 
     def _check_d_squared(self) -> None:
-        for key, mat in self.d_mats.items():
-            nxt = self.d_mats.get((key[0], key[1] + 1))
-            if nxt is not None and mat.size and nxt.size:
-                if np.any(matmul(nxt, mat, self.p)):
-                    raise AssertionError("d^2 != 0")
+        for image in self._diff_images:
+            if self.differential(image):
+                raise AssertionError("d^2 != 0")
 
     @property
     def dim(self) -> int:
@@ -231,10 +229,8 @@ class CochainModel:
     def is_cocycle(self, chain: Cochain) -> bool:
         if not chain:
             return True
-        key = self.chain_degree(chain)
-        vec = self.cochain_vector(chain, key)
-        mat = self.d_mats[key]
-        return not (mat.size and np.any(matmul(mat, vec.reshape(-1, 1), self.p)))
+        self.chain_degree(chain)  # raises NotHomogeneous
+        return not self.differential(chain)
 
     def differential(self, chain: Cochain) -> Cochain:
         out: Cochain = {}
@@ -286,6 +282,26 @@ def format_name(name: Name) -> str:
     return "_".join(str(t) for t in name)
 
 
+def concrete_degree(p: int, name: Name) -> tuple[int, int, int]:
+    """(j, k, h) of a canonical class in its unshifted cochain model."""
+    kind, arg = name
+    if kind == "z":
+        return -2 * arg, 2 * arg, 0
+    if kind == "kz":
+        return -2 * arg, 2 * arg + 1, 1
+    if kind == "c2":
+        return 2, 0, 2
+    if kind == "soc":
+        return 2 - p, p - 2, 0
+    if kind == "mu":
+        return 2 * arg + 2 - p, p - 2 * arg - 1, 1
+    if kind == "nu":
+        return 2 * arg + 2 - p, p - 2 * arg, 2
+    if kind == "e":
+        return 0, 0, 0
+    raise ValueError(f"unknown name {name}")
+
+
 def idempotent_label(name: Name) -> str:
     """The idempotent a named class sits at: "1" for the z, kz, mu and nu
     families, else e_s."""
@@ -314,7 +330,6 @@ class HHModule:
             for col, idx in enumerate(idxs):
                 vec = model.cochain_vector(classes[idx].rep, key)
                 mat[:, col] = hom.project(vec)
-            from .exactlin import rref
             rr, piv = rref(mat.T, self.p)
             if len(piv) != len(idxs):
                 raise UnrecognizedSignature(f"named classes not independent at {key}")
@@ -342,7 +357,6 @@ class HHModule:
             raise UnrecognizedSignature(f"nonzero class at unnamed degree {key}")
         mat, idxs = self._solvers[key]
         # solve mat @ x = coords over F_p
-        from .exactlin import rref
         aug = np.concatenate([mat, coords.reshape(-1, 1)], axis=1)
         rr, piv = rref(aug, self.p)
         if mat.shape[1] in piv:
@@ -386,7 +400,7 @@ def _x_index(x_mod: BasedBimodule, omega: OmegaAlgebra, src: int, a: int, b: int
 def canonical_chi_classes(model: CochainModel) -> list[HHClass]:
     """z^l, kappa z^l, c2_s style classes for X in {Omega, Theta, OmegaEpOmega}."""
     c, x_mod, omega, p = model.c, model.x_mod, model.omega, model.p
-    classes = []
+    found = []
     for ell in range(p):
         terms = []
         for s in range(ell + 1, p + 1):
@@ -395,7 +409,7 @@ def canonical_chi_classes(model: CochainModel) -> list[HHClass]:
                 terms.append((c.idem[s], xi, 1))
         rep = _chain(model, terms)
         if rep:
-            classes.append(HHClass(("z", ell), -2 * ell, 2 * ell, 0, rep))
+            found.append((("z", ell), rep))
     for ell in range(p - 1):
         terms = []
         for s in range(ell + 1, p):
@@ -404,25 +418,25 @@ def canonical_chi_classes(model: CochainModel) -> list[HHClass]:
                 terms.append((c.xi[s], xi, 1))
         rep = _chain(model, terms)
         if rep:
-            classes.append(HHClass(("kz", ell), -2 * ell, 2 * ell + 1, 1, rep))
+            found.append((("kz", ell), rep))
     for s in range(1, p):
         xi = _x_index(x_mod, omega, s, 0, 0)
         if xi is not None:
             rep = _chain(model, [(c.loop[s], xi, 1)])
             if rep:
-                classes.append(HHClass(("c2", s), 2, 0, 2, rep))
-    return classes
+                found.append((("c2", s), rep))
+    return [HHClass(name, *concrete_degree(p, name), rep) for name, rep in found]
 
 
 def canonical_dual_classes(model: CochainModel) -> list[HHClass]:
     """e_s (x) e_s* classes for X = Omega*."""
     c, x_mod, p = model.c, model.x_mod, model.p
-    classes = []
+    found = []
     for s in range(1, p + 1):
         xi = x_mod.index[f"e{s}*"]
         rep = _chain(model, [(c.idem[s], xi, 1)])
-        classes.append(HHClass(("e", s), 0, 0, 0, rep))
-    return classes
+        found.append((("e", s), rep))
+    return [HHClass(name, *concrete_degree(p, name), rep) for name, rep in found]
 
 
 def canonical_sigma_classes(model: CochainModel) -> list[HHClass]:
@@ -434,21 +448,21 @@ def canonical_sigma_classes(model: CochainModel) -> list[HHClass]:
     """
     c, x_mod, omega, p = model.c, model.x_mod, model.omega, model.p
     h = (p - 1) // 2
-    classes = []
+    found = []
     for s in range(1, p):
         xi = _x_index(x_mod, omega, p - s, p - s - 1, s - 1)
         rep = _chain(model, [(c.idem[s], xi, 1)])
-        classes.append(HHClass(("soc", s), 2 - p, p - 2, 0, rep))
+        found.append((("soc", s), rep))
     for ell in range(1, h + 1):
         x_f = _x_index(x_mod, omega, h + 1, h - ell, h - ell)    # slot (h+1, h) after twist
         x_g = _x_index(x_mod, omega, h, h - ell, h - ell)        # slot (h, h+1) after twist
         rep = _chain(model, [(c.xi[h], x_f, 1), (c.eta[h], x_g, 1)])
-        classes.append(HHClass(("mu", ell), 2 * ell + 2 - p, p - 2 * ell - 1, 1, rep))
+        found.append((("mu", ell), rep))
         x_v1 = _x_index(x_mod, omega, h + 1, h - ell + 1, h - ell)
         x_v2 = _x_index(x_mod, omega, h, h - ell, h - ell + 1)
         rep = _chain(model, [(c.loop[h], x_v1, 1), (c.loop[h + 1], x_v2, -1)])
-        classes.append(HHClass(("nu", ell), 2 * ell + 2 - p, p - 2 * ell, 2, rep))
-    return classes
+        found.append((("nu", ell), rep))
+    return [HHClass(name, *concrete_degree(p, name), rep) for name, rep in found]
 
 
 KIND_OMEGA = "omega"

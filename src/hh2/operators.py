@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import Hh2Error
-from .spadesuit import OUT_OF_WINDOW, SpadeAlgebra, SpadeElement, augmentation
+from .spadesuit import OUT_OF_WINDOW, SpadeAlgebra, augmentation
 
 
 class UnboundedWindow(Hh2Error):
@@ -66,19 +66,7 @@ def laurent_window(p: int, d_min: int, d_max: int) -> BigradedAlgebra:
     return BigradedAlgebra(p, basis, mul, name=f"F[z]({d_min},{d_max})")
 
 
-class SpadeTrigraded:
-    """Adapter presenting the grid algebra as a trigraded operator kernel."""
-
-    def __init__(self, alg: SpadeAlgebra):
-        self.alg = alg
-        self.p = alg.p
-        self.basis = alg.basis  # SpadeElements carry (i, j, k)
-
-    def mul(self, m1: SpadeElement, m2: SpadeElement):
-        return self.alg.product(m1, m2)
-
-
-def apply_operator(gamma: SpadeTrigraded | None, sigma: BigradedAlgebra) -> BigradedAlgebra:
+def apply_operator(gamma: SpadeAlgebra | None, sigma: BigradedAlgebra) -> BigradedAlgebra:
     """One application of the contraction operator.
 
     gamma=None is the ground-field kernel: it keeps the j-degree-zero part of
@@ -116,7 +104,7 @@ def apply_operator(gamma: SpadeTrigraded | None, sigma: BigradedAlgebra) -> Bigr
         g1, s1key = e1.key
         g2, s2key = e2.key
         s1, s2 = sigma.by_key[s1key], sigma.by_key[s2key]
-        gprod = gamma.mul(g1, g2)
+        gprod = gamma.product(g1, g2)
         if gprod is OUT_OF_WINDOW:
             return OUT_OF_WINDOW
         if not gprod:
@@ -254,8 +242,3 @@ def project(alg: HHLAlgebra, el: TowerElement, target: HHLAlgebra) -> dict:
     if image not in target.index:
         return {}
     return {image: 1}
-
-
-def hilbert_series(alg: HHLAlgebra, grading: str = "k") -> dict:
-    """Exact basis counts of a tower algebra per degree ('k' or 'jk')."""
-    return alg.hilbert_series(grading)

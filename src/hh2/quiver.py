@@ -22,10 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import Hh2Error
-from .exactlin import check_odd_prime, rref, zeros
+from .exactlin import check_odd_prime, sparse_pivots
 
 Combo = dict[int, int]
 
@@ -399,25 +397,6 @@ class BasedBimodule:
     def dim(self) -> int:
         return len(self.basis)
 
-    def act_left(self, a: Combo, m: Combo) -> Combo:
-        out: Combo = {}
-        for i, ca in a.items():
-            for mm, cm in m.items():
-                prod = self.left.get((i, mm))
-                if prod:
-                    combo_add(out, prod, ca * cm, self.p)
-        return out
-
-    def act_right(self, m: Combo, a: Combo) -> Combo:
-        out: Combo = {}
-        for mm, cm in m.items():
-            for i, ca in a.items():
-                prod = self.right.get((mm, i))
-                if prod:
-                    combo_add(out, prod, cm * ca, self.p)
-        return out
-
-
     def to_document(self) -> dict:
         """Basis plus both action tables in the command line JSON shape."""
         alg_basis, basis = self.over.basis, self.basis
@@ -725,12 +704,13 @@ def dual(mod: BasedBimodule) -> BasedBimodule:
     return BasedBimodule(mod.over, basis, left, right, name=mod.name + "*")
 
 
-def zero_bimodule(omega: OmegaAlgebra) -> BasedBimodule:
-    return BasedBimodule(omega, [], {}, {}, name="0")
-
-
 class TensorProduct(BasedBimodule):
-    """M (x)_Omega N computed as a quotient of the vertex-matched pair space."""
+    """M (x)_Omega N computed as a quotient of the vertex-matched pair space.
+
+    The relations are sparse combos over the pairs, reduced by
+    ``sparse_pivots``; their pivots are the leading pairs of the relation
+    span, and the other pairs, in order, are the basis of the quotient.
+    """
 
     def __init__(self, m_mod: BasedBimodule, n_mod: BasedBimodule):
         if m_mod.over is not n_mod.over:
@@ -743,7 +723,7 @@ class TensorProduct(BasedBimodule):
         pair_index = {pr: n for n, pr in enumerate(pairs)}
 
         # relations (m.w)(x)n - m(x)(w.n) over all slot-matched triples (m, w, n)
-        rel_rows = []
+        relations: list[Combo] = []
         for i in range(m_mod.dim):
             for a in range(omega.dim):
                 if omega.basis[a].j == 0:
@@ -755,25 +735,19 @@ class TensorProduct(BasedBimodule):
                     if omega.basis[a].right != n_mod.basis[j].left:
                         continue
                     nj = n_mod.left.get((a, j), {})
-                    row = zeros(1, len(pairs))[0]
-                    for tgt, c in mi.items():
-                        pr = (tgt, j)
+                    rel: Combo = {}
+                    terms = [((tgt, j), c) for tgt, c in mi.items()]
+                    terms += [((i, tgt), -c) for tgt, c in nj.items()]
+                    for pr, c in terms:
                         if pr in pair_index:
-                            row[pair_index[pr]] = (row[pair_index[pr]] + c) % p
-                    for tgt, c in nj.items():
-                        pr = (i, tgt)
-                        if pr in pair_index:
-                            row[pair_index[pr]] = (row[pair_index[pr]] - c) % p
-                    if row.any():
-                        rel_rows.append(row)
-        rel = np.array(rel_rows, dtype=np.int64) if rel_rows else zeros(0, len(pairs))
-        rel_rref, piv = rref(rel, p)
-        self.relations = rel_rref[: len(piv)]
-        self.rel_pivots = piv
-        free = [c for c in range(len(pairs)) if c not in piv]
+                            rel[pair_index[pr]] = rel.get(pair_index[pr], 0) + c
+                    relations.append(rel)
+        self.rel_pivots = sparse_pivots(relations, p)
+        free = [c for c in range(len(pairs)) if c not in self.rel_pivots]
         self.pairs = pairs
         self.pair_index = pair_index
         self.free = free
+        self._free_pos = {c: new for new, c in enumerate(free)}
 
         basis = []
         for c in free:
@@ -801,26 +775,20 @@ class TensorProduct(BasedBimodule):
         super().__init__(omega, basis, left, right, name=f"{m_mod.name}(x){n_mod.name}")
 
     def project_pair(self, i: int, j: int) -> Combo:
-        """Image of the pure tensor basis[i] (x) basis[j] in the quotient basis."""
+        """Image of the pure tensor basis[i] (x) basis[j] in the quotient basis.
+
+        The pair is reduced by the pivots in increasing order: each reduced
+        relation is empty below its pivot, so a pivot once cleared stays so.
+        """
         pr = (i, j)
         if pr not in self.pair_index:
             return {}
-        p = self.p
-        col = self.pair_index[pr]
-        vec = zeros(1, len(self.pairs))[0]
-        vec[col] = 1
-        for r, c in enumerate(self.rel_pivots):
-            if vec[c]:
-                vec = (vec - int(vec[c]) * self.relations[r]) % p
-        out: Combo = {}
-        for new, c in enumerate(self.free):
-            if vec[c]:
-                out[new] = int(vec[c])
-        return out
-
-
-def tensor_over(m_mod: BasedBimodule, n_mod: BasedBimodule) -> TensorProduct:
-    return TensorProduct(m_mod, n_mod)
+        pivots = self.rel_pivots
+        vec: Combo = {self.pair_index[pr]: 1}
+        while hit := [r for r in vec if r in pivots]:
+            r = min(hit)
+            combo_add(vec, pivots[r], -vec[r], self.p)
+        return {self._free_pos[c]: v for c, v in vec.items()}
 
 
 class BimoduleMap:

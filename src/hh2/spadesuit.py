@@ -25,10 +25,10 @@ from . import Hh2Error
 from .clubsuit import (CHI, CHIBAR_MINUS, CHIBAR_PLUS, CHIBARSTAR_MINUS,
                        CHIBARSTAR_PLUS, CHIUNDER, OMEGA0, PRODUCT_TABLE,
                        GridComponent, NaturalMaps, component_at)
-from .exactlin import check_odd_prime
+from .exactlin import check_odd_prime, sparse_rank
 from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Name, NameCombo,
-                       build_model, cup, format_name, homology_named, idempotent_label,
-                       push_named)
+                       build_model, concrete_degree, cup, format_name, homology_named,
+                       idempotent_label, push_named)
 
 
 class WindowEmpty(Hh2Error):
@@ -43,26 +43,6 @@ class OutOfWindow:
 
 
 OUT_OF_WINDOW = OutOfWindow()
-
-
-def concrete_degree(p: int, name: Name) -> tuple[int, int, int]:
-    """(j, k, h) of a canonical class in its unshifted cochain model."""
-    kind, arg = name
-    if kind == "z":
-        return -2 * arg, 2 * arg, 0
-    if kind == "kz":
-        return -2 * arg, 2 * arg + 1, 1
-    if kind == "c2":
-        return 2, 0, 2
-    if kind == "soc":
-        return 2 - p, p - 2, 0
-    if kind == "mu":
-        return 2 * arg + 2 - p, p - 2 * arg - 1, 1
-    if kind == "nu":
-        return 2 * arg + 2 - p, p - 2 * arg, 2
-    if kind == "e":
-        return 0, 0, 0
-    raise ValueError(f"unknown name {name}")
 
 
 def component_names(p: int, kind: str) -> list[Name]:
@@ -394,25 +374,22 @@ def duality_form_checks(p: int) -> tuple[bool, bool]:
     Associativity <chi_on_dual(m, h), t> = <h, m t> is compared, for each chi
     name m, as two sparse tables over (h, t) built from the nonzero entries
     of the form and of the products only."""
-    import numpy as np
-
-    from .exactlin import rank
     sig_names = component_names(p, CHIBARSTAR_MINUS)
     th_names = component_names(p, CHIBAR_MINUS)
-    mat = np.zeros((len(sig_names), len(th_names)), dtype=np.int64)
-    for i, n1 in enumerate(sig_names):
-        for j, n2 in enumerate(th_names):
-            mat[i, j] = duality_form(p, n1, n2)
-    perfect = rank(mat, p) == len(sig_names) == len(th_names)
+    form = {(n_h, n_t): f for n_h in sig_names for n_t in th_names
+            if (f := duality_form(p, n_h, n_t))}
+    place = {n: i for i, n in enumerate(sig_names)}
+    columns: dict[Name, dict[int, int]] = {n_t: {} for n_t in th_names}
 
     # chi_on_dual sends dual names to dual names, so the form's values on
     # sig_names x th_names are all that either side reads
     by_sig: dict[Name, list[tuple[Name, int]]] = {}
     by_th: dict[Name, list[tuple[Name, int]]] = {}
-    for i, j in zip(*np.nonzero(mat)):
-        n_h, n_t, f = sig_names[i], th_names[j], int(mat[i, j])
+    for (n_h, n_t), f in form.items():
+        columns[n_t][place[n_h]] = f
         by_sig.setdefault(n_h, []).append((n_t, f))
         by_th.setdefault(n_t, []).append((n_h, f))
+    perfect = sparse_rank(list(columns.values()), p) == len(sig_names) == len(th_names)
     for n_mid in component_names(p, CHI):
         lhs: dict[tuple[Name, Name], int] = {}
         for n_h in sig_names:
@@ -560,8 +537,3 @@ def verify_first_principles(p: int, a_min: int = -3, a_max: int = 4) -> Verifica
                     reason = "class-degree" if ok and not table else None
                     cells.append(CellCheck(k1, n1, k2, n2, tk, table, res, reason, ok))
     return VerificationReport(p, cells)
-
-
-def spade_product(alg: SpadeAlgebra, m1: SpadeElement, m2: SpadeElement):
-    """Product of two basis elements; {element: coeff} or OUT_OF_WINDOW."""
-    return alg.product(m1, m2)

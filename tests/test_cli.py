@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hh2.cli import main
+from hh2.cli import COEFFS, main
 
 
 def run(capsys, argv):
@@ -215,3 +215,17 @@ def test_map_that_does_not_intertwine_is_a_failed_check(capsys, monkeypatch):
     assert lines[0] in (f"FAIL  natural maps intertwine with stated ranks"
                         f"  [beta: {side} action not intertwined]" for side in ("left", "right"))
     assert sum(line.startswith("FAIL") for line in lines) == 1
+
+
+def test_cell_cap_skips_only_the_bar_oracle(capsys, monkeypatch):
+    # a valid cap too small for the oracle turns its five checks into SKIPs
+    # with the cap's reason; every other check still runs and passes
+    monkeypatch.setenv("HH2_MAX_CELLS", "1000")
+    status, out = run(capsys, ["verify", "--p", "3", "--format", "csv"])
+    assert status == 0
+    lines = out.splitlines()
+    skips = [line for line in lines if line.startswith("SKIP")]
+    assert skips == [f"SKIP  bar oracle h<=4 agrees ({kind})  [bar complex would exceed 1000 cells]"
+                     for kind in COEFFS]
+    assert len(lines) == 27
+    assert all(line.startswith("PASS") for line in lines if line not in skips)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from hh2.clubsuit import (CLUB_OUT, ClubWindow, NaturalMaps, WindowTooSmall,
-                          build_club_window, component_at, ideal_partner,
-                          theta_partner)
+                          component_at, ideal_partner, theta_partner)
 from hh2.exactlin import rank
 from hh2.koszulhh import KIND_DUAL, KIND_IDEAL, KIND_THETA, KIND_THETA_SIGMA
 
@@ -73,7 +72,7 @@ def test_window_requires_rows_zero_and_one():
 
 
 def test_club_products_examples(maps3):
-    win = build_club_window(3, -2, 3, maps=maps3)
+    win = ClubWindow(3, -2, 3, maps=maps3)
     ideal_comp = win.components[(1, 0)]
     dual_comp = win.components[(2, 0)]
     # (ideal).(ideal) lands in the dual component via the perfect pairing
@@ -101,7 +100,7 @@ def test_club_products_examples(maps3):
 
 
 def test_row0_row2_form_is_evaluation(maps3):
-    win = build_club_window(3, -1, 2, maps=maps3)
+    win = ClubWindow(3, -1, 2, maps=maps3)
     forms = win.symmetry_form(0)
     mat, d1, d2 = forms[((0, 0), (2, 0))]
     # the dual basis is indexed like the algebra basis: evaluation pairing
@@ -112,7 +111,7 @@ def test_row0_row2_form_is_evaluation(maps3):
 
 
 def test_symmetry_forms_nondegenerate_p3(maps3):
-    win = build_club_window(3, -3, 4, maps=maps3)
+    win = ClubWindow(3, -3, 4, maps=maps3)
     for i in range(0, 3):
         for (_sa, _sb), (mat, d1, d2) in win.symmetry_form(i).items():
             arr = np.zeros((d1, d2), dtype=np.int64)
@@ -122,7 +121,7 @@ def test_symmetry_forms_nondegenerate_p3(maps3):
 
 
 def test_symmetry_form_extends_window(maps3):
-    win = build_club_window(3, -1, 2, maps=maps3)
+    win = ClubWindow(3, -1, 2, maps=maps3)
     win.symmetry_form(2)  # needs rows -2 and 4
     assert (-2, 0) in win.components and (4, 0) in win.components
 
@@ -136,7 +135,7 @@ def test_theta_partner_involution_via_sigma(maps5):
 
 
 def test_club_products_degree_additive(maps3):
-    win = build_club_window(3, -2, 3, maps=maps3)
+    win = ClubWindow(3, -2, 3, maps=maps3)
     for key1, c1 in win.components.items():
         mod1 = win.module_of(c1)
         for key2, c2 in win.components.items():

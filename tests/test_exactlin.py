@@ -8,9 +8,9 @@ from sympy.polys.matrices import DomainMatrix
 from hh2 import quiver
 from hh2 import Hh2Error
 from hh2.exactlin import (CompositionNotZero, Homology, NotACocycle,
-                          NotOddPrime, check_odd_prime, homology, matmul,
-                          rank, rank_and_kernel, rref, sparse_pivot_rows, sparse_rank,
-                          zeros)
+                          NotOddPrime, check_odd_prime, matmul,
+                          rank, rank_and_kernel, rref, sparse_pivot_rows, sparse_pivots,
+                          sparse_rank, zeros)
 from hh2.koszulhh import build_model
 
 
@@ -67,10 +67,10 @@ def test_sparse_rank_matches_dense():
 
 def test_homology_trivial_cases():
     # zero in, zero out on a 4-dim space
-    hom = homology(zeros(4, 0), zeros(0, 4), 5)
+    hom = Homology(zeros(4, 0), zeros(0, 4), 5)
     assert hom.dimension == 4
     # identity in, zero out
-    hom = homology(np.eye(4, dtype=np.int64), zeros(0, 4), 5)
+    hom = Homology(np.eye(4, dtype=np.int64), zeros(0, 4), 5)
     assert hom.dimension == 0
 
 
@@ -78,7 +78,7 @@ def test_homology_rejects_nonzero_composition():
     d_in = np.eye(2, dtype=np.int64)
     d_out = np.eye(2, dtype=np.int64)
     with pytest.raises(CompositionNotZero):
-        homology(d_in, d_out, 3)
+        Homology(d_in, d_out, 3)
 
 
 def test_projection_of_representatives_is_standard_basis():
@@ -89,7 +89,7 @@ def test_projection_of_representatives_is_standard_basis():
         a = rng.integers(0, p, size=(mid, int(rng.integers(1, 5)))).astype(np.int64)
         # choose d_out with d_out @ a = 0: rows from kernel of a^T ... simplest:
         # use d_out = 0 so any a works
-        hom = homology(a, zeros(0, mid), p)
+        hom = Homology(a, zeros(0, mid), p)
         for i in range(hom.dimension):
             coords = hom.project(hom.representatives[i])
             want = zeros(1, hom.dimension)[0]
@@ -135,9 +135,9 @@ def test_homology_invariant_under_column_shuffle():
         # build d_out vanishing on im(d_in): rows spanning left-kernel of d_in
         _, lk = rank_and_kernel(d_in.T, p)
         d_out = lk  # rows v with v @ d_in = 0 -> use as map out
-        hom = homology(d_in, d_out, p)
+        hom = Homology(d_in, d_out, p)
         perm = rng.permutation(mid)
-        hom2 = homology(d_in[perm], d_out[:, perm], p)
+        hom2 = Homology(d_in[perm], d_out[:, perm], p)
         assert hom.dimension == hom2.dimension
 
 
@@ -244,7 +244,7 @@ def test_sparse_rank_matches_dense_rank(case, rnd):
 
 def test_project_rejects_non_cocycle():
     # d_out is the identity on F^2, so only 0 is a cocycle
-    hom = homology(zeros(2, 0), np.eye(2, dtype=np.int64), 5)
+    hom = Homology(zeros(2, 0), np.eye(2, dtype=np.int64), 5)
     with pytest.raises(NotACocycle, match="vector is not a cocycle") as exc:
         hom.project([0, 3])
     assert isinstance(exc.value, Hh2Error)
@@ -318,6 +318,25 @@ def test_sparse_pivot_rows_are_independent_original_rows(case, rnd):
     moved_rows = sparse_pivot_rows(moved, p)
     assert set(moved_rows) <= set(back)
     assert len(moved_rows) == rank(dense[[back[r] for r in moved_rows]], p) == len(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_sparse_pivots_are_reduced_columns_of_the_span(case):
+    p, columns, dense = case
+    pivots = sparse_pivots(columns, p)
+    assert list(pivots) == sparse_pivot_rows(columns, p)
+    # each reduced column is 1 at its pivot and empty on every row below it
+    for r, col in pivots.items():
+        assert col[r] == 1 and min(col) == r
+        assert all(0 < c < p for c in col.values())
+    # the reduced columns lie in the column span and there are rank of them
+    stacked = zeros(dense.shape[0], len(pivots))
+    for j, col in enumerate(pivots.values()):
+        for r, c in col.items():
+            stacked[r, j] = c
+    want = rank(dense, p)
+    assert len(pivots) == want == rank(np.hstack([dense, stacked]), p)
 
 
 @settings(max_examples=100, deadline=None)

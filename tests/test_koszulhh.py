@@ -9,11 +9,11 @@ from hh2.exactlin import sparse_pivot_rows, sparse_rank
 from hh2.koszulhh import (NotACocycle, NotHomogeneous, PairingDegreeMismatch,
                           TooLarge, UnrecognizedSignature, bar_oracle,
                           build_model, cup, homology_named)
-from hh2.quiver import BasedAlgebra, zero_bimodule
+from hh2.quiver import BasedAlgebra, BasedBimodule
 
 
 def test_zero_coefficients_give_empty_model(maps3):
-    model = build_model(maps3.c, zero_bimodule(maps3.omega))
+    model = build_model(maps3.c, BasedBimodule(maps3.omega, [], {}, {}, name="0"))
     assert model.dim == 0
 
 
@@ -91,7 +91,7 @@ def test_homology_named_rejects_wrong_kind(maps3):
 def test_bar_oracle_examples(maps3):
     assert bar_oracle(maps3.omega, maps3.reg, 4) == [3, 2, 2, 0, 0]
     assert bar_oracle(maps3.omega, maps3.dual, 2) == [3, 0, 0]
-    assert bar_oracle(maps3.omega, zero_bimodule(maps3.omega), 3) == [0, 0, 0, 0]
+    assert bar_oracle(maps3.omega, BasedBimodule(maps3.omega, [], {}, {}, name="0"), 3) == [0, 0, 0, 0]
 
 
 def test_bar_oracle_cap(maps3):

@@ -1,7 +1,6 @@
 import itertools
 
-from hh2.operators import (SpadeTrigraded, apply_operator, build_hhl,
-                           hilbert_series, laurent_window, project)
+from hh2.operators import apply_operator, build_hhl, laurent_window, project
 from hh2.spadesuit import OUT_OF_WINDOW, build_spade, chi_mul
 
 
@@ -13,9 +12,8 @@ def test_ground_field_operator_picks_degree_zero():
 
 def test_operator_basis_is_j_matched():
     spade = build_spade(3, -2, 3)
-    tri = SpadeTrigraded(spade)
     lau = laurent_window(3, -20, 20)
-    out = apply_operator(tri, lau)
+    out = apply_operator(spade, lau)
     # pairs (m, z^{j(m)}): one per grid basis element inside the z-window
     assert out.dim == spade.dim
     for b in out.basis:
@@ -26,9 +24,8 @@ def test_operator_basis_is_j_matched():
 def test_super_sign_in_operator_product():
     # two odd-k factors anticommute through the tensor ordering
     spade = build_spade(3, -2, 3)
-    tri = SpadeTrigraded(spade)
     lau = laurent_window(3, -20, 20)
-    s1 = apply_operator(tri, lau)
+    s1 = apply_operator(spade, lau)
     kappa = next(b for b in s1.basis
                  if b.key[0].name == ("kz", 0) and b.key[0].a == 0)
     one = next(b for b in s1.basis
@@ -139,12 +136,11 @@ def test_projection_multiplicative():
 def test_iteration_matches_direct_enumeration():
     p = 3
     spade = build_spade(p, -2, 3)
-    tri = SpadeTrigraded(spade)
     jmin = min(m.j for m in spade.basis)
     jmax = max(m.j for m in spade.basis)
     lau = laurent_window(p, jmin, jmax)
-    s1 = apply_operator(tri, lau)
-    s2 = apply_operator(tri, s1)
+    s1 = apply_operator(spade, lau)
+    s2 = apply_operator(spade, s1)
     final = apply_operator(None, s2)
     direct = build_hhl(p, 2, spade)
 
@@ -171,7 +167,7 @@ def test_hilbert_series():
     # (2,0) x4 + (0,0) at k=0; (0,1) and ... let us recount: k=0: 1 + 4 c2 = 5,
     # k=1: kappa, k=2: z, k=3: kz, ... each singleton
     table = {0: 5, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1}
-    assert hilbert_series(hh1, "k") == table
+    assert hh1.hilbert_series("k") == table
     # aggregated by homological length instead: (p, p-1, p-1)
     by_h = [0, 0, 0]
     for el in hh1.basis:
@@ -180,8 +176,8 @@ def test_hilbert_series():
         by_h[h] += 1
     assert by_h == [p, p - 1, p - 1]
     hh0 = build_hhl(p, 0, spade)
-    assert hilbert_series(hh0, "k") == {0: 1}
-    assert hilbert_series(hh0, "jk") == {(0, 0): 1}
+    assert hh0.hilbert_series("k") == {0: 1}
+    assert hh0.hilbert_series("jk") == {(0, 0): 1}
 
 
 def test_hh2_supercommutative():

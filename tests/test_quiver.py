@@ -194,16 +194,16 @@ def test_dual_is_involutive_on_degrees(maps3):
 
 def test_tensor_products(maps3, maps5):
     for nm in (maps3, maps5):
-        tp = quiver.tensor_over(nm.ideal, nm.ideal)
+        tp = quiver.TensorProduct(nm.ideal, nm.ideal)
         assert tp.dim == nm.omega.dim  # matches the dual of the algebra
         tp.check_bimodule()
-        assert quiver.tensor_over(nm.theta, nm.ideal).dim == 0
-        assert quiver.tensor_over(nm.ideal, nm.theta).dim == 0
+        assert quiver.TensorProduct(nm.theta, nm.ideal).dim == 0
+        assert quiver.TensorProduct(nm.ideal, nm.theta).dim == 0
 
 
 def test_tensor_rejects_mismatched_base(maps3, maps5):
     with pytest.raises(IncompatibleAlgebras):
-        quiver.tensor_over(maps3.theta, maps5.theta)
+        quiver.TensorProduct(maps3.theta, maps5.theta)
 
 
 def test_theta_form_sigma_symmetry(maps5):

@@ -7,7 +7,7 @@ from hh2.exactlin import NotOddPrime
 from hh2.spadesuit import (CHI, CHIBAR_MINUS, CHIBARSTAR_MINUS, CHIUNDER,
                            OMEGA0, OUT_OF_WINDOW, augmentation, build_spade,
                            chi_mul, chi_on_dual, component_names, duality_form,
-                           duality_form_checks, half, make_element, spade_product,
+                           duality_form_checks, half, make_element,
                            truncate_to, verify_first_principles)
 
 
@@ -156,7 +156,7 @@ def test_degree_additivity_of_products():
 def test_spade_product_wrapper():
     alg = build_spade(3, -1, 2)
     one = alg.unit()
-    assert spade_product(alg, one, one) == {one: 1}
+    assert alg.product(one, one) == {one: 1}
 
 
 def test_duality_form():
