@@ -7,8 +7,11 @@ bases and homology representatives are canonical: the same input always
 produces byte-identical output.  ``sparse_pivots`` is the one sparse
 elimination: it reduces columns {row: coeff} in the order given, pivoting on
 the smallest row id, into {pivot row: reduced column}, each 1 at its pivot
-and empty on the rows below it.  ``sparse_pivot_rows`` lists those rows and
-``sparse_rank`` counts them.
+and empty on the rows below it.  The loop itself leaves each pivot column
+unscaled, keeping the inverse of its leading entry for the reduction steps;
+only ``sparse_pivots`` scales the columns, at the end.  ``sparse_pivot_rows``
+lists the pivot rows and ``sparse_rank`` counts them, neither paying for the
+scaling.
 """
 
 from __future__ import annotations
@@ -186,27 +189,22 @@ class Homology:
         return out
 
 
-def sparse_pivots(columns: list[dict], p: int) -> dict[int, dict]:
-    """{pivot row: reduced column} of a matrix given as sparse columns
-    {row: coeff} over F_p, keyed in the order found; their number is the rank.
-
-    Left-looking elimination of the columns in the order given, pivoting on
-    the smallest row id; rows and columns are not reordered.  Each reduced
-    column is 1 at its pivot and vanishes on the rows below it, so the pivot
-    rows are the leading rows of the column span, and the span projects
-    isomorphically onto them.
-    """
-    pivots: dict[int, dict] = {}
+def _eliminated(columns: list[dict], p: int) -> dict[int, tuple[int, dict]]:
+    """The elimination loop of ``sparse_pivots``: {pivot row: (inverse of the
+    leading entry, reduced column)}, each column left unscaled.  A reduction
+    step divides by the pivot's leading entry; only ``sparse_pivots`` scales
+    the columns, and the callers that want the rows read only the keys."""
+    pivots: dict[int, tuple[int, dict]] = {}
     for col in columns:
         cur = {r: v for r, c in col.items() if (v := c % p)}
         while cur:
             r = min(cur)
-            piv = pivots.get(r)
-            if piv is None:
-                inv = pow(cur[r], -1, p)
-                pivots[r] = {rr: (cc * inv) % p for rr, cc in cur.items()}
+            found = pivots.get(r)
+            if found is None:
+                pivots[r] = (pow(cur[r], -1, p), cur)
                 break
-            f = cur[r]
+            inv, piv = found
+            f = cur[r] * inv
             for rr, cc in piv.items():
                 v = (cur.get(rr, 0) - f * cc) % p
                 if v:
@@ -217,9 +215,23 @@ def sparse_pivots(columns: list[dict], p: int) -> dict[int, dict]:
     return pivots
 
 
+def sparse_pivots(columns: list[dict], p: int) -> dict[int, dict]:
+    """{pivot row: reduced column} of a matrix given as sparse columns
+    {row: coeff} over F_p, keyed in the order found; their number is the rank.
+
+    Left-looking elimination of the columns in the order given, pivoting on
+    the smallest row id; rows and columns are not reordered.  Each reduced
+    column is 1 at its pivot and vanishes on the rows below it, so the pivot
+    rows are the leading rows of the column span, and the span projects
+    isomorphically onto them.
+    """
+    return {r: {rr: cc * inv % p for rr, cc in col.items()}
+            for r, (inv, col) in _eliminated(columns, p).items()}
+
+
 def sparse_pivot_rows(columns: list[dict], p: int) -> list[int]:
     """Pivot row ids of ``sparse_pivots``, in the order they are found."""
-    return list(sparse_pivots(columns, p))
+    return list(_eliminated(columns, p))
 
 
 def sparse_rank(columns: list[dict], p: int) -> int:

@@ -23,6 +23,8 @@ or 2); the model is graded by total (j, k) and d has degree (0, 1).
 from __future__ import annotations
 
 import os
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -573,6 +575,226 @@ def cup(model_x: CochainModel, u: Cochain, model_y: CochainModel, v: Cochain,
 # ---------------------------------------------------------------------------
 # independent oracle: reduced relative bar complex over the vertex subalgebra
 
+def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, index) over the members of the ranges [start[i], start[i] +
+    count[i]), in order: the range each member lies in, and the member."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) + np.repeat(start - (np.cumsum(count) - count), count)
+
+
+def _within(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_expand`` over the runs of sorted_keys equal to each of keys: a join
+    of keys with the entries that carry them."""
+    lo = np.searchsorted(sorted_keys, keys)
+    return _expand(lo, np.searchsorted(sorted_keys, keys, "right") - lo)
+
+
+def _summed(key: np.ndarray, val: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, with their summed values mod p, nonzero
+    sums only: one sort and one ``np.add.reduceat``."""
+    order = np.argsort(key)
+    key, val = key[order], val[order]
+    start = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
+    total = np.add.reduceat(val, start) % p if len(key) else val
+    keep = total != 0
+    return key[start[keep]], total[keep]
+
+
+def _ints(*arrays) -> list[np.ndarray]:
+    return [np.asarray(a, dtype=np.int64) for a in arrays]
+
+
+class ChainLevel(NamedTuple):
+    """The chains of one degree n as parallel int64 arrays, indexed by place.
+
+    ``chain`` has shape (count, n): row q holds the radical basis indices of
+    the chain at place q.  ``lft`` and ``rgt`` are its slot (the left vertex
+    of its first and the right vertex of its last term) and ``j``, ``k`` its
+    total degree.  ``parent`` and ``face`` are the places in level n - 1 of
+    ch[:-1] and ch[1:].  In degree 1 they are the places of the left and the
+    right vertex; degree 0 has no level below it and holds -1.
+    """
+    chain: np.ndarray
+    lft: np.ndarray
+    rgt: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    parent: np.ndarray
+    face: np.ndarray
+
+
+class Cofaces(NamedTuple):
+    """The coefficient-free part of the bar differential from degree n, as
+    COO arrays from places of level n (``src``) to places of level n + 1
+    (``tgt``), each table sorted by ``src``:
+
+    * heads (src, r, tgt): tgt is (r,) + src;
+    * collapses (src, tgt, coeff): tgt is ch[:i] + (a, b) + ch[i + 1:] for
+      each (a, b) whose product a b has the coefficient c on ch[i], and
+      coeff = (-1)^(i+1) c;
+    * tails (src, r, tgt): tgt is src + (r,).
+    """
+    heads: tuple[np.ndarray, np.ndarray, np.ndarray]
+    collapses: tuple[np.ndarray, np.ndarray, np.ndarray]
+    tails: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+class RadicalChains:
+    """Composable chains of radical basis elements of an algebra: the basis
+    of the reduced bar complex over the vertex subalgebra, as arrays.
+
+    ``level(n)`` is a ``ChainLevel``.  Degree 0 holds the empty chain once
+    per vertex, in vertex order.  Degree 1 is the radical in index order.
+    Degree n + 1 lists, for each chain of degree n in order, its children
+    ch + (r,), one for each radical r leaving its right vertex, in index
+    order.  So every level of degree >= 1 is sorted lexicographically by
+    radical index, a place is the index of a chain in that order, and the
+    places are those of the tuples the chains stand for.  Levels are built
+    on first request and kept; ``count(n)`` counts level n from level n - 1
+    without building it.
+
+    The children of a chain are contiguous in the next level, so the child
+    of place q by r is ``first[q]`` (its first child) plus the rank of r
+    among the radical elements with the same left vertex (degree 0 is the
+    exception: the child of a vertex by r is the place of (r,) in degree 1).
+    Then ``parent`` repeats each place once per child, and ``face`` follows
+    from one recursion: the face of parent + (r,) is the child of
+    face(parent) by r.
+
+    ``cofaces(n)`` is a ``Cofaces``, built on first request, with level
+    n + 1, and kept.  Heads and tails are the ``face`` and ``parent`` of level
+    n + 1 read backwards.  A collapse target ch[:i] + (a, b) + ch[i + 1:] is
+    reached by walking children from the place of ch[:i], an ancestor along
+    ``parent``, through a, b and the rest of the chain.
+    """
+
+    def __init__(self, alg: BasedAlgebra):
+        basis = alg.basis
+        left, right, bj, bk = _ints(*zip(*((b.left, b.right, b.j, b.k) for b in basis)))
+        self._left, self._right, self._j, self._k = left, right, bj, bk
+        rad = [i for i, b in enumerate(basis) if b.j != 0 or b.k != 0]
+        self._rad = np.array(rad, dtype=np.int64)
+        vertices = np.array(alg.vertices, dtype=np.int64)
+        n_vertex_ids = int(max(left.max(), right.max(), vertices.max())) + 1
+        self._vplace = np.full(n_vertex_ids, -1, dtype=np.int64)
+        self._vplace[vertices] = np.arange(len(vertices))
+        self._radpos = np.full(len(basis), -1, dtype=np.int64)
+        self._radpos[self._rad] = np.arange(len(rad))
+        # the radical grouped by left vertex, in index order within a group
+        self._by_left = self._rad[np.argsort(left[self._rad], kind="stable")]
+        self._n_by_left = np.bincount(left[self._rad], minlength=n_vertex_ids)
+        self._by_left_start = np.cumsum(self._n_by_left) - self._n_by_left
+        # the place of each radical element within its group
+        self._sibling = np.zeros(len(basis), dtype=np.int64)
+        self._sibling[self._by_left] = (np.arange(len(rad))
+                                        - self._by_left_start[left[self._by_left]])
+
+        # (m, a, b, coeff of m in a b) over composable radical a, b, stored
+        # by m as CSR arrays over the basis index
+        by_left: dict[int, list[int]] = {}
+        for r in rad:
+            by_left.setdefault(basis[r].left, []).append(r)
+        rad_set = set(rad)
+        split = [(m, a, b, cm) for a in rad for b in by_left.get(basis[a].right, ())
+                 for m, cm in alg.mul_basis(a, b).items() if m in rad_set]
+        for m, a, b, _ in split:
+            if (basis[a].left, basis[b].right) != (basis[m].left, basis[m].right):
+                raise AssertionError(f"{basis[a].name}*{basis[b].name} leaves its slot")
+        mid, a, b, cm = _ints(*zip(*split)) if split else _ints([], [], [], [])
+        by_mid = np.argsort(mid, kind="stable")
+        self._split_a, self._split_b, self._split_c = a[by_mid], b[by_mid], cm[by_mid]
+        self._split_count = np.bincount(mid, minlength=len(basis))
+        self._split_start = np.cumsum(self._split_count) - self._split_count
+
+        none = np.full(len(vertices), -1, dtype=np.int64)
+        zero = np.zeros(len(vertices), dtype=np.int64)
+        self._levels = [ChainLevel(np.zeros((len(vertices), 0), dtype=np.int64),
+                                   vertices, vertices, zero, zero, none, none)]
+        self._first: list[np.ndarray | None] = []  # per level below the last
+        self._cofaces: list[Cofaces] = []
+
+    def _child(self, m: int, q: np.ndarray | None, r: np.ndarray) -> np.ndarray:
+        """The places in level m + 1 of the children by r of the places q of level m."""
+        if m == 0:
+            return self._radpos[r]
+        return self._first[m][q] + self._sibling[r]
+
+    def count(self, n: int) -> int:
+        """The number of chains of degree n; builds at most level n - 1."""
+        if n < len(self._levels):
+            return len(self._levels[n].lft)
+        if n == 1:
+            return len(self._rad)
+        return int(self._n_by_left[self.level(n - 1).rgt].sum())
+
+    def level(self, n: int) -> ChainLevel:
+        """The chains of degree n, built on first request from level n - 1."""
+        while len(self._levels) <= n:
+            m = len(self._levels) - 1
+            cur = self._levels[m]
+            if m == 0:
+                r = self._rad
+                chain, lft, j, k = r.reshape(-1, 1), self._left[r], self._j[r], self._k[r]
+                parent, face = self._vplace[lft], self._vplace[self._right[r]]
+                self._first.append(None)
+            else:
+                count = self._n_by_left[cur.rgt]
+                self._first.append(np.cumsum(count) - count)
+                parent, idx = _expand(self._by_left_start[cur.rgt], count)
+                r = self._by_left[idx]
+                face = self._child(m - 1, cur.face[parent], r)
+                chain = np.column_stack((cur.chain[parent], r))
+                lft, j, k = cur.lft[parent], cur.j[parent] + self._j[r], cur.k[parent] + self._k[r]
+            self._levels.append(ChainLevel(chain, lft, self._right[r], j, k, parent, face))
+        return self._levels[n]
+
+    def cofaces(self, n: int) -> Cofaces:
+        """The heads, collapses and tails from the chains of degree n."""
+        while len(self._cofaces) <= n:
+            m = len(self._cofaces)
+            up = self.level(m + 1)
+            by_face = np.argsort(up.face, kind="stable")
+            by_parent = np.argsort(up.parent, kind="stable")  # sorted already if m > 0
+            self._cofaces.append(Cofaces(
+                (up.face[by_face], up.chain[by_face, 0], by_face),
+                self._collapses(m),
+                (up.parent[by_parent], up.chain[by_parent, -1], by_parent)))
+        return self._cofaces[n]
+
+    def _collapses(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        lv = self.level(n)
+        # anc[i]: the place of ch[:i] in level i, for 1 <= i <= n
+        anc: list = [None] * n + [np.arange(len(lv.lft))]
+        for i in range(n - 1, 0, -1):
+            anc[i] = self.level(i + 1).parent[anc[i + 1]]
+        parts = []
+        for i in range(n):
+            mid = lv.chain[:, i]
+            src, e = _expand(self._split_start[mid], self._split_count[mid])
+            tgt = self._child(i, anc[i][src] if i else None, self._split_a[e])
+            for t in range(i, n):
+                tgt = self._child(t + 1, tgt, self._split_b[e] if t == i else lv.chain[src, t])
+            parts.append((src, tgt, (-1) ** (i + 1) * self._split_c[e]))
+        if not parts:
+            return tuple(_ints([], [], []))
+        src, tgt, coeff = (np.concatenate(part) for part in zip(*parts))
+        order = np.argsort(src, kind="stable")
+        return src[order], tgt[order], coeff[order]
+
+
+def _action_coo(entries, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(key, target, coeff) arrays of an action table, sorted by key =
+    a * width + x, from (a, x, combo) over its entries."""
+    terms = [(a * width + x, t, c) for a, x, combo in entries for t, c in combo.items()]
+    key, tgt, coeff = _ints(*zip(*terms)) if terms else _ints([], [], [])
+    order = np.argsort(key, kind="stable")
+    return key[order], tgt[order], coeff[order]
+
+
+# product entries per chunk of the d.d = 0 join: bounds its temporaries
+_DD_CHUNK = 1 << 19
+
+
 def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int,
                cell_cap: int | None = None) -> list[int]:
     """dim HH^n(alg, x_mod) for n = 0..n_max via the reduced bar complex.
@@ -581,9 +803,24 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int,
     graded by the difference of internal (j, k) degrees; the computation is
     done one graded piece at a time.  No Koszulity is used anywhere.
 
-    Raises TooLarge, before the chains are built, when the cochains would
-    pass the cell cap.  Checks d_{n+1} . d_n = 0 for every n < n_max, and
-    logs the shape and rank of each graded piece at DEBUG level.
+    Raises TooLarge, before the chains of a degree are built, when the
+    cochains would pass the cell cap, and before any differential is built
+    when one would not index in int64.  Checks d_{n+1} . d_n = 0 for every
+    n < n_max, and logs the shape and rank of each graded piece at DEBUG
+    level.
+
+    A cochain of degree n is named by one integer, its id: the place of its
+    chain in level n times dim X plus the index of its value in X, for each
+    slot-matched (chain, x).  d_n is assembled as COO arrays by joining the
+    cofaces of each chain with the cochains of that chain, and then with the
+    action tables of X, stored as COO arrays sorted by (algebra index) *
+    dim X + (module index): heads with the left action, collapses with the
+    identity, tails with the right action and the sign (-1)^(n+1).  One sort
+    of col * (rows) + row and ``np.add.reduceat`` sum the entries mod p.
+    d_{n+1} . d_n = 0 is a join of the entries of d_n with the columns of
+    d_{n+1} on the middle id, summed the same way, run in chunks of whole
+    columns of d_n so that the temporaries stay bounded.  Only the ranks see
+    Python dicts, one graded piece at a time.
 
     Each piece of d_n is ranked only on the columns that are not pivot rows
     of d_{n-1} in the same piece (both are indexed by the cochains of degree
@@ -599,65 +836,107 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int,
     cap = cell_cap if cell_cap is not None else max_cells()
     p = alg.p
     bar = alg.radical_chains()
+    width = x_mod.dim
     cells = 0
-    per_chain = max(1, x_mod.dim // max(1, len(alg.vertices)))
+    per_chain = max(1, width // max(1, len(alg.vertices)))
     for n in range(1, n_max + 2):
         # the cap is checked before the chains of degree n are built
         cells += per_chain * bar.count(n)
         if cells > cap:
             raise TooLarge(f"bar complex would exceed {cap} cells")
         bar.level(n)
+        if bar.count(n - 1) * width * bar.count(n) * width > 2 ** 63 - 1:
+            raise TooLarge(f"the entries of d_{n - 1} would not index in int64")
 
-    # x_mod basis by slot (left, right): (index, j, k) in index order
-    x_by_slot: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for xi, xb in enumerate(x_mod.basis):
-        x_by_slot.setdefault((xb.left, xb.right), []).append((xi, xb.j, xb.k))
-    width = x_mod.dim
+    # X by slot: its indices sorted by (left, right) vertex code, index order within
+    x_left, x_right, x_j, x_k = (_ints(*zip(*((b.left, b.right, b.j, b.k) for b in x_mod.basis)))
+                                 if width else _ints([], [], [], []))
+    vmax = 1 + max([0, *alg.vertices, *x_left.tolist(), *x_right.tolist()])
+    x_code = x_left * vmax + x_right
+    x_by_slot = np.argsort(x_code, kind="stable")
+    x_code = x_code[x_by_slot]
+    left = _action_coo(((a, x, c) for (a, x), c in x_mod.left.items()), width)
+    right = _action_coo(((a, x, c) for (x, a), c in x_mod.right.items()), width)
 
-    def pieces(n: int) -> dict[tuple[int, int], list[int]]:
-        """The cochains of degree n, each with the id (place of its chain in
-        level n) * dim X + (x index), bucketed by (j(x) - j(chain), k(x) - k(chain))."""
-        out: dict[tuple[int, int], list[int]] = {}
-        for pos, (_, lft, rgt, dj, dk) in enumerate(bar.level(n)):
-            for xi, xj, xk in x_by_slot.get((lft, rgt), ()):
-                out.setdefault((xj - dj, xk - dk), []).append(pos * width + xi)
-        return out
+    def cochains(n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(place of the chain in level n, index in X) of each cochain of
+        degree n, in id order."""
+        lv = bar.level(n)
+        pos, idx = _within(x_code, lv.lft * vmax + lv.rgt)
+        return pos, x_by_slot[idx]
 
-    def d_columns(n: int) -> dict[int, Combo]:
-        """The columns of d_n by cochain id, rows by cochain id of degree n + 1:
+    def pieces(n: int, pos: np.ndarray, xi: np.ndarray) -> list[tuple[tuple[int, int], np.ndarray]]:
+        """(bucket, ids) of the cochains of degree n, bucketed by
+        (j(x) - j(chain), k(x) - k(chain)); buckets in the order of their
+        first cochain, ids ascending."""
+        if not len(pos):
+            return []
+        lv = bar.level(n)
+        dj, dk = x_j[xi] - lv.j[pos], x_k[xi] - lv.k[pos]
+        code = (dj - dj.min()) * (int(dk.max() - dk.min()) + 1) + (dk - dk.min())
+        _, first, bucket = np.unique(code, return_index=True, return_inverse=True)
+        ids = pos * width + xi
+        return [((int(dj[f]), int(dk[f])), ids[bucket == g])
+                for g, f in sorted(enumerate(first.tolist()), key=lambda gf: gf[1])]
+
+    def differential(n: int, pos: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, ...]:
+        """d_n as (col, row, coeff) arrays, nonzero mod p, sorted by column and
+        then row; columns are the cochain ids of degree n, rows of n + 1:
         d(phi)(r0..rn) = r0 . phi(r1..rn) + sum_i (-1)^{i+1} phi(.. r_i r_{i+1} ..)
                          + (-1)^{n+1} phi(r0..r_{n-1}) . rn."""
-        sgn_last = -1 if (n + 1) % 2 else 1
-        cols: dict[int, Combo] = {}
-        for pos, ((_, lft, rgt, _, _), (heads, collapses, tails)) in enumerate(
-                zip(bar.level(n), bar.cofaces(n))):
-            for xi, _, _ in x_by_slot.get((lft, rgt), ()):
-                acc: dict[int, int] = {}
-                for r0, t in heads:
-                    for tx, cx in x_mod.left.get((r0, xi), {}).items():
-                        acc[t * width + tx] = acc.get(t * width + tx, 0) + cx
-                for t, cm in collapses:
-                    acc[t * width + xi] = acc.get(t * width + xi, 0) + cm
-                for rn, t in tails:
-                    for tx, cx in x_mod.right.get((xi, rn), {}).items():
-                        acc[t * width + tx] = acc.get(t * width + tx, 0) + sgn_last * cx
-                cols[pos * width + xi] = {row: v for row, c in acc.items() if (v := c % p)}
-        return cols
+        col = pos * width + xi
+        nrows = bar.count(n + 1) * width
+        heads, collapses, tails = bar.cofaces(n)
+        keys, vals = [], []
+        for (src, r, tgt), (akey, atgt, acoeff), sign in (
+                (heads, left, 1), (tails, right, -1 if (n + 1) % 2 else 1)):
+            c, f = _within(src, pos)  # the cofaces of each cochain's chain
+            at, e = _within(akey, r[f] * width + xi[c])  # and the action on its value
+            c, f = c[at], f[at]
+            keys.append(col[c] * nrows + tgt[f] * width + atgt[e])
+            vals.append(sign * acoeff[e])
+            del c, f, at, e
+        src, tgt, coeff = collapses
+        c, f = _within(src, pos)
+        keys.append(col[c] * nrows + tgt[f] * width + xi[c])
+        vals.append(coeff[f])
+        del c, f
+        key, val = _summed(np.concatenate(keys), np.concatenate(vals), p)
+        return key // max(1, nrows), key % max(1, nrows), val
+
+    def check_d_squared(lower: tuple[np.ndarray, ...], upper: tuple[np.ndarray, ...],
+                        nrows: int) -> None:
+        """Raise unless upper . lower = 0; nrows counts the rows of upper."""
+        lcol, lrow, lval = lower
+        ucol, urow, uval = upper
+        lo = np.searchsorted(ucol, lrow)
+        count = np.searchsorted(ucol, lrow, "right") - lo
+        bounds = np.append(np.flatnonzero(np.diff(lcol, prepend=-1)), len(lcol))
+        work = np.concatenate(([0], np.cumsum(count)))[bounds]
+        max_cols = max(1, (2 ** 63 - 1) // max(1, nrows))  # keeps the keys in int64
+        b = 0
+        while b < len(bounds) - 1:
+            e = int(np.searchsorted(work, work[b] + _DD_CHUNK, "right")) - 1
+            e = min(max(e, b + 1), b + max_cols, len(bounds) - 1)
+            a0, a1 = bounds[b], bounds[e]
+            at, u = _expand(lo[a0:a1], count[a0:a1])
+            col = np.cumsum(np.diff(lcol[a0:a1], prepend=lcol[a0]) != 0)  # rank in the chunk
+            _, total = _summed(col[at] * nrows + urow[u], lval[a0:a1][at] * uval[u], p)
+            if len(total):
+                raise AssertionError("bar differential does not square to zero")
+            b = e
 
     # the oracle only needs ranks: dim HH^n = |C^n| - rank(d_n) - rank(d_{n-1})
-    ids = [pieces(n) for n in range(n_max + 1)]
-    d = [d_columns(n) for n in range(n_max + 1)]
+    ids, d = [], []
+    for n in range(n_max + 1):
+        pos, xi = cochains(n)
+        ids.append(pieces(n, pos, xi))
+        d.append(differential(n, pos, xi))
+        del pos, xi
 
     # d_{n+1} . d_n = 0 in every degree whose columns the ranks below use
     for n in range(0, n_max):
-        upper = d[n + 1]
-        for col in d[n].values():
-            acc = {}
-            for row, c in col.items():
-                for row2, c2 in upper[row].items():
-                    acc[row2] = (acc.get(row2, 0) + c * c2) % p
-            if any(acc.values()):
-                raise AssertionError("bar differential does not square to zero")
+        check_d_squared(d[n], d[n + 1], bar.count(n + 2) * width)
 
     # imported here, not at module level, so that only the oracle's callers
     # pay for loading logging at start-up
@@ -665,20 +944,24 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int,
     log = logging.getLogger(__name__)
     debug = log.isEnabledFor(logging.DEBUG)
     if debug:
-        ids.append(pieces(n_max + 1))  # counted only for the rows of d_{n_max}
+        ids.append(pieces(n_max + 1, *cochains(n_max + 1)))  # counted only for the rows of d_{n_max}
+        sizes = [{key: len(piece) for key, piece in level} for level in ids]
 
     dims = []
     skip: set[int] = set()  # the pivot rows of d_{n-1}
     for n in range(0, n_max + 1):
+        dcol, drow, dval = d[n]
         found: list[int] = []
-        for key, piece in ids[n].items():
-            cols = [d[n][i] for i in piece]
-            rows = sparse_pivot_rows([col for i, col in zip(piece, cols) if i not in skip], p)
+        for key, piece in ids[n]:
+            at, idx = _within(dcol, piece)
+            count = np.bincount(at, minlength=len(piece)).tolist()
+            terms = iter(zip(drow[idx].tolist(), dval[idx].tolist()))
+            cols = [dict(islice(terms, c)) for c in count]
+            rows = sparse_pivot_rows([col for i, col in zip(piece.tolist(), cols) if i not in skip], p)
             found += rows
             if debug:
                 log.debug("bar piece n=%d bucket=%s rows=%d cols=%d nnz=%d rank=%d",
-                          n, key, len(ids[n + 1].get(key, ())), len(cols),
-                          sum(len(col) for col in cols), len(rows))
-        dims.append(sum(map(len, ids[n].values())) - len(found) - len(skip))
+                          n, key, sizes[n + 1].get(key, 0), len(cols), len(idx), len(rows))
+        dims.append(sum(len(piece) for _, piece in ids[n]) - len(found) - len(skip))
         skip = set(found)
     return dims

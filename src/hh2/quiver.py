@@ -182,90 +182,6 @@ def failing_triple(a: Table, b: Table, c: Table, d: Table, p: int,
     return None
 
 
-class RadicalChains:
-    """Composable chains of radical basis elements of an algebra: the basis
-    of the reduced bar complex over the vertex subalgebra.
-
-    ``level(n)`` lists (chain, left, right, j, k): a tuple of n radical
-    indices, extended through the left vertex index, with its slot and total
-    degree.  Degree 0 uses the vertex chain (v,) as a stand-in for the empty
-    chain.  Levels are built on first request and kept.  ``split[m]`` lists
-    (a, b, coeff of m in a b) over radical a, b: the ways an inner collapse
-    a (x) b -> a b can land on the radical element m.
-
-    ``cofaces(n)`` is the part of the bar differential that does not depend
-    on the coefficients: for each chain of degree n, the places in
-    ``level(n + 1)`` of the chains that have it as a face.
-    """
-
-    def __init__(self, alg: "BasedAlgebra"):
-        self.basis = alg.basis
-        self.rad = [i for i, b in enumerate(alg.basis) if b.j != 0 or b.k != 0]
-        self.by_left: dict[int, list[int]] = {}
-        self.by_right: dict[int, list[int]] = {}
-        for r in self.rad:
-            self.by_left.setdefault(alg.basis[r].left, []).append(r)
-            self.by_right.setdefault(alg.basis[r].right, []).append(r)
-        rad_set = set(self.rad)
-        self.split: dict[int, list[tuple[int, int, int]]] = {}
-        for a in self.rad:
-            for b in self.by_left.get(alg.basis[a].right, ()):
-                for mid, cm in alg.mul_basis(a, b).items():
-                    if mid in rad_set:
-                        self.split.setdefault(mid, []).append((a, b, cm))
-        self._levels: list[list[tuple]] = [[((v,), v, v, 0, 0) for v in alg.vertices]]
-        self._cofaces: list[list[tuple[list, list, list]]] = []
-
-    def count(self, n: int) -> int:
-        """The number of chains of degree n; builds at most level n - 1."""
-        if n < len(self._levels):
-            return len(self._levels[n])
-        if n == 1:
-            return len(self.rad)
-        return sum(len(self.by_left.get(rgt, ())) for _, _, rgt, _, _ in self.level(n - 1))
-
-    def level(self, n: int) -> list[tuple]:
-        """The chains of degree n, built on first request from level n - 1."""
-        basis = self.basis
-        while len(self._levels) <= n:
-            m = len(self._levels)
-            cur = []
-            if m == 1:
-                for r in self.rad:
-                    b = basis[r]
-                    cur.append(((r,), b.left, b.right, b.j, b.k))
-            else:
-                for ch, lft, rgt, j, k in self._levels[m - 1]:
-                    for r in self.by_left.get(rgt, ()):
-                        b = basis[r]
-                        cur.append((ch + (r,), lft, b.right, j + b.j, k + b.k))
-            self._levels.append(cur)
-        return self._levels[n]
-
-    def cofaces(self, n: int) -> list[tuple[list, list, list]]:
-        """(heads, collapses, tails) for each chain ch of ``level(n)``, in order.
-
-        heads lists (r, place of (r,) + ch), tails (r, place of ch + (r,)) and
-        collapses (place of ch[:i] + (a, b) + ch[i + 1:], (-1)^(i+1) coeff)
-        for each (a, b, coeff) in ``split[ch[i]]``; a place is an index into
-        ``level(n + 1)``, and degree 0 stands for the empty chain.  Built on
-        first request, with level n + 1, and kept.
-        """
-        while len(self._cofaces) <= n:
-            m = len(self._cofaces)
-            place = {ch: i for i, (ch, *_) in enumerate(self.level(m + 1))}
-            table = []
-            for ch, lft, rgt, _, _ in self.level(m):
-                body = () if m == 0 else ch
-                table.append((
-                    [(r0, place[(r0,) + body]) for r0 in self.by_right.get(lft, ())],
-                    [(place[ch[:i] + (a, b) + ch[i + 1:]], (-1) ** (i + 1) * cm)
-                     for i in range(m) for a, b, cm in self.split.get(ch[i], ())],
-                    [(r, place[body + (r,)]) for r in self.by_left.get(rgt, ())]))
-            self._cofaces.append(table)
-        return self._cofaces[n]
-
-
 class BasedAlgebra:
     """Finite-dimensional algebra with a fixed basis and structure constants.
 
@@ -283,7 +199,7 @@ class BasedAlgebra:
         self.index = {b.name: i for i, b in enumerate(basis)}
         self.vertices = sorted(idem)
         self._slot_products: Table | None = None
-        self._radical_chains: RadicalChains | None = None
+        self._radical_chains = None
 
     @property
     def dim(self) -> int:
@@ -321,12 +237,15 @@ class BasedAlgebra:
                                    else matched)
         return self._slot_products
 
-    def radical_chains(self) -> RadicalChains:
-        """The reduced bar chains and collapse table of this algebra.
+    def radical_chains(self):
+        """The reduced bar chains and cofaces of this algebra, a
+        ``koszulhh.RadicalChains``.
 
         Made on the first call and kept, like ``slot_products``, so the
         basis and ``products`` must not change after that."""
         if self._radical_chains is None:
+            # imported here: the bar complex is numpy work, kept out of quiver
+            from .koszulhh import RadicalChains
             self._radical_chains = RadicalChains(self)
         return self._radical_chains
 
@@ -722,7 +641,7 @@ class TensorProduct(BasedBimodule):
                  if m_mod.basis[i].right == n_mod.basis[j].left]
         pair_index = {pr: n for n, pr in enumerate(pairs)}
 
-        # relations (m.w)(x)n - m(x)(w.n) over all slot-matched triples (m, w, n)
+        # relations (m.w)(x)n - m(x)(w.n) over the slot-matched triples (m, w, n)
         relations: list[Combo] = []
         for i in range(m_mod.dim):
             for a in range(omega.dim):
@@ -735,6 +654,8 @@ class TensorProduct(BasedBimodule):
                     if omega.basis[a].right != n_mod.basis[j].left:
                         continue
                     nj = n_mod.left.get((a, j), {})
+                    if not mi and not nj:
+                        continue  # an empty relation adds nothing to the span
                     rel: Combo = {}
                     terms = [((tgt, j), c) for tgt, c in mi.items()]
                     terms += [((i, tgt), -c) for tgt, c in nj.items()]

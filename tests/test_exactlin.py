@@ -339,6 +339,43 @@ def test_sparse_pivots_are_reduced_columns_of_the_span(case):
     assert len(pivots) == want == rank(np.hstack([dense, stacked]), p)
 
 
+def _scaled_pivots(columns: list[dict], p: int) -> dict[int, dict]:
+    """The elimination loop that scaled each pivot column as it was found,
+    kept as the reference for ``sparse_pivots``."""
+    pivots: dict[int, dict] = {}
+    for col in columns:
+        cur = {r: v for r, c in col.items() if (v := c % p)}
+        while cur:
+            r = min(cur)
+            piv = pivots.get(r)
+            if piv is None:
+                inv = pow(cur[r], -1, p)
+                pivots[r] = {rr: (cc * inv) % p for rr, cc in cur.items()}
+                break
+            f = cur[r]
+            for rr, cc in piv.items():
+                v = (cur.get(rr, 0) - f * cc) % p
+                if v:
+                    cur[rr] = v
+                else:
+                    cur.pop(rr, None)
+        # empty cur: column was dependent
+    return pivots
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_sparse_pivots_equal_the_scaling_loop(case):
+    # pivots left unscaled until the end give the same dict, in the same
+    # order, with every reduced column in the same order too
+    p, columns, _dense = case
+    want = _scaled_pivots(columns, p)
+    got = sparse_pivots(columns, p)
+    assert list(got.items()) == list(want.items())
+    assert all(list(got[r].items()) == list(col.items()) for r, col in want.items())
+    assert sparse_pivot_rows(columns, p) == list(want)
+
+
 @settings(max_examples=100, deadline=None)
 @given(complexes())
 def test_rank_off_pivot_rows_of_previous_map(case):

@@ -335,6 +335,35 @@ def _broken_omega3(maps3):
     return BasedAlgebra(3, omega.basis, products, omega.idem)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_bar_oracle_fails_on_a_corrupted_module_action(side, maps3):
+    # doubling one action entry a . x (or x . a) with a radical breaks the
+    # bimodule axioms, which d . d = 0 must catch through the head joins (the
+    # left action) and the tail joins (the right action)
+    omega = maps3.omega
+    reg = maps3.modules["omega"]
+    table = getattr(reg, side)
+    radical = {i for i, b in enumerate(omega.basis) if b.j or b.k}
+    keys = [key for key, prod in table.items() if prod
+            and (key[0] if side == "left" else key[1]) in radical]
+    assert keys
+    for key in keys:
+        bad_table = dict(table)
+        bad_table[key] = {t: 2 * c % 3 for t, c in table[key].items()}
+        tables = {"left": reg.left, "right": reg.right, side: bad_table}
+        bad = BasedBimodule(omega, reg.basis, tables["left"], tables["right"], name="bad")
+        with pytest.raises(AssertionError, match="square to zero"):
+            bar_oracle(omega, bad, 3)
+
+
+def test_bar_oracle_checks_d_squared_in_small_chunks(maps3, monkeypatch):
+    # chunks of about one column of d_n give the same verdicts as one chunk
+    monkeypatch.setattr(koszulhh, "_DD_CHUNK", 1)
+    assert bar_oracle(maps3.omega, maps3.theta, 4) == [1, 1, 2, 0, 0]
+    with pytest.raises(AssertionError, match="square to zero"):
+        bar_oracle(_broken_omega3(maps3), maps3.theta, 3)
+
+
 def test_bar_oracle_checks_d_squared_before_any_rank(maps3, monkeypatch):
     # the ranks rely on d_n . d_{n-1} = 0, so no rank may be taken before
     # every composition has been checked
@@ -383,7 +412,7 @@ def test_bar_chains_are_built_once_per_algebra(maps3):
     bar_oracle(omega, maps3.theta, 3)
     assert omega.radical_chains() is bar
     assert all(bar.level(n) is levels[n] for n in range(5))
-    assert [bar.count(n) for n in range(6)] == [len(bar.level(n)) for n in range(6)]
+    assert [bar.count(n) for n in range(6)] == [len(bar.level(n).lft) for n in range(6)]
     # the cap still holds when the chains it counts are already built
     with pytest.raises(TooLarge):
         bar_oracle(omega, maps3.reg, 4, cell_cap=10)
