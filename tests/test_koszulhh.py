@@ -357,11 +357,20 @@ def test_bar_oracle_fails_on_a_corrupted_module_action(side, maps3):
 
 
 def test_bar_oracle_checks_d_squared_in_small_chunks(maps3, monkeypatch):
-    # chunks of about one column of d_n give the same verdicts as one chunk
+    # chunks of one column of d_n each give the same verdicts as one chunk
     monkeypatch.setattr(koszulhh, "_DD_CHUNK", 1)
     assert bar_oracle(maps3.omega, maps3.theta, 4) == [1, 1, 2, 0, 0]
     with pytest.raises(AssertionError, match="square to zero"):
         bar_oracle(_broken_omega3(maps3), maps3.theta, 3)
+
+
+def test_bar_oracle_refuses_differentials_past_int64(maps3, monkeypatch):
+    # entries of d_n are keyed by col * rows + row in int64; chain counts
+    # that would overflow that key are refused before anything is assembled
+    bar = maps3.omega.radical_chains()
+    monkeypatch.setattr(bar, "count", lambda n: 2 ** 30)
+    with pytest.raises(TooLarge, match="int64"):
+        bar_oracle(maps3.omega, maps3.reg, 1, cell_cap=10 ** 30)
 
 
 def test_bar_oracle_checks_d_squared_before_any_rank(maps3, monkeypatch):
