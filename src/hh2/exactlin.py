@@ -196,7 +196,9 @@ def _eliminated(columns: list[dict], p: int) -> dict[int, tuple[int, dict]]:
     the columns, and the callers that want the rows read only the keys."""
     pivots: dict[int, tuple[int, dict]] = {}
     for col in columns:
-        cur = {r: v for r, c in col.items() if (v := c % p)}
+        # a fresh copy, reduced mod p unless it is already
+        cur = (dict(col) if all(0 < c < p for c in col.values())
+               else {r: v for r, c in col.items() if (v := c % p)})
         while cur:
             r = min(cur)
             found = pivots.get(r)

@@ -23,6 +23,7 @@ or 2); the model is graded by total (j, k) and d has degree (0, 1).
 from __future__ import annotations
 
 import os
+import weakref
 from itertools import islice
 from typing import NamedTuple
 
@@ -31,7 +32,7 @@ import numpy as np
 from . import Hh2Error
 from .exactlin import Homology, NotACocycle, rref, sparse_pivot_rows, zeros
 from .quiver import (BasedAlgebra, BasedBimodule, Combo, GroupedViews, OmegaAlgebra,
-                     failing_triple)
+                     combo_add, failing_triple)
 
 Name = tuple  # ("z", l) | ("kz", l) | ("c2", s) | ("soc", s) | ("mu", l) | ("nu", l) | ("e", s)
 NameCombo = dict[Name, int]
@@ -61,11 +62,11 @@ class TooLarge(Hh2Error):
     pass
 
 
-DEFAULT_MAX_CELLS = 2_000_000
+DEFAULT_MAX_CELLS = 1_000_000
 
 
 def max_cells() -> int:
-    """The bar-oracle cell cap: HH2_MAX_CELLS, a positive integer, if set."""
+    """The bar oracle's cap on cochains: HH2_MAX_CELLS, a positive integer, if set."""
     raw = os.environ.get("HH2_MAX_CELLS", str(DEFAULT_MAX_CELLS))
     try:
         cap = int(raw)
@@ -237,12 +238,7 @@ class CochainModel:
     def differential(self, chain: Cochain) -> Cochain:
         out: Cochain = {}
         for n, coeff in chain.items():
-            for m, c2 in self._diff_images[n].items():
-                v = (out.get(m, 0) + coeff * c2) % self.p
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
+            combo_add(out, self._diff_images[n], coeff, self.p)
         return out
 
 
@@ -513,14 +509,8 @@ def push_named(src: HHModule, tgt: HHModule, name_map: dict[Name, NameCombo],
                combo: NameCombo) -> NameCombo:
     """Apply a class-level map given on names to a name combination."""
     out: NameCombo = {}
-    p = src.p
     for name, coeff in combo.items():
-        for name2, c2 in name_map.get(name, {}).items():
-            v = (out.get(name2, 0) + coeff * c2) % p
-            if v:
-                out[name2] = v
-            else:
-                out.pop(name2, None)
+        combo_add(out, name_map.get(name, {}), coeff, src.p)
     return out
 
 
@@ -650,8 +640,7 @@ class RadicalChains:
     order.  So every level of degree >= 1 is sorted lexicographically by
     radical index, a place is the index of a chain in that order, and the
     places are those of the tuples the chains stand for.  Levels are built
-    on first request and kept; ``count(n)`` counts level n from level n - 1
-    without building it.
+    on first request and kept.
 
     The children of a chain are contiguous in the next level, so the child
     of place q by r is ``first[q]`` (its first child) plus the rank of r
@@ -719,14 +708,6 @@ class RadicalChains:
             return self._radpos[r]
         return self._first[m][q] + self._sibling[r]
 
-    def count(self, n: int) -> int:
-        """The number of chains of degree n; builds at most level n - 1."""
-        if n < len(self._levels):
-            return len(self._levels[n].lft)
-        if n == 1:
-            return len(self._rad)
-        return int(self._n_by_left[self.level(n - 1).rgt].sum())
-
     def level(self, n: int) -> ChainLevel:
         """The chains of degree n, built on first request from level n - 1."""
         while len(self._levels) <= n:
@@ -782,6 +763,41 @@ class RadicalChains:
         return src[order], tgt[order], coeff[order]
 
 
+_CHAINS = weakref.WeakKeyDictionary()  # algebra -> its RadicalChains
+
+
+def radical_chains(alg: BasedAlgebra) -> RadicalChains:
+    """The ``RadicalChains`` of alg, made on the first call and kept while alg
+    lives, so its basis and products must not change after that."""
+    bar = _CHAINS.get(alg)
+    if bar is None:
+        bar = _CHAINS[alg] = RadicalChains(alg)
+    return bar
+
+
+def bar_sizes(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> tuple[list[int], list[int]]:
+    """The numbers of chains and of cochains of the reduced bar complex in
+    each degree 0..n_max, counted by slot without building any chain.  If S
+    and N count the radical basis of alg and the basis of x_mod by slot
+    (left, right), degree n has S^n[u, w] chains from u to w and sum(S^n * N)
+    slot-matched (chain, x) cochains; Python ints keep both exact."""
+    place = {v: i for i, v in enumerate(alg.vertices)}
+    s = np.zeros((len(place), len(place)), dtype=object)
+    n_x = np.zeros_like(s)
+    for b in alg.basis:
+        if b.j != 0 or b.k != 0:
+            s[place[b.left], place[b.right]] += 1
+    for b in x_mod.basis:
+        n_x[place[b.left], place[b.right]] += 1
+    power = np.identity(len(place), dtype=object)
+    chains, cochains = [], []
+    for _ in range(n_max + 1):
+        chains.append(int(power.sum()))
+        cochains.append(int((power * n_x).sum()))
+        power = power @ s
+    return chains, cochains
+
+
 def _action_coo(entries, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(key, target, coeff) arrays of an action table, sorted by key =
     a * width + x, from (a, x, combo) over its entries."""
@@ -795,19 +811,19 @@ def _action_coo(entries, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 _DD_CHUNK = 1 << 19
 
 
-def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int,
-               cell_cap: int | None = None) -> list[int]:
+def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]:
     """dim HH^n(alg, x_mod) for n = 0..n_max via the reduced bar complex.
 
     Cochains in degree n are A0-bimodule maps (rad A)^{(x)_{A0} n} -> X,
     graded by the difference of internal (j, k) degrees; the computation is
     done one graded piece at a time.  No Koszulity is used anywhere.
 
-    Raises TooLarge, before the chains of a degree are built, when the
-    cochains would pass the cell cap, and before any differential is built
-    when one would not index in int64.  Checks d_{n+1} . d_n = 0 for every
-    n < n_max, and logs the shape and rank of each graded piece at DEBUG
-    level.
+    Raises TooLarge before anything is built, from the exact sizes of
+    ``bar_sizes``: when the cochains of degrees 1..n_max+1 pass the cell cap
+    ``max_cells()``, or when the keys of a differential d_n or of the d.d = 0
+    check from it would not index in int64.  Checks d_{n+1} . d_n = 0 for
+    every n < n_max, and logs the shape and rank of each graded piece at
+    DEBUG level.
 
     A cochain of degree n is named by one integer, its id: the place of its
     chain in level n times dim X plus the index of its value in X, for each
@@ -833,20 +849,18 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int,
     before any rank is taken), rank d_n is the rank of d_n on the columns
     off R.  The result is exact and does not depend on the elimination order.
     """
-    cap = cell_cap if cell_cap is not None else max_cells()
-    p = alg.p
-    bar = alg.radical_chains()
+    cap = max_cells()
+    chains, cells = bar_sizes(alg, x_mod, n_max + 2)
+    if sum(cells[1:n_max + 2]) > cap:
+        raise TooLarge(f"bar complex would exceed {cap} cells")
     width = x_mod.dim
-    cells = 0
-    per_chain = max(1, width // max(1, len(alg.vertices)))
-    for n in range(1, n_max + 2):
-        # the cap is checked before the chains of degree n are built
-        cells += per_chain * bar.count(n)
-        if cells > cap:
-            raise TooLarge(f"bar complex would exceed {cap} cells")
-        bar.level(n)
-        if bar.count(n - 1) * width * bar.count(n) * width > 2 ** 63 - 1:
-            raise TooLarge(f"the entries of d_{n - 1} would not index in int64")
+    for n in range(n_max + 1):
+        # d_n is keyed by col * rows + row, and its d.d = 0 join by (a rank
+        # among the columns of d_n) * (rows of d_{n+1}) + row
+        if chains[n] * width * max(chains[n + 1], chains[n + 2]) * width > 2 ** 63 - 1:
+            raise TooLarge(f"the entries of d_{n} would not index in int64")
+    p = alg.p
+    bar = radical_chains(alg)
 
     # X by slot: its indices sorted by (left, right) vertex code, index order within
     x_left, x_right, x_j, x_k = (_ints(*zip(*((b.left, b.right, b.j, b.k) for b in x_mod.basis)))
@@ -885,7 +899,7 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int,
         d(phi)(r0..rn) = r0 . phi(r1..rn) + sum_i (-1)^{i+1} phi(.. r_i r_{i+1} ..)
                          + (-1)^{n+1} phi(r0..r_{n-1}) . rn."""
         col = pos * width + xi
-        nrows = bar.count(n + 1) * width
+        nrows = len(bar.level(n + 1).lft) * width
         heads, collapses, tails = bar.cofaces(n)
         keys, vals = [], []
         for (src, r, tgt), (akey, atgt, acoeff), sign in (
@@ -913,11 +927,10 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int,
         count = np.searchsorted(ucol, lrow, "right") - lo
         bounds = np.append(np.flatnonzero(np.diff(lcol, prepend=-1)), len(lcol))
         work = np.concatenate(([0], np.cumsum(count)))[bounds]
-        max_cols = max(1, (2 ** 63 - 1) // max(1, nrows))  # keeps the keys in int64
         b = 0
         while b < len(bounds) - 1:
             e = int(np.searchsorted(work, work[b] + _DD_CHUNK, "right")) - 1
-            e = min(max(e, b + 1), b + max_cols, len(bounds) - 1)
+            e = min(max(e, b + 1), len(bounds) - 1)
             a0, a1 = bounds[b], bounds[e]
             at, u = _expand(lo[a0:a1], count[a0:a1])
             col = np.cumsum(np.diff(lcol[a0:a1], prepend=lcol[a0]) != 0)  # rank in the chunk
@@ -936,7 +949,7 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int,
 
     # d_{n+1} . d_n = 0 in every degree whose columns the ranks below use
     for n in range(0, n_max):
-        check_d_squared(d[n], d[n + 1], bar.count(n + 2) * width)
+        check_d_squared(d[n], d[n + 1], len(bar.level(n + 2).lft) * width)
 
     # imported here, not at module level, so that only the oracle's callers
     # pay for loading logging at start-up

@@ -199,7 +199,6 @@ class BasedAlgebra:
         self.index = {b.name: i for i, b in enumerate(basis)}
         self.vertices = sorted(idem)
         self._slot_products: Table | None = None
-        self._radical_chains = None
 
     @property
     def dim(self) -> int:
@@ -236,18 +235,6 @@ class BasedAlgebra:
             self._slot_products = (self.products if len(matched) == len(self.products)
                                    else matched)
         return self._slot_products
-
-    def radical_chains(self):
-        """The reduced bar chains and cofaces of this algebra, a
-        ``koszulhh.RadicalChains``.
-
-        Made on the first call and kept, like ``slot_products``, so the
-        basis and ``products`` must not change after that."""
-        if self._radical_chains is None:
-            # imported here: the bar complex is numpy work, kept out of quiver
-            from .koszulhh import RadicalChains
-            self._radical_chains = RadicalChains(self)
-        return self._radical_chains
 
     def check_associativity(self) -> None:
         mul = self.slot_products()

@@ -20,6 +20,7 @@ with a suspension sign for components whose k-shift is odd.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import Hh2Error
 from .clubsuit import (CHI, CHIBAR_MINUS, CHIBAR_PLUS, CHIBARSTAR_MINUS,
@@ -29,6 +30,7 @@ from .exactlin import check_odd_prime, sparse_rank
 from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Name, NameCombo,
                        build_model, concrete_degree, cup, format_name, homology_named,
                        idempotent_label, push_named)
+from .quiver import failing_triple
 
 
 class WindowEmpty(Hh2Error):
@@ -113,11 +115,16 @@ def chi_mul(p: int, n1: Name, n2: Name) -> NameCombo:
     raise ValueError((n1, n2))
 
 
+@lru_cache(maxsize=None)
+def _name_set(p: int, kind: str) -> frozenset[Name]:
+    return frozenset(component_names(p, kind))
+
+
 def truncate_to(p: int, kind: str, combo: NameCombo) -> NameCombo:
     """Project a chi-name combination onto the names of a target kind."""
     if not combo:
         return {}
-    allowed = set(component_names(p, kind))
+    allowed = _name_set(p, kind)
     return {n: c for n, c in combo.items() if n in allowed}
 
 
@@ -371,40 +378,22 @@ def duality_form(p: int, n_sigma: Name, n_theta: Name) -> int:
 def duality_form_checks(p: int) -> tuple[bool, bool]:
     """(is perfect, is associative over all basis triples).
 
-    Associativity <chi_on_dual(m, h), t> = <h, m t> is compared, for each chi
-    name m, as two sparse tables over (h, t) built from the nonzero entries
-    of the form and of the products only."""
+    Associativity <chi_on_dual(m, h), t> = <h, m t> is one ``failing_triple``
+    scan with u = h, g = m and w = t, the form a table with one dummy output
+    index.  chi_on_dual sends dual names to dual names, so the form's values
+    on sig_names x th_names are all that either side reads, and the part of
+    m t off the truncation names pairs to 0."""
     sig_names = component_names(p, CHIBARSTAR_MINUS)
     th_names = component_names(p, CHIBAR_MINUS)
-    form = {(n_h, n_t): f for n_h in sig_names for n_t in th_names
+    chi_names = component_names(p, CHI)
+    form = {(n_h, n_t): {0: f} for n_h in sig_names for n_t in th_names
             if (f := duality_form(p, n_h, n_t))}
-    place = {n: i for i, n in enumerate(sig_names)}
-    columns: dict[Name, dict[int, int]] = {n_t: {} for n_t in th_names}
-
-    # chi_on_dual sends dual names to dual names, so the form's values on
-    # sig_names x th_names are all that either side reads
-    by_sig: dict[Name, list[tuple[Name, int]]] = {}
-    by_th: dict[Name, list[tuple[Name, int]]] = {}
-    for (n_h, n_t), f in form.items():
-        columns[n_t][place[n_h]] = f
-        by_sig.setdefault(n_h, []).append((n_t, f))
-        by_th.setdefault(n_t, []).append((n_h, f))
-    perfect = sparse_rank(list(columns.values()), p) == len(sig_names) == len(th_names)
-    for n_mid in component_names(p, CHI):
-        lhs: dict[tuple[Name, Name], int] = {}
-        for n_h in sig_names:
-            for n2, c in chi_on_dual(p, n_mid, n_h).items():
-                for n_t, f in by_sig.get(n2, ()):
-                    lhs[(n_h, n_t)] = (lhs.get((n_h, n_t), 0) + c * f) % p
-        rhs: dict[tuple[Name, Name], int] = {}
-        for n_t in th_names:
-            # by_th has truncation names only, which truncates m t
-            for n2, c in chi_mul(p, n_mid, n_t).items():
-                for n_h, f in by_th.get(n2, ()):
-                    rhs[(n_h, n_t)] = (rhs.get((n_h, n_t), 0) + c * f) % p
-        if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
-            return perfect, False
-    return perfect, True
+    columns = [{i: f[0] for i, n_h in enumerate(sig_names) if (f := form.get((n_h, n_t)))}
+               for n_t in th_names]
+    perfect = sparse_rank(columns, p) == len(sig_names) == len(th_names)
+    act = {(n_h, m): chi_on_dual(p, m, n_h) for n_h in sig_names for m in chi_names}
+    mul = {(m, n_t): chi_mul(p, m, n_t) for m in chi_names for n_t in th_names}
+    return perfect, failing_triple(act, form, mul, form, p) is None
 
 
 # ---------------------------------------------------------------------------

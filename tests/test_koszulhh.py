@@ -1,6 +1,7 @@
 import inspect
 import logging
 import re
+from collections import Counter
 
 import pytest
 
@@ -94,9 +95,10 @@ def test_bar_oracle_examples(maps3):
     assert bar_oracle(maps3.omega, BasedBimodule(maps3.omega, [], {}, {}, name="0"), 3) == [0, 0, 0, 0]
 
 
-def test_bar_oracle_cap(maps3):
+def test_bar_oracle_cap(maps3, monkeypatch):
+    monkeypatch.setenv("HH2_MAX_CELLS", "10")
     with pytest.raises(TooLarge):
-        bar_oracle(maps3.omega, maps3.reg, 4, cell_cap=10)
+        bar_oracle(maps3.omega, maps3.reg, 4)
 
 
 def test_bar_oracle_logs_each_piece(maps3, caplog):
@@ -367,10 +369,11 @@ def test_bar_oracle_checks_d_squared_in_small_chunks(maps3, monkeypatch):
 def test_bar_oracle_refuses_differentials_past_int64(maps3, monkeypatch):
     # entries of d_n are keyed by col * rows + row in int64; chain counts
     # that would overflow that key are refused before anything is assembled
-    bar = maps3.omega.radical_chains()
-    monkeypatch.setattr(bar, "count", lambda n: 2 ** 30)
+    monkeypatch.setattr(koszulhh, "bar_sizes", lambda alg, x_mod, n: ([2 ** 30] * (n + 1),
+                                                                       [0] * (n + 1)))
+    monkeypatch.setenv("HH2_MAX_CELLS", str(10 ** 30))
     with pytest.raises(TooLarge, match="int64"):
-        bar_oracle(maps3.omega, maps3.reg, 1, cell_cap=10 ** 30)
+        bar_oracle(maps3.omega, maps3.reg, 1)
 
 
 def test_bar_oracle_checks_d_squared_before_any_rank(maps3, monkeypatch):
@@ -413,15 +416,60 @@ def test_bar_pieces_rank_like_their_full_columns_p3(kind, maps3, monkeypatch, ca
     assert sum(skipped) > 0
 
 
-def test_bar_chains_are_built_once_per_algebra(maps3):
+def test_bar_chains_are_built_once_per_algebra(maps3, monkeypatch):
     omega = maps3.omega
-    bar = omega.radical_chains()
+    bar = koszulhh.radical_chains(omega)
     bar_oracle(omega, maps3.reg, 3)
     levels = [bar.level(n) for n in range(5)]
     bar_oracle(omega, maps3.theta, 3)
-    assert omega.radical_chains() is bar
+    assert koszulhh.radical_chains(omega) is bar
     assert all(bar.level(n) is levels[n] for n in range(5))
-    assert [bar.count(n) for n in range(6)] == [len(bar.level(n).lft) for n in range(6)]
+    chains, _ = koszulhh.bar_sizes(omega, maps3.reg, 5)
+    assert chains == [len(bar.level(n).lft) for n in range(6)]
     # the cap still holds when the chains it counts are already built
+    monkeypatch.setenv("HH2_MAX_CELLS", "10")
     with pytest.raises(TooLarge):
-        bar_oracle(omega, maps3.reg, 4, cell_cap=10)
+        bar_oracle(omega, maps3.reg, 4)
+
+
+@pytest.mark.parametrize("prime,n_max", [(3, 4), (5, 3)])
+@pytest.mark.parametrize("kind", ["omega", "theta", "theta-sigma",
+                                  "omega-dual", "omega-ep-omega"])
+def test_bar_sizes_count_the_chains_and_cochains(prime, n_max, kind, maps3, maps5):
+    # the counts from the vertices alone equal the chains of each built level
+    # and the slot-matched (chain, x) pairs the oracle names as cochains
+    nm = {3: maps3, 5: maps5}[prime]
+    x_mod = nm.modules[kind]
+    chains, cochains = koszulhh.bar_sizes(nm.omega, x_mod, n_max + 1)
+    bar = koszulhh.radical_chains(nm.omega)
+    x_by_slot = Counter((b.left, b.right) for b in x_mod.basis)
+    for n in range(n_max + 2):
+        level = bar.level(n)
+        assert chains[n] == len(level.lft)
+        assert cochains[n] == sum(x_by_slot[slot]
+                                  for slot in zip(level.lft.tolist(), level.rgt.tolist()))
+
+
+def test_bar_sizes_match_the_logged_pieces_p3(maps3, caplog):
+    # the cols of the logged pieces of degree n sum to the cochains of degree n
+    with caplog.at_level(logging.DEBUG, logger="hh2.koszulhh"):
+        bar_oracle(maps3.omega, maps3.theta, 4)
+    cols = [0] * 5
+    for rec in caplog.records:
+        if rec.name == "hh2.koszulhh":
+            n, c = re.search(r"n=(\d+) .* cols=(\d+)", rec.getMessage()).groups()
+            cols[int(n)] += int(c)
+    assert cols == koszulhh.bar_sizes(maps3.omega, maps3.theta, 4)[1]
+
+
+@pytest.mark.parametrize("prime", [11, 13])
+def test_bar_oracle_refuses_before_building_chains(prime, monkeypatch):
+    # at h <= 3 the exact count passes the default cap, and the refusal comes
+    # before the chains of the algebra are made
+    from hh2.clubsuit import NaturalMaps
+    monkeypatch.delenv("HH2_MAX_CELLS", raising=False)
+    nm = NaturalMaps(prime)
+    for x_mod in nm.modules.values():
+        with pytest.raises(TooLarge, match="exceed 1000000 cells"):
+            bar_oracle(nm.omega, x_mod, 3)
+    assert nm.omega not in koszulhh._CHAINS
