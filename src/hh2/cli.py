@@ -23,6 +23,7 @@ from . import Hh2Error, __version__
 from .exactlin import is_odd_prime
 from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
                        KIND_THETA_SIGMA, max_cells)
+from .operators import UnboundedWindow
 from .spadesuit import OUT_OF_WINDOW, WindowEmpty
 
 COEFFS = (KIND_OMEGA, KIND_THETA, KIND_THETA_SIGMA, KIND_DUAL, KIND_IDEAL)
@@ -483,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
             out, status = cmd_verify(args.p, args.format)
         else:  # pragma: no cover
             return 2
-    except WindowEmpty as exc:
+    except (WindowEmpty, UnboundedWindow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, Hh2Error) as exc:

@@ -1,17 +1,17 @@
 """Exact linear algebra over the prime field F_p.
 
-Matrices are dense numpy int64 arrays with entries reduced to [0, p).
-A matrix of shape (m, n) is a linear map F_p^n -> F_p^m acting on column
-vectors.  ``rref`` pivots in a fixed column order, so echelon forms, kernel
-bases and homology representatives are canonical: the same input always
-produces byte-identical output.  ``sparse_pivots`` is the one sparse
-elimination: it reduces columns {row: coeff} in the order given, pivoting on
-the smallest row id, into {pivot row: reduced column}, each 1 at its pivot
-and empty on the rows below it.  The loop itself leaves each pivot column
-unscaled, keeping the inverse of its leading entry for the reduction steps;
-only ``sparse_pivots`` scales the columns, at the end.  ``sparse_pivot_rows``
-lists the pivot rows and ``sparse_rank`` counts them, neither paying for the
-scaling.
+``sparse_pivots`` is the one elimination the program runs: it reduces
+columns {row: coeff} in the order given, pivoting on the smallest row id,
+into {pivot row: reduced column}, each 1 at its pivot and empty on the rows
+below it; ``sparse_reduce`` reduces a vector by them.  The loop leaves each
+pivot column unscaled, keeping the inverse of its leading entry, and only
+``sparse_pivots`` scales them: ``sparse_pivot_rows`` and ``sparse_rank``
+list and count the pivot rows without paying for it.
+
+The dense path (``rref``, ``rank``, ``rank_and_kernel``, ``Homology``) works
+on numpy int64 arrays reduced to [0, p) and pivots in a fixed column order.
+No command runs it: it is the tests' reference for the sparse results, and
+the benchmark's tracer binds these names.
 """
 
 from __future__ import annotations
@@ -52,6 +52,15 @@ def is_odd_prime(p: int) -> bool:
 def check_odd_prime(p: int) -> None:
     if not is_odd_prime(p):
         raise NotOddPrime(f"modulus must be an odd prime >= 3, got {p}")
+
+
+def combo_add(dst: dict, src: dict, coeff: int, p: int) -> None:
+    for idx, c in src.items():
+        v = (dst.get(idx, 0) + coeff * c) % p
+        if v:
+            dst[idx] = v
+        else:
+            dst.pop(idx, None)
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:
@@ -239,3 +248,13 @@ def sparse_pivot_rows(columns: list[dict], p: int) -> list[int]:
 def sparse_rank(columns: list[dict], p: int) -> int:
     """Rank of a matrix given as sparse columns {row: coeff} over F_p."""
     return len(sparse_pivot_rows(columns, p))
+
+
+def sparse_reduce(vec: dict, pivots: dict[int, dict], p: int) -> dict:
+    """vec reduced in place to the one vector of vec + span(pivots) that is
+    empty on every pivot row, in increasing row order: a pivot column is empty
+    below its own row, so a row once cleared stays so."""
+    while hit := [r for r in vec if r in pivots]:
+        r = min(hit)
+        combo_add(vec, pivots[r], -vec[r], p)
+    return vec

@@ -30,9 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import Hh2Error
-from .exactlin import Homology, NotACocycle, rref, sparse_pivot_rows, zeros
-from .quiver import (BasedAlgebra, BasedBimodule, Combo, GroupedViews, OmegaAlgebra,
-                     combo_add, failing_triple)
+from .exactlin import (NotACocycle, combo_add, sparse_pivot_rows, sparse_pivots, sparse_rank,
+                       sparse_reduce)
+from .quiver import BasedAlgebra, BasedBimodule, Combo, GroupedViews, OmegaAlgebra, failing_triple
 
 Name = tuple  # ("z", l) | ("kz", l) | ("c2", s) | ("soc", s) | ("mu", l) | ("nu", l) | ("e", s)
 NameCombo = dict[Name, int]
@@ -146,19 +146,12 @@ class CochainModel:
                 self.pos_in_bucket[n] = (key, pos)
 
         self._diff_images = [self._differential_of(n) for n in range(len(self.pairs))]
-        self.d_mats: dict[tuple[int, int], np.ndarray] = {}
-        for key, members in self.bucket_of.items():
-            tgt_key = (key[0], key[1] + 1)
-            tgt = self.bucket_of.get(tgt_key, [])
-            mat = zeros(len(tgt), len(members))
-            for col, n in enumerate(members):
-                for m, coeff in self._diff_images[n].items():
-                    tk, pos = self.pos_in_bucket[m]
-                    assert tk == tgt_key, "differential not of degree (0,1)"
-                    mat[pos, col] = coeff
-            self.d_mats[key] = mat
+        for n, image in enumerate(self._diff_images):
+            j, k = self.pos_in_bucket[n][0]
+            for m in image:
+                assert self.pos_in_bucket[m][0] == (j, k + 1), "differential not of degree (0,1)"
         self._check_d_squared()
-        self._homology: dict[tuple[int, int], Homology] = {}
+        self._rank: dict[tuple[int, int], int] = {}
 
     def _arrows(self):
         c = self.c
@@ -200,28 +193,20 @@ class CochainModel:
     def dim(self) -> int:
         return len(self.pairs)
 
-    def homology_at(self, key: tuple[int, int]) -> Homology:
-        if key not in self._homology:
-            members = self.bucket_of.get(key, [])
-            below = (key[0], key[1] - 1)
-            d_in = self.d_mats.get(below)
-            if d_in is None or not self.bucket_of.get(below):
-                d_in = zeros(len(members), 0)
-            d_out = self.d_mats.get(key)
-            if d_out is None:
-                d_out = zeros(0, len(members))
-            self._homology[key] = Homology(d_in, d_out, self.p)
-        return self._homology[key]
+    def images(self, key: tuple[int, int]) -> list[Cochain]:
+        """The differentials of the cochains of bucket key, in bucket order."""
+        return [self._diff_images[n] for n in self.bucket_of.get(key, [])]
 
-    def cochain_vector(self, chain: Cochain, key: tuple[int, int]) -> np.ndarray:
-        members = self.bucket_of.get(key, [])
-        vec = zeros(1, len(members))[0]
-        for n, coeff in chain.items():
-            k2, pos = self.pos_in_bucket[n]
-            if k2 != key:
-                raise NotHomogeneous("cochain not homogeneous")
-            vec[pos] = coeff % self.p
-        return vec
+    def rank_at(self, key: tuple[int, int]) -> int:
+        """Rank of d on bucket key."""
+        if key not in self._rank:
+            self._rank[key] = sparse_rank(self.images(key), self.p)
+        return self._rank[key]
+
+    def homology_dim(self, key: tuple[int, int]) -> int:
+        """dim ker(d on bucket key) - dim im(d into it)."""
+        j, k = key
+        return len(self.bucket_of.get(key, [])) - self.rank_at(key) - self.rank_at((j, k - 1))
 
     def chain_degree(self, chain: Cochain) -> tuple[int, int]:
         keys = {self.pos_in_bucket[n][0] for n in chain}
@@ -307,31 +292,46 @@ def idempotent_label(name: Name) -> str:
 
 
 class HHModule:
-    """Named homology classes of a cochain model, with projection to names."""
+    """Named homology classes of a cochain model, with projection to names.
+
+    Each degree keeps the pivots of one elimination: the boundaries into its
+    bucket first, then each named representative carrying a tag row
+    model.dim + (its index in classes).  A cocycle reduced by these pivots
+    leaves only tag rows, and tag t holds minus the coefficient of class t.
+    """
 
     def __init__(self, model: CochainModel, classes: list[HHClass]):
         self.model = model
         self.classes = classes
         self.p = model.p
         self.by_name = {cl.name: cl for cl in classes}
-        # per-bucket change of basis: homology coordinates of each canonical rep
-        self._bucket_classes: dict[tuple[int, int], list[int]] = {}
+        by_key: dict[tuple[int, int], list[int]] = {}
         for idx, cl in enumerate(classes):
-            self._bucket_classes.setdefault((cl.j, cl.k), []).append(idx)
-        self._solvers: dict[tuple[int, int], tuple[np.ndarray, list[int]]] = {}
-        for key, idxs in self._bucket_classes.items():
-            hom = model.homology_at(key)
-            if hom.dimension != len(idxs):
+            by_key.setdefault((cl.j, cl.k), []).append(idx)
+        self._named = frozenset(by_key)
+        self._pivots: dict[tuple[int, int], dict[int, dict]] = {}
+        for key, idxs in by_key.items():
+            dim = model.homology_dim(key)
+            if dim != len(idxs):
                 raise UnrecognizedSignature(
-                    f"{len(idxs)} named classes vs homology dimension {hom.dimension} at {key}")
-            mat = zeros(hom.dimension, len(idxs))
-            for col, idx in enumerate(idxs):
-                vec = model.cochain_vector(classes[idx].rep, key)
-                mat[:, col] = hom.project(vec)
-            rr, piv = rref(mat.T, self.p)
-            if len(piv) != len(idxs):
+                    f"{len(idxs)} named classes vs homology dimension {dim} at {key}")
+            for idx in idxs:
+                rep = classes[idx].rep
+                if rep and model.chain_degree(rep) != key:
+                    raise NotHomogeneous("cochain not homogeneous")
+                if model.differential(rep):
+                    raise NotACocycle("vector is not a cocycle")
+            pivots = self._pivots_at(key, tuple({**classes[idx].rep, model.dim + idx: 1}
+                                                for idx in idxs))
+            if max(pivots) >= model.dim:
                 raise UnrecognizedSignature(f"named classes not independent at {key}")
-            self._solvers[key] = (mat, idxs)
+
+    def _pivots_at(self, key: tuple[int, int], tagged: tuple = ()) -> dict[int, dict]:
+        """The pivots of the boundaries into bucket key, then of tagged."""
+        if key not in self._pivots:
+            j, k = key
+            self._pivots[key] = sparse_pivots([*self.model.images((j, k - 1)), *tagged], self.p)
+        return self._pivots[key]
 
     def dims_by_h(self, h_max: int) -> list[int]:
         out = [0] * (h_max + 1)
@@ -344,29 +344,17 @@ class HHModule:
         """Express a cocycle as a combination of the named classes."""
         if not chain:
             return {}
-        model = self.model
+        model, p = self.model, self.p
         key = model.chain_degree(chain)
-        vec = model.cochain_vector(chain, key)
-        hom = model.homology_at(key)
-        coords = hom.project(vec)
-        if not np.any(coords):
-            return {}
-        if key not in self._solvers:
-            raise UnrecognizedSignature(f"nonzero class at unnamed degree {key}")
-        mat, idxs = self._solvers[key]
-        # solve mat @ x = coords over F_p
-        aug = np.concatenate([mat, coords.reshape(-1, 1)], axis=1)
-        rr, piv = rref(aug, self.p)
-        if mat.shape[1] in piv:
-            raise UnrecognizedSignature("cocycle not in span of named classes")
-        sol = zeros(1, mat.shape[1])[0]
-        for r, c in enumerate(piv):
-            sol[c] = rr[r, mat.shape[1]]
-        out: NameCombo = {}
-        for col, idx in enumerate(idxs):
-            if sol[col]:
-                out[self.classes[idx].name] = int(sol[col])
-        return out
+        if not model.is_cocycle(chain):
+            raise NotACocycle("vector is not a cocycle")
+        vec = sparse_reduce({n: v for n, c in chain.items() if (v := c % p)},
+                            self._pivots_at(key), p)
+        if any(r < model.dim for r in vec):
+            raise UnrecognizedSignature("cocycle not in span of named classes"
+                                        if key in self._named
+                                        else f"nonzero class at unnamed degree {key}")
+        return {self.classes[r - model.dim].name: -c % p for r, c in sorted(vec.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -470,35 +458,22 @@ KIND_DUAL = "omega-dual"
 KIND_IDEAL = "omega-ep-omega"
 
 
-def homology_named(model: CochainModel, kind: str | None = None) -> HHModule:
-    """Compute homology and attach canonical names when the coefficients are
-    one of the five standard cases; otherwise generate rref-based names."""
+def homology_named(model: CochainModel, kind: str) -> HHModule:
+    """The homology of a model over one of the five standard coefficient
+    kinds, with its canonical named classes."""
     if kind in (KIND_OMEGA, KIND_THETA, KIND_IDEAL):
         classes = canonical_chi_classes(model)
     elif kind == KIND_DUAL:
         classes = canonical_dual_classes(model)
     elif kind == KIND_THETA_SIGMA:
         classes = canonical_sigma_classes(model)
-    elif kind is None:
-        classes = []
-        for key in sorted(model.bucket_of):
-            hom = model.homology_at(key)
-            for n in range(hom.dimension):
-                rep: Cochain = {}
-                members = model.bucket_of[key]
-                for pos, coeff in enumerate(hom.representatives[n]):
-                    if coeff:
-                        rep[members[pos]] = int(coeff)
-                h_degs = {model.c.basis[model.pairs[m][0]].j for m in rep}
-                h = h_degs.pop() if len(h_degs) == 1 else -1
-                classes.append(HHClass(("auto", key[0], key[1], n), key[0], key[1], h, rep))
     else:
         raise ValueError(f"unknown coefficient kind {kind!r}")
 
     # truncated coefficient cases drop the candidates that fail to be cocycles
     # (e.g. low z-powers over the ideal); what survives must span everything
     classes = [cl for cl in classes if cl.rep and model.is_cocycle(cl.rep)]
-    total = sum(model.homology_at(key).dimension for key in model.bucket_of)
+    total = sum(model.homology_dim(key) for key in model.bucket_of)
     if len(classes) != total:
         raise UnrecognizedSignature(
             f"{len(classes)} canonical classes but homology dimension {total}")

@@ -148,6 +148,19 @@ class TowerElement:
         return f"({inner} | z^{self.alpha})" if inner else f"(z^{self.alpha})"
 
 
+def tower_size(spade: SpadeAlgebra, level: int, k_max: int | None = None) -> int:
+    """The number of basis elements of hh_level over spade, without listing them."""
+    counts: dict[int, dict[int, int]] = {0: {0: 1}}  # {j of the last factor: {k: tuples}}
+    for _ in range(level):
+        new: dict[int, dict[int, int]] = {}
+        for m in spade.basis:
+            at = new.setdefault(m.j, {})
+            for k, n in counts.get(m.i, {}).items():
+                at[k + m.k] = at.get(k + m.k, 0) + n
+        counts = new
+    return sum(n for at in counts.values() for k, n in at.items() if k_max is None or k <= k_max)
+
+
 class HHLAlgebra:
     """The level-l approximant on a finite window.
 
@@ -158,6 +171,10 @@ class HHLAlgebra:
     """
 
     def __init__(self, p: int, level: int, spade: SpadeAlgebra, k_max: int | None = None):
+        size = tower_size(spade, level, k_max)
+        if size > MAX_WINDOW:
+            raise UnboundedWindow(f"hh_{level} has {size} basis elements, more than "
+                                  f"{MAX_WINDOW} can be enumerated")
         self.p = p
         self.level = level
         self.spade = spade

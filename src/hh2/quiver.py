@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import Hh2Error
-from .exactlin import check_odd_prime, sparse_pivots
+from .exactlin import check_odd_prime, combo_add, sparse_pivots, sparse_reduce
 
 Combo = dict[int, int]
 
@@ -100,15 +100,6 @@ def dual_presentation(p: int) -> QuiverPresentation:
     for v in range(2, p):  # up-down equals down-up at inner vertices
         rels.append((((f"x{v}", f"y{v}"), 1), ((f"y{v - 1}", f"x{v - 1}"), -1)))
     return QuiverPresentation(tuple(range(1, p + 1)), arrows, tuple(rels))
-
-
-def combo_add(dst: Combo, src: Combo, coeff: int, p: int) -> None:
-    for idx, c in src.items():
-        v = (dst.get(idx, 0) + coeff * c) % p
-        if v:
-            dst[idx] = v
-        else:
-            dst.pop(idx, None)
 
 
 Table = dict[tuple[int, int], Combo]
@@ -683,19 +674,12 @@ class TensorProduct(BasedBimodule):
         super().__init__(omega, basis, left, right, name=f"{m_mod.name}(x){n_mod.name}")
 
     def project_pair(self, i: int, j: int) -> Combo:
-        """Image of the pure tensor basis[i] (x) basis[j] in the quotient basis.
-
-        The pair is reduced by the pivots in increasing order: each reduced
-        relation is empty below its pivot, so a pivot once cleared stays so.
-        """
+        """Image of the pure tensor basis[i] (x) basis[j] in the quotient basis:
+        the pair reduced by the relations' pivots."""
         pr = (i, j)
         if pr not in self.pair_index:
             return {}
-        pivots = self.rel_pivots
-        vec: Combo = {self.pair_index[pr]: 1}
-        while hit := [r for r in vec if r in pivots]:
-            r = min(hit)
-            combo_add(vec, pivots[r], -vec[r], self.p)
+        vec = sparse_reduce({self.pair_index[pr]: 1}, self.rel_pivots, self.p)
         return {self._free_pos[c]: v for c, v in vec.items()}
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -72,6 +73,15 @@ def test_csv_flattens_basis(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "name,a,b,i,j,k,h,idempotent"
     assert len(lines) == 1 + 7
+
+
+def test_hhl_refuses_a_basis_too_large_to_enumerate(capsys):
+    # 5,033,346 basis elements: counted, not listed, so the refusal is quick
+    start = time.perf_counter()
+    assert main(["hhl", "--p", "3", "--l", "8"]) == 2
+    assert time.perf_counter() - start < 20
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: hh_8 has 5033346 basis elements")
 
 
 def test_hhl_counts(capsys):
@@ -157,9 +167,19 @@ def test_failed_invariant_in_linear_algebra_exits_3(capsys, monkeypatch):
         # d_out is the identity, so e_0 is not a cocycle
         Homology(zeros(2, 0), np.eye(2, dtype=np.int64), 3).project([1, 0])
 
-    monkeypatch.setattr(hh2.cli, "cmd_hh", cmd)
-    assert main(["hh", "--p", "3", "--coefficient", "omega"]) == 3
-    assert capsys.readouterr().err == "internal check failure: vector is not a cocycle\n"
+    def project_non_cocycle(*args):
+        # the path hh runs: HHModule.project on a cochain whose d is nonzero
+        from hh2.clubsuit import NaturalMaps
+        from hh2.koszulhh import build_model, homology_named
+        nm = NaturalMaps(3)
+        model = build_model(nm.c, nm.reg)
+        n = next(n for n in range(model.dim) if model.differential({n: 1}))
+        homology_named(model, "omega").project({n: 1})
+
+    for fn in (cmd, project_non_cocycle):
+        monkeypatch.setattr(hh2.cli, "cmd_hh", fn)
+        assert main(["hh", "--p", "3", "--coefficient", "omega"]) == 3
+        assert capsys.readouterr().err == "internal check failure: vector is not a cocycle\n"
 
 
 STRUCTURE_CHECKS = ("Omega associative", "coefficient bimodules satisfy the axioms",

@@ -199,3 +199,24 @@ def test_laurent_window_guard():
     from hh2.operators import UnboundedWindow
     with pytest.raises(UnboundedWindow):
         laurent_window(3, -10**7, 10**7)
+
+
+def test_tower_size_counts_the_basis():
+    from hh2.operators import tower_size
+    for p, top in ((3, 5), (5, 3), (7, 2)):
+        spade = build_spade(p, -3, 4)
+        for level in range(top + 1):
+            for k_max in (None, 12, 3, -1):
+                alg = build_hhl(p, level, spade, k_max=k_max)
+                assert tower_size(spade, level, k_max) == alg.dim, (p, level, k_max)
+
+
+def test_tower_too_large_to_enumerate_is_refused():
+    import pytest
+    from hh2.operators import MAX_WINDOW, UnboundedWindow, tower_size
+    spade = build_spade(3, -3, 4)
+    assert [tower_size(spade, level) for level in range(4, 9)] == [
+        2886, 18662, 120442, 778150, 5033346]
+    assert tower_size(spade, 8) > MAX_WINDOW
+    with pytest.raises(UnboundedWindow, match="hh_8 has 5033346 basis elements"):
+        build_hhl(3, 8, spade)
