@@ -231,11 +231,9 @@ def _spade_associativity(rows: list[list], p: int) -> tuple[int, int]:
 
 def _club_associativity(win) -> tuple[int, int]:
     """Associativity of the club window, scanned like the grid algebra."""
-    from .clubsuit import CLUB_OUT
-
     def product(x, y):
         target, combo = win.product(*x, *y)  # a genuine zero has combo == {}
-        if target is CLUB_OUT:
+        if target is OUT_OF_WINDOW:
             return OUT_OF_WINDOW
         return {(target, m): c for m, c in combo.items()}
 
@@ -265,7 +263,7 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
     does not run at this prime."""
     from .clubsuit import ClubWindow, ConstructionFailure, NaturalMaps
     from .exactlin import sparse_rank
-    from .koszulhh import TooLarge, bar_oracle, build_model, cup, homology_named
+    from .koszulhh import TooLarge, bar_oracle, bar_sizes, build_model, cup, homology_named
     from .operators import build_hhl, project
     from .spadesuit import (build_spade, chi_mul, duality_form_checks,
                             verify_first_principles)
@@ -302,8 +300,18 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
         n = len(hhs[kind].classes)
         check(f"dim HH(Omega, {kind}) = {expect[kind]}", n == expect[kind], f"got {n}")
 
-    h_max = 4 if p == 3 else 3
+    # the oracle runs to the deepest h <= top + 2 at which the cochains of
+    # degrees 1..h+1 fit the cell cap for every coefficient, where top is the
+    # highest Hochschild degree of a named class; it does not run below top
+    cap, top = max_cells(), max(cl.h for hh in hhs.values() for cl in hh.classes)
+    cells = [bar_sizes(nm.omega, nm.modules[kind], top + 3)[1] for kind in COEFFS]
+    h_max = next((h for h in range(top + 2, top - 1, -1)
+                  if all(sum(c[1:h + 2]) <= cap for c in cells)), None)
     for kind in COEFFS:
+        if h_max is None:
+            skip(f"bar oracle h<={top} agrees ({kind})",
+                 f"bar complex to h<={top} would exceed {cap} cells")
+            continue
         name = f"bar oracle h<={h_max} agrees ({kind})"
         try:
             oracle = bar_oracle(nm.omega, nm.modules[kind], h_max)
@@ -329,7 +337,7 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
     check("duality pairing associative", assoc)
 
     if p == 3:
-        win = ClubWindow(p, -3, 4)
+        win = ClubWindow(nm, -3, 4)
         n_checked, n_bad = _club_associativity(win)
         check(f"club window associativity ({n_checked} triples)", n_bad == 0)
         forms_ok = True
@@ -345,12 +353,12 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
         skip("club window associativity", "runs at p = 3 only")
         skip("symmetry form nondegenerate per component pair", "runs at p = 3 only")
 
-    if p <= 5:
+    if p <= 7:
         rep = verify_first_principles(p)
         check(f"spade table vs cup ({len(rep.cells)} cells)", not rep.mismatches,
               rep.summary())
     else:
-        skip("spade table vs cup", "runs at p <= 5 only")
+        skip("spade table vs cup", "runs at p <= 7 only")
 
     a_lo, a_hi = (-3, 4) if p <= 5 else (-2, 3)
     spade = build_spade(p, a_lo, a_hi)

@@ -23,7 +23,7 @@ from .exactlin import sparse_rank
 from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
                        KIND_THETA_SIGMA, Pairing)
 from .quiver import (BasedBimodule, BimoduleMap, GroupedViews, OmegaAlgebra, Table,
-                     TensorProduct, combo_add)
+                     combo_add)
 
 # spade labels: which piece of the class algebra a grid slot carries
 CHI = "chi"
@@ -43,14 +43,14 @@ class WindowTooSmall(Hh2Error):
     pass
 
 
-class _ClubOut:
-    """Marker target for window-truncated products."""
+class OutOfWindow:
+    """Marker for products whose target slot lies outside the built window."""
 
     def __repr__(self):
-        return "CLUB_OUT"
+        return "OutOfWindow"
 
 
-CLUB_OUT = _ClubOut()
+OUT_OF_WINDOW = OutOfWindow()
 
 
 def ideal_partner(omega: OmegaAlgebra, idx: int) -> int:
@@ -342,9 +342,9 @@ class NaturalMaps:
     def pairing_rank_on_tensor(self, name: str) -> tuple[int, int]:
         """Rank of the induced map (X (x)_Omega Y) -> Z for a pairing."""
         pr = self.pairings[name]
-        tp = TensorProduct(pr.x_mod, pr.y_mod)
-        columns = [pr.apply(*tp.pairs[c]) for c in tp.free]
-        return sparse_rank(columns, self.p), tp.dim
+        pairs, free = quiver.tensor_basis(pr.x_mod, pr.y_mod)
+        columns = [pr.apply(*pairs[c]) for c in free]
+        return sparse_rank(columns, self.p), len(free)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +387,8 @@ def component_at(p: int, a: int, b: int) -> GridComponent | None:
 # pairing of NaturalMaps that multiplies the components.  A kind pair with no
 # entry multiplies to zero through the tensor product over Omega.  The
 # collapse pairings are also listed at the theta-type target of the other
-# twist, where their codomain is not the target's module; the club window
-# meets those products only outside its rows and reports them as truncated.
+# twist, where their codomain is not the target's module; there the product
+# is zero, the reason ``verify_first_principles`` calls "degree".
 PRODUCT_TABLE: dict[tuple[str, str, str], str] = {
     (KIND_OMEGA, KIND_OMEGA, KIND_OMEGA): "mult",
     (KIND_OMEGA, KIND_IDEAL, KIND_IDEAL): "act_l:omega-ep-omega",
@@ -423,17 +423,21 @@ PRODUCT_TABLE: dict[tuple[str, str, str], str] = {
 
 
 class ClubWindow:
-    """Realized grid components over a finite (a, b) range with their product."""
+    """Realized grid components of rows i_min..i_max with their product."""
 
-    def __init__(self, p: int, i_min: int, i_max: int, maps: NaturalMaps | None = None):
+    def __init__(self, maps: NaturalMaps, i_min: int, i_max: int):
         if not (i_min <= 0 and 1 <= i_max):
             raise WindowTooSmall("window must contain rows 0 and 1")
-        self.p = p
-        self.maps = maps or NaturalMaps(p)
-        self.components: dict[tuple[int, int], GridComponent] = {}
+        self.p = maps.p
+        self.maps = maps
         self.i_min, self.i_max = i_min, i_max
-        for i in range(i_min, i_max + 1):
-            self.extend_to_row(i)
+        self.components: dict[tuple[int, int], GridComponent] = {}
+        for row in range(i_min, i_max + 1):
+            # component_at is vacant outside min(row, 0) <= a <= max(row, 1)
+            for a in range(min(row, 0), max(row, 1) + 1):
+                comp = component_at(self.p, a, row - a)
+                if comp is not None:
+                    self.components[(a, row - a)] = comp
 
     def module_of(self, comp: GridComponent) -> BasedBimodule:
         return self.maps.modules[comp.kind]
@@ -454,7 +458,9 @@ class ClubWindow:
         """Product of two window elements.
 
         Returns (target, combo); (None, {}) is a genuine zero, while a target
-        slot outside the window gives (CLUB_OUT, None).
+        slot outside the window gives (OUT_OF_WINDOW, None).  A pairing of
+        PRODUCT_TABLE whose codomain is not the target's module multiplies to
+        zero there.
         """
         a, b = comp1.a + comp2.a, comp1.b + comp2.b
         target = component_at(self.p, a, b)
@@ -464,8 +470,11 @@ class ClubWindow:
         if name is None:
             return None, {}
         if (a, b) not in self.components:
-            return CLUB_OUT, None
-        return target, self.maps.pairings[name].apply(m1, m2)
+            return OUT_OF_WINDOW, None
+        pairing = self.maps.pairings[name]
+        if pairing.z_mod is not self.module_of(target):
+            return None, {}
+        return target, pairing.apply(m1, m2)
 
     def socle_evaluation(self, combo) -> int:
         """Sum of the coefficients on idempotent duals of a dual-algebra element."""
@@ -476,27 +485,17 @@ class ClubWindow:
                 total = (total + c) % self.p
         return total
 
-    def extend_to_row(self, row: int) -> None:
-        """Add all grid slots of a row to the window."""
-        # component_at is vacant outside min(row, 0) <= a <= max(row, 1)
-        for a in range(min(row, 0), max(row, 1) + 1):
-            comp = component_at(self.p, a, row - a)
-            if comp is not None and (a, row - a) not in self.components:
-                self.components[(a, row - a)] = comp
-        self.i_min = min(self.i_min, row)
-        self.i_max = max(self.i_max, row)
-
     def symmetry_form(self, i: int):
         """Bilinear forms row -i x row i+2 -> F through the top-left dual slot.
 
         Returns {(slotA, slotB): matrix-as-dict} for the component pairs whose
         product lands at (2, 0); each form is evaluated by projecting onto the
-        socle coordinates of the dual component there.  The window is extended
-        automatically when a requested row is missing.
+        socle coordinates of the dual component there.  Raises WindowTooSmall
+        when row -i, i+2 or 2 lies outside the window.
         """
-        self.extend_to_row(-i)
-        self.extend_to_row(i + 2)
-        self.extend_to_row(2)
+        missing = [row for row in (-i, i + 2, 2) if not self.i_min <= row <= self.i_max]
+        if missing:
+            raise WindowTooSmall(f"the form of row {-i} needs rows {missing} of the window")
         out = {}
         row_lo = [(a, b) for (a, b) in self.components if a + b == -i]
         row_hi = [(a, b) for (a, b) in self.components if a + b == i + 2]

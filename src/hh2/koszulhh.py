@@ -239,11 +239,8 @@ class HHClass:
         self.h = h
         self.rep = rep
 
-    def display(self) -> str:
-        return format_name(self.name)
-
     def __repr__(self):
-        return f"HHClass({self.display()}, j={self.j}, k={self.k}, h={self.h})"
+        return f"HHClass({format_name(self.name)}, j={self.j}, k={self.k}, h={self.h})"
 
 
 def format_name(name: Name) -> str:
@@ -478,15 +475,6 @@ def homology_named(model: CochainModel, kind: str) -> HHModule:
         raise UnrecognizedSignature(
             f"{len(classes)} canonical classes but homology dimension {total}")
     return HHModule(model, classes)
-
-
-def push_named(src: HHModule, tgt: HHModule, name_map: dict[Name, NameCombo],
-               combo: NameCombo) -> NameCombo:
-    """Apply a class-level map given on names to a name combination."""
-    out: NameCombo = {}
-    for name, coeff in combo.items():
-        combo_add(out, name_map.get(name, {}), coeff, src.p)
-    return out
 
 
 def cup(model_x: CochainModel, u: Cochain, model_y: CochainModel, v: Cochain,

@@ -48,7 +48,7 @@ class BigradedAlgebra:
         return len(self.basis)
 
 
-MAX_WINDOW = 1_000_000
+MAX_WINDOW = 250_000
 
 
 def laurent_window(p: int, d_min: int, d_max: int) -> BigradedAlgebra:
@@ -201,9 +201,6 @@ class HHLAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def unit(self) -> TowerElement:
-        return TowerElement(tuple(self.spade.unit() for _ in range(self.level)), 0)
-
     def product(self, e1: TowerElement, e2: TowerElement):
         """{TowerElement: coeff} or OUT_OF_WINDOW."""
         p = self.p
@@ -241,11 +238,7 @@ class HHLAlgebra:
         return dict(sorted(out.items()))
 
 
-def build_hhl(p: int, level: int, spade: SpadeAlgebra | None = None,
-              k_max: int | None = None, a_min: int = -3, a_max: int = 4) -> HHLAlgebra:
-    from .spadesuit import build_spade
-    if spade is None:
-        spade = build_spade(p, a_min, a_max)
+def build_hhl(p: int, level: int, spade: SpadeAlgebra, k_max: int | None = None) -> HHLAlgebra:
     return HHLAlgebra(p, level, spade, k_max=k_max)
 
 

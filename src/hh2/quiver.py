@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import Hh2Error
-from .exactlin import check_odd_prime, combo_add, sparse_pivots, sparse_reduce
+from .exactlin import check_odd_prime, combo_add, sparse_pivots
 
 Combo = dict[int, int]
 
@@ -245,12 +245,6 @@ class BasedAlgebra:
                 if self.mul_basis(iv, iw) != expect:
                     raise AssertionError("idempotents not orthogonal")
 
-
-    def to_document(self) -> dict:
-        """Basis and structure constants in the command line JSON shape."""
-        return _document(self.p, self.name or "algebra", self.basis,
-                         [(self.products, self.basis, self.basis)])
-
     def check_degrees(self) -> None:
         for (i, j), prod in self.products.items():
             bi, bj = self.basis[i], self.basis[j]
@@ -258,18 +252,6 @@ class BasedAlgebra:
                 b = self.basis[idx]
                 if (b.j, b.k) != (bi.j + bj.j, bi.k + bj.k):
                     raise AssertionError(f"degree additivity fails on {bi.name}*{bj.name}")
-
-
-def _document(p: int, name: str, basis: list[BasisElement], tables) -> dict:
-    """The command line JSON shape of a basis and of (table, left factor basis,
-    right factor basis) triples whose values are combos over that basis."""
-    rows = [{"name": b.name, "a": None, "b": None, "i": None, "j": b.j, "k": b.k,
-             "h": None, "idempotent": f"e_{b.left}|e_{b.right}"} for b in basis]
-    products = [{"left": x_basis[i].name, "right": y_basis[j].name,
-                 "result": [{"name": basis[t].name, "coeff": int(c)}
-                            for t, c in sorted(prod.items())]}
-                for table, x_basis, y_basis in tables for (i, j), prod in sorted(table.items())]
-    return {"p": p, "object": name, "basis": rows, "products": products, "checks": []}
 
 
 class BasedBimodule:
@@ -293,12 +275,6 @@ class BasedBimodule:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def to_document(self) -> dict:
-        """Basis plus both action tables in the command line JSON shape."""
-        alg_basis, basis = self.over.basis, self.basis
-        return _document(self.p, self.name or "bimodule", basis,
-                         [(self.left, alg_basis, basis), (self.right, basis, alg_basis)])
 
     def check_bimodule(self) -> None:
         alg, basis, name = self.over, self.basis, self.name
@@ -529,18 +505,6 @@ def theta_products(omega: OmegaAlgebra, keep: list[int]) -> Table:
     return products
 
 
-def build_theta(p: int, omega: OmegaAlgebra | None = None) -> BasedAlgebra:
-    """The preprojective algebra of type A_{p-1} as a BasedAlgebra."""
-    omega = omega or build_omega(p)
-    keep = [i for i in range(omega.dim) if not omega.in_ideal(i)]
-    reindex = {old: new for new, old in enumerate(keep)}
-    basis = [omega.basis[i] for i in keep]
-    idem = {v: reindex[i] for v, i in omega.idem.items() if i in reindex}
-    alg = BasedAlgebra(p, basis, theta_products(omega, keep), idem, name="Theta")
-    alg.parent_index = keep
-    return alg
-
-
 def theta_sigma_index(omega: OmegaAlgebra, idx: int) -> int:
     """Index of the involution image of a non-ideal monomial (swap arrows, flip vertices)."""
     src, a, b = omega.data(idx)
@@ -601,86 +565,47 @@ def dual(mod: BasedBimodule) -> BasedBimodule:
     return BasedBimodule(mod.over, basis, left, right, name=mod.name + "*")
 
 
-class TensorProduct(BasedBimodule):
-    """M (x)_Omega N computed as a quotient of the vertex-matched pair space.
+def tensor_basis(m_mod: BasedBimodule, n_mod: BasedBimodule
+                 ) -> tuple[list[tuple[int, int]], list[int]]:
+    """M (x)_Omega N as a quotient of the vertex-matched pair space.
 
-    The relations are sparse combos over the pairs, reduced by
-    ``sparse_pivots``; their pivots are the leading pairs of the relation
-    span, and the other pairs, in order, are the basis of the quotient.
+    Returns (pairs, free): the slot-matched pairs (i, j), and the places in
+    pairs of the quotient's basis.  The relations (m.w)(x)n - m(x)(w.n) are
+    sparse combos over the pairs, reduced by ``sparse_pivots``; their pivots
+    are the leading pairs of the relation span, and the other pairs, in
+    order, are free.
     """
+    if m_mod.over is not n_mod.over:
+        raise IncompatibleAlgebras("tensor factors live over different algebras")
+    omega = m_mod.over
+    pairs = [(i, j) for i in range(m_mod.dim) for j in range(n_mod.dim)
+             if m_mod.basis[i].right == n_mod.basis[j].left]
+    pair_index = {pr: n for n, pr in enumerate(pairs)}
 
-    def __init__(self, m_mod: BasedBimodule, n_mod: BasedBimodule):
-        if m_mod.over is not n_mod.over:
-            raise IncompatibleAlgebras("tensor factors live over different algebras")
-        omega = m_mod.over
-        p = omega.p
-        self.p = p
-        pairs = [(i, j) for i in range(m_mod.dim) for j in range(n_mod.dim)
-                 if m_mod.basis[i].right == n_mod.basis[j].left]
-        pair_index = {pr: n for n, pr in enumerate(pairs)}
-
-        # relations (m.w)(x)n - m(x)(w.n) over the slot-matched triples (m, w, n)
-        relations: list[Combo] = []
-        for i in range(m_mod.dim):
-            for a in range(omega.dim):
-                if omega.basis[a].j == 0:
-                    continue  # idempotent relations hold on the nose
-                if m_mod.basis[i].right != omega.basis[a].left:
+    # relations (m.w)(x)n - m(x)(w.n) over the slot-matched triples (m, w, n)
+    relations: list[Combo] = []
+    for i in range(m_mod.dim):
+        for a in range(omega.dim):
+            if omega.basis[a].j == 0:
+                continue  # idempotent relations hold on the nose
+            if m_mod.basis[i].right != omega.basis[a].left:
+                continue
+            mi = m_mod.right.get((i, a), {})
+            for j in range(n_mod.dim):
+                if omega.basis[a].right != n_mod.basis[j].left:
                     continue
-                mi = m_mod.right.get((i, a), {})
-                for j in range(n_mod.dim):
-                    if omega.basis[a].right != n_mod.basis[j].left:
-                        continue
-                    nj = n_mod.left.get((a, j), {})
-                    if not mi and not nj:
-                        continue  # an empty relation adds nothing to the span
-                    rel: Combo = {}
-                    terms = [((tgt, j), c) for tgt, c in mi.items()]
-                    terms += [((i, tgt), -c) for tgt, c in nj.items()]
-                    for pr, c in terms:
-                        if pr in pair_index:
-                            rel[pair_index[pr]] = rel.get(pair_index[pr], 0) + c
-                    relations.append(rel)
-        self.rel_pivots = sparse_pivots(relations, p)
-        free = [c for c in range(len(pairs)) if c not in self.rel_pivots]
-        self.pairs = pairs
-        self.pair_index = pair_index
-        self.free = free
-        self._free_pos = {c: new for new, c in enumerate(free)}
-
-        basis = []
-        for c in free:
-            i, j = pairs[c]
-            bi, bj = m_mod.basis[i], n_mod.basis[j]
-            basis.append(BasisElement(f"{bi.name}(x){bj.name}", bi.left, bj.right,
-                                      bi.j + bj.j, bi.k + bj.k))
-        left: dict[tuple[int, int], Combo] = {}
-        right: dict[tuple[int, int], Combo] = {}
-        for new, c in enumerate(free):
-            i, j = pairs[c]
-            for a in range(omega.dim):
-                acted = m_mod.left.get((a, i), {})
-                combo: Combo = {}
-                for tgt, cc in acted.items():
-                    combo_add(combo, self.project_pair(tgt, j), cc, p)
-                if combo:
-                    left[(a, new)] = combo
-                acted = n_mod.right.get((j, a), {})
-                combo = {}
-                for tgt, cc in acted.items():
-                    combo_add(combo, self.project_pair(i, tgt), cc, p)
-                if combo:
-                    right[(new, a)] = combo
-        super().__init__(omega, basis, left, right, name=f"{m_mod.name}(x){n_mod.name}")
-
-    def project_pair(self, i: int, j: int) -> Combo:
-        """Image of the pure tensor basis[i] (x) basis[j] in the quotient basis:
-        the pair reduced by the relations' pivots."""
-        pr = (i, j)
-        if pr not in self.pair_index:
-            return {}
-        vec = sparse_reduce({self.pair_index[pr]: 1}, self.rel_pivots, self.p)
-        return {self._free_pos[c]: v for c, v in vec.items()}
+                nj = n_mod.left.get((a, j), {})
+                if not mi and not nj:
+                    continue  # an empty relation adds nothing to the span
+                rel: Combo = {}
+                terms = [((tgt, j), c) for tgt, c in mi.items()]
+                terms += [((i, tgt), -c) for tgt, c in nj.items()]
+                for pr, c in terms:
+                    if pr in pair_index:
+                        rel[pair_index[pr]] = rel.get(pair_index[pr], 0) + c
+                relations.append(rel)
+    pivots = sparse_pivots(relations, omega.p)
+    return pairs, [c for c in range(len(pairs)) if c not in pivots]
 
 
 class BimoduleMap:

@@ -24,27 +24,17 @@ from functools import lru_cache
 
 from . import Hh2Error
 from .clubsuit import (CHI, CHIBAR_MINUS, CHIBAR_PLUS, CHIBARSTAR_MINUS,
-                       CHIBARSTAR_PLUS, CHIUNDER, OMEGA0, PRODUCT_TABLE,
+                       CHIBARSTAR_PLUS, CHIUNDER, OMEGA0, OUT_OF_WINDOW, PRODUCT_TABLE,
                        GridComponent, NaturalMaps, component_at)
-from .exactlin import check_odd_prime, sparse_rank
+from .exactlin import check_odd_prime, combo_add, sparse_rank
 from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Name, NameCombo,
                        build_model, concrete_degree, cup, format_name, homology_named,
-                       idempotent_label, push_named)
+                       idempotent_label)
 from .quiver import failing_triple
 
 
 class WindowEmpty(Hh2Error):
     pass
-
-
-class OutOfWindow:
-    """Marker for products whose target slot lies outside the built window."""
-
-    def __repr__(self):
-        return "OutOfWindow"
-
-
-OUT_OF_WINDOW = OutOfWindow()
 
 
 def component_names(p: int, kind: str) -> list[Name]:
@@ -238,18 +228,15 @@ def name_product(p: int, kind1: str, n1: Name, kind2: str, n2: Name,
 class SpadeAlgebra:
     """Windowed realization with the closed-form product."""
 
-    def __init__(self, p: int, a_min: int, a_max: int,
-                 b_min: int | None = None, b_max: int | None = None):
+    def __init__(self, p: int, a_min: int, a_max: int):
         check_odd_prime(p)
         self.p = p
+        # the b-range mirrors the a-range, covering rows 2*a_min..2*a_max
         self.a_min, self.a_max = a_min, a_max
-        # default b-range mirrors the a-range, covering rows 2*a_min..2*a_max
-        self.b_min = b_min if b_min is not None else a_min
-        self.b_max = b_max if b_max is not None else a_max
         self.basis: list[SpadeElement] = []
         self.slots: dict[tuple[int, int], GridComponent] = {}
         for a in range(a_min, a_max + 1):
-            for b in range(self.b_min, self.b_max + 1):
+            for b in range(a_min, a_max + 1):
                 comp = component_at(p, a, b)
                 if comp is None:
                     continue
@@ -263,10 +250,8 @@ class SpadeAlgebra:
         # as nested lists so that a product looks its slots up without
         # allocating
         self._a0 = min(a_min, 2 * a_min)
-        self._b0 = min(self.b_min, 2 * self.b_min)
-        self._grid = [[component_at(p, a, b)
-                       for b in range(self._b0, max(self.b_max, 2 * self.b_max) + 1)]
-                      for a in range(self._a0, max(a_max, 2 * a_max) + 1)]
+        span = range(self._a0, max(a_max, 2 * a_max) + 1)
+        self._grid = [[component_at(p, a, b) for b in span] for a in span]
 
     @property
     def dim(self) -> int:
@@ -280,21 +265,21 @@ class SpadeAlgebra:
 
     def product(self, m1: SpadeElement, m2: SpadeElement):
         """Linear combination {SpadeElement: coeff}, or OUT_OF_WINDOW."""
-        grid, a0, b0 = self._grid, self._a0, self._b0
-        target = grid[m1.a + m2.a - a0][m1.b + m2.b - b0]
+        grid, a0 = self._grid, self._a0
+        target = grid[m1.a + m2.a - a0][m1.b + m2.b - a0]
         if target is None:
             return {}
         names = name_product(self.p, m1.kind, m1.name, m2.kind, m2.name, target.label)
         if not names:
             return {}
-        if not (self.a_min <= target.a <= self.a_max and self.b_min <= target.b <= self.b_max):
+        if not (self.a_min <= target.a <= self.a_max and self.a_min <= target.b <= self.a_max):
             return OUT_OF_WINDOW
         # Koszul sign from the odd k-suspension of the plus-side components:
         # only the right factor's slot shift against the left factor's
         # unshifted k-degree enters; this is the unique rule of this shape
         # compatible with associativity and supercommutativity on full windows.
-        k2_shift = grid[m2.a - a0][m2.b - b0].kshift
-        k1_unshifted = m1.k - grid[m1.a - a0][m1.b - b0].kshift
+        k2_shift = grid[m2.a - a0][m2.b - a0].kshift
+        k1_unshifted = m1.k - grid[m1.a - a0][m1.b - a0].kshift
         sign = -1 if (k2_shift * k1_unshifted) % 2 else 1
         out = {}
         for name, coeff in names.items():
@@ -311,7 +296,7 @@ class SpadeAlgebra:
         on the name pairs that one table per label triple lists.
         """
         p, basis, index = self.p, self.basis, self.index
-        grid, a0, b0 = self._grid, self._a0, self._b0
+        grid, a0 = self._grid, self._a0
         product = self.product
         n = len(basis)
         rows: list[list] = [[()] * n for _ in range(n)]
@@ -324,7 +309,7 @@ class SpadeAlgebra:
         nonzero: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
         for a1, b1, label1, first1 in slots:
             for a2, b2, label2, first2 in slots:
-                target = grid[a1 + a2 - a0][b1 + b2 - b0]
+                target = grid[a1 + a2 - a0][b1 + b2 - a0]
                 if target is None:
                     continue
                 key = (label1, label2, target.label)
@@ -342,9 +327,8 @@ class SpadeAlgebra:
         return rows
 
 
-def build_spade(p: int, a_min: int, a_max: int,
-                b_min: int | None = None, b_max: int | None = None) -> SpadeAlgebra:
-    return SpadeAlgebra(p, a_min, a_max, b_min, b_max)
+def build_spade(p: int, a_min: int, a_max: int) -> SpadeAlgebra:
+    return SpadeAlgebra(p, a_min, a_max)
 
 
 def augmentation(m: SpadeElement) -> int:
@@ -513,8 +497,9 @@ def verify_first_principles(p: int, a_min: int = -3, a_max: int = 4) -> Verifica
                         inner, _mu = pairing.factor
                         w = cup(models[s1.kind], u, models[s2.kind], v, inner,
                                 models[KIND_THETA_SIGMA])
-                        mid = hhs[KIND_THETA_SIGMA].project(w)
-                        res = push_named(hhs[KIND_THETA_SIGMA], hhs[KIND_DUAL], mu_names, mid)
+                        res = {}
+                        for name, coeff in hhs[KIND_THETA_SIGMA].project(w).items():
+                            combo_add(res, mu_names.get(name, {}), coeff, p)
                     else:
                         w = cup(models[s1.kind], u, models[s2.kind], v, pairing,
                                 models[st.kind])

@@ -127,7 +127,7 @@ def test_criterion_6_duality_pairing():
 
 def test_criterion_7_club_window():
     t0 = time.monotonic()
-    win = ClubWindow(3, -3, 4)
+    win = ClubWindow(NaturalMaps(3), -3, 4)
     checked, bad = _club_associativity(win)
     assert bad == 0 and checked > 1_000_000
     assert (checked, bad) == (1676825, 0)
@@ -144,7 +144,6 @@ def test_criterion_7_club_window():
         for j, (c2, m2) in enumerate(elems):
             prods[(i, j)] = win.product(c1, m1, c2, m2)
     idx_of = {((c.a, c.b), m): i for i, (c, m) in enumerate(elems)}
-    from hh2.clubsuit import CLUB_OUT
     bad = 0
     for i, (ci, mi) in enumerate(elems):
         for j, (cj, mj) in enumerate(elems):
@@ -153,13 +152,13 @@ def test_criterion_7_club_window():
                     continue
                 tl, rl = prods[(i, j)]
                 tr, rr = prods[(j, k)]
-                if tl is CLUB_OUT or tr is CLUB_OUT:
+                if tl is OUT_OF_WINDOW or tr is OUT_OF_WINDOW:
                     continue
                 lhs = 0
                 if tl is not None:
                     for m, c in rl.items():
                         t2, r2 = prods[(idx_of[((tl.a, tl.b), m)], k)]
-                        if t2 is CLUB_OUT:
+                        if t2 is OUT_OF_WINDOW:
                             lhs = None
                             break
                         if t2 is not None and (t2.a, t2.b) == (2, 0):
@@ -168,7 +167,7 @@ def test_criterion_7_club_window():
                 if tr is not None:
                     for m, c in rr.items():
                         t2, r2 = prods[(i, idx_of[((tr.a, tr.b), m)])]
-                        if t2 is CLUB_OUT:
+                        if t2 is OUT_OF_WINDOW:
                             rhs = None
                             break
                         if t2 is not None and (t2.a, t2.b) == (2, 0):

@@ -112,13 +112,15 @@ def test_spadesuit_first_principles_flag(capsys):
 
 
 def test_verify_reports_skipped_checks(capsys):
-    status, out = run(capsys, ["verify", "--p", "7"])
+    status, out = run(capsys, ["verify", "--p", "11"])
     assert status == 0
     checks = json.loads(out)["checks"]
     skipped = {c["name"]: c["reason"] for c in checks if c["status"] == "SKIP"}
     for kind in ("omega", "theta", "theta-sigma", "omega-dual", "omega-ep-omega"):
-        assert f"bar oracle h<=3 agrees ({kind})" in skipped
-    assert "spade table vs cup" in skipped and "club window associativity" in skipped
+        assert skipped[f"bar oracle h<=2 agrees ({kind})"] == \
+            "bar complex to h<=2 would exceed 1000000 cells"
+    assert skipped["spade table vs cup"] == "runs at p <= 7 only"
+    assert "club window associativity" in skipped
     assert all(skipped.values())
     assert all(c["status"] == "PASS" for c in checks if c["status"] != "SKIP")
 
@@ -238,14 +240,17 @@ def test_map_that_does_not_intertwine_is_a_failed_check(capsys, monkeypatch):
 
 
 def test_cell_cap_skips_only_the_bar_oracle(capsys, monkeypatch):
-    # a valid cap too small for the oracle turns its five checks into SKIPs
-    # with the cap's reason; every other check still runs and passes
-    monkeypatch.setenv("HH2_MAX_CELLS", "1000")
-    status, out = run(capsys, ["verify", "--p", "3", "--format", "csv"])
-    assert status == 0
-    lines = out.splitlines()
-    skips = [line for line in lines if line.startswith("SKIP")]
-    assert skips == [f"SKIP  bar oracle h<=4 agrees ({kind})  [bar complex would exceed 1000 cells]"
-                     for kind in COEFFS]
-    assert len(lines) == 27
-    assert all(line.startswith("PASS") for line in lines if line not in skips)
+    # the cap sets the oracle's depth: 1000 cells reach h <= 2 at p=3, the
+    # highest degree of a class, and 100 cells do not, so its five checks
+    # SKIP with the cap's reason; every other check still runs and passes
+    for cap, oracle in (("1000", "PASS  bar oracle h<=2 agrees ({})"),
+                        ("100", "SKIP  bar oracle h<=2 agrees ({})"
+                                "  [bar complex to h<=2 would exceed 100 cells]")):
+        monkeypatch.setenv("HH2_MAX_CELLS", cap)
+        status, out = run(capsys, ["verify", "--p", "3", "--format", "csv"])
+        assert status == 0
+        lines = out.splitlines()
+        assert lines[9:14] == [oracle.format(kind) for kind in COEFFS]
+        assert len(lines) == 27
+        rest = lines[:9] + lines[14:]
+        assert all(line.startswith("PASS") and "bar oracle" not in line for line in rest)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hh2.clubsuit import (CLUB_OUT, ClubWindow, NaturalMaps, WindowTooSmall,
+from hh2.cli import _club_associativity
+from hh2.clubsuit import (OUT_OF_WINDOW, ClubWindow, NaturalMaps, WindowTooSmall,
                           component_at, ideal_partner, theta_partner)
 from hh2.exactlin import rank
 from hh2.koszulhh import KIND_DUAL, KIND_IDEAL, KIND_THETA, KIND_THETA_SIGMA
@@ -66,13 +67,13 @@ def test_grid_shifts_match_stated_rows():
     assert component_at(p, 0, 1) is None
 
 
-def test_window_requires_rows_zero_and_one():
+def test_window_requires_rows_zero_and_one(maps3):
     with pytest.raises(WindowTooSmall):
-        ClubWindow(3, 1, 2)
+        ClubWindow(maps3, 1, 2)
 
 
 def test_club_products_examples(maps3):
-    win = ClubWindow(3, -2, 3, maps=maps3)
+    win = ClubWindow(maps3, -2, 3)
     ideal_comp = win.components[(1, 0)]
     dual_comp = win.components[(2, 0)]
     # (ideal).(ideal) lands in the dual component via the perfect pairing
@@ -93,14 +94,14 @@ def test_club_products_examples(maps3):
             acc = {}
             for e in unit:
                 tgt, combo = win.product(omega_comp, e, comp, m)
-                if tgt not in (None, CLUB_OUT):
+                if tgt not in (None, OUT_OF_WINDOW):
                     for idx, c in combo.items():
                         acc[idx] = (acc.get(idx, 0) + c) % 3
             assert acc == {m: 1}, (key, m)
 
 
 def test_row0_row2_form_is_evaluation(maps3):
-    win = ClubWindow(3, -1, 2, maps=maps3)
+    win = ClubWindow(maps3, -1, 2)
     forms = win.symmetry_form(0)
     mat, d1, d2 = forms[((0, 0), (2, 0))]
     # the dual basis is indexed like the algebra basis: evaluation pairing
@@ -111,7 +112,7 @@ def test_row0_row2_form_is_evaluation(maps3):
 
 
 def test_symmetry_forms_nondegenerate_p3(maps3):
-    win = ClubWindow(3, -3, 4, maps=maps3)
+    win = ClubWindow(maps3, -3, 4)
     for i in range(0, 3):
         for (_sa, _sb), (mat, d1, d2) in win.symmetry_form(i).items():
             arr = np.zeros((d1, d2), dtype=np.int64)
@@ -120,10 +121,17 @@ def test_symmetry_forms_nondegenerate_p3(maps3):
             assert d1 == d2 and rank(arr, 3) == d1
 
 
-def test_symmetry_form_extends_window(maps3):
-    win = ClubWindow(3, -1, 2, maps=maps3)
-    win.symmetry_form(2)  # needs rows -2 and 4
-    assert (-2, 0) in win.components and (4, 0) in win.components
+def test_symmetry_form_needs_its_rows_in_the_window(maps3):
+    with pytest.raises(WindowTooSmall):
+        ClubWindow(maps3, -1, 2).symmetry_form(2)  # needs rows -2 and 4
+    forms = ClubWindow(maps3, -2, 4).symmetry_form(2)
+    assert ((-2, 0), (4, 0)) in forms
+
+
+def test_products_off_the_target_module_are_zero(maps3):
+    # rows -4..5 meet the collapse pairings listed at a theta-type target of
+    # the other twist; they land outside the target's module, so they are 0
+    assert _club_associativity(ClubWindow(maps3, -4, 5)) == (4514855, 0)
 
 
 def test_theta_partner_involution_via_sigma(maps5):
@@ -135,7 +143,7 @@ def test_theta_partner_involution_via_sigma(maps5):
 
 
 def test_club_products_degree_additive(maps3):
-    win = ClubWindow(3, -2, 3, maps=maps3)
+    win = ClubWindow(maps3, -2, 3)
     for key1, c1 in win.components.items():
         mod1 = win.module_of(c1)
         for key2, c2 in win.components.items():
@@ -143,7 +151,7 @@ def test_club_products_degree_additive(maps3):
             for m1 in range(mod1.dim):
                 for m2 in range(mod2.dim):
                     tgt, combo = win.product(c1, m1, c2, m2)
-                    if tgt in (None, CLUB_OUT):
+                    if tgt in (None, OUT_OF_WINDOW):
                         continue
                     i1, j1, k1 = win.total_degree(c1, m1)
                     i2, j2, k2 = win.total_degree(c2, m2)

@@ -11,15 +11,19 @@ import pytest
 from hh2.cli import _product_rows
 from hh2.spadesuit import build_spade
 
+# (p, a_min, a_max, b_min, b_max): a window and the b-range its slots fill,
+# None for the a-range, which the b-range mirrors
 WINDOWS = ([(p, -3, 4, None, None) for p in (3, 5, 7)]
            + [(p, -2, 3, None, None) for p in (3, 11, 13)]
-           + [(5, -2, 3, -3, 2),    # explicit b bounds
-              (5, 0, 0, 0, 0)])     # one slot: the class algebra chi at (0, 0)
+           + [(5, 0, 0, 0, 0)])     # one slot: the class algebra chi at (0, 0)
 
 
 @pytest.mark.parametrize("window", WINDOWS, ids=str)
 def test_rows_match_one_call_per_pair(window):
-    alg = build_spade(*window)
+    p, a_min, a_max, b_min, b_max = window
+    alg = build_spade(p, a_min, a_max)
+    b_lo, b_hi = (a_min, a_max) if b_min is None else (b_min, b_max)
+    assert {b for _, b in alg.slots} == set(range(b_lo, b_hi + 1))
     calls = 0
     product = alg.product
 
