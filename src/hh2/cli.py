@@ -5,9 +5,9 @@ emitted in a canonical sort order and scalars are integers in [0, p); the
 scalar 1/2 appears as (p+1)/2.
 
 Exit codes: 0 success (checks may PASS or SKIP), 2 invalid arguments or
-environment (including an empty spadesuit window), 3 a check failed or hh2
-raised one of its own errors (an ``Hh2Error``, or an ``AssertionError``
-from an internal invariant).  Any other exception is a crash: it propagates
+environment (including an empty or too large spadesuit window), 3 a check
+failed or hh2 raised one of its own errors (an ``Hh2Error``, or an
+``AssertionError`` from an internal invariant).  Any other exception is a crash: it propagates
 with its traceback and the interpreter exits 1.
 """
 
@@ -18,20 +18,53 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import Hh2Error, __version__
 from .exactlin import is_odd_prime
 from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
                        KIND_THETA_SIGMA, max_cells)
 from .operators import UnboundedWindow
-from .spadesuit import OUT_OF_WINDOW, WindowEmpty
+from .spadesuit import OUT_OF_WINDOW, WindowEmpty, WindowTooLarge
 
 COEFFS = (KIND_OMEGA, KIND_THETA, KIND_THETA_SIGMA, KIND_DUAL, KIND_IDEAL)
 
 
+def _json(value, out: list[str], indent: str = "\n") -> None:
+    """Append the text of json.dumps(value, indent=2, sort_keys=True) to out.
+
+    json.dumps runs its pure-Python encoder whenever it indents; this walk
+    writes the same bytes in about half the time.  Keys must be strings.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif type(value) is int:  # as json.dumps writes it, without its call
+        out.append(repr(value))
+    elif isinstance(value, dict) and value:
+        inner = indent + "  "
+        sep = "{"
+        for key, item in sorted(value.items()):
+            out += sep, inner, encode_basestring_ascii(key), ": "
+            _json(item, out, inner)
+            sep = ","
+        out += indent, "}"
+    elif isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        sep = "["
+        for item in value:
+            out += sep, inner
+            _json(item, out, inner)
+            sep = ","
+        out += indent, "]"
+    else:  # a number, a bool, None or an empty container
+        out.append(json.dumps(value))
+
+
 def _emit(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True)
+        parts: list[str] = []
+        _json(doc, parts)
+        return "".join(parts)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["name", "a", "b", "i", "j", "k", "h", "idempotent"])
@@ -492,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
             out, status = cmd_verify(args.p, args.format)
         else:  # pragma: no cover
             return 2
-    except (WindowEmpty, UnboundedWindow) as exc:
+    except (WindowEmpty, WindowTooLarge, UnboundedWindow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, Hh2Error) as exc:

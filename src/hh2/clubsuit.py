@@ -70,12 +70,13 @@ def theta_partner(omega: OmegaAlgebra, idx: int) -> int:
 
 def _restrict(table: Table, rows: dict[int, int] | None = None,
               cols: dict[int, int] | None = None) -> Table:
-    """A copy of the nonempty entries whose row (col) index is a key of rows
-    (cols), renumbered by it; None keeps every index of that side as it is."""
+    """The nonempty entries whose row (col) index is a key of rows (cols),
+    renumbered by it; None keeps every index of that side as it is.  The
+    entries' combos are shared with table, not copied."""
     out: Table = {}
     for (x, y), prod in table.items():
         if prod and (rows is None or x in rows) and (cols is None or y in cols):
-            out[(x if rows is None else rows[x], y if cols is None else cols[y])] = dict(prod)
+            out[(x if rows is None else rows[x], y if cols is None else cols[y])] = prod
     return out
 
 
@@ -102,22 +103,22 @@ def _compose(table: Table, mp: BimoduleMap, p: int, inner: bool = False) -> Tabl
     return {key: combo for key, combo in out.items() if combo}
 
 
-class Pairings(Mapping):
-    """The pairings of NaturalMaps by name; each is built when first read.
+class BuiltOnRead(Mapping):
+    """Values by name, each built when first read.
 
     Membership, length and iteration see every name, in the listed order,
     without building anything; reading a value builds it once.
     """
 
-    def __init__(self, builders: dict[str, Callable[[], Pairing]]):
+    def __init__(self, builders: dict[str, Callable[[], object]]):
         self._builders = builders
-        self._built: dict[str, Pairing] = {}
+        self._built: dict[str, object] = {}
 
-    def __getitem__(self, name: str) -> Pairing:
-        pr = self._built.get(name)
-        if pr is None:
-            pr = self._built[name] = self._builders[name]()
-        return pr
+    def __getitem__(self, name: str):
+        value = self._built.get(name)
+        if value is None:
+            value = self._built[name] = self._builders[name]()
+        return value
 
     def __contains__(self, name) -> bool:
         return name in self._builders
@@ -136,67 +137,70 @@ class Pairings(Mapping):
 class NaturalMaps:
     """Bimodules and all natural maps/pairings for one prime p.
 
-    Modules and maps are built at once, except beta and lambda and the duals
-    they land in; each of those and each pairing is built when first read.
+    Only c and Omega are built at once.  Every module, map and pairing is
+    built when it is first read, so a caller pays only for what it reads;
+    ``modules`` and ``pairings`` are ``BuiltOnRead`` mappings by name.
     """
 
     def __init__(self, p: int):
         self.p = p
         self.c = quiver.build_zigzag_c(p)
         self.omega = quiver.build_omega(p)
-        om = self.omega
-        self.reg = quiver.regular_bimodule(om)
-        self.theta = quiver.quotient_theta(om)
-        self.theta_sigma = quiver.twist_sigma(self.theta)
-        self.dual = quiver.dual(self.reg)
-        self.ideal = quiver.sub_ideal_epep(om)
-        self.modules = {
-            KIND_OMEGA: self.reg,
-            KIND_THETA: self.theta,
-            KIND_THETA_SIGMA: self.theta_sigma,
-            KIND_DUAL: self.dual,
-            KIND_IDEAL: self.ideal,
-        }
-        self._pos_in_ideal = {old: new for new, old in enumerate(self.ideal.parent_index)}
-        self._pos_in_theta = {old: new for new, old in enumerate(self.theta.parent_index)}
-        self._build_maps()
-        self.pairings = Pairings(self._pairing_builders())
+        self.modules = BuiltOnRead({
+            KIND_OMEGA: lambda: self.reg, KIND_THETA: lambda: self.theta,
+            KIND_THETA_SIGMA: lambda: self.theta_sigma, KIND_DUAL: lambda: self.dual,
+            KIND_IDEAL: lambda: self.ideal})
+        self.pairings = BuiltOnRead(self._pairing_builders())
+
+    # -- modules -------------------------------------------------------------
+
+    reg = cached_property(lambda self: quiver.regular_bimodule(self.omega))
+    theta = cached_property(lambda self: quiver.quotient_theta(self.omega))
+    theta_sigma = cached_property(lambda self: quiver.twist_sigma(self.theta))
+    dual = cached_property(lambda self: quiver.dual(self.reg))
+    ideal = cached_property(lambda self: quiver.sub_ideal_epep(self.omega))
+    ideal_dual = cached_property(lambda self: quiver.dual(self.ideal))
+    theta_dual = cached_property(lambda self: quiver.dual(self.theta))
+    # where each monomial of the ideal (of Theta) sits in that module's basis
+    _pos_in_ideal = cached_property(
+        lambda self: {m: n for n, m in enumerate(self.ideal.parent_index)})
+    _pos_in_theta = cached_property(
+        lambda self: {m: n for n, m in enumerate(self.theta.parent_index)})
 
     # -- linear maps ---------------------------------------------------------
 
-    def _build_maps(self) -> None:
-        om, p = self.omega, self.p
-        ideal, reg, dualm = self.ideal, self.reg, self.dual
-        theta, ths = self.theta, self.theta_sigma
-        pos_in_ideal, pos_in_theta = self._pos_in_ideal, self._pos_in_theta
-
+    @cached_property
+    def alpha(self) -> BimoduleMap:
         # alpha: ideal -> Omega (inclusion)
+        ideal = self.ideal
         cols = [{ideal.parent_index[m]: 1} for m in range(ideal.dim)]
-        self.alpha = BimoduleMap(ideal, reg, cols, name="alpha")
-
-        # gamma: Omega* ->> ideal,  m* -> beta-partner(m) for ideal monomials
-        # (the dual basis is indexed like Omega's)
-        cols = [{pos_in_ideal[ideal_partner(om, m)]: 1} if om.in_ideal(m) else {}
-                for m in range(dualm.dim)]
-        self.gamma = BimoduleMap(dualm, ideal, cols,
-                                 dj=2 - 2 * p, dk=2 * p - 2, name="gamma")
-
-        # kappa: Omega ->> Theta
-        cols = [{pos_in_theta[m]: 1} if m in pos_in_theta else {} for m in range(reg.dim)]
-        self.kappa = BimoduleMap(reg, theta, cols, name="kappa")
-
-        # mu = kappa* o lam, Theta^sigma -> Omega*: m -> the form partner of
-        # its underlying monomial
-        cols = [{theta_partner(om, m): 1} for m in theta.parent_index]
-        self.mu = BimoduleMap(ths, dualm, cols,
-                              dj=p - 2, dk=-(p - 2), name="mu")
-
-    # beta and lambda, and the duals they land in, are read by check_maps
-    # only, so they are built on first read
+        return BimoduleMap(ideal, self.reg, cols, name="alpha")
 
     @cached_property
-    def ideal_dual(self) -> BasedBimodule:
-        return quiver.dual(self.ideal)
+    def gamma(self) -> BimoduleMap:
+        # gamma: Omega* ->> ideal,  m* -> beta-partner(m) for ideal monomials
+        # (the dual basis is indexed like Omega's)
+        om, p, pos_in_ideal = self.omega, self.p, self._pos_in_ideal
+        cols = [{pos_in_ideal[ideal_partner(om, m)]: 1} if om.in_ideal(m) else {}
+                for m in range(self.dual.dim)]
+        return BimoduleMap(self.dual, self.ideal, cols,
+                           dj=2 - 2 * p, dk=2 * p - 2, name="gamma")
+
+    @cached_property
+    def kappa(self) -> BimoduleMap:
+        # kappa: Omega ->> Theta
+        pos_in_theta = self._pos_in_theta
+        cols = [{pos_in_theta[m]: 1} if m in pos_in_theta else {} for m in range(self.reg.dim)]
+        return BimoduleMap(self.reg, self.theta, cols, name="kappa")
+
+    @cached_property
+    def mu(self) -> BimoduleMap:
+        # mu = kappa* o lam, Theta^sigma -> Omega*: m -> the form partner of
+        # its underlying monomial
+        om, p = self.omega, self.p
+        cols = [{theta_partner(om, m): 1} for m in self.theta.parent_index]
+        return BimoduleMap(self.theta_sigma, self.dual, cols,
+                           dj=p - 2, dk=-(p - 2), name="mu")
 
     @cached_property
     def beta(self) -> BimoduleMap:
@@ -205,10 +209,6 @@ class NaturalMaps:
         cols = [{self._pos_in_ideal[ideal_partner(om, m)]: 1} for m in ideal.parent_index]
         return BimoduleMap(ideal, self.ideal_dual, cols,
                            dj=2 * (p - 1), dk=-2 * (p - 1), name="beta")
-
-    @cached_property
-    def theta_dual(self) -> BasedBimodule:
-        return quiver.dual(self.theta)
 
     @cached_property
     def lam(self) -> BimoduleMap:
@@ -240,11 +240,11 @@ class NaturalMaps:
 
     def _action(self, kind: str, side: str, name: str = "") -> Pairing:
         # Omega x X -> X and X x Omega -> X: the action tables themselves
-        # (mult is Omega acting on itself)
+        # (mult is Omega acting on itself); the tables are shared, not copied
         mod, reg, name = self.modules[kind], self.reg, name or f"act_{side}:{kind}"
         if side == "l":
-            return Pairing(reg, mod, mod, _restrict(mod.left), name=name)
-        return Pairing(mod, reg, mod, _restrict(mod.right), name=name)
+            return Pairing(reg, mod, mod, mod.left, name=name)
+        return Pairing(mod, reg, mod, mod.right, name=name)
 
     def _mult_incl(self, side: str) -> Pairing:
         # Omega x I and I x Omega multiplication landing in the ambient algebra

@@ -10,6 +10,7 @@ together with a Laurent exponent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -179,22 +180,29 @@ class HHLAlgebra:
         self.level = level
         self.spade = spade
         self.k_max = k_max
-        tuples: list[tuple] = [()]
+        starting_at: dict[int, list] = {}  # i -> the elements of that row, in basis order
+        for m in spade.basis:
+            starting_at.setdefault(m.i, []).append(m)
+        # least[r][j]: the least k that r more factors add after one ending at
+        # j; a j that r more factors cannot follow is absent
+        least = [dict.fromkeys((m.j for m in spade.basis), 0)]
+        for _ in range(level):
+            prev = least[-1]
+            least.append({i: min(m.k + prev[m.j] for m in row if m.j in prev)
+                          for i, row in starting_at.items() if any(m.j in prev for m in row)})
+        bound = math.inf if k_max is None else k_max
+        tuples: list[tuple[tuple, int]] = [((), 0)]  # (factors, their k-degree)
         for q in range(level):
-            new: list[tuple] = []
-            for tup in tuples:
-                want_i = 0 if q == 0 else tup[-1].j
-                for m in spade.basis:
-                    if m.i == want_i:
-                        new.append(tup + (m,))
+            new: list[tuple[tuple, int]] = []
+            rest = least[level - q - 1]
+            for tup, k in tuples:
+                for m in starting_at.get(tup[-1].j if q else 0, ()):
+                    # drop a tuple that no continuation completes within the bound
+                    if m.j in rest and k + m.k + rest[m.j] <= bound:
+                        new.append((tup + (m,), k + m.k))
             tuples = new
-        basis = []
-        for tup in tuples:
-            alpha = tup[-1].j if tup else 0
-            el = TowerElement(tup, alpha)
-            if k_max is None or el.k <= k_max:
-                basis.append(el)
-        self.basis = basis
+        self.basis = [TowerElement(tup, tup[-1].j if tup else 0) for tup, k in tuples
+                      if k <= bound]
         self.index = {el: n for n, el in enumerate(self.basis)}
 
     @property

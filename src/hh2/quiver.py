@@ -258,7 +258,8 @@ class BasedBimodule:
     """Bimodule over a BasedAlgebra with explicit action constants.
 
     ``left[(a, m)]`` is the combo for basis_a o m and ``right[(m, a)]`` for
-    m o basis_a, both over the full algebra basis.
+    m o basis_a, both over the full algebra basis.  The tables are read-only
+    once built: modules, maps and pairings share them instead of copying.
     """
 
     def __init__(self, over: BasedAlgebra, basis: list[BasisElement],
@@ -449,10 +450,8 @@ def build_omega(p: int) -> OmegaAlgebra:
 
 
 def regular_bimodule(omega: OmegaAlgebra) -> BasedBimodule:
-    """Omega as a bimodule over itself."""
-    left = {key: dict(prod) for key, prod in omega.products.items()}
-    right = {key: dict(prod) for key, prod in omega.products.items()}
-    return BasedBimodule(omega, list(omega.basis), left, right, name="Omega")
+    """Omega as a bimodule over itself: both actions are its product table."""
+    return BasedBimodule(omega, list(omega.basis), omega.products, omega.products, name="Omega")
 
 
 def _kept(prod: Combo, reindex: dict[int, int]) -> Combo:
@@ -472,7 +471,7 @@ def _sub_bimodule(omega: OmegaAlgebra, keep: list[int], name: str) -> BasedBimod
         if b in reindex:
             left[(a, reindex[b])] = mapped
         if a in reindex:
-            right[(reindex[a], b)] = dict(mapped)
+            right[(reindex[a], b)] = mapped
     return BasedBimodule(omega, basis, left, right, name=name)
 
 
@@ -537,10 +536,9 @@ def twist_sigma(mod: BasedBimodule) -> BasedBimodule:
     right: dict[tuple[int, int], Combo] = {}
     for (m, s), prod in mod.right.items():
         if prod and s in sigma_of:
-            right[(m, sigma_of[s])] = dict(prod)
+            right[(m, sigma_of[s])] = prod
     new_name = mod.name[:-5] if mod.name.endswith("Sigma") else mod.name + "Sigma"
-    new = BasedBimodule(omega, basis, {k: dict(v) for k, v in mod.left.items()}, right,
-                        name=new_name)
+    new = BasedBimodule(omega, basis, mod.left, right, name=new_name)
     if hasattr(mod, "parent_index"):
         new.parent_index = mod.parent_index
     return new

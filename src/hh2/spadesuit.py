@@ -37,6 +37,15 @@ class WindowEmpty(Hh2Error):
     pass
 
 
+class WindowTooLarge(Hh2Error):
+    pass
+
+
+# the most products, dim squared, that product_rows lays out: about 300 MB of
+# rows, which admits the default window up to p = 61
+MAX_PRODUCTS = 16_000_000
+
+
 def component_names(p: int, kind: str) -> list[Name]:
     h = (p - 1) // 2
     if kind == CHI:
@@ -299,6 +308,9 @@ class SpadeAlgebra:
         grid, a0 = self._grid, self._a0
         product = self.product
         n = len(basis)
+        if n * n > MAX_PRODUCTS:
+            raise WindowTooLarge(f"the window has {n} elements, so {n * n} products: "
+                                 f"more than {MAX_PRODUCTS}")
         rows: list[list] = [[()] * n for _ in range(n)]
         names: dict[str, list[Name]] = {}
         slots, first = [], 0  # (a, b, label, index of its first element)

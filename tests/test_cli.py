@@ -2,6 +2,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hh2.cli import COEFFS, main
 
@@ -198,18 +200,21 @@ def test_verify_certifies_the_structure_it_uses(capsys):
 
 def corrupt_beta(monkeypatch, change_columns):
     """Build NaturalMaps with beta's columns passed through change_columns."""
+    from functools import cached_property
+
     from hh2.clubsuit import NaturalMaps
     from hh2.quiver import BimoduleMap
 
-    build = NaturalMaps._build_maps
+    build = NaturalMaps.beta.func
 
-    def build_maps(self):
-        build(self)
-        b = self.beta
-        self.beta = BimoduleMap(b.source, b.target, change_columns([dict(c) for c in b.columns]),
-                                b.dj, b.dk, name="beta")
+    def beta(self):
+        b = build(self)
+        return BimoduleMap(b.source, b.target, change_columns([dict(c) for c in b.columns]),
+                           b.dj, b.dk, name="beta")
 
-    monkeypatch.setattr(NaturalMaps, "_build_maps", build_maps)
+    prop = cached_property(beta)
+    prop.__set_name__(NaturalMaps, "beta")
+    monkeypatch.setattr(NaturalMaps, "beta", prop)
 
 
 def test_rank_failure_of_natural_maps_is_a_failed_check(capsys, monkeypatch):
@@ -254,3 +259,29 @@ def test_cell_cap_skips_only_the_bar_oracle(capsys, monkeypatch):
         assert len(lines) == 27
         rest = lines[:9] + lines[14:]
         assert all(line.startswith("PASS") and "bar oracle" not in line for line in rest)
+
+
+def test_too_large_spadesuit_window_exits_2_before_building_rows(capsys, monkeypatch):
+    from hh2.spadesuit import SpadeAlgebra
+
+    def product(*_):
+        raise AssertionError("a product was computed")
+
+    monkeypatch.setattr(SpadeAlgebra, "product", product)
+    assert main(["spadesuit", "--p", "3", "--a-min", "-40", "--a-max", "40"]) == 2
+    assert capsys.readouterr().err == ("error: the window has 13207 elements, so 174424849 "
+                                       "products: more than 16000000\n")
+
+
+TEXT = st.text() | st.text(alphabet=st.sampled_from('"\\/\n\t\x00\x1f\x7f é€😀 a'))
+DOCS = st.recursive(st.none() | st.booleans() | st.integers() | TEXT,
+                    lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(TEXT, inner, max_size=4),
+                    max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    from hh2.cli import _emit
+    assert _emit(doc, "json") == json.dumps(doc, indent=2, sort_keys=True)

@@ -1,10 +1,14 @@
-"""The mathematical payloads of hh and spadesuit equal the recorded ones.
+"""Every benchmark job passes the benchmark's own output check.
 
-``perfbench/golden.json`` records the digest of each benchmark job's payload
-(its basis, products and hilbert keys), and the benchmark fails a job whose
-digest differs.  This test runs some of those jobs in-process and compares
-their digests with the same function and file, so that a change of output
-shows in the test suite as well.  Both files are only read.
+``perfbench/golden.json`` records, for each benchmark job, the digest of its
+payload (the basis, products and hilbert keys of hh, spadesuit and hhl) or
+the names of its checks (verify), and ``bench.judge`` fails a job whose
+output does not match.  This test runs every job of that file in-process and
+judges its output with the same function, so that a change of output shows
+in the test suite as well.  Both files are only read.
+
+It also compares each job's JSON text with ``json.dumps(indent=2,
+sort_keys=True)``, the reference for the CLI's own writer.
 """
 
 import importlib.util
@@ -14,35 +18,30 @@ from pathlib import Path
 
 import pytest
 
-from hh2.cli import COEFFS, main
+from hh2.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-JOBS = ([("hh", "--p", str(p), "--coefficient", c) for p in (7, 11) for c in COEFFS]
-        + [("spadesuit", "--p", str(p)) for p in (5, 7)])
+GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
 
 
 @pytest.fixture(scope="module")
-def payload_digest():
+def bench():
     # bench.py imports its sibling modules by name, and its dataclasses look
     # their module up in sys.modules
     sys.path.insert(0, str(PERFBENCH))
     try:
         spec = importlib.util.spec_from_file_location("perfbench_bench", PERFBENCH / "bench.py")
-        bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench)
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
     finally:
         sys.path.remove(str(PERFBENCH))
-    return bench.payload_digest
+    return module
 
 
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads((PERFBENCH / "golden.json").read_text())
-
-
-@pytest.mark.parametrize("job", JOBS, ids=" ".join)
-def test_payload_matches_golden(job, payload_digest, golden, capsys):
-    assert main(list(job)) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert payload_digest(doc) == golden[" ".join(job)]
+@pytest.mark.parametrize("job", sorted(GOLDEN))
+def test_payload_matches_golden(job, bench, capsys):
+    args = tuple(job.split())
+    assert main(list(args)) == 0
+    out = capsys.readouterr().out
+    assert bench.judge(bench.JobResult(args, 0.0, out=out), GOLDEN) is None
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

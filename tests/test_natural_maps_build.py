@@ -4,8 +4,8 @@
 here is made by walking nonempty products only.  The loops over every pair
 of basis elements that they replaced are kept in this file as references,
 with their bodies verbatim, and each table is compared with its reference as
-a dict at p = 3, 5 and 7.  The laziness of ``NaturalMaps.pairings`` is tested
-at the end.
+a dict at p = 3, 5 and 7.  The laziness of ``NaturalMaps``' modules, maps
+and pairings is tested at the end.
 """
 
 import functools
@@ -14,6 +14,7 @@ import types
 import pytest
 
 from hh2 import quiver
+from hh2.cli import COEFFS
 from hh2.clubsuit import NaturalMaps, ideal_partner
 from hh2.koszulhh import KIND_OMEGA, Pairing
 from hh2.quiver import (BasedBimodule, BasisElement, Combo, IncompatibleAlgebras,
@@ -381,6 +382,28 @@ def test_corrupted_last_pairing_fails_check_pairings():
     with pytest.raises(AssertionError, match=r"^nu_r: not balanced$"):
         nm.check_pairings()
     assert sorted(nm.pairings.built()) == sorted(NAMES)
+
+
+LAZY = ("reg", "theta", "theta_sigma", "dual", "ideal", "_pos_in_ideal", "_pos_in_theta",
+        "alpha", "gamma", "kappa", "mu")
+
+
+def test_modules_and_maps_are_built_when_first_read():
+    nm = NaturalMaps(3)
+    assert not any(name in vars(nm) for name in LAZY)
+    assert list(nm.modules) == list(COEFFS) and nm.modules.built() == []
+    # hh --coefficient theta reads just these two
+    nm.modules["theta"]
+    nm.pairings["act_l:theta"]
+    assert [name for name in LAZY if name in vars(nm)] == ["reg", "theta"]
+    assert nm.modules.built() == ["theta"]
+    assert nm.pairings["act_l:theta"].table is nm.theta.left
+
+
+def test_regular_bimodule_shares_the_product_table():
+    nm = NaturalMaps(3)
+    assert nm.reg.left is nm.reg.right is nm.omega.products
+    assert nm.pairings["mult"].table is nm.omega.products
 
 
 def test_beta_and_lambda_are_built_when_first_read():

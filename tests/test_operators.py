@@ -221,3 +221,34 @@ def test_tower_too_large_to_enumerate_is_refused():
     assert tower_size(spade, 6) <= MAX_WINDOW < tower_size(spade, 7)
     with pytest.raises(UnboundedWindow, match="hh_8 has 5033346 basis elements"):
         build_hhl(3, 8, spade)
+
+
+def full_enumeration(spade, level, k_max):
+    """Every weight-zero tuple of the level, then the k_max filter."""
+    from hh2.operators import TowerElement
+    tuples = [()]
+    for q in range(level):
+        tuples = [tup + (m,) for tup in tuples for m in spade.basis
+                  if m.i == (tup[-1].j if q else 0)]
+    basis = [TowerElement(tup, tup[-1].j if tup else 0) for tup in tuples]
+    return [el for el in basis if k_max is None or el.k <= k_max]
+
+
+def test_k_max_pruning_keeps_the_filtered_enumeration():
+    spade = build_spade(3, -3, 4)
+    for level in range(6):
+        for k_max in (None, 12, 3, 0, -1):
+            want = full_enumeration(spade, level, k_max)
+            assert build_hhl(3, level, spade, k_max=k_max).basis == want, (level, k_max)
+
+
+def test_k_max_bounds_the_work_not_only_the_answer(capsys):
+    import json
+    import time
+
+    from hh2.cli import main
+    t0 = time.perf_counter()
+    assert main(["hhl", "--p", "3", "--l", "8", "--k-max", "0"]) == 0
+    elapsed = time.perf_counter() - t0
+    assert len(json.loads(capsys.readouterr().out)["basis"]) == 6561
+    assert elapsed < 2.0
