@@ -22,8 +22,7 @@ from . import Hh2Error, quiver
 from .exactlin import sparse_rank
 from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
                        KIND_THETA_SIGMA, Pairing)
-from .quiver import (BasedBimodule, BimoduleMap, GroupedViews, OmegaAlgebra, Table,
-                     combo_add)
+from .quiver import BasedBimodule, BimoduleMap, OmegaAlgebra, Table, combo_add
 
 # spade labels: which piece of the class algebra a grid slot carries
 CHI = "chi"
@@ -290,7 +289,8 @@ class NaturalMaps:
 
     @cached_property
     def _theta_mul(self) -> Table:
-        return quiver.theta_products(self.omega, self.theta.parent_index)
+        # Theta's product: its right action on the monomials of Theta
+        return _restrict(self.theta.right, cols=self._pos_in_theta)
 
     def _collapse(self, tag: str) -> Pairing:
         # collapse pairings between the preprojective-type components: the
@@ -317,9 +317,8 @@ class NaturalMaps:
     # -- consistency checks --------------------------------------------------
 
     def check_maps(self) -> None:
-        views = GroupedViews()
         for mp in (self.alpha, self.beta, self.gamma, self.kappa, self.lam, self.mu):
-            mp.check_intertwines(views)
+            mp.check_intertwines()
             mp.check_degree_shift()
         for mp, want, failure in ((self.beta, self.ideal.dim, "beta is not an isomorphism"),
                                   (self.lam, self.theta.dim, "lambda is not an isomorphism"),
@@ -335,9 +334,8 @@ class NaturalMaps:
             mod.check_bimodule()
 
     def check_pairings(self) -> None:
-        views = GroupedViews()
         for pr in self.pairings.values():
-            pr.check(views)
+            pr.check()
 
     def pairing_rank_on_tensor(self, name: str) -> tuple[int, int]:
         """Rank of the induced map (X (x)_Omega Y) -> Z for a pairing."""

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the prime field F_p.
+"""Exact linear algebra over the prime field F_p, and the sparse joins.
 
 ``sparse_pivots`` is the one elimination the program runs: it reduces
 columns {row: coeff} in the order given, pivoting on the smallest row id,
@@ -7,6 +7,14 @@ below it; ``sparse_reduce`` reduces a vector by them.  The loop leaves each
 pivot column unscaled, keeping the inverse of its leading entry, and only
 ``sparse_pivots`` scales them: ``sparse_pivot_rows`` and ``sparse_rank``
 list and count the pivot rows without paying for it.
+
+The join helpers (``_expand``, ``_within``, ``_summed``) work on sparse
+F_p tables held as int64 COO arrays: ``_within`` joins keys with the runs of
+a sorted key array that carry them, and ``_summed`` sums the values of equal
+keys mod p.  The bar oracle (``koszulhh``) and the identity scans
+(``quiver.failing_triple``) are both such joins; each packs its indices
+into one int64 key and raises ``TooLarge`` before any join whose keys would
+not fit.
 
 The dense path (``rref``, ``rank``, ``rank_and_kernel``, ``Homology``) works
 on numpy int64 arrays reduced to [0, p) and pivots in a fixed column order.
@@ -36,6 +44,11 @@ class NotACocycle(Hh2Error):
 class NotInSpan(Hh2Error):
     """Raised when a cocycle does not reduce to zero against the boundaries
     and representatives of its homology: a failed internal invariant."""
+
+
+class TooLarge(Hh2Error):
+    """Raised before a computation whose size passes a cap, or whose packed
+    int64 keys would overflow."""
 
 
 def is_odd_prime(p: int) -> bool:
@@ -258,3 +271,31 @@ def sparse_reduce(vec: dict, pivots: dict[int, dict], p: int) -> dict:
         r = min(hit)
         combo_add(vec, pivots[r], -vec[r], p)
     return vec
+
+
+# ---------------------------------------------------------------------------
+# joins of sparse tables held as int64 COO arrays
+
+def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, index) over the members of the ranges [start[i], start[i] +
+    count[i]), in order: the range each member lies in, and the member."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) + np.repeat(start - (np.cumsum(count) - count), count)
+
+
+def _within(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_expand`` over the runs of sorted_keys equal to each of keys: a join
+    of keys with the entries that carry them."""
+    lo = np.searchsorted(sorted_keys, keys)
+    return _expand(lo, np.searchsorted(sorted_keys, keys, "right") - lo)
+
+
+def _summed(key: np.ndarray, val: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, with their summed values mod p, nonzero
+    sums only: one sort and one ``np.add.reduceat``."""
+    order = np.argsort(key)
+    key, val = key[order], val[order]
+    start = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
+    total = np.add.reduceat(val, start) % p if len(key) else val
+    keep = total != 0
+    return key[start[keep]], total[keep]

@@ -30,9 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import Hh2Error
-from .exactlin import (NotACocycle, combo_add, sparse_pivot_rows, sparse_pivots, sparse_rank,
-                       sparse_reduce)
-from .quiver import BasedAlgebra, BasedBimodule, Combo, GroupedViews, OmegaAlgebra, failing_triple
+from .exactlin import (NotACocycle, TooLarge, _expand, _summed, _within, combo_add,
+                       sparse_pivot_rows, sparse_pivots, sparse_rank, sparse_reduce)
+from .quiver import BasedAlgebra, BasedBimodule, Combo, OmegaAlgebra, failing_triple, table_coo
 
 Name = tuple  # ("z", l) | ("kz", l) | ("c2", s) | ("soc", s) | ("mu", l) | ("nu", l) | ("e", s)
 NameCombo = dict[Name, int]
@@ -55,10 +55,6 @@ class PairingDegreeMismatch(Hh2Error):
 
 
 class UnrecognizedSignature(Hh2Error):
-    pass
-
-
-class TooLarge(Hh2Error):
     pass
 
 
@@ -98,15 +94,14 @@ class Pairing:
     def apply(self, x: int, y: int) -> Combo:
         return self.table.get((x, y), {})
 
-    def check(self, views: GroupedViews | None = None) -> None:
+    def check(self) -> None:
         """Balancedness and one-sided equivariance over the full algebra basis:
         (x a, y) = (x, a y), a (x, y) = (a x, y) and (x, y) a = (x, y a)."""
         x, y, z, t = self.x_mod, self.y_mod, self.z_mod, self.table
-        views = views or GroupedViews()
         for tables, what in (((x.right, t, y.left, t), "not balanced"),
                              ((x.left, t, t, z.left), "not left equivariant"),
                              ((t, z.right, y.right, t), "not right equivariant")):
-            if failing_triple(*tables, self.p, views) is not None:
+            if failing_triple(*tables, self.p) is not None:
                 raise AssertionError(f"{self.name}: {what}")
 
 
@@ -528,31 +523,6 @@ def cup(model_x: CochainModel, u: Cochain, model_y: CochainModel, v: Cochain,
 # ---------------------------------------------------------------------------
 # independent oracle: reduced relative bar complex over the vertex subalgebra
 
-def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, index) over the members of the ranges [start[i], start[i] +
-    count[i]), in order: the range each member lies in, and the member."""
-    owner = np.repeat(np.arange(len(count)), count)
-    return owner, np.arange(len(owner)) + np.repeat(start - (np.cumsum(count) - count), count)
-
-
-def _within(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_expand`` over the runs of sorted_keys equal to each of keys: a join
-    of keys with the entries that carry them."""
-    lo = np.searchsorted(sorted_keys, keys)
-    return _expand(lo, np.searchsorted(sorted_keys, keys, "right") - lo)
-
-
-def _summed(key: np.ndarray, val: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, ascending, with their summed values mod p, nonzero
-    sums only: one sort and one ``np.add.reduceat``."""
-    order = np.argsort(key)
-    key, val = key[order], val[order]
-    start = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
-    total = np.add.reduceat(val, start) % p if len(key) else val
-    keep = total != 0
-    return key[start[keep]], total[keep]
-
-
 def _ints(*arrays) -> list[np.ndarray]:
     return [np.asarray(a, dtype=np.int64) for a in arrays]
 
@@ -761,15 +731,6 @@ def bar_sizes(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> tuple[list
     return chains, cochains
 
 
-def _action_coo(entries, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(key, target, coeff) arrays of an action table, sorted by key =
-    a * width + x, from (a, x, combo) over its entries."""
-    terms = [(a * width + x, t, c) for a, x, combo in entries for t, c in combo.items()]
-    key, tgt, coeff = _ints(*zip(*terms)) if terms else _ints([], [], [])
-    order = np.argsort(key, kind="stable")
-    return key[order], tgt[order], coeff[order]
-
-
 # product entries per chunk of the d.d = 0 join: bounds its temporaries
 _DD_CHUNK = 1 << 19
 
@@ -832,8 +793,16 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]
     x_code = x_left * vmax + x_right
     x_by_slot = np.argsort(x_code, kind="stable")
     x_code = x_code[x_by_slot]
-    left = _action_coo(((a, x, c) for (a, x), c in x_mod.left.items()), width)
-    right = _action_coo(((a, x, c) for (x, a), c in x_mod.right.items()), width)
+
+    def sorted_by(key: np.ndarray, t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+        order = np.argsort(key, kind="stable")
+        return key[order], t[order], c[order]
+
+    # the action tables as (a * width + x, target, coeff), sorted by key
+    a, x, t, c = table_coo(x_mod.left)
+    left = sorted_by(a * width + x, t, c)
+    x, a, t, c = table_coo(x_mod.right)
+    right = sorted_by(a * width + x, t, c)
 
     def cochains(n: int) -> tuple[np.ndarray, np.ndarray]:
         """(place of the chain in level n, index in X) of each cochain of

@@ -149,17 +149,37 @@ class TowerElement:
         return f"({inner} | z^{self.alpha})" if inner else f"(z^{self.alpha})"
 
 
+def _completions(spade: SpadeAlgebra, level: int
+                 ) -> tuple[dict[int, list], list[dict[int, dict[int, int]]]]:
+    """(rows, ways): rows[i] lists the elements of row i in basis order, and
+    ways[r][i] = {k: the number of r-factor tuples that start in row i and
+    add k}, for r = 0..level, where each next factor lies in the row of the
+    previous one's j.  A row that no such tuple starts in is absent; r = 0
+    is one way, adding 0, after any row."""
+    rows: dict[int, list] = {}
+    for m in spade.basis:
+        rows.setdefault(m.i, []).append(m)
+    ways = [{i: {0: 1} for i in {0, *(m.j for m in spade.basis)}}]
+    for _ in range(level):
+        prev, cur = ways[-1], {}
+        for i, row in rows.items():
+            at: dict[int, int] = {}
+            for m in row:
+                for k, n in prev.get(m.j, {}).items():
+                    at[k + m.k] = at.get(k + m.k, 0) + n
+            if at:
+                cur[i] = at
+        ways.append(cur)
+    return rows, ways
+
+
+def _size(ways: list[dict[int, dict[int, int]]], k_max: int | None) -> int:
+    return sum(n for k, n in ways[-1].get(0, {}).items() if k_max is None or k <= k_max)
+
+
 def tower_size(spade: SpadeAlgebra, level: int, k_max: int | None = None) -> int:
     """The number of basis elements of hh_level over spade, without listing them."""
-    counts: dict[int, dict[int, int]] = {0: {0: 1}}  # {j of the last factor: {k: tuples}}
-    for _ in range(level):
-        new: dict[int, dict[int, int]] = {}
-        for m in spade.basis:
-            at = new.setdefault(m.j, {})
-            for k, n in counts.get(m.i, {}).items():
-                at[k + m.k] = at.get(k + m.k, 0) + n
-        counts = new
-    return sum(n for at in counts.values() for k, n in at.items() if k_max is None or k <= k_max)
+    return _size(_completions(spade, level)[1], k_max)
 
 
 class HHLAlgebra:
@@ -172,7 +192,8 @@ class HHLAlgebra:
     """
 
     def __init__(self, p: int, level: int, spade: SpadeAlgebra, k_max: int | None = None):
-        size = tower_size(spade, level, k_max)
+        rows, ways = _completions(spade, level)
+        size = _size(ways, k_max)
         if size > MAX_WINDOW:
             raise UnboundedWindow(f"hh_{level} has {size} basis elements, more than "
                                   f"{MAX_WINDOW} can be enumerated")
@@ -180,23 +201,14 @@ class HHLAlgebra:
         self.level = level
         self.spade = spade
         self.k_max = k_max
-        starting_at: dict[int, list] = {}  # i -> the elements of that row, in basis order
-        for m in spade.basis:
-            starting_at.setdefault(m.i, []).append(m)
-        # least[r][j]: the least k that r more factors add after one ending at
-        # j; a j that r more factors cannot follow is absent
-        least = [dict.fromkeys((m.j for m in spade.basis), 0)]
-        for _ in range(level):
-            prev = least[-1]
-            least.append({i: min(m.k + prev[m.j] for m in row if m.j in prev)
-                          for i, row in starting_at.items() if any(m.j in prev for m in row)})
         bound = math.inf if k_max is None else k_max
         tuples: list[tuple[tuple, int]] = [((), 0)]  # (factors, their k-degree)
         for q in range(level):
             new: list[tuple[tuple, int]] = []
-            rest = least[level - q - 1]
+            # the least k that the remaining factors add after each row
+            rest = {i: min(at) for i, at in ways[level - q - 1].items()}
             for tup, k in tuples:
-                for m in starting_at.get(tup[-1].j if q else 0, ()):
+                for m in rows.get(tup[-1].j if q else 0, ()):
                     # drop a tuple that no continuation completes within the bound
                     if m.j in rest and k + m.k + rest[m.j] <= bound:
                         new.append((tup + (m,), k + m.k))

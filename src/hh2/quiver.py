@@ -20,10 +20,13 @@ Linear combinations are dicts {basis_index: coefficient mod p}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import Hh2Error
-from .exactlin import check_odd_prime, combo_add, sparse_pivots
+from .exactlin import TooLarge, _summed, _within, check_odd_prime, combo_add, sparse_pivots
 
 Combo = dict[int, int]
 
@@ -105,34 +108,15 @@ def dual_presentation(p: int) -> QuiverPresentation:
 Table = dict[tuple[int, int], Combo]
 
 
-def _grouped(table: Table, by: int) -> dict[int, list[tuple[int, Combo]]]:
-    """{key[by]: [(other index of key, combo)]} over the nonempty entries."""
-    out: dict[int, list[tuple[int, Combo]]] = {}
-    for key, combo in table.items():
-        if combo:
-            out.setdefault(key[by], []).append((key[1 - by], combo))
-    return out
+def table_coo(table: Table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of a table as int64 arrays (x, y, t, c): one place per term
+    c * [t] of each entry table[x, y], in the order of the entries and then
+    of their combos; empty entries have none."""
+    flat = [v for (x, y), combo in table.items() for t, c in combo.items() for v in (x, y, t, c)]
+    return tuple(np.array(flat, dtype=np.int64).reshape(-1, 4).T)
 
 
-class GroupedViews:
-    """Each table grouped by one index (``_grouped``), made once and then reused.
-
-    One instance serves all the scans of one check, during which no table
-    changes; a table is known by its identity, and held so that it stays so.
-    """
-
-    def __init__(self) -> None:
-        self._made: dict[tuple[int, int], tuple[Table, dict]] = {}
-
-    def by(self, table: Table, index: int) -> dict[int, list[tuple[int, Combo]]]:
-        key = (id(table), index)
-        if key not in self._made:
-            self._made[key] = (table, _grouped(table, index))
-        return self._made[key][1]
-
-
-def failing_triple(a: Table, b: Table, c: Table, d: Table, p: int,
-                   views: GroupedViews | None = None) -> tuple[int, int, int] | None:
+def failing_triple(a: Table, b: Table, c: Table, d: Table, p: int) -> tuple[int, int, int] | None:
     """The first (u, g, w), by g, then u, then w, at which
 
         sum_t a[u, g][t] * b[t, w]  =  sum_t c[g, w][t] * d[u, t]   (mod p)
@@ -141,36 +125,44 @@ def failing_triple(a: Table, b: Table, c: Table, d: Table, p: int,
     to zero.  Associativity, the bimodule axioms, intertwining maps and
     balanced equivariant pairings are all identities of this shape.
 
-    Each side is a sum over the terms of nonempty entries, so a triple that
-    no such term reaches reads 0 = 0.  The scan takes one middle index g at a
-    time, walks the terms t of each nonempty a[u, g] along b[t, .] and of
-    each nonempty c[g, w] along d[., t], and sums left minus right per
-    (u, w): the result of a loop over every triple, with work that grows
-    with the nonempty products instead.  ``views`` shares the groupings of
-    the four tables with other scans of the same check.
+    One sort-join over the terms of the nonempty entries (``table_coo``):
+    each term t of a[u, g] meets the terms of b[t, .] and each term t of
+    c[g, w] the terms of d[., t], so a triple that no such pair reaches reads
+    0 = 0, and the work grows with the nonempty products.  Every product is
+    keyed by (g, u, w, basis index), packed into one int64 with each index's
+    own range, and the left minus the right side is summed mod p per key
+    (``_summed``); the smallest key left is the first failure.  Raises
+    ``TooLarge`` before the join when the packed keys would pass int64.
     """
-    views = views or GroupedViews()
-    a_by_g, b_by_t = views.by(a, 1), views.by(b, 0)
-    c_by_g, d_by_t = views.by(c, 0), views.by(d, 1)
-    for g in sorted(a_by_g.keys() | c_by_g.keys()):
-        acc: dict[tuple[int, int, int], int] = {}  # (u, w, basis index) -> left - right
-        get = acc.get
-        for u, combo in a_by_g.get(g, ()):
-            for t, coeff in combo.items():
-                for w, prod in b_by_t.get(t, ()):
-                    for idx, c2 in prod.items():
-                        key = (u, w, idx)
-                        acc[key] = get(key, 0) + coeff * c2
-        for w, combo in c_by_g.get(g, ()):
-            for t, coeff in combo.items():
-                for u, prod in d_by_t.get(t, ()):
-                    for idx, c2 in prod.items():
-                        key = (u, w, idx)
-                        acc[key] = get(key, 0) - coeff * c2
-        if any(v % p for v in acc.values()):
-            u, w, _ = min(key for key, v in acc.items() if v % p)
-            return u, g, w
-    return None
+    coo: dict[int, tuple[np.ndarray, ...]] = {}
+    for table in (a, b, c, d):  # a table passed twice is converted once
+        if id(table) not in coo:
+            coo[id(table)] = table_coo(table)
+    (au, ag, at, ac), (bt, bw, bi, bc), (cg, cw, ct, cc), (du, dt, di, dc) = (
+        coo[id(table)] for table in (a, b, c, d))
+    sizes = [1 + int(max(x.max(initial=-1), y.max(initial=-1)))
+             for x, y in ((ag, cg), (au, du), (bw, cw), (bi, di))]
+    if math.prod(sizes) > 2 ** 63 - 1:
+        raise TooLarge(f"identity scan keys over index ranges {sizes} would not fit in int64")
+    _, n_u, n_w, n_i = sizes
+
+    def packed(g, u, w, i):
+        return ((g * n_u + u) * n_w + w) * n_i + i
+
+    order = np.argsort(bt)
+    s, e = _within(bt[order], at)  # each term of a[u, g] with the terms of b[t, .]
+    e = order[e]
+    left_key, left_val = packed(ag[s], au[s], bw[e], bi[e]), ac[s] * bc[e]
+    order = np.argsort(dt)
+    s, e = _within(dt[order], ct)  # each term of c[g, w] with the terms of d[., t]
+    e = order[e]
+    right_key, right_val = packed(cg[s], du[e], cw[s], di[e]), -cc[s] * dc[e]
+    key, _ = _summed(np.concatenate((left_key, right_key)),
+                     np.concatenate((left_val, right_val)), p)
+    if not len(key):
+        return None
+    guw = int(key[0]) // n_i
+    return guw // n_w % n_u, guw // (n_w * n_u), guw % n_w
 
 
 class BasedAlgebra:
@@ -293,11 +285,10 @@ class BasedBimodule:
             if a in vertex and prod and vertex[a] != basis[m].right:
                 raise AssertionError(f"{basis[m].name} . e_{vertex[a]} wrong in {name}")
         mul, left, right = alg.slot_products(), self.left, self.right
-        views = GroupedViews()
         for tables, law in (((mul, left, left, left), "(ab)m != a(bm)"),
                             ((right, right, mul, right), "m(ab) != (ma)b"),
                             ((left, right, right, left), "(am)b != a(mb)")):
-            if failing_triple(*tables, self.p, views) is not None:
+            if failing_triple(*tables, self.p) is not None:
                 raise AssertionError(f"{law} in {name}")
 
     def check_degrees(self) -> None:
@@ -454,18 +445,13 @@ def regular_bimodule(omega: OmegaAlgebra) -> BasedBimodule:
     return BasedBimodule(omega, list(omega.basis), omega.products, omega.products, name="Omega")
 
 
-def _kept(prod: Combo, reindex: dict[int, int]) -> Combo:
-    """The terms of prod on kept monomials, renumbered; the others are dropped."""
-    return {reindex[i]: c for i, c in prod.items() if i in reindex}
-
-
 def _sub_bimodule(omega: OmegaAlgebra, keep: list[int], name: str) -> BasedBimodule:
     reindex = {old: new for new, old in enumerate(keep)}
     basis = [omega.basis[i] for i in keep]
     left: dict[tuple[int, int], Combo] = {}
     right: dict[tuple[int, int], Combo] = {}
     for (a, b), prod in omega.slot_products().items():
-        mapped = _kept(prod, reindex)
+        mapped = {reindex[i]: c for i, c in prod.items() if i in reindex}
         if not mapped:
             continue
         if b in reindex:
@@ -489,19 +475,6 @@ def quotient_theta(omega: OmegaAlgebra) -> BasedBimodule:
     mod = _sub_bimodule(omega, keep, "Theta")
     mod.parent_index = keep
     return mod
-
-
-def theta_products(omega: OmegaAlgebra, keep: list[int]) -> Table:
-    """Products of the monomials in keep (Theta's: the non-ideal ones) modulo
-    the others, numbered by their place in keep."""
-    reindex = {old: new for new, old in enumerate(keep)}
-    products: Table = {}
-    for (i, j), prod in omega.slot_products().items():
-        if i in reindex and j in reindex:
-            mapped = _kept(prod, reindex)
-            if mapped:
-                products[(reindex[i], reindex[j])] = mapped
-    return products
 
 
 def theta_sigma_index(omega: OmegaAlgebra, idx: int) -> int:
@@ -624,15 +597,14 @@ class BimoduleMap:
             combo_add(out, self.columns[idx], c, self.source.p)
         return out
 
-    def check_intertwines(self, views: GroupedViews | None = None) -> None:
+    def check_intertwines(self) -> None:
         # f(a m) = a f(m) and f(m a) = f(m) a, f as a table with a dummy index 0
         f_m0 = {(m, 0): col for m, col in enumerate(self.columns)}
         f_0m = {(0, m): col for m, col in enumerate(self.columns)}
         src, tgt, p = self.source, self.target, self.source.p
-        views = views or GroupedViews()
-        if failing_triple(src.left, f_m0, f_m0, tgt.left, p, views) is not None:
+        if failing_triple(src.left, f_m0, f_m0, tgt.left, p) is not None:
             raise AssertionError(f"{self.name}: left action not intertwined")
-        if failing_triple(f_0m, tgt.right, src.right, f_0m, p, views) is not None:
+        if failing_triple(f_0m, tgt.right, src.right, f_0m, p) is not None:
             raise AssertionError(f"{self.name}: right action not intertwined")
 
     def check_degree_shift(self) -> None:

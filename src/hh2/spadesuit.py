@@ -375,20 +375,21 @@ def duality_form_checks(p: int) -> tuple[bool, bool]:
     """(is perfect, is associative over all basis triples).
 
     Associativity <chi_on_dual(m, h), t> = <h, m t> is one ``failing_triple``
-    scan with u = h, g = m and w = t, the form a table with one dummy output
-    index.  chi_on_dual sends dual names to dual names, so the form's values
-    on sig_names x th_names are all that either side reads, and the part of
-    m t off the truncation names pairs to 0."""
-    sig_names = component_names(p, CHIBARSTAR_MINUS)
-    th_names = component_names(p, CHIBAR_MINUS)
-    chi_names = component_names(p, CHI)
-    form = {(n_h, n_t): {0: f} for n_h in sig_names for n_t in th_names
+    scan with u = h, g = m and w = t, each name numbered by its place in its
+    component and the form a table with one dummy output index.  chi_on_dual
+    sends dual names to dual names, so the form's values on dual x truncation
+    names are all that either side reads; the part of m t off the truncation
+    names pairs to 0, and the numbering drops it."""
+    sig, th, chi = ({n: i for i, n in enumerate(component_names(p, kind))}
+                    for kind in (CHIBARSTAR_MINUS, CHIBAR_MINUS, CHI))
+    form = {(h, t): {0: f} for n_h, h in sig.items() for n_t, t in th.items()
             if (f := duality_form(p, n_h, n_t))}
-    columns = [{i: f[0] for i, n_h in enumerate(sig_names) if (f := form.get((n_h, n_t)))}
-               for n_t in th_names]
-    perfect = sparse_rank(columns, p) == len(sig_names) == len(th_names)
-    act = {(n_h, m): chi_on_dual(p, m, n_h) for n_h in sig_names for m in chi_names}
-    mul = {(m, n_t): chi_mul(p, m, n_t) for m in chi_names for n_t in th_names}
+    columns = [{h: form[h, t][0] for h in sig.values() if (h, t) in form} for t in th.values()]
+    perfect = sparse_rank(columns, p) == len(sig) == len(th)
+    act = {(h, m): {sig[n]: c for n, c in chi_on_dual(p, n_m, n_h).items()}
+           for n_h, h in sig.items() for n_m, m in chi.items()}
+    mul = {(m, t): {th[n]: c for n, c in chi_mul(p, n_m, n_t).items() if n in th}
+           for n_m, m in chi.items() for n_t, t in th.items()}
     return perfect, failing_triple(act, form, mul, form, p) is None
 
 

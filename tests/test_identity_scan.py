@@ -1,19 +1,24 @@
 """The structure identities behind ``verify`` and the tests: one sparse scan.
 
-``quiver.failing_triple`` walks only the nonempty products of four tables.
-Associativity, the bimodule axioms, intertwining maps and balanced
-equivariant pairings all call it.  Here each caller is compared with the
-loop over every tuple that it replaced, kept in this file as the reference,
-on small random structures that are mostly broken on purpose.
+``quiver.failing_triple`` is one sort-join over the nonempty products of
+four tables, on the int64 arrays and join helpers of ``exactlin`` that the
+bar oracle uses too.  Associativity, the bimodule axioms, intertwining maps
+and balanced equivariant pairings all call it.  Here each caller is
+compared with the loop over every tuple that it replaced, and the scan
+itself with the dict walker that it replaced; both are kept in this file as
+references, and run on small random structures that are mostly broken on
+purpose.
 """
 
 import random
 import re
 import time
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hh2 import exactlin, koszulhh
 from hh2.koszulhh import Pairing
 from hh2.quiver import (BasedAlgebra, BasedBimodule, BasisElement, BimoduleMap,
                         combo_add, failing_triple)
@@ -140,6 +145,44 @@ def dense_pairing_check(self) -> None:
                     combo_add(rhs, self.apply(x, t), c, p)
                 if lhs != rhs:
                     raise AssertionError(f"{self.name}: not right equivariant")
+
+
+# -- the dict walker, as it stood before the sort-join --------------------------
+# (its body verbatim; the four groupings are made per call, in place of the
+# ``GroupedViews`` cache that shared them between scans)
+
+
+def _grouped(table, by: int) -> dict:
+    """{key[by]: [(other index of key, combo)]} over the nonempty entries."""
+    out: dict = {}
+    for key, combo in table.items():
+        if combo:
+            out.setdefault(key[by], []).append((key[1 - by], combo))
+    return out
+
+
+def walked_failing_triple(a, b, c, d, p):
+    a_by_g, b_by_t = _grouped(a, 1), _grouped(b, 0)
+    c_by_g, d_by_t = _grouped(c, 0), _grouped(d, 1)
+    for g in sorted(a_by_g.keys() | c_by_g.keys()):
+        acc: dict[tuple[int, int, int], int] = {}  # (u, w, basis index) -> left - right
+        get = acc.get
+        for u, combo in a_by_g.get(g, ()):
+            for t, coeff in combo.items():
+                for w, prod in b_by_t.get(t, ()):
+                    for idx, c2 in prod.items():
+                        key = (u, w, idx)
+                        acc[key] = get(key, 0) + coeff * c2
+        for w, combo in c_by_g.get(g, ()):
+            for t, coeff in combo.items():
+                for u, prod in d_by_t.get(t, ()):
+                    for idx, c2 in prod.items():
+                        key = (u, w, idx)
+                        acc[key] = get(key, 0) - coeff * c2
+        if any(v % p for v in acc.values()):
+            u, w, _ = min(key for key, v in acc.items() if v % p)
+            return u, g, w
+    return None
 
 
 def outcome(check, obj) -> str | None:
@@ -484,3 +527,72 @@ def test_checks_cost_follows_nonempty_products():
     scale.check_intertwines()
     mult.check()
     assert time.perf_counter() - start < 1.0
+
+
+# -- the sort-join against the dict walker --------------------------------------
+
+
+@st.composite
+def scans(draw):
+    """(a, b, c, d, p): four tables over a few sparse indices below 10^4,
+    with empty entries and coefficients in [-p, 2p).  Either all four are
+    random, or c and d are random and a, b are made so that the identity
+    holds mod p (a[u, g] = [(u, g)] and b[(u, g), w] is the right side plus
+    a multiple of p), and then perhaps broken at one entry; either side may
+    be blanked."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    indices = st.lists(st.integers(0, 10 ** 4), min_size=1, max_size=3, unique=True)
+    us, gs, ws, ts, xs = (draw(indices) for _ in range(5))
+    coeffs = st.integers(-p, 2 * p - 1)
+
+    def table(rows, cols, keys):
+        combos = st.dictionaries(st.sampled_from(keys), coeffs, min_size=1, max_size=3)
+        combos |= st.just({})
+        return draw(st.dictionaries(st.tuples(st.sampled_from(rows), st.sampled_from(cols)),
+                                    combos, min_size=1, max_size=8))
+
+    c, d = table(gs, ws, ts), table(us, ts, xs)
+    if draw(st.booleans()):
+        a, b = table(us, gs, ts), table(ts, ws, xs)
+    else:
+        # the middle index of a's terms: (u, g) numbered by place
+        place = {(u, g): n for n, (u, g) in enumerate((u, g) for u in us for g in gs)}
+        a = {(u, g): {n: 1} for (u, g), n in place.items()}
+        b = {}
+        for (u, g), n in place.items():
+            for w in ws:
+                right: dict = {}
+                for t, coeff in c.get((g, w), {}).items():
+                    for x, c2 in d.get((u, t), {}).items():
+                        right[x] = right.get(x, 0) + coeff * c2
+                if right or draw(st.booleans()):
+                    b[(n, w)] = {x: v + p * draw(st.integers(-2, 2)) for x, v in right.items()}
+        if draw(st.booleans()) and b:
+            key = draw(st.sampled_from(sorted(b)))
+            b[key] = draw(st.dictionaries(st.sampled_from(xs), coeffs, max_size=3))
+    blank = draw(st.sampled_from(("none", "none", "left", "right")))
+    if blank == "left":
+        a, b = (draw(st.sampled_from(({}, a))), draw(st.sampled_from(({}, b))))
+    elif blank == "right":
+        c, d = (draw(st.sampled_from(({}, c))), draw(st.sampled_from(({}, d))))
+    return a, b, c, d, p
+
+
+# the two sides differ by exactly p at (u, g, w) = (2, 1, 3): equal only mod p
+@example(({(2, 1): {0: 1}}, {(0, 3): {7: 4}}, {(1, 3): {5: 1}}, {(2, 5): {7: 1}}, 3))
+@example(({(2, 1): {0: 1}}, {(0, 3): {7: 4}}, {(1, 3): {5: 1}}, {(2, 5): {7: 1}}, 5))
+@example(({(0, 0): {}}, {(0, 0): {0: 1}}, {}, {}, 3))  # empty combos only
+@example(({}, {}, {(9999, 1): {4: 2}}, {(3, 4): {10 ** 4: 1}}, 7))  # the left side empty
+@settings(max_examples=300, deadline=None)
+@given(scans())
+def test_sort_join_matches_dict_walker(scan):
+    assert failing_triple(*scan) == walked_failing_triple(*scan)
+
+
+def test_scan_keys_that_would_not_fit_in_int64_raise():
+    n = 70_000  # 70001^4 > 2^63 - 1
+    one = {(n, n + 1): {n + 2: 1}}
+    with pytest.raises(exactlin.TooLarge, match="int64"):
+        failing_triple(one, one, one, one, 3)
+    assert koszulhh.TooLarge is exactlin.TooLarge
+

@@ -337,7 +337,7 @@ def test_theta_products_match_dense_loop(maps):
     keep = maps.theta.parent_index
     reindex = {old: new for new, old in enumerate(keep)}
     ref = dense_theta_products(om, keep, reindex)
-    assert quiver.theta_products(om, keep) == ref
+    assert maps._theta_mul == ref
 
 
 # -- laziness ----------------------------------------------------------------
