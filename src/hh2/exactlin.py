@@ -1,12 +1,11 @@
 """Exact linear algebra over the prime field F_p, and the sparse joins.
 
-``sparse_pivots`` is the one elimination the program runs: it reduces
-columns {row: coeff} in the order given, pivoting on the smallest row id,
-into {pivot row: reduced column}, each 1 at its pivot and empty on the rows
-below it; ``sparse_reduce`` reduces a vector by them.  The loop leaves each
-pivot column unscaled, keeping the inverse of its leading entry, and only
-``sparse_pivots`` scales them: ``sparse_pivot_rows`` and ``sparse_rank``
-list and count the pivot rows without paying for it.
+``sparse_pivots`` reduces columns {row: coeff} in the order given, pivoting
+on the smallest row id, into {pivot row: reduced column}, each 1 at its pivot
+and empty on the rows below it; ``sparse_reduce`` reduces a vector by them,
+and ``sparse_rank`` counts them without scaling them.  ``coo_pivot_rows``
+finds the same pivot rows for columns held as COO arrays, in rounds of array
+operations: the bar oracle's elimination.
 
 The join helpers (``_expand``, ``_within``, ``_summed``) work on sparse
 F_p tables held as int64 COO arrays: ``_within`` joins keys with the runs of
@@ -213,9 +212,7 @@ class Homology:
 
 def _eliminated(columns: list[dict], p: int) -> dict[int, tuple[int, dict]]:
     """The elimination loop of ``sparse_pivots``: {pivot row: (inverse of the
-    leading entry, reduced column)}, each column left unscaled.  A reduction
-    step divides by the pivot's leading entry; only ``sparse_pivots`` scales
-    the columns, and the callers that want the rows read only the keys."""
+    leading entry, reduced column)}, each column left unscaled."""
     pivots: dict[int, tuple[int, dict]] = {}
     for col in columns:
         # a fresh copy, reduced mod p unless it is already
@@ -253,14 +250,9 @@ def sparse_pivots(columns: list[dict], p: int) -> dict[int, dict]:
             for r, (inv, col) in _eliminated(columns, p).items()}
 
 
-def sparse_pivot_rows(columns: list[dict], p: int) -> list[int]:
-    """Pivot row ids of ``sparse_pivots``, in the order they are found."""
-    return list(_eliminated(columns, p))
-
-
 def sparse_rank(columns: list[dict], p: int) -> int:
     """Rank of a matrix given as sparse columns {row: coeff} over F_p."""
-    return len(sparse_pivot_rows(columns, p))
+    return len(_eliminated(columns, p))
 
 
 def sparse_reduce(vec: dict, pivots: dict[int, dict], p: int) -> dict:
@@ -299,3 +291,44 @@ def _summed(key: np.ndarray, val: np.ndarray, p: int) -> tuple[np.ndarray, np.nd
     total = np.add.reduceat(val, start) % p if len(key) else val
     keep = total != 0
     return key[start[keep]], total[keep]
+
+
+def coo_pivot_rows(col: np.ndarray, row: np.ndarray, val: np.ndarray, p: int) -> np.ndarray:
+    """The pivot rows of ``sparse_pivots``, ascending, for the columns of a COO
+    matrix sorted by column and then row, with values in [1, p).
+
+    Each round reduces every column whose leading (smallest) row is a pivot's
+    by that pivot, makes the first column of each other leading row a pivot
+    and reduces the rest by it.  A reduction raises a leading row or empties
+    the column, so there are at most as many rounds as rows.  At the end the
+    pivots are a basis of the span V of the input with distinct leading rows,
+    which are then {r : dim V_{>=r} > dim V_{>r}}: they depend on V alone.
+    """
+    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    nrows = int(row.max()) + 1 if len(row) else 1
+    # (leading row, start in pool, count, leading value) of each pivot, by leading
+    # row and closed by nrows; pool holds their (row, val) and grows geometrically
+    piv = np.array([[nrows], [0], [0], [0]], dtype=np.int64)
+    pool, used = np.zeros((2, len(col)), dtype=np.int64), 0
+    while len(col):
+        head = np.flatnonzero(np.diff(col, prepend=-1))
+        size, lead = np.diff(head, append=len(col)), row[head]
+        fresh = np.flatnonzero(piv[0, np.searchsorted(piv[0], lead)] != lead)
+        new = fresh[np.unique(lead[fresh], return_index=True)[1]]
+        _, e = _expand(head[new], size[new])
+        if used + len(e) > pool.shape[1]:
+            pool = np.hstack((pool, np.zeros((2, used + len(e)), dtype=np.int64)))
+        pool[:, used:used + len(e)] = row[e], val[e]
+        piv = np.insert(piv, np.searchsorted(piv[0], lead[new]), (
+            lead[new], used + np.cumsum(size[new]) - size[new], size[new], val[head[new]]), axis=1)
+        used += len(e)
+        rest = np.setdiff1d(np.arange(len(head)), new, assume_unique=True)
+        _, a = _expand(head[rest], size[rest])
+        k = np.searchsorted(piv[0], lead[rest])
+        f = val[head[rest]] * inv[piv[3, k]] % p
+        o, e = _expand(piv[1, k], piv[2, k])
+        key, val = _summed(np.concatenate((col[a] * nrows + row[a],
+                                           col[head[rest]][o] * nrows + pool[0, e])),
+                           np.concatenate((val[a], p - f[o] * pool[1, e] % p)), p)
+        col, row = key // nrows, key % nrows
+    return piv[0, :-1]

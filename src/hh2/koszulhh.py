@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import os
 import weakref
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from . import Hh2Error
 from .exactlin import (NotACocycle, TooLarge, _expand, _summed, _within, combo_add,
-                       sparse_pivot_rows, sparse_pivots, sparse_rank, sparse_reduce)
+                       coo_pivot_rows, sparse_pivots, sparse_rank, sparse_reduce)
 from .quiver import BasedAlgebra, BasedBimodule, Combo, OmegaAlgebra, failing_triple, table_coo
 
 Name = tuple  # ("z", l) | ("kz", l) | ("c2", s) | ("soc", s) | ("mu", l) | ("nu", l) | ("e", s)
@@ -239,21 +238,10 @@ class HHClass:
 
 
 def format_name(name: Name) -> str:
-    kind = name[0]
-    if kind == "z":
-        return "1" if name[1] == 0 else ("z" if name[1] == 1 else f"z^{name[1]}")
-    if kind == "kz":
-        return "k" if name[1] == 0 else ("kz" if name[1] == 1 else f"kz^{name[1]}")
-    if kind == "c2":
-        return f"c2_{name[1]}"
-    if kind == "soc":
-        return f"soc_{name[1]}"
-    if kind == "mu":
-        return f"mu_{name[1]}"
-    if kind == "nu":
-        return f"nu_{name[1]}"
-    if kind == "e":
-        return f"e_{name[1]}"
+    """z^l and kz^l as 1, z, z^l and k, kz, kz^l; any other name as kind_arg."""
+    if name[0] in ("z", "kz"):
+        kind, power = name
+        return {0: "1" if kind == "z" else "k", 1: kind}.get(power, f"{kind}^{power}")
     return "_".join(str(t) for t in name)
 
 
@@ -355,24 +343,15 @@ class HHModule:
 def _chain(model: CochainModel, terms: list[tuple[int, int, int]]) -> Cochain:
     out: Cochain = {}
     for ci, xi, coeff in terms:
-        pr = (ci, xi)
-        if pr in model.pair_index:
-            n = model.pair_index[pr]
-            v = (out.get(n, 0) + coeff) % model.p
-            if v:
-                out[n] = v
-            else:
-                out.pop(n, None)
+        if (n := model.pair_index.get((ci, xi))) is not None:
+            combo_add(out, {n: coeff}, 1, model.p)
     return out
 
 
 def _x_index(x_mod: BasedBimodule, omega: OmegaAlgebra, src: int, a: int, b: int) -> int | None:
     """Index in x_mod of the Omega-monomial (src, a, b), if it survives there."""
-    key = (src, a, b)
-    if key not in omega.key:
-        return None
-    name = omega.basis[omega.key[key]].name
-    return x_mod.index.get(name)
+    at = omega.key.get((src, a, b))
+    return None if at is None else x_mod.index.get(omega.basis[at].name)
 
 
 def canonical_chi_classes(model: CochainModel) -> list[HHClass]:
@@ -409,11 +388,8 @@ def canonical_chi_classes(model: CochainModel) -> list[HHClass]:
 def canonical_dual_classes(model: CochainModel) -> list[HHClass]:
     """e_s (x) e_s* classes for X = Omega*."""
     c, x_mod, p = model.c, model.x_mod, model.p
-    found = []
-    for s in range(1, p + 1):
-        xi = x_mod.index[f"e{s}*"]
-        rep = _chain(model, [(c.idem[s], xi, 1)])
-        found.append((("e", s), rep))
+    found = [(("e", s), _chain(model, [(c.idem[s], x_mod.index[f"e{s}*"], 1)]))
+             for s in range(1, p + 1)]
     return [HHClass(name, *concrete_degree(p, name), rep) for name, rep in found]
 
 
@@ -739,8 +715,8 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]
     """dim HH^n(alg, x_mod) for n = 0..n_max via the reduced bar complex.
 
     Cochains in degree n are A0-bimodule maps (rad A)^{(x)_{A0} n} -> X,
-    graded by the difference of internal (j, k) degrees; the computation is
-    done one graded piece at a time.  No Koszulity is used anywhere.
+    graded by the difference of internal (j, k) degrees, which d preserves.
+    No Koszulity is used anywhere.
 
     Raises TooLarge before anything is built, from the exact sizes of
     ``bar_sizes``: when the cochains of degrees 1..n_max+1 pass the cell cap
@@ -759,19 +735,16 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]
     of col * (rows) + row and ``np.add.reduceat`` sum the entries mod p.
     d_{n+1} . d_n = 0 is a join of the entries of d_n with the columns of
     d_{n+1} on the middle id, summed the same way, run in chunks of whole
-    columns of d_n so that the temporaries stay bounded.  Only the ranks see
-    Python dicts, one graded piece at a time.
+    columns of d_n so that the temporaries stay bounded.
 
-    Each piece of d_n is ranked only on the columns that are not pivot rows
-    of d_{n-1} in the same piece (both are indexed by the cochains of degree
-    n).  Let R be those pivot rows, as ``sparse_pivot_rows`` returns them.
-    Its reduced pivot columns are a basis of im d_{n-1}, and each vanishes on
-    the rows eliminated before its own pivot, so their restriction to R is
-    triangular with a nonzero diagonal: im d_{n-1} projects isomorphically
-    onto the coordinates R.  Hence the coordinate vectors off R span a
-    complement of im d_{n-1}, and since d_n kills im d_{n-1} (checked above
-    before any rank is taken), rank d_n is the rank of d_n on the columns
-    off R.  The result is exact and does not depend on the elimination order.
+    dim HH^n = |C^n| - rank d_n - rank d_{n-1}, and ``coo_pivot_rows`` ranks
+    d_n only on its columns off R, the pivot rows of d_{n-1} (both index the
+    cochains of degree n).  R is the set of leading rows of V = im d_{n-1},
+    {r : dim V_{>=r} > dim V_{>r}}, and a basis of V leading at R is
+    triangular with a nonzero diagonal on the coordinates R.  So V projects
+    isomorphically onto them, the coordinate vectors off R span a complement
+    of V, and d_n, which kills V (checked before any rank is taken), has its
+    full rank on them.  The result is exact in any elimination order.
     """
     cap = max_cells()
     chains, cells = bar_sizes(alg, x_mod, n_max + 2)
@@ -871,13 +844,7 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]
                 raise AssertionError("bar differential does not square to zero")
             b = e
 
-    # the oracle only needs ranks: dim HH^n = |C^n| - rank(d_n) - rank(d_{n-1})
-    ids, d = [], []
-    for n in range(n_max + 1):
-        pos, xi = cochains(n)
-        ids.append(pieces(n, pos, xi))
-        d.append(differential(n, pos, xi))
-        del pos, xi
+    d = [differential(n, *cochains(n)) for n in range(n_max + 1)]
 
     # d_{n+1} . d_n = 0 in every degree whose columns the ranks below use
     for n in range(0, n_max):
@@ -888,25 +855,22 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]
     import logging
     log = logging.getLogger(__name__)
     debug = log.isEnabledFor(logging.DEBUG)
-    if debug:
-        ids.append(pieces(n_max + 1, *cochains(n_max + 1)))  # counted only for the rows of d_{n_max}
+    if debug:  # degree n_max + 1 counts only the rows of d_{n_max}
+        ids = [pieces(n, *cochains(n)) for n in range(n_max + 2)]
         sizes = [{key: len(piece) for key, piece in level} for level in ids]
 
     dims = []
-    skip: set[int] = set()  # the pivot rows of d_{n-1}
+    skip = np.zeros(0, dtype=np.int64)  # the pivot rows of d_{n-1}, ascending
     for n in range(0, n_max + 1):
         dcol, drow, dval = d[n]
-        found: list[int] = []
-        for key, piece in ids[n]:
-            at, idx = _within(dcol, piece)
-            count = np.bincount(at, minlength=len(piece)).tolist()
-            terms = iter(zip(drow[idx].tolist(), dval[idx].tolist()))
-            cols = [dict(islice(terms, c)) for c in count]
-            rows = sparse_pivot_rows([col for i, col in zip(piece.tolist(), cols) if i not in skip], p)
-            found += rows
-            if debug:
-                log.debug("bar piece n=%d bucket=%s rows=%d cols=%d nnz=%d rank=%d",
-                          n, key, sizes[n + 1].get(key, 0), len(cols), len(idx), len(rows))
-        dims.append(sum(len(piece) for _, piece in ids[n]) - len(found) - len(skip))
-        skip = set(found)
+        off = ~np.isin(dcol, skip)
+        found = coo_pivot_rows(dcol[off], drow[off], dval[off], p)
+        if debug:  # d_n keeps buckets: a piece's rank counts the pivot rows among its rows
+            for key, piece in ids[n]:
+                _, idx = _within(dcol, piece)
+                log.debug("bar piece n=%d bucket=%s rows=%d cols=%d nnz=%d rank=%d", n, key,
+                          sizes[n + 1].get(key, 0), len(piece), len(idx),
+                          len(np.intersect1d(drow[idx], found)))
+        dims.append(cells[n] - len(found) - len(skip))
+        skip = found
     return dims

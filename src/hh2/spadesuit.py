@@ -272,13 +272,15 @@ class SpadeAlgebra:
     def component(self, a: int, b: int) -> list[SpadeElement]:
         return [m for m in self.basis if (m.a, m.b) == (a, b)]
 
-    def product(self, m1: SpadeElement, m2: SpadeElement):
-        """Linear combination {SpadeElement: coeff}, or OUT_OF_WINDOW."""
+    def product(self, m1: SpadeElement, m2: SpadeElement, names: NameCombo | None = None):
+        """Linear combination {SpadeElement: coeff}, or OUT_OF_WINDOW; names, if
+        given, is the pair's ``name_product`` for its target slot."""
         grid, a0 = self._grid, self._a0
         target = grid[m1.a + m2.a - a0][m1.b + m2.b - a0]
         if target is None:
             return {}
-        names = name_product(self.p, m1.kind, m1.name, m2.kind, m2.name, target.label)
+        if names is None:
+            names = name_product(self.p, m1.kind, m1.name, m2.kind, m2.name, target.label)
         if not names:
             return {}
         if not (self.a_min <= target.a <= self.a_max and self.a_min <= target.b <= self.a_max):
@@ -302,7 +304,8 @@ class SpadeAlgebra:
         pair.  ``product`` is {} when the target slot is vacant or
         ``name_product`` is empty, which depends only on the two names and the
         labels of the two slots and the target; so ``product`` is called only
-        on the name pairs that one table per label triple lists.
+        on the name pairs that one table per label triple lists, with their
+        names.
         """
         p, basis, index = self.p, self.basis, self.index
         grid, a0 = self._grid, self._a0
@@ -318,7 +321,7 @@ class SpadeAlgebra:
             names.setdefault(comp.label, component_names(p, comp.label))
             slots.append((a, b, comp.label, first))
             first += len(names[comp.label])
-        nonzero: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
+        nonzero: dict[tuple[str, str, str], list[tuple[int, int, NameCombo]]] = {}
         for a1, b1, label1, first1 in slots:
             for a2, b2, label2, first2 in slots:
                 target = grid[a1 + a2 - a0][b1 + b2 - a0]
@@ -328,12 +331,12 @@ class SpadeAlgebra:
                 pairs = nonzero.get(key)
                 if pairs is None:
                     pairs = nonzero[key] = [
-                        (u, v) for u, n1 in enumerate(names[label1])
+                        (u, v, combo) for u, n1 in enumerate(names[label1])
                         for v, n2 in enumerate(names[label2])
-                        if name_product(p, label1, n1, label2, n2, target.label)]
-                for u, v in pairs:
+                        if (combo := name_product(p, label1, n1, label2, n2, target.label))]
+                for u, v, combo in pairs:
                     i, j = first1 + u, first2 + v
-                    r = product(basis[i], basis[j])
+                    r = product(basis[i], basis[j], combo)
                     rows[i][j] = (None if r is OUT_OF_WINDOW else
                                   tuple((index[(el.a, el.b, el.name)], c) for el, c in r.items()))
         return rows

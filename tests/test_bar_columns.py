@@ -2,15 +2,18 @@
 
 ``ListChains``, ``pieces`` and ``d_columns`` are the list-of-tuples chains,
 cofaces and column builders that the array code replaced, kept verbatim as
-the reference.  Each call of ``sparse_pivot_rows`` is recorded with the
-piece it ranks, read from the oracle's frame (``n``, ``key``, ``cols``).
+the reference.  Each call of ``coo_pivot_rows`` is recorded with the degree
+it ranks, read from the oracle's frame: ``n``, the whole d_n ``d[n]``, the
+pivot rows ``skip`` of d_{n-1} and the pieces ``ids[n]``, which the oracle
+lists for its DEBUG lines.
 """
 import inspect
+import logging
 
 import pytest
 
 from hh2 import koszulhh
-from hh2.exactlin import sparse_pivot_rows
+from hh2.exactlin import coo_pivot_rows
 from hh2.koszulhh import bar_oracle
 
 
@@ -112,22 +115,40 @@ def reference(alg, x_mod, n_max):
     return [pieces(n) for n in range(n_max + 1)], [d_columns(n) for n in range(n_max + 1)]
 
 
-def _handed_over(alg, x_mod, n_max, monkeypatch):
-    """[(n, key, cols)] in the order the oracle ranks its pieces, and its dims."""
+def _columns(col, row, val) -> dict[int, dict]:
+    """{column: {row: value}} of COO arrays."""
+    out: dict[int, dict] = {}
+    for c, r, v in zip(col.tolist(), row.tolist(), val.tolist()):
+        out.setdefault(c, {})[r] = v
+    return out
+
+
+def _handed_over(alg, x_mod, n_max, monkeypatch, caplog):
+    """[(n, key, cols)] in the order of the oracle's pieces, each piece's
+    columns read off the oracle's d_n, and its dims; asserts that each
+    elimination gets the columns of d_n off the pivot rows of d_{n-1}, sorted
+    by column and then row."""
     seen = []
 
-    def recording(columns, p):
+    def recording(col, row, val, p):
         caller = inspect.currentframe().f_back.f_locals
-        seen.append((caller["n"], caller["key"], caller["cols"]))
-        return sparse_pivot_rows(columns, p)
+        n, skip = caller["n"], set(caller["skip"].tolist())
+        full = _columns(*caller["d"][n])
+        assert _columns(col, row, val) == {c: v for c, v in full.items() if c not in skip}
+        packed = col * (int(row.max(initial=0)) + 1) + row
+        assert (packed[1:] > packed[:-1]).all()
+        seen.extend((n, key, [full.get(i, {}) for i in piece.tolist()])
+                    for key, piece in caller["ids"][n])
+        return coo_pivot_rows(col, row, val, p)
 
-    monkeypatch.setattr(koszulhh, "sparse_pivot_rows", recording)
-    return seen, bar_oracle(alg, x_mod, n_max)
+    monkeypatch.setattr(koszulhh, "coo_pivot_rows", recording)
+    with caplog.at_level(logging.DEBUG, logger="hh2.koszulhh"):
+        return seen, bar_oracle(alg, x_mod, n_max)
 
 
-def _assert_reference_columns(alg, x_mod, n_max, monkeypatch):
+def _assert_reference_columns(alg, x_mod, n_max, monkeypatch, caplog):
     ref_pieces, ref_d = reference(alg, x_mod, n_max)
-    seen, _dims = _handed_over(alg, x_mod, n_max, monkeypatch)
+    seen, _dims = _handed_over(alg, x_mod, n_max, monkeypatch, caplog)
     expected = [(n, key) for n in range(n_max + 1) for key in ref_pieces[n]]
     assert [(n, key) for n, key, _ in seen] == expected
     for n, key, cols in seen:
@@ -136,10 +157,10 @@ def _assert_reference_columns(alg, x_mod, n_max, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["omega", "theta", "theta-sigma",
                                   "omega-dual", "omega-ep-omega"])
-def test_oracle_columns_are_the_reference_columns_p3(kind, maps3, monkeypatch):
-    _assert_reference_columns(maps3.omega, maps3.modules[kind], 4, monkeypatch)
+def test_oracle_columns_are_the_reference_columns_p3(kind, maps3, monkeypatch, caplog):
+    _assert_reference_columns(maps3.omega, maps3.modules[kind], 4, monkeypatch, caplog)
 
 
 @pytest.mark.parametrize("kind", ["theta", "omega-ep-omega"])
-def test_oracle_columns_are_the_reference_columns_p5(kind, maps5, monkeypatch):
-    _assert_reference_columns(maps5.omega, maps5.modules[kind], 3, monkeypatch)
+def test_oracle_columns_are_the_reference_columns_p5(kind, maps5, monkeypatch, caplog):
+    _assert_reference_columns(maps5.omega, maps5.modules[kind], 3, monkeypatch, caplog)

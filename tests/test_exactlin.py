@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from hh2 import quiver
+from hh2 import exactlin, quiver
 from hh2 import Hh2Error
 from hh2.exactlin import (CompositionNotZero, Homology, NotACocycle,
-                          NotOddPrime, check_odd_prime, matmul,
-                          rank, rank_and_kernel, rref, sparse_pivot_rows, sparse_pivots,
+                          NotOddPrime, check_odd_prime, coo_pivot_rows, matmul,
+                          rank, rank_and_kernel, rref, sparse_pivots,
                           sparse_rank, zeros)
 from hh2.koszulhh import build_model
 
@@ -304,7 +304,7 @@ def test_rank_and_kernel_matches_sympy(case):
 @given(sparse_matrices(), st.randoms(use_true_random=False))
 def test_sparse_pivot_rows_are_independent_original_rows(case, rnd):
     p, columns, dense = case
-    rows = sparse_pivot_rows(columns, p)
+    rows = list(sparse_pivots(columns, p))
     assert len(rows) == len(set(rows)) == rank(dense, p) == sparse_rank(columns, p)
     # the pivot rows carry the full rank of the matrix
     assert rank(dense[rows], p) == len(rows)
@@ -313,7 +313,7 @@ def test_sparse_pivot_rows_are_independent_original_rows(case, rnd):
     back = {new: old for old, new in enumerate(ids)}
     moved = [{ids[r]: c for r, c in col.items()} for col in columns]
     rnd.shuffle(moved)
-    moved_rows = sparse_pivot_rows(moved, p)
+    moved_rows = list(sparse_pivots(moved, p))
     assert set(moved_rows) <= set(back)
     assert len(moved_rows) == rank(dense[[back[r] for r in moved_rows]], p) == len(rows)
 
@@ -323,7 +323,6 @@ def test_sparse_pivot_rows_are_independent_original_rows(case, rnd):
 def test_sparse_pivots_are_reduced_columns_of_the_span(case):
     p, columns, dense = case
     pivots = sparse_pivots(columns, p)
-    assert list(pivots) == sparse_pivot_rows(columns, p)
     # each reduced column is 1 at its pivot and empty on every row below it
     for r, col in pivots.items():
         assert col[r] == 1 and min(col) == r
@@ -371,7 +370,6 @@ def test_sparse_pivots_equal_the_scaling_loop(case):
     got = sparse_pivots(columns, p)
     assert list(got.items()) == list(want.items())
     assert all(list(got[r].items()) == list(col.items()) for r, col in want.items())
-    assert sparse_pivot_rows(columns, p) == list(want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -383,9 +381,90 @@ def test_rank_off_pivot_rows_of_previous_map(case):
     mid = d_in.shape[0]
     cols_in = [{i: int(v) for i, v in enumerate(col) if v} for col in d_in.T]
     cols_out = [{i: int(v) for i, v in enumerate(col) if v} for col in d_out.T]
-    pivots = set(sparse_pivot_rows(cols_in, p))
+    pivots = set(coo_pivot_rows(*_coo(cols_in), p).tolist())
     off = [j for j in range(mid) if j not in pivots]
     complement = np.hstack([d_in, np.eye(mid, dtype=np.int64)[:, off]])
     assert _sympy_rank(complement, p) == mid
     want = _sympy_rank(d_out, p)
     assert sparse_rank([cols_out[j] for j in off], p) == sparse_rank(cols_out, p) == want
+
+
+def _coo(columns: list[dict]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(col, row, val) of sparse columns, column j with id j, sorted by column
+    and then row, values reduced to [1, p) by the caller."""
+    entries = sorted((j, r, c) for j, col in enumerate(columns) for r, c in col.items())
+    return tuple(np.array(x, dtype=np.int64) for x in zip(*entries)) if entries else (
+        np.zeros(0, dtype=np.int64),) * 3
+
+
+@st.composite
+def coo_columns(draw):
+    """(p, columns) with coefficients in [1, p), p - 1 often: sparse columns,
+    columns sharing the leading row of an earlier one, dependent columns
+    (s * a + b for earlier a, b) and staircases {r + i, r + i + 1}, i < k,
+    closed by {r}, whose reduction meets one pivot per round."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    n_rows = draw(st.integers(1, 30))
+    coeff = st.one_of(st.just(p - 1), st.integers(1, p - 1))
+    columns: list[dict] = []
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["sparse", "lead", "combo", "chain"]))
+        if shape == "lead" and columns:
+            r = min(draw(st.sampled_from(columns)))
+            col = {r: draw(coeff), **draw(st.dictionaries(st.integers(r + 1, r + n_rows),
+                                                          coeff, max_size=3))}
+        elif shape == "combo" and columns:
+            a, b, s = draw(st.sampled_from(columns)), draw(st.sampled_from(columns)), draw(coeff)
+            col = {r: (s * a.get(r, 0) + b.get(r, 0)) % p for r in a.keys() | b.keys()}
+        elif shape == "chain":
+            r, k = draw(st.integers(0, n_rows - 1)), draw(st.integers(1, 8))
+            columns += [{r + i: draw(coeff), r + i + 1: draw(coeff)} for i in range(k)]
+            col = {r: draw(coeff)}
+        else:
+            col = draw(st.dictionaries(st.integers(0, n_rows - 1), coeff, min_size=1, max_size=4))
+        if col := {r: c for r, c in col.items() if c}:
+            columns.append(col)
+    return p, columns
+
+
+def _pivot_rows_in_bounded_rounds(columns: list[dict], p: int) -> list[int]:
+    """``coo_pivot_rows`` of the columns, failing once it runs more rounds (one
+    ``_summed`` each) than the columns have distinct rows."""
+    bound, rounds, summed = len({r for col in columns for r in col}), [], exactlin._summed
+
+    def counted(key, val, q):
+        rounds.append(1)
+        assert len(rounds) <= bound, "more rounds than distinct rows"
+        return summed(key, val, q)
+
+    arrays = _coo(columns)
+    kept = [a.copy() for a in arrays]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlin, "_summed", counted)
+        got = coo_pivot_rows(*arrays, p)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, kept))  # input left as it was
+    return got.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(coo_columns(), st.randoms(use_true_random=False))
+def test_coo_pivot_rows_are_the_pivot_rows_of_sparse_pivots(case, rnd):
+    # the same rows, ascending, hence the same set and count, in any column order
+    p, columns = case
+    want = sorted(sparse_pivots(columns, p))
+    assert _pivot_rows_in_bounded_rounds(columns, p) == want
+    moved = columns[:]
+    rnd.shuffle(moved)
+    assert _pivot_rows_in_bounded_rounds(moved, p) == want
+
+
+def test_coo_pivot_rows_walk_a_collision_chain_one_pivot_per_round():
+    # {i, i + 1} for i < 6 become pivots in the first round; {0} then meets
+    # the pivots of rows 0..5 in turn and becomes the pivot of row 6
+    p, calls, summed = 5, [], exactlin._summed
+    columns = [{i: 1, i + 1: p - 1} for i in range(6)] + [{0: 2}]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlin, "_summed", lambda *a: calls.append(1) or summed(*a))
+        assert coo_pivot_rows(*_coo(columns), p).tolist() == list(range(7))
+    assert len(calls) == 7
+    assert coo_pivot_rows(*_coo([]), p).tolist() == []

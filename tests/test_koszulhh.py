@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from hh2 import Hh2Error, koszulhh
-from hh2.exactlin import sparse_pivot_rows, sparse_rank
+from hh2.exactlin import coo_pivot_rows, sparse_rank
 from hh2.koszulhh import (NotACocycle, NotHomogeneous, PairingDegreeMismatch,
                           TooLarge, UnrecognizedSignature, bar_oracle,
                           build_model, cup, homology_named)
@@ -378,11 +378,11 @@ def test_bar_oracle_checks_d_squared_before_any_rank(maps3, monkeypatch):
     # every composition has been checked
     calls = []
 
-    def recording(columns, p):
-        calls.append(len(columns))
-        return sparse_pivot_rows(columns, p)
+    def recording(col, row, val, p):
+        calls.append(len(col))
+        return coo_pivot_rows(col, row, val, p)
 
-    monkeypatch.setattr(koszulhh, "sparse_pivot_rows", recording)
+    monkeypatch.setattr(koszulhh, "coo_pivot_rows", recording)
     with pytest.raises(AssertionError, match="square to zero"):
         bar_oracle(_broken_omega3(maps3), maps3.theta, 3)
     assert calls == []
@@ -391,17 +391,21 @@ def test_bar_oracle_checks_d_squared_before_any_rank(maps3, monkeypatch):
 @pytest.mark.parametrize("kind", ["omega", "theta", "theta-sigma",
                                   "omega-dual", "omega-ep-omega"])
 def test_bar_pieces_rank_like_their_full_columns_p3(kind, maps3, monkeypatch, caplog):
-    # each piece of d_n is ranked off the pivot rows of d_{n-1}; its logged
-    # rank must still be the rank of all its columns
+    # d_n is ranked off the pivot rows of d_{n-1}; the logged rank of each
+    # piece must still be the rank of all its columns
     full_rank, skipped = {}, []
 
-    def recording(columns, p):
+    def recording(col, row, val, p):
         caller = inspect.currentframe().f_back.f_locals
-        full_rank[(caller["n"], caller["key"])] = sparse_rank(caller["cols"], p)
-        skipped.append(len(caller["cols"]) - len(columns))
-        return sparse_pivot_rows(columns, p)
+        n, full = caller["n"], {}
+        for c, r, v in zip(*(a.tolist() for a in caller["d"][n])):
+            full.setdefault(c, {})[r] = v
+        for key, piece in caller["ids"][n]:
+            full_rank[(n, key)] = sparse_rank([full.get(i, {}) for i in piece.tolist()], p)
+        skipped.append(len(full) - len(set(col.tolist())))  # nonzero columns not handed over
+        return coo_pivot_rows(col, row, val, p)
 
-    monkeypatch.setattr(koszulhh, "sparse_pivot_rows", recording)
+    monkeypatch.setattr(koszulhh, "coo_pivot_rows", recording)
     with caplog.at_level(logging.DEBUG, logger="hh2.koszulhh"):
         bar_oracle(maps3.omega, maps3.modules[kind], 4)
     pattern = re.compile(r"bar piece n=(\d+) bucket=\((-?\d+), (-?\d+)\) "
