@@ -16,18 +16,24 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from . import Hh2Error, __version__
-from .exactlin import is_odd_prime
+from .exactlin import combo_add, is_odd_prime
 from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
                        KIND_THETA_SIGMA, max_cells)
 from .operators import UnboundedWindow
+from .quiver import WindowTable, window_associativity, window_table
 from .spadesuit import OUT_OF_WINDOW, WindowEmpty, WindowTooLarge
 
 COEFFS = (KIND_OMEGA, KIND_THETA, KIND_THETA_SIGMA, KIND_DUAL, KIND_IDEAL)
+HH2_CHECKS = ("hh_2 -> hh_1 surjective", "projection hh_2 -> hh_1 multiplicative",
+              "hh_2 supercommutative in window")
 
 
 def _json(value, out: list[str], indent: str = "\n") -> None:
@@ -125,21 +131,16 @@ def cmd_spadesuit(p: int, a_min: int, a_max: int, fmt: str,
                                 None, m.x))
     checks = []
     status = 0
-    rows = alg.product_rows()
+    table = alg.product_table()
     display = [m.display() for m in alg.basis]
-    products = []
-    for i, row in enumerate(rows):
-        for j, r in enumerate(row):
-            if r:  # neither out of the window nor zero
-                products.append({
-                    "left": display[i], "right": display[j],
-                    "result": [{"name": display[el], "coeff": int(c)}
-                               for el, c in sorted(r, key=lambda t: display[t[0]])],
-                })
-    products.sort(key=lambda e: (e["left"], e["right"]))
+    terms = sorted((display[i], display[j], display[el], c)
+                   for i, j, el, c in zip(*(a.tolist() for a in table.terms)))
+    products = [{"left": left, "right": right,
+                 "result": [{"name": name, "coeff": c} for _, _, name, c in group]}
+                for (left, right), group in itertools.groupby(terms, lambda e: e[:2])]
 
     if check_associativity:
-        n_checked, n_failed = _spade_associativity(rows, p)
+        n_checked, n_failed = _spade_associativity(table, p)
         checks.append({"name": f"associativity ({n_checked} triples)",
                        "status": "PASS" if n_failed == 0 else "FAIL"})
         if n_failed:
@@ -157,109 +158,42 @@ def cmd_spadesuit(p: int, a_min: int, a_max: int, fmt: str,
     return _emit(doc, fmt), status
 
 
-def _product_rows(basis: list, product) -> list[list]:
-    """rows[i][j] = basis[i] * basis[j] as ((index, coeff), ...), or None
-    when the product leaves the window; one product call per pair."""
+def _product_table(basis: list, product) -> WindowTable:
+    """The table of basis[i] * basis[j]: one product call per ordered pair."""
     idx = {m: i for i, m in enumerate(basis)}
-    rows = []
-    for m1 in basis:
-        row = []
-        for m2 in basis:
+    terms, out = [], []  # flat: [x, y, t, c, ...] and [x, y, ...]
+    for i, m1 in enumerate(basis):
+        for j, m2 in enumerate(basis):
             r = product(m1, m2)
-            row.append(None if r is OUT_OF_WINDOW
-                       else tuple((idx[el], c) for el, c in r.items()))
-        rows.append(row)
-    return rows
+            if r is OUT_OF_WINDOW:
+                out += i, j
+            else:
+                for el, c in r.items():
+                    terms += i, j, idx[el], c
+    return window_table(len(basis), terms, out)
 
 
-def _associativity(rows: list[list], p: int) -> tuple[int, int]:
-    """(checked, failed) over all triples whose products stay in the window.
-
-    A triple (i, j, k) with rows[i][j] and rows[j][k] in the window is
-    checked unless it is spoiled: some term el of rows[i][j] has
-    rows[el][k] out of the window, or some term el of rows[j][k] has
-    rows[i][el] out of it.  It fails if (xy)z - x(yz) is nonzero mod p.
-
-    Both conditions need a term, so a triple whose two products are empty
-    is checked and holds (0 = 0).  The scan therefore takes one middle index
-    j at a time: it counts all #{i: rows[i][j] in window} x
-    #{k: rows[j][k] in window} triples, then walks only the terms of the
-    nonempty rows[i][j] (along row el) and of the nonempty rows[j][k] (down
-    column el).  Out-of-window entries met on the walk mark (i, k) spoiled;
-    nonempty ones add to (xy)z or subtract for x(yz).  Every triple the walk
-    does not reach has both sides 0.  Spoiled pairs are taken off the count
-    and every other pair the walk reached fails if its sum is nonzero mod p,
-    so the result equals the full n^3 triple scan with work that grows with
-    the nonempty products instead.
-    """
-    n = len(rows)
-    row_out = [[k for k, r in enumerate(row) if r is None] for row in rows]
-    row_nz = [[(k, r) for k, r in enumerate(row) if r] for row in rows]
-    col_out: list[list] = [[] for _ in range(n)]
-    col_nz: list[list] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in row_out[i]:
-            col_out[j].append(i)
-        for j, r in row_nz[i]:
-            col_nz[j].append((i, r))
-
-    checked = failed = 0
-    for j in range(n):
-        row_j = rows[j]
-        left_in = [row[j] is not None for row in rows]
-        checked += (n - len(col_out[j])) * (n - len(row_out[j]))
-        spoiled: set[int] = set()
-        acc: dict[int, dict] = {}  # i * n + k -> (xy)z - x(yz) by basis index
-        for i, r12 in col_nz[j]:
-            for el, c in r12:
-                for k in row_out[el]:
-                    if row_j[k] is not None:
-                        spoiled.add(i * n + k)
-                for k, r in row_nz[el]:
-                    if row_j[k] is not None:
-                        d = acc.setdefault(i * n + k, {})
-                        for el2, c2 in r:
-                            d[el2] = d.get(el2, 0) + c * c2
-        for k, r23 in row_nz[j]:
-            for el, c in r23:
-                for i in col_out[el]:
-                    if left_in[i]:
-                        spoiled.add(i * n + k)
-                for i, r in col_nz[el]:
-                    if left_in[i]:
-                        d = acc.setdefault(i * n + k, {})
-                        for el2, c2 in r:
-                            d[el2] = d.get(el2, 0) - c * c2
-        checked -= len(spoiled)
-        for key, d in acc.items():
-            if key not in spoiled and any(v % p for v in d.values()):
-                failed += 1
-    return checked, failed
-
-
-def _supercommutativity(rows: list[list], ks: list[int], p: int) -> int:
+def _supercommutativity(table: WindowTable, ks: list[int], p: int) -> int:
     """Number of in-window pairs with x y != (-1)^{k(x) k(y)} y x, where
-    ks[i] is the k-degree of basis element i.  A pair whose two products
-    are both () holds (0 = 0) and is not compared."""
-    bad = 0
-    for i, row in enumerate(rows):
-        for j, r12 in enumerate(row):
-            r21 = rows[j][i]
-            if r12 is None or r21 is None or not (r12 or r21):
-                continue
-            sign = -1 if (ks[i] * ks[j]) % 2 else 1
-            ex = {el: (sign * c) % p for el, c in r21}
-            if dict(r12) != {el: c for el, c in ex.items() if c}:
-                bad += 1
-    return bad
+    ks[i] is the k-degree of basis element i: x y as stored against the
+    signed y x reduced mod p, nonzero terms only, each read as a dict of its
+    terms (the last of two at one index counts)."""
+    n, (x, y, t, c), (ox, oy) = table
+    key = (x * n + y) * n + t
+    last = len(key) - 1 - np.unique(key[::-1], return_index=True)[1]
+    x, y, t, c, key = x[last], y[last], t[last], c[last], key[last]
+    ks = np.asarray(ks, dtype=np.int64)
+    signed = np.where(ks[x] * ks[y] % 2, -c, c) % p
+    width = max(p, int(c.max(initial=0)) + 1)
+    swapped = (((y * n + x) * n + t) * width + signed)[signed != 0]
+    pairs = np.setxor1d(key * width + c, swapped) // (width * n)
+    return len(np.setdiff1d(pairs, np.concatenate((ox * n + oy, oy * n + ox))))
 
 
-def _spade_associativity(rows: list[list], p: int) -> tuple[int, int]:
-    """Associativity of the grid algebra from its product rows.
-
-    A name of its own, so that profiles tell the grid scan from the club scan.
-    """
-    return _associativity(rows, p)
+def _spade_associativity(table: WindowTable, p: int) -> tuple[int, int]:
+    """Associativity of the grid algebra: a name of its own, so that profiles
+    tell the grid scan from the club scan."""
+    return window_associativity(table, p)
 
 
 def _club_associativity(win) -> tuple[int, int]:
@@ -270,7 +204,34 @@ def _club_associativity(win) -> tuple[int, int]:
             return OUT_OF_WINDOW
         return {(target, m): c for m, c in combo.items()}
 
-    return _associativity(_product_rows(win.basis(), product), win.p)
+    return window_associativity(_product_table(win.basis(), product), win.p)
+
+
+def _hh2_checks(p: int, spade, hh1) -> list[tuple[str, bool]]:
+    """(name, holds) of ``HH2_CHECKS`` for hh_2, listed up to k = 12, and hh_1
+    over the same window."""
+    from .operators import build_hhl, project
+
+    hh2_ = build_hhl(p, 2, spade, k_max=12)
+    images = [project(hh2_, el, hh1) for el in hh2_.basis]
+    onto = set(hh1.basis) <= {im for image in images for im in image}
+    table = _product_table(hh2_.basis, hh2_.product)
+    lhs: dict[tuple[int, int], dict] = {}  # the image of each nonzero product
+    for i, j, el, c in zip(*(a.tolist() for a in table.terms)):
+        combo_add(lhs.setdefault((i, j), {}), images[el], c, p)
+    # both sides are 0 on a pair without terms whose factors do not both project
+    hit = [i for i, image in enumerate(images) if image]
+    out = set(zip(*(a.tolist() for a in table.out)))
+    mult_ok = True
+    for i, j in set(lhs) | {(i, j) for i in hit for j in hit} - out:
+        rhs: dict = {}
+        for (i1, c1), (i2, c2) in itertools.product(images[i].items(), images[j].items()):
+            r = hh1.product(i1, i2)
+            if r is not OUT_OF_WINDOW:
+                combo_add(rhs, r, c1 * c2, p)
+        mult_ok = mult_ok and rhs == lhs.get((i, j), {})
+    sc_ok = _supercommutativity(table, [e.k for e in hh2_.basis], p) == 0
+    return list(zip(HH2_CHECKS, (onto, mult_ok, sc_ok)))
 
 
 def cmd_hhl(p: int, level: int, k_max: int | None, fmt: str) -> tuple[str, int]:
@@ -297,7 +258,7 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
     from .clubsuit import ClubWindow, ConstructionFailure, NaturalMaps
     from .exactlin import sparse_rank
     from .koszulhh import TooLarge, bar_oracle, bar_sizes, build_model, cup, homology_named
-    from .operators import build_hhl, project
+    from .operators import build_hhl
     from .spadesuit import (build_spade, chi_mul, duality_form_checks,
                             verify_first_principles)
 
@@ -395,12 +356,11 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
 
     a_lo, a_hi = (-3, 4) if p <= 5 else (-2, 3)
     spade = build_spade(p, a_lo, a_hi)
-    rows = spade.product_rows()
-    n_checked, n_bad = _spade_associativity(rows, p)
+    table = spade.product_table()
+    n_checked, n_bad = _spade_associativity(table, p)
     check(f"spade associativity ({n_checked} triples)", n_bad == 0)
-    sc_bad = _supercommutativity(rows, [m.k for m in spade.basis], p)
+    sc_bad = _supercommutativity(table, [m.k for m in spade.basis], p)
     check("spade supercommutative on window", sc_bad == 0, f"{sc_bad} failures")
-    del rows  # the tower below needs the memory, not these rows
 
     hh0 = build_hhl(p, 0, spade)
     hh1 = build_hhl(p, 1, spade)
@@ -416,37 +376,10 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
     check("hh_1 isomorphic to chi as graded algebra", chi_ok)
 
     if p == 3:
-        hh2_ = build_hhl(p, 2, spade, k_max=12)
-        images = set()
-        for el in hh2_.basis:
-            images.update(project(hh2_, el, hh1))
-        check("hh_2 -> hh_1 surjective", all(el in images for el in hh1.basis))
-        rows = _product_rows(hh2_.basis, hh2_.product)
-        mult_ok = True
-        for e1, row in zip(hh2_.basis, rows):
-            for e2, pr in zip(hh2_.basis, row):
-                if pr is None:
-                    continue
-                lhs: dict = {}
-                for el, c in pr:
-                    for im, ci in project(hh2_, hh2_.basis[el], hh1).items():
-                        lhs[im] = (lhs.get(im, 0) + c * ci) % p
-                rhs: dict = {}
-                for i1, c1 in project(hh2_, e1, hh1).items():
-                    for i2, c2 in project(hh2_, e2, hh1).items():
-                        r = hh1.product(i1, i2)
-                        if r is OUT_OF_WINDOW:
-                            continue
-                        for el, c in r.items():
-                            rhs[el] = (rhs.get(el, 0) + c1 * c2 * c) % p
-                if {a: b for a, b in lhs.items() if b} != {a: b for a, b in rhs.items() if b}:
-                    mult_ok = False
-        check("projection hh_2 -> hh_1 multiplicative", mult_ok)
-        sc2_bad = _supercommutativity(rows, [e.k for e in hh2_.basis], p)
-        check("hh_2 supercommutative in window", sc2_bad == 0)
+        for name, ok in _hh2_checks(p, spade, hh1):
+            check(name, ok)
     else:
-        for name in ("hh_2 -> hh_1 surjective", "projection hh_2 -> hh_1 multiplicative",
-                     "hh_2 supercommutative in window"):
+        for name in HH2_CHECKS:
             skip(name, "runs at p = 3 only")
     return results
 

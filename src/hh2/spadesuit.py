@@ -30,7 +30,7 @@ from .exactlin import check_odd_prime, combo_add, sparse_rank
 from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Name, NameCombo,
                        build_model, concrete_degree, cup, format_name, homology_named,
                        idempotent_label)
-from .quiver import failing_triple
+from .quiver import WindowTable, failing_triple, window_table
 
 
 class WindowEmpty(Hh2Error):
@@ -41,8 +41,9 @@ class WindowTooLarge(Hh2Error):
     pass
 
 
-# the most products, dim squared, that product_rows lays out: about 300 MB of
-# rows, which admits the default window up to p = 61
+# the most products, dim squared, that product_table scans; its arrays keep only
+# nonzero and out-of-window pairs, so this bounds time and output: at p = 61 the
+# default window prints 56 MB of JSON in 5.8 s, 627 MB peak (2-CPU x86-64 host)
 MAX_PRODUCTS = 16_000_000
 
 
@@ -298,14 +299,12 @@ class SpadeAlgebra:
             out[el] = (sign * coeff) % self.p
         return out
 
-    def product_rows(self) -> list[list]:
-        """rows[i][j] = basis[i] * basis[j] as ((index, coeff), ...), () for
-        zero, or None out of the window: the rows of one ``product`` call per
-        pair.  ``product`` is {} when the target slot is vacant or
-        ``name_product`` is empty, which depends only on the two names and the
-        labels of the two slots and the target; so ``product`` is called only
-        on the name pairs that one table per label triple lists, with their
-        names.
+    def product_table(self) -> WindowTable:
+        """The window's products, one ``product`` call per pair that is
+        nonzero or out of the window.  ``product`` is {} when the target slot
+        is vacant or ``name_product`` is empty, which depends only on the two
+        names and the labels of the two slots and the target; so it gets only
+        the name pairs that one table per label triple lists, with their names.
         """
         p, basis, index = self.p, self.basis, self.index
         grid, a0 = self._grid, self._a0
@@ -314,7 +313,7 @@ class SpadeAlgebra:
         if n * n > MAX_PRODUCTS:
             raise WindowTooLarge(f"the window has {n} elements, so {n * n} products: "
                                  f"more than {MAX_PRODUCTS}")
-        rows: list[list] = [[()] * n for _ in range(n)]
+        terms, out = [], []  # flat: [x, y, t, c, ...] and [x, y, ...]
         names: dict[str, list[Name]] = {}
         slots, first = [], 0  # (a, b, label, index of its first element)
         for (a, b), comp in self.slots.items():
@@ -337,9 +336,12 @@ class SpadeAlgebra:
                 for u, v, combo in pairs:
                     i, j = first1 + u, first2 + v
                     r = product(basis[i], basis[j], combo)
-                    rows[i][j] = (None if r is OUT_OF_WINDOW else
-                                  tuple((index[(el.a, el.b, el.name)], c) for el, c in r.items()))
-        return rows
+                    if r is OUT_OF_WINDOW:
+                        out += i, j
+                    else:
+                        for el, c in r.items():
+                            terms += i, j, index[(el.a, el.b, el.name)], c
+        return window_table(n, terms, out)
 
 
 def build_spade(p: int, a_min: int, a_max: int) -> SpadeAlgebra:

@@ -1,17 +1,46 @@
 """The associativity scan behind ``verify`` and ``spadesuit --check-associativity``.
 
-``cli._associativity`` walks only the nonempty products of a table.  Here it
-is compared with the plain triple loop it replaced, kept in this file as the
-reference, on random tables that are mostly not associative, and pinned on
-the real grid windows.
+``quiver.window_associativity`` scans a window's product table with the
+half-joins of ``failing_triple``.  Here it is compared with two references
+kept in this file: the plain triple loop, and the per-middle-index walker
+that scanned the dense rows before it.  The comparison runs on random
+tables that are mostly not associative, and on the real grid and club
+windows, each also with one corrupted product.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hh2.cli import (_associativity, _product_rows, _spade_associativity,
+from hh2.cli import (_club_associativity, _product_table, _spade_associativity,
                     _supercommutativity)
-from hh2.spadesuit import build_spade
+from hh2.clubsuit import ClubWindow, NaturalMaps
+from hh2.quiver import window_associativity, window_table
+from hh2.spadesuit import OUT_OF_WINDOW, build_spade
+
+
+def table_of(rows: list[list]):
+    """The ``WindowTable`` of dense rows: rows[i][j] is None out of the
+    window, else the ((index, coeff), ...) terms of basis[i] * basis[j]."""
+    terms, out = [], []
+    for i, row in enumerate(rows):
+        for j, r in enumerate(row):
+            if r is None:
+                out += i, j
+            else:
+                for el, c in r:
+                    terms += i, j, el, c
+    return window_table(len(rows), terms, out)
+
+
+def rows_of(table) -> list[list]:
+    """The dense rows of a ``WindowTable``, as ``table_of`` reads them."""
+    n, (x, y, t, c), (ox, oy) = table
+    rows = [[()] * n for _ in range(n)]
+    for i, j in zip(ox.tolist(), oy.tolist()):
+        rows[i][j] = None
+    for i, j, el, cf in zip(x.tolist(), y.tolist(), t.tolist(), c.tolist()):
+        rows[i][j] += ((el, cf),)
+    return rows
 
 
 def cubic_associativity(rows: list[list], p: int) -> tuple[int, int]:
@@ -58,6 +87,71 @@ def cubic_associativity(rows: list[list], p: int) -> tuple[int, int]:
     return checked, failed
 
 
+def walker_associativity(rows: list[list], p: int) -> tuple[int, int]:
+    """(checked, failed) over all triples whose products stay in the window.
+
+    A triple (i, j, k) with rows[i][j] and rows[j][k] in the window is
+    checked unless it is spoiled: some term el of rows[i][j] has
+    rows[el][k] out of the window, or some term el of rows[j][k] has
+    rows[i][el] out of it.  It fails if (xy)z - x(yz) is nonzero mod p.
+
+    Both conditions need a term, so a triple whose two products are empty
+    is checked and holds (0 = 0).  The scan therefore takes one middle index
+    j at a time: it counts all #{i: rows[i][j] in window} x
+    #{k: rows[j][k] in window} triples, then walks only the terms of the
+    nonempty rows[i][j] (along row el) and of the nonempty rows[j][k] (down
+    column el).  Out-of-window entries met on the walk mark (i, k) spoiled;
+    nonempty ones add to (xy)z or subtract for x(yz).  Every triple the walk
+    does not reach has both sides 0.  Spoiled pairs are taken off the count
+    and every other pair the walk reached fails if its sum is nonzero mod p,
+    so the result equals the full n^3 triple scan with work that grows with
+    the nonempty products instead.
+    """
+    n = len(rows)
+    row_out = [[k for k, r in enumerate(row) if r is None] for row in rows]
+    row_nz = [[(k, r) for k, r in enumerate(row) if r] for row in rows]
+    col_out: list[list] = [[] for _ in range(n)]
+    col_nz: list[list] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in row_out[i]:
+            col_out[j].append(i)
+        for j, r in row_nz[i]:
+            col_nz[j].append((i, r))
+
+    checked = failed = 0
+    for j in range(n):
+        row_j = rows[j]
+        left_in = [row[j] is not None for row in rows]
+        checked += (n - len(col_out[j])) * (n - len(row_out[j]))
+        spoiled: set[int] = set()
+        acc: dict[int, dict] = {}  # i * n + k -> (xy)z - x(yz) by basis index
+        for i, r12 in col_nz[j]:
+            for el, c in r12:
+                for k in row_out[el]:
+                    if row_j[k] is not None:
+                        spoiled.add(i * n + k)
+                for k, r in row_nz[el]:
+                    if row_j[k] is not None:
+                        d = acc.setdefault(i * n + k, {})
+                        for el2, c2 in r:
+                            d[el2] = d.get(el2, 0) + c * c2
+        for k, r23 in row_nz[j]:
+            for el, c in r23:
+                for i in col_out[el]:
+                    if left_in[i]:
+                        spoiled.add(i * n + k)
+                for i, r in col_nz[el]:
+                    if left_in[i]:
+                        d = acc.setdefault(i * n + k, {})
+                        for el2, c2 in r:
+                            d[el2] = d.get(el2, 0) - c * c2
+        checked -= len(spoiled)
+        for key, d in acc.items():
+            if key not in spoiled and any(v % p for v in d.values()):
+                failed += 1
+    return checked, failed
+
+
 @st.composite
 def product_tables(draw):
     """(rows, p): an n x n table, n <= 12, whose entries are None (out of
@@ -89,28 +183,72 @@ def product_tables(draw):
 @given(product_tables())
 def test_scan_matches_triple_loop(case):
     rows, p = case
-    assert _associativity(rows, p) == cubic_associativity(rows, p)
+    want = cubic_associativity(rows, p)
+    assert window_associativity(table_of(rows), p) == want
+    assert walker_associativity(rows, p) == want
 
 
 def test_grid_counts():
     for p, lo, hi, want in ((3, -3, 4, (2256198, 0)), (5, -3, 4, (17332885, 0)),
                             (11, -2, 3, (46866503, 0))):
         alg = build_spade(p, lo, hi)
-        assert _spade_associativity(_product_rows(alg.basis, alg.product), p) == want
+        assert _spade_associativity(_product_table(alg.basis, alg.product), p) == want
 
 
 def test_grid_count_p13():
     alg = build_spade(13, -2, 3)
-    assert _spade_associativity(alg.product_rows(), 13) == (80540639, 0)
+    assert _spade_associativity(alg.product_table(), 13) == (80540639, 0)
+
+
+def corrupted(rows: list[list], p: int) -> list[list]:
+    """A copy of rows with the first coefficient of the middle nonzero
+    product changed to another nonzero value mod p."""
+    nz = [(i, j) for i, row in enumerate(rows) for j, r in enumerate(row) if r]
+    i, j = nz[len(nz) // 2]
+    (el, c), *rest = rows[i][j]
+    rows = [list(row) for row in rows]
+    rows[i][j] = ((el, c % (p - 1) + 1), *rest)
+    return rows
+
+
+def test_grid_windows_match_walker():
+    # the windows verify scans, with their counts, and the failures after
+    # one corrupted product
+    for p, lo, hi, want, bad in ((3, -3, 4, (2256198, 0), 7), (5, -3, 4, (17332885, 0), 16),
+                                 (7, -2, 3, (10347329, 0), 71),
+                                 (11, -2, 3, (46866503, 0), 51),
+                                 (13, -2, 3, (80540639, 0), 9)):
+        table = build_spade(p, lo, hi).product_table()
+        assert _spade_associativity(table, p) == want
+        rows = rows_of(table)
+        assert walker_associativity(rows, p) == want
+        rows = corrupted(rows, p)
+        assert window_associativity(table_of(rows), p) == walker_associativity(rows, p) \
+            == (want[0], bad)
+
+
+def test_club_window_matches_walker():
+    win = ClubWindow(NaturalMaps(3), -3, 4)
+
+    def product(x, y):
+        target, combo = win.product(*x, *y)
+        if target is OUT_OF_WINDOW:
+            return OUT_OF_WINDOW
+        return {(target, m): c for m, c in combo.items()}
+
+    rows = rows_of(_product_table(win.basis(), product))
+    assert _club_associativity(win) == walker_associativity(rows, 3) == (1676825, 0)
+    rows = corrupted(rows, 3)
+    checked, failed = window_associativity(table_of(rows), 3)
+    assert (checked, failed) == walker_associativity(rows, 3) and failed > 0
 
 
 def test_scan_cost_follows_nonzero_products():
     # a 1000-element zero algebra with one product out of the window: the
     # triple loop would visit 10^9 triples, the scan visits no product
     n = 1000
-    rows = [[()] * n for _ in range(n)]
-    rows[3][5] = None
-    assert _associativity(rows, 3) == (n ** 3 - 2 * n, 0) == (999998000, 0)
+    assert window_associativity(window_table(n, [], [3, 5]), 3) == (n ** 3 - 2 * n, 0) \
+        == (999998000, 0)
 
 
 # -- supercommutativity ---------------------------------------------------------
@@ -182,4 +320,4 @@ def graded_tables(draw):
 @given(graded_tables())
 def test_supercommutativity_matches_pair_loop(case):
     rows, ks, p = case
-    assert _supercommutativity(rows, ks, p) == pairwise_supercommutativity(rows, ks, p)
+    assert _supercommutativity(table_of(rows), ks, p) == pairwise_supercommutativity(rows, ks, p)

@@ -198,6 +198,40 @@ def test_verify_certifies_the_structure_it_uses(capsys):
         assert f"PASS  {name}" in lines
 
 
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_hh2_checks_beyond_p3(p):
+    # verify runs them at p = 3 only; they hold at p = 5 and 7 on verify's
+    # grid windows.  At p = 11, hh_1 reaches k = 2p - 2 = 20, so hh_2 listed
+    # up to k = 12 misses 8 of its elements and is not onto
+    from hh2.cli import _hh2_checks
+    from hh2.operators import build_hhl
+    from hh2.spadesuit import build_spade
+
+    spade = build_spade(p, *((-3, 4) if p <= 5 else (-2, 3)))
+    got = _hh2_checks(p, spade, build_hhl(p, 1, spade))
+    assert got == [("hh_2 -> hh_1 surjective", p < 11),
+                   ("projection hh_2 -> hh_1 multiplicative", True),
+                   ("hh_2 supercommutative in window", True)]
+
+
+def test_hh2_product_off_by_a_scalar_is_not_multiplicative(monkeypatch):
+    from hh2.cli import _hh2_checks
+    from hh2.operators import HHLAlgebra, build_hhl
+    from hh2.spadesuit import OUT_OF_WINDOW, build_spade
+
+    product = HHLAlgebra.product
+
+    def doubled(self, e1, e2):  # every product of hh_2 times 2
+        r = product(self, e1, e2)
+        if self.level != 2 or r is OUT_OF_WINDOW:
+            return r
+        return {el: 2 * c % self.p for el, c in r.items()}
+
+    monkeypatch.setattr(HHLAlgebra, "product", doubled)
+    spade = build_spade(5, -3, 4)
+    assert [ok for _, ok in _hh2_checks(5, spade, build_hhl(5, 1, spade))] == [True, False, True]
+
+
 def corrupt_beta(monkeypatch, change_columns):
     """Build NaturalMaps with beta's columns passed through change_columns."""
     from functools import cached_property

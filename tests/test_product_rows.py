@@ -1,17 +1,18 @@
-"""``SpadeAlgebra.product_rows`` against one ``product`` call per pair.
+"""``SpadeAlgebra.product_table`` against one ``product`` call per pair.
 
-``product_rows`` calls ``product`` only on the name pairs whose name table is
-nonzero.  Here its rows are compared with ``cli._product_rows``, which calls
-``product`` on every ordered pair, and the number of ``product`` calls is
-pinned to the number of entries that are not ().  ``name_product`` runs once
-per entry of the name tables, one table per label triple: ``product`` reuses
-the names the table found.
+``product_table`` calls ``product`` only on the name pairs whose name table
+is nonzero.  Here its table is compared entry by entry with that of
+``cli._product_table``, which calls ``product`` on every ordered pair, and
+the number of ``product`` calls is pinned to the number of pairs that are
+nonzero or out of the window.  ``name_product`` runs once per entry of the
+name tables, one table per label triple: ``product`` reuses the names the
+table found.
 """
 
 import pytest
 
 from hh2 import spadesuit
-from hh2.cli import _product_rows
+from hh2.cli import _product_table
 from hh2.clubsuit import component_at
 from hh2.spadesuit import build_spade, component_names
 
@@ -43,7 +44,7 @@ def test_rows_match_one_call_per_pair(window, monkeypatch):
 
     alg.product = counted
     monkeypatch.setattr(spadesuit, "name_product", counted_names)
-    rows = alg.product_rows()
+    table = alg.product_table()
     del alg.product
     monkeypatch.undo()
     triples = {(c1.label, c2.label, target.label)
@@ -51,15 +52,20 @@ def test_rows_match_one_call_per_pair(window, monkeypatch):
                if (target := component_at(p, a1 + a2, b1 + b2)) is not None}
     assert name_calls == sum(len(component_names(p, l1)) * len(component_names(p, l2))
                              for l1, l2, _ in triples)
-    ref = _product_rows(alg.basis, alg.product)
+    ref = _product_table(alg.basis, alg.product)
 
-    assert len(rows) == len(ref) == alg.dim
-    for row, ref_row in zip(rows, ref):
-        assert len(row) == len(ref_row)
-        for r, want in zip(row, ref_row):
-            if want is None or want == ():
-                assert r == want and type(r) is type(want)
-            else:
-                assert r and dict(r) == dict(want)
-    assert calls == sum(r != () for row in ref for r in row)
+    def entries(table):
+        """({(x, y): {t: c}} over the nonzero pairs, the out-of-window pairs)."""
+        n, (x, y, t, c), (ox, oy) = table
+        assert n == alg.dim
+        out = list(zip(ox.tolist(), oy.tolist()))
+        nonzero: dict = {}
+        for i, j, el, cf in zip(x.tolist(), y.tolist(), t.tolist(), c.tolist()):
+            assert el not in nonzero.setdefault((i, j), {})
+            nonzero[i, j][el] = cf
+        assert len(set(out)) == len(out) and not set(out) & set(nonzero)
+        return nonzero, set(out)
 
+    got, want = entries(table), entries(ref)
+    assert got == want
+    assert calls == len(want[0]) + len(want[1])
