@@ -158,7 +158,7 @@ def cmd_spadesuit(p: int, a_min: int, a_max: int, fmt: str,
     return _emit(doc, fmt), status
 
 
-def _product_table(basis: list, product) -> WindowTable:
+def _product_table(basis: list, product, p: int) -> WindowTable:
     """The table of basis[i] * basis[j]: one product call per ordered pair."""
     idx = {m: i for i, m in enumerate(basis)}
     terms, out = [], []  # flat: [x, y, t, c, ...] and [x, y, ...]
@@ -170,23 +170,18 @@ def _product_table(basis: list, product) -> WindowTable:
             else:
                 for el, c in r.items():
                     terms += i, j, idx[el], c
-    return window_table(len(basis), terms, out)
+    return window_table(len(basis), terms, out, p)
 
 
 def _supercommutativity(table: WindowTable, ks: list[int], p: int) -> int:
     """Number of in-window pairs with x y != (-1)^{k(x) k(y)} y x, where
-    ks[i] is the k-degree of basis element i: x y as stored against the
-    signed y x reduced mod p, nonzero terms only, each read as a dict of its
-    terms (the last of two at one index counts)."""
+    ks[i] is the k-degree of basis element i: the terms of x y against the
+    signed terms of y x, both in [1, p)."""
     n, (x, y, t, c), (ox, oy) = table
-    key = (x * n + y) * n + t
-    last = len(key) - 1 - np.unique(key[::-1], return_index=True)[1]
-    x, y, t, c, key = x[last], y[last], t[last], c[last], key[last]
     ks = np.asarray(ks, dtype=np.int64)
     signed = np.where(ks[x] * ks[y] % 2, -c, c) % p
-    width = max(p, int(c.max(initial=0)) + 1)
-    swapped = (((y * n + x) * n + t) * width + signed)[signed != 0]
-    pairs = np.setxor1d(key * width + c, swapped) // (width * n)
+    pairs = np.setxor1d(((x * n + y) * n + t) * p + c,
+                        ((y * n + x) * n + t) * p + signed) // (p * n)
     return len(np.setdiff1d(pairs, np.concatenate((ox * n + oy, oy * n + ox))))
 
 
@@ -204,7 +199,7 @@ def _club_associativity(win) -> tuple[int, int]:
             return OUT_OF_WINDOW
         return {(target, m): c for m, c in combo.items()}
 
-    return window_associativity(_product_table(win.basis(), product), win.p)
+    return window_associativity(_product_table(win.basis(), product, win.p), win.p)
 
 
 def _hh2_checks(p: int, spade, hh1) -> list[tuple[str, bool]]:
@@ -215,7 +210,7 @@ def _hh2_checks(p: int, spade, hh1) -> list[tuple[str, bool]]:
     hh2_ = build_hhl(p, 2, spade, k_max=12)
     images = [project(hh2_, el, hh1) for el in hh2_.basis]
     onto = set(hh1.basis) <= {im for image in images for im in image}
-    table = _product_table(hh2_.basis, hh2_.product)
+    table = _product_table(hh2_.basis, hh2_.product, p)
     lhs: dict[tuple[int, int], dict] = {}  # the image of each nonzero product
     for i, j, el, c in zip(*(a.tolist() for a in table.terms)):
         combo_add(lhs.setdefault((i, j), {}), images[el], c, p)

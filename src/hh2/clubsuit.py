@@ -18,11 +18,13 @@ from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property, partial
 
+import numpy as np
+
 from . import Hh2Error, quiver
 from .exactlin import sparse_rank
 from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
                        KIND_THETA_SIGMA, Pairing)
-from .quiver import BasedBimodule, BimoduleMap, OmegaAlgebra, Table, combo_add
+from .quiver import BasedBimodule, BimoduleMap, OmegaAlgebra, Table
 
 # spade labels: which piece of the class algebra a grid slot carries
 CHI = "chi"
@@ -67,39 +69,36 @@ def theta_partner(omega: OmegaAlgebra, idx: int) -> int:
     return omega.key[(left, src - 1 - a, p - 1 - b - src)]
 
 
-def _restrict(table: Table, rows: dict[int, int] | None = None,
+def _renumbered(idx: np.ndarray, new_of: dict[int, int] | None) -> np.ndarray:
+    """new_of[i] for each i of idx, -1 where new_of has no key i; None keeps idx."""
+    if new_of is None:
+        return idx
+    new = np.full(1 + max(int(idx.max(initial=-1)), max(new_of, default=-1)), -1, dtype=np.int64)
+    new[list(new_of)] = list(new_of.values())
+    return new[idx]
+
+
+def _restrict(table: Table, p: int, rows: dict[int, int] | None = None,
               cols: dict[int, int] | None = None) -> Table:
-    """The nonempty entries whose row (col) index is a key of rows (cols),
-    renumbered by it; None keeps every index of that side as it is.  The
-    entries' combos are shared with table, not copied."""
-    out: Table = {}
-    for (x, y), prod in table.items():
-        if prod and (rows is None or x in rows) and (cols is None or y in cols):
-            out[(x if rows is None else rows[x], y if cols is None else cols[y])] = prod
-    return out
+    """The terms whose row (col) index is a key of rows (cols), renumbered by
+    it; None keeps every index of that side as it is."""
+    x, y, t, c = table
+    x, y = _renumbered(x, rows), _renumbered(y, cols)
+    keep = (x >= 0) & (y >= 0)
+    return Table.of(x[keep], y[keep], t[keep], c[keep], p)
 
 
 def _compose(table: Table, mp: BimoduleMap, p: int, inner: bool = False) -> Table:
     """A table followed by a map, (x, y) -> mp(t(x, y)), or with ``inner`` the
-    map applied to y first, (x, g) -> t(x, mp(g)).  Empty values are dropped.
-
-    The maps composed here are monomial: each term goes to at most one place.
-    """
-    out: Table = {}
+    map applied to y first, (x, g) -> t(x, mp(g)): a join of the table's
+    terms with the map's columns, on t or on y."""
+    x, y, t, c = table
+    f = mp.column_table()  # mp(g) at (g, 0)
     if inner:
-        preimages: dict[int, list[tuple[int, int]]] = {}
-        for g, col in enumerate(mp.columns):
-            for u, c in col.items():
-                preimages.setdefault(u, []).append((g, c))
-        for (x, u), prod in table.items():
-            for g, c in preimages.get(u, ()):
-                combo_add(out.setdefault((x, g), {}), prod, c, p)
-    else:
-        for key, prod in table.items():
-            acc = out[key] = {}
-            for t, c in prod.items():
-                combo_add(acc, mp.columns[t], c, p)
-    return {key: combo for key, combo in out.items() if combo}
+        s, e = quiver.half_join(y, f.t)  # each term at (x, u) with each g that mp sends to u
+        return Table.of(x[s], f.x[e], t[s], c[s] * f.c[e], p)
+    s, e = quiver.half_join(t, f.x)  # each term t with the terms of mp(t)
+    return Table.of(x[s], y[s], f.t[e], c[s] * f.c[e], p)
 
 
 class BuiltOnRead(Mapping):
@@ -250,23 +249,26 @@ class NaturalMaps:
         # (into the ideal itself they are the action pairings above)
         reg, ideal, pos = self.reg, self.ideal, self._pos_in_ideal
         if side == "l":
-            return Pairing(reg, ideal, reg, _restrict(reg.left, cols=pos), name="mult_incl_l")
-        return Pairing(ideal, reg, reg, _restrict(reg.right, rows=pos), name="mult_incl_r")
+            return Pairing(reg, ideal, reg, _restrict(reg.left, self.p, cols=pos),
+                           name="mult_incl_l")
+        return Pairing(ideal, reg, reg, _restrict(reg.right, self.p, rows=pos), name="mult_incl_r")
 
     def _eta(self) -> Pairing:
         # eta: I x I -> Omega*,  (u, v) -> gamma^{-1}(u) . v
         ideal = self.ideal
         gamma_inv = {ideal_partner(self.omega, m): u  # gamma(f*) = u
                      for u, m in enumerate(ideal.parent_index)}
-        table = _restrict(self.dual.right, gamma_inv, self._pos_in_ideal)
+        table = _restrict(self.dual.right, self.p, gamma_inv, self._pos_in_ideal)
         return Pairing(ideal, ideal, self.dual, table, name="eta")
 
     def _zeta(self, side: str) -> Pairing:
         # zeta_l / zeta_r: ideal acting on Omega*
         ideal, dualm, pos = self.ideal, self.dual, self._pos_in_ideal
         if side == "l":
-            return Pairing(ideal, dualm, dualm, _restrict(dualm.left, rows=pos), name="zeta_l")
-        return Pairing(dualm, ideal, dualm, _restrict(dualm.right, cols=pos), name="zeta_r")
+            return Pairing(ideal, dualm, dualm, _restrict(dualm.left, self.p, rows=pos),
+                           name="zeta_l")
+        return Pairing(dualm, ideal, dualm, _restrict(dualm.right, self.p, cols=pos),
+                       name="zeta_r")
 
     def _eps(self) -> Pairing:
         # eps: Omega* x Omega* -> Omega*,  (f, g) -> f . gamma(g) = zeta_r(f, gamma(g))
@@ -290,7 +292,7 @@ class NaturalMaps:
     @cached_property
     def _theta_mul(self) -> Table:
         # Theta's product: its right action on the monomials of Theta
-        return _restrict(self.theta.right, cols=self._pos_in_theta)
+        return _restrict(self.theta.right, self.p, cols=self._pos_in_theta)
 
     def _collapse(self, tag: str) -> Pairing:
         # collapse pairings between the preprojective-type components: the
@@ -304,7 +306,7 @@ class NaturalMaps:
         if x_sigma:  # an involution of Theta's basis, so it renumbers (m, sigma(n)) as (m, n)
             sigma = {n: self._pos_in_theta[quiver.theta_sigma_index(self.omega, m)]
                      for n, m in enumerate(theta.parent_index)}
-        return Pairing(x_mod, y_mod, z_mod, _restrict(self._theta_mul, cols=sigma),
+        return Pairing(x_mod, y_mod, z_mod, _restrict(self._theta_mul, self.p, cols=sigma),
                        name=f"collapse:{tag}")
 
     def _nu(self, side: str) -> Pairing:
@@ -447,10 +449,6 @@ class ClubWindow:
             mod = self.module_of(comp)
             out.extend((comp, m) for m in range(mod.dim))
         return out
-
-    def total_degree(self, comp: GridComponent, idx: int) -> tuple[int, int, int]:
-        b = self.module_of(comp).basis[idx]
-        return comp.i, b.j + comp.jshift, b.k + comp.kshift
 
     def product(self, comp1: GridComponent, m1: int, comp2: GridComponent, m2: int):
         """Product of two window elements.

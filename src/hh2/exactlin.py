@@ -285,8 +285,9 @@ def _within(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _summed(key: np.ndarray, val: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys, ascending, with their summed values mod p, nonzero
-    sums only: one sort and one ``np.add.reduceat``."""
-    order = np.argsort(key)
+    sums only: one sort and one ``np.add.reduceat``.  The keys usually come
+    as a few sorted runs, which the stable sort (timsort) merges."""
+    order = np.argsort(key, kind="stable")
     key, val = key[order], val[order]
     start = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
     total = np.add.reduceat(val, start) % p if len(key) else val

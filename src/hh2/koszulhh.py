@@ -31,7 +31,7 @@ import numpy as np
 from . import Hh2Error
 from .exactlin import (NotACocycle, TooLarge, _expand, _summed, _within, combo_add,
                        coo_pivot_rows, sparse_pivots, sparse_rank, sparse_reduce)
-from .quiver import BasedAlgebra, BasedBimodule, Combo, OmegaAlgebra, failing_triple, table_coo
+from .quiver import BasedAlgebra, BasedBimodule, Combo, OmegaAlgebra, Table, failing_triple
 
 Name = tuple  # ("z", l) | ("kz", l) | ("c2", s) | ("soc", s) | ("mu", l) | ("nu", l) | ("e", s)
 NameCombo = dict[Name, int]
@@ -73,7 +73,8 @@ def max_cells() -> int:
 
 
 class Pairing:
-    """Omega-balanced bilinear map X x Y -> Z given on basis pairs.
+    """Omega-balanced bilinear map X x Y -> Z given on basis pairs: its
+    ``table`` holds the value of (x, y) at (x, y).
 
     A pairing whose k-degree shift is odd does not induce a chain map of
     models directly; such pairings carry a ``factor`` (inner even pairing,
@@ -81,7 +82,7 @@ class Pairing:
     """
 
     def __init__(self, x_mod: BasedBimodule, y_mod: BasedBimodule, z_mod: BasedBimodule,
-                 table: dict[tuple[int, int], Combo], name: str = "", factor=None):
+                 table: Table, name: str = "", factor=None):
         self.x_mod = x_mod
         self.y_mod = y_mod
         self.z_mod = z_mod
@@ -122,29 +123,38 @@ class CochainModel:
         self.omega = omega
         self.p = c.p
 
-        self.pairs: list[tuple[int, int]] = []
-        for ci, cb in enumerate(c.basis):
-            for xi, xb in enumerate(x_mod.basis):
-                if cb.right == xb.left and cb.left == xb.right:
-                    self.pairs.append((ci, xi))
+        # the slot-matched pairs (ci, xi), c_i from u to w and x_i from w to u,
+        # in (ci, xi) order
+        c_left, c_right, c_j, c_k = _slots(c.basis)
+        x_left, x_right, x_j, x_k = _slots(x_mod.basis)
+        vmax = 1 + max(int(v.max(initial=0)) for v in (c_left, c_right, x_left, x_right))
+        x_code = x_left * vmax + x_right
+        by_code = np.argsort(x_code, kind="stable")
+        ci, e = _within(x_code[by_code], c_right * vmax + c_left)
+        xi = by_code[e]
+        self.pairs: list[tuple[int, int]] = list(zip(ci.tolist(), xi.tolist()))
         self.pair_index = {pr: n for n, pr in enumerate(self.pairs)}
 
         # bucket by total (j, k); d maps bucket (j,k) -> (j,k+1)
+        j, k = c_j[ci] + x_j[xi], c_k[ci] + x_k[xi]
         self.bucket_of: dict[tuple[int, int], list[int]] = {}
-        for n, (ci, xi) in enumerate(self.pairs):
-            cb, xb = c.basis[ci], x_mod.basis[xi]
-            self.bucket_of.setdefault((cb.j + xb.j, cb.k + xb.k), []).append(n)
+        for n, jk in enumerate(zip(j.tolist(), k.tolist())):
+            self.bucket_of.setdefault(jk, []).append(n)
         self.pos_in_bucket = {}
         for key, members in self.bucket_of.items():
             for pos, n in enumerate(members):
                 self.pos_in_bucket[n] = (key, pos)
 
-        self._diff_images = [self._differential_of(n) for n in range(len(self.pairs))]
-        for n, image in enumerate(self._diff_images):
-            j, k = self.pos_in_bucket[n][0]
-            for m in image:
-                assert self.pos_in_bucket[m][0] == (j, k + 1), "differential not of degree (0,1)"
-        self._check_d_squared()
+        n, m, v = self._differential(ci, xi, x_k[xi] % 2 == 1)
+        if np.any((j[m] != j[n]) | (k[m] != k[n] + 1)):
+            raise AssertionError("differential not of degree (0,1)")
+        self._diff_images: list[Cochain] = [{} for _ in self.pairs]
+        for nn, mm, vv in zip(n.tolist(), m.tolist(), v.tolist()):
+            self._diff_images[nn][mm] = vv
+        # d . d = 0: each term n -> m joined with the terms of d(m)
+        s, e = _within(n, m)
+        if len(_summed(n[s] * len(ci) + m[e], v[s] * v[e], self.p)[0]):
+            raise AssertionError("d^2 != 0")
         self._rank: dict[tuple[int, int], int] = {}
 
     def _arrows(self):
@@ -153,35 +163,46 @@ class CochainModel:
             yield c.xi[m], self.omega.key[(m, 0, 1)]      # xi_m paired with y_m
             yield c.eta[m], self.omega.key[(m + 1, 1, 0)]  # eta_m paired with x_m
 
-    def _differential_of(self, n: int) -> Cochain:
-        ci, xi = self.pairs[n]
+    def _differential(self, ci: np.ndarray, xi: np.ndarray,
+                      odd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """d of every pair n = (ci, xi) as arrays (n, m, coeff), sorted by n
+        and then m, nonzero mod p, where odd marks the xi of odd k:
+
+            d(ci (x) xi) = sum_rho ci.rho (x) rho*.xi - (-1)^{k(xi)} rho.ci (x) xi.rho*
+
+        Each side joins the pairs with c's products by an arrow rho on that
+        side, then with X's action by rho*: the arrow rows, read in bulk."""
         c, x_mod, p = self.c, self.x_mod, self.p
-        sign = -1 if x_mod.basis[xi].k % 2 else 1
-        out: Cochain = {}
-
-        def add(cc: Combo, xc: Combo, coeff: int) -> None:
-            for c_idx, c1 in cc.items():
-                for x_idx, c2 in xc.items():
-                    pr = (c_idx, x_idx)
-                    if pr in self.pair_index:
-                        m = self.pair_index[pr]
-                        v = (out.get(m, 0) + coeff * c1 * c2) % p
-                        if v:
-                            out[m] = v
-                        else:
-                            out.pop(m, None)
-                    elif (c1 * c2) % p:
-                        raise AssertionError("differential left the diagonal")
-
-        for rho, rho_star in self._arrows():
-            add(c.mul_basis(ci, rho), x_mod.left.get((rho_star, xi), {}), 1)
-            add(c.mul_basis(rho, ci), x_mod.right.get((xi, rho_star), {}), -sign)
-        return out
-
-    def _check_d_squared(self) -> None:
-        for image in self._diff_images:
-            if self.differential(image):
-                raise AssertionError("d^2 != 0")
+        rho, rho_star = _ints(*zip(*self._arrows()))
+        width, n_omega = x_mod.dim, self.omega.dim
+        star = np.full(c.dim, -1, dtype=np.int64)  # the dual of each arrow of c
+        star[rho] = rho_star
+        ca, cb, ct, cc = c.slot_products()
+        parts = []
+        # ci.rho (x) rho*.xi: c's terms (ci, rho) meet X's left terms (rho*, xi)
+        at = np.flatnonzero(star[cb] >= 0)
+        n, e = _within(ca[at], ci)
+        xa, xm, xt, xc = x_mod.left
+        q, f = _within(xa * width + xm, star[cb[at[e]]] * width + xi[n])
+        e = at[e[q]]
+        parts.append((n[q], ct[e], xt[f], cc[e] * xc[f]))
+        # rho.ci (x) xi.rho*: c's terms (rho, ci), by ci, meet X's right terms (xi, rho*)
+        at = np.flatnonzero(star[ca] >= 0)
+        at = at[np.argsort(cb[at], kind="stable")]
+        n, e = _within(cb[at], ci)
+        xm, xa, xt, xc = x_mod.right
+        q, f = _within(xm * n_omega + xa, xi[n] * n_omega + star[ca[at[e]]])
+        n, e = n[q], at[e[q]]
+        parts.append((n, ct[e], xt[f], np.where(odd[n], 1, -1) * cc[e] * xc[f]))
+        n, tc, tx, val = (np.concatenate(part) for part in zip(*parts))
+        # the place of (tc, tx) among the pairs, whose codes ascend
+        code, want = ci * width + xi, tc * width + tx
+        m, inside = np.searchsorted(code, want), np.isin(want, code)
+        if np.any(~inside & (val % p != 0)):
+            raise AssertionError("differential left the diagonal")
+        dim = max(1, len(ci))
+        key, val = _summed(n[inside] * dim + m[inside], val[inside], p)
+        return key // dim, key % dim, val
 
     @property
     def dim(self) -> int:
@@ -503,6 +524,12 @@ def _ints(*arrays) -> list[np.ndarray]:
     return [np.asarray(a, dtype=np.int64) for a in arrays]
 
 
+def _slots(basis) -> list[np.ndarray]:
+    """(left, right, j, k) of each basis element, as int64 arrays."""
+    return _ints(*zip(*((b.left, b.right, b.j, b.k) for b in basis))) if basis \
+        else _ints([], [], [], [])
+
+
 class ChainLevel(NamedTuple):
     """The chains of one degree n as parallel int64 arrays, indexed by place.
 
@@ -568,7 +595,7 @@ class RadicalChains:
 
     def __init__(self, alg: BasedAlgebra):
         basis = alg.basis
-        left, right, bj, bk = _ints(*zip(*((b.left, b.right, b.j, b.k) for b in basis)))
+        left, right, bj, bk = _slots(basis)
         self._left, self._right, self._j, self._k = left, right, bj, bk
         rad = [i for i, b in enumerate(basis) if b.j != 0 or b.k != 0]
         self._rad = np.array(rad, dtype=np.int64)
@@ -589,16 +616,14 @@ class RadicalChains:
 
         # (m, a, b, coeff of m in a b) over composable radical a, b, stored
         # by m as CSR arrays over the basis index
-        by_left: dict[int, list[int]] = {}
-        for r in rad:
-            by_left.setdefault(basis[r].left, []).append(r)
-        rad_set = set(rad)
-        split = [(m, a, b, cm) for a in rad for b in by_left.get(basis[a].right, ())
-                 for m, cm in alg.mul_basis(a, b).items() if m in rad_set]
-        for m, a, b, _ in split:
-            if (basis[a].left, basis[b].right) != (basis[m].left, basis[m].right):
-                raise AssertionError(f"{basis[a].name}*{basis[b].name} leaves its slot")
-        mid, a, b, cm = _ints(*zip(*split)) if split else _ints([], [], [], [])
+        is_rad = self._radpos >= 0
+        a, b, mid, cm = alg.slot_products()
+        at = is_rad[a] & is_rad[b] & is_rad[mid]
+        a, b, mid, cm = a[at], b[at], mid[at], cm[at]
+        leaves = np.flatnonzero((left[a] != left[mid]) | (right[b] != right[mid]))
+        if len(leaves):
+            raise AssertionError(f"{basis[a[leaves[0]]].name}*{basis[b[leaves[0]]].name}"
+                                 " leaves its slot")
         by_mid = np.argsort(mid, kind="stable")
         self._split_a, self._split_b, self._split_c = a[by_mid], b[by_mid], cm[by_mid]
         self._split_count = np.bincount(mid, minlength=len(basis))
@@ -760,8 +785,7 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]
     bar = radical_chains(alg)
 
     # X by slot: its indices sorted by (left, right) vertex code, index order within
-    x_left, x_right, x_j, x_k = (_ints(*zip(*((b.left, b.right, b.j, b.k) for b in x_mod.basis)))
-                                 if width else _ints([], [], [], []))
+    x_left, x_right, x_j, x_k = _slots(x_mod.basis)
     vmax = 1 + max([0, *alg.vertices, *x_left.tolist(), *x_right.tolist()])
     x_code = x_left * vmax + x_right
     x_by_slot = np.argsort(x_code, kind="stable")
@@ -772,9 +796,9 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]
         return key[order], t[order], c[order]
 
     # the action tables as (a * width + x, target, coeff), sorted by key
-    a, x, t, c = table_coo(x_mod.left)
+    a, x, t, c = x_mod.left
     left = sorted_by(a * width + x, t, c)
-    x, a, t, c = table_coo(x_mod.right)
+    x, a, t, c = x_mod.right
     right = sorted_by(a * width + x, t, c)
 
     def cochains(n: int) -> tuple[np.ndarray, np.ndarray]:

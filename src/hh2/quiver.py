@@ -15,7 +15,12 @@ Conventions used throughout the package:
   two monomials is (src2, A1+A2, B1+B2) when the combined valley stays >= 1,
   and zero otherwise.
 
-Linear combinations are dicts {basis_index: coefficient mod p}.
+Linear combinations (combos) are dicts {basis_index: coefficient mod p}.
+Every product, action and pairing table is a ``Table``: int64 arrays
+(x, y, t, c) sorted by (x, y, t), one term per (x, y, t), c in [1, p).
+Builders make tables by array operations (Omega's from its closed form, the
+modules by masks, renumberings and swaps), the identity scans join their
+arrays as stored, and ``Table.get`` reads single entries as combos.
 """
 
 from __future__ import annotations
@@ -106,31 +111,70 @@ def dual_presentation(p: int) -> QuiverPresentation:
     return QuiverPresentation(tuple(range(1, p + 1)), arrows, tuple(rels))
 
 
-Table = dict[tuple[int, int], Combo]
+class Table:
+    """A sparse table over F_p, stored as int64 arrays (x, y, t, c): entry
+    (x, y) is the sum of c * [t] over its terms, and a pair without terms is
+    zero.  The terms are sorted by (x, y, t), with one term per (x, y, t) and
+    every c in [1, p).  Unpacking gives the four arrays.
+
+    Tables are read-only once built: modules, maps and pairings share them
+    instead of copying.  ``get`` reads one entry as a combo; the rows it
+    reads are indexed on first read and kept, and the combos it returns are
+    shared, so callers only read them.
+    """
+
+    __slots__ = ("x", "y", "t", "c", "_rows")
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, t: np.ndarray, c: np.ndarray):
+        self.x, self.y, self.t, self.c = x, y, t, c
+        self._rows: dict[int, dict[int, Combo]] = {}
+
+    @classmethod
+    def of(cls, x: np.ndarray, y: np.ndarray, t: np.ndarray, c: np.ndarray, p: int) -> "Table":
+        """The table of the terms c * [t] at (x, y), given in any order: the
+        terms at one (x, y, t) are summed mod p, and zero sums dropped."""
+        n_x, n_y, n_t = (1 + int(v.max(initial=0)) for v in (x, y, t))
+        if n_x * n_y * n_t > 2 ** 63 - 1:
+            raise TooLarge(f"table keys over index ranges {[n_x, n_y, n_t]} would not fit in int64")
+        key, c = _summed((x * n_y + y) * n_t + t, c, p)
+        xy, t = np.divmod(key, n_t)
+        return cls(*np.divmod(xy, n_y), t, c)
+
+    def __iter__(self):
+        return iter((self.x, self.y, self.t, self.c))
+
+    def get(self, key: tuple[int, int], default=None):
+        """The combo at key = (x, y), or default when it is zero."""
+        x, y = key
+        row = self._rows.get(x)
+        if row is None:
+            lo, hi = np.searchsorted(self.x, (x, x + 1))
+            row = self._rows[x] = {}
+            for yy, t, c in zip(*(a[lo:hi].tolist() for a in (self.y, self.t, self.c))):
+                row.setdefault(yy, {})[t] = c
+        return row.get(y, default)
 
 
-def table_coo(table: Table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The terms of a table as int64 arrays (x, y, t, c): one place per term
-    c * [t] of each entry table[x, y], in the order of the entries and then
-    of their combos; empty entries have none."""
-    flat = [v for (x, y), combo in table.items() for t, c in combo.items() for v in (x, y, t, c)]
-    return tuple(np.array(flat, dtype=np.int64).reshape(-1, 4).T)
+def table_of(entries: dict[tuple[int, int], Combo], p: int) -> Table:
+    """The ``Table`` of a dict of combos, {(x, y): {t: c}}."""
+    flat = [v for (x, y), combo in entries.items() for t, c in combo.items() for v in (x, y, t, c)]
+    return Table.of(*np.array(flat, dtype=np.int64).reshape(-1, 4).T, p)
 
 
 class WindowTable(NamedTuple):
-    """The products of the n basis elements of a window, as int64 arrays:
-    basis[x] * basis[y] has coefficient c at basis[t] for each place of the
-    terms (x, y, t, c), and leaves the window for each place of out (x, y).
-    Other pairs multiply to zero."""
+    """The products of the n basis elements of a window: basis[x] * basis[y]
+    is the entry (x, y) of the ``Table`` terms, and leaves the window for
+    each place of the int64 arrays out (x, y).  Other pairs multiply to zero."""
     n: int
-    terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    terms: Table
     out: tuple[np.ndarray, np.ndarray]
 
 
-def window_table(n: int, terms: list[int], out: list[int]) -> WindowTable:
-    """The ``WindowTable`` of the flat lists [x, y, t, c, ...] and [x, y, ...]."""
-    return WindowTable(n, *(tuple(np.array(flat, dtype=np.int64).reshape(-1, width).T)
-                            for flat, width in ((terms, 4), (out, 2))))
+def window_table(n: int, terms: list[int], out: list[int], p: int) -> WindowTable:
+    """The ``WindowTable`` of the flat lists [x, y, t, c, ...] and [x, y, ...];
+    repeated terms are summed mod p, as ``Table.of`` sums them."""
+    return WindowTable(n, Table.of(*np.array(terms, dtype=np.int64).reshape(-1, 4).T, p),
+                       tuple(np.array(out, dtype=np.int64).reshape(-1, 2).T))
 
 
 def half_join(keys: np.ndarray, on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,11 +190,11 @@ def failing_triple(a: Table, b: Table, c: Table, d: Table, p: int) -> tuple[int,
 
         sum_t a[u, g][t] * b[t, w]  =  sum_t c[g, w][t] * d[u, t]   (mod p)
 
-    fails, or None.  Each table maps an index pair to a combo, a missing key
-    to zero.  Associativity, the bimodule axioms, intertwining maps and
-    balanced equivariant pairings are all identities of this shape.
+    fails, or None, for four ``Table``s.  Associativity, the bimodule axioms,
+    intertwining maps and balanced equivariant pairings are all identities of
+    this shape.
 
-    One sort-join over the terms of the nonempty entries (``table_coo``):
+    One sort-join over the tables' terms, read from their arrays as stored:
     each term t of a[u, g] meets the terms of b[t, .] and each term t of
     c[g, w] the terms of d[., t] (``half_join``, which the windowed scan
     ``window_associativity`` runs too), so a triple that no such pair reaches
@@ -160,12 +204,7 @@ def failing_triple(a: Table, b: Table, c: Table, d: Table, p: int) -> tuple[int,
     (``_summed``); the smallest key left is the first failure.  Raises
     ``TooLarge`` before the join when the packed keys would pass int64.
     """
-    coo: dict[int, tuple[np.ndarray, ...]] = {}
-    for table in (a, b, c, d):  # a table passed twice is converted once
-        if id(table) not in coo:
-            coo[id(table)] = table_coo(table)
-    (au, ag, at, ac), (bt, bw, bi, bc), (cg, cw, ct, cc), (du, dt, di, dc) = (
-        coo[id(table)] for table in (a, b, c, d))
+    (au, ag, at, ac), (bt, bw, bi, bc), (cg, cw, ct, cc), (du, dt, di, dc) = a, b, c, d
     sizes = [1 + int(max(x.max(initial=-1), y.max(initial=-1)))
              for x, y in ((ag, cg), (au, du), (bw, cw), (bi, di))]
     if math.prod(sizes) > 2 ** 63 - 1:
@@ -231,11 +270,11 @@ def window_associativity(table: WindowTable, p: int) -> tuple[int, int]:
 class BasedAlgebra:
     """Finite-dimensional algebra with a fixed basis and structure constants.
 
-    ``products[(i, j)]`` is the combo for basis[i] o basis[j] (j acts first);
-    missing keys mean zero.  ``idem[v]`` is the index of the idempotent e_v.
+    ``products`` is the ``Table`` of basis[i] o basis[j] (j acts first) at
+    (i, j).  ``idem[v]`` is the index of the idempotent e_v.
     """
 
-    def __init__(self, p: int, basis: list[BasisElement], products: dict[tuple[int, int], Combo],
+    def __init__(self, p: int, basis: list[BasisElement], products: Table,
                  idem: dict[int, int], name: str = ""):
         self.p = p
         self.basis = basis
@@ -254,10 +293,7 @@ class BasedAlgebra:
         return {i: 1 for i in self.idem.values()}
 
     def mul_basis(self, i: int, j: int) -> Combo:
-        bi, bj = self.basis[i], self.basis[j]
-        if bi.right != bj.left:
-            return {}
-        return self.products.get((i, j), {})
+        return self.slot_products().get((i, j), {})
 
     def mul(self, a: Combo, b: Combo) -> Combo:
         out: Combo = {}
@@ -271,15 +307,15 @@ class BasedAlgebra:
     def slot_products(self) -> Table:
         """The products that ``mul_basis`` returns: slot-matched keys only.
 
-        Made on the first call and kept, so ``products`` must not change
-        after that; it is ``products`` itself when every key is slot-matched,
-        as for Omega.  Callers only read it."""
+        Made on the first call and kept; it is ``products`` itself when every
+        key is slot-matched, as for Omega.  Callers only read it."""
         if self._slot_products is None:
-            basis = self.basis
-            matched = {(i, j): prod for (i, j), prod in self.products.items()
-                       if basis[i].right == basis[j].left}
-            self._slot_products = (self.products if len(matched) == len(self.products)
-                                   else matched)
+            left, right = (np.array(side, dtype=np.int64)
+                           for side in zip(*((b.left, b.right) for b in self.basis)))
+            x, y, t, c = self.products
+            keep = right[x] == left[y]
+            self._slot_products = (self.products if keep.all()
+                                   else Table(x[keep], y[keep], t[keep], c[keep]))
         return self._slot_products
 
     def check_associativity(self) -> None:
@@ -300,26 +336,16 @@ class BasedAlgebra:
                 if self.mul_basis(iv, iw) != expect:
                     raise AssertionError("idempotents not orthogonal")
 
-    def check_degrees(self) -> None:
-        for (i, j), prod in self.products.items():
-            bi, bj = self.basis[i], self.basis[j]
-            for idx in prod:
-                b = self.basis[idx]
-                if (b.j, b.k) != (bi.j + bj.j, bi.k + bj.k):
-                    raise AssertionError(f"degree additivity fails on {bi.name}*{bj.name}")
-
 
 class BasedBimodule:
     """Bimodule over a BasedAlgebra with explicit action constants.
 
-    ``left[(a, m)]`` is the combo for basis_a o m and ``right[(m, a)]`` for
-    m o basis_a, both over the full algebra basis.  The tables are read-only
-    once built: modules, maps and pairings share them instead of copying.
+    ``left`` is the ``Table`` of basis_a o m at (a, m) and ``right`` that of
+    m o basis_a at (m, a), both over the full algebra basis.
     """
 
     def __init__(self, over: BasedAlgebra, basis: list[BasisElement],
-                 left: dict[tuple[int, int], Combo], right: dict[tuple[int, int], Combo],
-                 name: str = ""):
+                 left: Table, right: Table, name: str = ""):
         self.over = over
         self.p = over.p
         self.basis = basis
@@ -333,37 +359,31 @@ class BasedBimodule:
         return len(self.basis)
 
     def check_bimodule(self) -> None:
-        alg, basis, name = self.over, self.basis, self.name
-        # idempotent entries as stored: e_v m = m if v is the slot of m, else empty
-        for m, bm in enumerate(basis):
-            if bm.left in alg.idem and self.left.get((alg.idem[bm.left], m)) != {m: 1}:
-                raise AssertionError(f"e_{bm.left} . {bm.name} wrong in {name}")
-            if bm.right in alg.idem and self.right.get((m, alg.idem[bm.right])) != {m: 1}:
-                raise AssertionError(f"{bm.name} . e_{bm.right} wrong in {name}")
-        vertex = {iv: v for v, iv in alg.idem.items()}
-        for (a, m), prod in self.left.items():
-            if a in vertex and prod and vertex[a] != basis[m].left:
-                raise AssertionError(f"e_{vertex[a]} . {basis[m].name} wrong in {name}")
-        for (m, a), prod in self.right.items():
-            if a in vertex and prod and vertex[a] != basis[m].right:
-                raise AssertionError(f"{basis[m].name} . e_{vertex[a]} wrong in {name}")
+        alg, basis, name, p = self.over, self.basis, self.name, self.p
+        # idempotent entries as stored: e_v m = m if v is the slot of m, else zero;
+        # the terms (m, e_v, t, c) found against those required, as packed keys
+        vertex = np.full(alg.dim, -1, dtype=np.int64)  # the vertex of each idempotent
+        vertex[list(alg.idem.values())] = list(alg.idem)
+        idem = np.full(1 + max(alg.idem), -1, dtype=np.int64)  # the idempotent of each vertex
+        idem[list(alg.idem)] = list(alg.idem.values())
+        slots = np.array([(b.left, b.right) for b in basis], dtype=np.int64).reshape(-1, 2).T
+        right = self.right
+        for side, (a, m, t, c) in enumerate((self.left, (right.y, right.x, right.t, right.c))):
+            at = vertex[a] >= 0
+            own = np.flatnonzero(np.isin(slots[side], list(alg.idem)))
+            bad = np.setxor1d(((m[at] * alg.dim + a[at]) * self.dim + t[at]) * p + c[at],
+                              ((own * alg.dim + idem[slots[side, own]]) * self.dim + own) * p + 1)
+            if len(bad):
+                m_bad, a_bad = divmod(int(bad[0]) // (self.dim * p), alg.dim)
+                v, el = vertex[a_bad], basis[m_bad].name
+                raise AssertionError((f"e_{v} . {el}" if side == 0 else f"{el} . e_{v}")
+                                     + f" wrong in {name}")
         mul, left, right = alg.slot_products(), self.left, self.right
         for tables, law in (((mul, left, left, left), "(ab)m != a(bm)"),
                             ((right, right, mul, right), "m(ab) != (ma)b"),
                             ((left, right, right, left), "(am)b != a(mb)")):
             if failing_triple(*tables, self.p) is not None:
                 raise AssertionError(f"{law} in {name}")
-
-    def check_degrees(self) -> None:
-        alg_basis, basis = self.over.basis, self.basis
-        for side, table, x_basis, y_basis in (("left", self.left, alg_basis, basis),
-                                              ("right", self.right, basis, alg_basis)):
-            for (i, m), prod in table.items():
-                x, y = x_basis[i], y_basis[m]
-                for idx in prod:
-                    b = basis[idx]
-                    if (b.j, b.k) != (x.j + y.j, x.k + y.k):
-                        raise AssertionError(f"{side} degree additivity fails in {self.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -396,24 +416,18 @@ def build_zigzag_c(p: int) -> BasedAlgebra:
         loop[s] = len(basis)
         basis.append(BasisElement(f"loop{s}", s, s, 2, 0))
 
-    products: dict[tuple[int, int], Combo] = {}
-
-    def put(i: int, j: int, combo: Combo) -> None:
-        if combo:
-            products[(i, j)] = combo
-
+    terms: list[int] = []  # flat: [i, j, t, c, ...]
     for i, b in enumerate(basis):
-        put(idem[b.left], i, {i: 1})
-        if b.left != b.right or b.j > 0:
-            put(i, idem[b.right], {i: 1})
-        elif b.j == 0:
-            put(i, i, {i: 1})
+        terms += idem[b.left], i, i, 1
+        if b.left != b.right or b.j > 0:  # e_s e_s is listed once
+            terms += i, idem[b.right], i, 1
     for s in range(1, p):
-        put(xi[s], eta[s], {loop[s]: 1})
+        terms += xi[s], eta[s], loop[s], 1
     for s in range(1, p - 1):
-        put(eta[s], xi[s], {loop[s + 1]: p - 1})
+        terms += eta[s], xi[s], loop[s + 1], p - 1
     # eta_{p-1} o xi_{p-1} (loop at p) is zero; all longer words vanish
 
+    products = Table.of(*np.array(terms, dtype=np.int64).reshape(-1, 4).T, p)
     alg = BasedAlgebra(p, basis, products, idem, name="c")
     alg.xi = xi
     alg.eta = eta
@@ -437,42 +451,53 @@ def monomial_name(src: int, a: int, b: int) -> str:
 
 
 class OmegaAlgebra(BasedAlgebra):
-    """The quadratic dual: commuting up/down arrows with the bottom loop killed."""
+    """The quadratic dual: commuting up/down arrows with the bottom loop killed.
+
+    ``words`` holds the (src, downs, ups) of every basis monomial as int64
+    arrays, and ``places[src, downs, ups]`` is the index of a monomial, -1 for
+    other words.  The product table comes from the closed form: i o j is
+    (src_j, downs_i + downs_j, ups_i + ups_j) when j ends where i starts and
+    src_j > downs_i + downs_j, else zero.
+    """
 
     def __init__(self, p: int):
         check_odd_prime(p)
         basis: list[BasisElement] = []
         key: dict[tuple[int, int, int], int] = {}
-        idem: dict[int, int] = {}
         for src in range(1, p + 1):
             for a in range(0, src):
                 for b in range(0, p - (src - a) + 1):
                     tgt = src - a + b
                     key[(src, a, b)] = len(basis)
                     basis.append(BasisElement(monomial_name(src, a, b), tgt, src, -(a + b), a + b))
-        for s in range(1, p + 1):
-            idem[s] = key[(s, 0, 0)]
-
-        # the partners of i are the monomials that end where i starts
-        data = [self._data_of(b) for b in basis]
-        ending_at: dict[int, list[int]] = {}
-        for j, bj in enumerate(basis):
-            ending_at.setdefault(bj.left, []).append(j)
-        products: dict[tuple[int, int], Combo] = {}
-        for i, bi in enumerate(basis):
-            _, ai, bbi = data[i]
-            for j in ending_at[bi.right]:
-                sj, aj, bbj = data[j]
-                a = ai + aj
-                if sj - a >= 1:
-                    products[(i, j)] = {key[(sj, a, bbi + bbj)]: 1}
-        super().__init__(p, basis, products, idem, name="Omega")
+        idem = {s: key[(s, 0, 0)] for s in range(1, p + 1)}
+        self.words = tuple(np.array(w, dtype=np.int64) for w in zip(*key))
+        self.places = np.full((p + 1,) * 3, -1, dtype=np.int64)
+        self.places[self.words] = np.arange(len(basis))
+        super().__init__(p, basis, self._products(p), idem, name="Omega")
         self.key = key
         self.presentation = dual_presentation(p)
         self.arrow_images = {}
         for m in range(1, p):
             self.arrow_images[f"y{m}"] = monomial_name(m, 0, 1)
             self.arrow_images[f"x{m}"] = monomial_name(m + 1, 1, 0)
+
+    def _products(self, p: int) -> Table:
+        # the monomials are listed by src, so those starting at s are one
+        # block of indices i; their partners j end at s, and both lists
+        # ascend, so the nonzero products come out sorted by (i, j)
+        src, a, b = self.words
+        by_tgt = np.argsort(src - a + b, kind="stable")
+        bounds = np.searchsorted((src - a + b)[by_tgt], np.arange(1, p + 2))
+        starts = np.searchsorted(src, np.arange(1, p + 2))
+        parts = []
+        for s in range(p):
+            i, j = np.arange(starts[s], starts[s + 1]), by_tgt[bounds[s]:bounds[s + 1]]
+            x, y = np.nonzero(src[j] - (a[i][:, None] + a[j]) >= 1)
+            x, y = i[x], j[y]
+            parts.append((x, y, self.places[src[y], a[x] + a[y], b[x] + b[y]]))
+        x, y, t = (np.concatenate(part) for part in zip(*parts))
+        return Table(x, y, t, np.ones(len(x), dtype=np.int64))
 
     @staticmethod
     def _data_of(b: BasisElement) -> tuple[int, int, int]:
@@ -489,6 +514,11 @@ class OmegaAlgebra(BasedAlgebra):
         """Whether the monomial factors through the top vertex p."""
         src, a, b = self.data(idx)
         return a >= self.p - self.basis[idx].left
+
+    def ideal_mask(self) -> np.ndarray:
+        """``in_ideal`` of every basis monomial, as a boolean array."""
+        src, a, b = self.words
+        return a >= self.p - (src - a + b)
 
     def center_basis(self) -> list[Combo]:
         """Central elements: powers of the canonical degree-(-2,2) loop."""
@@ -508,36 +538,29 @@ def regular_bimodule(omega: OmegaAlgebra) -> BasedBimodule:
     return BasedBimodule(omega, list(omega.basis), omega.products, omega.products, name="Omega")
 
 
-def _sub_bimodule(omega: OmegaAlgebra, keep: list[int], name: str) -> BasedBimodule:
-    reindex = {old: new for new, old in enumerate(keep)}
-    basis = [omega.basis[i] for i in keep]
-    left: dict[tuple[int, int], Combo] = {}
-    right: dict[tuple[int, int], Combo] = {}
-    for (a, b), prod in omega.slot_products().items():
-        mapped = {reindex[i]: c for i, c in prod.items() if i in reindex}
-        if not mapped:
-            continue
-        if b in reindex:
-            left[(a, reindex[b])] = mapped
-        if a in reindex:
-            right[(reindex[a], b)] = mapped
-    return BasedBimodule(omega, basis, left, right, name=name)
+def _sub_bimodule(omega: OmegaAlgebra, keep: np.ndarray, name: str) -> BasedBimodule:
+    # the products whose result and module factor both lie in keep, renumbered
+    # in keep's order, which is ascending, so the tables stay sorted
+    new = np.full(omega.dim, -1, dtype=np.int64)
+    new[keep] = np.arange(len(keep))
+    x, y, t, c = omega.slot_products()
+    inside = new[t] >= 0
+    left, right = inside & (new[y] >= 0), inside & (new[x] >= 0)
+    mod = BasedBimodule(omega, [omega.basis[i] for i in keep.tolist()],
+                        Table(x[left], new[y[left]], new[t[left]], c[left]),
+                        Table(new[x[right]], y[right], new[t[right]], c[right]), name=name)
+    mod.parent_index = keep.tolist()
+    return mod
 
 
 def sub_ideal_epep(omega: OmegaAlgebra) -> BasedBimodule:
     """The two-sided ideal generated by e_p, spanned by through-the-top monomials."""
-    keep = [i for i in range(omega.dim) if omega.in_ideal(i)]
-    mod = _sub_bimodule(omega, keep, "OmegaEpOmega")
-    mod.parent_index = keep
-    return mod
+    return _sub_bimodule(omega, np.flatnonzero(omega.ideal_mask()), "OmegaEpOmega")
 
 
 def quotient_theta(omega: OmegaAlgebra) -> BasedBimodule:
     """The preprojective quotient by the ideal above, as an Omega-bimodule."""
-    keep = [i for i in range(omega.dim) if not omega.in_ideal(i)]
-    mod = _sub_bimodule(omega, keep, "Theta")
-    mod.parent_index = keep
-    return mod
+    return _sub_bimodule(omega, np.flatnonzero(~omega.ideal_mask()), "Theta")
 
 
 def theta_sigma_index(omega: OmegaAlgebra, idx: int) -> int:
@@ -561,18 +584,13 @@ def twist_sigma(mod: BasedBimodule) -> BasedBimodule:
         if b.left == p or b.right == p:
             raise IncompatibleAlgebras("twist_sigma only applies to modules killed by e_p")
     basis = [BasisElement(b.name, b.left, p - b.right, b.j, b.k) for b in mod.basis]
-    sigma_of: dict[int, int] = {}
-    for i in range(omega.dim):
-        if not omega.in_ideal(i):
-            src, a, b = omega.data(i)
-            tgt = src - a + b
-            if tgt != p and src != p:
-                sigma_of[i] = theta_sigma_index(omega, i)
+    src, a, b = omega.words
+    sigma = np.where(~omega.ideal_mask() & (src - a + b != p) & (src != p),
+                     omega.places[p - src, b, a], -1)
     # m . a here is m . sigma(a) there, and sigma is an involution of its domain
-    right: dict[tuple[int, int], Combo] = {}
-    for (m, s), prod in mod.right.items():
-        if prod and s in sigma_of:
-            right[(m, sigma_of[s])] = prod
+    x, y, t, c = mod.right
+    keep = sigma[y] >= 0
+    right = Table.of(x[keep], sigma[y[keep]], t[keep], c[keep], p)
     new_name = mod.name[:-5] if mod.name.endswith("Sigma") else mod.name + "Sigma"
     new = BasedBimodule(omega, basis, mod.left, right, name=new_name)
     if hasattr(mod, "parent_index"):
@@ -584,19 +602,13 @@ def dual(mod: BasedBimodule) -> BasedBimodule:
     """Linear dual: slots swap, degrees negate, actions transpose.
 
     With (a f b)(m) = f(b m a), the left action on duals is the transpose of
-    the right action and vice versa.
+    the right action and vice versa: m . a = tgt gives a . tgt* = m*.
     """
     basis = [BasisElement(b.name + "*", b.right, b.left, -b.j, -b.k) for b in mod.basis]
-    p = mod.p
-    left: dict[tuple[int, int], Combo] = {}
-    right: dict[tuple[int, int], Combo] = {}
-    for (m, a), prod in mod.right.items():
-        for tgt, c in prod.items():
-            left.setdefault((a, tgt), {})[m] = c % p
-    for (a, m), prod in mod.left.items():
-        for tgt, c in prod.items():
-            right.setdefault((tgt, a), {})[m] = c % p
-    return BasedBimodule(mod.over, basis, left, right, name=mod.name + "*")
+    (m, a, tgt, c), p = mod.right, mod.p
+    left = Table.of(a, tgt, m, c, p)
+    a, m, tgt, c = mod.left
+    return BasedBimodule(mod.over, basis, left, Table.of(tgt, a, m, c, p), name=mod.name + "*")
 
 
 def tensor_basis(m_mod: BasedBimodule, n_mod: BasedBimodule
@@ -660,10 +672,14 @@ class BimoduleMap:
             combo_add(out, self.columns[idx], c, self.source.p)
         return out
 
+    def column_table(self) -> Table:
+        """The columns as a ``Table`` with a dummy second index: f(m) at (m, 0)."""
+        return table_of({(m, 0): col for m, col in enumerate(self.columns)}, self.source.p)
+
     def check_intertwines(self) -> None:
         # f(a m) = a f(m) and f(m a) = f(m) a, f as a table with a dummy index 0
-        f_m0 = {(m, 0): col for m, col in enumerate(self.columns)}
-        f_0m = {(0, m): col for m, col in enumerate(self.columns)}
+        f_m0 = self.column_table()
+        f_0m = Table(f_m0.y, f_m0.x, f_m0.t, f_m0.c)
         src, tgt, p = self.source, self.target, self.source.p
         if failing_triple(src.left, f_m0, f_m0, tgt.left, p) is not None:
             raise AssertionError(f"{self.name}: left action not intertwined")

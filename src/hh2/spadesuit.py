@@ -30,7 +30,7 @@ from .exactlin import check_odd_prime, combo_add, sparse_rank
 from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Name, NameCombo,
                        build_model, concrete_degree, cup, format_name, homology_named,
                        idempotent_label)
-from .quiver import WindowTable, failing_triple, window_table
+from .quiver import WindowTable, failing_triple, table_of, window_table
 
 
 class WindowEmpty(Hh2Error):
@@ -341,7 +341,7 @@ class SpadeAlgebra:
                     else:
                         for el, c in r.items():
                             terms += i, j, index[(el.a, el.b, el.name)], c
-        return window_table(n, terms, out)
+        return window_table(n, terms, out, p)
 
 
 def build_spade(p: int, a_min: int, a_max: int) -> SpadeAlgebra:
@@ -395,6 +395,7 @@ def duality_form_checks(p: int) -> tuple[bool, bool]:
            for n_h, h in sig.items() for n_m, m in chi.items()}
     mul = {(m, t): {th[n]: c for n, c in chi_mul(p, n_m, n_t).items() if n in th}
            for n_m, m in chi.items() for n_t, t in th.items()}
+    act, form, mul = (table_of(table, p) for table in (act, form, mul))
     return perfect, failing_triple(act, form, mul, form, p) is None
 
 

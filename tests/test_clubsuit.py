@@ -142,6 +142,13 @@ def test_theta_partner_involution_via_sigma(maps5):
         assert theta_partner(om, q) == om.key[(om.p - src, up, down)]
 
 
+def total_degree(win, comp, idx):
+    """(i, j, k) of a window element: ``ClubWindow.total_degree``, which only
+    this test called, moved here with the window as ``win``."""
+    b = win.module_of(comp).basis[idx]
+    return comp.i, b.j + comp.jshift, b.k + comp.kshift
+
+
 def test_club_products_degree_additive(maps3):
     win = ClubWindow(maps3, -2, 3)
     for key1, c1 in win.components.items():
@@ -153,10 +160,10 @@ def test_club_products_degree_additive(maps3):
                     tgt, combo = win.product(c1, m1, c2, m2)
                     if tgt in (None, OUT_OF_WINDOW):
                         continue
-                    i1, j1, k1 = win.total_degree(c1, m1)
-                    i2, j2, k2 = win.total_degree(c2, m2)
+                    i1, j1, k1 = total_degree(win, c1, m1)
+                    i2, j2, k2 = total_degree(win, c2, m2)
                     for idx in combo:
-                        it, jt, kt = win.total_degree(tgt, idx)
+                        it, jt, kt = total_degree(win, tgt, idx)
                         assert (it, jt, kt) == (i1 + i2, j1 + j2, k1 + k2)
 
 

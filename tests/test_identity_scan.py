@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from hh2 import exactlin, koszulhh
 from hh2.koszulhh import Pairing
 from hh2.quiver import (BasedAlgebra, BasedBimodule, BasisElement, BimoduleMap,
-                        combo_add, failing_triple)
+                        combo_add, failing_triple, table_of)
+from tables import as_dict
 
 # -- a bimodule acting on combos: the references below read only these -------
 
@@ -199,12 +200,15 @@ def outcome(check, obj) -> str | None:
 # e1, e2, then its radical elements r0, r1, ...  Half of the structures are
 # real ones (truncated polynomial rings, their regular bimodules, maps and
 # multiplication) with a few entries overwritten; the others are random.
-# An entry is empty or has 1-3 terms with coefficients in [-p, 2p).
+# An entry is empty or has 1-3 terms with coefficients in [-p, 2p).  The
+# tables are made as dicts of combos, overwritten there, and then stored as
+# ``Table``s, which reduce the coefficients mod p.
 
 
-def algebra(p, n_vertices, radical, products):
+def algebra(p, n_vertices, radical, products, corrupt=lambda table: None):
     """Idempotents e_v and radical elements with the given (left, right)
-    slots; idempotents multiply as they should, ``products`` adds the rest."""
+    slots; idempotents multiply as they should, ``products`` adds the rest,
+    and ``corrupt`` may overwrite the dict before it is stored."""
     basis = [BasisElement(f"e{v}", v, v, 0, 0) for v in range(1, n_vertices + 1)]
     basis += [BasisElement(f"r{i}", lt, rt, 1, 0) for i, (lt, rt) in enumerate(radical)]
     table = {}
@@ -212,18 +216,21 @@ def algebra(p, n_vertices, radical, products):
         table[(bi.left - 1, i)] = {i: 1}
         table[(i, bi.right - 1)] = {i: 1}
     table.update(products)
-    return BasedAlgebra(p, basis, table, {v: v - 1 for v in range(1, n_vertices + 1)}, "A")
+    corrupt(table)
+    return BasedAlgebra(p, basis, table_of(table, p), {v: v - 1 for v in range(1, n_vertices + 1)},
+                        "A")
 
 
-def truncated(p, n):
+def truncated(p, n, corrupt=lambda table: None):
     """F_p[x]/(x^n): basis element i is x^i."""
     return algebra(p, 1, [(1, 1)] * (n - 1),
-                   {(i, j): {i + j: 1} for i in range(1, n) for j in range(1, n - i)})
+                   {(i, j): {i + j: 1} for i in range(1, n) for j in range(1, n - i)}, corrupt)
 
 
-def bimodule(alg, slots, left, right, name="M"):
+def bimodule(alg, slots, left, right, name="M", corrupt=lambda left, right: None):
     """Elements m0, m1, ... with the given slots; idempotents act as they
-    should, ``left`` and ``right`` add the rest."""
+    should, ``left`` and ``right`` add the rest, and ``corrupt`` may
+    overwrite the two dicts before they are stored."""
     basis = [BasisElement(f"m{i}", lt, rt, 0, 0) for i, (lt, rt) in enumerate(slots)]
     lt_, rt_ = {}, {}
     for m, bm in enumerate(basis):
@@ -231,12 +238,17 @@ def bimodule(alg, slots, left, right, name="M"):
         rt_[(m, alg.idem[bm.right])] = {m: 1}
     lt_.update(left)
     rt_.update(right)
-    return BasedBimodule(alg, basis, lt_, rt_, name=name)
+    corrupt(lt_, rt_)
+    return BasedBimodule(alg, basis, table_of(lt_, alg.p), table_of(rt_, alg.p), name=name)
 
 
-def regular(alg, name="A"):
-    """The algebra as a bimodule over itself."""
-    return BasedBimodule(alg, list(alg.basis), dict(alg.products), dict(alg.products), name=name)
+def regular(alg, name="A", corrupt=lambda left, right: None):
+    """The algebra as a bimodule over itself; ``corrupt`` may overwrite
+    either action's dict before it is stored."""
+    left, right = as_dict(alg.products), as_dict(alg.products)
+    corrupt(left, right)
+    return BasedBimodule(alg, list(alg.basis), table_of(left, alg.p), table_of(right, alg.p),
+                         name=name)
 
 
 class Draw:
@@ -270,9 +282,8 @@ class Draw:
     def algebra(self):
         rnd = self.rnd
         if self.real():
-            alg = truncated(self.p, rnd.randint(1, 6))
-            self.overwrite(alg.products, alg.dim, alg.dim, alg.dim)
-            return alg
+            n = rnd.randint(1, 6)
+            return truncated(self.p, n, lambda table: self.overwrite(table, n, n, n))
         nv = rnd.randint(1, 2)
         radical = [(rnd.randint(1, nv), rnd.randint(1, nv))
                    for _ in range(rnd.randint(1, 6 - nv))]
@@ -285,14 +296,15 @@ class Draw:
         nv = len(alg.idem)
         slots = [(rnd.randint(1, nv), rnd.randint(1, nv)) for _ in range(rnd.randint(1, 6))]
         n = len(slots)
-        mod = bimodule(alg, slots, self.random_table(alg.dim, n, n, lambda a, m: a < nv),
-                       self.random_table(n, alg.dim, n, lambda m, a: a < nv), name)
-        if rnd.random() < 0.25:  # break the idempotent actions
-            if rnd.random() < 0.5:
-                self.overwrite(mod.left, nv, n, n)
-            else:
-                self.overwrite(mod.right, n, nv, n)
-        return mod
+        def corrupt(left, right):
+            if rnd.random() < 0.25:  # break the idempotent actions
+                if rnd.random() < 0.5:
+                    self.overwrite(left, nv, n, n)
+                else:
+                    self.overwrite(right, n, nv, n)
+
+        return bimodule(alg, slots, self.random_table(alg.dim, n, n, lambda a, m: a < nv),
+                        self.random_table(n, alg.dim, n, lambda m, a: a < nv), name, corrupt)
 
 
 @st.composite
@@ -312,9 +324,8 @@ def bimodules(draw):
     d = draw(draws())
     if d.real():
         alg = truncated(d.p, d.rnd.randint(1, 6))
-        mod = regular(alg)
-        d.overwrite(d.rnd.choice((mod.left, mod.right)), alg.dim, alg.dim, alg.dim)
-        return mod
+        return regular(alg, corrupt=lambda left, right: d.overwrite(
+            d.rnd.choice((left, right)), alg.dim, alg.dim, alg.dim))
     return d.bimodule(d.algebra())
 
 
@@ -349,13 +360,15 @@ def pairings(draw):
     rnd = d.rnd
     if d.real():
         alg = truncated(d.p, rnd.randint(1, 6))
-        reg, z = regular(alg), regular(alg, "Z")
-        table = dict(alg.products)
-        d.overwrite(rnd.choice((table, z.left, z.right)), alg.dim, alg.dim, alg.dim)
-        return Pairing(reg, reg, z, table, name="mult")
+        table, z_left, z_right = as_dict(alg.products), as_dict(alg.products), as_dict(alg.products)
+        d.overwrite(rnd.choice((table, z_left, z_right)), alg.dim, alg.dim, alg.dim)
+        reg = regular(alg)
+        z = BasedBimodule(alg, list(alg.basis), table_of(z_left, d.p), table_of(z_right, d.p),
+                          name="Z")
+        return Pairing(reg, reg, z, table_of(table, d.p), name="mult")
     alg = d.algebra()
     x, y, z = d.bimodule(alg, "X"), d.bimodule(alg, "Y"), d.bimodule(alg, "Z")
-    return Pairing(x, y, z, d.random_table(x.dim, y.dim, z.dim), name="T")
+    return Pairing(x, y, z, table_of(d.random_table(x.dim, y.dim, z.dim), d.p), name="T")
 
 
 # -- the identities, one tuple at a time ---------------------------------------
@@ -412,10 +425,12 @@ M_LEFT = bimodule(A_ZERO, [(1, 1)] * 2, {(1, 0): {1: 1}, (1, 1): {0: 1}}, {})   
 M_RIGHT = bimodule(A_ZERO, [(1, 1)] * 2, {}, {(0, 1): {1: 1}, (1, 1): {0: 1}})  # m(ab)
 M_MIXED = bimodule(A_TWO, [(1, 1)] * 3, {(1, 0): {1: 1}}, {(1, 2): {2: 1}})      # (am)b
 M_IDEM = bimodule(A_ZERO, [(1, 1)], {(0, 0): {0: 2}}, {})                        # e1 m0 = 2 m0
-# e2 m0 = 3 m0 and m0 e2 = 3 m0 at p = 3: zero mod p, so every law holds,
-# but the idempotent entries are compared as stored
+# e2 m0 = 3 m0 and m0 e2 = 3 m0 at p = 3: zero mod p, which the table
+# stores as zero, so every check holds; with 4 m0 = m0 they fail
 M_IDEM_L = bimodule(A_TWO_VERTICES, [(1, 1)], {(1, 0): {0: 3}}, {})
 M_IDEM_R = bimodule(A_TWO_VERTICES, [(1, 1)], {}, {(0, 1): {0: 3}})
+M_IDEM_L4 = bimodule(A_TWO_VERTICES, [(1, 1)], {(1, 0): {0: 4}}, {})
+M_IDEM_R4 = bimodule(A_TWO_VERTICES, [(1, 1)], {}, {(0, 1): {0: 4}})
 M_ACT = bimodule(A_ZERO, [(1, 1)] * 2, {(1, 0): {1: 1}}, {(0, 1): {1: 1}})      # a bimodule
 A_REG = regular(A_ZERO)
 
@@ -443,6 +458,8 @@ def test_associativity_matches_dense_loop(alg):
 @example(M_IDEM)
 @example(M_IDEM_L)
 @example(M_IDEM_R)
+@example(M_IDEM_L4)
+@example(M_IDEM_R4)
 @settings(max_examples=100, deadline=None)
 @given(bimodules())
 def test_bimodule_axioms_match_dense_loop(mod):
@@ -487,12 +504,13 @@ def drop(table, key):
     return {k: v for k, v in table.items() if k != key}
 
 
-@example(Pairing(A_REG, A_REG, A_REG, dict(A_ZERO.products), name="mult"))
-@example(Pairing(A_REG, A_REG, A_REG, drop(A_ZERO.products, (1, 0)), name="T"))  # balanced
-@example(Pairing(A_REG, A_REG, bimodule(A_ZERO, [(1, 1)] * 2, {}, dict(A_ZERO.products)),
-                 dict(A_ZERO.products), name="T"))  # left equivariance
-@example(Pairing(A_REG, A_REG, bimodule(A_ZERO, [(1, 1)] * 2, dict(A_ZERO.products), {}),
-                 dict(A_ZERO.products), name="T"))  # right equivariance
+@example(Pairing(A_REG, A_REG, A_REG, A_ZERO.products, name="mult"))
+@example(Pairing(A_REG, A_REG, A_REG, table_of(drop(as_dict(A_ZERO.products), (1, 0)), 5),
+                 name="T"))  # balanced
+@example(Pairing(A_REG, A_REG, bimodule(A_ZERO, [(1, 1)] * 2, {}, as_dict(A_ZERO.products)),
+                 A_ZERO.products, name="T"))  # left equivariance
+@example(Pairing(A_REG, A_REG, bimodule(A_ZERO, [(1, 1)] * 2, as_dict(A_ZERO.products), {}),
+                 A_ZERO.products, name="T"))  # right equivariance
 @settings(max_examples=100, deadline=None)
 @given(pairings())
 def test_pairing_check_matches_dense_loop(pr):
@@ -508,8 +526,8 @@ def test_failing_triple_reports_first_failure_by_middle_index():
     d = {(0, 1): {0: 1}, (2, 1): {0: 1}, (1, 0): {0: 3}}
     # g = 0 reaches only (u, w) = (1, 4), where the right side is 3; g = 1
     # reaches u in {0, 2} and w in {2, 4}, where it is 1
-    assert failing_triple({}, {}, c, d, 3) == (0, 1, 2)
-    assert failing_triple({}, {}, c, d, 5) == (1, 0, 4)
+    for p, first in ((3, (0, 1, 2)), (5, (1, 0, 4))):
+        assert failing_triple(*(table_of(t, p) for t in ({}, {}, c, d)), p) == first
 
 
 def test_checks_cost_follows_nonempty_products():
@@ -520,7 +538,7 @@ def test_checks_cost_follows_nonempty_products():
     alg = algebra(3, n, [], {})
     reg = regular(alg)
     scale = identity_map(reg, 2)
-    mult = Pairing(reg, reg, reg, dict(alg.products), name="mult")
+    mult = Pairing(reg, reg, reg, alg.products, name="mult")
     start = time.perf_counter()
     alg.check_associativity()
     reg.check_bimodule()
@@ -586,12 +604,13 @@ def scans(draw):
 @settings(max_examples=300, deadline=None)
 @given(scans())
 def test_sort_join_matches_dict_walker(scan):
-    assert failing_triple(*scan) == walked_failing_triple(*scan)
+    *tables, p = scan
+    assert failing_triple(*(table_of(t, p) for t in tables), p) == walked_failing_triple(*scan)
 
 
 def test_scan_keys_that_would_not_fit_in_int64_raise():
     n = 70_000  # 70001^4 > 2^63 - 1
-    one = {(n, n + 1): {n + 2: 1}}
+    one = table_of({(n, n + 1): {n + 2: 1}}, 3)
     with pytest.raises(exactlin.TooLarge, match="int64"):
         failing_triple(one, one, one, one, 3)
     assert koszulhh.TooLarge is exactlin.TooLarge

@@ -10,11 +10,14 @@ from hh2.exactlin import coo_pivot_rows, sparse_rank
 from hh2.koszulhh import (NotACocycle, NotHomogeneous, PairingDegreeMismatch,
                           TooLarge, UnrecognizedSignature, bar_oracle,
                           build_model, cup, homology_named)
-from hh2.quiver import BasedAlgebra, BasedBimodule
+from hh2.quiver import BasedAlgebra, BasedBimodule, table_of
+from tables import as_dict
+
+EMPTY = table_of({}, 3)
 
 
 def test_zero_coefficients_give_empty_model(maps3):
-    model = build_model(maps3.c, BasedBimodule(maps3.omega, [], {}, {}, name="0"))
+    model = build_model(maps3.c, BasedBimodule(maps3.omega, [], EMPTY, EMPTY, name="0"))
     assert model.dim == 0
 
 
@@ -91,7 +94,8 @@ def test_homology_named_rejects_wrong_kind(maps3):
 def test_bar_oracle_examples(maps3):
     assert bar_oracle(maps3.omega, maps3.reg, 4) == [3, 2, 2, 0, 0]
     assert bar_oracle(maps3.omega, maps3.dual, 2) == [3, 0, 0]
-    assert bar_oracle(maps3.omega, BasedBimodule(maps3.omega, [], {}, {}, name="0"), 3) == [0, 0, 0, 0]
+    assert bar_oracle(maps3.omega, BasedBimodule(maps3.omega, [], EMPTY, EMPTY, name="0"),
+                      3) == [0, 0, 0, 0]
 
 
 def test_bar_oracle_cap(maps3, monkeypatch):
@@ -129,9 +133,9 @@ def test_bar_oracle_checks_d_squared_in_every_degree(maps3):
     # returned the dimensions [1, 1, 2, -5]
     omega = maps3.omega
     key = (omega.index["y1e1"], omega.index["x1e2"])
-    products = dict(omega.products)
+    products = as_dict(omega.products)
     products[key] = {t: 2 * c % 3 for t, c in products[key].items()}
-    broken = BasedAlgebra(3, omega.basis, products, omega.idem)
+    broken = BasedAlgebra(3, omega.basis, table_of(products, 3), omega.idem)
     assert bar_oracle(broken, maps3.theta, 2) == [1, 1, 2]
     with pytest.raises(AssertionError, match="square to zero"):
         bar_oracle(broken, maps3.theta, 3)
@@ -329,9 +333,9 @@ def _broken_omega3(maps3):
     # as in test_bar_oracle_checks_d_squared_in_every_degree: d_3 . d_2 != 0
     omega = maps3.omega
     key = (omega.index["y1e1"], omega.index["x1e2"])
-    products = dict(omega.products)
+    products = as_dict(omega.products)
     products[key] = {t: 2 * c % 3 for t, c in products[key].items()}
-    return BasedAlgebra(3, omega.basis, products, omega.idem)
+    return BasedAlgebra(3, omega.basis, table_of(products, 3), omega.idem)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -341,7 +345,7 @@ def test_bar_oracle_fails_on_a_corrupted_module_action(side, maps3):
     # left action) and the tail joins (the right action)
     omega = maps3.omega
     reg = maps3.modules["omega"]
-    table = getattr(reg, side)
+    table = as_dict(getattr(reg, side))
     radical = {i for i, b in enumerate(omega.basis) if b.j or b.k}
     keys = [key for key, prod in table.items() if prod
             and (key[0] if side == "left" else key[1]) in radical]
@@ -349,7 +353,7 @@ def test_bar_oracle_fails_on_a_corrupted_module_action(side, maps3):
     for key in keys:
         bad_table = dict(table)
         bad_table[key] = {t: 2 * c % 3 for t, c in table[key].items()}
-        tables = {"left": reg.left, "right": reg.right, side: bad_table}
+        tables = {"left": reg.left, "right": reg.right, side: table_of(bad_table, 3)}
         bad = BasedBimodule(omega, reg.basis, tables["left"], tables["right"], name="bad")
         with pytest.raises(AssertionError, match="square to zero"):
             bar_oracle(omega, bad, 3)

@@ -1,7 +1,8 @@
 import itertools
 
-from hh2.operators import apply_operator, build_hhl, laurent_window, project
+from hh2.operators import build_hhl, project
 from hh2.spadesuit import OUT_OF_WINDOW, build_spade, chi_mul
+from tower_reference import apply_operator, laurent_window
 
 
 def test_ground_field_operator_picks_degree_zero():

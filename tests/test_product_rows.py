@@ -52,7 +52,7 @@ def test_rows_match_one_call_per_pair(window, monkeypatch):
                if (target := component_at(p, a1 + a2, b1 + b2)) is not None}
     assert name_calls == sum(len(component_names(p, l1)) * len(component_names(p, l2))
                              for l1, l2, _ in triples)
-    ref = _product_table(alg.basis, alg.product)
+    ref = _product_table(alg.basis, alg.product, p)
 
     def entries(table):
         """({(x, y): {t: c}} over the nonzero pairs, the out-of-window pairs)."""
