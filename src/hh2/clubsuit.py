@@ -21,10 +21,10 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import Hh2Error, quiver
-from .exactlin import sparse_rank
+from .exactlin import coo_pivot_rows, sparse_rank
 from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
                        KIND_THETA_SIGMA, Pairing)
-from .quiver import BasedBimodule, BimoduleMap, OmegaAlgebra, Table
+from .quiver import BasedBimodule, BimoduleMap, Table
 
 # spade labels: which piece of the class algebra a grid slot carries
 CHI = "chi"
@@ -54,46 +54,39 @@ class OutOfWindow:
 OUT_OF_WINDOW = OutOfWindow()
 
 
-def ideal_partner(omega: OmegaAlgebra, idx: int) -> int:
-    """beta-partner inside the ideal: complement the down/up counts to p-1."""
-    src, a, b = omega.data(idx)
-    left = src - a + b
-    return omega.key[(left, omega.p - 1 - a, omega.p - 1 - b)]
+def _positions(mod: BasedBimodule, n: int) -> np.ndarray:
+    """Where each of Omega's n monomials sits in the basis of a sub or
+    quotient module, -1 off it."""
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[mod.parent_index] = np.arange(mod.dim)
+    return pos
 
 
-def theta_partner(omega: OmegaAlgebra, idx: int) -> int:
-    """Form partner of a non-ideal monomial: paths compose to the socle."""
-    src, a, b = omega.data(idx)
-    left = src - a + b
-    p = omega.p
-    return omega.key[(left, src - 1 - a, p - 1 - b - src)]
-
-
-def _renumbered(idx: np.ndarray, new_of: dict[int, int] | None) -> np.ndarray:
-    """new_of[i] for each i of idx, -1 where new_of has no key i; None keeps idx."""
-    if new_of is None:
-        return idx
-    new = np.full(1 + max(int(idx.max(initial=-1)), max(new_of, default=-1)), -1, dtype=np.int64)
-    new[list(new_of)] = list(new_of.values())
-    return new[idx]
-
-
-def _restrict(table: Table, p: int, rows: dict[int, int] | None = None,
-              cols: dict[int, int] | None = None) -> Table:
-    """The terms whose row (col) index is a key of rows (cols), renumbered by
-    it; None keeps every index of that side as it is."""
+def _restrict(table: Table, p: int, rows: np.ndarray | None = None,
+              cols: np.ndarray | None = None) -> Table:
+    """The terms whose row (col) index i has rows[i] >= 0 (cols[i] >= 0),
+    renumbered to it; None keeps every index of that side as it is."""
     x, y, t, c = table
-    x, y = _renumbered(x, rows), _renumbered(y, cols)
+    x, y = (idx if new is None else new[idx] for idx, new in ((x, rows), (y, cols)))
     keep = (x >= 0) & (y >= 0)
     return Table.of(x[keep], y[keep], t[keep], c[keep], p)
+
+
+def _map_of(source: BasedBimodule, target: BasedBimodule, image: np.ndarray,
+            dj: int = 0, dk: int = 0, name: str = "") -> BimoduleMap:
+    """The map sending basis element m of source to image[m] of target, or
+    to zero where image[m] is -1."""
+    m = np.flatnonzero(image >= 0)
+    return BimoduleMap(source, target, Table(m, np.zeros_like(m), image[m], np.ones_like(m)),
+                       dj, dk, name)
 
 
 def _compose(table: Table, mp: BimoduleMap, p: int, inner: bool = False) -> Table:
     """A table followed by a map, (x, y) -> mp(t(x, y)), or with ``inner`` the
     map applied to y first, (x, g) -> t(x, mp(g)): a join of the table's
-    terms with the map's columns, on t or on y."""
+    terms with the map's table, on t or on y."""
     x, y, t, c = table
-    f = mp.column_table()  # mp(g) at (g, 0)
+    f = mp.table  # mp(g) at (g, 0)
     if inner:
         s, e = quiver.half_join(y, f.t)  # each term at (x, u) with each g that mp sends to u
         return Table.of(x[s], f.x[e], t[s], c[s] * f.c[e], p)
@@ -159,62 +152,54 @@ class NaturalMaps:
     ideal = cached_property(lambda self: quiver.sub_ideal_epep(self.omega))
     ideal_dual = cached_property(lambda self: quiver.dual(self.ideal))
     theta_dual = cached_property(lambda self: quiver.dual(self.theta))
-    # where each monomial of the ideal (of Theta) sits in that module's basis
-    _pos_in_ideal = cached_property(
-        lambda self: {m: n for n, m in enumerate(self.ideal.parent_index)})
-    _pos_in_theta = cached_property(
-        lambda self: {m: n for n, m in enumerate(self.theta.parent_index)})
+    # where each monomial of Omega sits in the ideal's (Theta's) basis, -1 off it
+    _pos_in_ideal = cached_property(lambda self: _positions(self.ideal, self.omega.dim))
+    _pos_in_theta = cached_property(lambda self: _positions(self.theta, self.omega.dim))
 
     # -- linear maps ---------------------------------------------------------
 
     @cached_property
     def alpha(self) -> BimoduleMap:
         # alpha: ideal -> Omega (inclusion)
-        ideal = self.ideal
-        cols = [{ideal.parent_index[m]: 1} for m in range(ideal.dim)]
-        return BimoduleMap(ideal, self.reg, cols, name="alpha")
+        return _map_of(self.ideal, self.reg, np.array(self.ideal.parent_index), name="alpha")
 
     @cached_property
     def gamma(self) -> BimoduleMap:
         # gamma: Omega* ->> ideal,  m* -> beta-partner(m) for ideal monomials
         # (the dual basis is indexed like Omega's)
-        om, p, pos_in_ideal = self.omega, self.p, self._pos_in_ideal
-        cols = [{pos_in_ideal[ideal_partner(om, m)]: 1} if om.in_ideal(m) else {}
-                for m in range(self.dual.dim)]
-        return BimoduleMap(self.dual, self.ideal, cols,
-                           dj=2 - 2 * p, dk=2 * p - 2, name="gamma")
+        partner, p = self.omega.ideal_partner, self.p
+        image = np.where(partner >= 0, self._pos_in_ideal[partner], -1)
+        return _map_of(self.dual, self.ideal, image, dj=2 - 2 * p, dk=2 * p - 2, name="gamma")
 
     @cached_property
     def kappa(self) -> BimoduleMap:
         # kappa: Omega ->> Theta
-        pos_in_theta = self._pos_in_theta
-        cols = [{pos_in_theta[m]: 1} if m in pos_in_theta else {} for m in range(self.reg.dim)]
-        return BimoduleMap(self.reg, self.theta, cols, name="kappa")
+        return _map_of(self.reg, self.theta, self._pos_in_theta, name="kappa")
 
     @cached_property
     def mu(self) -> BimoduleMap:
         # mu = kappa* o lam, Theta^sigma -> Omega*: m -> the form partner of
         # its underlying monomial
-        om, p = self.omega, self.p
-        cols = [{theta_partner(om, m): 1} for m in self.theta.parent_index]
-        return BimoduleMap(self.theta_sigma, self.dual, cols,
-                           dj=p - 2, dk=-(p - 2), name="mu")
+        p = self.p
+        return _map_of(self.theta_sigma, self.dual,
+                       self.omega.theta_partner[self.theta.parent_index],
+                       dj=p - 2, dk=-(p - 2), name="mu")
 
     @cached_property
     def beta(self) -> BimoduleMap:
         # beta: ideal -> ideal* via the complementing form
-        om, ideal, p = self.omega, self.ideal, self.p
-        cols = [{self._pos_in_ideal[ideal_partner(om, m)]: 1} for m in ideal.parent_index]
-        return BimoduleMap(ideal, self.ideal_dual, cols,
-                           dj=2 * (p - 1), dk=-2 * (p - 1), name="beta")
+        p = self.p
+        return _map_of(self.ideal, self.ideal_dual,
+                       self._pos_in_ideal[self.omega.ideal_partner[self.ideal.parent_index]],
+                       dj=2 * (p - 1), dk=-2 * (p - 1), name="beta")
 
     @cached_property
     def lam(self) -> BimoduleMap:
         # lam: Theta^sigma -> Theta* (self-injectivity)
-        om, pos_in_theta, p = self.omega, self._pos_in_theta, self.p
-        cols = [{pos_in_theta[theta_partner(om, m)]: 1} for m in self.theta.parent_index]
-        return BimoduleMap(self.theta_sigma, self.theta_dual, cols,
-                           dj=p - 2, dk=-(p - 2), name="lambda")
+        p = self.p
+        return _map_of(self.theta_sigma, self.theta_dual,
+                       self._pos_in_theta[self.omega.theta_partner[self.theta.parent_index]],
+                       dj=p - 2, dk=-(p - 2), name="lambda")
 
     # -- pairings ------------------------------------------------------------
 
@@ -254,12 +239,13 @@ class NaturalMaps:
         return Pairing(ideal, reg, reg, _restrict(reg.right, self.p, rows=pos), name="mult_incl_r")
 
     def _eta(self) -> Pairing:
-        # eta: I x I -> Omega*,  (u, v) -> gamma^{-1}(u) . v
-        ideal = self.ideal
-        gamma_inv = {ideal_partner(self.omega, m): u  # gamma(f*) = u
-                     for u, m in enumerate(ideal.parent_index)}
+        # eta: I x I -> Omega*,  (u, v) -> gamma^{-1}(u) . v: row f of Omega*
+        # is row u = gamma(f*), as gamma is a bijection off its kernel
+        gamma = self.gamma.table
+        gamma_inv = np.full(self.dual.dim, -1, dtype=np.int64)
+        gamma_inv[gamma.x] = gamma.t
         table = _restrict(self.dual.right, self.p, gamma_inv, self._pos_in_ideal)
-        return Pairing(ideal, ideal, self.dual, table, name="eta")
+        return Pairing(self.ideal, self.ideal, self.dual, table, name="eta")
 
     def _zeta(self, side: str) -> Pairing:
         # zeta_l / zeta_r: ideal acting on Omega*
@@ -304,8 +290,7 @@ class NaturalMaps:
         z_mod = ths if x_sigma != y_sigma else theta
         sigma = None
         if x_sigma:  # an involution of Theta's basis, so it renumbers (m, sigma(n)) as (m, n)
-            sigma = {n: self._pos_in_theta[quiver.theta_sigma_index(self.omega, m)]
-                     for n, m in enumerate(theta.parent_index)}
+            sigma = self._pos_in_theta[self.omega.sigma[theta.parent_index]]
         return Pairing(x_mod, y_mod, z_mod, _restrict(self._theta_mul, self.p, cols=sigma),
                        name=f"collapse:{tag}")
 
@@ -328,7 +313,8 @@ class NaturalMaps:
                                   (self.gamma, self.ideal.dim, "gamma is not surjective"),
                                   (self.kappa, self.theta.dim, "kappa is not surjective"),
                                   (self.mu, self.theta.dim, "mu is not injective")):
-            if sparse_rank(mp.columns, self.p) != want:
+            m, _, t, c = mp.table  # sorted by m, then t: a COO matrix by column
+            if len(coo_pivot_rows(m, t, c, self.p)) != want:
                 raise ConstructionFailure(failure)
 
     def check_bimodules(self) -> None:

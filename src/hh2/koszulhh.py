@@ -195,9 +195,11 @@ class CochainModel:
         n, e = n[q], at[e[q]]
         parts.append((n, ct[e], xt[f], np.where(odd[n], 1, -1) * cc[e] * xc[f]))
         n, tc, tx, val = (np.concatenate(part) for part in zip(*parts))
-        # the place of (tc, tx) among the pairs, whose codes ascend
+        # the place of (tc, tx) among the pairs, whose codes ascend; a code
+        # past the last one reads the -1 appended, which no want equals
         code, want = ci * width + xi, tc * width + tx
-        m, inside = np.searchsorted(code, want), np.isin(want, code)
+        m = np.searchsorted(code, want)
+        inside = np.append(code, -1)[m] == want
         if np.any(~inside & (val % p != 0)):
             raise AssertionError("differential left the diagonal")
         dim = max(1, len(ci))

@@ -18,9 +18,10 @@ Conventions used throughout the package:
 Linear combinations (combos) are dicts {basis_index: coefficient mod p}.
 Every product, action and pairing table is a ``Table``: int64 arrays
 (x, y, t, c) sorted by (x, y, t), one term per (x, y, t), c in [1, p).
-Builders make tables by array operations (Omega's from its closed form, the
-modules by masks, renumberings and swaps), the identity scans join their
-arrays as stored, and ``Table.get`` reads single entries as combos.
+A ``BimoduleMap`` is one too, f(m) at (m, 0).  Builders make tables by array
+operations (Omega's from its closed form, the modules by masks, renumberings
+and swaps, the maps from Omega's partner arrays), the identity scans join
+their arrays as stored, and ``Table.get`` reads single entries as combos.
 """
 
 from __future__ import annotations
@@ -458,6 +459,16 @@ class OmegaAlgebra(BasedAlgebra):
     other words.  The product table comes from the closed form: i o j is
     (src_j, downs_i + downs_j, ups_i + ups_j) when j ends where i starts and
     src_j > downs_i + downs_j, else zero.
+
+    Three int64 arrays give a partner of each monomial (src, a, b) ending at
+    tgt = src - a + b, and -1 where it has none:
+
+    * ``sigma``, the diagram involution off the ideal: swap the arrows and
+      flip the vertices, (p - src, b, a);
+    * ``ideal_partner``, the beta-partner in the ideal, whose down and up
+      counts complement a and b to p - 1: (tgt, p - 1 - a, p - 1 - b);
+    * ``theta_partner``, the form partner off the ideal, with which the
+      monomial composes to the socle: (tgt, src - 1 - a, p - 1 - b - src).
     """
 
     def __init__(self, p: int):
@@ -475,6 +486,12 @@ class OmegaAlgebra(BasedAlgebra):
         self.places = np.full((p + 1,) * 3, -1, dtype=np.int64)
         self.places[self.words] = np.arange(len(basis))
         super().__init__(p, basis, self._products(p), idem, name="Omega")
+        src, a, b = self.words
+        tgt, ideal = src - a + b, self.ideal_mask()
+        # off its domain a partner's word may have a negative count, which wraps; np.where drops it
+        self.sigma = np.where(ideal, -1, self.places[p - src, b, a])
+        self.ideal_partner = np.where(ideal, self.places[tgt, p - 1 - a, p - 1 - b], -1)
+        self.theta_partner = np.where(ideal, -1, self.places[tgt, src - 1 - a, p - 1 - b - src])
         self.key = key
         self.presentation = dual_presentation(p)
         self.arrow_images = {}
@@ -499,24 +516,8 @@ class OmegaAlgebra(BasedAlgebra):
         x, y, t = (np.concatenate(part) for part in zip(*parts))
         return Table(x, y, t, np.ones(len(x), dtype=np.int64))
 
-    @staticmethod
-    def _data_of(b: BasisElement) -> tuple[int, int, int]:
-        src = b.right
-        length = b.k
-        a = (length + src - b.left) // 2
-        return src, a, length - a
-
-    def data(self, idx: int) -> tuple[int, int, int]:
-        """(src, downs, ups) of a basis monomial."""
-        return self._data_of(self.basis[idx])
-
-    def in_ideal(self, idx: int) -> bool:
-        """Whether the monomial factors through the top vertex p."""
-        src, a, b = self.data(idx)
-        return a >= self.p - self.basis[idx].left
-
     def ideal_mask(self) -> np.ndarray:
-        """``in_ideal`` of every basis monomial, as a boolean array."""
+        """Whether each basis monomial factors through the top vertex p."""
         src, a, b = self.words
         return a >= self.p - (src - a + b)
 
@@ -563,12 +564,6 @@ def quotient_theta(omega: OmegaAlgebra) -> BasedBimodule:
     return _sub_bimodule(omega, np.flatnonzero(~omega.ideal_mask()), "Theta")
 
 
-def theta_sigma_index(omega: OmegaAlgebra, idx: int) -> int:
-    """Index of the involution image of a non-ideal monomial (swap arrows, flip vertices)."""
-    src, a, b = omega.data(idx)
-    return omega.key[(omega.p - src, b, a)]
-
-
 def twist_sigma(mod: BasedBimodule) -> BasedBimodule:
     """Right twist of a preprojective-type bimodule by its diagram involution.
 
@@ -584,11 +579,9 @@ def twist_sigma(mod: BasedBimodule) -> BasedBimodule:
         if b.left == p or b.right == p:
             raise IncompatibleAlgebras("twist_sigma only applies to modules killed by e_p")
     basis = [BasisElement(b.name, b.left, p - b.right, b.j, b.k) for b in mod.basis]
-    src, a, b = omega.words
-    sigma = np.where(~omega.ideal_mask() & (src - a + b != p) & (src != p),
-                     omega.places[p - src, b, a], -1)
     # m . a here is m . sigma(a) there, and sigma is an involution of its domain
     x, y, t, c = mod.right
+    sigma = omega.sigma
     keep = sigma[y] >= 0
     right = Table.of(x[keep], sigma[y[keep]], t[keep], c[keep], p)
     new_name = mod.name[:-5] if mod.name.endswith("Sigma") else mod.name + "Sigma"
@@ -655,30 +648,20 @@ def tensor_basis(m_mod: BasedBimodule, n_mod: BasedBimodule
 
 
 class BimoduleMap:
-    """Linear map between bimodules, stored columnwise on the source basis."""
+    """Linear map between bimodules: ``table`` holds f(m) at (m, 0)."""
 
     def __init__(self, source: BasedBimodule, target: BasedBimodule,
-                 columns: list[Combo], dj: int = 0, dk: int = 0, name: str = ""):
+                 table: Table, dj: int = 0, dk: int = 0, name: str = ""):
         self.source = source
         self.target = target
-        self.columns = columns
+        self.table = table
         self.dj = dj
         self.dk = dk
         self.name = name
 
-    def apply(self, combo: Combo) -> Combo:
-        out: Combo = {}
-        for idx, c in combo.items():
-            combo_add(out, self.columns[idx], c, self.source.p)
-        return out
-
-    def column_table(self) -> Table:
-        """The columns as a ``Table`` with a dummy second index: f(m) at (m, 0)."""
-        return table_of({(m, 0): col for m, col in enumerate(self.columns)}, self.source.p)
-
     def check_intertwines(self) -> None:
         # f(a m) = a f(m) and f(m a) = f(m) a, f as a table with a dummy index 0
-        f_m0 = self.column_table()
+        f_m0 = self.table
         f_0m = Table(f_m0.y, f_m0.x, f_m0.t, f_m0.c)
         src, tgt, p = self.source, self.target, self.source.p
         if failing_triple(src.left, f_m0, f_m0, tgt.left, p) is not None:
@@ -687,9 +670,8 @@ class BimoduleMap:
             raise AssertionError(f"{self.name}: right action not intertwined")
 
     def check_degree_shift(self) -> None:
-        for m, combo in enumerate(self.columns):
-            bm = self.source.basis[m]
-            for idx in combo:
-                bt = self.target.basis[idx]
-                if (bt.j - bm.j, bt.k - bm.k) != (self.dj, self.dk):
-                    raise AssertionError(f"{self.name}: inhomogeneous degree shift")
+        src, tgt = (np.array([(b.j, b.k) for b in mod.basis], dtype=np.int64).reshape(-1, 2)
+                    for mod in (self.source, self.target))
+        m, _, t, _ = self.table
+        if np.any(tgt[t] - src[m] != (self.dj, self.dk)):
+            raise AssertionError(f"{self.name}: inhomogeneous degree shift")

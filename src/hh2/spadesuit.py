@@ -459,7 +459,7 @@ def verify_first_principles(p: int, a_min: int = -3, a_max: int = 4) -> Verifica
         image = {}
         for n, coeff in cl.rep.items():
             ci, xi = sig_model.pairs[n]
-            for tgt, c2 in nm.mu.columns[xi].items():
+            for tgt, c2 in nm.mu.table.get((xi, 0), {}).items():
                 key = dual_model.pair_index[(ci, tgt)]
                 image[key] = (image.get(key, 0) + coeff * c2) % p
         image = {k: v for k, v in image.items() if v}

@@ -1,5 +1,17 @@
-"""The entries of a ``quiver.Table`` as a dict of combos, {(x, y): {t: c}}:
-the form in which the references in these tests read and write tables."""
+"""Helpers the references in these tests share.
+
+``as_dict`` gives the entries of a ``quiver.Table`` as a dict of combos,
+{(x, y): {t: c}}: the form in which the references read and write tables.
+``column_map`` and ``columned`` make and read a ``BimoduleMap`` as the list
+of its columns, the combos f(m), as it was stored before its table.  The
+per-index formulas of Omega's monomials (``word``, ``in_ideal``,
+``theta_sigma_index``, ``ideal_partner``, ``theta_partner``) are the
+references for the partner arrays of ``OmegaAlgebra``.
+"""
+
+import types
+
+from hh2.quiver import BimoduleMap, combo_add, table_of
 
 
 def as_dict(table) -> dict:
@@ -8,3 +20,70 @@ def as_dict(table) -> dict:
     for x, y, t, c in zip(*(a.tolist() for a in table)):
         out.setdefault((x, y), {})[t] = c
     return out
+
+
+# -- maps as lists of columns --------------------------------------------------
+
+
+def column_map(source, target, columns: list[dict], dj: int = 0, dk: int = 0,
+               name: str = "") -> BimoduleMap:
+    """The ``BimoduleMap`` sending basis element m of source to columns[m]."""
+    entries = {(m, 0): col for m, col in enumerate(columns)}
+    return BimoduleMap(source, target, table_of(entries, source.p), dj, dk, name)
+
+
+def columned(mp: BimoduleMap):
+    """mp with its ``columns``, f(m) for each m, and ``apply``, f of a combo."""
+    columns = [dict(mp.table.get((m, 0), {})) for m in range(mp.source.dim)]
+
+    def apply(combo: dict) -> dict:
+        out: dict = {}
+        for idx, c in combo.items():
+            combo_add(out, columns[idx], c, mp.source.p)
+        return out
+
+    return types.SimpleNamespace(source=mp.source, target=mp.target, name=mp.name,
+                                 columns=columns, apply=apply)
+
+
+# -- Omega's monomials, one index at a time ------------------------------------
+
+
+def data_of(b) -> tuple[int, int, int]:
+    """(src, downs, ups) of a monomial of Omega from its basis element."""
+    src = b.right
+    length = b.k
+    a = (length + src - b.left) // 2
+    return src, a, length - a
+
+
+def word(omega, idx: int) -> tuple[int, int, int]:
+    """(src, downs, ups) of a basis monomial."""
+    return data_of(omega.basis[idx])
+
+
+def in_ideal(omega, idx: int) -> bool:
+    """Whether the monomial factors through the top vertex p."""
+    src, a, b = word(omega, idx)
+    return a >= omega.p - omega.basis[idx].left
+
+
+def theta_sigma_index(omega, idx: int) -> int:
+    """Index of the involution image of a non-ideal monomial (swap arrows, flip vertices)."""
+    src, a, b = word(omega, idx)
+    return omega.key[(omega.p - src, b, a)]
+
+
+def ideal_partner(omega, idx: int) -> int:
+    """beta-partner inside the ideal: complement the down/up counts to p-1."""
+    src, a, b = word(omega, idx)
+    left = src - a + b
+    return omega.key[(left, omega.p - 1 - a, omega.p - 1 - b)]
+
+
+def theta_partner(omega, idx: int) -> int:
+    """Form partner of a non-ideal monomial: paths compose to the socle."""
+    src, a, b = word(omega, idx)
+    left = src - a + b
+    p = omega.p
+    return omega.key[(left, src - 1 - a, p - 1 - b - src)]

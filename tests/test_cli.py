@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hh2
 from hh2.cli import COEFFS, main
 
 
@@ -237,14 +242,14 @@ def corrupt_beta(monkeypatch, change_columns):
     from functools import cached_property
 
     from hh2.clubsuit import NaturalMaps
-    from hh2.quiver import BimoduleMap
+    from tables import column_map, columned
 
     build = NaturalMaps.beta.func
 
     def beta(self):
         b = build(self)
-        return BimoduleMap(b.source, b.target, change_columns([dict(c) for c in b.columns]),
-                           b.dj, b.dk, name="beta")
+        return column_map(b.source, b.target, change_columns(columned(b).columns),
+                          b.dj, b.dk, name="beta")
 
     prop = cached_property(beta)
     prop.__set_name__(NaturalMaps, "beta")
@@ -319,3 +324,17 @@ DOCS = st.recursive(st.none() | st.booleans() | st.integers() | TEXT,
 def test_json_writer_matches_json_dumps(doc):
     from hh2.cli import _emit
     assert _emit(doc, "json") == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_hh_job_does_not_import_numpy_ma():
+    # np.isin and np.unique import numpy.ma on their first call, which costs
+    # a short hh job a large share of its time; a fresh interpreter shows it
+    script = ("import contextlib, io, sys\n"
+              "from hh2.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    status = main(['hh', '--p', '7', '--coefficient', 'omega'])\n"
+              "print(status, 'numpy.ma' in sys.modules)\n")
+    src = str(Path(hh2.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.stdout.split() == ["0", "False"], done.stderr

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from hh2.cli import _club_associativity
-from hh2.clubsuit import (OUT_OF_WINDOW, ClubWindow, NaturalMaps, WindowTooSmall,
-                          component_at, ideal_partner, theta_partner)
+from hh2.clubsuit import OUT_OF_WINDOW, ClubWindow, NaturalMaps, WindowTooSmall, component_at
 from hh2.exactlin import rank
 from hh2.koszulhh import KIND_DUAL, KIND_IDEAL, KIND_THETA, KIND_THETA_SIGMA
 
@@ -22,11 +21,11 @@ def test_beta_pairs_complementary_monomials(maps3):
     p = om.p
     for m in range(maps3.ideal.dim):
         idx = maps3.ideal.parent_index[m]
-        src, down, up = om.data(idx)
-        partner = ideal_partner(om, idx)
-        src2, down2, up2 = om.data(partner)
+        src, down, up = (int(w[idx]) for w in om.words)
+        partner = om.ideal_partner[idx]
+        src2, down2, up2 = (int(w[partner]) for w in om.words)
         assert down + down2 == p - 1 and up + up2 == p - 1
-        assert ideal_partner(om, partner) == idx
+        assert om.ideal_partner[partner] == idx
 
 
 def test_eta_zeta_eps_isomorphisms(maps3, maps5):
@@ -42,7 +41,7 @@ def test_gamma_kernel_killed_by_top_idempotent(maps3):
     om, p = nm.omega, 3
     ep = om.idem[p]
     for f in range(nm.dual.dim):
-        if nm.gamma.columns[f]:
+        if nm.gamma.table.get((f, 0)):
             continue
         left = nm.dual.left.get((ep, f), {})
         right = nm.dual.right.get((f, ep), {})
@@ -137,9 +136,9 @@ def test_products_off_the_target_module_are_zero(maps3):
 def test_theta_partner_involution_via_sigma(maps5):
     om = maps5.omega
     for m in maps5.theta.parent_index:
-        q = theta_partner(om, m)
-        src, down, up = om.data(m)
-        assert theta_partner(om, q) == om.key[(om.p - src, up, down)]
+        q = om.theta_partner[m]
+        src, down, up = (int(w[m]) for w in om.words)
+        assert om.theta_partner[q] == om.key[(om.p - src, up, down)]
 
 
 def total_degree(win, comp, idx):

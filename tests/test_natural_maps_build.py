@@ -21,11 +21,12 @@ import pytest
 
 from hh2 import quiver
 from hh2.cli import COEFFS
-from hh2.clubsuit import NaturalMaps, ideal_partner
+from hh2.clubsuit import NaturalMaps
 from hh2.koszulhh import KIND_OMEGA, Pairing
 from hh2.quiver import (BasedBimodule, BasisElement, BimoduleMap, Combo, IncompatibleAlgebras,
                         OmegaAlgebra, combo_add, table_of)
-from tables import as_dict
+from tables import (as_dict, columned, data_of, ideal_partner, in_ideal, theta_sigma_index,
+                    word)
 
 PRIMES = (3, 5, 7)
 
@@ -41,7 +42,9 @@ NAMES = ["mult",
 # -- the dense builders, as they stood before the sparse walks ---------------
 # (verbatim bodies: the methods take their object as ``self``, and the loops
 # that sat inside a constructor are wrapped in a function of the names they
-# read; a walk over all entries of a table reads it through ``as_dict``)
+# read; a walk over all entries of a table reads it through ``as_dict``; the
+# maps come as ``columned`` reads them, and Omega's per-index helpers, which
+# left the package, from ``tables``)
 
 
 def dense_action_pairing(self, x_mod: BasedBimodule, side: str,
@@ -158,7 +161,7 @@ def dense_build_pairings(self) -> None:
 
     # collapse pairings between the preprojective-type components
     def sigma_idx(m_omega: int) -> int:
-        return quiver.theta_sigma_index(om, m_omega)
+        return theta_sigma_index(om, m_omega)
 
     theta_alg_mul = {}
     pos_in_theta = {old: new for new, old in enumerate(theta.parent_index)}
@@ -211,9 +214,9 @@ def dense_build_pairings(self) -> None:
 def dense_omega_products(self, basis, key):
     products: dict[tuple[int, int], Combo] = {}
     for i, bi in enumerate(basis):
-        si, ai, bbi = self._data_of(bi)
+        si, ai, bbi = data_of(bi)
         for jdx, bj in enumerate(basis):
-            sj, aj, bbj = self._data_of(bj)
+            sj, aj, bbj = data_of(bj)
             if bi.right != bj.left:
                 continue
             a, b = ai + aj, bbi + bbj
@@ -270,8 +273,8 @@ def dense_twist_sigma(mod: BasedBimodule) -> BasedBimodule:
     basis = [BasisElement(b.name, b.left, p - b.right, b.j, b.k) for b in mod.basis]
     sigma_of: dict[int, int] = {}
     for i in range(omega.dim):
-        if not omega.in_ideal(i):
-            src, a, b = omega.data(i)
+        if not in_ideal(omega, i):
+            src, a, b = word(omega, i)
             tgt = src - a + b
             if tgt != p and src != p:
                 sigma_of[i] = omega.key[(p - src, b, a)]
@@ -294,8 +297,8 @@ def dense_pairings(nm: NaturalMaps) -> dict[str, Pairing]:
     """Every pairing of nm, built eagerly by the dense builders."""
     self = types.SimpleNamespace(
         **{name: getattr(nm, name) for name in
-           ("p", "omega", "reg", "ideal", "dual", "theta", "theta_sigma", "modules",
-            "alpha", "gamma", "mu")})
+           ("p", "omega", "reg", "ideal", "dual", "theta", "theta_sigma", "modules")},
+        **{name: columned(getattr(nm, name)) for name in ("alpha", "gamma", "mu")})
     self._action_pairing = functools.partial(dense_action_pairing, self)
     dense_build_pairings(self)
     return self.pairings
@@ -350,12 +353,12 @@ def test_theta_products_match_dense_loop(maps):
 # -- the dict builders, as they stood before the array tables ------------------
 # (verbatim bodies; each reads and writes dicts of combos, the Omega product
 # loop sat inside ``OmegaAlgebra.__init__`` and is wrapped in a function of
-# the names it read)
+# the names it read; maps and Omega's per-index helpers as above)
 
 
 def walked_omega_products(self, basis, key):
     # the partners of i are the monomials that end where i starts
-    data = [self._data_of(b) for b in basis]
+    data = [data_of(b) for b in basis]
     ending_at: dict[int, list[int]] = {}
     for j, bj in enumerate(basis):
         ending_at.setdefault(bj.left, []).append(j)
@@ -397,11 +400,11 @@ def dict_twist_sigma(mod: BasedBimodule) -> BasedBimodule:
     basis = [BasisElement(b.name, b.left, p - b.right, b.j, b.k) for b in mod.basis]
     sigma_of: dict[int, int] = {}
     for i in range(omega.dim):
-        if not omega.in_ideal(i):
-            src, a, b = omega.data(i)
+        if not in_ideal(omega, i):
+            src, a, b = word(omega, i)
             tgt = src - a + b
             if tgt != p and src != p:
-                sigma_of[i] = quiver.theta_sigma_index(omega, i)
+                sigma_of[i] = theta_sigma_index(omega, i)
     # m . a here is m . sigma(a) there, and sigma is an involution of its domain
     right: dict[tuple[int, int], Combo] = {}
     for (m, s), prod in mod.right.items():
@@ -473,7 +476,7 @@ def dict_pairings(nm: NaturalMaps, mods: dict[str, BasedBimodule]) -> dict[str, 
     """The table of every pairing of nm, as ``NaturalMaps`` built it from the
     dict modules with the dict ``_restrict`` and ``_compose``."""
     p, reg, dualm, theta = nm.p, mods["reg"], mods["dual"], mods["theta"]
-    pos_i, pos_t = nm._pos_in_ideal, nm._pos_in_theta
+    pos_i, pos_t = ({m: n for n, m in enumerate(mod.parent_index)} for mod in (nm.ideal, nm.theta))
     tables = {"mult": reg.left}
     for kind, key in (("theta", "theta"), ("theta-sigma", "theta_sigma"),
                       ("omega-dual", "dual"), ("omega-ep-omega", "ideal")):
@@ -484,18 +487,19 @@ def dict_pairings(nm: NaturalMaps, mods: dict[str, BasedBimodule]) -> dict[str, 
                "eta": dict_restrict(dualm.right, gamma_inv, pos_i),
                "zeta_l": dict_restrict(dualm.left, rows=pos_i),
                "zeta_r": dict_restrict(dualm.right, cols=pos_i)}
-    tables["eps"] = dict_compose(tables["zeta_r"], nm.gamma, p, inner=True)
+    gamma, alpha, mu = (columned(mp) for mp in (nm.gamma, nm.alpha, nm.mu))
+    tables["eps"] = dict_compose(tables["zeta_r"], gamma, p, inner=True)
     for side in "lr":
         tables[f"theta_{side}"] = dict_compose(getattr(dualm, "left" if side == "l" else "right"),
-                                               nm.gamma, p)
-        tables[f"iota_{side}"] = dict_compose(tables[f"theta_{side}"], nm.alpha, p)
+                                               gamma, p)
+        tables[f"iota_{side}"] = dict_compose(tables[f"theta_{side}"], alpha, p)
     theta_mul = dict_restrict(theta.right, cols=pos_t)
-    sigma = {n: pos_t[quiver.theta_sigma_index(nm.omega, m)]
+    sigma = {n: pos_t[theta_sigma_index(nm.omega, m)]
              for n, m in enumerate(theta.parent_index)}
     for tag in ("ss", "sp", "ps", "pp"):
         tables[f"collapse:{tag}"] = dict_restrict(theta_mul, cols=sigma if tag[0] == "s" else None)
-    tables["nu_l"] = dict_compose(tables["collapse:ps"], nm.mu, p)
-    tables["nu_r"] = dict_compose(tables["collapse:sp"], nm.mu, p)
+    tables["nu_l"] = dict_compose(tables["collapse:ps"], mu, p)
+    tables["nu_r"] = dict_compose(tables["collapse:sp"], mu, p)
     return tables
 
 
@@ -543,7 +547,7 @@ def test_every_table_meets_the_contract(maps_to_11):
         pr = nm.pairings[name]
         assert meets_contract(pr.table, p, pr.x_mod.dim, pr.y_mod.dim, pr.z_mod.dim), name
     for mp in (nm.alpha, nm.beta, nm.gamma, nm.kappa, nm.lam, nm.mu):
-        assert meets_contract(mp.column_table(), p, mp.source.dim, 1, mp.target.dim), mp.name
+        assert meets_contract(mp.table, p, mp.source.dim, 1, mp.target.dim), mp.name
 
 
 # -- laziness ----------------------------------------------------------------

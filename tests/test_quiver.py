@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 from hh2 import quiver
 from hh2.exactlin import NotOddPrime, rank, zeros
 from hh2.quiver import IncompatibleAlgebras
-from tables import as_dict
+from tables import as_dict, column_map, ideal_partner, in_ideal, theta_partner, theta_sigma_index
 
 # -- degree additivity of every product, for algebras and bimodules ----------
 # (the methods ``BasedAlgebra.check_degrees`` and ``BasedBimodule.check_degrees``,
@@ -234,16 +235,15 @@ def test_tensor_rejects_mismatched_base(maps3, maps5):
 
 def test_theta_form_sigma_symmetry(maps5):
     # <a, a'> = <a', sigma(a)> for the degree-complement pairing
-    from hh2.clubsuit import theta_partner
     om = maps5.omega
     th = maps5.theta
     pairs = {}
     for m in range(th.dim):
         m_omega = th.parent_index[m]
-        pairs[m_omega] = theta_partner(om, m_omega)
+        pairs[m_omega] = int(om.theta_partner[m_omega])
     for a in list(pairs):
         # partner of the partner is the sigma image
-        src, down, up = om.data(a)
+        src, down, up = (int(w[a]) for w in om.words)
         sigma_a = om.key[(om.p - src, up, down)]
         assert pairs[pairs[a]] == sigma_a
 
@@ -267,3 +267,38 @@ def test_presentations_hold_in_built_algebras():
                     tgt = arrows[word[0]].target
                     slots.add((src, tgt))
                 assert len(slots) == 1
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+def test_partner_arrays_match_the_per_index_formulas(p):
+    om = quiver.build_omega(p)
+    ideal = [in_ideal(om, i) for i in range(om.dim)]
+    assert om.ideal_mask().tolist() == ideal
+    assert om.sigma.tolist() == [-1 if ideal[i] else theta_sigma_index(om, i)
+                                 for i in range(om.dim)]
+    assert om.ideal_partner.tolist() == [ideal_partner(om, i) if ideal[i] else -1
+                                         for i in range(om.dim)]
+    assert om.theta_partner.tolist() == [-1 if ideal[i] else theta_partner(om, i)
+                                         for i in range(om.dim)]
+    # sigma and the beta-partner are involutions of their domains, off and
+    # in the ideal, and the form partner applied twice is sigma
+    off, on = np.flatnonzero(~om.ideal_mask()), np.flatnonzero(om.ideal_mask())
+    assert (om.sigma[om.sigma[off]] == off).all()
+    assert (om.ideal_partner[om.ideal_partner[on]] == on).all()
+    assert (om.theta_partner[om.theta_partner[off]] == om.sigma[off]).all()
+    for arr, domain in ((om.sigma, off), (om.ideal_partner, on), (om.theta_partner, off)):
+        assert sorted(arr[domain].tolist()) == domain.tolist()
+
+
+def test_wrong_degree_shift_fails_check_degree_shift(maps3):
+    # the stated shift is off in j or in k, or the terms disagree on it
+    mu = maps3.mu
+    for dj, dk in ((mu.dj + 1, mu.dk), (mu.dj, mu.dk - 1)):
+        with pytest.raises(AssertionError, match=r"^mu: inhomogeneous degree shift$"):
+            quiver.BimoduleMap(mu.source, mu.target, mu.table, dj, dk, name="mu").check_degree_shift()
+    om = maps3.omega
+    mixed = column_map(maps3.reg, maps3.reg, [{m: 1} for m in range(om.dim - 1)] + [{0: 1}],
+                       name="f")
+    with pytest.raises(AssertionError, match=r"^f: inhomogeneous degree shift$"):
+        mixed.check_degree_shift()
+    mu.check_degree_shift()
