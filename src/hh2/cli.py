@@ -7,8 +7,10 @@ scalar 1/2 appears as (p+1)/2.
 Exit codes: 0 success (checks may PASS or SKIP), 2 invalid arguments or
 environment (including an empty or too large spadesuit window), 3 a check
 failed or hh2 raised one of its own errors (an ``Hh2Error``, or an
-``AssertionError`` from an internal invariant).  Any other exception is a crash: it propagates
-with its traceback and the interpreter exits 1.
+``AssertionError`` from an internal invariant), 141 stdout was closed before
+the output was written (as ``hh2 verify --p 3 | head -3`` closes it; a shell
+reports 141 for a tool stopped by SIGPIPE).  Any other exception is a crash:
+it propagates with its traceback and the interpreter exits 1.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -86,14 +89,11 @@ def _basis_row(name: str, a, b, i, j, k, h, x) -> dict:
 
 def cmd_hh(p: int, coefficient: str, fmt: str) -> tuple[str, int]:
     from .clubsuit import PRODUCT_TABLE, NaturalMaps
-    from .koszulhh import build_model, cup, format_name, homology_named, idempotent_label
+    from .koszulhh import cup, format_name, idempotent_label
 
     nm = NaturalMaps(p)
-    model = build_model(nm.c, nm.modules[coefficient])
-    hh = homology_named(model, coefficient)
-    # nm.modules[KIND_OMEGA] is nm.reg: the omega side is chi itself
-    chi_model = model if coefficient == KIND_OMEGA else build_model(nm.c, nm.reg)
-    chi = hh if coefficient == KIND_OMEGA else homology_named(chi_model, KIND_OMEGA)
+    model, hh = nm.models[coefficient], nm.homology[coefficient]
+    chi_model, chi = nm.models[KIND_OMEGA], nm.homology[KIND_OMEGA]
     pairing = nm.pairings[PRODUCT_TABLE[(KIND_OMEGA, coefficient, coefficient)]]
 
     basis = []
@@ -121,6 +121,7 @@ def cmd_hh(p: int, coefficient: str, fmt: str) -> tuple[str, int]:
 def cmd_spadesuit(p: int, a_min: int, a_max: int, fmt: str,
                   check_associativity: bool = False,
                   run_first_principles: bool = False) -> tuple[str, int]:
+    from .clubsuit import NaturalMaps
     from .koszulhh import format_name
     from .spadesuit import build_spade, verify_first_principles
 
@@ -146,7 +147,7 @@ def cmd_spadesuit(p: int, a_min: int, a_max: int, fmt: str,
         if n_failed:
             status = 3
     if run_first_principles:
-        rep = verify_first_principles(p, a_min, a_max)
+        rep = verify_first_principles(NaturalMaps(p), a_min, a_max)
         ok = not rep.mismatches
         checks.append({"name": f"first-principles ({len(rep.cells)} cells)",
                        "status": "PASS" if ok else "FAIL"})
@@ -193,13 +194,7 @@ def _spade_associativity(table: WindowTable, p: int) -> tuple[int, int]:
 
 def _club_associativity(win) -> tuple[int, int]:
     """Associativity of the club window, scanned like the grid algebra."""
-    def product(x, y):
-        target, combo = win.product(*x, *y)  # a genuine zero has combo == {}
-        if target is OUT_OF_WINDOW:
-            return OUT_OF_WINDOW
-        return {(target, m): c for m, c in combo.items()}
-
-    return window_associativity(_product_table(win.basis(), product, win.p), win.p)
+    return window_associativity(win.product_table(), win.p)
 
 
 def _hh2_checks(p: int, spade, hh1) -> list[tuple[str, bool]]:
@@ -251,8 +246,8 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
     The status is PASS, FAIL or SKIP; a SKIP's detail is the reason the check
     does not run at this prime."""
     from .clubsuit import ClubWindow, ConstructionFailure, NaturalMaps
-    from .exactlin import sparse_rank
-    from .koszulhh import TooLarge, bar_oracle, bar_sizes, build_model, cup, homology_named
+    from .exactlin import coo_pivot_rows
+    from .koszulhh import TooLarge, bar_oracle, bar_sizes, cup
     from .operators import build_hhl
     from .spadesuit import (build_spade, chi_mul, duality_form_checks,
                             verify_first_principles)
@@ -281,8 +276,7 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
         else:
             check(name, True)
 
-    models = {kind: build_model(nm.c, mod) for kind, mod in nm.modules.items()}
-    hhs = {kind: homology_named(models[kind], kind) for kind in nm.modules}
+    models, hhs = nm.models, nm.homology
     expect = {KIND_OMEGA: 3 * p - 2, KIND_THETA: 2 * (p - 1), KIND_THETA_SIGMA: 2 * (p - 1),
               KIND_DUAL: p, KIND_IDEAL: p}
     for kind in COEFFS:
@@ -329,21 +323,17 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
         win = ClubWindow(nm, -3, 4)
         n_checked, n_bad = _club_associativity(win)
         check(f"club window associativity ({n_checked} triples)", n_bad == 0)
-        forms_ok = True
-        for i in range(0, 2):
-            for (_sA, _sB), (mat, d1, d2) in win.symmetry_form(i).items():
-                columns: list[dict[int, int]] = [{} for _ in range(d2)]
-                for (u, v), c in mat.items():
-                    columns[v][u] = c
-                if sparse_rank(columns, p) != d1 or d1 != d2:
-                    forms_ok = False
+        # each form's terms are sorted by u, then v: a COO matrix by column u
+        forms_ok = all(d1 == d2 == len(coo_pivot_rows(u, v, c, p))
+                       for i in range(0, 2)
+                       for (u, v, _, c), d1, d2 in win.symmetry_form(i).values())
         check("symmetry form nondegenerate per component pair", forms_ok)
     else:
         skip("club window associativity", "runs at p = 3 only")
         skip("symmetry form nondegenerate per component pair", "runs at p = 3 only")
 
     if p <= 7:
-        rep = verify_first_principles(p)
+        rep = verify_first_principles(nm)
         check(f"spade table vs cup ({len(rep.cells)} cells)", not rep.mismatches,
               rep.summary())
     else:
@@ -459,7 +449,12 @@ def main(argv: list[str] | None = None) -> int:
     except (AssertionError, Hh2Error) as exc:
         print(f"internal check failure: {exc}", file=sys.stderr)
         return 3
-    print(out)
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:
+        # the unwritten rest would fail again at the interpreter's exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return status
 
 

@@ -21,10 +21,10 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import Hh2Error, quiver
-from .exactlin import coo_pivot_rows, sparse_rank
+from .exactlin import coo_pivot_rows
 from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
-                       KIND_THETA_SIGMA, Pairing)
-from .quiver import BasedBimodule, BimoduleMap, Table
+                       KIND_THETA_SIGMA, Pairing, build_model, homology_named)
+from .quiver import BasedBimodule, BimoduleMap, Table, WindowTable
 
 # spade labels: which piece of the class algebra a grid slot carries
 CHI = "chi"
@@ -130,7 +130,9 @@ class NaturalMaps:
 
     Only c and Omega are built at once.  Every module, map and pairing is
     built when it is first read, so a caller pays only for what it reads;
-    ``modules`` and ``pairings`` are ``BuiltOnRead`` mappings by name.
+    ``modules`` and ``pairings`` are ``BuiltOnRead`` mappings by name, and
+    ``models`` and ``homology`` hold each module's Koszul cochain model and
+    its named Hochschild cohomology, by kind.
     """
 
     def __init__(self, p: int):
@@ -141,6 +143,10 @@ class NaturalMaps:
             KIND_OMEGA: lambda: self.reg, KIND_THETA: lambda: self.theta,
             KIND_THETA_SIGMA: lambda: self.theta_sigma, KIND_DUAL: lambda: self.dual,
             KIND_IDEAL: lambda: self.ideal})
+        self.models = BuiltOnRead({kind: lambda k=kind: build_model(self.c, self.modules[k])
+                                   for kind in self.modules})
+        self.homology = BuiltOnRead({kind: lambda k=kind: homology_named(self.models[k], k)
+                                     for kind in self.modules})
         self.pairings = BuiltOnRead(self._pairing_builders())
 
     # -- modules -------------------------------------------------------------
@@ -329,8 +335,11 @@ class NaturalMaps:
         """Rank of the induced map (X (x)_Omega Y) -> Z for a pairing."""
         pr = self.pairings[name]
         pairs, free = quiver.tensor_basis(pr.x_mod, pr.y_mod)
-        columns = [pr.apply(*pairs[c]) for c in free]
-        return sparse_rank(columns, self.p), len(free)
+        (x, y, t, c), n_y = pr.table, pr.y_mod.dim
+        keys = np.array([pairs[f][0] * n_y + pairs[f][1] for f in free], dtype=np.int64)
+        hit = np.isin(x * n_y + y, keys)  # the terms at free pairs, a COO matrix by pair
+        return len(coo_pivot_rows(np.searchsorted(keys, (x * n_y + y)[hit]), t[hit], c[hit],
+                                  self.p)), len(free)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +418,8 @@ PRODUCT_TABLE: dict[tuple[str, str, str], str] = {
 
 
 class ClubWindow:
-    """Realized grid components of rows i_min..i_max with their product."""
+    """Realized grid components of rows i_min..i_max with their product; the
+    basis is each component's module basis in turn, by slot (a, b)."""
 
     def __init__(self, maps: NaturalMaps, i_min: int, i_max: int):
         if not (i_min <= 0 and 1 <= i_max):
@@ -425,76 +435,67 @@ class ClubWindow:
                 if comp is not None:
                     self.components[(a, row - a)] = comp
 
-    def module_of(self, comp: GridComponent) -> BasedBimodule:
-        return self.maps.modules[comp.kind]
-
-    def basis(self) -> list[tuple[GridComponent, int]]:
-        out = []
-        for key in sorted(self.components):
-            comp = self.components[key]
-            mod = self.module_of(comp)
-            out.extend((comp, m) for m in range(mod.dim))
-        return out
-
-    def product(self, comp1: GridComponent, m1: int, comp2: GridComponent, m2: int):
-        """Product of two window elements.
-
-        Returns (target, combo); (None, {}) is a genuine zero, while a target
-        slot outside the window gives (OUT_OF_WINDOW, None).  A pairing of
-        PRODUCT_TABLE whose codomain is not the target's module multiplies to
-        zero there.
-        """
+    def _pairing(self, comp1: GridComponent, comp2: GridComponent) -> Pairing | OutOfWindow | None:
+        """The pairing that multiplies two components into the slot (a1 + a2,
+        b1 + b2); None when their product is zero, OUT_OF_WINDOW when the
+        slot lies outside the window.  A pairing of PRODUCT_TABLE whose
+        codomain is not the target's module multiplies to zero there."""
         a, b = comp1.a + comp2.a, comp1.b + comp2.b
         target = component_at(self.p, a, b)
-        if target is None:
-            return None, {}
-        name = PRODUCT_TABLE.get((comp1.kind, comp2.kind, target.kind))
+        name = None if target is None else PRODUCT_TABLE.get((comp1.kind, comp2.kind, target.kind))
         if name is None:
-            return None, {}
+            return None
         if (a, b) not in self.components:
-            return OUT_OF_WINDOW, None
+            return OUT_OF_WINDOW
         pairing = self.maps.pairings[name]
-        if pairing.z_mod is not self.module_of(target):
-            return None, {}
-        return target, pairing.apply(m1, m2)
+        return pairing if pairing.z_mod is self.maps.modules[target.kind] else None
 
-    def socle_evaluation(self, combo) -> int:
-        """Sum of the coefficients on idempotent duals of a dual-algebra element."""
-        total = 0
-        dualm = self.maps.dual
-        for idx, c in combo.items():
-            if dualm.basis[idx].name.startswith("e") and dualm.basis[idx].j == 0:
-                total = (total + c) % self.p
-        return total
+    def product_table(self) -> WindowTable:
+        """The products of the window's basis as a ``quiver.WindowTable``: per
+        ordered pair of components, the terms of its pairing's table with x,
+        y and t moved past the elements of the components before the two
+        factors and the target; a pair whose product leaves the window has
+        all of its element pairs out."""
+        dim = {key: self.maps.modules[comp.kind].dim for key, comp in self.components.items()}
+        first, n = {}, 0
+        for key in sorted(dim):
+            first[key], n = n, n + dim[key]
+        terms, out = [], []  # both nonempty: row 0 times the top row leaves the window
+        for (a1, b1), comp1 in self.components.items():
+            for (a2, b2), comp2 in self.components.items():
+                pairing = self._pairing(comp1, comp2)
+                if pairing is OUT_OF_WINDOW:
+                    u, v = np.divmod(np.arange(dim[a1, b1] * dim[a2, b2]), dim[a2, b2])
+                    out.append((first[a1, b1] + u, first[a2, b2] + v))
+                elif pairing is not None:
+                    x, y, t, c = pairing.table
+                    terms.append((first[a1, b1] + x, first[a2, b2] + y,
+                                  first[a1 + a2, b1 + b2] + t, c))
+        x, y, t, c = map(np.concatenate, zip(*terms))
+        return WindowTable(n, Table.of(x, y, t, c, self.p), tuple(map(np.concatenate, zip(*out))))
 
-    def symmetry_form(self, i: int):
+    def symmetry_form(self, i: int) -> dict:
         """Bilinear forms row -i x row i+2 -> F through the top-left dual slot.
 
-        Returns {(slotA, slotB): matrix-as-dict} for the component pairs whose
-        product lands at (2, 0); each form is evaluated by projecting onto the
-        socle coordinates of the dual component there.  Raises WindowTooSmall
-        when row -i, i+2 or 2 lies outside the window.
+        Returns {(slotA, slotB): (form, d1, d2)} for the component pairs whose
+        product lands at (2, 0).  The form holds its value on (u, v) at
+        (u, v, 0): the sum of the coefficients of u v on the idempotent duals,
+        its socle coordinates, which are Omega's idempotents as the dual basis
+        is indexed like Omega's.  Raises WindowTooSmall when row -i, i+2 or 2
+        lies outside the window.
         """
         missing = [row for row in (-i, i + 2, 2) if not self.i_min <= row <= self.i_max]
         if missing:
             raise WindowTooSmall(f"the form of row {-i} needs rows {missing} of the window")
+        socle = np.array(list(self.maps.omega.idem.values()), dtype=np.int64)
         out = {}
-        row_lo = [(a, b) for (a, b) in self.components if a + b == -i]
-        row_hi = [(a, b) for (a, b) in self.components if a + b == i + 2]
-        for (a1, b1) in sorted(row_lo):
-            for (a2, b2) in sorted(row_hi):
-                if (a1 + a2, b1 + b2) != (2, 0):
-                    continue
-                c1 = self.components[(a1, b1)]
-                c2 = self.components[(a2, b2)]
-                m1d = self.module_of(c1).dim
-                m2d = self.module_of(c2).dim
-                mat = {}
-                for u in range(m1d):
-                    for v in range(m2d):
-                        tgt, prod = self.product(c1, u, c2, v)
-                        val = self.socle_evaluation(prod) if tgt is not None else 0
-                        if val:
-                            mat[(u, v)] = val
-                out[((a1, b1), (a2, b2))] = (mat, m1d, m2d)
+        for (a1, b1) in sorted(key for key in self.components if sum(key) == -i):
+            # row i + 2 holds the partner slot, and each such pair has a
+            # pairing into the dual slot (2, 0)
+            comp1, comp2 = self.components[a1, b1], self.components[2 - a1, -b1]
+            x, y, t, c = self._pairing(comp1, comp2).table
+            keep = np.isin(t, socle)
+            out[((a1, b1), (2 - a1, -b1))] = (
+                Table.of(x[keep], y[keep], np.zeros_like(t[keep]), c[keep], self.p),
+                *(self.maps.modules[comp.kind].dim for comp in (comp1, comp2)))
         return out

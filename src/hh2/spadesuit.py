@@ -27,9 +27,8 @@ from .clubsuit import (CHI, CHIBAR_MINUS, CHIBAR_PLUS, CHIBARSTAR_MINUS,
                        CHIBARSTAR_PLUS, CHIUNDER, OMEGA0, OUT_OF_WINDOW, PRODUCT_TABLE,
                        GridComponent, NaturalMaps, component_at)
 from .exactlin import check_odd_prime, combo_add, sparse_rank
-from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Name, NameCombo,
-                       build_model, concrete_degree, cup, format_name, homology_named,
-                       idempotent_label)
+from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Name, NameCombo, concrete_degree, cup,
+                       format_name, idempotent_label)
 from .quiver import WindowTable, failing_triple, table_of, window_table
 
 
@@ -437,8 +436,10 @@ class VerificationReport:
                 f"{len(self.mismatches)} mismatches, zeros by reason {reasons}")
 
 
-def verify_first_principles(p: int, a_min: int = -3, a_max: int = 4) -> VerificationReport:
-    """Recompute every product cell of the window from cup products.
+def verify_first_principles(nm: NaturalMaps, a_min: int = -3,
+                            a_max: int = 4) -> VerificationReport:
+    """Recompute every product cell of the window from cup products, with the
+    models and homology that ``nm`` holds for its prime.
 
     For each pair of realized components and each pair of canonical class
     names, the closed-form table value is compared with the cup product of
@@ -448,9 +449,7 @@ def verify_first_principles(p: int, a_min: int = -3, a_max: int = 4) -> Verifica
     pairing at any target, ``degree`` when no pairing lands in the target's
     module, ``class-degree`` when the cup vanishes in homology.
     """
-    nm = NaturalMaps(p)
-    models = {kind: build_model(nm.c, mod) for kind, mod in nm.modules.items()}
-    hhs = {kind: homology_named(models[kind], kind) for kind in nm.modules}
+    p, models, hhs = nm.p, nm.models, nm.homology
 
     # the class-level map induced by the socle embedding: verified on the nose
     mu_names: dict[Name, NameCombo] = {}

@@ -1,7 +1,6 @@
 import pytest
 
 from hh2.clubsuit import NaturalMaps
-from hh2.koszulhh import build_model, homology_named
 
 
 @pytest.fixture(scope="session")
@@ -16,13 +15,9 @@ def maps5():
 
 @pytest.fixture(scope="session")
 def named3(maps3):
-    mods = maps3.modules
-    models = {k: build_model(maps3.c, m) for k, m in mods.items()}
-    return models, {k: homology_named(models[k], k) for k in mods}
+    return maps3.models, maps3.homology
 
 
 @pytest.fixture(scope="session")
 def named5(maps5):
-    mods = maps5.modules
-    models = {k: build_model(maps5.c, m) for k, m in mods.items()}
-    return models, {k: homology_named(models[k], k) for k in mods}
+    return maps5.models, maps5.homology

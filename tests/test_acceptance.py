@@ -19,6 +19,8 @@ from hh2.spadesuit import (OUT_OF_WINDOW, build_spade, chi_mul,
                            duality_form, duality_form_checks,
                            verify_first_principles)
 
+from club_reference import basis, form_dict, product, socle_evaluation
+
 PASS_LINES = []
 
 
@@ -132,17 +134,17 @@ def test_criterion_7_club_window():
     assert bad == 0 and checked > 1_000_000
     assert (checked, bad) == (1676825, 0)
     for i in range(0, 3):
-        for (_sa, _sb), (mat, d1, d2) in win.symmetry_form(i).items():
+        for (_sa, _sb), (form, d1, d2) in win.symmetry_form(i).items():
             arr = np.zeros((d1, d2), dtype=np.int64)
-            for (u, v), c in mat.items():
+            for (u, v), c in form_dict(form).items():
                 arr[u, v] = c
             assert d1 == d2 and rank(arr, 3) == d1
     # form associativity |ab, c| = |a, bc| over in-window triples
-    elems = win.basis()
+    elems = basis(win)
     prods = {}
     for i, (c1, m1) in enumerate(elems):
         for j, (c2, m2) in enumerate(elems):
-            prods[(i, j)] = win.product(c1, m1, c2, m2)
+            prods[(i, j)] = product(win, c1, m1, c2, m2)
     idx_of = {((c.a, c.b), m): i for i, (c, m) in enumerate(elems)}
     bad = 0
     for i, (ci, mi) in enumerate(elems):
@@ -162,7 +164,7 @@ def test_criterion_7_club_window():
                             lhs = None
                             break
                         if t2 is not None and (t2.a, t2.b) == (2, 0):
-                            lhs = (lhs + c * win.socle_evaluation(r2)) % 3
+                            lhs = (lhs + c * socle_evaluation(win, r2)) % 3
                 rhs = 0
                 if tr is not None:
                     for m, c in rr.items():
@@ -171,7 +173,7 @@ def test_criterion_7_club_window():
                             rhs = None
                             break
                         if t2 is not None and (t2.a, t2.b) == (2, 0):
-                            rhs = (rhs + c * win.socle_evaluation(r2)) % 3
+                            rhs = (rhs + c * socle_evaluation(win, r2)) % 3
                 if lhs is not None and rhs is not None and lhs != rhs:
                     bad += 1
     assert bad == 0
@@ -183,7 +185,7 @@ def test_criterion_7_club_window():
 def test_criterion_8_spade_verification():
     t0 = time.monotonic()
     for p in (3, 5):
-        rep = verify_first_principles(p)
+        rep = verify_first_principles(NaturalMaps(p))
         assert not rep.mismatches, rep.summary()
         # the named formulas all appear among the verified nonzero cells
         h = (p - 1) // 2

@@ -17,6 +17,8 @@ from hh2.clubsuit import ClubWindow, NaturalMaps
 from hh2.quiver import window_associativity, window_table
 from hh2.spadesuit import OUT_OF_WINDOW, build_spade
 
+from club_reference import basis, product
+
 
 def table_of(rows: list[list], p: int):
     """The ``WindowTable`` of dense rows: rows[i][j] is None out of the
@@ -246,13 +248,13 @@ def test_grid_windows_match_walker():
 def test_club_window_matches_walker():
     win = ClubWindow(NaturalMaps(3), -3, 4)
 
-    def product(x, y):
-        target, combo = win.product(*x, *y)
+    def pair_product(x, y):
+        target, combo = product(win, *x, *y)
         if target is OUT_OF_WINDOW:
             return OUT_OF_WINDOW
         return {(target, m): c for m, c in combo.items()}
 
-    rows = rows_of(_product_table(win.basis(), product, 3))
+    rows = rows_of(_product_table(basis(win), pair_product, 3))
     assert _club_associativity(win) == walker_associativity(rows, 3) == (1676825, 0)
     rows = corrupted(rows, 3)
     checked, failed = window_associativity(table_of(rows, 3), 3)

@@ -5,6 +5,11 @@ from hh2.cli import _club_associativity
 from hh2.clubsuit import OUT_OF_WINDOW, ClubWindow, NaturalMaps, WindowTooSmall, component_at
 from hh2.exactlin import rank
 from hh2.koszulhh import KIND_DUAL, KIND_IDEAL, KIND_THETA, KIND_THETA_SIGMA
+from hh2.quiver import Table
+
+from club_reference import form_dict, module_of, product
+from club_reference import product_table as reference_table
+from club_reference import symmetry_form as reference_form
 
 
 def test_natural_maps_checks(maps3, maps5):
@@ -76,23 +81,23 @@ def test_club_products_examples(maps3):
     ideal_comp = win.components[(1, 0)]
     dual_comp = win.components[(2, 0)]
     # (ideal).(ideal) lands in the dual component via the perfect pairing
-    tgt, combo = win.product(ideal_comp, 0, ideal_comp, 0)
+    tgt, combo = product(win, ideal_comp, 0, ideal_comp, 0)
     assert tgt.kind == KIND_DUAL and (tgt.a, tgt.b) == (2, 0)
     # Theta- against the ideal is zero
     theta_comp = win.components[(0, -1)]
-    for m1 in range(win.module_of(theta_comp).dim):
-        for m2 in range(win.module_of(ideal_comp).dim):
-            tgt, combo = win.product(theta_comp, m1, ideal_comp, m2)
+    for m1 in range(module_of(win, theta_comp).dim):
+        for m2 in range(module_of(win, ideal_comp).dim):
+            tgt, combo = product(win, theta_comp, m1, ideal_comp, m2)
             assert combo == {} or tgt is None
     # the unit of row 0 acts as identity on every component element
     omega_comp = win.components[(0, 0)]
     unit = [maps3.omega.idem[s] for s in (1, 2, 3)]
     for key, comp in win.components.items():
-        mod = win.module_of(comp)
+        mod = module_of(win, comp)
         for m in range(mod.dim):
             acc = {}
             for e in unit:
-                tgt, combo = win.product(omega_comp, e, comp, m)
+                tgt, combo = product(win, omega_comp, e, comp, m)
                 if tgt not in (None, OUT_OF_WINDOW):
                     for idx, c in combo.items():
                         acc[idx] = (acc.get(idx, 0) + c) % 3
@@ -102,7 +107,8 @@ def test_club_products_examples(maps3):
 def test_row0_row2_form_is_evaluation(maps3):
     win = ClubWindow(maps3, -1, 2)
     forms = win.symmetry_form(0)
-    mat, d1, d2 = forms[((0, 0), (2, 0))]
+    form, d1, d2 = forms[((0, 0), (2, 0))]
+    mat = form_dict(form)
     # the dual basis is indexed like the algebra basis: evaluation pairing
     om = maps3.omega
     for u in range(d1):
@@ -113,9 +119,9 @@ def test_row0_row2_form_is_evaluation(maps3):
 def test_symmetry_forms_nondegenerate_p3(maps3):
     win = ClubWindow(maps3, -3, 4)
     for i in range(0, 3):
-        for (_sa, _sb), (mat, d1, d2) in win.symmetry_form(i).items():
+        for (_sa, _sb), (form, d1, d2) in win.symmetry_form(i).items():
             arr = np.zeros((d1, d2), dtype=np.int64)
-            for (u, v), c in mat.items():
+            for (u, v), c in form_dict(form).items():
                 arr[u, v] = c
             assert d1 == d2 and rank(arr, 3) == d1
 
@@ -144,19 +150,19 @@ def test_theta_partner_involution_via_sigma(maps5):
 def total_degree(win, comp, idx):
     """(i, j, k) of a window element: ``ClubWindow.total_degree``, which only
     this test called, moved here with the window as ``win``."""
-    b = win.module_of(comp).basis[idx]
+    b = module_of(win, comp).basis[idx]
     return comp.i, b.j + comp.jshift, b.k + comp.kshift
 
 
 def test_club_products_degree_additive(maps3):
     win = ClubWindow(maps3, -2, 3)
     for key1, c1 in win.components.items():
-        mod1 = win.module_of(c1)
+        mod1 = module_of(win, c1)
         for key2, c2 in win.components.items():
-            mod2 = win.module_of(c2)
+            mod2 = module_of(win, c2)
             for m1 in range(mod1.dim):
                 for m2 in range(mod2.dim):
-                    tgt, combo = win.product(c1, m1, c2, m2)
+                    tgt, combo = product(win, c1, m1, c2, m2)
                     if tgt in (None, OUT_OF_WINDOW):
                         continue
                     i1, j1, k1 = total_degree(win, c1, m1)
@@ -172,3 +178,38 @@ def test_structure_checks_at_larger_primes(maps5):
         for mod in nm.modules.values():
             mod.check_bimodule()
         nm.omega.check_associativity()
+
+
+@pytest.mark.parametrize("p, i_min, i_max", [(3, -2, 3), (3, -3, 4), (3, -4, 5),
+                                             (5, -2, 3), (5, -3, 4), (7, -2, 3)])
+def test_product_table_matches_the_pair_reference(p, i_min, i_max, maps3, maps5):
+    nm = {3: maps3, 5: maps5}.get(p) or NaturalMaps(p)
+    win = ClubWindow(nm, i_min, i_max)
+    got, want = win.product_table(), reference_table(win)
+    assert got.n == want.n
+    for a, b in zip(got.terms, want.terms):
+        assert np.array_equal(a, b)
+    assert len(got.out[0]) == len(want.out[0])
+    assert set(zip(*(a.tolist() for a in got.out))) == set(zip(*(a.tolist() for a in want.out)))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_symmetry_forms_match_the_pair_reference(p, maps3, maps5):
+    win = ClubWindow(maps3 if p == 3 else maps5, -2, 4)
+    for i in range(0, 3):
+        want = reference_form(win, i)
+        got = win.symmetry_form(i)
+        assert list(got) == list(want)
+        for key, (form, d1, d2) in got.items():
+            assert (form_dict(form), d1, d2) == want[key]
+
+
+def test_corrupted_action_fails_club_associativity():
+    nm = NaturalMaps(3)
+    pairing = nm.pairings["act_l:omega-dual"]
+    x, y, t, c = pairing.table
+    c = c.copy()
+    c[0] = c[0] % 3 + 1  # another nonzero coefficient
+    pairing.table = Table(x, y, t, c)
+    _checked, failed = _club_associativity(ClubWindow(nm, -3, 4))
+    assert failed > 0

@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from hh2 import spadesuit
+from hh2.clubsuit import NaturalMaps
 from hh2.exactlin import NotOddPrime
 from hh2.spadesuit import (CHI, CHIBAR_MINUS, CHIBARSTAR_MINUS, CHIUNDER,
                            OMEGA0, OUT_OF_WINDOW, augmentation, build_spade,
@@ -172,7 +173,7 @@ def test_duality_form():
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_verify_first_principles(p):
-    rep = verify_first_principles(p)
+    rep = verify_first_principles(NaturalMaps(p))
     assert not rep.mismatches, rep.summary()
     reasons = rep.zero_reason_counts()
     # both zero mechanisms occur and are tagged
