@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import Hh2Error, __version__
-from .exactlin import combo_add, is_odd_prime
+from .exactlin import _among, _distinct, _xor, combo_add, is_odd_prime
 from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
                        KIND_THETA_SIGMA, max_cells)
 from .operators import UnboundedWindow
@@ -101,9 +101,10 @@ def cmd_hh(p: int, coefficient: str, fmt: str) -> tuple[str, int]:
         basis.append(_basis_row(format_name(cl.name), 0, 0, 0, cl.j, cl.k, cl.h,
                                 idempotent_label(cl.name)))
     products = []
-    for u in chi.classes:
-        for v in hh.classes:
-            w = cup(chi_model, u.rep, model, v.rep, pairing, model)
+    rows = cup(chi_model, [u.rep for u in chi.classes], model, [v.rep for v in hh.classes],
+               pairing, model)
+    for u, row in zip(chi.classes, rows):
+        for v, w in zip(hh.classes, row):
             res = hh.project(w)
             if res:
                 products.append({
@@ -181,9 +182,10 @@ def _supercommutativity(table: WindowTable, ks: list[int], p: int) -> int:
     n, (x, y, t, c), (ox, oy) = table
     ks = np.asarray(ks, dtype=np.int64)
     signed = np.where(ks[x] * ks[y] % 2, -c, c) % p
-    pairs = np.setxor1d(((x * n + y) * n + t) * p + c,
-                        ((y * n + x) * n + t) * p + signed) // (p * n)
-    return len(np.setdiff1d(pairs, np.concatenate((ox * n + oy, oy * n + ox))))
+    pairs = _distinct(_xor(((x * n + y) * n + t) * p + c,
+                           ((y * n + x) * n + t) * p + signed) // (p * n))
+    return int(np.count_nonzero(~_among(np.sort(np.concatenate((ox * n + oy, oy * n + ox))),
+                                        pairs)))
 
 
 def _spade_associativity(table: WindowTable, p: int) -> tuple[int, int]:
@@ -306,13 +308,10 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
 
     # chi presentation: computed cup table equals the presented table exactly
     chi, chi_model = hhs[KIND_OMEGA], models[KIND_OMEGA]
-    table_ok = True
-    for u in chi.classes:
-        for v in chi.classes:
-            w = cup(chi_model, u.rep, chi_model, v.rep, nm.pairings["mult"], chi_model)
-            res = chi.project(w)
-            if res != {n: c for n, c in chi_mul(p, u.name, v.name).items() if c % p}:
-                table_ok = False
+    reps = [cl.rep for cl in chi.classes]
+    rows = cup(chi_model, reps, chi_model, reps, nm.pairings["mult"], chi_model)
+    table_ok = all([chi.project(w) == {n: c for n, c in chi_mul(p, u.name, v.name).items() if c % p}
+                    for u, row in zip(chi.classes, rows) for v, w in zip(chi.classes, row)])
     check("chi cup table matches presentation exactly", table_ok)
 
     perfect, assoc = duality_form_checks(p)

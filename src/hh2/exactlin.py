@@ -283,6 +283,40 @@ def _within(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.n
     return _expand(lo, np.searchsorted(sorted_keys, keys, "right") - lo)
 
 
+def _chunks(owner: np.ndarray, work: np.ndarray, size: int):
+    """Slices [a0, a1) of the entries, in order, that split no run of equal
+    owner (ascending): whole runs, at least one, of about size work each."""
+    bounds = np.append(np.flatnonzero(np.diff(owner, prepend=-1)), len(owner))
+    total = np.concatenate(([0], np.cumsum(work)))[bounds]
+    b = 0
+    while b < len(bounds) - 1:
+        e = min(max(int(np.searchsorted(total, total[b] + size, "right")) - 1, b + 1),
+                len(bounds) - 1)
+        yield int(bounds[b]), int(bounds[e])
+        b = e
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys (>= 0), ascending, by one sort: ``np.unique`` and the
+    set routines on it import numpy.ma on their first call, a large share of
+    a short job."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _among(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of keys (>= 0) equals an entry of sorted_keys, read at its
+    ``searchsorted`` place (``np.isin`` may sort through ``np.unique``); a
+    place past the end reads the -1 appended, which no key equals."""
+    return np.append(sorted_keys, -1)[np.searchsorted(sorted_keys, keys)] == keys
+
+
+def _xor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The keys (>= 0) in just one of a and b, each without repeats, ascending."""
+    key = np.concatenate((a, b))
+    return _summed(key, np.ones_like(key), 2)[0]
+
+
 def _summed(key: np.ndarray, val: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys, ascending, with their summed values mod p, nonzero
     sums only: one sort and one ``np.add.reduceat``.  The keys usually come

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import os
 import weakref
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import Hh2Error
-from .exactlin import (NotACocycle, TooLarge, _expand, _summed, _within, combo_add,
+from .exactlin import (NotACocycle, TooLarge, _chunks, _expand, _summed, _within, combo_add,
                        coo_pivot_rows, sparse_pivots, sparse_rank, sparse_reduce)
-from .quiver import BasedAlgebra, BasedBimodule, Combo, OmegaAlgebra, Table, failing_triple
+from .quiver import BasedAlgebra, BasedBimodule, OmegaAlgebra, Table, failing_triple
 
 Name = tuple  # ("z", l) | ("kz", l) | ("c2", s) | ("soc", s) | ("mu", l) | ("nu", l) | ("e", s)
 NameCombo = dict[Name, int]
@@ -91,9 +91,6 @@ class Pairing:
         self.p = x_mod.p
         self.factor = factor
 
-    def apply(self, x: int, y: int) -> Combo:
-        return self.table.get((x, y), {})
-
     def check(self) -> None:
         """Balancedness and one-sided equivariance over the full algebra basis:
         (x a, y) = (x, a y), a (x, y) = (a x, y) and (x, y) a = (x, y a)."""
@@ -133,6 +130,8 @@ class CochainModel:
         ci, e = _within(x_code[by_code], c_right * vmax + c_left)
         xi = by_code[e]
         self.pairs: list[tuple[int, int]] = list(zip(ci.tolist(), xi.tolist()))
+        # the pairs as arrays: their indices, codes (ascending) and odd k(x)
+        self.ci, self.xi, self.code, self.odd = ci, xi, ci * x_mod.dim + xi, x_k[xi] % 2 == 1
         self.pair_index = {pr: n for n, pr in enumerate(self.pairs)}
 
         # bucket by total (j, k); d maps bucket (j,k) -> (j,k+1)
@@ -145,7 +144,7 @@ class CochainModel:
             for pos, n in enumerate(members):
                 self.pos_in_bucket[n] = (key, pos)
 
-        n, m, v = self._differential(ci, xi, x_k[xi] % 2 == 1)
+        n, m, v = self._d = self._differential()
         if np.any((j[m] != j[n]) | (k[m] != k[n] + 1)):
             raise AssertionError("differential not of degree (0,1)")
         self._diff_images: list[Cochain] = [{} for _ in self.pairs]
@@ -163,16 +162,15 @@ class CochainModel:
             yield c.xi[m], self.omega.key[(m, 0, 1)]      # xi_m paired with y_m
             yield c.eta[m], self.omega.key[(m + 1, 1, 0)]  # eta_m paired with x_m
 
-    def _differential(self, ci: np.ndarray, xi: np.ndarray,
-                      odd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _differential(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """d of every pair n = (ci, xi) as arrays (n, m, coeff), sorted by n
-        and then m, nonzero mod p, where odd marks the xi of odd k:
+        and then m, nonzero mod p:
 
             d(ci (x) xi) = sum_rho ci.rho (x) rho*.xi - (-1)^{k(xi)} rho.ci (x) xi.rho*
 
         Each side joins the pairs with c's products by an arrow rho on that
         side, then with X's action by rho*: the arrow rows, read in bulk."""
-        c, x_mod, p = self.c, self.x_mod, self.p
+        c, x_mod, p, ci, xi, code = self.c, self.x_mod, self.p, self.ci, self.xi, self.code
         rho, rho_star = _ints(*zip(*self._arrows()))
         width, n_omega = x_mod.dim, self.omega.dim
         star = np.full(c.dim, -1, dtype=np.int64)  # the dual of each arrow of c
@@ -193,11 +191,11 @@ class CochainModel:
         xm, xa, xt, xc = x_mod.right
         q, f = _within(xm * n_omega + xa, xi[n] * n_omega + star[ca[at[e]]])
         n, e = n[q], at[e[q]]
-        parts.append((n, ct[e], xt[f], np.where(odd[n], 1, -1) * cc[e] * xc[f]))
+        parts.append((n, ct[e], xt[f], np.where(self.odd[n], 1, -1) * cc[e] * xc[f]))
         n, tc, tx, val = (np.concatenate(part) for part in zip(*parts))
         # the place of (tc, tx) among the pairs, whose codes ascend; a code
         # past the last one reads the -1 appended, which no want equals
-        code, want = ci * width + xi, tc * width + tx
+        want = tc * width + tx
         m = np.searchsorted(code, want)
         inside = np.append(code, -1)[m] == want
         if np.any(~inside & (val % p != 0)):
@@ -236,6 +234,17 @@ class CochainModel:
             return True
         self.chain_degree(chain)  # raises NotHomogeneous
         return not self.differential(chain)
+
+    def are_cocycles(self, chains: Sequence[Cochain]) -> bool:
+        """Whether every chain is a cocycle, as ``is_cocycle`` tells for one,
+        from one join of all their terms with d's arrays."""
+        for chain in chains:
+            if chain:
+                self.chain_degree(chain)
+        owner, n, val = _terms(chains)
+        dn, dm, dv = self._d
+        s, e = _within(dn, n)
+        return not len(_summed(owner[s] * max(1, self.dim) + dm[e], val[s] * dv[e], self.p)[0])
 
     def differential(self, chain: Cochain) -> Cochain:
         out: Cochain = {}
@@ -471,50 +480,70 @@ def homology_named(model: CochainModel, kind: str) -> HHModule:
     return HHModule(model, classes)
 
 
-def cup(model_x: CochainModel, u: Cochain, model_y: CochainModel, v: Cochain,
-        pairing: Pairing, model_z: CochainModel) -> Cochain:
-    """Cup product of cocycles at representative level.
+# rows per chunk of the cup join: bounds its temporaries
+_CUP_CHUNK = 1 << 16
 
-    Result lives in the model over pairing's target; c-parts compose in the
+
+def _terms(chains: Sequence[Cochain]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, pair, coeff) over the terms of chains, in order, as int64 arrays."""
+    owner = np.repeat(np.arange(len(chains)), np.fromiter(map(len, chains), np.int64, len(chains)))
+    pair = np.fromiter((n for ch in chains for n in ch), np.int64, len(owner))
+    return owner, pair, np.fromiter((c for ch in chains for c in ch.values()), np.int64, len(owner))
+
+
+def cup(model_x: CochainModel, us: list[Cochain], model_y: CochainModel, vs: list[Cochain],
+        pairing: Pairing, model_z: CochainModel) -> list[list[Cochain]]:
+    """The cup products out[i][j] = us[i] . vs[j] of cocycles at representative
+    level, in the model over pairing's target.  c-parts compose in the
     opposite order and the Koszul sign is (-1)^{k(x) k(y)} over the
     coefficient k-degrees.  Only pairings of even k-shift induce chain maps;
     odd ones (the socle embeddings) are handled at class level by composing
     a cup through their even factor with the named map they induce.
+
+    One array join, in chunks of whole u-chains that bound its temporaries:
+    each u-term meets c's products at (ci_v, ci_u) by ci_u, each of those the
+    v-terms by ci_v, and each (u-term, v-term) the pairing's terms at
+    (xi_u, xi_v).  Each (c, z) is placed among model_z's pairs and summed by
+    (i, j, pair) mod p.  The inputs of each model, and then all products, are
+    checked to be cocycles in one join with their model's differential.
     """
     if pairing.factor is not None:
         raise PairingDegreeMismatch(
             f"pairing {pairing.name} has odd degree; cup through its factor instead")
-    if not model_x.is_cocycle(u) or not model_y.is_cocycle(v):
+    if not model_x.are_cocycles(us) or not model_y.are_cocycles(vs):
         raise NotACocycle("cup inputs must be cocycles")
     if pairing.x_mod is not model_x.x_mod or pairing.y_mod is not model_y.x_mod:
         raise PairingDegreeMismatch("pairing does not match the given models")
-    c, p = model_x.c, model_x.p
-    out: Cochain = {}
-    for nu, cu in u.items():
-        ci_u, xi_u = model_x.pairs[nu]
-        kx = model_x.x_mod.basis[xi_u].k
-        for nv, cv in v.items():
-            ci_v, xi_v = model_y.pairs[nv]
-            ky = model_y.x_mod.basis[xi_v].k
-            cpart = c.mul_basis(ci_v, ci_u)  # opposite composition
-            if not cpart:
-                continue
-            coeff_part = pairing.apply(xi_u, xi_v)
-            if not coeff_part:
-                continue
-            sign = -1 if (kx * ky) % 2 else 1
-            for cc, c1 in cpart.items():
-                for zz, c2 in coeff_part.items():
-                    pr = (cc, zz)
-                    if pr not in model_z.pair_index:
-                        raise AssertionError("cup left the diagonal")
-                    n = model_z.pair_index[pr]
-                    val = (out.get(n, 0) + sign * cu * cv * c1 * c2) % p
-                    if val:
-                        out[n] = val
-                    else:
-                        out.pop(n, None)
-    if not model_z.is_cocycle(out):
+    p, n_v, width = model_z.p, len(vs), pairing.y_mod.dim
+    ca, cb, ct, cc = model_x.c.slot_products()  # ct in ca o cb, read at (ci_v, ci_u)
+    order = np.argsort(cb, kind="stable")
+    ca, cb, ct, cc = ca[order], cb[order], ct[order], cc[order]
+    iu, nu, cu = _terms(us)
+    iv, nv, cv = _terms(vs)
+    order = np.argsort(model_y.ci[nv], kind="stable")
+    iv, nv, cv, ci_v = iv[order], nv[order], cv[order], model_y.ci[nv[order]]
+    # the rows of a u-term: the v-terms that each of its c-terms meets
+    meets = np.concatenate(([0], np.cumsum(np.bincount(ci_v, minlength=model_x.c.dim)[ca])))
+    lo, hi = (np.searchsorted(cb, model_x.ci[nu], side) for side in ("left", "right"))
+    px, py, pt, pc = pairing.table
+    pkey, code = px * width + py, np.append(model_z.code, -1)
+    out: list[list[Cochain]] = [[{} for _ in vs] for _ in us]
+    for a0, a1 in _chunks(iu, meets[hi] - meets[lo], _CUP_CHUNK):
+        s, e = _within(cb, model_x.ci[nu[a0:a1]])  # u-term s, c-term e at (x, ci_u)
+        q, f = _within(ci_v, ca[e])  # and each v-term f with ci_v = x
+        s, e = s[q] + a0, e[q]
+        q, g = _within(pkey, model_x.xi[nu[s]] * width + model_y.xi[nv[f]])  # pairing term g
+        s, e, f = s[q], e[q], f[q]
+        want = ct[e] * model_z.x_mod.dim + pt[g]
+        m = np.searchsorted(model_z.code, want)
+        if np.any(code[m] != want):
+            raise AssertionError("cup left the diagonal")
+        sign = np.where(model_x.odd[nu[s]] & model_y.odd[nv[f]], -1, 1)
+        key, val = _summed((iu[s] * n_v + iv[f]) * len(code) + m,
+                           sign * cu[s] * cv[f] * cc[e] * pc[g], p)
+        for ij, n, c in zip(*(a.tolist() for a in np.divmod(key, len(code))), val.tolist()):
+            out[ij // n_v][ij % n_v][n] = c
+    if not model_z.are_cocycles([w for row in out for w in row]):
         raise NotACocycle("cup product failed to be a cocycle")
     return out
 
@@ -856,19 +885,12 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]
         ucol, urow, uval = upper
         lo = np.searchsorted(ucol, lrow)
         count = np.searchsorted(ucol, lrow, "right") - lo
-        bounds = np.append(np.flatnonzero(np.diff(lcol, prepend=-1)), len(lcol))
-        work = np.concatenate(([0], np.cumsum(count)))[bounds]
-        b = 0
-        while b < len(bounds) - 1:
-            e = int(np.searchsorted(work, work[b] + _DD_CHUNK, "right")) - 1
-            e = min(max(e, b + 1), len(bounds) - 1)
-            a0, a1 = bounds[b], bounds[e]
+        for a0, a1 in _chunks(lcol, count, _DD_CHUNK):
             at, u = _expand(lo[a0:a1], count[a0:a1])
             col = np.cumsum(np.diff(lcol[a0:a1], prepend=lcol[a0]) != 0)  # rank in the chunk
             _, total = _summed(col[at] * nrows + urow[u], lval[a0:a1][at] * uval[u], p)
             if len(total):
                 raise AssertionError("bar differential does not square to zero")
-            b = e
 
     d = [differential(n, *cochains(n)) for n in range(n_max + 1)]
 

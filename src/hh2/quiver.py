@@ -1,4 +1,4 @@
-"""Based algebras and bimodules for the two quiver presentations.
+"""Based algebras and bimodules for the two quiver algebras.
 
 Conventions used throughout the package:
 
@@ -33,7 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import Hh2Error
-from .exactlin import TooLarge, _summed, _within, check_odd_prime, combo_add, sparse_pivots
+from .exactlin import (TooLarge, _among, _distinct, _summed, _within, _xor, check_odd_prime,
+                       combo_add, sparse_pivots)
 
 Combo = dict[int, int]
 
@@ -49,67 +50,6 @@ class BasisElement:
     right: int
     j: int
     k: int
-
-
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: int
-    target: int
-    j: int
-    k: int
-
-
-@dataclass(frozen=True)
-class QuiverPresentation:
-    """Vertices, arrows, and relations; words list arrows outermost first.
-
-    A relation is a tuple of (word, coefficient) pairs whose paths all share
-    one (source, target); it must evaluate to zero in the presented algebra.
-    """
-    vertices: tuple[int, ...]
-    arrows: tuple[Arrow, ...]
-    relations: tuple[tuple[tuple[tuple[str, ...], int], ...], ...]
-
-    def evaluate(self, alg: "BasedAlgebra", images: dict[str, str] | None = None
-                 ) -> list[Combo]:
-        """Value of each relation in an algebra realizing the arrows.
-
-        ``images`` maps arrow names to basis names when they differ (the
-        monomial algebras name the degree-one monomials with their slots).
-        """
-        images = images or {}
-        out = []
-        for rel in self.relations:
-            acc: Combo = {}
-            for word, coeff in rel:
-                val = alg.unit()
-                for name in reversed(word):  # innermost arrow acts first
-                    val = alg.mul({alg.index[images.get(name, name)]: 1}, val)
-                combo_add(acc, val, coeff, alg.p)
-            out.append(acc)
-        return out
-
-
-def zigzag_presentation(p: int) -> QuiverPresentation:
-    arrows = tuple(Arrow(f"eta{m}", m, m + 1, 1, 0) for m in range(1, p)) + \
-        tuple(Arrow(f"xi{m}", m + 1, m, 1, 0) for m in range(1, p))
-    rels = [((("eta" + str(p - 1), "xi" + str(p - 1)), 1),)]  # loop at the top
-    for m in range(1, p - 1):
-        rels.append((((f"xi{m}", f"xi{m + 1}"), 1),))
-        rels.append((((f"eta{m + 1}", f"eta{m}"), 1),))
-    for v in range(2, p):  # the two loops at an inner vertex cancel
-        rels.append((((f"eta{v - 1}", f"xi{v - 1}"), 1), ((f"xi{v}", f"eta{v}"), 1)))
-    return QuiverPresentation(tuple(range(1, p + 1)), arrows, tuple(rels))
-
-
-def dual_presentation(p: int) -> QuiverPresentation:
-    arrows = tuple(Arrow(f"y{m}", m, m + 1, -1, 1) for m in range(1, p)) + \
-        tuple(Arrow(f"x{m}", m + 1, m, -1, 1) for m in range(1, p))
-    rels = [((("x1", "y1"), 1),)]  # up-down loop at the bottom vanishes
-    for v in range(2, p):  # up-down equals down-up at inner vertices
-        rels.append((((f"x{v}", f"y{v}"), 1), ((f"y{v - 1}", f"x{v - 1}"), -1)))
-    return QuiverPresentation(tuple(range(1, p + 1)), arrows, tuple(rels))
 
 
 class Table:
@@ -242,10 +182,10 @@ def window_associativity(table: WindowTable, p: int) -> tuple[int, int]:
     n, (x, y, t, c), (ox, oy) = table
     if n ** 4 > 2 ** 63 - 1:
         raise TooLarge(f"a window of {n} elements packs keys past int64")
-    out = ox * n + oy
+    out = np.sort(ox * n + oy)
 
     def inside(u, v):  # u v stays in the window
-        return np.isin(u * n + v, out, invert=True)
+        return ~_among(out, u * n + v)
 
     checked, failed = int(np.dot(n - np.bincount(oy, minlength=n),
                                  n - np.bincount(ox, minlength=n))), 0
@@ -255,7 +195,8 @@ def window_associativity(table: WindowTable, p: int) -> tuple[int, int]:
         s, e = half_join(ta, ox)  # a term el of i j with el k out
         spoiled = ((ya[s] * n + xa[s]) * n + oy[e])[inside(ya[s], oy[e])]
         s, e = half_join(tb, oy)  # a term el of j k with i el out
-        spoiled = np.union1d(spoiled, ((xb[s] * n + ox[e]) * n + yb[s])[inside(ox[e], xb[s])])
+        spoiled = _distinct(np.concatenate(
+            (spoiled, ((xb[s] * n + ox[e]) * n + yb[s])[inside(ox[e], xb[s])])))
         s, e = half_join(ta, x)  # (i j) k, term by term
         m = inside(ya[s], y[e])
         key, val = (((ya[s] * n + xa[s]) * n + y[e]) * n + t[e])[m], (ca[s] * c[e])[m]
@@ -264,7 +205,7 @@ def window_associativity(table: WindowTable, p: int) -> tuple[int, int]:
         key, _ = _summed(np.concatenate((key, (((xb[s] * n + x[e]) * n + yb[s]) * n + t[e])[m])),
                          np.concatenate((val, (-cb[s] * c[e])[m])), p)
         checked -= len(spoiled)
-        failed += len(np.setdiff1d(key // n, spoiled))
+        failed += int(np.count_nonzero(~_among(spoiled, _distinct(key // n))))
     return checked, failed
 
 
@@ -372,8 +313,8 @@ class BasedBimodule:
         for side, (a, m, t, c) in enumerate((self.left, (right.y, right.x, right.t, right.c))):
             at = vertex[a] >= 0
             own = np.flatnonzero(np.isin(slots[side], list(alg.idem)))
-            bad = np.setxor1d(((m[at] * alg.dim + a[at]) * self.dim + t[at]) * p + c[at],
-                              ((own * alg.dim + idem[slots[side, own]]) * self.dim + own) * p + 1)
+            bad = _xor(((m[at] * alg.dim + a[at]) * self.dim + t[at]) * p + c[at],
+                       ((own * alg.dim + idem[slots[side, own]]) * self.dim + own) * p + 1)
             if len(bad):
                 m_bad, a_bad = divmod(int(bad[0]) // (self.dim * p), alg.dim)
                 v, el = vertex[a_bad], basis[m_bad].name
@@ -433,7 +374,6 @@ def build_zigzag_c(p: int) -> BasedAlgebra:
     alg.xi = xi
     alg.eta = eta
     alg.loop = loop
-    alg.presentation = zigzag_presentation(p)
     return alg
 
 
@@ -493,11 +433,6 @@ class OmegaAlgebra(BasedAlgebra):
         self.ideal_partner = np.where(ideal, self.places[tgt, p - 1 - a, p - 1 - b], -1)
         self.theta_partner = np.where(ideal, -1, self.places[tgt, src - 1 - a, p - 1 - b - src])
         self.key = key
-        self.presentation = dual_presentation(p)
-        self.arrow_images = {}
-        for m in range(1, p):
-            self.arrow_images[f"y{m}"] = monomial_name(m, 0, 1)
-            self.arrow_images[f"x{m}"] = monomial_name(m + 1, 1, 0)
 
     def _products(self, p: int) -> Table:
         # the monomials are listed by src, so those starting at s are one

@@ -497,8 +497,15 @@ def verify_first_principles(nm: NaturalMaps, a_min: int = -3,
                 pairing = nm.pairings[pr_name] if pr_name else None
                 lands = pairing is not None and pairing.z_mod is nm.modules[st.kind]
                 zero = None if lands else "degree"
-            for n1 in component_names(p, k1):
-                for n2 in component_names(p, k2):
+            names1, names2 = component_names(p, k1), component_names(p, k2)
+            if zero is None:  # an even cup, into Theta^sigma for a socle embedding
+                inner, target = (pairing, st.kind) if pairing.factor is None \
+                    else (pairing.factor[0], KIND_THETA_SIGMA)
+                rows = cup(models[s1.kind], [hhs[s1.kind].by_name[n].rep for n in names1],
+                           models[s2.kind], [hhs[s2.kind].by_name[n].rep for n in names2],
+                           inner, models[target])
+            for i, n1 in enumerate(names1):
+                for j, n2 in enumerate(names2):
                     if zero == "slot":
                         cells.append(CellCheck(k1, n1, k2, n2, tk, {}, None, "slot", True))
                         continue
@@ -508,19 +515,12 @@ def verify_first_principles(nm: NaturalMaps, a_min: int = -3,
                         cells.append(CellCheck(k1, n1, k2, n2, tk, table, {},
                                                zero if ok else None, ok))
                         continue
-                    u = hhs[s1.kind].by_name[n1].rep
-                    v = hhs[s2.kind].by_name[n2].rep
-                    if pairing.factor is not None:
-                        # an even cup into Theta^sigma, then the socle embedding
-                        inner, _mu = pairing.factor
-                        w = cup(models[s1.kind], u, models[s2.kind], v, inner,
-                                models[KIND_THETA_SIGMA])
+                    w = rows[i][j]
+                    if pairing.factor is not None:  # then the socle embedding
                         res = {}
                         for name, coeff in hhs[KIND_THETA_SIGMA].project(w).items():
                             combo_add(res, mu_names.get(name, {}), coeff, p)
                     else:
-                        w = cup(models[s1.kind], u, models[s2.kind], v, pairing,
-                                models[st.kind])
                         res = hhs[st.kind].project(w) if w else {}
                     # compare inside the target component's name set
                     res_t = truncate_to(p, tk, res)

@@ -45,7 +45,7 @@ def product(win: ClubWindow, comp1: GridComponent, m1: int, comp2: GridComponent
     pairing = win.maps.pairings[name]
     if pairing.z_mod is not module_of(win, target):
         return None, {}
-    return target, pairing.apply(m1, m2)
+    return target, pairing.table.get((m1, m2), {})
 
 
 def socle_evaluation(win: ClubWindow, combo) -> int:

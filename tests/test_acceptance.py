@@ -98,10 +98,11 @@ def test_criterion_5_chi_presentation():
         nm, _mods, models, hhs = build_named(p)
         chi = hhs["omega"]
         mult = nm.pairings["mult"]
-        for u in chi.classes:
-            for v in chi.classes:
-                got = chi.project(cup(models["omega"], u.rep, models["omega"],
-                                      v.rep, mult, models["omega"]))
+        reps = [cl.rep for cl in chi.classes]
+        rows = cup(models["omega"], reps, models["omega"], reps, mult, models["omega"])
+        for u, row in zip(chi.classes, rows):
+            for v, w in zip(chi.classes, row):
+                got = chi.project(w)
                 assert got == chi_mul(p, u.name, v.name), (p, u.name, v.name)
     elapsed = time.monotonic() - t0
     report("5: chi cup table = presented algebra exactly, all basis pairs", elapsed)
@@ -263,12 +264,11 @@ def test_criterion_10_supercommutativity():
         nm, _mods, models, hhs = build_named(p)
         chi = hhs["omega"]
         mult = nm.pairings["mult"]
-        for u in chi.classes:
-            for v in chi.classes:
-                uv = chi.project(cup(models["omega"], u.rep, models["omega"],
-                                     v.rep, mult, models["omega"]))
-                vu = chi.project(cup(models["omega"], v.rep, models["omega"],
-                                     u.rep, mult, models["omega"]))
+        reps = [cl.rep for cl in chi.classes]
+        rows = cup(models["omega"], reps, models["omega"], reps, mult, models["omega"])
+        for i, u in enumerate(chi.classes):
+            for j, v in enumerate(chi.classes):
+                uv, vu = chi.project(rows[i][j]), chi.project(rows[j][i])
                 sign = -1 if (u.k * v.k) % 2 else 1
                 assert uv == {n: c for n, c in ((n, (sign * c) % p)
                                                 for n, c in vu.items()) if c}

@@ -327,17 +327,20 @@ def test_json_writer_matches_json_dumps(doc):
 
 
 def test_hh_job_does_not_import_numpy_ma():
-    # np.isin and np.unique import numpy.ma on their first call, which costs
-    # a short hh job a large share of its time; a fresh interpreter shows it
-    script = ("import contextlib, io, sys\n"
-              "from hh2.cli import main\n"
-              "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    status = main(['hh', '--p', '7', '--coefficient', 'omega'])\n"
-              "print(status, 'numpy.ma' in sys.modules)\n")
+    # np.unique, the set routines on it and np.isin (when it sorts) import
+    # numpy.ma on their first call, which costs a short job a large share of
+    # its time; a fresh interpreter per job shows it
     src = str(Path(hh2.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
-    assert done.stdout.split() == ["0", "False"], done.stderr
+    for argv in (["hh", "--p", "7", "--coefficient", "omega"], ["verify", "--p", "3"],
+                 ["verify", "--p", "13"]):
+        script = ("import contextlib, io, sys\n"
+                  "from hh2.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    status = main({argv!r})\n"
+                  "print(status, 'numpy.ma' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert done.stdout.split() == ["0", "False"], (argv, done.stderr)
 
 
 def test_closed_stdout_is_not_a_crash():

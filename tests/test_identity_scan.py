@@ -114,6 +114,10 @@ def dense_pairing_check(self) -> None:
     """Balancedness and one-sided equivariance over the full algebra basis."""
     omega = self.x_mod.over
     p = self.p
+
+    def value(x, y):
+        return self.table.get((x, y), {})
+
     for x in range(self.x_mod.dim):
         for a in range(omega.dim):
             xa = self.x_mod.right.get((x, a), {})
@@ -121,30 +125,30 @@ def dense_pairing_check(self) -> None:
                 ay = self.y_mod.left.get((a, y), {})
                 lhs: dict = {}
                 for t, c in xa.items():
-                    combo_add(lhs, self.apply(t, y), c, p)
+                    combo_add(lhs, value(t, y), c, p)
                 rhs: dict = {}
                 for t, c in ay.items():
-                    combo_add(rhs, self.apply(x, t), c, p)
+                    combo_add(rhs, value(x, t), c, p)
                 if lhs != rhs:
                     raise AssertionError(f"{self.name}: not balanced")
     for a in range(omega.dim):
         for x in range(self.x_mod.dim):
             ax = self.x_mod.left.get((a, x), {})
             for y in range(self.y_mod.dim):
-                lhs = act_left(self.z_mod, {a: 1}, self.apply(x, y))
+                lhs = act_left(self.z_mod, {a: 1}, value(x, y))
                 rhs: dict = {}
                 for t, c in ax.items():
-                    combo_add(rhs, self.apply(t, y), c, p)
+                    combo_add(rhs, value(t, y), c, p)
                 if lhs != rhs:
                     raise AssertionError(f"{self.name}: not left equivariant")
     for y in range(self.y_mod.dim):
         for a in range(omega.dim):
             ya = self.y_mod.right.get((y, a), {})
             for x in range(self.x_mod.dim):
-                lhs = act_right(self.z_mod, self.apply(x, y), {a: 1})
+                lhs = act_right(self.z_mod, value(x, y), {a: 1})
                 rhs = {}
                 for t, c in ya.items():
-                    combo_add(rhs, self.apply(x, t), c, p)
+                    combo_add(rhs, value(x, t), c, p)
                 if lhs != rhs:
                     raise AssertionError(f"{self.name}: not right equivariant")
 

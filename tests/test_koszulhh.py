@@ -9,8 +9,9 @@ from hh2 import Hh2Error, koszulhh
 from hh2.exactlin import coo_pivot_rows, sparse_rank
 from hh2.koszulhh import (NotACocycle, NotHomogeneous, PairingDegreeMismatch,
                           TooLarge, UnrecognizedSignature, bar_oracle,
-                          build_model, cup, homology_named)
+                          build_model, homology_named)
 from hh2.quiver import BasedAlgebra, BasedBimodule, table_of
+from cup_reference import single_cup
 from tables import as_dict
 
 EMPTY = table_of({}, 3)
@@ -157,7 +158,7 @@ def test_cup_unit_law(maps3, named3):
                                   "theta-sigma": "act_l:theta-sigma",
                                   "omega-dual": "act_l:omega-dual"}[kind]]
         for cl in hhs[kind].classes:
-            w = cup(models["omega"], one, models[kind], cl.rep, pairing, models[kind])
+            w = single_cup(models["omega"], one, models[kind], cl.rep, pairing, models[kind])
             assert hhs[kind].project(w) == {cl.name: 1}
 
 
@@ -168,10 +169,10 @@ def test_cup_z_chain(maps5, named5):
     z = chi.by_name[("z", 1)].rep
     for ell in range(4):
         zl = chi.by_name[("z", ell)].rep
-        w = cup(models["omega"], z, models["omega"], zl, mult, models["omega"])
+        w = single_cup(models["omega"], z, models["omega"], zl, mult, models["omega"])
         assert chi.project(w) == {("z", ell + 1): 1}
     # z . z^{p-1} = 0
-    w = cup(models["omega"], z, models["omega"], chi.by_name[("z", 4)].rep,
+    w = single_cup(models["omega"], z, models["omega"], chi.by_name[("z", 4)].rep,
             mult, models["omega"])
     assert chi.project(w) == {}
 
@@ -185,12 +186,12 @@ def test_cup_kappa_mu(maps5, named5):
     kappa = chi.by_name[("kz", 0)].rep
     half = (5 + 1) // 2
     for ell in (1, 2):
-        w = cup(models["omega"], kappa, models["theta-sigma"],
+        w = single_cup(models["omega"], kappa, models["theta-sigma"],
                 sig.by_name[("mu", ell)].rep, pairing, models["theta-sigma"])
         assert sig.project(w) == {("nu", ell): half}
         # z . mu_l = mu_{l-1}, z . nu_l = nu_{l-1}
         z = chi.by_name[("z", 1)].rep
-        w = cup(models["omega"], z, models["theta-sigma"],
+        w = single_cup(models["omega"], z, models["theta-sigma"],
                 sig.by_name[("mu", ell)].rep, pairing, models["theta-sigma"])
         assert sig.project(w) == ({("mu", ell - 1): 1} if ell > 1 else {})
 
@@ -204,14 +205,14 @@ def test_cup_rejects_non_cocycle(maps3, named3):
             chain = {n: 1}
             break
     with pytest.raises(NotACocycle):
-        cup(model, chain, model, hhs["omega"].by_name[("z", 0)].rep,
+        single_cup(model, chain, model, hhs["omega"].by_name[("z", 0)].rep,
             maps3.pairings["mult"], model)
 
 
 def test_cup_rejects_odd_pairing_without_factor(maps3, named3):
     models, hhs = named3
     with pytest.raises(PairingDegreeMismatch):
-        cup(models["theta"], hhs["theta"].by_name[("z", 0)].rep,
+        single_cup(models["theta"], hhs["theta"].by_name[("z", 0)].rep,
             models["theta-sigma"], hhs["theta-sigma"].by_name[("soc", 1)].rep,
             maps3.pairings["nu_l"], models["omega-dual"])
 
@@ -237,11 +238,12 @@ def test_cup_associativity_on_action_pairings(maps3, named3):
     act = maps3.pairings["act_l:theta"]
     for u in chi.classes:
         for v in chi.classes:
-            uv = cup(models["omega"], u.rep, models["omega"], v.rep, mult, models["omega"])
+            uv = single_cup(models["omega"], u.rep, models["omega"], v.rep, mult, models["omega"])
             for w in thb.classes:
-                vw = cup(models["omega"], v.rep, models["theta"], w.rep, act, models["theta"])
-                lhs = cup(models["omega"], uv, models["theta"], w.rep, act, models["theta"])
-                rhs = cup(models["omega"], u.rep, models["theta"], vw, act, models["theta"])
+                vw = single_cup(models["omega"], v.rep, models["theta"], w.rep, act,
+                                models["theta"])
+                lhs = single_cup(models["omega"], uv, models["theta"], w.rep, act, models["theta"])
+                rhs = single_cup(models["omega"], u.rep, models["theta"], vw, act, models["theta"])
                 assert thb.project(lhs) == thb.project(rhs)
 
 
@@ -251,9 +253,9 @@ def test_chi_supercommutative(maps5, named5):
     mult = maps5.pairings["mult"]
     for u in chi.classes:
         for v in chi.classes:
-            uv = chi.project(cup(models["omega"], u.rep, models["omega"], v.rep,
+            uv = chi.project(single_cup(models["omega"], u.rep, models["omega"], v.rep,
                                  mult, models["omega"]))
-            vu = chi.project(cup(models["omega"], v.rep, models["omega"], u.rep,
+            vu = chi.project(single_cup(models["omega"], v.rep, models["omega"], u.rep,
                                  mult, models["omega"]))
             sign = -1 if (u.k * v.k) % 2 else 1
             assert uv == {n: (sign * c) % 5 for n, c in vu.items() if (sign * c) % 5}
@@ -265,7 +267,7 @@ def test_chi_presentation_relations(maps5, named5):
     mult = maps5.pairings["mult"]
 
     def mul(a, b):
-        return chi.project(cup(models["omega"], chi.by_name[a].rep,
+        return chi.project(single_cup(models["omega"], chi.by_name[a].rep,
                                models["omega"], chi.by_name[b].rep,
                                mult, models["omega"]))
 
@@ -304,13 +306,13 @@ def test_cup_associativity_on_sigma_action(maps3, named3):
     act = maps3.pairings["act_l:theta-sigma"]
     for u in chi.classes:
         for v in chi.classes:
-            uv = cup(models["omega"], u.rep, models["omega"], v.rep, mult, models["omega"])
+            uv = single_cup(models["omega"], u.rep, models["omega"], v.rep, mult, models["omega"])
             for w in sig.classes:
-                vw = cup(models["omega"], v.rep, models["theta-sigma"], w.rep,
+                vw = single_cup(models["omega"], v.rep, models["theta-sigma"], w.rep,
                          act, models["theta-sigma"])
-                lhs = cup(models["omega"], uv, models["theta-sigma"], w.rep,
+                lhs = single_cup(models["omega"], uv, models["theta-sigma"], w.rep,
                           act, models["theta-sigma"])
-                rhs = cup(models["omega"], u.rep, models["theta-sigma"], vw,
+                rhs = single_cup(models["omega"], u.rep, models["theta-sigma"], vw,
                           act, models["theta-sigma"])
                 assert sig.project(lhs) == sig.project(rhs)
 

@@ -4,6 +4,7 @@ import pytest
 from hh2 import quiver
 from hh2.exactlin import NotOddPrime, rank, zeros
 from hh2.quiver import IncompatibleAlgebras
+from presentations import arrow_images, dual_presentation, zigzag_presentation
 from tables import as_dict, column_map, ideal_partner, in_ideal, theta_partner, theta_sigma_index
 
 # -- degree additivity of every product, for algebras and bimodules ----------
@@ -250,15 +251,14 @@ def test_theta_form_sigma_symmetry(maps5):
 
 def test_presentations_hold_in_built_algebras():
     for p in (3, 5, 7):
-        c = quiver.build_zigzag_c(p)
-        for value in c.presentation.evaluate(c):
+        c, c_pres = quiver.build_zigzag_c(p), zigzag_presentation(p)
+        for value in c_pres.evaluate(c):
             assert value == {}
-        om = quiver.build_omega(p)
-        for value in om.presentation.evaluate(om, om.arrow_images):
+        om, om_pres, om_images = quiver.build_omega(p), dual_presentation(p), arrow_images(p)
+        for value in om_pres.evaluate(om, om_images):
             assert value == {}
         # every relation is a sum of paths sharing one (source, target)
-        for pres, alg, images in ((c.presentation, c, {}),
-                                  (om.presentation, om, om.arrow_images)):
+        for pres, alg, images in ((c_pres, c, {}), (om_pres, om, om_images)):
             arrows = {a.name: a for a in pres.arrows}
             for rel in pres.relations:
                 slots = set()

@@ -24,7 +24,6 @@ UNREACHED = [
     "center_basis",                # OmegaAlgebra
     "check_unit_and_idempotents",  # BasedAlgebra
     "component",                   # SpadeAlgebra: the elements of one slot
-    "evaluate",                    # QuiverPresentation: the relations' values
     "pairing_rank_on_tensor",      # NaturalMaps
     "rank",                        # exactlin: the dense reference, traced by the benchmark
     "tower_size",                  # operators: the size of hh_l without its basis
