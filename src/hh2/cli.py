@@ -103,15 +103,14 @@ def cmd_hh(p: int, coefficient: str, fmt: str) -> tuple[str, int]:
     products = []
     rows = cup(chi_model, [u.rep for u in chi.classes], model, [v.rep for v in hh.classes],
                pairing, model)
-    for u, row in zip(chi.classes, rows):
-        for v, w in zip(hh.classes, row):
-            res = hh.project(w)
-            if res:
-                products.append({
-                    "left": format_name(u.name), "right": format_name(v.name),
-                    "result": [{"name": format_name(n), "coeff": int(c)}
-                               for n, c in sorted(res.items())],
-                })
+    pairs = [(u, v) for u in chi.classes for v in hh.classes]
+    for (u, v), res in zip(pairs, hh.project([w for row in rows for w in row])):
+        if res:
+            products.append({
+                "left": format_name(u.name), "right": format_name(v.name),
+                "result": [{"name": format_name(n), "coeff": int(c)}
+                           for n, c in sorted(res.items())],
+            })
     products.sort(key=lambda e: (e["left"], e["right"]))
     doc = {"p": p, "object": f"HH(Omega, {coefficient})", "version": __version__,
            "command": f"hh --p {p} --coefficient {coefficient}",
@@ -310,8 +309,9 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
     chi, chi_model = hhs[KIND_OMEGA], models[KIND_OMEGA]
     reps = [cl.rep for cl in chi.classes]
     rows = cup(chi_model, reps, chi_model, reps, nm.pairings["mult"], chi_model)
-    table_ok = all([chi.project(w) == {n: c for n, c in chi_mul(p, u.name, v.name).items() if c % p}
-                    for u, row in zip(chi.classes, rows) for v, w in zip(chi.classes, row)])
+    table_ok = chi.project([w for row in rows for w in row]) == [
+        {n: c for n, c in chi_mul(p, u.name, v.name).items() if c % p}
+        for u in chi.classes for v in chi.classes]
     check("chi cup table matches presentation exactly", table_ok)
 
     perfect, assoc = duality_form_checks(p)

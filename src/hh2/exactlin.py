@@ -1,19 +1,18 @@
 """Exact linear algebra over the prime field F_p, and the sparse joins.
 
-``sparse_pivots`` reduces columns {row: coeff} in the order given, pivoting
-on the smallest row id, into {pivot row: reduced column}, each 1 at its pivot
-and empty on the rows below it; ``sparse_reduce`` reduces a vector by them,
-and ``sparse_rank`` counts them without scaling them.  ``coo_pivot_rows``
-finds the same pivot rows for columns held as COO arrays, in rounds of array
-operations: the bar oracle's elimination.
+``coo_pivot_rows`` is the one exact elimination: it finds the leading rows of
+the span of columns held as COO arrays, in rounds of array operations, and
+on request back-substitutes its pivot columns into the fully reduced basis
+of the span.  ``coo_reduce`` reduces a batch of vectors by that basis in one
+join.  ``sparse_rank`` hands it columns held as dicts {row: coeff}.
 
 The join helpers (``_expand``, ``_within``, ``_summed``) work on sparse
 F_p tables held as int64 COO arrays: ``_within`` joins keys with the runs of
 a sorted key array that carry them, and ``_summed`` sums the values of equal
-keys mod p.  The bar oracle (``koszulhh``), the identity scans
-(``quiver.failing_triple``) and the windowed associativity scan of the grid
-and club windows (``quiver.window_associativity``) are all such joins; each
-packs its indices into one int64 key and raises ``TooLarge`` before any
+keys mod p.  The elimination, the bar oracle (``koszulhh``), the identity
+scans (``quiver.failing_triple``) and the windowed associativity scan of the
+grid and club windows (``quiver.window_associativity``) are all such joins;
+each packs its indices into one int64 key and raises ``TooLarge`` before any
 join whose keys would not fit.
 
 The dense path (``rref``, ``rank``, ``rank_and_kernel``, ``Homology``) works
@@ -211,61 +210,6 @@ class Homology:
         return out
 
 
-def _eliminated(columns: list[dict], p: int) -> dict[int, tuple[int, dict]]:
-    """The elimination loop of ``sparse_pivots``: {pivot row: (inverse of the
-    leading entry, reduced column)}, each column left unscaled."""
-    pivots: dict[int, tuple[int, dict]] = {}
-    for col in columns:
-        # a fresh copy, reduced mod p unless it is already
-        cur = (dict(col) if all(0 < c < p for c in col.values())
-               else {r: v for r, c in col.items() if (v := c % p)})
-        while cur:
-            r = min(cur)
-            found = pivots.get(r)
-            if found is None:
-                pivots[r] = (pow(cur[r], -1, p), cur)
-                break
-            inv, piv = found
-            f = cur[r] * inv
-            for rr, cc in piv.items():
-                v = (cur.get(rr, 0) - f * cc) % p
-                if v:
-                    cur[rr] = v
-                else:
-                    cur.pop(rr, None)
-        # empty cur: column was dependent
-    return pivots
-
-
-def sparse_pivots(columns: list[dict], p: int) -> dict[int, dict]:
-    """{pivot row: reduced column} of a matrix given as sparse columns
-    {row: coeff} over F_p, keyed in the order found; their number is the rank.
-
-    Left-looking elimination of the columns in the order given, pivoting on
-    the smallest row id; rows and columns are not reordered.  Each reduced
-    column is 1 at its pivot and vanishes on the rows below it, so the pivot
-    rows are the leading rows of the column span, and the span projects
-    isomorphically onto them.
-    """
-    return {r: {rr: cc * inv % p for rr, cc in col.items()}
-            for r, (inv, col) in _eliminated(columns, p).items()}
-
-
-def sparse_rank(columns: list[dict], p: int) -> int:
-    """Rank of a matrix given as sparse columns {row: coeff} over F_p."""
-    return len(_eliminated(columns, p))
-
-
-def sparse_reduce(vec: dict, pivots: dict[int, dict], p: int) -> dict:
-    """vec reduced in place to the one vector of vec + span(pivots) that is
-    empty on every pivot row, in increasing row order: a pivot column is empty
-    below its own row, so a row once cleared stays so."""
-    while hit := [r for r in vec if r in pivots]:
-        r = min(hit)
-        combo_add(vec, pivots[r], -vec[r], p)
-    return vec
-
-
 # ---------------------------------------------------------------------------
 # joins of sparse tables held as int64 COO arrays
 
@@ -301,7 +245,7 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     set routines on it import numpy.ma on their first call, a large share of
     a short job."""
     keys = np.sort(keys)
-    return keys[np.diff(keys, prepend=-1) != 0]
+    return keys[_starts(keys)]
 
 
 def _among(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -317,54 +261,117 @@ def _xor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _summed(key, np.ones_like(key), 2)[0]
 
 
+def _starts(keys: np.ndarray) -> np.ndarray:
+    """Whether each sorted key starts a run (cheaper than ``np.diff`` on short arrays)."""
+    step = np.empty(len(keys), dtype=bool)
+    step[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=step[1:])
+    return step
+
+
 def _summed(key: np.ndarray, val: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys, ascending, with their summed values mod p, nonzero
     sums only: one sort and one ``np.add.reduceat``.  The keys usually come
     as a few sorted runs, which the stable sort (timsort) merges."""
     order = np.argsort(key, kind="stable")
     key, val = key[order], val[order]
-    start = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
+    start = _starts(key).nonzero()[0]
     total = np.add.reduceat(val, start) % p if len(key) else val
     keep = total != 0
     return key[start[keep]], total[keep]
 
 
-def coo_pivot_rows(col: np.ndarray, row: np.ndarray, val: np.ndarray, p: int) -> np.ndarray:
-    """The pivot rows of ``sparse_pivots``, ascending, for the columns of a COO
-    matrix sorted by column and then row, with values in [1, p).
+def coo_terms(chains: list[dict]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, key, coeff) over the terms of sparse vectors {key: coeff}, in
+    order, as int64 arrays: the vectors as one COO table."""
+    owner = np.repeat(np.arange(len(chains)), np.fromiter(map(len, chains), np.int64, len(chains)))
+    key = np.fromiter((n for ch in chains for n in ch), np.int64, len(owner))
+    return owner, key, np.fromiter((c for ch in chains for c in ch.values()), np.int64, len(owner))
+
+
+def coo_columns(columns: list[dict], p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse columns {row: coeff}, column j with id j, as ``coo_pivot_rows`` takes them."""
+    col, row, val = coo_terms(columns)
+    nrows = int(row.max(initial=0)) + 1
+    key, val = _summed(col * nrows + row, val, p)
+    return *np.divmod(key, nrows), val
+
+
+def sparse_rank(columns: list[dict], p: int) -> int:
+    """Rank of a matrix given as sparse columns {row: coeff} over F_p."""
+    return len(coo_pivot_rows(*coo_columns(columns, p), p))
+
+
+def coo_pivot_rows(col: np.ndarray, row: np.ndarray, val: np.ndarray, p: int,
+                   reduced: bool = False):
+    """The pivot rows, ascending, of the columns of a COO matrix sorted by
+    column and then row, with values in [1, p): the leading rows of its span
+    V.  With reduced, V's fully reduced basis (lead, at, row, val) instead:
+    lead the pivot rows, and (at, row, val), by at and then row, the entries
+    of B_i, the vector of V that is 1 at lead[i] and 0 at the other leads.
 
     Each round reduces every column whose leading (smallest) row is a pivot's
     by that pivot, makes the first column of each other leading row a pivot
     and reduces the rest by it.  A reduction raises a leading row or empties
-    the column, so there are at most as many rounds as rows.  At the end the
-    pivots are a basis of the span V of the input with distinct leading rows,
-    which are then {r : dim V_{>=r} > dim V_{>r}}: they depend on V alone.
+    the column, so there are at most as many rounds as rows.  The pivots are
+    then a basis of V with distinct leading rows {r : dim V_{>=r} > dim
+    V_{>r}}, which depend on V alone.  Back-substitution in rounds, each
+    clearing every column's other leads at once, takes their block I + N on
+    the leads (N nilpotent) to I - N^2: log2 of the longest chain rounds.
     """
     inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
     nrows = int(row.max()) + 1 if len(row) else 1
-    # (leading row, start in pool, count, leading value) of each pivot, by leading
-    # row and closed by nrows; pool holds their (row, val) and grows geometrically
-    piv = np.array([[nrows], [0], [0], [0]], dtype=np.int64)
+    # (leading row, start in pool, count) of each pivot, by leading row and closed
+    # by nrows; pool holds their (row, val), 1 at the lead, and grows geometrically
+    piv = np.array([[nrows], [0], [0]], dtype=np.int64)
     pool, used = np.zeros((2, len(col)), dtype=np.int64), 0
     while len(col):
-        head = np.flatnonzero(np.diff(col, prepend=-1))
-        size, lead = np.diff(head, append=len(col)), row[head]
-        fresh = np.flatnonzero(piv[0, np.searchsorted(piv[0], lead)] != lead)
-        new = fresh[np.unique(lead[fresh], return_index=True)[1]]
-        _, e = _expand(head[new], size[new])
-        if used + len(e) > pool.shape[1]:
-            pool = np.hstack((pool, np.zeros((2, used + len(e)), dtype=np.int64)))
-        pool[:, used:used + len(e)] = row[e], val[e]
-        piv = np.insert(piv, np.searchsorted(piv[0], lead[new]), (
-            lead[new], used + np.cumsum(size[new]) - size[new], size[new], val[head[new]]), axis=1)
-        used += len(e)
-        rest = np.setdiff1d(np.arange(len(head)), new, assume_unique=True)
-        _, a = _expand(head[rest], size[rest])
-        k = np.searchsorted(piv[0], lead[rest])
-        f = val[head[rest]] * inv[piv[3, k]] % p
+        head = _starts(col).nonzero()[0]
+        size, lead = np.append(head[1:], len(col)) - head, row[head]
+        # the first column of each leading row that no pivot holds yet
+        fresh = (piv[0, piv[0].searchsorted(lead)] != lead).nonzero()[0]
+        fresh = fresh[lead[fresh].argsort(kind="stable")]
+        new = np.zeros(len(head), dtype=bool)
+        new[fresh[_starts(lead[fresh])]] = True
+        moved, size_new = new.repeat(size), size[new]  # the new pivots and their entries
+        n_moved = int(size_new.sum())
+        if used + n_moved > pool.shape[1]:
+            pool = np.hstack((pool, np.zeros((2, used + n_moved), dtype=np.int64)))
+        pool[0, used:used + n_moved] = row[moved]
+        pool[1, used:used + n_moved] = val[moved] * inv[val[head[new]]].repeat(size_new) % p
+        piv = np.hstack((piv, (lead[new], used + size_new.cumsum() - size_new, size_new)))
+        piv = piv[:, piv[0].argsort(kind="stable")]
+        used += n_moved
+        # every other column less its leading entry times that row's pivot
+        rest, kept = head[~new], ~moved
+        k = piv[0].searchsorted(row[rest])
         o, e = _expand(piv[1, k], piv[2, k])
-        key, val = _summed(np.concatenate((col[a] * nrows + row[a],
-                                           col[head[rest]][o] * nrows + pool[0, e])),
-                           np.concatenate((val[a], p - f[o] * pool[1, e] % p)), p)
-        col, row = key // nrows, key % nrows
-    return piv[0, :-1]
+        key, val = _summed(np.concatenate((col[kept] * nrows + row[kept],
+                                           col[rest][o] * nrows + pool[0, e])),
+                           np.concatenate((val[kept], p - val[rest][o] * pool[1, e] % p)), p)
+        col, row = np.divmod(key, nrows)
+    lead = piv[0, :-1]
+    if not reduced:
+        return lead
+    at, e = _expand(piv[1, :-1], piv[2, :-1])
+    row, val = pool[:, e]
+    while len(hit := np.flatnonzero(_among(lead, row) & (row != lead[at]))):
+        o, e = _within(at, lead.searchsorted(row[hit]))
+        key, val = _summed(np.concatenate((at * nrows + row, at[hit[o]] * nrows + row[e])),
+                           np.concatenate((val, p - val[hit[o]] * val[e] % p)), p)
+        at, row = np.divmod(key, nrows)
+    return lead, at, row, val
+
+
+def coo_reduce(owner: np.ndarray, row: np.ndarray, val: np.ndarray, basis: tuple,
+               p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each vector v of a batch of entries (owner, row, val) less v[r] B_r for
+    every pivot row r of a reduced basis of ``coo_pivot_rows``, in one join: the vector of v + V
+    empty on every pivot row, as entries sorted by owner and then row."""
+    lead, at, b_row, b_val = basis
+    hit = np.flatnonzero(_among(lead, row))
+    o, e = _within(at, lead.searchsorted(row[hit]))
+    nrows = 1 + max(int(row.max(initial=0)), int(b_row.max(initial=0)))
+    key, val = _summed(np.concatenate((owner * nrows + row, owner[hit[o]] * nrows + b_row[e])),
+                       np.concatenate((val, -val[hit[o]] * b_val[e])), p)
+    return *np.divmod(key, nrows), val

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import os
 import weakref
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import Hh2Error
 from .exactlin import (NotACocycle, TooLarge, _chunks, _expand, _summed, _within, combo_add,
-                       coo_pivot_rows, sparse_pivots, sparse_rank, sparse_reduce)
+                       coo_pivot_rows, coo_reduce, coo_terms)
 from .quiver import BasedAlgebra, BasedBimodule, OmegaAlgebra, Table, failing_triple
 
 Name = tuple  # ("z", l) | ("kz", l) | ("c2", s) | ("soc", s) | ("mu", l) | ("nu", l) | ("e", s)
@@ -102,8 +103,8 @@ class Pairing:
                 raise AssertionError(f"{self.name}: {what}")
 
 
-# model cochains are dicts {(c_index, x_index): coeff}
-Cochain = dict[tuple[int, int], int]
+# model cochains are dicts {n: coeff} over the pairs n, pairs[n] = (c_index, x_index)
+Cochain = dict[int, int]
 
 
 class CochainModel:
@@ -134,27 +135,22 @@ class CochainModel:
         self.ci, self.xi, self.code, self.odd = ci, xi, ci * x_mod.dim + xi, x_k[xi] % 2 == 1
         self.pair_index = {pr: n for n, pr in enumerate(self.pairs)}
 
-        # bucket by total (j, k); d maps bucket (j,k) -> (j,k+1)
+        # bucket by total (j, k); keys lists the buckets, bucket[n] the place of n's
         j, k = c_j[ci] + x_j[xi], c_k[ci] + x_k[xi]
         self.bucket_of: dict[tuple[int, int], list[int]] = {}
         for n, jk in enumerate(zip(j.tolist(), k.tolist())):
             self.bucket_of.setdefault(jk, []).append(n)
-        self.pos_in_bucket = {}
-        for key, members in self.bucket_of.items():
-            for pos, n in enumerate(members):
-                self.pos_in_bucket[n] = (key, pos)
+        self.keys, self.bucket = list(self.bucket_of), np.zeros(len(ci), dtype=np.int64)
+        for b, members in enumerate(self.bucket_of.values()):
+            self.bucket[members] = b
 
         n, m, v = self._d = self._differential()
         if np.any((j[m] != j[n]) | (k[m] != k[n] + 1)):
             raise AssertionError("differential not of degree (0,1)")
-        self._diff_images: list[Cochain] = [{} for _ in self.pairs]
-        for nn, mm, vv in zip(n.tolist(), m.tolist(), v.tolist()):
-            self._diff_images[nn][mm] = vv
         # d . d = 0: each term n -> m joined with the terms of d(m)
         s, e = _within(n, m)
         if len(_summed(n[s] * len(ci) + m[e], v[s] * v[e], self.p)[0]):
             raise AssertionError("d^2 != 0")
-        self._rank: dict[tuple[int, int], int] = {}
 
     def _arrows(self):
         c = self.c
@@ -208,15 +204,22 @@ class CochainModel:
     def dim(self) -> int:
         return len(self.pairs)
 
-    def images(self, key: tuple[int, int]) -> list[Cochain]:
-        """The differentials of the cochains of bucket key, in bucket order."""
-        return [self._diff_images[n] for n in self.bucket_of.get(key, [])]
+    @cached_property
+    def boundaries(self) -> tuple:
+        """The fully reduced basis of im d, from one elimination of all of d:
+        d is block-diagonal, bucket (j, k) into (j, k + 1)."""
+        return coo_pivot_rows(*self._d, self.p, reduced=True)
+
+    @cached_property
+    def _ranks(self) -> dict[tuple[int, int], int]:
+        """The rank of d into each bucket: the pivot rows of d that lie in it."""
+        count = np.bincount(self.bucket[self.boundaries[0]], minlength=len(self.keys))
+        return dict(zip(self.keys, count.tolist()))
 
     def rank_at(self, key: tuple[int, int]) -> int:
         """Rank of d on bucket key."""
-        if key not in self._rank:
-            self._rank[key] = sparse_rank(self.images(key), self.p)
-        return self._rank[key]
+        j, k = key
+        return self._ranks.get((j, k + 1), 0)
 
     def homology_dim(self, key: tuple[int, int]) -> int:
         """dim ker(d on bucket key) - dim im(d into it)."""
@@ -224,32 +227,22 @@ class CochainModel:
         return len(self.bucket_of.get(key, [])) - self.rank_at(key) - self.rank_at((j, k - 1))
 
     def chain_degree(self, chain: Cochain) -> tuple[int, int]:
-        keys = {self.pos_in_bucket[n][0] for n in chain}
+        keys = {self.keys[b] for b in self.bucket[list(chain)].tolist()}
         if len(keys) != 1:
             raise NotHomogeneous(f"cochain not homogeneous: {keys}")
         return keys.pop()
 
-    def is_cocycle(self, chain: Cochain) -> bool:
-        if not chain:
-            return True
-        self.chain_degree(chain)  # raises NotHomogeneous
-        return not self.differential(chain)
-
-    def are_cocycles(self, chains: Sequence[Cochain]) -> bool:
-        """Whether every chain is a cocycle, as ``is_cocycle`` tells for one,
-        from one join of all their terms with d's arrays."""
-        for chain in chains:
-            if chain:
-                self.chain_degree(chain)
-        owner, n, val = _terms(chains)
+    def are_cocycles(self, chains: Sequence[Cochain]) -> np.ndarray:
+        """Whether each chain is a cocycle, from one join of all their terms
+        with d's arrays; raises ``NotHomogeneous`` on the first inhomogeneous one."""
+        owner, n, val = coo_terms(chains)
+        bucket = self.bucket[n]
+        if len(mixed := owner[bucket != bucket[owner.searchsorted(owner)]]):
+            self.chain_degree(chains[mixed[0]])
         dn, dm, dv = self._d
         s, e = _within(dn, n)
-        return not len(_summed(owner[s] * max(1, self.dim) + dm[e], val[s] * dv[e], self.p)[0])
-
-    def differential(self, chain: Cochain) -> Cochain:
-        out: Cochain = {}
-        for n, coeff in chain.items():
-            combo_add(out, self._diff_images[n], coeff, self.p)
+        width, out = max(1, self.dim), np.ones(len(chains), dtype=bool)
+        out[_summed(owner[s] * width + dm[e], val[s] * dv[e], self.p)[0] // width] = False
         return out
 
 
@@ -306,10 +299,11 @@ def idempotent_label(name: Name) -> str:
 class HHModule:
     """Named homology classes of a cochain model, with projection to names.
 
-    Each degree keeps the pivots of one elimination: the boundaries into its
-    bucket first, then each named representative carrying a tag row
-    model.dim + (its index in classes).  A cocycle reduced by these pivots
-    leaves only tag rows, and tag t holds minus the coefficient of class t.
+    Each named representative carries a tag row model.dim + (its index in
+    classes).  The tagged representatives, reduced by the model's boundary
+    basis, are eliminated into a second fully reduced basis.  ``project``
+    reduces a batch of cocycles by the two bases in turn, two joins: what is
+    left of each is its tag rows, and tag t holds minus the coefficient of class t.
     """
 
     def __init__(self, model: CochainModel, classes: list[HHClass]):
@@ -321,7 +315,13 @@ class HHModule:
         for idx, cl in enumerate(classes):
             by_key.setdefault((cl.j, cl.k), []).append(idx)
         self._named = frozenset(by_key)
-        self._pivots: dict[tuple[int, int], dict[int, dict]] = {}
+        cocycle = model.are_cocycles([cl.rep for cl in classes])
+        tagged = [{**cl.rep, model.dim + idx: 1} for idx, cl in enumerate(classes)]
+        self._reps = coo_pivot_rows(*coo_reduce(*coo_terms(tagged), model.boundaries, self.p),
+                                    self.p, reduced=True)
+        # a tag row among the pivots: the classes of its bucket are dependent
+        tags = (self._reps[0] - model.dim).tolist()
+        dependent = {(classes[t].j, classes[t].k) for t in tags if t >= 0}
         for key, idxs in by_key.items():
             dim = model.homology_dim(key)
             if dim != len(idxs):
@@ -331,19 +331,10 @@ class HHModule:
                 rep = classes[idx].rep
                 if rep and model.chain_degree(rep) != key:
                     raise NotHomogeneous("cochain not homogeneous")
-                if model.differential(rep):
+                if not cocycle[idx]:
                     raise NotACocycle("vector is not a cocycle")
-            pivots = self._pivots_at(key, tuple({**classes[idx].rep, model.dim + idx: 1}
-                                                for idx in idxs))
-            if max(pivots) >= model.dim:
+            if key in dependent:
                 raise UnrecognizedSignature(f"named classes not independent at {key}")
-
-    def _pivots_at(self, key: tuple[int, int], tagged: tuple = ()) -> dict[int, dict]:
-        """The pivots of the boundaries into bucket key, then of tagged."""
-        if key not in self._pivots:
-            j, k = key
-            self._pivots[key] = sparse_pivots([*self.model.images((j, k - 1)), *tagged], self.p)
-        return self._pivots[key]
 
     def dims_by_h(self, h_max: int) -> list[int]:
         out = [0] * (h_max + 1)
@@ -352,21 +343,26 @@ class HHModule:
                 out[cl.h] += 1
         return out
 
-    def project(self, chain: Cochain) -> NameCombo:
-        """Express a cocycle as a combination of the named classes."""
-        if not chain:
-            return {}
+    def project(self, chains: Sequence[Cochain]) -> list[NameCombo]:
+        """Express each cocycle of a batch as a combination of the named
+        classes; a cochain that is no cocycle or outside their span raises."""
         model, p = self.model, self.p
-        key = model.chain_degree(chain)
-        if not model.is_cocycle(chain):
-            raise NotACocycle("vector is not a cocycle")
-        vec = sparse_reduce({n: v for n, c in chain.items() if (v := c % p)},
-                            self._pivots_at(key), p)
-        if any(r < model.dim for r in vec):
+        cocycle = model.are_cocycles(chains)
+        owner, row, val = coo_terms(chains)
+        for basis in (model.boundaries, self._reps):
+            owner, row, val = coo_reduce(owner, row, val, basis, p)
+        if len(bad := np.concatenate((np.flatnonzero(~cocycle), owner[row < model.dim]))):
+            i = int(bad.min())
+            key = model.chain_degree(chains[i])
+            if not cocycle[i]:
+                raise NotACocycle("vector is not a cocycle")
             raise UnrecognizedSignature("cocycle not in span of named classes"
                                         if key in self._named
                                         else f"nonzero class at unnamed degree {key}")
-        return {self.classes[r - model.dim].name: -c % p for r, c in sorted(vec.items())}
+        out: list[NameCombo] = [{} for _ in chains]
+        for o, t, c in zip(owner.tolist(), (row - model.dim).tolist(), val.tolist()):
+            out[o][self.classes[t].name] = p - c
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +468,8 @@ def homology_named(model: CochainModel, kind: str) -> HHModule:
 
     # truncated coefficient cases drop the candidates that fail to be cocycles
     # (e.g. low z-powers over the ideal); what survives must span everything
-    classes = [cl for cl in classes if cl.rep and model.is_cocycle(cl.rep)]
+    classes = [cl for cl in classes if cl.rep]
+    classes = [cl for cl, ok in zip(classes, model.are_cocycles([cl.rep for cl in classes])) if ok]
     total = sum(model.homology_dim(key) for key in model.bucket_of)
     if len(classes) != total:
         raise UnrecognizedSignature(
@@ -482,13 +479,6 @@ def homology_named(model: CochainModel, kind: str) -> HHModule:
 
 # rows per chunk of the cup join: bounds its temporaries
 _CUP_CHUNK = 1 << 16
-
-
-def _terms(chains: Sequence[Cochain]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(owner, pair, coeff) over the terms of chains, in order, as int64 arrays."""
-    owner = np.repeat(np.arange(len(chains)), np.fromiter(map(len, chains), np.int64, len(chains)))
-    pair = np.fromiter((n for ch in chains for n in ch), np.int64, len(owner))
-    return owner, pair, np.fromiter((c for ch in chains for c in ch.values()), np.int64, len(owner))
 
 
 def cup(model_x: CochainModel, us: list[Cochain], model_y: CochainModel, vs: list[Cochain],
@@ -510,7 +500,7 @@ def cup(model_x: CochainModel, us: list[Cochain], model_y: CochainModel, vs: lis
     if pairing.factor is not None:
         raise PairingDegreeMismatch(
             f"pairing {pairing.name} has odd degree; cup through its factor instead")
-    if not model_x.are_cocycles(us) or not model_y.are_cocycles(vs):
+    if not model_x.are_cocycles(us).all() or not model_y.are_cocycles(vs).all():
         raise NotACocycle("cup inputs must be cocycles")
     if pairing.x_mod is not model_x.x_mod or pairing.y_mod is not model_y.x_mod:
         raise PairingDegreeMismatch("pairing does not match the given models")
@@ -518,8 +508,8 @@ def cup(model_x: CochainModel, us: list[Cochain], model_y: CochainModel, vs: lis
     ca, cb, ct, cc = model_x.c.slot_products()  # ct in ca o cb, read at (ci_v, ci_u)
     order = np.argsort(cb, kind="stable")
     ca, cb, ct, cc = ca[order], cb[order], ct[order], cc[order]
-    iu, nu, cu = _terms(us)
-    iv, nv, cv = _terms(vs)
+    iu, nu, cu = coo_terms(us)
+    iv, nv, cv = coo_terms(vs)
     order = np.argsort(model_y.ci[nv], kind="stable")
     iv, nv, cv, ci_v = iv[order], nv[order], cv[order], model_y.ci[nv[order]]
     # the rows of a u-term: the v-terms that each of its c-terms meets
@@ -543,7 +533,7 @@ def cup(model_x: CochainModel, us: list[Cochain], model_y: CochainModel, vs: lis
                            sign * cu[s] * cv[f] * cc[e] * pc[g], p)
         for ij, n, c in zip(*(a.tolist() for a in np.divmod(key, len(code))), val.tolist()):
             out[ij // n_v][ij % n_v][n] = c
-    if not model_z.are_cocycles([w for row in out for w in row]):
+    if not model_z.are_cocycles([w for row in out for w in row]).all():
         raise NotACocycle("cup product failed to be a cocycle")
     return out
 

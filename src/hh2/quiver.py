@@ -34,7 +34,7 @@ import numpy as np
 
 from . import Hh2Error
 from .exactlin import (TooLarge, _among, _distinct, _summed, _within, _xor, check_odd_prime,
-                       combo_add, sparse_pivots)
+                       combo_add, coo_columns, coo_pivot_rows)
 
 Combo = dict[int, int]
 
@@ -545,8 +545,8 @@ def tensor_basis(m_mod: BasedBimodule, n_mod: BasedBimodule
 
     Returns (pairs, free): the slot-matched pairs (i, j), and the places in
     pairs of the quotient's basis.  The relations (m.w)(x)n - m(x)(w.n) are
-    sparse combos over the pairs, reduced by ``sparse_pivots``; their pivots
-    are the leading pairs of the relation span, and the other pairs, in
+    sparse combos over the pairs, ranked by ``coo_pivot_rows``; its pivot
+    rows are the leading pairs of the relation span, and the other pairs, in
     order, are free.
     """
     if m_mod.over is not n_mod.over:
@@ -578,7 +578,7 @@ def tensor_basis(m_mod: BasedBimodule, n_mod: BasedBimodule
                     if pr in pair_index:
                         rel[pair_index[pr]] = rel.get(pair_index[pr], 0) + c
                 relations.append(rel)
-    pivots = sparse_pivots(relations, omega.p)
+    pivots = set(coo_pivot_rows(*coo_columns(relations, omega.p), omega.p).tolist())
     return pairs, [c for c in range(len(pairs)) if c not in pivots]
 
 

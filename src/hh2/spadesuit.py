@@ -26,7 +26,7 @@ from . import Hh2Error
 from .clubsuit import (CHI, CHIBAR_MINUS, CHIBAR_PLUS, CHIBARSTAR_MINUS,
                        CHIBARSTAR_PLUS, CHIUNDER, OMEGA0, OUT_OF_WINDOW, PRODUCT_TABLE,
                        GridComponent, NaturalMaps, component_at)
-from .exactlin import check_odd_prime, combo_add, sparse_rank
+from .exactlin import check_odd_prime, sparse_rank
 from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Name, NameCombo, concrete_degree, cup,
                        format_name, idempotent_label)
 from .quiver import WindowTable, failing_triple, table_of, window_table
@@ -451,8 +451,9 @@ def verify_first_principles(nm: NaturalMaps, a_min: int = -3,
     """
     p, models, hhs = nm.p, nm.models, nm.homology
 
-    # the class-level map induced by the socle embedding: verified on the nose
-    mu_names: dict[Name, NameCombo] = {}
+    # the class-level map induced by the socle embedding, verified on the nose:
+    # soc_s to e_s, every other class to 0
+    mu_names: dict[Name, Name] = {}
     sig_model, dual_model = models[KIND_THETA_SIGMA], models[KIND_DUAL]
     for cl in hhs[KIND_THETA_SIGMA].classes:
         image = {}
@@ -466,11 +467,10 @@ def verify_first_principles(nm: NaturalMaps, a_min: int = -3,
             expect = hhs[KIND_DUAL].by_name[("e", cl.name[1])].rep
             if image != expect:
                 raise AssertionError("socle embedding does not match class reps")
-            mu_names[cl.name] = {("e", cl.name[1]): 1}
-        else:
-            mu_names[cl.name] = {}
+            mu_names[cl.name] = ("e", cl.name[1])
 
     paired = {(k1, k2) for k1, k2, _kt in PRODUCT_TABLE}
+    products: dict[tuple, dict] = {}  # (pairing, target kind) -> {(name1, name2): class}
     alg = build_spade(p, a_min, a_max)
     cells: list[CellCheck] = []
     seen: set[tuple] = set()
@@ -497,15 +497,22 @@ def verify_first_principles(nm: NaturalMaps, a_min: int = -3,
                 pairing = nm.pairings[pr_name] if pr_name else None
                 lands = pairing is not None and pairing.z_mod is nm.modules[st.kind]
                 zero = None if lands else "degree"
-            names1, names2 = component_names(p, k1), component_names(p, k2)
-            if zero is None:  # an even cup, into Theta^sigma for a socle embedding
+            if zero is None and (pr_name, st.kind) not in products:
+                # all named classes of one kind times all of the other, at once
                 inner, target = (pairing, st.kind) if pairing.factor is None \
                     else (pairing.factor[0], KIND_THETA_SIGMA)
-                rows = cup(models[s1.kind], [hhs[s1.kind].by_name[n].rep for n in names1],
-                           models[s2.kind], [hhs[s2.kind].by_name[n].rep for n in names2],
-                           inner, models[target])
-            for i, n1 in enumerate(names1):
-                for j, n2 in enumerate(names2):
+                xs, ys = hhs[s1.kind].classes, hhs[s2.kind].classes
+                rows = cup(models[s1.kind], [cl.rep for cl in xs], models[s2.kind],
+                           [cl.rep for cl in ys], inner, models[target])
+                found = hhs[target].project([w for row in rows for w in row])
+                if pairing.factor is not None:  # then the socle embedding
+                    found = [{mu_names[n]: c for n, c in res.items() if n in mu_names}
+                             for res in found]
+                products[pr_name, st.kind] = dict(zip([(u.name, v.name) for u in xs for v in ys],
+                                                      found))
+            names1, names2 = component_names(p, k1), component_names(p, k2)
+            for n1 in names1:
+                for n2 in names2:
                     if zero == "slot":
                         cells.append(CellCheck(k1, n1, k2, n2, tk, {}, None, "slot", True))
                         continue
@@ -515,13 +522,7 @@ def verify_first_principles(nm: NaturalMaps, a_min: int = -3,
                         cells.append(CellCheck(k1, n1, k2, n2, tk, table, {},
                                                zero if ok else None, ok))
                         continue
-                    w = rows[i][j]
-                    if pairing.factor is not None:  # then the socle embedding
-                        res = {}
-                        for name, coeff in hhs[KIND_THETA_SIGMA].project(w).items():
-                            combo_add(res, mu_names.get(name, {}), coeff, p)
-                    else:
-                        res = hhs[st.kind].project(w) if w else {}
+                    res = products[pr_name, st.kind][n1, n2]
                     # compare inside the target component's name set
                     res_t = truncate_to(p, tk, res)
                     dropped = {n: c for n, c in res.items() if n not in res_t}

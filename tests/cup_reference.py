@@ -11,6 +11,8 @@ from __future__ import annotations
 from hh2.koszulhh import (Cochain, CochainModel, NotACocycle, Pairing, PairingDegreeMismatch,
                           cup)
 
+from model_reference import is_cocycle
+
 
 def cup_one(model_x: CochainModel, u: Cochain, model_y: CochainModel, v: Cochain,
             pairing: Pairing, model_z: CochainModel) -> Cochain:
@@ -25,7 +27,7 @@ def cup_one(model_x: CochainModel, u: Cochain, model_y: CochainModel, v: Cochain
     if pairing.factor is not None:
         raise PairingDegreeMismatch(
             f"pairing {pairing.name} has odd degree; cup through its factor instead")
-    if not model_x.is_cocycle(u) or not model_y.is_cocycle(v):
+    if not is_cocycle(model_x, u) or not is_cocycle(model_y, v):
         raise NotACocycle("cup inputs must be cocycles")
     if pairing.x_mod is not model_x.x_mod or pairing.y_mod is not model_y.x_mod:
         raise PairingDegreeMismatch("pairing does not match the given models")
@@ -55,7 +57,7 @@ def cup_one(model_x: CochainModel, u: Cochain, model_y: CochainModel, v: Cochain
                         out[n] = val
                     else:
                         out.pop(n, None)
-    if not model_z.is_cocycle(out):
+    if not is_cocycle(model_z, out):
         raise NotACocycle("cup product failed to be a cocycle")
     return out
 

@@ -180,10 +180,11 @@ def test_failed_invariant_in_linear_algebra_exits_3(capsys, monkeypatch):
         # the path hh runs: HHModule.project on a cochain whose d is nonzero
         from hh2.clubsuit import NaturalMaps
         from hh2.koszulhh import build_model, homology_named
+        from model_reference import differential, project_one
         nm = NaturalMaps(3)
         model = build_model(nm.c, nm.reg)
-        n = next(n for n in range(model.dim) if model.differential({n: 1}))
-        homology_named(model, "omega").project({n: 1})
+        n = next(n for n in range(model.dim) if differential(model, {n: 1}))
+        project_one(homology_named(model, "omega"), {n: 1})
 
     for fn in (cmd, project_non_cocycle):
         monkeypatch.setattr(hh2.cli, "cmd_hh", fn)

@@ -8,10 +8,12 @@ from sympy.polys.matrices import DomainMatrix
 from hh2 import exactlin, quiver
 from hh2 import Hh2Error
 from hh2.exactlin import (CompositionNotZero, Homology, NotACocycle,
-                          NotOddPrime, check_odd_prime, coo_pivot_rows, matmul,
-                          rank, rank_and_kernel, rref, sparse_pivots,
+                          NotOddPrime, check_odd_prime, combo_add, coo_pivot_rows,
+                          coo_reduce, coo_terms, matmul, rank, rank_and_kernel, rref,
                           sparse_rank, zeros)
 from hh2.koszulhh import build_model
+
+from dict_elimination import dict_rank, sparse_pivots, sparse_reduce
 
 
 def test_odd_prime_guard():
@@ -468,3 +470,82 @@ def test_coo_pivot_rows_walk_a_collision_chain_one_pivot_per_round():
         assert coo_pivot_rows(*_coo(columns), p).tolist() == list(range(7))
     assert len(calls) == 7
     assert coo_pivot_rows(*_coo([]), p).tolist() == []
+
+
+def _reduced(columns: list[dict], p: int) -> dict[int, dict]:
+    """{pivot row: B} of the fully reduced basis of ``coo_pivot_rows``."""
+    lead, at, row, val = coo_pivot_rows(*_coo(columns), p, reduced=True)
+    out: dict[int, dict] = {r: {} for r in lead.tolist()}
+    for a, r, v in zip(at.tolist(), row.tolist(), val.tolist()):
+        out[int(lead[a])][r] = v
+    return out
+
+
+def _back_substituted(pivots: dict[int, dict], p: int) -> dict[int, dict]:
+    """The columns of ``sparse_pivots`` cleared on every other pivot row: each
+    pivot column is empty below its own row, so from the last row up each
+    column is cleared by the fully reduced columns of the rows after it."""
+    out: dict[int, dict] = {}
+    for r in sorted(pivots, reverse=True):
+        col = dict(pivots[r])
+        for s, done in out.items():
+            if s in col:
+                combo_add(col, done, -col[s], p)
+        out[r] = col
+    return dict(sorted(out.items()))
+
+
+def _sympy_rref(columns: list[dict], p: int) -> dict[int, dict]:
+    """{pivot column: row} of sympy's RREF over GF(p) of the matrix whose rows
+    are the columns: the same fully reduced basis, read as rows."""
+    if not columns:
+        return {}
+    width = 1 + max(r for col in columns for r in col)
+    rows = [[col.get(r, 0) % p for r in range(width)] for col in columns]
+    red, pivots = DomainMatrix.from_list_sympy(len(rows), width, rows).convert_to(
+        sympy.GF(p)).rref()
+    dense = red.to_Matrix().tolist()
+    return {c: {r: int(x) % p for r, x in enumerate(dense[i]) if int(x) % p}
+            for i, c in enumerate(pivots)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(coo_columns(), st.randoms(use_true_random=False))
+def test_reduced_basis_is_the_back_substituted_dict_elimination(case, rnd):
+    # B_r is 1 at r and 0 at every other pivot row: sparse_pivots' columns
+    # after back-substitution, sympy's RREF rows, and the same in any column order
+    p, columns = case
+    got = _reduced(columns, p)
+    assert got == _back_substituted(sparse_pivots(columns, p), p) == _sympy_rref(columns, p)
+    moved = columns[:]
+    rnd.shuffle(moved)
+    assert _reduced(moved, p) == got
+    assert list(got) == coo_pivot_rows(*_coo(moved), p).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(coo_columns(), st.data())
+def test_batch_reduction_is_sparse_reduce_of_each_vector(case, data):
+    # one join reduces every vector to the one vector of v + span that is
+    # empty on every pivot row; coefficients outside [0, p) and rows no
+    # column has included
+    p, columns = case
+    n_rows = 2 + max((r for col in columns for r in col), default=0)
+    vectors = data.draw(st.lists(st.dictionaries(st.integers(0, n_rows), st.integers(-2 * p, 2 * p),
+                                                 max_size=5), max_size=6))
+    basis = coo_pivot_rows(*_coo(columns), p, reduced=True)
+    owner, row, val = coo_reduce(*coo_terms(vectors), basis, p)
+    got: list[dict] = [{} for _ in vectors]
+    for o, r, v in zip(owner.tolist(), row.tolist(), val.tolist()):
+        got[o][r] = v
+    pivots = sparse_pivots(columns, p)
+    assert got == [sparse_reduce({r: c % p for r, c in vec.items() if c % p}, pivots, p)
+                   for vec in vectors]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_sparse_rank_is_the_rank_of_the_dict_elimination(case):
+    # the adapter to COO arrays keeps the dict loop's count
+    p, columns, _dense = case
+    assert sparse_rank(columns, p) == dict_rank(columns, p)

@@ -1,11 +1,14 @@
-"""``hh`` prints the recorded bytes at p = 11, 13 and 23 for all five coefficients.
+"""``hh`` prints the recorded bytes at p = 3, 5, 7, 11, 13 and 23 for all five
+coefficients.
 
 ``tests/golden/hh_sha256.txt`` holds one line per job, ``P COEFFICIENT
 SHA256``: the sha256 of the standard output of ``hh2 hh --p P --coefficient
 COEFFICIENT``.  Every product of that output is a cup product projected to
 named classes, so a change to ``cup``, ``project`` or the representatives
-that alters any product, sign or order shows here.  The digests were taken
-before the batched ``cup`` replaced the one-product loop.
+that alters any product, sign or order shows here.  The digests at p = 11, 13
+and 23 were taken before the batched ``cup`` replaced the one-product loop,
+and those at p = 3, 5 and 7 before ``HHModule.project`` moved from the dict
+elimination to the array one.
 """
 
 import hashlib
