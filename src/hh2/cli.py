@@ -101,10 +101,8 @@ def cmd_hh(p: int, coefficient: str, fmt: str) -> tuple[str, int]:
         basis.append(_basis_row(format_name(cl.name), 0, 0, 0, cl.j, cl.k, cl.h,
                                 idempotent_label(cl.name)))
     products = []
-    rows = cup(chi_model, [u.rep for u in chi.classes], model, [v.rep for v in hh.classes],
-               pairing, model)
-    pairs = [(u, v) for u in chi.classes for v in hh.classes]
-    for (u, v), res in zip(pairs, hh.project([w for row in rows for w in row])):
+    for (u, v), res in zip(itertools.product(chi.classes, hh.classes),
+                           hh.project(cup(chi_model, chi.reps, model, hh.reps, pairing, model))):
         if res:
             products.append({
                 "left": format_name(u.name), "right": format_name(v.name),
@@ -307,9 +305,8 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
 
     # chi presentation: computed cup table equals the presented table exactly
     chi, chi_model = hhs[KIND_OMEGA], models[KIND_OMEGA]
-    reps = [cl.rep for cl in chi.classes]
-    rows = cup(chi_model, reps, chi_model, reps, nm.pairings["mult"], chi_model)
-    table_ok = chi.project([w for row in rows for w in row]) == [
+    products = cup(chi_model, chi.reps, chi_model, chi.reps, nm.pairings["mult"], chi_model)
+    table_ok = chi.project(products) == [
         {n: c for n, c in chi_mul(p, u.name, v.name).items() if c % p}
         for u in chi.classes for v in chi.classes]
     check("chi cup table matches presentation exactly", table_ok)

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import os
 import weakref
-from functools import cached_property
-from typing import NamedTuple, Sequence
+from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,8 +103,17 @@ class Pairing:
                 raise AssertionError(f"{self.name}: {what}")
 
 
-# model cochains are dicts {n: coeff} over the pairs n, pairs[n] = (c_index, x_index)
+# model cochains are dicts {n: coeff} over the pairs n = (ci[n], xi[n])
 Cochain = dict[int, int]
+
+
+class Cochains(NamedTuple):
+    """A batch of cochains as COO arrays: cochain i is the sum of val * [n]
+    over its terms with owner i.  owner ascends; count counts empty ones too."""
+    count: int
+    owner: np.ndarray
+    n: np.ndarray
+    val: np.ndarray
 
 
 class CochainModel:
@@ -130,10 +139,8 @@ class CochainModel:
         by_code = np.argsort(x_code, kind="stable")
         ci, e = _within(x_code[by_code], c_right * vmax + c_left)
         xi = by_code[e]
-        self.pairs: list[tuple[int, int]] = list(zip(ci.tolist(), xi.tolist()))
-        # the pairs as arrays: their indices, codes (ascending) and odd k(x)
+        # the pairs: their indices, codes (ascending) and odd k(x)
         self.ci, self.xi, self.code, self.odd = ci, xi, ci * x_mod.dim + xi, x_k[xi] % 2 == 1
-        self.pair_index = {pr: n for n, pr in enumerate(self.pairs)}
 
         # bucket by total (j, k); keys lists the buckets, bucket[n] the place of n's
         j, k = c_j[ci] + x_j[xi], c_k[ci] + x_k[xi]
@@ -166,7 +173,7 @@ class CochainModel:
 
         Each side joins the pairs with c's products by an arrow rho on that
         side, then with X's action by rho*: the arrow rows, read in bulk."""
-        c, x_mod, p, ci, xi, code = self.c, self.x_mod, self.p, self.ci, self.xi, self.code
+        c, x_mod, p, ci, xi = self.c, self.x_mod, self.p, self.ci, self.xi
         rho, rho_star = _ints(*zip(*self._arrows()))
         width, n_omega = x_mod.dim, self.omega.dim
         star = np.full(c.dim, -1, dtype=np.int64)  # the dual of each arrow of c
@@ -189,20 +196,24 @@ class CochainModel:
         n, e = n[q], at[e[q]]
         parts.append((n, ct[e], xt[f], np.where(self.odd[n], 1, -1) * cc[e] * xc[f]))
         n, tc, tx, val = (np.concatenate(part) for part in zip(*parts))
-        # the place of (tc, tx) among the pairs, whose codes ascend; a code
-        # past the last one reads the -1 appended, which no want equals
-        want = tc * width + tx
-        m = np.searchsorted(code, want)
-        inside = np.append(code, -1)[m] == want
+        m, inside = self.place(tc, tx)
         if np.any(~inside & (val % p != 0)):
             raise AssertionError("differential left the diagonal")
         dim = max(1, len(ci))
         key, val = _summed(n[inside] * dim + m[inside], val[inside], p)
         return key // dim, key % dim, val
 
+    def place(self, ci: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The place of each (ci, xi) among the pairs, whose codes ascend, and
+        whether it is a pair: a code past the last one reads the -1 appended,
+        which no code equals."""
+        want = ci * self.x_mod.dim + xi
+        m = np.searchsorted(self.code, want)
+        return m, np.append(self.code, -1)[m] == want
+
     @property
     def dim(self) -> int:
-        return len(self.pairs)
+        return len(self.ci)
 
     @cached_property
     def boundaries(self) -> tuple:
@@ -226,22 +237,17 @@ class CochainModel:
         j, k = key
         return len(self.bucket_of.get(key, [])) - self.rank_at(key) - self.rank_at((j, k - 1))
 
-    def chain_degree(self, chain: Cochain) -> tuple[int, int]:
-        keys = {self.keys[b] for b in self.bucket[list(chain)].tolist()}
-        if len(keys) != 1:
-            raise NotHomogeneous(f"cochain not homogeneous: {keys}")
-        return keys.pop()
-
-    def are_cocycles(self, chains: Sequence[Cochain]) -> np.ndarray:
-        """Whether each chain is a cocycle, from one join of all their terms
+    def are_cocycles(self, batch: Cochains) -> np.ndarray:
+        """Whether each cochain is a cocycle, from one join of all their terms
         with d's arrays; raises ``NotHomogeneous`` on the first inhomogeneous one."""
-        owner, n, val = coo_terms(chains)
+        count, owner, n, val = batch
         bucket = self.bucket[n]
         if len(mixed := owner[bucket != bucket[owner.searchsorted(owner)]]):
-            self.chain_degree(chains[mixed[0]])
+            keys = {self.keys[b] for b in bucket[owner == mixed[0]].tolist()}
+            raise NotHomogeneous(f"cochain not homogeneous: {keys}")
         dn, dm, dv = self._d
         s, e = _within(dn, n)
-        width, out = max(1, self.dim), np.ones(len(chains), dtype=bool)
+        width, out = max(1, self.dim), np.ones(count, dtype=bool)
         out[_summed(owner[s] * width + dm[e], val[s] * dv[e], self.p)[0] // width] = False
         return out
 
@@ -299,37 +305,41 @@ def idempotent_label(name: Name) -> str:
 class HHModule:
     """Named homology classes of a cochain model, with projection to names.
 
-    Each named representative carries a tag row model.dim + (its index in
-    classes).  The tagged representatives, reduced by the model's boundary
-    basis, are eliminated into a second fully reduced basis.  ``project``
-    reduces a batch of cocycles by the two bases in turn, two joins: what is
-    left of each is its tag rows, and tag t holds minus the coefficient of class t.
+    ``reps`` batches the classes' representatives; each carries a tag row
+    model.dim + (its index in classes).  The tagged representatives, reduced
+    by the model's boundary basis, are eliminated into a second fully reduced
+    basis.  ``project`` reduces a batch of cocycles by the two bases in turn,
+    two joins: what is left of each is its tag rows, and tag t holds minus
+    the coefficient of class t.
     """
 
-    def __init__(self, model: CochainModel, classes: list[HHClass]):
+    def __init__(self, model: CochainModel, classes: list[HHClass], reps: Cochains):
         self.model = model
         self.classes = classes
+        self.reps = reps
         self.p = model.p
         self.by_name = {cl.name: cl for cl in classes}
         by_key: dict[tuple[int, int], list[int]] = {}
         for idx, cl in enumerate(classes):
             by_key.setdefault((cl.j, cl.k), []).append(idx)
         self._named = frozenset(by_key)
-        cocycle = model.are_cocycles([cl.rep for cl in classes])
-        tagged = [{**cl.rep, model.dim + idx: 1} for idx, cl in enumerate(classes)]
-        self._reps = coo_pivot_rows(*coo_reduce(*coo_terms(tagged), model.boundaries, self.p),
-                                    self.p, reduced=True)
+        cocycle, tag = model.are_cocycles(reps), np.arange(reps.count)
+        self._basis = coo_pivot_rows(*coo_reduce(
+            np.append(reps.owner, tag), np.append(reps.n, model.dim + tag),
+            np.append(reps.val, np.ones_like(tag)), model.boundaries, self.p),
+            self.p, reduced=True)
         # a tag row among the pivots: the classes of its bucket are dependent
-        tags = (self._reps[0] - model.dim).tolist()
+        tags = (self._basis[0] - model.dim).tolist()
         dependent = {(classes[t].j, classes[t].k) for t in tags if t >= 0}
+        lead = np.full(reps.count, -1)  # each rep's bucket (it is homogeneous), -1 if empty
+        lead[reps.owner] = model.bucket[reps.n]
         for key, idxs in by_key.items():
             dim = model.homology_dim(key)
             if dim != len(idxs):
                 raise UnrecognizedSignature(
                     f"{len(idxs)} named classes vs homology dimension {dim} at {key}")
             for idx in idxs:
-                rep = classes[idx].rep
-                if rep and model.chain_degree(rep) != key:
+                if lead[idx] >= 0 and model.keys[lead[idx]] != key:
                     raise NotHomogeneous("cochain not homogeneous")
                 if not cocycle[idx]:
                     raise NotACocycle("vector is not a cocycle")
@@ -343,23 +353,23 @@ class HHModule:
                 out[cl.h] += 1
         return out
 
-    def project(self, chains: Sequence[Cochain]) -> list[NameCombo]:
+    def project(self, batch: Cochains) -> list[NameCombo]:
         """Express each cocycle of a batch as a combination of the named
         classes; a cochain that is no cocycle or outside their span raises."""
         model, p = self.model, self.p
-        cocycle = model.are_cocycles(chains)
-        owner, row, val = coo_terms(chains)
-        for basis in (model.boundaries, self._reps):
+        cocycle = model.are_cocycles(batch)
+        _, owner, row, val = batch
+        for basis in (model.boundaries, self._basis):
             owner, row, val = coo_reduce(owner, row, val, basis, p)
         if len(bad := np.concatenate((np.flatnonzero(~cocycle), owner[row < model.dim]))):
             i = int(bad.min())
-            key = model.chain_degree(chains[i])
+            key = model.keys[model.bucket[batch.n[batch.owner.searchsorted(i)]]]
             if not cocycle[i]:
                 raise NotACocycle("vector is not a cocycle")
             raise UnrecognizedSignature("cocycle not in span of named classes"
                                         if key in self._named
                                         else f"nonzero class at unnamed degree {key}")
-        out: list[NameCombo] = [{} for _ in chains]
+        out: list[NameCombo] = [{} for _ in range(batch.count)]
         for o, t, c in zip(owner.tolist(), (row - model.dim).tolist(), val.tolist()):
             out[o][self.classes[t].name] = p - c
         return out
@@ -368,12 +378,18 @@ class HHModule:
 # ---------------------------------------------------------------------------
 # canonical representatives for the five standard coefficient cases
 
-def _chain(model: CochainModel, terms: list[tuple[int, int, int]]) -> Cochain:
-    out: Cochain = {}
-    for ci, xi, coeff in terms:
-        if (n := model.pair_index.get((ci, xi))) is not None:
-            combo_add(out, {n: coeff}, 1, model.p)
-    return out
+def _classes(model: CochainModel, found: list[tuple[Name, list]]) -> list[HHClass]:
+    """The classes of (name, terms), each represented by the sum of its terms
+    coeff * (ci (x) xi) that are pairs of the model (placed all at once)."""
+    flat = [(k, ci, xi, c) for k, (_, terms) in enumerate(found) for ci, xi, c in terms
+            if xi is not None]
+    k, ci, xi, coeff = np.array(flat, dtype=np.int64).reshape(-1, 4).T
+    n, inside = model.place(ci, xi)
+    reps: list[Cochain] = [{} for _ in found]
+    for o, m, c in zip(*(a[inside].tolist() for a in (k, n, coeff))):
+        combo_add(reps[o], {m: c}, 1, model.p)
+    return [HHClass(name, *concrete_degree(model.p, name), rep)
+            for (name, _), rep in zip(found, reps)]
 
 
 def _x_index(x_mod: BasedBimodule, omega: OmegaAlgebra, src: int, a: int, b: int) -> int | None:
@@ -384,41 +400,20 @@ def _x_index(x_mod: BasedBimodule, omega: OmegaAlgebra, src: int, a: int, b: int
 
 def canonical_chi_classes(model: CochainModel) -> list[HHClass]:
     """z^l, kappa z^l, c2_s style classes for X in {Omega, Theta, OmegaEpOmega}."""
-    c, x_mod, omega, p = model.c, model.x_mod, model.omega, model.p
-    found = []
-    for ell in range(p):
-        terms = []
-        for s in range(ell + 1, p + 1):
-            xi = _x_index(x_mod, omega, s, ell, ell)
-            if xi is not None:
-                terms.append((c.idem[s], xi, 1))
-        rep = _chain(model, terms)
-        if rep:
-            found.append((("z", ell), rep))
-    for ell in range(p - 1):
-        terms = []
-        for s in range(ell + 1, p):
-            xi = _x_index(x_mod, omega, s, ell, ell + 1)
-            if xi is not None:
-                terms.append((c.xi[s], xi, 1))
-        rep = _chain(model, terms)
-        if rep:
-            found.append((("kz", ell), rep))
-    for s in range(1, p):
-        xi = _x_index(x_mod, omega, s, 0, 0)
-        if xi is not None:
-            rep = _chain(model, [(c.loop[s], xi, 1)])
-            if rep:
-                found.append((("c2", s), rep))
-    return [HHClass(name, *concrete_degree(p, name), rep) for name, rep in found]
+    c, p, at = model.c, model.p, partial(_x_index, model.x_mod, model.omega)
+    found = [(("z", ell), [(c.idem[s], at(s, ell, ell), 1) for s in range(ell + 1, p + 1)])
+             for ell in range(p)]
+    found += [(("kz", ell), [(c.xi[s], at(s, ell, ell + 1), 1) for s in range(ell + 1, p)])
+              for ell in range(p - 1)]
+    found += [(("c2", s), [(c.loop[s], at(s, 0, 0), 1)]) for s in range(1, p)]
+    return _classes(model, found)
 
 
 def canonical_dual_classes(model: CochainModel) -> list[HHClass]:
     """e_s (x) e_s* classes for X = Omega*."""
-    c, x_mod, p = model.c, model.x_mod, model.p
-    found = [(("e", s), _chain(model, [(c.idem[s], x_mod.index[f"e{s}*"], 1)]))
-             for s in range(1, p + 1)]
-    return [HHClass(name, *concrete_degree(p, name), rep) for name, rep in found]
+    c, x_mod = model.c, model.x_mod
+    return _classes(model, [(("e", s), [(c.idem[s], x_mod.index[f"e{s}*"], 1)])
+                            for s in range(1, model.p + 1)])
 
 
 def canonical_sigma_classes(model: CochainModel) -> list[HHClass]:
@@ -428,23 +423,16 @@ def canonical_sigma_classes(model: CochainModel) -> list[HHClass]:
     and nu_l by v_{h,l} - v_{h+1,l}; the differential sends f and -g to
     v_s + v_{s+1}, so adjacent v's are homologous up to sign and these span.
     """
-    c, x_mod, omega, p = model.c, model.x_mod, model.omega, model.p
+    c, p, at = model.c, model.p, partial(_x_index, model.x_mod, model.omega)
     h = (p - 1) // 2
-    found = []
-    for s in range(1, p):
-        xi = _x_index(x_mod, omega, p - s, p - s - 1, s - 1)
-        rep = _chain(model, [(c.idem[s], xi, 1)])
-        found.append((("soc", s), rep))
+    found = [(("soc", s), [(c.idem[s], at(p - s, p - s - 1, s - 1), 1)]) for s in range(1, p)]
     for ell in range(1, h + 1):
-        x_f = _x_index(x_mod, omega, h + 1, h - ell, h - ell)    # slot (h+1, h) after twist
-        x_g = _x_index(x_mod, omega, h, h - ell, h - ell)        # slot (h, h+1) after twist
-        rep = _chain(model, [(c.xi[h], x_f, 1), (c.eta[h], x_g, 1)])
-        found.append((("mu", ell), rep))
-        x_v1 = _x_index(x_mod, omega, h + 1, h - ell + 1, h - ell)
-        x_v2 = _x_index(x_mod, omega, h, h - ell, h - ell + 1)
-        rep = _chain(model, [(c.loop[h], x_v1, 1), (c.loop[h + 1], x_v2, -1)])
-        found.append((("nu", ell), rep))
-    return [HHClass(name, *concrete_degree(p, name), rep) for name, rep in found]
+        # f at slot (h+1, h) and g at slot (h, h+1), after the twist
+        found.append((("mu", ell), [(c.xi[h], at(h + 1, h - ell, h - ell), 1),
+                                    (c.eta[h], at(h, h - ell, h - ell), 1)]))
+        found.append((("nu", ell), [(c.loop[h], at(h + 1, h - ell + 1, h - ell), 1),
+                                    (c.loop[h + 1], at(h, h - ell, h - ell + 1), -1)]))
+    return _classes(model, found)
 
 
 KIND_OMEGA = "omega"
@@ -466,35 +454,41 @@ def homology_named(model: CochainModel, kind: str) -> HHModule:
     else:
         raise ValueError(f"unknown coefficient kind {kind!r}")
 
-    # truncated coefficient cases drop the candidates that fail to be cocycles
+    # truncated coefficient cases drop the candidates that are empty or no cocycles
     # (e.g. low z-powers over the ideal); what survives must span everything
-    classes = [cl for cl in classes if cl.rep]
-    classes = [cl for cl, ok in zip(classes, model.are_cocycles([cl.rep for cl in classes])) if ok]
+    batch = Cochains(len(classes), *coo_terms([cl.rep for cl in classes]))
+    keep = (np.bincount(batch.owner, minlength=batch.count) > 0) & model.are_cocycles(batch)
+    at = keep[batch.owner]
+    reps = Cochains(int(keep.sum()), np.cumsum(keep)[batch.owner[at]] - 1, batch.n[at],
+                    batch.val[at])
+    classes = [cl for cl, ok in zip(classes, keep.tolist()) if ok]
     total = sum(model.homology_dim(key) for key in model.bucket_of)
     if len(classes) != total:
         raise UnrecognizedSignature(
             f"{len(classes)} canonical classes but homology dimension {total}")
-    return HHModule(model, classes)
+    return HHModule(model, classes, reps)
 
 
 # rows per chunk of the cup join: bounds its temporaries
 _CUP_CHUNK = 1 << 16
 
 
-def cup(model_x: CochainModel, us: list[Cochain], model_y: CochainModel, vs: list[Cochain],
-        pairing: Pairing, model_z: CochainModel) -> list[list[Cochain]]:
-    """The cup products out[i][j] = us[i] . vs[j] of cocycles at representative
-    level, in the model over pairing's target.  c-parts compose in the
-    opposite order and the Koszul sign is (-1)^{k(x) k(y)} over the
-    coefficient k-degrees.  Only pairings of even k-shift induce chain maps;
-    odd ones (the socle embeddings) are handled at class level by composing
-    a cup through their even factor with the named map they induce.
+def cup(model_x: CochainModel, us: Cochains, model_y: CochainModel, vs: Cochains,
+        pairing: Pairing, model_z: CochainModel) -> Cochains:
+    """The cup products us[i] . vs[j] of two batches of cocycles at
+    representative level, as one batch over pairing's target in which (i, j)
+    has owner i * vs.count + j.  c-parts compose in the opposite order and
+    the Koszul sign is (-1)^{k(x) k(y)} over the coefficient k-degrees.  Only
+    pairings of even k-shift induce chain maps; odd ones (the socle
+    embeddings) are handled at class level by composing a cup through their
+    even factor with the named map they induce.
 
     One array join, in chunks of whole u-chains that bound its temporaries:
     each u-term meets c's products at (ci_v, ci_u) by ci_u, each of those the
     v-terms by ci_v, and each (u-term, v-term) the pairing's terms at
     (xi_u, xi_v).  Each (c, z) is placed among model_z's pairs and summed by
-    (i, j, pair) mod p.  The inputs of each model, and then all products, are
+    (i, j, pair) mod p; as the chunks follow u, their sums come sorted by
+    (owner, pair).  The inputs of each model, and then all products, are
     checked to be cocycles in one join with their model's differential.
     """
     if pairing.factor is not None:
@@ -504,36 +498,35 @@ def cup(model_x: CochainModel, us: list[Cochain], model_y: CochainModel, vs: lis
         raise NotACocycle("cup inputs must be cocycles")
     if pairing.x_mod is not model_x.x_mod or pairing.y_mod is not model_y.x_mod:
         raise PairingDegreeMismatch("pairing does not match the given models")
-    p, n_v, width = model_z.p, len(vs), pairing.y_mod.dim
+    p, n_v, width = model_z.p, vs.count, pairing.y_mod.dim
     ca, cb, ct, cc = model_x.c.slot_products()  # ct in ca o cb, read at (ci_v, ci_u)
     order = np.argsort(cb, kind="stable")
     ca, cb, ct, cc = ca[order], cb[order], ct[order], cc[order]
-    iu, nu, cu = coo_terms(us)
-    iv, nv, cv = coo_terms(vs)
+    _, iu, nu, cu = us
+    _, iv, nv, cv = vs
     order = np.argsort(model_y.ci[nv], kind="stable")
     iv, nv, cv, ci_v = iv[order], nv[order], cv[order], model_y.ci[nv[order]]
     # the rows of a u-term: the v-terms that each of its c-terms meets
     meets = np.concatenate(([0], np.cumsum(np.bincount(ci_v, minlength=model_x.c.dim)[ca])))
     lo, hi = (np.searchsorted(cb, model_x.ci[nu], side) for side in ("left", "right"))
     px, py, pt, pc = pairing.table
-    pkey, code = px * width + py, np.append(model_z.code, -1)
-    out: list[list[Cochain]] = [[{} for _ in vs] for _ in us]
+    pkey, n_z = px * width + py, max(1, model_z.dim)
+    parts = [(np.zeros(0, dtype=np.int64),) * 2]  # (key, val) per chunk
     for a0, a1 in _chunks(iu, meets[hi] - meets[lo], _CUP_CHUNK):
         s, e = _within(cb, model_x.ci[nu[a0:a1]])  # u-term s, c-term e at (x, ci_u)
         q, f = _within(ci_v, ca[e])  # and each v-term f with ci_v = x
         s, e = s[q] + a0, e[q]
         q, g = _within(pkey, model_x.xi[nu[s]] * width + model_y.xi[nv[f]])  # pairing term g
         s, e, f = s[q], e[q], f[q]
-        want = ct[e] * model_z.x_mod.dim + pt[g]
-        m = np.searchsorted(model_z.code, want)
-        if np.any(code[m] != want):
+        m, inside = model_z.place(ct[e], pt[g])
+        if not inside.all():
             raise AssertionError("cup left the diagonal")
         sign = np.where(model_x.odd[nu[s]] & model_y.odd[nv[f]], -1, 1)
-        key, val = _summed((iu[s] * n_v + iv[f]) * len(code) + m,
-                           sign * cu[s] * cv[f] * cc[e] * pc[g], p)
-        for ij, n, c in zip(*(a.tolist() for a in np.divmod(key, len(code))), val.tolist()):
-            out[ij // n_v][ij % n_v][n] = c
-    if not model_z.are_cocycles([w for row in out for w in row]).all():
+        parts.append(_summed((iu[s] * n_v + iv[f]) * n_z + m,
+                             sign * cu[s] * cv[f] * cc[e] * pc[g], p))
+    key, val = (np.concatenate(part) for part in zip(*parts))
+    out = Cochains(us.count * n_v, *np.divmod(key, n_z), val)
+    if not model_z.are_cocycles(out).all():
         raise NotACocycle("cup product failed to be a cocycle")
     return out
 

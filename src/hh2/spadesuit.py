@@ -22,11 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import Hh2Error
 from .clubsuit import (CHI, CHIBAR_MINUS, CHIBAR_PLUS, CHIBARSTAR_MINUS,
                        CHIBARSTAR_PLUS, CHIUNDER, OMEGA0, OUT_OF_WINDOW, PRODUCT_TABLE,
                        GridComponent, NaturalMaps, component_at)
-from .exactlin import check_odd_prime, sparse_rank
+from .exactlin import _among, _summed, _within, check_odd_prime, sparse_rank
 from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Name, NameCombo, concrete_degree, cup,
                        format_name, idempotent_label)
 from .quiver import WindowTable, failing_triple, table_of, window_table
@@ -452,22 +454,30 @@ def verify_first_principles(nm: NaturalMaps, a_min: int = -3,
     p, models, hhs = nm.p, nm.models, nm.homology
 
     # the class-level map induced by the socle embedding, verified on the nose:
-    # soc_s to e_s, every other class to 0
-    mu_names: dict[Name, Name] = {}
+    # soc_s to e_s, every other class to 0.  Each term (ci, xi) of a
+    # representative joins mu's terms at xi, and (ci, mu(xi)) is placed among
+    # the dual model's pairs, as cup places its products
+    sig, dual = hhs[KIND_THETA_SIGMA], hhs[KIND_DUAL]
     sig_model, dual_model = models[KIND_THETA_SIGMA], models[KIND_DUAL]
-    for cl in hhs[KIND_THETA_SIGMA].classes:
-        image = {}
-        for n, coeff in cl.rep.items():
-            ci, xi = sig_model.pairs[n]
-            for tgt, c2 in nm.mu.table.get((xi, 0), {}).items():
-                key = dual_model.pair_index[(ci, tgt)]
-                image[key] = (image.get(key, 0) + coeff * c2) % p
-        image = {k: v for k, v in image.items() if v}
-        if cl.name[0] == "soc":
-            expect = hhs[KIND_DUAL].by_name[("e", cl.name[1])].rep
-            if image != expect:
-                raise AssertionError("socle embedding does not match class reps")
-            mu_names[cl.name] = ("e", cl.name[1])
+    mu_names = {cl.name: ("e", cl.name[1]) for cl in sig.classes if cl.name[0] == "soc"}
+    # to[i]: the place of e_s among the dual classes if class i is soc_s, else -1;
+    # the image of soc_s and the representative of e_s are keyed by (that place, pair)
+    e_at = {cl.name: i for i, cl in enumerate(dual.classes)}
+    to = np.array([e_at[mu_names[cl.name]] if cl.name in mu_names else -1
+                   for cl in sig.classes], dtype=np.int64)
+    _, owner, n, val = sig.reps
+    mx, _, mt, mc = nm.mu.table
+    t, e = _within(mx, sig_model.xi[n])
+    m, inside = dual_model.place(sig_model.ci[n[t]], mt[e])
+    if not inside.all():
+        raise AssertionError("socle embedding left the diagonal")
+    at = to[owner[t]] >= 0
+    image = _summed(to[owner[t[at]]] * dual_model.dim + m[at], val[t[at]] * mc[e[at]], p)
+    _, owner, n, val = dual.reps
+    at = _among(np.sort(to), owner)
+    expect = _summed(owner[at] * dual_model.dim + n[at], val[at], p)
+    if not all(np.array_equal(a, b) for a, b in zip(image, expect)):
+        raise AssertionError("socle embedding does not match class reps")
 
     paired = {(k1, k2) for k1, k2, _kt in PRODUCT_TABLE}
     products: dict[tuple, dict] = {}  # (pairing, target kind) -> {(name1, name2): class}
@@ -501,15 +511,14 @@ def verify_first_principles(nm: NaturalMaps, a_min: int = -3,
                 # all named classes of one kind times all of the other, at once
                 inner, target = (pairing, st.kind) if pairing.factor is None \
                     else (pairing.factor[0], KIND_THETA_SIGMA)
-                xs, ys = hhs[s1.kind].classes, hhs[s2.kind].classes
-                rows = cup(models[s1.kind], [cl.rep for cl in xs], models[s2.kind],
-                           [cl.rep for cl in ys], inner, models[target])
-                found = hhs[target].project([w for row in rows for w in row])
+                xs, ys = hhs[s1.kind], hhs[s2.kind]
+                found = hhs[target].project(cup(models[s1.kind], xs.reps, models[s2.kind],
+                                                ys.reps, inner, models[target]))
                 if pairing.factor is not None:  # then the socle embedding
                     found = [{mu_names[n]: c for n, c in res.items() if n in mu_names}
                              for res in found]
-                products[pr_name, st.kind] = dict(zip([(u.name, v.name) for u in xs for v in ys],
-                                                      found))
+                products[pr_name, st.kind] = dict(zip(
+                    [(u.name, v.name) for u in xs.classes for v in ys.classes], found))
             names1, names2 = component_names(p, k1), component_names(p, k2)
             for n1 in names1:
                 for n2 in names2:

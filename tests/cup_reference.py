@@ -2,8 +2,9 @@
 batched ``koszulhh.cup`` is compared with.  No command runs it, so it lives
 with the tests.  This is ``cup`` from before it became one array join over
 two lists of cocycles, with its body unchanged but for the pairing's value,
-read from its table as ``Pairing.apply`` read it.  ``single_cup`` is one
-product of the batched ``cup``, for tests that multiply one pair at a time.
+read from its table as ``Pairing.apply`` read it, and the model's pairs,
+read from its arrays ``ci`` and ``xi``.  ``single_cup`` is one product of the
+batched ``cup``, for tests that multiply one pair at a time.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from hh2.koszulhh import (Cochain, CochainModel, NotACocycle, Pairing, PairingDegreeMismatch,
                           cup)
 
+from batches import as_batch, as_chains
 from model_reference import is_cocycle
 
 
@@ -32,12 +34,15 @@ def cup_one(model_x: CochainModel, u: Cochain, model_y: CochainModel, v: Cochain
     if pairing.x_mod is not model_x.x_mod or pairing.y_mod is not model_y.x_mod:
         raise PairingDegreeMismatch("pairing does not match the given models")
     c, p = model_x.c, model_x.p
+    pairs_x, pairs_y, pairs_z = (list(zip(m.ci.tolist(), m.xi.tolist()))
+                                 for m in (model_x, model_y, model_z))
+    pair_index = {pr: n for n, pr in enumerate(pairs_z)}
     out: Cochain = {}
     for nu, cu in u.items():
-        ci_u, xi_u = model_x.pairs[nu]
+        ci_u, xi_u = pairs_x[nu]
         kx = model_x.x_mod.basis[xi_u].k
         for nv, cv in v.items():
-            ci_v, xi_v = model_y.pairs[nv]
+            ci_v, xi_v = pairs_y[nv]
             ky = model_y.x_mod.basis[xi_v].k
             cpart = c.mul_basis(ci_v, ci_u)  # opposite composition
             if not cpart:
@@ -49,9 +54,9 @@ def cup_one(model_x: CochainModel, u: Cochain, model_y: CochainModel, v: Cochain
             for cc, c1 in cpart.items():
                 for zz, c2 in coeff_part.items():
                     pr = (cc, zz)
-                    if pr not in model_z.pair_index:
+                    if pr not in pair_index:
                         raise AssertionError("cup left the diagonal")
-                    n = model_z.pair_index[pr]
+                    n = pair_index[pr]
                     val = (out.get(n, 0) + sign * cu * cv * c1 * c2) % p
                     if val:
                         out[n] = val
@@ -65,4 +70,4 @@ def cup_one(model_x: CochainModel, u: Cochain, model_y: CochainModel, v: Cochain
 def single_cup(model_x: CochainModel, u: Cochain, model_y: CochainModel, v: Cochain,
                pairing: Pairing, model_z: CochainModel) -> Cochain:
     """The batched ``cup`` of one product: u . v."""
-    return cup(model_x, [u], model_y, [v], pairing, model_z)[0][0]
+    return as_chains(cup(model_x, as_batch([u]), model_y, as_batch([v]), pairing, model_z))[0]

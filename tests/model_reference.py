@@ -1,13 +1,14 @@
 """The Koszul model's differential one chain at a time, and ``HHModule.project``
 one chain at a time on the dict elimination: the tests' references.
 
-The model keeps d only as COO arrays, ``_d``.  ``images``, ``differential``
-and ``is_cocycle`` read it one chain at a time, as the model's dict methods
-of those names did.  ``reference_project`` is ``HHModule.project`` as it ran
-before projection became two joins over a batch: its body is unchanged but
-for the pivots, which ``_pivots_at`` makes per call as ``HHModule`` made them
-per degree.  ``project_one`` is the batched ``project`` of one chain, for
-tests that project one cocycle at a time.
+The model keeps d only as COO arrays, ``_d``.  ``images``, ``differential``,
+``is_cocycle`` and ``chain_degree`` read it one chain at a time, as the
+model's dict methods of those names did.  ``reference_project`` is
+``HHModule.project`` as it ran before projection became two joins over a
+batch: its body is unchanged but for the pivots, which ``_pivots_at`` makes
+per call as ``HHModule`` made them per degree.  ``project_one`` is the
+batched ``project`` of one chain, for tests that project one cocycle at a
+time.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from __future__ import annotations
 import weakref
 
 from hh2.exactlin import NotACocycle, combo_add
-from hh2.koszulhh import Cochain, CochainModel, HHModule, NameCombo, UnrecognizedSignature
+from hh2.koszulhh import (Cochain, CochainModel, HHModule, NameCombo, NotHomogeneous,
+                          UnrecognizedSignature)
 
+from batches import as_batch
 from dict_elimination import sparse_pivots, sparse_reduce
 
 _IMAGES = weakref.WeakKeyDictionary()  # model -> d of each pair, as dicts
@@ -43,10 +46,17 @@ def differential(model: CochainModel, chain: Cochain) -> Cochain:
     return out
 
 
+def chain_degree(model: CochainModel, chain: Cochain) -> tuple[int, int]:
+    keys = {model.keys[b] for b in model.bucket[list(chain)].tolist()}
+    if len(keys) != 1:
+        raise NotHomogeneous(f"cochain not homogeneous: {keys}")
+    return keys.pop()
+
+
 def is_cocycle(model: CochainModel, chain: Cochain) -> bool:
     if not chain:
         return True
-    model.chain_degree(chain)  # raises NotHomogeneous
+    chain_degree(model, chain)  # raises NotHomogeneous
     return not differential(model, chain)
 
 
@@ -64,7 +74,7 @@ def reference_project(hh: HHModule, chain: Cochain) -> NameCombo:
     if not chain:
         return {}
     model, p = hh.model, hh.p
-    key = model.chain_degree(chain)
+    key = chain_degree(model, chain)
     if not is_cocycle(model, chain):
         raise NotACocycle("vector is not a cocycle")
     vec = sparse_reduce({n: v for n, c in chain.items() if (v := c % p)},
@@ -78,4 +88,4 @@ def reference_project(hh: HHModule, chain: Cochain) -> NameCombo:
 
 def project_one(hh: HHModule, chain: Cochain) -> NameCombo:
     """The batched ``HHModule.project`` of one chain."""
-    return hh.project([chain])[0]
+    return hh.project(as_batch([chain]))[0]

@@ -13,12 +13,13 @@ import numpy as np
 from hh2.clubsuit import ClubWindow, NaturalMaps
 from hh2.cli import _club_associativity
 from hh2.exactlin import rank
-from hh2.koszulhh import bar_oracle, build_model, cup, homology_named
+from hh2.koszulhh import bar_oracle, build_model, homology_named
 from hh2.operators import build_hhl, project
 from hh2.spadesuit import (OUT_OF_WINDOW, build_spade, chi_mul,
                            duality_form, duality_form_checks,
                            verify_first_principles)
 
+from batches import cup_rows
 from club_reference import basis, form_dict, product, socle_evaluation
 from model_reference import project_one
 
@@ -100,7 +101,7 @@ def test_criterion_5_chi_presentation():
         chi = hhs["omega"]
         mult = nm.pairings["mult"]
         reps = [cl.rep for cl in chi.classes]
-        rows = cup(models["omega"], reps, models["omega"], reps, mult, models["omega"])
+        rows = cup_rows(models["omega"], reps, models["omega"], reps, mult, models["omega"])
         for u, row in zip(chi.classes, rows):
             for v, w in zip(chi.classes, row):
                 got = project_one(chi, w)
@@ -266,7 +267,7 @@ def test_criterion_10_supercommutativity():
         chi = hhs["omega"]
         mult = nm.pairings["mult"]
         reps = [cl.rep for cl in chi.classes]
-        rows = cup(models["omega"], reps, models["omega"], reps, mult, models["omega"])
+        rows = cup_rows(models["omega"], reps, models["omega"], reps, mult, models["omega"])
         for i, u in enumerate(chi.classes):
             for j, v in enumerate(chi.classes):
                 uv, vu = project_one(chi, rows[i][j]), project_one(chi, rows[j][i])

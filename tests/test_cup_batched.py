@@ -1,7 +1,8 @@
 """The batched ``koszulhh.cup`` against the one-product reference.
 
-``cup(model_x, us, model_y, vs, pairing, model_z)[i][j]`` must equal
-``cup_reference.cup_one`` of ``us[i]`` and ``vs[j]`` for every pairing of
+The product of owner i * len(vs) + j in ``cup(model_x, us, model_y, vs,
+pairing, model_z)``, read back by ``batches.cup_rows`` as row i, place j, must
+equal ``cup_reference.cup_one`` of ``us[i]`` and ``vs[j]`` for every pairing of
 ``clubsuit.PRODUCT_TABLE`` (its even factor for the socle embeddings), on
 random lists of cocycles: sums of named representatives and boundaries of
 one degree (the named representatives alone never multiply two odd
@@ -23,9 +24,10 @@ from hypothesis import strategies as st
 from hh2 import Hh2Error, koszulhh
 from hh2.clubsuit import PRODUCT_TABLE, NaturalMaps
 from hh2.exactlin import combo_add
-from hh2.koszulhh import NotACocycle, Pairing, PairingDegreeMismatch, cup
+from hh2.koszulhh import NotACocycle, Pairing, PairingDegreeMismatch
 from hh2.quiver import Table
 
+from batches import cup_rows
 from cup_reference import cup_one
 from model_reference import images, is_cocycle
 
@@ -90,7 +92,7 @@ def test_batched_cup_matches_reference(data):
     p = data.draw(st.sampled_from((3, 5, 7)))
     model_x, xs, model_y, ys, pairing, model_z = case(p, data.draw(st.sampled_from(ENTRIES)))
     us, vs = data.draw(cocycles(model_x, xs, p)), data.draw(cocycles(model_y, ys, p))
-    got = cup(model_x, us, model_y, vs, pairing, model_z)
+    got = cup_rows(model_x, us, model_y, vs, pairing, model_z)
     assert got == reference(model_x, us, model_y, vs, pairing, model_z)
 
 
@@ -100,25 +102,25 @@ def test_every_named_product_matches_reference_in_small_chunks(p, monkeypatch):
     for entry in ENTRIES:
         model_x, xs, model_y, ys, pairing, model_z = case(p, entry)
         us, vs = with_boundaries(model_x, xs, p), with_boundaries(model_y, ys, p)
-        got = cup(model_x, us, model_y, vs, pairing, model_z)
+        got = cup_rows(model_x, us, model_y, vs, pairing, model_z)
         assert got == reference(model_x, us, model_y, vs, pairing, model_z), entry
 
 
 def test_empty_lists_and_chains():
     model_x, xs, model_y, ys, pairing, model_z = case(3, ENTRIES[0])
-    assert cup(model_x, [], model_y, [ys[0].rep], pairing, model_z) == []
-    assert cup(model_x, [xs[0].rep], model_y, [], pairing, model_z) == [[]]
-    assert cup(model_x, [{}], model_y, [{}, ys[0].rep], pairing, model_z) == [[{}, {}]]
+    assert cup_rows(model_x, [], model_y, [ys[0].rep], pairing, model_z) == []
+    assert cup_rows(model_x, [xs[0].rep], model_y, [], pairing, model_z) == [[]]
+    assert cup_rows(model_x, [{}], model_y, [{}, ys[0].rep], pairing, model_z) == [[{}, {}]]
 
 
 def test_factored_and_mismatched_pairings_are_refused():
     nm = maps(3)
     models, hhs = nm.models, nm.homology
     with pytest.raises(PairingDegreeMismatch, match="has odd degree"):
-        cup(models["theta"], [hhs["theta"].classes[0].rep], models["theta-sigma"],
+        cup_rows(models["theta"], [hhs["theta"].classes[0].rep], models["theta-sigma"],
             [hhs["theta-sigma"].classes[0].rep], nm.pairings["nu_l"], models["omega-dual"])
     with pytest.raises(PairingDegreeMismatch, match="does not match the given models"):
-        cup(models["theta"], [hhs["theta"].classes[0].rep], models["omega"],
+        cup_rows(models["theta"], [hhs["theta"].classes[0].rep], models["omega"],
             [hhs["omega"].classes[0].rep], nm.pairings["mult"], models["omega"])
 
 
@@ -133,7 +135,7 @@ def caught(p: int, mutate) -> bool:
         us, vs = with_boundaries(model_x, xs, p), with_boundaries(model_y, ys, p)
         mx, my, pr, mz = mutate(model_x, model_y, pairing, model_z)
         try:
-            got = cup(mx, us, my, vs, pr, mz)
+            got = cup_rows(mx, us, my, vs, pr, mz)
         except (AssertionError, Hh2Error):
             return True
         if got != reference(model_x, us, model_y, vs, pairing, model_z):
@@ -168,9 +170,9 @@ def test_non_cocycle_input_is_refused():
     bad = next({n: 1} for n in range(model_x.dim) if not is_cocycle(model_x, {n: 1}))
     good = [cl.rep for cl in xs]
     with pytest.raises(NotACocycle, match="cup inputs must be cocycles"):
-        cup(model_x, [*good, bad], model_y, good, pairing, model_z)
+        cup_rows(model_x, [*good, bad], model_y, good, pairing, model_z)
     with pytest.raises(NotACocycle, match="cup inputs must be cocycles"):
-        cup(model_x, good, model_y, [bad, *good], pairing, model_z)
+        cup_rows(model_x, good, model_y, [bad, *good], pairing, model_z)
 
 
 def test_pairing_off_the_diagonal_is_refused():
@@ -182,7 +184,7 @@ def test_pairing_off_the_diagonal_is_refused():
     bad = Pairing(pairing.x_mod, pairing.y_mod, pairing.z_mod, off, name="off")
     us, vs = [cl.rep for cl in xs], [cl.rep for cl in ys]
     with pytest.raises(AssertionError, match="cup left the diagonal"):
-        cup(model_x, us, model_y, vs, bad, model_z)
+        cup_rows(model_x, us, model_y, vs, bad, model_z)
     with pytest.raises(AssertionError, match="cup left the diagonal"):
         reference(model_x, us, model_y, vs, bad, model_z)
 
@@ -195,6 +197,6 @@ def test_product_off_the_cocycles_is_refused():
                    Table(*(a[::2] for a in pairing.table)), name="half")
     us, vs = with_boundaries(model_x, xs, 3), with_boundaries(model_y, ys, 3)
     with pytest.raises(NotACocycle, match="cup product failed to be a cocycle"):
-        cup(model_x, us, model_y, vs, half, model_z)
+        cup_rows(model_x, us, model_y, vs, half, model_z)
     with pytest.raises(NotACocycle, match="cup product failed to be a cocycle"):
         reference(model_x, us, model_y, vs, half, model_z)

@@ -11,6 +11,7 @@ from hh2.koszulhh import (NotACocycle, NotHomogeneous, PairingDegreeMismatch,
                           TooLarge, UnrecognizedSignature, bar_oracle,
                           build_model, homology_named)
 from hh2.quiver import BasedAlgebra, BasedBimodule, table_of
+from batches import as_batch
 from cup_reference import single_cup
 from model_reference import project_one
 from tables import as_dict
@@ -29,7 +30,7 @@ def test_model_graded_components_p3(maps3):
     model = build_model(maps3.c, maps3.reg)
     p = 3
     keys = set()
-    for n, (ci, xi) in enumerate(model.pairs):
+    for n, (ci, xi) in enumerate(zip(model.ci.tolist(), model.xi.tolist())):
         cb = maps3.c.basis[ci]
         xb = maps3.reg.basis[xi]
         keys.add((-cb.j, xb.k))  # c-length as negative, coefficient length
@@ -201,7 +202,7 @@ def test_cup_rejects_non_cocycle(maps3, named3):
     models, hhs = named3
     model = models["omega"]
     chain = {0: 1}  # e_1 (x) x-type monomial: not a cocycle
-    for n, (ci, xi) in enumerate(model.pairs):
+    for n, (ci, xi) in enumerate(zip(model.ci.tolist(), model.xi.tolist())):
         if maps3.c.basis[ci].j == 0 and maps3.reg.basis[xi].k == 1:
             chain = {n: 1}
             break
@@ -226,7 +227,7 @@ def test_inhomogeneous_cochain_is_an_hh2_error(named3):
     (key1, n1), (_key2, n2) = list(by_key.items())[:2]
     chain = {n1: 1, n2: 1}
     with pytest.raises(NotHomogeneous, match="cochain not homogeneous") as exc:
-        model.chain_degree(chain)
+        model.are_cocycles(as_batch([chain]))
     assert isinstance(exc.value, Hh2Error)
 
 

@@ -10,9 +10,10 @@ import pytest
 from hh2 import Hh2Error, cli, exactlin
 from hh2.clubsuit import NaturalMaps
 from hh2.exactlin import Homology, NotACocycle
-from hh2.koszulhh import (HHClass, HHModule, UnrecognizedSignature, build_model,
-                          homology_named)
+from hh2.koszulhh import HHClass, UnrecognizedSignature, build_model, homology_named
 from hh2.quiver import combo_add
+
+from batches import module
 
 from model_reference import differential, images, project_one
 
@@ -89,7 +90,7 @@ def test_swapped_representative_is_not_independent(named):
     classes = [HHClass(cl.name, cl.j, cl.k, cl.h, rep if cl.name == ("c2", 2) else cl.rep)
                for cl in hh.classes]
     with pytest.raises(UnrecognizedSignature, match="not independent"):
-        HHModule(model, classes)
+        module(model, classes)
 
 
 def test_hh_runs_without_the_dense_path(monkeypatch, capsys):

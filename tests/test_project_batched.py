@@ -1,7 +1,8 @@
 """The batched ``HHModule.project`` against the one-chain reference.
 
-``project(chains)[i]`` must equal ``model_reference.reference_project`` of
-``chains[i]``, the projection on the dict elimination, for all five
+``project(as_batch(chains))[i]`` must equal
+``model_reference.reference_project`` of ``chains[i]``, the projection on
+the dict elimination, for all five
 coefficient kinds at p = 3, 5 and 7, on random lists of cocycles: sums of
 named representatives and boundaries of one degree each, in every bucket of
 the model, named or not.  Each failure of a projection is raised from
@@ -21,8 +22,9 @@ from hypothesis import strategies as st
 
 from hh2.clubsuit import NaturalMaps
 from hh2.exactlin import NotACocycle, combo_add
-from hh2.koszulhh import HHModule, NotHomogeneous, UnrecognizedSignature
+from hh2.koszulhh import NotHomogeneous, UnrecognizedSignature
 
+from batches import as_batch, module
 from model_reference import differential, images, reference_project
 
 KINDS = ("omega", "theta", "theta-sigma", "omega-dual", "omega-ep-omega")
@@ -58,15 +60,15 @@ def test_batched_project_matches_reference(data):
     kind = data.draw(st.sampled_from(KINDS))
     model, hh = maps(p).models[kind], maps(p).homology[kind]
     chains = data.draw(cocycles(model, hh, p))
-    assert hh.project(chains) == [reference_project(hh, chain) for chain in chains]
+    assert hh.project(as_batch(chains)) == [reference_project(hh, chain) for chain in chains]
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_named_representatives_and_empty_chains(p):
     for kind in KINDS:
         hh = maps(p).homology[kind]
-        assert hh.project([]) == []
-        assert hh.project([{}, *(cl.rep for cl in hh.classes), {}]) == [
+        assert hh.project(as_batch([])) == []
+        assert hh.project(as_batch([{}, *(cl.rep for cl in hh.classes), {}])) == [
             {}, *({cl.name: 1} for cl in hh.classes), {}]
 
 
@@ -79,17 +81,17 @@ def test_each_failure_is_raised_from_inside_a_batch(p):
              (hh, {first: 1, second: 1}, NotHomogeneous, "cochain not homogeneous")]
     # the classes of one degree left out: that degree is unnamed
     cl = hh.classes[0]
-    partial = HHModule(model, [c for c in hh.classes if (c.j, c.k) != (cl.j, cl.k)])
+    partial = module(model, [c for c in hh.classes if (c.j, c.k) != (cl.j, cl.k)])
     cases.append((partial, cl.rep, UnrecognizedSignature,
                   f"nonzero class at unnamed degree {(cl.j, cl.k)}"))
     for hh_case, chain, exc, message in cases:
         with pytest.raises(exc, match=re.escape(message)):
             reference_project(hh_case, chain)
         good = [c.rep for c in hh_case.classes]
-        assert hh_case.project(good) == [{c.name: 1} for c in hh_case.classes]
+        assert hh_case.project(as_batch(good)) == [{c.name: 1} for c in hh_case.classes]
         for where in (0, len(good) // 2, len(good)):
             with pytest.raises(exc, match=re.escape(message)):
-                hh_case.project(good[:where] + [chain] + good[where:])
+                hh_case.project(as_batch(good[:where] + [chain] + good[where:]))
 
 
 def test_cocycle_outside_the_span_is_refused_from_inside_a_batch():
@@ -98,11 +100,11 @@ def test_cocycle_outside_the_span_is_refused_from_inside_a_batch():
     hh = copy.copy(maps(3).homology["omega"])
     degrees = [(c.j, c.k) for c in hh.classes]
     t = next(t for t, jk in enumerate(degrees) if degrees.count(jk) == 1)
-    lead, at, row, val = hh._reps
+    lead, at, row, val = hh._basis
     i = int(at[row == hh.model.dim + t][0])
     keep = at != i
-    hh._reps = (np.delete(lead, i), at[keep] - (at[keep] > i), row[keep], val[keep])
+    hh._basis = (np.delete(lead, i), at[keep] - (at[keep] > i), row[keep], val[keep])
     good = [c.rep for n, c in enumerate(hh.classes) if n != t]
-    assert all(hh.project(good))
+    assert all(hh.project(as_batch(good)))
     with pytest.raises(UnrecognizedSignature, match="cocycle not in span of named classes"):
-        hh.project(good + [hh.classes[t].rep] + good)
+        hh.project(as_batch(good + [hh.classes[t].rep] + good))

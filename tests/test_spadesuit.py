@@ -1,10 +1,12 @@
 import sys
 
+import numpy as np
 import pytest
 
 from hh2 import spadesuit
 from hh2.clubsuit import NaturalMaps
 from hh2.exactlin import NotOddPrime
+from hh2.quiver import BimoduleMap, Table
 from hh2.spadesuit import (CHI, CHIBAR_MINUS, CHIBARSTAR_MINUS, CHIUNDER,
                            OMEGA0, OUT_OF_WINDOW, augmentation, build_spade,
                            chi_mul, chi_on_dual, component_names, duality_form,
@@ -185,6 +187,24 @@ def test_verify_first_principles(p):
             1591, {"class-degree": 586, "degree": 288, "slot": 336, "tensor": 192})
 
 
+def test_moved_socle_embedding_entry_is_caught():
+    # mu sends the value of soc_2's representative to another element of the
+    # same slot of Omega*: the image stays a cochain of the dual model, but
+    # is no longer e_2's representative
+    nm = NaturalMaps(3)
+    model, mu = nm.models["theta-sigma"], nm.mu
+    (n,) = nm.homology["theta-sigma"].by_name[("soc", 2)].rep
+    x, y, t, c = mu.table
+    at = int(np.searchsorted(x, model.xi[n]))
+    slot = [(b.left, b.right) for b in nm.dual.basis]
+    other = next(i for i, s in enumerate(slot) if s == slot[t[at]] and i != t[at])
+    nm.mu = BimoduleMap(mu.source, mu.target, Table(x, y, np.where(np.arange(len(t)) == at,
+                                                                   other, t), c),
+                        mu.dj, mu.dk, mu.name)
+    with pytest.raises(AssertionError, match="socle embedding does not match class reps"):
+        verify_first_principles(nm)
+
+
 def test_half_coefficient_cells():
     # the signed one-half products of loop classes against socle classes
     for p in (3, 5):
@@ -281,3 +301,20 @@ def test_duality_form_checks_reject_a_perturbed_form(p, form, monkeypatch):
     got = duality_form_checks(p)
     assert got == _duality_form_checks_dense(p)
     assert got[1] is False
+
+
+def test_socle_embedding_off_the_dual_pairs_is_caught():
+    # mu sends the value of soc_2's representative to an element of another
+    # slot of Omega*: (e_2, that element) is no pair of the dual model
+    nm = NaturalMaps(3)
+    model, mu = nm.models["theta-sigma"], nm.mu
+    (n,) = nm.homology["theta-sigma"].by_name[("soc", 2)].rep
+    x, y, t, c = mu.table
+    at = int(np.searchsorted(x, model.xi[n]))
+    slot = [(b.left, b.right) for b in nm.dual.basis]
+    other = next(i for i, s in enumerate(slot) if s != slot[t[at]])
+    nm.mu = BimoduleMap(mu.source, mu.target, Table(x, y, np.where(np.arange(len(t)) == at,
+                                                                   other, t), c),
+                        mu.dj, mu.dk, mu.name)
+    with pytest.raises(AssertionError, match="socle embedding left the diagonal"):
+        verify_first_principles(nm)
