@@ -169,7 +169,8 @@ def _product_table(basis: list, product, p: int) -> WindowTable:
             else:
                 for el, c in r.items():
                     terms += i, j, idx[el], c
-    return window_table(len(basis), terms, out, p)
+    return window_table(len(basis), [np.array(terms, dtype=np.int64).reshape(-1, 4).T],
+                        [np.array(out, dtype=np.int64).reshape(-1, 2).T], p)
 
 
 def _supercommutativity(table: WindowTable, ks: list[int], p: int) -> int:

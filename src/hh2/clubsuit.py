@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import Hh2Error, quiver
 from .exactlin import coo_pivot_rows
 from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
                        KIND_THETA_SIGMA, Pairing, build_model, homology_named)
-from .quiver import BasedBimodule, BimoduleMap, Table, WindowTable
+from .quiver import BasedBimodule, BimoduleMap, Table, WindowTable, window_table
 
 # spade labels: which piece of the class algebra a grid slot carries
 CHI = "chi"
@@ -359,6 +359,7 @@ class GridComponent:
         return self.a + self.b
 
 
+@lru_cache(maxsize=None)
 def component_at(p: int, a: int, b: int) -> GridComponent | None:
     """Kind, label and shifts of the grid slot (a, b), or None if it is vacant."""
     if b == 0:
@@ -460,7 +461,7 @@ class ClubWindow:
         first, n = {}, 0
         for key in sorted(dim):
             first[key], n = n, n + dim[key]
-        terms, out = [], []  # both nonempty: row 0 times the top row leaves the window
+        terms, out = [], []
         for (a1, b1), comp1 in self.components.items():
             for (a2, b2), comp2 in self.components.items():
                 pairing = self._pairing(comp1, comp2)
@@ -471,8 +472,7 @@ class ClubWindow:
                     x, y, t, c = pairing.table
                     terms.append((first[a1, b1] + x, first[a2, b2] + y,
                                   first[a1 + a2, b1 + b2] + t, c))
-        x, y, t, c = map(np.concatenate, zip(*terms))
-        return WindowTable(n, Table.of(x, y, t, c, self.p), tuple(map(np.concatenate, zip(*out))))
+        return window_table(n, terms, out, self.p)
 
     def symmetry_form(self, i: int) -> dict:
         """Bilinear forms row -i x row i+2 -> F through the top-left dual slot.

@@ -305,25 +305,33 @@ def idempotent_label(name: Name) -> str:
 class HHModule:
     """Named homology classes of a cochain model, with projection to names.
 
-    ``reps`` batches the classes' representatives; each carries a tag row
-    model.dim + (its index in classes).  The tagged representatives, reduced
-    by the model's boundary basis, are eliminated into a second fully reduced
-    basis.  ``project`` reduces a batch of cocycles by the two bases in turn,
-    two joins: what is left of each is its tag rows, and tag t holds minus
-    the coefficient of class t.
+    The candidate classes whose representative (in ``batch``) is empty or no
+    cocycle are dropped, as over the ideal the low z-powers are; at each
+    degree a candidate names, those kept must be a basis of the homology.
+    ``reps`` batches the kept classes' representatives; each carries a tag
+    row model.dim + (its index in classes).  The tagged representatives,
+    reduced by the model's boundary basis, are eliminated into a second
+    fully reduced basis.  ``project`` reduces a batch of cocycles by the two
+    bases in turn, two joins: what is left of each is its tag rows, and tag
+    t holds minus the coefficient of class t.
     """
 
-    def __init__(self, model: CochainModel, classes: list[HHClass], reps: Cochains):
+    def __init__(self, model: CochainModel, candidates: list[HHClass], batch: Cochains):
+        keep = (np.bincount(batch.owner, minlength=batch.count) > 0) & model.are_cocycles(batch)
+        at = keep[batch.owner]
+        reps = Cochains(int(keep.sum()), np.cumsum(keep)[batch.owner[at]] - 1, batch.n[at],
+                        batch.val[at])
         self.model = model
-        self.classes = classes
+        self.classes = classes = [cl for cl, ok in zip(candidates, keep.tolist()) if ok]
         self.reps = reps
         self.p = model.p
         self.by_name = {cl.name: cl for cl in classes}
-        by_key: dict[tuple[int, int], list[int]] = {}
+        # every degree that a candidate names, with the classes kept there
+        by_key: dict[tuple[int, int], list[int]] = {(cl.j, cl.k): [] for cl in candidates}
         for idx, cl in enumerate(classes):
-            by_key.setdefault((cl.j, cl.k), []).append(idx)
+            by_key[cl.j, cl.k].append(idx)
         self._named = frozenset(by_key)
-        cocycle, tag = model.are_cocycles(reps), np.arange(reps.count)
+        tag = np.arange(reps.count)
         self._basis = coo_pivot_rows(*coo_reduce(
             np.append(reps.owner, tag), np.append(reps.n, model.dim + tag),
             np.append(reps.val, np.ones_like(tag)), model.boundaries, self.p),
@@ -331,18 +339,15 @@ class HHModule:
         # a tag row among the pivots: the classes of its bucket are dependent
         tags = (self._basis[0] - model.dim).tolist()
         dependent = {(classes[t].j, classes[t].k) for t in tags if t >= 0}
-        lead = np.full(reps.count, -1)  # each rep's bucket (it is homogeneous), -1 if empty
-        lead[reps.owner] = model.bucket[reps.n]
+        lead = model.bucket[reps.n[reps.owner.searchsorted(tag)]]  # each rep's bucket
         for key, idxs in by_key.items():
             dim = model.homology_dim(key)
             if dim != len(idxs):
                 raise UnrecognizedSignature(
                     f"{len(idxs)} named classes vs homology dimension {dim} at {key}")
             for idx in idxs:
-                if lead[idx] >= 0 and model.keys[lead[idx]] != key:
+                if model.keys[lead[idx]] != key:
                     raise NotHomogeneous("cochain not homogeneous")
-                if not cocycle[idx]:
-                    raise NotACocycle("vector is not a cocycle")
             if key in dependent:
                 raise UnrecognizedSignature(f"named classes not independent at {key}")
 
@@ -453,20 +458,12 @@ def homology_named(model: CochainModel, kind: str) -> HHModule:
         classes = canonical_sigma_classes(model)
     else:
         raise ValueError(f"unknown coefficient kind {kind!r}")
-
-    # truncated coefficient cases drop the candidates that are empty or no cocycles
-    # (e.g. low z-powers over the ideal); what survives must span everything
-    batch = Cochains(len(classes), *coo_terms([cl.rep for cl in classes]))
-    keep = (np.bincount(batch.owner, minlength=batch.count) > 0) & model.are_cocycles(batch)
-    at = keep[batch.owner]
-    reps = Cochains(int(keep.sum()), np.cumsum(keep)[batch.owner[at]] - 1, batch.n[at],
-                    batch.val[at])
-    classes = [cl for cl, ok in zip(classes, keep.tolist()) if ok]
+    hh = HHModule(model, classes, Cochains(len(classes), *coo_terms([cl.rep for cl in classes])))
     total = sum(model.homology_dim(key) for key in model.bucket_of)
-    if len(classes) != total:
+    if len(hh.classes) != total:
         raise UnrecognizedSignature(
-            f"{len(classes)} canonical classes but homology dimension {total}")
-    return HHModule(model, classes, reps)
+            f"{len(hh.classes)} canonical classes but homology dimension {total}")
+    return hh
 
 
 # rows per chunk of the cup join: bounds its temporaries

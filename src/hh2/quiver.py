@@ -105,17 +105,21 @@ def table_of(entries: dict[tuple[int, int], Combo], p: int) -> Table:
 class WindowTable(NamedTuple):
     """The products of the n basis elements of a window: basis[x] * basis[y]
     is the entry (x, y) of the ``Table`` terms, and leaves the window for
-    each place of the int64 arrays out (x, y).  Other pairs multiply to zero."""
+    each place of the int64 arrays out (x, y), sorted by (x, y), each pair
+    once.  Other pairs multiply to zero."""
     n: int
     terms: Table
     out: tuple[np.ndarray, np.ndarray]
 
 
-def window_table(n: int, terms: list[int], out: list[int], p: int) -> WindowTable:
-    """The ``WindowTable`` of the flat lists [x, y, t, c, ...] and [x, y, ...];
-    repeated terms are summed mod p, as ``Table.of`` sums them."""
-    return WindowTable(n, Table.of(*np.array(terms, dtype=np.int64).reshape(-1, 4).T, p),
-                       tuple(np.array(out, dtype=np.int64).reshape(-1, 2).T))
+def window_table(n: int, terms: list[tuple[np.ndarray, ...]],
+                 out: list[tuple[np.ndarray, np.ndarray]], p: int) -> WindowTable:
+    """The ``WindowTable`` of lists of int64 array blocks, (x, y, t, c) terms
+    and (x, y) out pairs: repeated terms are summed mod p, repeated pairs kept once."""
+    empty = np.zeros(0, dtype=np.int64)
+    x, y, t, c = (np.concatenate(col) for col in zip((empty,) * 4, *terms))
+    ox, oy = (np.concatenate(col) for col in zip((empty,) * 2, *out))
+    return WindowTable(n, Table.of(x, y, t, c, p), np.divmod(_distinct(ox * n + oy), n))
 
 
 def half_join(keys: np.ndarray, on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,13 +12,16 @@ computations, placed at grid positions (a, b):
 
 Which piece sits at which slot, with its shifts, is ``clubsuit.component_at``.
 
-Products are implemented from closed-form name tables (frozen from cup
-computations in the cochain models; see verify_first_principles) together
-with a suspension sign for components whose k-shift is odd.
+Products come from closed-form name products (frozen from cup computations
+in the cochain models; see verify_first_principles), enumerated once per
+label triple into a ``name_table``.  A window's ``product_table`` is built
+from those tables in one block per group of slot pairs, with a suspension
+sign for components whose k-shift is odd, and ``product`` reads it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -236,33 +239,37 @@ def name_product(p: int, kind1: str, n1: Name, kind2: str, n2: Name,
     return {}
 
 
+@lru_cache(maxsize=None)
+def name_table(p: int, label1: str, label2: str, target: str) -> tuple[np.ndarray, ...]:
+    """The nonzero ``name_product``s of a label1 name and a label2 name into
+    the target label, as int64 arrays (u, v, t, c): name u times name v has
+    c at name t, each name numbered by its place in its ``component_names``.
+    Made once per process and shared, so callers only read it."""
+    at = {name: i for i, name in enumerate(component_names(p, target))}
+    names2 = list(enumerate(component_names(p, label2)))
+    flat = [(u, v, at[name], c) for u, n1 in enumerate(component_names(p, label1))
+            for v, n2 in names2
+            for name, c in name_product(p, label1, n1, label2, n2, target).items()]
+    return tuple(np.array(flat, dtype=np.int64).reshape(-1, 4).T)
+
+
 class SpadeAlgebra:
-    """Windowed realization with the closed-form product."""
+    """Windowed realization with the closed-form product, read from its table."""
 
     def __init__(self, p: int, a_min: int, a_max: int):
         check_odd_prime(p)
         self.p = p
         # the b-range mirrors the a-range, covering rows 2*a_min..2*a_max
         self.a_min, self.a_max = a_min, a_max
-        self.basis: list[SpadeElement] = []
-        self.slots: dict[tuple[int, int], GridComponent] = {}
-        for a in range(a_min, a_max + 1):
-            for b in range(a_min, a_max + 1):
-                comp = component_at(p, a, b)
-                if comp is None:
-                    continue
-                self.slots[(a, b)] = comp
-                for name in component_names(p, comp.label):
-                    self.basis.append(make_element(p, a, b, name))
+        span = range(a_min, a_max + 1)
+        self.slots: dict[tuple[int, int], GridComponent] = {
+            (a, b): comp for a in span for b in span if (comp := component_at(p, a, b))}
+        self.basis = [make_element(p, a, b, name) for (a, b), comp in self.slots.items()
+                      for name in component_names(p, comp.label)]
         if not self.basis:
             raise WindowEmpty("no grid slots in the requested window")
         self.index = {(m.a, m.b, m.name): i for i, m in enumerate(self.basis)}
-        # every slot that an element or a product of two elements occupies,
-        # as nested lists so that a product looks its slots up without
-        # allocating
-        self._a0 = min(a_min, 2 * a_min)
-        span = range(self._a0, max(a_max, 2 * a_max) + 1)
-        self._grid = [[component_at(p, a, b) for b in span] for a in span]
+        self._table: WindowTable | None = None
 
     @property
     def dim(self) -> int:
@@ -274,75 +281,58 @@ class SpadeAlgebra:
     def component(self, a: int, b: int) -> list[SpadeElement]:
         return [m for m in self.basis if (m.a, m.b) == (a, b)]
 
-    def product(self, m1: SpadeElement, m2: SpadeElement, names: NameCombo | None = None):
-        """Linear combination {SpadeElement: coeff}, or OUT_OF_WINDOW; names, if
-        given, is the pair's ``name_product`` for its target slot."""
-        grid, a0 = self._grid, self._a0
-        target = grid[m1.a + m2.a - a0][m1.b + m2.b - a0]
-        if target is None:
-            return {}
-        if names is None:
-            names = name_product(self.p, m1.kind, m1.name, m2.kind, m2.name, target.label)
-        if not names:
-            return {}
-        if not (self.a_min <= target.a <= self.a_max and self.a_min <= target.b <= self.a_max):
-            return OUT_OF_WINDOW
-        # Koszul sign from the odd k-suspension of the plus-side components:
-        # only the right factor's slot shift against the left factor's
-        # unshifted k-degree enters; this is the unique rule of this shape
-        # compatible with associativity and supercommutativity on full windows.
-        k2_shift = grid[m2.a - a0][m2.b - a0].kshift
-        k1_unshifted = m1.k - grid[m1.a - a0][m1.b - a0].kshift
-        sign = -1 if (k2_shift * k1_unshifted) % 2 else 1
-        out = {}
-        for name, coeff in names.items():
-            el = self.basis[self.index[(target.a, target.b, name)]]
-            out[el] = (sign * coeff) % self.p
-        return out
+    def product(self, m1: SpadeElement, m2: SpadeElement):
+        """Linear combination {SpadeElement: coeff}, or OUT_OF_WINDOW: the
+        entry of ``product_table`` at the pair."""
+        _, terms, (ox, oy) = self.product_table()
+        i, j = self.index[m1.a, m1.b, m1.name], self.index[m2.a, m2.b, m2.name]
+        combo = terms.get((i, j))
+        if combo is not None:
+            return {self.basis[t]: c for t, c in combo.items()}
+        lo, hi = ox.searchsorted((i, i + 1))
+        return OUT_OF_WINDOW if j in oy[lo:hi].tolist() else {}
 
     def product_table(self) -> WindowTable:
-        """The window's products, one ``product`` call per pair that is
-        nonzero or out of the window.  ``product`` is {} when the target slot
-        is vacant or ``name_product`` is empty, which depends only on the two
-        names and the labels of the two slots and the target; so it gets only
-        the name pairs that one table per label triple lists, with their names.
+        """The window's products, made on the first call and kept.
+
+        The slot pairs with a target slot are grouped by their label triple
+        and whether the target is in the window.  Each group is one block,
+        the triple's ``name_table`` moved past its slots' first elements; a
+        group outside the window has its name pairs out.  A product is
+        signed -1 when the right factor's slot has odd k-shift and the left
+        factor's name odd k-degree: the Koszul sign of the odd k-suspension
+        of the plus-side components, the unique rule of this shape
+        compatible with associativity and supercommutativity on full windows.
         """
-        p, basis, index = self.p, self.basis, self.index
-        grid, a0 = self._grid, self._a0
-        product = self.product
-        n = len(basis)
+        if self._table is not None:
+            return self._table
+        p, basis, n = self.p, self.basis, self.dim
         if n * n > MAX_PRODUCTS:
             raise WindowTooLarge(f"the window has {n} elements, so {n * n} products: "
                                  f"more than {MAX_PRODUCTS}")
-        terms, out = [], []  # flat: [x, y, t, c, ...] and [x, y, ...]
-        names: dict[str, list[Name]] = {}
-        slots, first = [], 0  # (a, b, label, index of its first element)
-        for (a, b), comp in self.slots.items():
-            names.setdefault(comp.label, component_names(p, comp.label))
-            slots.append((a, b, comp.label, first))
-            first += len(names[comp.label])
-        nonzero: dict[tuple[str, str, str], list[tuple[int, int, NameCombo]]] = {}
-        for a1, b1, label1, first1 in slots:
-            for a2, b2, label2, first2 in slots:
-                target = grid[a1 + a2 - a0][b1 + b2 - a0]
-                if target is None:
-                    continue
-                key = (label1, label2, target.label)
-                pairs = nonzero.get(key)
-                if pairs is None:
-                    pairs = nonzero[key] = [
-                        (u, v, combo) for u, n1 in enumerate(names[label1])
-                        for v, n2 in enumerate(names[label2])
-                        if (combo := name_product(p, label1, n1, label2, n2, target.label))]
-                for u, v, combo in pairs:
-                    i, j = first1 + u, first2 + v
-                    r = product(basis[i], basis[j], combo)
-                    if r is OUT_OF_WINDOW:
-                        out += i, j
-                    else:
-                        for el, c in r.items():
-                            terms += i, j, index[(el.a, el.b, el.name)], c
-        return window_table(n, terms, out, p)
+        shift = np.array([self.slots[m.a, m.b].kshift for m in basis], dtype=np.int64)
+        name_k = np.array([m.k for m in basis], dtype=np.int64) - shift
+        first = {(m.a, m.b): i for i, m in reversed(list(enumerate(basis)))}  # of each slot
+        groups: dict[tuple[str, str, str, bool], list[tuple[int, int, int]]] = {}
+        for (a1, b1), comp1 in self.slots.items():
+            for (a2, b2), comp2 in self.slots.items():
+                target = component_at(p, a1 + a2, b1 + b2)
+                if target is not None:
+                    at = first.get((target.a, target.b))  # None outside the window
+                    groups.setdefault((comp1.label, comp2.label, target.label, at is not None),
+                                      []).append((first[a1, b1], first[a2, b2], at or 0))
+        terms, out = [], []
+        for (label1, label2, label, inside), pairs in groups.items():
+            u, v, t, c = name_table(p, label1, label2, label)
+            f1, f2, ft = (np.array(col, dtype=np.int64)[:, None] for col in zip(*pairs))
+            x, y = f1 + u, f2 + v
+            if inside:
+                c = np.where((shift[y] * name_k[x]) % 2 == 1, p - c, c)
+                terms.append((x.ravel(), y.ravel(), (ft + t).ravel(), c.ravel()))
+            else:
+                out.append((x.ravel(), y.ravel()))
+        self._table = window_table(n, terms, out, p)
+        return self._table
 
 
 def build_spade(p: int, a_min: int, a_max: int) -> SpadeAlgebra:
@@ -484,58 +474,51 @@ def verify_first_principles(nm: NaturalMaps, a_min: int = -3,
     alg = build_spade(p, a_min, a_max)
     cells: list[CellCheck] = []
     seen: set[tuple] = set()
-    slots = sorted(alg.slots)
-    for (a1, b1) in slots:
-        s1 = alg.slots[(a1, b1)]
-        k1 = s1.label
-        for (a2, b2) in slots:
-            s2 = alg.slots[(a2, b2)]
-            k2 = s2.label
-            st = component_at(p, a1 + a2, b1 + b2)
-            tk = st.label if st else None
-            cell_sig = (k1, k2, tk)
-            if cell_sig in seen:
-                continue
-            seen.add(cell_sig)
-            # the reason every cell of this slot pair is zero, if one applies
-            if st is None:
-                zero = "slot"
-            elif (s1.kind, s2.kind) not in paired:
-                zero = "tensor"
-            else:
-                pr_name = PRODUCT_TABLE.get((s1.kind, s2.kind, st.kind))
-                pairing = nm.pairings[pr_name] if pr_name else None
-                lands = pairing is not None and pairing.z_mod is nm.modules[st.kind]
-                zero = None if lands else "degree"
-            if zero is None and (pr_name, st.kind) not in products:
-                # all named classes of one kind times all of the other, at once
-                inner, target = (pairing, st.kind) if pairing.factor is None \
-                    else (pairing.factor[0], KIND_THETA_SIGMA)
-                xs, ys = hhs[s1.kind], hhs[s2.kind]
-                found = hhs[target].project(cup(models[s1.kind], xs.reps, models[s2.kind],
-                                                ys.reps, inner, models[target]))
-                if pairing.factor is not None:  # then the socle embedding
-                    found = [{mu_names[n]: c for n, c in res.items() if n in mu_names}
-                             for res in found]
-                products[pr_name, st.kind] = dict(zip(
-                    [(u.name, v.name) for u in xs.classes for v in ys.classes], found))
-            names1, names2 = component_names(p, k1), component_names(p, k2)
-            for n1 in names1:
-                for n2 in names2:
-                    if zero == "slot":
-                        cells.append(CellCheck(k1, n1, k2, n2, tk, {}, None, "slot", True))
-                        continue
-                    table = name_product(p, k1, n1, k2, n2, tk)
-                    if zero:
-                        ok = not table
-                        cells.append(CellCheck(k1, n1, k2, n2, tk, table, {},
-                                               zero if ok else None, ok))
-                        continue
-                    res = products[pr_name, st.kind][n1, n2]
-                    # compare inside the target component's name set
-                    res_t = truncate_to(p, tk, res)
-                    dropped = {n: c for n, c in res.items() if n not in res_t}
-                    ok = res_t == table and not dropped
-                    reason = "class-degree" if ok and not table else None
-                    cells.append(CellCheck(k1, n1, k2, n2, tk, table, res, reason, ok))
+    for (a1, b1), (a2, b2) in itertools.product(sorted(alg.slots), repeat=2):
+        s1, s2 = alg.slots[a1, b1], alg.slots[a2, b2]
+        k1, k2 = s1.label, s2.label
+        st = component_at(p, a1 + a2, b1 + b2)
+        tk = st.label if st else None
+        if (k1, k2, tk) in seen:
+            continue
+        seen.add((k1, k2, tk))
+        names1, names2 = component_names(p, k1), component_names(p, k2)
+        if st is None:
+            cells += [CellCheck(k1, n1, k2, n2, tk, {}, None, "slot", True)
+                      for n1 in names1 for n2 in names2]
+            continue
+        # the reason every cell of this slot pair is zero, if one applies
+        if (s1.kind, s2.kind) not in paired:
+            zero = "tensor"
+        else:
+            pr_name = PRODUCT_TABLE.get((s1.kind, s2.kind, st.kind))
+            pairing = nm.pairings[pr_name] if pr_name else None
+            lands = pairing is not None and pairing.z_mod is nm.modules[st.kind]
+            zero = None if lands else "degree"
+        if zero is None and (pr_name, st.kind) not in products:
+            # all named classes of one kind times all of the other, at once
+            inner, target = (pairing, st.kind) if pairing.factor is None \
+                else (pairing.factor[0], KIND_THETA_SIGMA)
+            xs, ys = hhs[s1.kind], hhs[s2.kind]
+            found = hhs[target].project(cup(models[s1.kind], xs.reps, models[s2.kind],
+                                            ys.reps, inner, models[target]))
+            if pairing.factor is not None:  # then the socle embedding
+                found = [{mu_names[n]: c for n, c in res.items() if n in mu_names}
+                         for res in found]
+            products[pr_name, st.kind] = dict(zip(
+                [(u.name, v.name) for u in xs.classes for v in ys.classes], found))
+        values: dict[tuple[int, int], NameCombo] = {}  # the name table, by (u, v)
+        names = component_names(p, tk)
+        for u, v, t, c in zip(*(a.tolist() for a in name_table(p, k1, k2, tk))):
+            values.setdefault((u, v), {})[names[t]] = c
+        for u, n1 in enumerate(names1):
+            for v, n2 in enumerate(names2):
+                table = values.get((u, v), {})
+                res = {} if zero else products[pr_name, st.kind][n1, n2]
+                # compare inside the target component's name set
+                res_t = truncate_to(p, tk, res)
+                dropped = {n: c for n, c in res.items() if n not in res_t}
+                ok = res_t == table and not dropped
+                reason = (zero or "class-degree") if ok and not table else None
+                cells.append(CellCheck(k1, n1, k2, n2, tk, table, res, reason, ok))
     return VerificationReport(p, cells)

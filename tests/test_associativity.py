@@ -8,6 +8,7 @@ tables that are mostly not associative, and on the real grid and club
 windows, each also with one corrupted product.
 """
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from hh2.clubsuit import ClubWindow, NaturalMaps
 from hh2.quiver import window_associativity, window_table
 from hh2.spadesuit import OUT_OF_WINDOW, build_spade
 
+import spade_reference
 from club_reference import basis, product
 
 
@@ -31,7 +33,8 @@ def table_of(rows: list[list], p: int):
             else:
                 for el, c in r:
                     terms += i, j, el, c
-    return window_table(len(rows), terms, out, p)
+    return window_table(len(rows), [np.array(terms, dtype=np.int64).reshape(-1, 4).T],
+                        [np.array(out, dtype=np.int64).reshape(-1, 2).T], p)
 
 
 def summed(rows: list[list], p: int) -> list[list]:
@@ -210,7 +213,7 @@ def test_grid_counts():
     for p, lo, hi, want in ((3, -3, 4, (2256198, 0)), (5, -3, 4, (17332885, 0)),
                             (11, -2, 3, (46866503, 0))):
         alg = build_spade(p, lo, hi)
-        assert _spade_associativity(_product_table(alg.basis, alg.product, p), p) == want
+        assert _spade_associativity(spade_reference.product_table(alg), p) == want
 
 
 def test_grid_count_p13():
@@ -264,8 +267,8 @@ def test_club_window_matches_walker():
 def test_scan_cost_follows_nonzero_products():
     # a 1000-element zero algebra with one product out of the window: the
     # triple loop would visit 10^9 triples, the scan visits no product
-    n = 1000
-    assert window_associativity(window_table(n, [], [3, 5], 3), 3) == (n ** 3 - 2 * n, 0) \
+    n, out = 1000, [(np.array([3]), np.array([5]))]
+    assert window_associativity(window_table(n, [], out, 3), 3) == (n ** 3 - 2 * n, 0) \
         == (999998000, 0)
 
 

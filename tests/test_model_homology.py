@@ -2,6 +2,7 @@
 reference, and the read-back of named classes through ``HHModule.project``."""
 
 import random
+import re
 import sys
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from hh2 import Hh2Error, cli, exactlin
 from hh2.clubsuit import NaturalMaps
 from hh2.exactlin import Homology, NotACocycle
-from hh2.koszulhh import HHClass, UnrecognizedSignature, build_model, homology_named
+from hh2.koszulhh import (CochainModel, HHClass, UnrecognizedSignature, build_model,
+                          homology_named)
 from hh2.quiver import combo_add
 
 from batches import module
@@ -91,6 +93,36 @@ def test_swapped_representative_is_not_independent(named):
                for cl in hh.classes]
     with pytest.raises(UnrecognizedSignature, match="not independent"):
         module(model, classes)
+
+
+def test_non_cocycle_representative_is_dropped_and_counted(named):
+    # a direct build drops a candidate whose representative is no cocycle, as
+    # homology_named drops them, so its degree is one class short
+    models, hhs = named
+    model, hh = models["omega"], hhs["omega"]
+    n = next(n for n in range(model.dim) if differential(model, {n: 1}))
+    for name in (("z", 0), ("c2", 1)):  # alone at its degree, and one of p - 1 there
+        cl = hh.by_name[name]
+        classes = [HHClass(c.name, c.j, c.k, c.h, {n: 1} if c is cl else c.rep)
+                   for c in hh.classes]
+        short = sum((c.j, c.k) == (cl.j, cl.k) for c in hh.classes)
+        with pytest.raises(UnrecognizedSignature, match=re.escape(
+                f"{short - 1} named classes vs homology dimension {short} at {(cl.j, cl.k)}")) \
+                as exc:
+            module(model, classes)
+        assert isinstance(exc.value, Hh2Error)
+
+
+def test_each_module_checks_its_representatives_once(monkeypatch):
+    nm = NaturalMaps(5)
+    calls = []
+    are_cocycles = CochainModel.are_cocycles
+    monkeypatch.setattr(CochainModel, "are_cocycles",
+                        lambda model, batch: calls.append(batch.count) or are_cocycles(model, batch))
+    for kind, model in nm.models.items():
+        calls.clear()
+        homology_named(model, kind)
+        assert calls == [{"omega-dual": 5, "theta-sigma": 8}.get(kind, 13)], kind
 
 
 def test_hh_runs_without_the_dense_path(monkeypatch, capsys):

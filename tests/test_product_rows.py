@@ -1,19 +1,20 @@
-"""``SpadeAlgebra.product_table`` against one ``product`` call per pair.
+"""``SpadeAlgebra.product_table`` and ``product`` against the per-pair reference.
 
-``product_table`` calls ``product`` only on the name pairs whose name table
-is nonzero.  Here its table is compared entry by entry with that of
-``cli._product_table``, which calls ``product`` on every ordered pair, and
-the number of ``product`` calls is pinned to the number of pairs that are
-nonzero or out of the window.  ``name_product`` runs once per entry of the
-name tables, one table per label triple: ``product`` reuses the names the
-table found.
+``product_table`` builds the window's table from one name table per label
+triple and never calls ``product``; ``product`` reads that table.  Here both
+are compared, entry by entry, with ``tests/spade_reference.py``, the per-pair
+product rule that ``SpadeAlgebra.product`` was before.  ``name_product`` runs
+once per entry of the name tables, one table per label triple, and a second
+window over the same labels reads the cached tables without calling it.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spade_reference as ref
 from hh2 import spadesuit
-from hh2.cli import _product_table
-from hh2.clubsuit import component_at
+from hh2.clubsuit import OUT_OF_WINDOW, component_at
 from hh2.spadesuit import build_spade, component_names
 
 # (p, a_min, a_max, b_min, b_max): a window and the b-range its slots fill,
@@ -23,6 +24,27 @@ WINDOWS = ([(p, -3, 4, None, None) for p in (3, 5, 7)]
            + [(5, 0, 0, 0, 0)])     # one slot: the class algebra chi at (0, 0)
 
 
+def entries(table, dim):
+    """({(x, y): {t: c}} over the nonzero pairs, the out-of-window pairs)."""
+    n, (x, y, t, c), (ox, oy) = table
+    assert n == dim
+    out = list(zip(ox.tolist(), oy.tolist()))
+    nonzero: dict = {}
+    for i, j, el, cf in zip(x.tolist(), y.tolist(), t.tolist(), c.tolist()):
+        assert el not in nonzero.setdefault((i, j), {})
+        nonzero[i, j][el] = cf
+    assert len(set(out)) == len(out) and not set(out) & set(nonzero)
+    return nonzero, set(out)
+
+
+def label_triples(alg):
+    """The (left, right, target) labels of the window's slot pairs whose
+    target is a grid slot."""
+    return {(c1.label, c2.label, target.label)
+            for (a1, b1), c1 in alg.slots.items() for (a2, b2), c2 in alg.slots.items()
+            if (target := component_at(alg.p, a1 + a2, b1 + b2)) is not None}
+
+
 @pytest.mark.parametrize("window", WINDOWS, ids=str)
 def test_rows_match_one_call_per_pair(window, monkeypatch):
     p, a_min, a_max, b_min, b_max = window
@@ -30,42 +52,75 @@ def test_rows_match_one_call_per_pair(window, monkeypatch):
     b_lo, b_hi = (a_min, a_max) if b_min is None else (b_min, b_max)
     assert {b for _, b in alg.slots} == set(range(b_lo, b_hi + 1))
     calls, name_calls = 0, 0
-    product, name_product = alg.product, spadesuit.name_product
+    name_product = spadesuit.name_product
 
-    def counted(m1, m2, names=None):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return product(m1, m2, names)
 
     def counted_names(*args):
         nonlocal name_calls
         name_calls += 1
         return name_product(*args)
 
-    alg.product = counted
+    spadesuit.name_table.cache_clear()
+    monkeypatch.setattr(spadesuit.SpadeAlgebra, "product", counted)
     monkeypatch.setattr(spadesuit, "name_product", counted_names)
     table = alg.product_table()
-    del alg.product
-    monkeypatch.undo()
-    triples = {(c1.label, c2.label, target.label)
-               for (a1, b1), c1 in alg.slots.items() for (a2, b2), c2 in alg.slots.items()
-               if (target := component_at(p, a1 + a2, b1 + b2)) is not None}
+    assert calls == 0
     assert name_calls == sum(len(component_names(p, l1)) * len(component_names(p, l2))
-                             for l1, l2, _ in triples)
-    ref = _product_table(alg.basis, alg.product, p)
+                             for l1, l2, _ in label_triples(alg))
+    build_spade(p, a_min, a_max).product_table()  # the name tables are cached
+    assert name_calls == sum(len(component_names(p, l1)) * len(component_names(p, l2))
+                             for l1, l2, _ in label_triples(alg))
+    monkeypatch.undo()
+    assert alg.product_table() is table
+    assert entries(table, alg.dim) == entries(ref.product_table(alg), alg.dim)
 
-    def entries(table):
-        """({(x, y): {t: c}} over the nonzero pairs, the out-of-window pairs)."""
-        n, (x, y, t, c), (ox, oy) = table
-        assert n == alg.dim
-        out = list(zip(ox.tolist(), oy.tolist()))
-        nonzero: dict = {}
-        for i, j, el, cf in zip(x.tolist(), y.tolist(), t.tolist(), c.tolist()):
-            assert el not in nonzero.setdefault((i, j), {})
-            nonzero[i, j][el] = cf
-        assert len(set(out)) == len(out) and not set(out) & set(nonzero)
-        return nonzero, set(out)
 
-    got, want = entries(table), entries(ref)
-    assert got == want
-    assert calls == len(want[0]) + len(want[1])
+def test_product_reads_the_table():
+    alg = build_spade(3, -3, 4)
+    table = alg.product_table()
+    nonzero, out = entries(table, alg.dim)
+    for i, m1 in enumerate(alg.basis):
+        for j, m2 in enumerate(alg.basis):
+            want = ref.product(alg, m1, m2)
+            assert alg.product(m1, m2) == want
+            if want is OUT_OF_WINDOW:
+                assert (i, j) in out
+            else:
+                assert {alg.index[el.a, el.b, el.name]: c for el, c in want.items()} \
+                    == nonzero.get((i, j), {})
+
+
+@st.composite
+def windows_and_slot_pairs(draw):
+    """A window at a small prime, which always holds the slot (0, 0), and
+    some pairs of its slots."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    alg = build_spade(p, draw(st.integers(-4, 0)), draw(st.integers(0, 5)))
+    slots = sorted(alg.slots)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(slots), st.sampled_from(slots)),
+                          min_size=1, max_size=8))
+    return alg, pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(windows_and_slot_pairs())
+def test_random_windows_match_the_pair_reference(case):
+    """On random windows, ``product_table`` and ``product`` agree with the
+    reference on every element pair of the drawn slot pairs."""
+    alg, pairs = case
+    nonzero, out = entries(alg.product_table(), alg.dim)
+    for s1, s2 in pairs:
+        for m1 in alg.component(*s1):
+            for m2 in alg.component(*s2):
+                i, j = alg.index[m1.a, m1.b, m1.name], alg.index[m2.a, m2.b, m2.name]
+                want = ref.product(alg, m1, m2)
+                assert alg.product(m1, m2) == want
+                if want is OUT_OF_WINDOW:
+                    assert (i, j) in out and (i, j) not in nonzero
+                else:
+                    assert (i, j) not in out
+                    assert nonzero.get((i, j), {}) == {
+                        alg.index[el.a, el.b, el.name]: c for el, c in want.items()}
