@@ -27,12 +27,12 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import Hh2Error, __version__
-from .exactlin import _among, _distinct, _xor, combo_add, is_odd_prime
+from .exactlin import _among, _distinct, _summed, _within, _xor, is_odd_prime
 from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
                        KIND_THETA_SIGMA, max_cells)
 from .operators import UnboundedWindow
-from .quiver import WindowTable, window_associativity, window_table
-from .spadesuit import OUT_OF_WINDOW, WindowEmpty, WindowTooLarge
+from .quiver import Table, WindowTable, window_associativity
+from .spadesuit import WindowEmpty, WindowTooLarge
 
 COEFFS = (KIND_OMEGA, KIND_THETA, KIND_THETA_SIGMA, KIND_DUAL, KIND_IDEAL)
 HH2_CHECKS = ("hh_2 -> hh_1 surjective", "projection hh_2 -> hh_1 multiplicative",
@@ -157,22 +157,6 @@ def cmd_spadesuit(p: int, a_min: int, a_max: int, fmt: str,
     return _emit(doc, fmt), status
 
 
-def _product_table(basis: list, product, p: int) -> WindowTable:
-    """The table of basis[i] * basis[j]: one product call per ordered pair."""
-    idx = {m: i for i, m in enumerate(basis)}
-    terms, out = [], []  # flat: [x, y, t, c, ...] and [x, y, ...]
-    for i, m1 in enumerate(basis):
-        for j, m2 in enumerate(basis):
-            r = product(m1, m2)
-            if r is OUT_OF_WINDOW:
-                out += i, j
-            else:
-                for el, c in r.items():
-                    terms += i, j, idx[el], c
-    return window_table(len(basis), [np.array(terms, dtype=np.int64).reshape(-1, 4).T],
-                        [np.array(out, dtype=np.int64).reshape(-1, 2).T], p)
-
-
 def _supercommutativity(table: WindowTable, ks: list[int], p: int) -> int:
     """Number of in-window pairs with x y != (-1)^{k(x) k(y)} y x, where
     ks[i] is the k-degree of basis element i: the terms of x y against the
@@ -199,27 +183,33 @@ def _club_associativity(win) -> tuple[int, int]:
 
 def _hh2_checks(p: int, spade, hh1) -> list[tuple[str, bool]]:
     """(name, holds) of ``HH2_CHECKS`` for hh_2, listed up to k = 12, and hh_1
-    over the same window."""
+    over the same window, read from their tables.  (1, m) in hh_2 projects
+    onto m in hh_1, of the same k, and hh_1 reaches k = 2p - 2: k_max = 12 is
+    2p - 2 at p = 7, so it keeps every preimage up to p = 7 and hh_2 small.
+    At p >= 11 "hh_2 -> hh_1 surjective" needs k_max = 2p - 2.
+
+    proj[x] is the element of hh_1 that x maps to, -1 where x dies.  Both
+    sides of proj(x y) = proj(x) proj(y) are summed COO arrays keyed (x, y,
+    element of hh_1), the right one over the pairs in hh_2's window."""
     from .operators import build_hhl, project
 
     hh2_ = build_hhl(p, 2, spade, k_max=12)
-    images = [project(hh2_, el, hh1) for el in hh2_.basis]
-    onto = set(hh1.basis) <= {im for image in images for im in image}
-    table = _product_table(hh2_.basis, hh2_.product, p)
-    lhs: dict[tuple[int, int], dict] = {}  # the image of each nonzero product
-    for i, j, el, c in zip(*(a.tolist() for a in table.terms)):
-        combo_add(lhs.setdefault((i, j), {}), images[el], c, p)
-    # both sides are 0 on a pair without terms whose factors do not both project
-    hit = [i for i, image in enumerate(images) if image]
-    out = set(zip(*(a.tolist() for a in table.out)))
-    mult_ok = True
-    for i, j in set(lhs) | {(i, j) for i in hit for j in hit} - out:
-        rhs: dict = {}
-        for (i1, c1), (i2, c2) in itertools.product(images[i].items(), images[j].items()):
-            r = hh1.product(i1, i2)
-            if r is not OUT_OF_WINDOW:
-                combo_add(rhs, r, c1 * c2, p)
-        mult_ok = mult_ok and rhs == lhs.get((i, j), {})
+    n1 = hh1.dim
+    proj = np.array([hh1.index.get(next(iter(project(hh2_, el, hh1)), None), -1)
+                     for el in hh2_.basis], dtype=np.int64)
+    onto = len(_distinct(proj[proj >= 0])) == n1
+    table = hh2_.product_table()
+    n, (x, y, t, c), (ox, oy) = table
+    at = proj[t] >= 0
+    lhs = _summed((x[at] * n + y[at]) * n1 + proj[t[at]], c[at], p)
+    hit = np.flatnonzero(proj >= 0)
+    a, b = np.repeat(hit, len(hit)), np.tile(hit, len(hit))
+    inside = ~_among(ox * n + oy, a * n + b)
+    a, b = a[inside], b[inside]
+    _, (x1, y1, t1, c1), _ = hh1.product_table()
+    s, e = _within(x1 * n1 + y1, proj[a] * n1 + proj[b])
+    rhs = _summed((a[s] * n + b[s]) * n1 + t1[e], c1[e], p)
+    mult_ok = all(np.array_equal(u, v) for u, v in zip(lhs, rhs))
     sc_ok = _supercommutativity(table, [e.k for e in hh2_.basis], p) == 0
     return list(zip(HH2_CHECKS, (onto, mult_ok, sc_ok)))
 
@@ -245,12 +235,12 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
 
     The status is PASS, FAIL or SKIP; a SKIP's detail is the reason the check
     does not run at this prime."""
-    from .clubsuit import ClubWindow, ConstructionFailure, NaturalMaps
+    from .clubsuit import CHI, ClubWindow, ConstructionFailure, NaturalMaps
     from .exactlin import coo_pivot_rows
     from .koszulhh import TooLarge, bar_oracle, bar_sizes, cup
     from .operators import build_hhl
-    from .spadesuit import (build_spade, chi_mul, duality_form_checks,
-                            verify_first_principles)
+    from .spadesuit import (build_spade, chi_mul, component_names, duality_form_checks,
+                            name_table, verify_first_principles)
 
     results: list[tuple[str, str, str]] = []
 
@@ -347,14 +337,15 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
     hh0 = build_hhl(p, 0, spade)
     hh1 = build_hhl(p, 1, spade)
     check("hh_0 = F", hh0.dim == 1)
-    chi_ok = hh1.dim == 3 * p - 2
-    for e1 in hh1.basis:
-        for e2 in hh1.basis:
-            prod = hh1.product(e1, e2)
-            want = {n: c for n, c in chi_mul(p, e1.factors[0].name, e2.factors[0].name).items()}
-            got = {el.factors[0].name: c for el, c in prod.items()}
-            if got != want:
-                chi_ok = False
+    # hh_1's table, each element renumbered by its name's place among chi's,
+    # is chi's name table, with no pair out of the window
+    chi_names = {name: i for i, name in enumerate(component_names(p, CHI))}
+    ren = np.array([chi_names.get(el.factors[0].name, -1) for el in hh1.basis], dtype=np.int64)
+    _, (x, y, t, c), (ox, _) = hh1.product_table()
+    chi_ok = (len(_distinct(ren)) == hh1.dim == 3 * p - 2 and ren.min() >= 0 and not len(ox)
+              and all(np.array_equal(u, v) for u, v in
+                      zip(Table.of(ren[x], ren[y], ren[t], c, p),
+                          Table.of(*name_table(p, CHI, CHI, CHI), p))))
     check("hh_1 isomorphic to chi as graded algebra", chi_ok)
 
     if p == 3:

@@ -331,17 +331,6 @@ class NaturalMaps:
         for pr in self.pairings.values():
             pr.check()
 
-    def pairing_rank_on_tensor(self, name: str) -> tuple[int, int]:
-        """Rank of the induced map (X (x)_Omega Y) -> Z for a pairing."""
-        pr = self.pairings[name]
-        pairs, free = quiver.tensor_basis(pr.x_mod, pr.y_mod)
-        (x, y, t, c), n_y = pr.table, pr.y_mod.dim
-        keys = np.array([pairs[f][0] * n_y + pairs[f][1] for f in free], dtype=np.int64)
-        hit = np.isin(x * n_y + y, keys)  # the terms at free pairs, a COO matrix by pair
-        return len(coo_pivot_rows(np.searchsorted(keys, (x * n_y + y)[hit]), t[hit], c[hit],
-                                  self.p)), len(free)
-
-
 # ---------------------------------------------------------------------------
 # grid components and the windowed algebra
 

@@ -4,7 +4,7 @@
 the span of columns held as COO arrays, in rounds of array operations, and
 on request back-substitutes its pivot columns into the fully reduced basis
 of the span.  ``coo_reduce`` reduces a batch of vectors by that basis in one
-join.  ``sparse_rank`` hands it columns held as dicts {row: coeff}.
+join.  ``sparse_rank``, which only tests call, hands it dict columns.
 
 The join helpers (``_expand``, ``_within``, ``_summed``) work on sparse
 F_p tables held as int64 COO arrays: ``_within`` joins keys with the runs of

@@ -7,6 +7,14 @@ on Laurent polynomials and applying the ground-field operator once gives
 hh_l; its basis is the set of weight-zero tuples of grid basis elements
 together with a Laurent exponent, which ``build_hhl`` lists directly.  The
 step-by-step operator is the tests' reference (``tests/tower_reference.py``).
+
+The product is componentwise: e1 e2 is the tensor of the grid products of
+the factors, at the Laurent exponent of e1 plus e2's, with the super sign
+(-1)^(sum over q < q' of k(e2, q) k(e1, q')).  The first factor whose grid
+product is out of the window or zero makes the pair out or zero; past that,
+a result tuple outside the basis puts the pair out, and terms that cancel
+leave it zero.  ``HHLAlgebra.product_table`` holds all products as one
+``quiver.WindowTable``, and ``product`` reads an entry of it.
 """
 
 from __future__ import annotations
@@ -14,8 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import Hh2Error
-from .spadesuit import OUT_OF_WINDOW, SpadeAlgebra, augmentation
+from .exactlin import _among, _distinct, _within
+from .quiver import WindowTable, window_table
+from .spadesuit import MAX_PRODUCTS, SpadeAlgebra, augmentation, window_entry
 
 
 class UnboundedWindow(Hh2Error):
@@ -79,13 +91,17 @@ def tower_size(spade: SpadeAlgebra, level: int, k_max: int | None = None) -> int
     return _size(_completions(spade, level)[1], k_max)
 
 
+def super_sign(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """(-1)^(sum over q < q' of k2[q] k1[q']) per row: the sign of the
+    product of tuples with factor degrees k1 and k2, arrays of one row each."""
+    return 1 - 2 * ((k1 * (np.cumsum(k2, axis=1) - k2)).sum(axis=1) % 2)
+
+
 class HHLAlgebra:
     """The level-l approximant on a finite window.
 
     Basis: tuples (m^1, ..., m^l, alpha) with i(m^1) = 0, i(m^{q+1}) = j(m^q)
-    and alpha = j(m^l), of total k-degree within the window.  The product is
-    componentwise with super signs; products leaving the underlying grid
-    window return OUT_OF_WINDOW.
+    and alpha = j(m^l), of total k-degree within the window.
     """
 
     def __init__(self, p: int, level: int, spade: SpadeAlgebra, k_max: int | None = None):
@@ -113,38 +129,62 @@ class HHLAlgebra:
         self.basis = [TowerElement(tup, tup[-1].j if tup else 0) for tup, k in tuples
                       if k <= bound]
         self.index = {el: n for n, el in enumerate(self.basis)}
+        self._table: WindowTable | None = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def product(self, e1: TowerElement, e2: TowerElement):
-        """{TowerElement: coeff} or OUT_OF_WINDOW."""
-        p = self.p
-        sign_exp = 0
-        for q in range(self.level):
-            for q2 in range(q + 1, self.level):
-                sign_exp += e2.factors[q].k * e1.factors[q2].k
-        coeff0 = -1 if sign_exp % 2 else 1
-        partial: list[tuple[tuple, int]] = [((), coeff0)]
-        for q in range(self.level):
-            prod = self.spade.product(e1.factors[q], e2.factors[q])
-            if prod is OUT_OF_WINDOW:
-                return OUT_OF_WINDOW
-            if not prod:
-                return {}
-            new = []
-            for tup, c in partial:
-                for m, cm in prod.items():
-                    new.append((tup + (m,), (c * cm) % p))
-            partial = new
-        out: dict[TowerElement, int] = {}
-        for tup, c in partial:
-            el = TowerElement(tup, e1.alpha + e2.alpha)
-            if el not in self.index:
-                return OUT_OF_WINDOW
-            out[el] = (out.get(el, 0) + c) % p
-        return {k: v for k, v in out.items() if v}
+        """{TowerElement: coeff} or OUT_OF_WINDOW: the entry of ``product_table``
+        at the pair."""
+        return window_entry(self.product_table(), self.basis, self.index[e1], self.index[e2])
+
+    def product_table(self) -> WindowTable:
+        """The products, made from the grid's table on the first call and kept.
+        The pairs whose first factors multiply to nonzero or out (a join with
+        the grid's pairs) are decided factor by factor; the grid's terms of
+        the pairs left are then joined level by level."""
+        if self._table is not None:
+            return self._table
+        p, n, level = self.p, self.dim, self.level
+        if n * n > MAX_PRODUCTS:
+            raise UnboundedWindow(f"hh_{level} has {n} elements, so {n * n} products: "
+                                  f"more than {MAX_PRODUCTS}")
+        g, (gx, gy, gt, gc), (ox, oy) = self.spade.product_table()
+        at = self.spade.index
+        f, ks = np.array([(at[m.a, m.b, m.name], m.k) for el in self.basis for m in el.factors],
+                         dtype=np.int64).reshape(n, level, 2).transpose(2, 0, 1)
+        alpha = np.array([el.alpha for el in self.basis], dtype=np.int64)
+        key, outs = gx * g + gy, ox * g + oy  # each sorted
+        i = j = np.zeros(n, dtype=np.int64)  # the pair of hh_0, if k_max leaves it
+        if level:
+            order = np.argsort(f[:, 0], kind="stable")
+            both = _distinct(np.concatenate((key, outs)))
+            d, a = _within(f[order, 0], both // g)
+            o, b = _within(f[order, 0], both[d] % g)
+            i, j = order[a[o]], order[b]
+        out = []
+        for q in range(level):
+            has = _among(key, pair := f[i, q] * g + f[j, q])
+            off = ~has & _among(outs, pair)
+            out.append((i[off], j[off]))
+            i, j = i[has], j[has]
+        # rows (pair, place among the basis's prefixes of its length or -1, coeff)
+        r, place, c = np.arange(len(i)), np.zeros(len(i), dtype=np.int64), super_sign(ks[i], ks[j])
+        placed = np.zeros(n, dtype=np.int64)  # the place of each element's prefix
+        for q in range(level):
+            codes = _distinct(placed * g + f[:, q])  # the prefixes of length q + 1
+            placed = codes.searchsorted(placed * g + f[:, q])
+            o, e = _within(key, f[i[r], q] * g + f[j[r], q])
+            r, c, code = r[o], c[o] * gc[e] % p, place[o] * g + gt[e]
+            place = np.where((code >= 0) & _among(codes, code), codes.searchsorted(code), -1)
+        el = np.argsort(placed)[place]
+        lost = _distinct(r[(place < 0) | (alpha[el] != alpha[i[r]] + alpha[j[r]])])
+        keep = ~_among(lost, r)
+        out.append((i[lost], j[lost]))
+        self._table = window_table(n, [(i[r[keep]], j[r[keep]], el[keep], c[keep])], out, p)
+        return self._table
 
     def hilbert_series(self, grading: str = "k") -> dict:
         """Exact basis counts per degree ('k' or 'jk')."""

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import Hh2Error
 from .exactlin import (TooLarge, _among, _distinct, _summed, _within, _xor, check_odd_prime,
-                       combo_add, coo_columns, coo_pivot_rows)
+                       combo_add)
 
 Combo = dict[int, int]
 
@@ -541,49 +541,6 @@ def dual(mod: BasedBimodule) -> BasedBimodule:
     left = Table.of(a, tgt, m, c, p)
     a, m, tgt, c = mod.left
     return BasedBimodule(mod.over, basis, left, Table.of(tgt, a, m, c, p), name=mod.name + "*")
-
-
-def tensor_basis(m_mod: BasedBimodule, n_mod: BasedBimodule
-                 ) -> tuple[list[tuple[int, int]], list[int]]:
-    """M (x)_Omega N as a quotient of the vertex-matched pair space.
-
-    Returns (pairs, free): the slot-matched pairs (i, j), and the places in
-    pairs of the quotient's basis.  The relations (m.w)(x)n - m(x)(w.n) are
-    sparse combos over the pairs, ranked by ``coo_pivot_rows``; its pivot
-    rows are the leading pairs of the relation span, and the other pairs, in
-    order, are free.
-    """
-    if m_mod.over is not n_mod.over:
-        raise IncompatibleAlgebras("tensor factors live over different algebras")
-    omega = m_mod.over
-    pairs = [(i, j) for i in range(m_mod.dim) for j in range(n_mod.dim)
-             if m_mod.basis[i].right == n_mod.basis[j].left]
-    pair_index = {pr: n for n, pr in enumerate(pairs)}
-
-    # relations (m.w)(x)n - m(x)(w.n) over the slot-matched triples (m, w, n)
-    relations: list[Combo] = []
-    for i in range(m_mod.dim):
-        for a in range(omega.dim):
-            if omega.basis[a].j == 0:
-                continue  # idempotent relations hold on the nose
-            if m_mod.basis[i].right != omega.basis[a].left:
-                continue
-            mi = m_mod.right.get((i, a), {})
-            for j in range(n_mod.dim):
-                if omega.basis[a].right != n_mod.basis[j].left:
-                    continue
-                nj = n_mod.left.get((a, j), {})
-                if not mi and not nj:
-                    continue  # an empty relation adds nothing to the span
-                rel: Combo = {}
-                terms = [((tgt, j), c) for tgt, c in mi.items()]
-                terms += [((i, tgt), -c) for tgt, c in nj.items()]
-                for pr, c in terms:
-                    if pr in pair_index:
-                        rel[pair_index[pr]] = rel.get(pair_index[pr], 0) + c
-                relations.append(rel)
-    pivots = set(coo_pivot_rows(*coo_columns(relations, omega.p), omega.p).tolist())
-    return pairs, [c for c in range(len(pairs)) if c not in pivots]
 
 
 class BimoduleMap:

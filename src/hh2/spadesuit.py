@@ -31,7 +31,7 @@ from . import Hh2Error
 from .clubsuit import (CHI, CHIBAR_MINUS, CHIBAR_PLUS, CHIBARSTAR_MINUS,
                        CHIBARSTAR_PLUS, CHIUNDER, OMEGA0, OUT_OF_WINDOW, PRODUCT_TABLE,
                        GridComponent, NaturalMaps, component_at)
-from .exactlin import _among, _summed, _within, check_odd_prime, sparse_rank
+from .exactlin import _among, _summed, _within, check_odd_prime, coo_pivot_rows
 from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Name, NameCombo, concrete_degree, cup,
                        format_name, idempotent_label)
 from .quiver import WindowTable, failing_triple, table_of, window_table
@@ -253,6 +253,17 @@ def name_table(p: int, label1: str, label2: str, target: str) -> tuple[np.ndarra
     return tuple(np.array(flat, dtype=np.int64).reshape(-1, 4).T)
 
 
+def window_entry(table: WindowTable, basis: list, i: int, j: int):
+    """basis[i] * basis[j] as the table has it: {element: coeff}, {} when it
+    is zero, or OUT_OF_WINDOW.  A pair with terms is never out."""
+    _, terms, (ox, oy) = table
+    combo = terms.get((i, j))
+    if combo is not None:
+        return {basis[t]: c for t, c in combo.items()}
+    lo, hi = ox.searchsorted((i, i + 1))
+    return OUT_OF_WINDOW if j in oy[lo:hi].tolist() else {}
+
+
 class SpadeAlgebra:
     """Windowed realization with the closed-form product, read from its table."""
 
@@ -284,13 +295,8 @@ class SpadeAlgebra:
     def product(self, m1: SpadeElement, m2: SpadeElement):
         """Linear combination {SpadeElement: coeff}, or OUT_OF_WINDOW: the
         entry of ``product_table`` at the pair."""
-        _, terms, (ox, oy) = self.product_table()
-        i, j = self.index[m1.a, m1.b, m1.name], self.index[m2.a, m2.b, m2.name]
-        combo = terms.get((i, j))
-        if combo is not None:
-            return {self.basis[t]: c for t, c in combo.items()}
-        lo, hi = ox.searchsorted((i, i + 1))
-        return OUT_OF_WINDOW if j in oy[lo:hi].tolist() else {}
+        return window_entry(self.product_table(), self.basis,
+                            self.index[m1.a, m1.b, m1.name], self.index[m2.a, m2.b, m2.name])
 
     def product_table(self) -> WindowTable:
         """The window's products, made on the first call and kept.
@@ -375,18 +381,20 @@ def duality_form_checks(p: int) -> tuple[bool, bool]:
     component and the form a table with one dummy output index.  chi_on_dual
     sends dual names to dual names, so the form's values on dual x truncation
     names are all that either side reads; the part of m t off the truncation
-    names pairs to 0, and the numbering drops it."""
+    names pairs to 0, and the numbering drops it.  The form is perfect when
+    its table, as a matrix with columns t and rows h, has full rank."""
     sig, th, chi = ({n: i for i, n in enumerate(component_names(p, kind))}
                     for kind in (CHIBARSTAR_MINUS, CHIBAR_MINUS, CHI))
     form = {(h, t): {0: f} for n_h, h in sig.items() for n_t, t in th.items()
             if (f := duality_form(p, n_h, n_t))}
-    columns = [{h: form[h, t][0] for h in sig.values() if (h, t) in form} for t in th.values()]
-    perfect = sparse_rank(columns, p) == len(sig) == len(th)
     act = {(h, m): {sig[n]: c for n, c in chi_on_dual(p, n_m, n_h).items()}
            for n_h, h in sig.items() for n_m, m in chi.items()}
     mul = {(m, t): {th[n]: c for n, c in chi_mul(p, n_m, n_t).items() if n in th}
            for n_m, m in chi.items() for n_t, t in th.items()}
     act, form, mul = (table_of(table, p) for table in (act, form, mul))
+    h, t, _, f = form
+    by_t = np.lexsort((h, t))
+    perfect = len(coo_pivot_rows(t[by_t], h[by_t], f[by_t], p)) == len(sig) == len(th)
     return perfect, failing_triple(act, form, mul, form, p) is None
 
 

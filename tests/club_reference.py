@@ -7,7 +7,7 @@ tables, with their bodies unchanged and the window passed as ``win``.
 
 from __future__ import annotations
 
-from hh2.cli import _product_table
+from tables import pair_table
 from hh2.clubsuit import OUT_OF_WINDOW, PRODUCT_TABLE, ClubWindow, GridComponent, component_at
 from hh2.quiver import BasedBimodule, WindowTable
 
@@ -98,4 +98,4 @@ def product_table(win: ClubWindow) -> WindowTable:
             return OUT_OF_WINDOW
         return {(target, m): c for m, c in combo.items()}
 
-    return _product_table(basis(win), pair_product, win.p)
+    return pair_table(basis(win), pair_product, win.p)

@@ -8,7 +8,7 @@ from ``component_at``.
 
 from __future__ import annotations
 
-from hh2.cli import _product_table
+from tables import pair_table
 from hh2.clubsuit import OUT_OF_WINDOW, component_at
 from hh2.quiver import WindowTable
 from hh2.spadesuit import SpadeAlgebra, SpadeElement, name_product
@@ -39,4 +39,4 @@ def product(alg: SpadeAlgebra, m1: SpadeElement, m2: SpadeElement):
 
 def product_table(alg: SpadeAlgebra) -> WindowTable:
     """The window's table from one reference ``product`` per ordered pair."""
-    return _product_table(alg.basis, lambda m1, m2: product(alg, m1, m2), alg.p)
+    return pair_table(alg.basis, lambda m1, m2: product(alg, m1, m2), alg.p)

@@ -2,6 +2,9 @@
 
 ``as_dict`` gives the entries of a ``quiver.Table`` as a dict of combos,
 {(x, y): {t: c}}: the form in which the references read and write tables.
+``pair_table`` builds a window's ``quiver.WindowTable`` with one product
+call per ordered pair, as the per-pair references of the grid, club and
+tower products do.
 ``column_map`` and ``columned`` make and read a ``BimoduleMap`` as the list
 of its columns, the combos f(m), as it was stored before its table.  The
 per-index formulas of Omega's monomials (``word``, ``in_ideal``,
@@ -11,7 +14,10 @@ references for the partner arrays of ``OmegaAlgebra``.
 
 import types
 
-from hh2.quiver import BimoduleMap, combo_add, table_of
+import numpy as np
+
+from hh2.clubsuit import OUT_OF_WINDOW
+from hh2.quiver import BimoduleMap, WindowTable, combo_add, table_of, window_table
 
 
 def as_dict(table) -> dict:
@@ -20,6 +26,22 @@ def as_dict(table) -> dict:
     for x, y, t, c in zip(*(a.tolist() for a in table)):
         out.setdefault((x, y), {})[t] = c
     return out
+
+
+def pair_table(basis: list, product, p: int) -> WindowTable:
+    """The table of basis[i] * basis[j]: one product call per ordered pair."""
+    idx = {m: i for i, m in enumerate(basis)}
+    terms, out = [], []  # flat: [x, y, t, c, ...] and [x, y, ...]
+    for i, m1 in enumerate(basis):
+        for j, m2 in enumerate(basis):
+            r = product(m1, m2)
+            if r is OUT_OF_WINDOW:
+                out += i, j
+            else:
+                for el, c in r.items():
+                    terms += i, j, idx[el], c
+    return window_table(len(basis), [np.array(terms, dtype=np.int64).reshape(-1, 4).T],
+                        [np.array(out, dtype=np.int64).reshape(-1, 2).T], p)
 
 
 # -- maps as lists of columns --------------------------------------------------

@@ -12,14 +12,13 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hh2.cli import (_club_associativity, _product_table, _spade_associativity,
-                    _supercommutativity)
+from hh2.cli import _club_associativity, _spade_associativity, _supercommutativity
 from hh2.clubsuit import ClubWindow, NaturalMaps
 from hh2.quiver import window_associativity, window_table
-from hh2.spadesuit import OUT_OF_WINDOW, build_spade
+from hh2.spadesuit import build_spade
 
+import club_reference
 import spade_reference
-from club_reference import basis, product
 
 
 def table_of(rows: list[list], p: int):
@@ -250,14 +249,7 @@ def test_grid_windows_match_walker():
 
 def test_club_window_matches_walker():
     win = ClubWindow(NaturalMaps(3), -3, 4)
-
-    def pair_product(x, y):
-        target, combo = product(win, *x, *y)
-        if target is OUT_OF_WINDOW:
-            return OUT_OF_WINDOW
-        return {(target, m): c for m, c in combo.items()}
-
-    rows = rows_of(_product_table(basis(win), pair_product, 3))
+    rows = rows_of(club_reference.product_table(win))
     assert _club_associativity(win) == walker_associativity(rows, 3) == (1676825, 0)
     rows = corrupted(rows, 3)
     checked, failed = window_associativity(table_of(rows, 3), 3)

@@ -223,17 +223,16 @@ def test_hh2_checks_beyond_p3(p):
 def test_hh2_product_off_by_a_scalar_is_not_multiplicative(monkeypatch):
     from hh2.cli import _hh2_checks
     from hh2.operators import HHLAlgebra, build_hhl
-    from hh2.spadesuit import OUT_OF_WINDOW, build_spade
+    from hh2.quiver import Table, WindowTable
+    from hh2.spadesuit import build_spade
 
-    product = HHLAlgebra.product
+    product_table = HHLAlgebra.product_table
 
-    def doubled(self, e1, e2):  # every product of hh_2 times 2
-        r = product(self, e1, e2)
-        if self.level != 2 or r is OUT_OF_WINDOW:
-            return r
-        return {el: 2 * c % self.p for el, c in r.items()}
+    def doubled(self):  # every product of hh_2 times 2
+        n, (x, y, t, c), out = table = product_table(self)
+        return WindowTable(n, Table(x, y, t, 2 * c % self.p), out) if self.level == 2 else table
 
-    monkeypatch.setattr(HHLAlgebra, "product", doubled)
+    monkeypatch.setattr(HHLAlgebra, "product_table", doubled)
     spade = build_spade(5, -3, 4)
     assert [ok for _, ok in _hh2_checks(5, spade, build_hhl(5, 1, spade))] == [True, False, True]
 

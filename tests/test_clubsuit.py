@@ -10,6 +10,7 @@ from hh2.quiver import Table
 from club_reference import form_dict, module_of, product
 from club_reference import product_table as reference_table
 from club_reference import symmetry_form as reference_form
+from tensor_products import pairing_rank_on_tensor
 
 
 def test_natural_maps_checks(maps3, maps5):
@@ -36,7 +37,7 @@ def test_beta_pairs_complementary_monomials(maps3):
 def test_eta_zeta_eps_isomorphisms(maps3, maps5):
     for nm in (maps3, maps5):
         for name in ("eta", "zeta_l", "zeta_r", "eps"):
-            r, d = nm.pairing_rank_on_tensor(name)
+            r, d = pairing_rank_on_tensor(nm, name)
             assert r == d == nm.omega.dim
 
 

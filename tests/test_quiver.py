@@ -6,6 +6,7 @@ from hh2.exactlin import NotOddPrime, rank, zeros
 from hh2.quiver import IncompatibleAlgebras
 from presentations import arrow_images, dual_presentation, zigzag_presentation
 from tables import as_dict, column_map, ideal_partner, in_ideal, theta_partner, theta_sigma_index
+from tensor_products import tensor_basis
 
 # -- degree additivity of every product, for algebras and bimodules ----------
 # (the methods ``BasedAlgebra.check_degrees`` and ``BasedBimodule.check_degrees``,
@@ -223,15 +224,15 @@ def test_dual_is_involutive_on_degrees(maps3):
 
 def test_tensor_products(maps3, maps5):
     for nm in (maps3, maps5):
-        _, free = quiver.tensor_basis(nm.ideal, nm.ideal)
+        _, free = tensor_basis(nm.ideal, nm.ideal)
         assert len(free) == nm.omega.dim  # matches the dual of the algebra
-        assert quiver.tensor_basis(nm.theta, nm.ideal)[1] == []
-        assert quiver.tensor_basis(nm.ideal, nm.theta)[1] == []
+        assert tensor_basis(nm.theta, nm.ideal)[1] == []
+        assert tensor_basis(nm.ideal, nm.theta)[1] == []
 
 
 def test_tensor_rejects_mismatched_base(maps3, maps5):
     with pytest.raises(IncompatibleAlgebras):
-        quiver.tensor_basis(maps3.theta, maps5.theta)
+        tensor_basis(maps3.theta, maps5.theta)
 
 
 def test_theta_form_sigma_symmetry(maps5):

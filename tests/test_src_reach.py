@@ -24,8 +24,8 @@ UNREACHED = [
     "center_basis",                # OmegaAlgebra
     "check_unit_and_idempotents",  # BasedAlgebra
     "component",                   # SpadeAlgebra: the elements of one slot
-    "pairing_rank_on_tensor",      # NaturalMaps
     "rank",                        # exactlin: the dense reference, traced by the benchmark
+    "sparse_rank",                 # exactlin: the rank of dict columns, traced by the benchmark
     "tower_size",                  # operators: the size of hh_l without its basis
 ]
 

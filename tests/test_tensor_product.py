@@ -1,4 +1,4 @@
-"""The sparse ``quiver.tensor_basis`` against the dense quotient it replaced.
+"""The sparse ``tensor_basis`` against the dense quotient it replaced.
 
 The dense class below is the body that took the quotient by the relations
 (m.w)(x)n - m(x)(w.n) with ``rref`` on dense rows, kept as the reference up
@@ -12,7 +12,8 @@ import pytest
 
 from hh2.exactlin import rref, zeros
 from hh2.koszulhh import KIND_IDEAL, KIND_THETA, KIND_THETA_SIGMA
-from hh2.quiver import BasedBimodule, IncompatibleAlgebras, tensor_basis
+from hh2.quiver import BasedBimodule, IncompatibleAlgebras
+from tensor_products import tensor_basis
 
 
 class DenseTensorProduct:

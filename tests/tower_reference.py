@@ -1,6 +1,8 @@
-"""The contraction operator on bigraded algebras, applied step by step: the
-reference that ``tests/test_operators.py`` compares ``operators.build_hhl``
-with.  No command runs it, so it lives with the tests.
+"""The tower's references, which no command runs, so they live with the
+tests: the contraction operator on bigraded algebras applied step by step,
+which ``tests/test_operators.py`` compares ``operators.build_hhl`` with, and
+the tower's product one pair of basis elements at a time, which
+``HHLAlgebra.product_table`` is compared with.
 
 The operator contracts a trigraded algebra G against the j-grading of a
 bigraded algebra S:  O_G(S)^{ik} = sum_j G^{ijk1} (x) S^{jk2}, with the super
@@ -13,8 +15,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from hh2.operators import MAX_WINDOW, UnboundedWindow
+from hh2.operators import MAX_WINDOW, HHLAlgebra, TowerElement, UnboundedWindow
+from hh2.quiver import WindowTable
 from hh2.spadesuit import OUT_OF_WINDOW, SpadeAlgebra
+from tables import pair_table
+
+
+def product(alg: HHLAlgebra, e1: TowerElement, e2: TowerElement):
+    """{TowerElement: coeff} or OUT_OF_WINDOW: ``HHLAlgebra.product`` from
+    before the tower's table, with the tower passed as ``alg``."""
+    p = alg.p
+    sign_exp = 0
+    for q in range(alg.level):
+        for q2 in range(q + 1, alg.level):
+            sign_exp += e2.factors[q].k * e1.factors[q2].k
+    coeff0 = -1 if sign_exp % 2 else 1
+    partial: list[tuple[tuple, int]] = [((), coeff0)]
+    for q in range(alg.level):
+        prod = alg.spade.product(e1.factors[q], e2.factors[q])
+        if prod is OUT_OF_WINDOW:
+            return OUT_OF_WINDOW
+        if not prod:
+            return {}
+        new = []
+        for tup, c in partial:
+            for m, cm in prod.items():
+                new.append((tup + (m,), (c * cm) % p))
+        partial = new
+    out: dict[TowerElement, int] = {}
+    for tup, c in partial:
+        el = TowerElement(tup, e1.alpha + e2.alpha)
+        if el not in alg.index:
+            return OUT_OF_WINDOW
+        out[el] = (out.get(el, 0) + c) % p
+    return {k: v for k, v in out.items() if v}
+
+
+def product_table(alg: HHLAlgebra) -> WindowTable:
+    """The tower's table from one reference ``product`` per ordered pair."""
+    return pair_table(alg.basis, lambda e1, e2: product(alg, e1, e2), alg.p)
 
 
 @dataclass(frozen=True)
