@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import os
 import sys
@@ -37,6 +36,13 @@ from .spadesuit import WindowEmpty, WindowTooLarge
 COEFFS = (KIND_OMEGA, KIND_THETA, KIND_THETA_SIGMA, KIND_DUAL, KIND_IDEAL)
 HH2_CHECKS = ("hh_2 -> hh_1 surjective", "projection hh_2 -> hh_1 multiplicative",
               "hh_2 supercommutative in window")
+# a basis row's keys as json.dumps(sort_keys=True) orders them; the text that
+# json.dumps(indent=2) makes of a basis row, a product's head and tail, and a term
+BASIS_KEYS = ("a", "b", "h", "i", "idempotent", "j", "k", "name")
+_ROW = "\n    {" + ",".join(f'\n      "{key}": %s' for key in BASIS_KEYS) + "\n    }"
+_HEAD = '\n    {\n      "left": %s,\n      "result": ['
+_TAIL = '\n      ],\n      "right": %s\n    }'
+_TERM = '\n        {\n          "coeff": %d,\n          "name": %s\n        }'
 
 
 def _json(value, out: list[str], indent: str = "\n") -> None:
@@ -69,22 +75,59 @@ def _json(value, out: list[str], indent: str = "\n") -> None:
         out.append(json.dumps(value))
 
 
-def _emit(doc: dict, fmt: str) -> str:
-    if fmt == "json":
-        parts: list[str] = []
+def _emit(doc: dict, fmt: str, basis: list[tuple] | None = None,
+          products: tuple = ((),) * 5) -> str:
+    """doc as JSON, the text of json.dumps(doc, indent=2, sort_keys=True), or its
+    basis as CSV.  A listing passes its basis as rows of ``BASIS_KEYS`` values and
+    its products as (names, x, y, t, c): terms c * names[t] in print order, each
+    run of equal (x, y) the product names[x] * names[y].  Both go through their
+    row shape's templates, the rest of doc (all without a basis) through _json."""
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("name", "a", "b", "i", "j", "k", "h", "idempotent"))
+        writer.writerows((name, a, b, i, j, k, h, x) for a, b, h, i, x, j, k, name in basis)
+        return out.getvalue().rstrip("\n")
+    parts: list[str] = []
+    if basis is None:
         _json(doc, parts)
         return "".join(parts)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["name", "a", "b", "i", "j", "k", "h", "idempotent"])
-    for row in doc.get("basis", []):
-        writer.writerow([row.get(c, "") for c in
-                         ("name", "a", "b", "i", "j", "k", "h", "idempotent")])
-    return out.getvalue().rstrip("\n")
+    listings = {"basis": _basis_text(basis), "products": _products_text(*products)}
+    sep = "{"
+    for key, value in sorted({**doc, **listings}.items()):
+        parts += sep, "\n  ", encode_basestring_ascii(key), ": "
+        if key in listings:
+            parts.append(value)
+        else:
+            _json(value, parts, "\n  ")
+        sep = ","
+    parts.append("\n}")
+    return "".join(parts)
 
 
-def _basis_row(name: str, a, b, i, j, k, h, x) -> dict:
-    return {"name": name, "a": a, "b": b, "i": i, "j": j, "k": k, "h": h, "idempotent": x}
+def _basis_text(rows: list[tuple]) -> str:
+    texts = []
+    for column in zip(*rows):  # each distinct str, int or None of a column encoded once
+        text = {v: encode_basestring_ascii(v) if isinstance(v, str) else "null" if v is None
+                else repr(v) for v in set(column)}
+        texts.append(map(text.__getitem__, column))
+    return "[" + ",".join(map(_ROW.__mod__, zip(*texts))) + "\n  ]" if rows else "[]"
+
+
+def _products_text(names: list[str], x, y, t, c) -> str:
+    if not len(t):
+        return "[]"
+    # the term texts joined by ",", each product's head put before its first
+    # term and its tail after its last
+    shown = [encode_basestring_ascii(name) for name in names]
+    text = np.array([_TERM % (v, shown[u]) for u, v in zip(
+        np.asarray(t).tolist(), np.asarray(c, dtype=object).tolist())], dtype=object)
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    first = np.flatnonzero(np.diff(x, prepend=-1) | np.diff(y, prepend=-1))
+    last = np.append(first[1:], len(text)) - 1
+    text[first] = np.array([_HEAD % name for name in shown], dtype=object)[x[first]] + text[first]
+    text[last] += np.array([_TAIL % name for name in shown], dtype=object)[y[last]]
+    return "[" + ",".join(text.tolist()) + "\n  ]"
 
 
 def cmd_hh(p: int, coefficient: str, fmt: str) -> tuple[str, int]:
@@ -96,65 +139,54 @@ def cmd_hh(p: int, coefficient: str, fmt: str) -> tuple[str, int]:
     chi_model, chi = nm.models[KIND_OMEGA], nm.homology[KIND_OMEGA]
     pairing = nm.pairings[PRODUCT_TABLE[(KIND_OMEGA, coefficient, coefficient)]]
 
-    basis = []
-    for cl in sorted(hh.classes, key=lambda c: (c.h, c.k, c.j, c.name)):
-        basis.append(_basis_row(format_name(cl.name), 0, 0, 0, cl.j, cl.k, cl.h,
-                                idempotent_label(cl.name)))
-    products = []
-    for (u, v), res in zip(itertools.product(chi.classes, hh.classes),
-                           hh.project(cup(chi_model, chi.reps, model, hh.reps, pairing, model))):
-        if res:
-            products.append({
-                "left": format_name(u.name), "right": format_name(v.name),
-                "result": [{"name": format_name(n), "coeff": int(c)}
-                           for n, c in sorted(res.items())],
-            })
-    products.sort(key=lambda e: (e["left"], e["right"]))
+    basis = [(0, 0, cl.h, 0, idempotent_label(cl.name), cl.j, cl.k, format_name(cl.name))
+             for cl in sorted(hh.classes, key=lambda c: (c.h, c.k, c.j, c.name))]
+    # names: chi's classes, then hh's; products by the names of their sides,
+    # the terms of each by class name
+    n = len(chi.classes)
+    names = [format_name(cl.name) for cl in (*chi.classes, *hh.classes)]
+    at = {cl.name: i for i, cl in enumerate(hh.classes, n)}
+    results = zip(((u, v) for u in range(n) for v in range(n, len(names))),
+                  hh.project(cup(chi_model, chi.reps, model, hh.reps, pairing, model)))
+    groups = sorted((names[u], names[v], u, v, res) for (u, v), res in results if res)
+    terms = [(u, v, at[name], c) for *_, u, v, res in groups for name, c in sorted(res.items())]
     doc = {"p": p, "object": f"HH(Omega, {coefficient})", "version": __version__,
-           "command": f"hh --p {p} --coefficient {coefficient}",
-           "basis": basis, "products": products, "checks": []}
-    return _emit(doc, fmt), 0
+           "command": f"hh --p {p} --coefficient {coefficient}", "checks": []}
+    return _emit(doc, fmt, basis,
+                 (names, *np.array(terms, dtype=np.int64).reshape(-1, 4).T)), 0
 
 
 def cmd_spadesuit(p: int, a_min: int, a_max: int, fmt: str,
                   check_associativity: bool = False,
                   run_first_principles: bool = False) -> tuple[str, int]:
     from .clubsuit import NaturalMaps
-    from .koszulhh import format_name
     from .spadesuit import build_spade, verify_first_principles
 
     alg = build_spade(p, a_min, a_max)
-    basis = []
-    for m in sorted(alg.basis, key=lambda m: (m.a, m.b, m.k, m.j, str(m.name))):
-        basis.append(_basis_row(m.display(), m.a, m.b, m.i, m.j, m.k,
-                                None, m.x))
-    checks = []
-    status = 0
+    basis = [(m.a, m.b, None, m.i, m.x, m.j, m.k, m.display)
+             for m in sorted(alg.basis, key=lambda m: (m.a, m.b, m.k, m.j, str(m.name)))]
+    checks = []  # (name, holds)
     table = alg.product_table()
-    display = [m.display() for m in alg.basis]
-    terms = sorted((display[i], display[j], display[el], c)
-                   for i, j, el, c in zip(*(a.tolist() for a in table.terms)))
-    products = [{"left": left, "right": right,
-                 "result": [{"name": name, "coeff": c} for _, _, name, c in group]}
-                for (left, right), group in itertools.groupby(terms, lambda e: e[:2])]
+    products = ((),) * 5
+    if fmt == "json":
+        # the terms by (left, right, result) name, then coeff, from each
+        # element's place among the names, which are distinct
+        names = [m.display for m in alg.basis]
+        place = np.argsort(np.argsort(names))
+        x, y, t, c = table.terms
+        order = np.lexsort((c, place[t], place[y], place[x]))
+        products = (names, x[order], y[order], t[order], c[order])
 
     if check_associativity:
         n_checked, n_failed = _spade_associativity(table, p)
-        checks.append({"name": f"associativity ({n_checked} triples)",
-                       "status": "PASS" if n_failed == 0 else "FAIL"})
-        if n_failed:
-            status = 3
+        checks.append((f"associativity ({n_checked} triples)", n_failed == 0))
     if run_first_principles:
         rep = verify_first_principles(NaturalMaps(p), a_min, a_max)
-        ok = not rep.mismatches
-        checks.append({"name": f"first-principles ({len(rep.cells)} cells)",
-                       "status": "PASS" if ok else "FAIL"})
-        if not ok:
-            status = 3
+        checks.append((f"first-principles ({len(rep.cells)} cells)", not rep.mismatches))
     doc = {"p": p, "object": "spadesuit", "version": __version__,
            "command": f"spadesuit --p {p} --a-min {a_min} --a-max {a_max}",
-           "basis": basis, "products": products, "checks": checks}
-    return _emit(doc, fmt), status
+           "checks": [{"name": name, "status": "PASS" if ok else "FAIL"} for name, ok in checks]}
+    return _emit(doc, fmt, basis, products), 0 if all(ok for _, ok in checks) else 3
 
 
 def _supercommutativity(table: WindowTable, ks: list[int], p: int) -> int:
@@ -220,14 +252,13 @@ def cmd_hhl(p: int, level: int, k_max: int | None, fmt: str) -> tuple[str, int]:
 
     spade = build_spade(p, -3, 4)
     alg = build_hhl(p, level, spade, k_max=k_max)
-    basis = []
-    for el in sorted(alg.basis, key=lambda e: (e.k, e.j, e.display())):
-        basis.append(_basis_row(el.display(), None, None, 0, el.j, el.k, None, ""))
+    basis = sorted(((None, None, None, 0, "", el.j, el.k, el.display()) for el in alg.basis),
+                   key=lambda row: (row[6], row[5], row[7]))
+    ks = [row[6] for row in basis]  # the basis counted by k is the Hilbert series
     doc = {"p": p, "object": f"hh_{level}", "version": __version__,
            "command": f"hhl --p {p} --l {level}" + (f" --k-max {k_max}" if k_max is not None else ""),
-           "basis": basis, "products": [],
-           "checks": [], "hilbert": {str(k): v for k, v in alg.hilbert_series("k").items()}}
-    return _emit(doc, fmt), 0
+           "checks": [], "hilbert": {str(k): ks.count(k) for k in sorted(set(ks))}}
+    return _emit(doc, fmt, basis), 0
 
 
 def run_verify(p: int) -> list[tuple[str, str, str]]:
@@ -239,8 +270,8 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
     from .exactlin import coo_pivot_rows
     from .koszulhh import TooLarge, bar_oracle, bar_sizes, cup
     from .operators import build_hhl
-    from .spadesuit import (build_spade, chi_mul, component_names, duality_form_checks,
-                            name_table, verify_first_principles)
+    from .spadesuit import (build_spade, component_names, duality_form_checks, name_table,
+                            verify_first_principles)
 
     results: list[tuple[str, str, str]] = []
 
@@ -294,13 +325,18 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
         model_dims = hhs[kind].dims_by_h(h_max)
         check(name, oracle == model_dims, f"oracle {oracle} vs model {model_dims}")
 
-    # chi presentation: computed cup table equals the presented table exactly
+    # chi's cup table, each class renumbered by its name's place among chi's
+    # names, is chi's name table exactly
     chi, chi_model = hhs[KIND_OMEGA], models[KIND_OMEGA]
-    products = cup(chi_model, chi.reps, chi_model, chi.reps, nm.pairings["mult"], chi_model)
-    table_ok = chi.project(products) == [
-        {n: c for n, c in chi_mul(p, u.name, v.name).items() if c % p}
-        for u in chi.classes for v in chi.classes]
-    check("chi cup table matches presentation exactly", table_ok)
+    chi_names = {name: i for i, name in enumerate(component_names(p, CHI))}
+    presented = Table.of(*name_table(p, CHI, CHI, CHI), p)
+    ren = np.array([chi_names[cl.name] for cl in chi.classes], dtype=np.int64)
+    cups = cup(chi_model, chi.reps, chi_model, chi.reps, nm.pairings["mult"], chi_model)
+    uv, t, c = np.array([(uv, chi_names[name], c) for uv, res in enumerate(chi.project(cups))
+                         for name, c in res.items()], dtype=np.int64).reshape(-1, 3).T
+    check("chi cup table matches presentation exactly", all(
+        np.array_equal(u, v) for u, v in
+        zip(Table.of(ren[uv // len(ren)], ren[uv % len(ren)], t, c, p), presented)))
 
     perfect, assoc = duality_form_checks(p)
     check("duality pairing perfect", perfect)
@@ -339,13 +375,11 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
     check("hh_0 = F", hh0.dim == 1)
     # hh_1's table, each element renumbered by its name's place among chi's,
     # is chi's name table, with no pair out of the window
-    chi_names = {name: i for i, name in enumerate(component_names(p, CHI))}
     ren = np.array([chi_names.get(el.factors[0].name, -1) for el in hh1.basis], dtype=np.int64)
     _, (x, y, t, c), (ox, _) = hh1.product_table()
     chi_ok = (len(_distinct(ren)) == hh1.dim == 3 * p - 2 and ren.min() >= 0 and not len(ox)
               and all(np.array_equal(u, v) for u, v in
-                      zip(Table.of(ren[x], ren[y], ren[t], c, p),
-                          Table.of(*name_table(p, CHI, CHI, CHI), p))))
+                      zip(Table.of(ren[x], ren[y], ren[t], c, p), presented)))
     check("hh_1 isomorphic to chi as graded algebra", chi_ok)
 
     if p == 3:

@@ -54,7 +54,7 @@ class TowerElement:
         return self.factors[0].j if self.factors else self.alpha
 
     def display(self) -> str:
-        inner = " | ".join(m.display() for m in self.factors)
+        inner = " | ".join(m.display for m in self.factors)
         return f"({inner} | z^{self.alpha})" if inner else f"(z^{self.alpha})"
 
 
@@ -84,11 +84,6 @@ def _completions(spade: SpadeAlgebra, level: int
 
 def _size(ways: list[dict[int, dict[int, int]]], k_max: int | None) -> int:
     return sum(n for k, n in ways[-1].get(0, {}).items() if k_max is None or k <= k_max)
-
-
-def tower_size(spade: SpadeAlgebra, level: int, k_max: int | None = None) -> int:
-    """The number of basis elements of hh_level over spade, without listing them."""
-    return _size(_completions(spade, level)[1], k_max)
 
 
 def super_sign(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
@@ -185,14 +180,6 @@ class HHLAlgebra:
         out.append((i[lost], j[lost]))
         self._table = window_table(n, [(i[r[keep]], j[r[keep]], el[keep], c[keep])], out, p)
         return self._table
-
-    def hilbert_series(self, grading: str = "k") -> dict:
-        """Exact basis counts per degree ('k' or 'jk')."""
-        out: dict = {}
-        for el in self.basis:
-            key = el.k if grading == "k" else (el.j, el.k)
-            out[key] = out.get(key, 0) + 1
-        return dict(sorted(out.items()))
 
 
 def build_hhl(p: int, level: int, spade: SpadeAlgebra, k_max: int | None = None) -> HHLAlgebra:

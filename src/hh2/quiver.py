@@ -271,17 +271,6 @@ class BasedAlgebra:
             i, j, k = (self.basis[x].name for x in bad)
             raise AssertionError(f"associativity fails at {i}, {j}, {k}")
 
-    def check_unit_and_idempotents(self) -> None:
-        one = self.unit()
-        for i in range(self.dim):
-            if self.mul(one, {i: 1}) != {i: 1} or self.mul({i: 1}, one) != {i: 1}:
-                raise AssertionError(f"unit fails on {self.basis[i].name}")
-        for v, iv in self.idem.items():
-            for w, iw in self.idem.items():
-                expect = {iv: 1} if v == w else {}
-                if self.mul_basis(iv, iw) != expect:
-                    raise AssertionError("idempotents not orthogonal")
-
 
 class BasedBimodule:
     """Bimodule over a BasedAlgebra with explicit action constants.
@@ -459,14 +448,6 @@ class OmegaAlgebra(BasedAlgebra):
         """Whether each basis monomial factors through the top vertex p."""
         src, a, b = self.words
         return a >= self.p - (src - a + b)
-
-    def center_basis(self) -> list[Combo]:
-        """Central elements: powers of the canonical degree-(-2,2) loop."""
-        out = []
-        for ell in range(self.p):
-            combo = {self.key[(s, ell, ell)]: 1 for s in range(ell + 1, self.p + 1)}
-            out.append(combo)
-        return out
 
 
 def build_omega(p: int) -> OmegaAlgebra:

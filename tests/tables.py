@@ -4,7 +4,7 @@
 {(x, y): {t: c}}: the form in which the references read and write tables.
 ``pair_table`` builds a window's ``quiver.WindowTable`` with one product
 call per ordered pair, as the per-pair references of the grid, club and
-tower products do.
+tower products do, and ``component`` lists the grid elements of one slot.
 ``column_map`` and ``columned`` make and read a ``BimoduleMap`` as the list
 of its columns, the combos f(m), as it was stored before its table.  The
 per-index formulas of Omega's monomials (``word``, ``in_ideal``,
@@ -26,6 +26,11 @@ def as_dict(table) -> dict:
     for x, y, t, c in zip(*(a.tolist() for a in table)):
         out.setdefault((x, y), {})[t] = c
     return out
+
+
+def component(alg, a: int, b: int) -> list:
+    """The elements of a grid window's basis at slot (a, b)."""
+    return [m for m in alg.basis if (m.a, m.b) == (a, b)]
 
 
 def pair_table(basis: list, product, p: int) -> WindowTable:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hh2
@@ -300,6 +301,29 @@ def test_cell_cap_skips_only_the_bar_oracle(capsys, monkeypatch):
         assert all(line.startswith("PASS") and "bar oracle" not in line for line in rest)
 
 
+def test_verify_fails_a_changed_chi_cup_product(monkeypatch):
+    # one coefficient of chi's projected cup table changed (1 <-> 2 at p = 3)
+    # makes its check FAIL; the other checks keep their status
+    import hh2.cli
+    from hh2.koszulhh import HHModule
+    project, changed = HHModule.project, []
+
+    def project_once_changed(self, batch):
+        out = project(self, batch)
+        if not changed and len(out) == len(self.classes) ** 2 == 49:
+            combo = next(res for res in out if res)
+            name = next(iter(combo))
+            combo[name] = 3 - combo[name]
+            changed.append(name)
+        return out
+
+    monkeypatch.setattr(HHModule, "project", project_once_changed)
+    status = {name: s for name, s, _ in hh2.cli.run_verify(3)}
+    assert changed
+    assert status.pop("chi cup table matches presentation exactly") == "FAIL"
+    assert set(status.values()) == {"PASS"}
+
+
 def test_too_large_spadesuit_window_exits_2_before_building_rows(capsys, monkeypatch):
     from hh2.spadesuit import SpadeAlgebra
 
@@ -319,11 +343,37 @@ DOCS = st.recursive(st.none() | st.booleans() | st.integers() | TEXT,
                     max_leaves=30)
 
 
+INTS = st.integers()
+BASIS_ROWS = st.lists(st.tuples(st.none() | INTS, st.none() | INTS, st.none() | INTS, INTS,
+                                TEXT, INTS, INTS, TEXT), max_size=5)
+
+
+@st.composite
+def product_listings(draw):
+    """(names, terms): terms (x, y, t, c) indexing names, each run of equal
+    (x, y) one product."""
+    names = draw(st.lists(TEXT, min_size=1, max_size=5))
+    at = st.integers(0, len(names) - 1)
+    return names, draw(st.lists(st.tuples(at, at, at, st.integers(-2**70, 2**70)), max_size=8))
+
+
 @settings(max_examples=150, deadline=None)
-@given(DOCS)
-def test_json_writer_matches_json_dumps(doc):
-    from hh2.cli import _emit
+@given(DOCS, st.dictionaries(TEXT.filter(lambda key: key not in ("basis", "products")), DOCS,
+                             max_size=3), BASIS_ROWS, product_listings())
+@example(None, {}, [], (["x"], []))
+def test_json_writer_matches_json_dumps(doc, small, rows, listing):
+    from hh2.cli import BASIS_KEYS, _emit
     assert _emit(doc, "json") == json.dumps(doc, indent=2, sort_keys=True)
+    # the two row shapes, as the listings pass them: basis rows, and product
+    # terms in print order as columns
+    names, terms = listing
+    tree = {**small, "basis": [dict(zip(BASIS_KEYS, row)) for row in rows],
+            "products": [{"left": names[x], "right": names[y],
+                          "result": [{"coeff": c, "name": names[t]} for _, _, t, c in group]}
+                         for (x, y), group in itertools.groupby(terms, lambda e: e[:2])]}
+    columns = [list(column) for column in zip(*terms)] or [[]] * 4
+    assert (_emit(small, "json", rows, (names, *columns))
+            == json.dumps(tree, indent=2, sort_keys=True))
 
 
 def test_hh_job_does_not_import_numpy_ma():

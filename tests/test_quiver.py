@@ -11,7 +11,8 @@ from tensor_products import tensor_basis
 # -- degree additivity of every product, for algebras and bimodules ----------
 # (the methods ``BasedAlgebra.check_degrees`` and ``BasedBimodule.check_degrees``,
 # which only these tests called, moved here; each takes its object as
-# ``self`` and reads its tables through ``as_dict``)
+# ``self`` and reads its tables through ``as_dict``; so did
+# ``BasedAlgebra.check_unit_and_idempotents`` and ``OmegaAlgebra.center_basis``)
 
 
 def check_algebra_degrees(self) -> None:
@@ -21,6 +22,27 @@ def check_algebra_degrees(self) -> None:
             b = self.basis[idx]
             if (b.j, b.k) != (bi.j + bj.j, bi.k + bj.k):
                 raise AssertionError(f"degree additivity fails on {bi.name}*{bj.name}")
+
+
+def check_unit_and_idempotents(self) -> None:
+    one = self.unit()
+    for i in range(self.dim):
+        if self.mul(one, {i: 1}) != {i: 1} or self.mul({i: 1}, one) != {i: 1}:
+            raise AssertionError(f"unit fails on {self.basis[i].name}")
+    for v, iv in self.idem.items():
+        for w, iw in self.idem.items():
+            expect = {iv: 1} if v == w else {}
+            if self.mul_basis(iv, iw) != expect:
+                raise AssertionError("idempotents not orthogonal")
+
+
+def center_basis(self) -> list:
+    """Omega's central elements: powers of the canonical degree-(-2,2) loop."""
+    out = []
+    for ell in range(self.p):
+        combo = {self.key[(s, ell, ell)]: 1 for s in range(ell + 1, self.p + 1)}
+        out.append(combo)
+    return out
 
 
 def check_bimodule_degrees(self) -> None:
@@ -50,7 +72,7 @@ def test_zigzag_structure():
     for p in (3, 5):
         c = quiver.build_zigzag_c(p)
         c.check_associativity()
-        c.check_unit_and_idempotents()
+        check_unit_and_idempotents(c)
         check_algebra_degrees(c)
         # the up-down loop at the top vertex vanishes
         top = c.mul_basis(c.eta[p - 1], c.xi[p - 1])
@@ -139,7 +161,7 @@ def test_omega_dimension_against_free_quotient(p):
 def test_omega_relations_and_center():
     for p in (3, 5):
         om = quiver.build_omega(p)
-        om.check_unit_and_idempotents()
+        check_unit_and_idempotents(om)
         check_algebra_degrees(om)
         if p == 3:
             om.check_associativity()
@@ -153,7 +175,7 @@ def test_omega_relations_and_center():
             down_up = om.mul_basis(om.key[(v - 1, 0, 1)], om.key[(v, 1, 0)])
             assert up_down == down_up == {om.key[(v, 1, 1)]: 1}
         # center F[z]/z^p
-        center = om.center_basis()
+        center = center_basis(om)
         assert len(center) == p
         z = center[1]
         acc = dict(z)

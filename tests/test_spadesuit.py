@@ -12,6 +12,7 @@ from hh2.spadesuit import (CHI, CHIBAR_MINUS, CHIBARSTAR_MINUS, CHIUNDER,
                            chi_mul, chi_on_dual, component_names, duality_form,
                            duality_form_checks, half, make_element,
                            truncate_to, verify_first_principles)
+from tables import component
 
 
 def test_component_name_counts():
@@ -30,11 +31,11 @@ def test_build_rejects_bad_prime():
 
 def test_component_sizes_and_degrees():
     alg = build_spade(5, -3, 4)
-    assert len(alg.component(0, 0)) == 13
-    assert len(alg.component(1, 0)) == 5
-    assert len(alg.component(2, 0)) == 5
+    assert len(component(alg, 0, 0)) == 13
+    assert len(component(alg, 1, 0)) == 5
+    assert len(component(alg, 2, 0)) == 5
     alg3 = build_spade(3, -3, 4)
-    assert len(alg3.component(1, 0)) == 3
+    assert len(component(alg3, 1, 0)) == 3
     # i = a + b = 0 elements are exactly the origin component
     i0 = [m for m in alg3.basis if m.i == 0]
     assert len(i0) == 7 and all((m.a, m.b) == (0, 0) for m in i0)

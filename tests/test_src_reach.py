@@ -21,12 +21,9 @@ SRC = Path(hh2.__file__).resolve().parent
 
 UNREACHED = [
     "built",                       # BuiltOnRead: what a NaturalMaps has built so far
-    "center_basis",                # OmegaAlgebra
-    "check_unit_and_idempotents",  # BasedAlgebra
-    "component",                   # SpadeAlgebra: the elements of one slot
     "rank",                        # exactlin: the dense reference, traced by the benchmark
     "sparse_rank",                 # exactlin: the rank of dict columns, traced by the benchmark
-    "tower_size",                  # operators: the size of hh_l without its basis
+    "unit",                        # BasedAlgebra, SpadeAlgebra: the unit the tests check
 ]
 
 

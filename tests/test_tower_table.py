@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import tower_reference as ref
 from hh2 import operators
-from hh2.operators import build_hhl, tower_size
+from hh2.operators import build_hhl
 from hh2.quiver import window_table
 from hh2.spadesuit import OUT_OF_WINDOW, build_spade
 
@@ -40,7 +40,7 @@ def matches_reference(alg) -> bool:
        level=st.integers(0, 3), k_max=st.none() | st.integers(-1, 10))
 def test_table_matches_the_pair_reference(p, a_min, a_max, level, k_max):
     spade = build_spade(p, a_min, a_max)
-    assume(tower_size(spade, level, k_max) <= 100)
+    assume(ref.tower_size(spade, level, k_max) <= 100)
     assert matches_reference(build_hhl(p, level, spade, k_max=k_max))
 
 

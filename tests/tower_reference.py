@@ -2,7 +2,9 @@
 tests: the contraction operator on bigraded algebras applied step by step,
 which ``tests/test_operators.py`` compares ``operators.build_hhl`` with, and
 the tower's product one pair of basis elements at a time, which
-``HHLAlgebra.product_table`` is compared with.
+``HHLAlgebra.product_table`` is compared with; ``tower_size``, the size of
+the tower's basis counted without listing it; and ``hilbert_series``, the
+basis counted by degree.
 
 The operator contracts a trigraded algebra G against the j-grading of a
 bigraded algebra S:  O_G(S)^{ik} = sum_j G^{ijk1} (x) S^{jk2}, with the super
@@ -15,10 +17,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from hh2.operators import MAX_WINDOW, HHLAlgebra, TowerElement, UnboundedWindow
+from hh2.operators import (MAX_WINDOW, HHLAlgebra, TowerElement, UnboundedWindow, _completions,
+                           _size)
 from hh2.quiver import WindowTable
 from hh2.spadesuit import OUT_OF_WINDOW, SpadeAlgebra
 from tables import pair_table
+
+
+def tower_size(spade: SpadeAlgebra, level: int, k_max: int | None = None) -> int:
+    """The number of basis elements of hh_level over spade, without listing them."""
+    return _size(_completions(spade, level)[1], k_max)
+
+
+def hilbert_series(alg: HHLAlgebra, grading: str = "k") -> dict:
+    """Exact basis counts per degree ('k' or 'jk')."""
+    out: dict = {}
+    for el in alg.basis:
+        key = el.k if grading == "k" else (el.j, el.k)
+        out[key] = out.get(key, 0) + 1
+    return dict(sorted(out.items()))
 
 
 def product(alg: HHLAlgebra, e1: TowerElement, e2: TowerElement):
