@@ -135,25 +135,28 @@ def cmd_hh(p: int, coefficient: str, fmt: str) -> tuple[str, int]:
     from .koszulhh import cup, format_name, idempotent_label
 
     nm = NaturalMaps(p)
-    model, hh = nm.models[coefficient], nm.homology[coefficient]
-    chi_model, chi = nm.models[KIND_OMEGA], nm.homology[KIND_OMEGA]
-    pairing = nm.pairings[PRODUCT_TABLE[(KIND_OMEGA, coefficient, coefficient)]]
-
+    hh = nm.homology[coefficient]
     basis = [(0, 0, cl.h, 0, idempotent_label(cl.name), cl.j, cl.k, format_name(cl.name))
              for cl in sorted(hh.classes, key=lambda c: (c.h, c.k, c.j, c.name))]
-    # names: chi's classes, then hh's; products by the names of their sides,
-    # the terms of each by class name
-    n = len(chi.classes)
-    names = [format_name(cl.name) for cl in (*chi.classes, *hh.classes)]
-    at = {cl.name: i for i, cl in enumerate(hh.classes, n)}
-    results = zip(((u, v) for u in range(n) for v in range(n, len(names))),
-                  hh.project(cup(chi_model, chi.reps, model, hh.reps, pairing, model)))
-    groups = sorted((names[u], names[v], u, v, res) for (u, v), res in results if res)
-    terms = [(u, v, at[name], c) for *_, u, v, res in groups for name, c in sorted(res.items())]
+    products = ((),) * 5
+    if fmt == "json":  # the CSV listing is the basis alone
+        model, chi_model = nm.models[coefficient], nm.models[KIND_OMEGA]
+        chi = nm.homology[KIND_OMEGA]
+        pairing = nm.pairings[PRODUCT_TABLE[(KIND_OMEGA, coefficient, coefficient)]]
+        # names: chi's classes, then hh's; products by the names of their
+        # sides, the terms of each by class name
+        n = len(chi.classes)
+        names = [format_name(cl.name) for cl in (*chi.classes, *hh.classes)]
+        at = {cl.name: i for i, cl in enumerate(hh.classes, n)}
+        results = zip(((u, v) for u in range(n) for v in range(n, len(names))),
+                      hh.project(cup(chi_model, chi.reps, model, hh.reps, pairing, model)))
+        groups = sorted((names[u], names[v], u, v, res) for (u, v), res in results if res)
+        terms = [(u, v, at[name], c) for *_, u, v, res in groups
+                 for name, c in sorted(res.items())]
+        products = (names, *np.array(terms, dtype=np.int64).reshape(-1, 4).T)
     doc = {"p": p, "object": f"HH(Omega, {coefficient})", "version": __version__,
            "command": f"hh --p {p} --coefficient {coefficient}", "checks": []}
-    return _emit(doc, fmt, basis,
-                 (names, *np.array(terms, dtype=np.int64).reshape(-1, 4).T)), 0
+    return _emit(doc, fmt, basis, products), 0
 
 
 def cmd_spadesuit(p: int, a_min: int, a_max: int, fmt: str,

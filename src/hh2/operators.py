@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,8 +124,11 @@ class HHLAlgebra:
             tuples = new
         self.basis = [TowerElement(tup, tup[-1].j if tup else 0) for tup, k in tuples
                       if k <= bound]
-        self.index = {el: n for n, el in enumerate(self.basis)}
         self._table: WindowTable | None = None
+
+    @cached_property  # only product, project and the hh_2 checks look elements up
+    def index(self) -> dict[TowerElement, int]:
+        return {el: n for n, el in enumerate(self.basis)}
 
     @property
     def dim(self) -> int:

@@ -13,10 +13,14 @@ computations, placed at grid positions (a, b):
 Which piece sits at which slot, with its shifts, is ``clubsuit.component_at``.
 
 Products come from closed-form name products (frozen from cup computations
-in the cochain models; see verify_first_principles), enumerated once per
-label triple into a ``name_table``.  A window's ``product_table`` is built
-from those tables in one block per group of slot pairs, with a suspension
-sign for components whose k-shift is odd, and ``product`` reads it.
+in the cochain models; see verify_first_principles).  Each label's names are
+an ordered subset of one of three lists: chi's, the duals' or the vertex
+algebra's.  Each closed form is one array table over those lists, built once
+per prime from masks on the names' (family, exponent) arrays, and a label
+triple's ``name_table`` is its lists' table restricted to the labels' names.
+A window's ``product_table`` is built from those tables in one block per
+group of slot pairs, with a suspension sign for components whose k-shift is
+odd, and ``product`` reads it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .clubsuit import (CHI, CHIBAR_MINUS, CHIBAR_PLUS, CHIBARSTAR_MINUS,
 from .exactlin import _among, _summed, _within, check_odd_prime, coo_pivot_rows
 from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Name, NameCombo, concrete_degree, cup,
                        format_name, idempotent_label)
-from .quiver import WindowTable, failing_triple, table_of, window_table
+from .quiver import Table, WindowTable, failing_triple, table_of, window_table
 
 
 class WindowEmpty(Hh2Error):
@@ -101,157 +105,121 @@ def half(p: int) -> int:
     return (p + 1) // 2  # the scalar 1/2 in F_p
 
 
-def chi_mul(p: int, n1: Name, n2: Name) -> NameCombo:
-    """Product in the full class algebra chi."""
-    k1, a1 = n1
-    k2, a2 = n2
-    if k1 == "z" and k2 == "z":
-        return {("z", a1 + a2): 1} if a1 + a2 <= p - 1 else {}
-    if k1 == "z" and k2 == "kz":
-        return {("kz", a1 + a2): 1} if a1 + a2 <= p - 2 else {}
-    if k1 == "kz" and k2 == "z":
-        return {("kz", a1 + a2): 1} if a1 + a2 <= p - 2 else {}
-    if k1 == "kz" and k2 == "kz":
-        return {}
-    if k1 == "c2":
-        return {n1: 1} if n2 == ("z", 0) else {}
-    if k2 == "c2":
-        return {n2: 1} if n1 == ("z", 0) else {}
-    raise ValueError((n1, n2))
+# the superset list each label's names are an ordered subset of: chi's for
+# the chi-type labels, the duals' for the star-type, the vertex algebra's
+_SUPERSET = {CHI: CHI, CHIBAR_MINUS: CHI, CHIBAR_PLUS: CHI, CHIUNDER: CHI,
+             CHIBARSTAR_MINUS: CHIBARSTAR_MINUS, CHIBARSTAR_PLUS: CHIBARSTAR_MINUS,
+             OMEGA0: OMEGA0}
+_STAR = CHIBARSTAR_MINUS
+
+
+def _where(mask: np.ndarray, t, c) -> tuple[np.ndarray, ...]:
+    """The rows (u, v, t, c) at the True cells (u, v) of a 2-d mask, broadcast
+    with t and c."""
+    mask, t, c = np.broadcast_arrays(mask, t, c)
+    u, v = np.nonzero(mask)
+    return u, v, t[u, v], c[u, v]
+
+
+def _sorted(*blocks: tuple) -> tuple[np.ndarray, ...]:
+    """Row blocks (u, v, t, c) as one int64 table sorted by (u, v, t)."""
+    u, v, t, c = (np.concatenate([np.asarray(col, dtype=np.int64).ravel() for col in cols])
+                  for cols in zip(*blocks))
+    order = np.lexsort((t, v, u))
+    return u[order], v[order], t[order], c[order]
 
 
 @lru_cache(maxsize=None)
-def _name_set(p: int, kind: str) -> frozenset[Name]:
-    return frozenset(component_names(p, kind))
+def _base_tables(p: int) -> dict[tuple[str, str, str], tuple[np.ndarray, ...]]:
+    """The closed-form name products over the superset lists, keyed by their
+    (left, right, target) superset labels: int64 arrays (u, v, t, c) sorted by
+    (u, v, t), each name numbered by its place in its superset's list.
 
-
-def truncate_to(p: int, kind: str, combo: NameCombo) -> NameCombo:
-    """Project a chi-name combination onto the names of a target kind."""
-    if not combo:
-        return {}
-    allowed = _name_set(p, kind)
-    return {n: c for n, c in combo.items() if n in allowed}
-
-
-def chi_on_dual(p: int, n1: Name, n2: Name) -> NameCombo:
-    """Action of a chi-type name n1 on a dual-type name n2 (both sides agree)."""
-    k1, a1 = n1
-    k2, a2 = n2
-    h = (p - 1) // 2
-    if k1 == "z":
-        if a1 == 0:
-            return {n2: 1}
-        if k2 in ("mu", "nu") and a2 - a1 >= 1:
-            return {(k2, a2 - a1): 1}
-        return {}
-    if k1 == "kz":
-        if k2 == "mu" and a2 - a1 >= 1:
-            return {("nu", a2 - a1): half(p)}
-        return {}
-    if k1 == "c2":
-        if k2 == "soc" and a2 == a1:
-            s = a1
-            sign = 1 if (h - s) % 2 == 0 else -1
-            return {("nu", 1): (sign * half(p)) % p}
-        return {}
-    raise ValueError((n1, n2))
-
-
-def star_mul(p: int, n1: Name, n2: Name) -> NameCombo:
-    """Products of two dual-type names landing in truncation names."""
-    h = (p - 1) // 2
-    pairs = {n1, n2}
-    if n1 == ("mu", h) and n2 == ("mu", h):
-        return {("c2", h): 1, ("c2", h + 1): p - 1}
-    if pairs == {("mu", h), ("soc", h)} or pairs == {("mu", h), ("soc", h + 1)}:
-        return {("kz", h - 1): 1}
-    return {}
-
-
-def box_mul(p: int, n1: Name, n2: Name) -> NameCombo:
-    """Truncation x dual (either order) landing in the vertex algebra."""
-    for first, second in ((n1, n2), (n2, n1)):
-        if first == ("z", 0) and second[0] == "soc":
-            return {("e", second[1]): 1}
-    return {}
-
-
-def triangle_mul(p: int, n1: Name, n2: Name) -> NameCombo:
-    """Kernel x kernel into the vertex algebra.
-
-    The unique nonzero value, computed from the duality pairing on the ideal,
-    is z^{(p-1)/2} squared = sum of e_s over s > (p-1)/2.  (The stated form
-    of this product in the source records only its top-vertex component.)
+    Chi's names are z^l, kz^l, c2_s (family 0, 1, 2), the duals' soc_s, mu_l,
+    nu_l (0, 1, 2), at the place ``off[family] + exponent``; e_s is at s - 1.
+    With h = (p-1)/2 and 1/2 = (p+1)/2, the nonzero products are
+      chi x chi -> chi:   z^a z^b = z^{a+b} (a+b <= p-1), z^a kz^b = kz^a z^b
+                          = kz^{a+b} (a+b <= p-2), z^0 c2_s = c2_s z^0 = c2_s;
+      chi x dual -> dual: z^0 acts as 1, z^a mu_l = mu_{l-a} and z^a nu_l =
+                          nu_{l-a} (l > a >= 1), kz^a mu_l = 1/2 nu_{l-a} (l > a),
+                          c2_s soc_s = (-1)^{h-s} 1/2 nu_1; the same on the right;
+      chi x dual -> vertex (box): z^0 soc_s = soc_s z^0 = e_s;
+      dual x dual -> chi (star): mu_h mu_h = c2_h - c2_{h+1}, and mu_h times
+                          soc_h or soc_{h+1}, either order, is kz^{h-1};
+      chi x chi -> vertex (triangle): z^h z^h = sum of e_s over s > h;
+      chi x vertex -> vertex: z^0 e_s = e_s z^0 = e_s (the unit action);
+      chi x vertex -> chi (diamond): z^0 e_p = e_p z^0 = z^{p-1}.
     """
-    h = (p - 1) // 2
-    if n1 == ("z", h) and n2 == ("z", h):
-        return {("e", s): 1 for s in range(h + 1, p + 1)}
-    return {}
+    h, half_ = (p - 1) // 2, half(p)
+    cf, ce = np.repeat([0, 1, 2], [p, p - 1, p - 1]), np.r_[0:p, 0:p - 1, 1:p]
+    sf, se = np.repeat([0, 1, 2], [p - 1, h, h]), np.r_[1:p, 1:h + 1, 1:h + 1]
+    chi_off, star_off = np.array([0, p, 2 * p - 2]), np.array([-1, p - 2, p - 2 + h])
+    fu, eu = cf[:, None], ce[:, None]  # a chi name on the left, down the rows
+    unit_u = (fu == 0) & (eu == 0)
+    fv, ev = cf[None, :], ce[None, :]  # a chi name on the right
+    s = eu + ev
+    chi = _sorted(_where((fu == 0) & (fv == 0) & (s <= p - 1), chi_off[0] + s, 1),
+                  _where((fu + fv == 1) & (s <= p - 2), chi_off[1] + s, 1),
+                  _where((fu == 2) & (fv == 0) & (ev == 0), chi_off[2] + eu, 1),
+                  _where(unit_u & (fv == 2), chi_off[2] + ev, 1))
+    fv, ev = sf[None, :], se[None, :]  # a dual name on the right
+    d = ev - eu
+    act = _sorted(_where(unit_u, star_off[fv] + ev, 1),
+                  _where((fu == 0) & (eu >= 1) & (fv >= 1) & (d >= 1), star_off[fv] + d, 1),
+                  _where((fu == 1) & (fv == 1) & (d >= 1), star_off[2] + d, half_),
+                  _where((fu == 2) & (fv == 0) & (d == 0), star_off[2] + 1,
+                         np.where((h - eu) % 2 == 0, half_, p - half_)))
+    box = _sorted(_where(unit_u & (fv == 0), ev - 1, 1))
+    mu_h, soc = (sf == 1) & (se == h), (sf == 0) & ((se == h) | (se == h + 1))
+    mu_mu = mu_h[:, None] & mu_h[None, :]
+    star = _sorted(_where(mu_mu, chi_off[2] + h, 1), _where(mu_mu, chi_off[2] + h + 1, p - 1),
+                   _where((mu_h[:, None] & soc[None, :]) | (soc[:, None] & mu_h[None, :]),
+                          chi_off[1] + h - 1, 1))
+    triangle = _sorted((np.full(h + 1, h), np.full(h + 1, h), np.arange(h, p), np.ones(h + 1)))
+    unit_action = _sorted((np.zeros(p), np.arange(p), np.arange(p), np.ones(p)))
+    diamond = _sorted(([0], [p - 1], [p - 1], [1]))
+    tables = {(CHI, CHI, CHI): chi, (CHI, _STAR, _STAR): act, (CHI, _STAR, OMEGA0): box,
+              (_STAR, _STAR, CHI): star, (CHI, CHI, OMEGA0): triangle,
+              (CHI, OMEGA0, OMEGA0): unit_action, (CHI, OMEGA0, CHI): diamond}
+    for (s1, s2, st), (u, v, t, c) in list(tables.items()):
+        if s1 != s2:  # each product of a chi name and another the same either side
+            tables[s2, s1, st] = _sorted((v, u, t, c))
+    return tables
 
 
-def diamond_mul(p: int, n1: Name, n2: Name) -> NameCombo:
-    """chi x vertex algebra (either order) into z^{p-1}; only e_p survives."""
-    for first, second in ((n1, n2), (n2, n1)):
-        if first == ("z", 0) and second == ("e", p):
-            return {("z", p - 1): 1}
-    return {}
-
-
-def name_product(p: int, kind1: str, n1: Name, kind2: str, n2: Name,
-                 target_kind: str) -> NameCombo:
-    """Product of names per the closed-form tables, before placement signs."""
-    chi_kinds = (CHI, CHIBAR_MINUS, CHIBAR_PLUS, CHIUNDER)
-    star_kinds = (CHIBARSTAR_MINUS, CHIBARSTAR_PLUS)
-    if kind1 in chi_kinds and kind2 in chi_kinds:
-        if target_kind in chi_kinds:
-            return truncate_to(p, target_kind, chi_mul(p, n1, n2))
-        if target_kind == OMEGA0:  # kernel x kernel
-            if kind1 == CHIUNDER and kind2 == CHIUNDER:
-                return triangle_mul(p, n1, n2)
-            return {}
-        return {}
-    if kind1 in chi_kinds and kind2 in star_kinds:
-        if target_kind in star_kinds:
-            return chi_on_dual(p, n1, n2)
-        if target_kind == OMEGA0:
-            return box_mul(p, n1, n2)
-        return {}
-    if kind1 in star_kinds and kind2 in chi_kinds:
-        if target_kind in star_kinds:
-            return chi_on_dual(p, n2, n1)
-        if target_kind == OMEGA0:
-            return box_mul(p, n1, n2)
-        return {}
-    if kind1 in star_kinds and kind2 in star_kinds:
-        if target_kind in (CHIBAR_MINUS, CHIBAR_PLUS, CHI):
-            return truncate_to(p, target_kind, star_mul(p, n1, n2))
-        return {}
-    if OMEGA0 in (kind1, kind2):
-        other = kind2 if kind1 == OMEGA0 else kind1
-        if other == CHI:
-            if target_kind == OMEGA0:
-                # unit action only
-                nc, no = (n1, n2) if kind1 == CHI else (n2, n1)
-                return {no: 1} if nc == ("z", 0) else {}
-            if target_kind in (CHIUNDER, CHI):
-                return diamond_mul(p, n1, n2)
-            return {}
-        return {}  # vertex algebra kills everything else
-    return {}
+@lru_cache(maxsize=None)
+def _places(p: int, label: str) -> np.ndarray:
+    """Each name of the label's superset list at its place among the
+    label's names, or -1 when the label lacks it."""
+    at = {name: i for i, name in enumerate(component_names(p, label))}
+    return np.array([at.get(name, -1) for name in component_names(p, _SUPERSET[label])],
+                    dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
 def name_table(p: int, label1: str, label2: str, target: str) -> tuple[np.ndarray, ...]:
-    """The nonzero ``name_product``s of a label1 name and a label2 name into
-    the target label, as int64 arrays (u, v, t, c): name u times name v has
-    c at name t, each name numbered by its place in its ``component_names``.
-    Made once per process and shared, so callers only read it."""
-    at = {name: i for i, name in enumerate(component_names(p, target))}
-    names2 = list(enumerate(component_names(p, label2)))
-    flat = [(u, v, at[name], c) for u, n1 in enumerate(component_names(p, label1))
-            for v, n2 in names2
-            for name, c in name_product(p, label1, n1, label2, n2, target).items()]
-    return tuple(np.array(flat, dtype=np.int64).reshape(-1, 4).T)
+    """The nonzero closed-form products of a label1 name and a label2 name
+    into the target label, as int64 arrays (u, v, t, c): name u times name v
+    has c at name t, each name numbered by its place in its
+    ``component_names``, the rows sorted by (u, v, t).
+
+    It is the superset labels' table of ``_base_tables`` restricted to the
+    labels' names, so a product with a term off the target's names loses
+    that term, and zero where the labels rule it out: a vertex name
+    multiplies only with chi's, chi x chi lands in the vertex algebra only
+    for the kernel times itself, and dual x dual lands only in chi and the
+    truncations.  Made once per process and shared, so callers only read it.
+    """
+    s1, s2 = _SUPERSET[label1], _SUPERSET[label2]
+    base = _base_tables(p).get((s1, s2, _SUPERSET[target]))
+    if (base is None or (OMEGA0 in (label1, label2) and CHI not in (label1, label2))
+            or (target == OMEGA0 and s1 == s2 == CHI and not label1 == label2 == CHIUNDER)
+            or (target == CHIUNDER and s1 == s2 == _STAR)):
+        return (np.zeros(0, dtype=np.int64),) * 4
+    u, v, t, c = base
+    u, v, t = _places(p, label1)[u], _places(p, label2)[v], _places(p, target)[t]
+    keep = (u >= 0) & (v >= 0) & (t >= 0)
+    return u[keep], v[keep], t[keep], c[keep]
 
 
 def window_entry(table: WindowTable, basis: list, i: int, j: int):
@@ -374,22 +342,21 @@ def duality_form(p: int, n_sigma: Name, n_theta: Name) -> int:
 def duality_form_checks(p: int) -> tuple[bool, bool]:
     """(is perfect, is associative over all basis triples).
 
-    Associativity <chi_on_dual(m, h), t> = <h, m t> is one ``failing_triple``
-    scan with u = h, g = m and w = t, each name numbered by its place in its
-    component and the form a table with one dummy output index.  chi_on_dual
-    sends dual names to dual names, so the form's values on dual x truncation
-    names are all that either side reads; the part of m t off the truncation
-    names pairs to 0, and the numbering drops it.  The form is perfect when
-    its table, as a matrix with columns t and rows h, has full rank."""
-    sig, th, chi = ({n: i for i, n in enumerate(component_names(p, kind))}
-                    for kind in (CHIBARSTAR_MINUS, CHIBAR_MINUS, CHI))
-    form = {(h, t): {0: f} for n_h, h in sig.items() for n_t, t in th.items()
-            if (f := duality_form(p, n_h, n_t))}
-    act = {(h, m): {sig[n]: c for n, c in chi_on_dual(p, n_m, n_h).items()}
-           for n_h, h in sig.items() for n_m, m in chi.items()}
-    mul = {(m, t): {th[n]: c for n, c in chi_mul(p, n_m, n_t).items() if n in th}
-           for n_m, m in chi.items() for n_t, t in th.items()}
-    act, form, mul = (table_of(table, p) for table in (act, form, mul))
+    Associativity <h m, t> = <h, m t> is one ``failing_triple`` scan with
+    u = h, g = m and w = t, each name numbered by its place in its component
+    and the form a table with one dummy output index.  The action h m of a
+    chi name on a dual name is the name table chi x dual -> dual with its
+    sides swapped, so the form's values on dual x truncation names are all
+    that either side reads; m t is the name table chi x truncation ->
+    truncation, which drops the part of m t off the truncation names, as
+    that part pairs to 0.  The form is perfect when its table, as a matrix
+    with columns t and rows h, has full rank."""
+    sig, th = (component_names(p, kind) for kind in (CHIBARSTAR_MINUS, CHIBAR_MINUS))
+    form = table_of({(h, t): {0: f} for h, n_h in enumerate(sig) for t, n_t in enumerate(th)
+                     if (f := duality_form(p, n_h, n_t))}, p)
+    m, h, t, c = name_table(p, CHI, CHIBARSTAR_MINUS, CHIBARSTAR_MINUS)
+    act = Table.of(h, m, t, c, p)
+    mul = Table.of(*name_table(p, CHI, CHIBAR_MINUS, CHIBAR_MINUS), p)
     h, t, _, f = form
     by_t = np.lexsort((h, t))
     perfect = len(coo_pivot_rows(t[by_t], h[by_t], f[by_t], p)) == len(sig) == len(th)
@@ -517,12 +484,13 @@ def verify_first_principles(nm: NaturalMaps, a_min: int = -3,
         names = component_names(p, tk)
         for u, v, t, c in zip(*(a.tolist() for a in name_table(p, k1, k2, tk))):
             values.setdefault((u, v), {})[names[t]] = c
+        allowed = set(names)
         for u, n1 in enumerate(names1):
             for v, n2 in enumerate(names2):
                 table = values.get((u, v), {})
                 res = {} if zero else products[pr_name, st.kind][n1, n2]
                 # compare inside the target component's name set
-                res_t = truncate_to(p, tk, res)
+                res_t = {n: c for n, c in res.items() if n in allowed}
                 dropped = {n: c for n, c in res.items() if n not in res_t}
                 ok = res_t == table and not dropped
                 reason = (zero or "class-degree") if ok and not table else None

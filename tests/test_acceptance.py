@@ -15,13 +15,14 @@ from hh2.cli import _club_associativity
 from hh2.exactlin import rank
 from hh2.koszulhh import bar_oracle, build_model, homology_named
 from hh2.operators import build_hhl, project
-from hh2.spadesuit import (OUT_OF_WINDOW, build_spade, chi_mul,
+from hh2.spadesuit import (OUT_OF_WINDOW, build_spade,
                            duality_form, duality_form_checks,
                            verify_first_principles)
 
 from batches import cup_rows
 from club_reference import basis, form_dict, product, socle_evaluation
 from model_reference import project_one
+from spade_reference import chi_mul
 
 PASS_LINES = []
 

@@ -1,7 +1,8 @@
 import itertools
 
 from hh2.operators import build_hhl, project
-from hh2.spadesuit import OUT_OF_WINDOW, build_spade, chi_mul
+from hh2.spadesuit import OUT_OF_WINDOW, build_spade
+from spade_reference import chi_mul
 from tower_reference import apply_operator, hilbert_series, laurent_window
 
 

@@ -3,9 +3,9 @@
 ``product_table`` builds the window's table from one name table per label
 triple and never calls ``product``; ``product`` reads that table.  Here both
 are compared, entry by entry, with ``tests/spade_reference.py``, the per-pair
-product rule that ``SpadeAlgebra.product`` was before.  ``name_product`` runs
-once per entry of the name tables, one table per label triple, and a second
-window over the same labels reads the cached tables without calling it.
+product rule that ``SpadeAlgebra.product`` was before.  ``name_table`` is
+built once per label triple of the window, and a second window over the same
+labels reads the cached tables without building any.
 """
 
 import pytest
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import spade_reference as ref
 from hh2 import spadesuit
 from hh2.clubsuit import OUT_OF_WINDOW, component_at
-from hh2.spadesuit import build_spade, component_names
+from hh2.spadesuit import build_spade
 from tables import component
 
 # (p, a_min, a_max, b_min, b_max): a window and the b-range its slots fill,
@@ -52,28 +52,19 @@ def test_rows_match_one_call_per_pair(window, monkeypatch):
     alg = build_spade(p, a_min, a_max)
     b_lo, b_hi = (a_min, a_max) if b_min is None else (b_min, b_max)
     assert {b for _, b in alg.slots} == set(range(b_lo, b_hi + 1))
-    calls, name_calls = 0, 0
-    name_product = spadesuit.name_product
+    calls = 0
 
     def counted(*args):
         nonlocal calls
         calls += 1
 
-    def counted_names(*args):
-        nonlocal name_calls
-        name_calls += 1
-        return name_product(*args)
-
     spadesuit.name_table.cache_clear()
     monkeypatch.setattr(spadesuit.SpadeAlgebra, "product", counted)
-    monkeypatch.setattr(spadesuit, "name_product", counted_names)
     table = alg.product_table()
     assert calls == 0
-    assert name_calls == sum(len(component_names(p, l1)) * len(component_names(p, l2))
-                             for l1, l2, _ in label_triples(alg))
+    assert spadesuit.name_table.cache_info().misses == len(label_triples(alg))
     build_spade(p, a_min, a_max).product_table()  # the name tables are cached
-    assert name_calls == sum(len(component_names(p, l1)) * len(component_names(p, l2))
-                             for l1, l2, _ in label_triples(alg))
+    assert spadesuit.name_table.cache_info().misses == len(label_triples(alg))
     monkeypatch.undo()
     assert alg.product_table() is table
     assert entries(table, alg.dim) == entries(ref.product_table(alg), alg.dim)

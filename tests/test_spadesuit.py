@@ -9,9 +9,10 @@ from hh2.exactlin import NotOddPrime
 from hh2.quiver import BimoduleMap, Table
 from hh2.spadesuit import (CHI, CHIBAR_MINUS, CHIBARSTAR_MINUS, CHIUNDER,
                            OMEGA0, OUT_OF_WINDOW, augmentation, build_spade,
-                           chi_mul, chi_on_dual, component_names, duality_form,
+                           component_names, duality_form,
                            duality_form_checks, half, make_element,
-                           truncate_to, verify_first_principles)
+                           verify_first_principles)
+from spade_reference import chi_mul, chi_on_dual, truncate_to
 from tables import component
 
 
