@@ -30,7 +30,7 @@ from .exactlin import _among, _distinct, _summed, _within, _xor, is_odd_prime
 from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
                        KIND_THETA_SIGMA, max_cells)
 from .operators import UnboundedWindow
-from .quiver import Table, WindowTable, window_associativity
+from .quiver import Table, WindowTable, tables_equal, window_associativity
 from .spadesuit import WindowEmpty, WindowTooLarge
 
 COEFFS = (KIND_OMEGA, KIND_THETA, KIND_THETA_SIGMA, KIND_DUAL, KIND_IDEAL)
@@ -143,17 +143,16 @@ def cmd_hh(p: int, coefficient: str, fmt: str) -> tuple[str, int]:
         model, chi_model = nm.models[coefficient], nm.models[KIND_OMEGA]
         chi = nm.homology[KIND_OMEGA]
         pairing = nm.pairings[PRODUCT_TABLE[(KIND_OMEGA, coefficient, coefficient)]]
-        # names: chi's classes, then hh's; products by the names of their
-        # sides, the terms of each by class name
+        # names: chi's classes, then hh's, each side's distinct; products by
+        # the names of their sides, the terms of each by class name
         n = len(chi.classes)
         names = [format_name(cl.name) for cl in (*chi.classes, *hh.classes)]
-        at = {cl.name: i for i, cl in enumerate(hh.classes, n)}
-        results = zip(((u, v) for u in range(n) for v in range(n, len(names))),
-                      hh.project(cup(chi_model, chi.reps, model, hh.reps, pairing, model)))
-        groups = sorted((names[u], names[v], u, v, res) for (u, v), res in results if res)
-        terms = [(u, v, at[name], c) for *_, u, v, res in groups
-                 for name, c in sorted(res.items())]
-        products = (names, *np.array(terms, dtype=np.int64).reshape(-1, 4).T)
+        place = np.argsort(np.argsort(names))
+        by_name = np.argsort(sorted(range(len(hh.classes)), key=lambda i: hh.classes[i].name))
+        _, owner, t, c = hh.project(cup(chi_model, chi.reps, model, hh.reps, pairing, model))
+        u, v = np.divmod(owner, len(hh.classes))
+        order = np.lexsort((by_name[t], place[n + v], place[u]))
+        products = (names, u[order], n + v[order], n + t[order], c[order])
     doc = {"p": p, "object": f"HH(Omega, {coefficient})", "version": __version__,
            "command": f"hh --p {p} --coefficient {coefficient}", "checks": []}
     return _emit(doc, fmt, basis, products), 0
@@ -244,7 +243,7 @@ def _hh2_checks(p: int, spade, hh1) -> list[tuple[str, bool]]:
     _, (x1, y1, t1, c1), _ = hh1.product_table()
     s, e = _within(x1 * n1 + y1, proj[a] * n1 + proj[b])
     rhs = _summed((a[s] * n + b[s]) * n1 + t1[e], c1[e], p)
-    mult_ok = all(np.array_equal(u, v) for u, v in zip(lhs, rhs))
+    mult_ok = tables_equal(lhs, rhs)
     sc_ok = _supercommutativity(table, [e.k for e in hh2_.basis], p) == 0
     return list(zip(HH2_CHECKS, (onto, mult_ok, sc_ok)))
 
@@ -334,12 +333,10 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
     chi_names = {name: i for i, name in enumerate(component_names(p, CHI))}
     presented = Table.of(*name_table(p, CHI, CHI, CHI), p)
     ren = np.array([chi_names[cl.name] for cl in chi.classes], dtype=np.int64)
-    cups = cup(chi_model, chi.reps, chi_model, chi.reps, nm.pairings["mult"], chi_model)
-    uv, t, c = np.array([(uv, chi_names[name], c) for uv, res in enumerate(chi.project(cups))
-                         for name, c in res.items()], dtype=np.int64).reshape(-1, 3).T
-    check("chi cup table matches presentation exactly", all(
-        np.array_equal(u, v) for u, v in
-        zip(Table.of(ren[uv // len(ren)], ren[uv % len(ren)], t, c, p), presented)))
+    _, uv, t, c = chi.project(cup(chi_model, chi.reps, chi_model, chi.reps, nm.pairings["mult"],
+                                  chi_model))
+    check("chi cup table matches presentation exactly", tables_equal(
+        Table.of(ren[uv // len(ren)], ren[uv % len(ren)], ren[t], c, p), presented))
 
     perfect, assoc = duality_form_checks(p)
     check("duality pairing perfect", perfect)
@@ -381,8 +378,7 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
     ren = np.array([chi_names.get(el.factors[0].name, -1) for el in hh1.basis], dtype=np.int64)
     _, (x, y, t, c), (ox, _) = hh1.product_table()
     chi_ok = (len(_distinct(ren)) == hh1.dim == 3 * p - 2 and ren.min() >= 0 and not len(ox)
-              and all(np.array_equal(u, v) for u, v in
-                      zip(Table.of(ren[x], ren[y], ren[t], c, p), presented)))
+              and tables_equal(Table.of(ren[x], ren[y], ren[t], c, p), presented))
     check("hh_1 isomorphic to chi as graded algebra", chi_ok)
 
     if p == 3:

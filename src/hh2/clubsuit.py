@@ -407,6 +407,14 @@ PRODUCT_TABLE: dict[tuple[str, str, str], str] = {
 }
 
 
+def product_pairing(maps: NaturalMaps, kind1: str, kind2: str, target: str) -> Pairing | None:
+    """PRODUCT_TABLE's pairing of a kind1 and a kind2 component into a target-kind
+    one, or None, a zero product, when it has none or its codomain is not the target's."""
+    name = PRODUCT_TABLE.get((kind1, kind2, target))
+    pairing = maps.pairings[name] if name else None
+    return pairing if pairing and pairing.z_mod is maps.modules[target] else None
+
+
 class ClubWindow:
     """Realized grid components of rows i_min..i_max with their product; the
     basis is each component's module basis in turn, by slot (a, b)."""
@@ -426,19 +434,15 @@ class ClubWindow:
                     self.components[(a, row - a)] = comp
 
     def _pairing(self, comp1: GridComponent, comp2: GridComponent) -> Pairing | OutOfWindow | None:
-        """The pairing that multiplies two components into the slot (a1 + a2,
-        b1 + b2); None when their product is zero, OUT_OF_WINDOW when the
-        slot lies outside the window.  A pairing of PRODUCT_TABLE whose
-        codomain is not the target's module multiplies to zero there."""
-        a, b = comp1.a + comp2.a, comp1.b + comp2.b
-        target = component_at(self.p, a, b)
-        name = None if target is None else PRODUCT_TABLE.get((comp1.kind, comp2.kind, target.kind))
-        if name is None:
+        """The ``product_pairing`` of two components into the slot (a1 + a2,
+        b1 + b2); None when their product is zero, OUT_OF_WINDOW when
+        PRODUCT_TABLE has a pairing but the slot lies outside the window."""
+        target = component_at(self.p, comp1.a + comp2.a, comp1.b + comp2.b)
+        if target is None or (comp1.kind, comp2.kind, target.kind) not in PRODUCT_TABLE:
             return None
-        if (a, b) not in self.components:
+        if (target.a, target.b) not in self.components:
             return OUT_OF_WINDOW
-        pairing = self.maps.pairings[name]
-        return pairing if pairing.z_mod is self.maps.modules[target.kind] else None
+        return product_pairing(self.maps, comp1.kind, comp2.kind, target.kind)
 
     def product_table(self) -> WindowTable:
         """The products of the window's basis as a ``quiver.WindowTable``: per

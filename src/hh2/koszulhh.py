@@ -303,7 +303,7 @@ def idempotent_label(name: Name) -> str:
 
 
 class HHModule:
-    """Named homology classes of a cochain model, with projection to names.
+    """Named homology classes of a cochain model, with projection onto them.
 
     The candidate classes whose representative (in ``batch``) is empty or no
     cocycle are dropped, as over the ideal the low z-powers are; at each
@@ -312,8 +312,8 @@ class HHModule:
     row model.dim + (its index in classes).  The tagged representatives,
     reduced by the model's boundary basis, are eliminated into a second
     fully reduced basis.  ``project`` reduces a batch of cocycles by the two
-    bases in turn, two joins: what is left of each is its tag rows, and tag
-    t holds minus the coefficient of class t.
+    bases in turn, two joins: what is left of each is its tag rows, tag t
+    minus the coefficient of class t, a batch over the class indices.
     """
 
     def __init__(self, model: CochainModel, candidates: list[HHClass], batch: Cochains):
@@ -352,15 +352,12 @@ class HHModule:
                 raise UnrecognizedSignature(f"named classes not independent at {key}")
 
     def dims_by_h(self, h_max: int) -> list[int]:
-        out = [0] * (h_max + 1)
-        for cl in self.classes:
-            if cl.h <= h_max:
-                out[cl.h] += 1
-        return out
+        hs = [cl.h for cl in self.classes if cl.h <= h_max]
+        return np.bincount(np.array(hs, dtype=np.int64), minlength=h_max + 1).tolist()
 
-    def project(self, batch: Cochains) -> list[NameCombo]:
-        """Express each cocycle of a batch as a combination of the named
-        classes; a cochain that is no cocycle or outside their span raises."""
+    def project(self, batch: Cochains) -> Cochains:
+        """Each cocycle of a batch on the named classes, as a batch over their
+        indices by owner and then class; no cocycle, or one outside their span, raises."""
         model, p = self.model, self.p
         cocycle = model.are_cocycles(batch)
         _, owner, row, val = batch
@@ -374,10 +371,7 @@ class HHModule:
             raise UnrecognizedSignature("cocycle not in span of named classes"
                                         if key in self._named
                                         else f"nonzero class at unnamed degree {key}")
-        out: list[NameCombo] = [{} for _ in range(batch.count)]
-        for o, t, c in zip(owner.tolist(), (row - model.dim).tolist(), val.tolist()):
-            out[o][self.classes[t].name] = p - c
-        return out
+        return Cochains(batch.count, owner, row - model.dim, p - val)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,11 @@ class Table:
         return row.get(y, default)
 
 
+def tables_equal(a, b) -> bool:
+    """Whether two tables, or any two tuples of arrays, hold equal arrays place by place."""
+    return all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
 def table_of(entries: dict[tuple[int, int], Combo], p: int) -> Table:
     """The ``Table`` of a dict of combos, {(x, y): {t: c}}."""
     flat = [v for (x, y), combo in entries.items() for t, c in combo.items() for v in (x, y, t, c)]

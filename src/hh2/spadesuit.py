@@ -13,11 +13,12 @@ computations, placed at grid positions (a, b):
 Which piece sits at which slot, with its shifts, is ``clubsuit.component_at``.
 
 Products come from closed-form name products (frozen from cup computations
-in the cochain models; see verify_first_principles).  Each label's names are
-an ordered subset of one of three lists: chi's, the duals' or the vertex
-algebra's.  Each closed form is one array table over those lists, built once
-per prime from masks on the names' (family, exponent) arrays, and a label
-triple's ``name_table`` is its lists' table restricted to the labels' names.
+in the cochain models, which verify_first_principles compares table by
+table).  Each label's names are an ordered subset of one of three lists:
+chi's, the duals' or the vertex algebra's.  Each closed form is one array
+table over those lists, built once per prime from masks on the names'
+(family, exponent) arrays, and a label triple's ``name_table`` is its lists'
+table restricted to the labels' names.
 A window's ``product_table`` is built from those tables in one block per
 group of slot pairs, with a suspension sign for components whose k-shift is
 odd, and ``product`` reads it.
@@ -27,18 +28,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
 from . import Hh2Error
 from .clubsuit import (CHI, CHIBAR_MINUS, CHIBAR_PLUS, CHIBARSTAR_MINUS,
                        CHIBARSTAR_PLUS, CHIUNDER, OMEGA0, OUT_OF_WINDOW, PRODUCT_TABLE,
-                       GridComponent, NaturalMaps, component_at)
-from .exactlin import _among, _summed, _within, check_odd_prime, coo_pivot_rows
-from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Name, NameCombo, concrete_degree, cup,
-                       format_name, idempotent_label)
-from .quiver import Table, WindowTable, failing_triple, table_of, window_table
+                       GridComponent, NaturalMaps, component_at, product_pairing)
+from .exactlin import (_among, _distinct, _summed, _within, _xor, check_odd_prime,
+                       coo_pivot_rows)
+from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Cochains, Name, NameCombo, concrete_degree,
+                       cup, format_name, idempotent_label)
+from .quiver import Table, WindowTable, failing_triple, table_of, tables_equal, window_table
 
 
 class WindowEmpty(Hh2Error):
@@ -366,54 +368,47 @@ def duality_form_checks(p: int) -> tuple[bool, bool]:
 # ---------------------------------------------------------------------------
 # first-principles verification of the product tables against cup products
 
-@dataclass
-class CellCheck:
-    kind1: str
-    name1: Name
-    kind2: str
-    name2: Name
-    target_kind: str | None
-    table_value: NameCombo
-    cup_value: NameCombo | None
-    zero_reason: str | None
-    ok: bool
+# the status of a cell of ``verify_first_principles``, by its code
+STATUSES = ("ok", "slot", "tensor", "degree", "class-degree", "mismatch")
+OK, SLOT, TENSOR, DEGREE, CLASS_DEGREE, MISMATCH = range(len(STATUSES))
 
 
 @dataclass
 class VerificationReport:
+    """Each cell's code in ``cells``, in triple-then-(u, v) order: ok (nonzero
+    and matching), the reason a matching cell is zero, or mismatch.  The
+    failing cells as (label1, name1, label2, name2, target label) in
+    ``mismatches``, and the table's and the cup's value at the first."""
     p: int
-    cells: list[CellCheck]
-
-    @property
-    def mismatches(self) -> list[CellCheck]:
-        return [c for c in self.cells if not c.ok]
+    cells: np.ndarray
+    mismatches: list[tuple[str, Name, str, Name, str]]
+    first: tuple[NameCombo, NameCombo] | None = None
 
     def zero_reason_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for c in self.cells:
-            if c.zero_reason:
-                out[c.zero_reason] = out.get(c.zero_reason, 0) + 1
-        return out
+        counts = np.bincount(self.cells, minlength=len(STATUSES)).tolist()
+        return {STATUSES[code]: counts[code] for code in range(SLOT, MISMATCH) if counts[code]}
 
     def summary(self) -> str:
-        reasons = self.zero_reason_counts()
-        return (f"p={self.p}: {len(self.cells)} cells checked, "
-                f"{len(self.mismatches)} mismatches, zeros by reason {reasons}")
+        text = (f"p={self.p}: {len(self.cells)} cells checked, {len(self.mismatches)} "
+                f"mismatches, zeros by reason {self.zero_reason_counts()}")
+        if self.mismatches:
+            label1, name1, label2, name2, target = self.mismatches[0]
+            table, cup_value = ({format_name(n): c for n, c in v.items()} for v in self.first)
+            text += (f"; first {format_name(name1)} ({label1}) x {format_name(name2)} "
+                     f"({label2}) -> {target}: table {table}, cup {cup_value}")
+        return text
 
 
 def verify_first_principles(nm: NaturalMaps, a_min: int = -3,
                             a_max: int = 4) -> VerificationReport:
-    """Recompute every product cell of the window from cup products, with the
-    models and homology that ``nm`` holds for its prime.
-
-    For each pair of realized components and each pair of canonical class
-    names, the closed-form table value is compared with the cup product of
-    the canonical representatives through the pairing that the grid's product
-    table selects.  Zero cells are tagged with their reason: ``slot`` when
-    the target grid slot is vacant, ``tensor`` when the kind pair has no
-    pairing at any target, ``degree`` when no pairing lands in the target's
-    module, ``class-degree`` when the cup vanishes in homology.
-    """
+    """Compare each label triple's ``name_table`` with the cup products of the
+    representatives in ``nm`` through its kinds' ``product_pairing``, projected
+    onto the target's classes: all triples in one pass, as (cell, class, coeff)
+    rows, a cell per name pair (u, v).  A cup term on a class outside the
+    target label has no table row, so its cell fails.  A zero cell's reason is
+    ``slot`` (vacant target slot), ``tensor`` (no pairing at any target),
+    ``degree`` (none into the target's module) or ``class-degree`` (the cup
+    vanishes in homology)."""
     p, models, hhs = nm.p, nm.models, nm.homology
 
     # the class-level map induced by the socle embedding, verified on the nose:
@@ -422,11 +417,10 @@ def verify_first_principles(nm: NaturalMaps, a_min: int = -3,
     # the dual model's pairs, as cup places its products
     sig, dual = hhs[KIND_THETA_SIGMA], hhs[KIND_DUAL]
     sig_model, dual_model = models[KIND_THETA_SIGMA], models[KIND_DUAL]
-    mu_names = {cl.name: ("e", cl.name[1]) for cl in sig.classes if cl.name[0] == "soc"}
     # to[i]: the place of e_s among the dual classes if class i is soc_s, else -1;
     # the image of soc_s and the representative of e_s are keyed by (that place, pair)
     e_at = {cl.name: i for i, cl in enumerate(dual.classes)}
-    to = np.array([e_at[mu_names[cl.name]] if cl.name in mu_names else -1
+    to = np.array([e_at["e", cl.name[1]] if cl.name[0] == "soc" else -1
                    for cl in sig.classes], dtype=np.int64)
     _, owner, n, val = sig.reps
     mx, _, mt, mc = nm.mu.table
@@ -439,60 +433,65 @@ def verify_first_principles(nm: NaturalMaps, a_min: int = -3,
     _, owner, n, val = dual.reps
     at = _among(np.sort(to), owner)
     expect = _summed(owner[at] * dual_model.dim + n[at], val[at], p)
-    if not all(np.array_equal(a, b) for a, b in zip(image, expect)):
+    if not tables_equal(image, expect):
         raise AssertionError("socle embedding does not match class reps")
 
+    @cache  # all classes of kind1 times all of kind2, over the target's classes
+    def projected(kind1: str, kind2: str, target: str) -> Cochains:
+        pairing = product_pairing(nm, kind1, kind2, target)
+        inner, kind = (pairing.factor[0], KIND_THETA_SIGMA) if pairing.factor else (pairing, target)
+        found = hhs[kind].project(cup(models[kind1], hhs[kind1].reps, models[kind2],
+                                     hhs[kind2].reps, inner, models[kind]))
+        n = found.n if pairing.factor is None else to[found.n]  # then the socle embedding
+        return Cochains(found.count, found.owner[n >= 0], n[n >= 0], found.val[n >= 0])
+
+    @cache
+    def classes(label: str, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """Each name's class (a KeyError if none), each class's place in the label or -1."""
+        names = component_names(p, label)
+        at = {cl.name: i for i, cl in enumerate(hhs[kind].classes)}
+        return (np.array([at[name] for name in names], dtype=np.int64),
+                np.array([names.index(n) if n in names else -1 for n in at], dtype=np.int64))
+
     paired = {(k1, k2) for k1, k2, _kt in PRODUCT_TABLE}
-    products: dict[tuple, dict] = {}  # (pairing, target kind) -> {(name1, name2): class}
     alg = build_spade(p, a_min, a_max)
-    cells: list[CellCheck] = []
-    seen: set[tuple] = set()
-    for (a1, b1), (a2, b2) in itertools.product(sorted(alg.slots), repeat=2):
-        s1, s2 = alg.slots[a1, b1], alg.slots[a2, b2]
-        k1, k2 = s1.label, s2.label
-        st = component_at(p, a1 + a2, b1 + b2)
-        tk = st.label if st else None
-        if (k1, k2, tk) in seen:
+    triples: dict[tuple, tuple] = {}  # (label1, label2, target label) -> their kinds
+    for ((a1, b1), s1), ((a2, b2), s2) in itertools.product(sorted(alg.slots.items()), repeat=2):
+        s = component_at(p, a1 + a2, b1 + b2)  # the target slot, or None
+        triples.setdefault((s1.label, s2.label, s and s.label), (s1.kind, s2.kind, s and s.kind))
+    labels, kinds = list(triples), list(triples.values())
+    shapes = [(len(component_names(p, l1)), len(component_names(p, l2))) for l1, l2, _ in labels]
+    starts = np.cumsum([0] + [h * w for h, w in shapes])
+    empty = np.zeros((3, 0), dtype=np.int64)
+    codes, table, cups = [], [empty], [empty]  # blocks of (cell, class, coeff) rows
+    for (label1, label2, label), (k1, k2, kt), start, (_, width) in zip(
+            labels, kinds, starts.tolist(), shapes):
+        if label is None:
+            codes.append(SLOT)
             continue
-        seen.add((k1, k2, tk))
-        names1, names2 = component_names(p, k1), component_names(p, k2)
-        if st is None:
-            cells += [CellCheck(k1, n1, k2, n2, tk, {}, None, "slot", True)
-                      for n1 in names1 for n2 in names2]
-            continue
-        # the reason every cell of this slot pair is zero, if one applies
-        if (s1.kind, s2.kind) not in paired:
-            zero = "tensor"
-        else:
-            pr_name = PRODUCT_TABLE.get((s1.kind, s2.kind, st.kind))
-            pairing = nm.pairings[pr_name] if pr_name else None
-            lands = pairing is not None and pairing.z_mod is nm.modules[st.kind]
-            zero = None if lands else "degree"
-        if zero is None and (pr_name, st.kind) not in products:
-            # all named classes of one kind times all of the other, at once
-            inner, target = (pairing, st.kind) if pairing.factor is None \
-                else (pairing.factor[0], KIND_THETA_SIGMA)
-            xs, ys = hhs[s1.kind], hhs[s2.kind]
-            found = hhs[target].project(cup(models[s1.kind], xs.reps, models[s2.kind],
-                                            ys.reps, inner, models[target]))
-            if pairing.factor is not None:  # then the socle embedding
-                found = [{mu_names[n]: c for n, c in res.items() if n in mu_names}
-                         for res in found]
-            products[pr_name, st.kind] = dict(zip(
-                [(u.name, v.name) for u in xs.classes for v in ys.classes], found))
-        values: dict[tuple[int, int], NameCombo] = {}  # the name table, by (u, v)
-        names = component_names(p, tk)
-        for u, v, t, c in zip(*(a.tolist() for a in name_table(p, k1, k2, tk))):
-            values.setdefault((u, v), {})[names[t]] = c
-        allowed = set(names)
-        for u, n1 in enumerate(names1):
-            for v, n2 in enumerate(names2):
-                table = values.get((u, v), {})
-                res = {} if zero else products[pr_name, st.kind][n1, n2]
-                # compare inside the target component's name set
-                res_t = {n: c for n, c in res.items() if n in allowed}
-                dropped = {n: c for n, c in res.items() if n not in res_t}
-                ok = res_t == table and not dropped
-                reason = (zero or "class-degree") if ok and not table else None
-                cells.append(CellCheck(k1, n1, k2, n2, tk, table, res, reason, ok))
-    return VerificationReport(p, cells)
+        lands = (k1, k2) in paired and product_pairing(nm, k1, k2, kt) is not None
+        codes.append(CLASS_DEGREE if lands else DEGREE if (k1, k2) in paired else TENSOR)
+        u, v, t, c = name_table(p, label1, label2, label)
+        table.append(np.array((start + u * width + v, classes(label, kt)[0][t], c)))
+        if lands:
+            _, owner, t, c = projected(k1, k2, kt)
+            u, v = np.divmod(owner, hhs[k2].reps.count)
+            u, v = classes(label1, k1)[1][u], classes(label2, k2)[1][v]
+            at = (u >= 0) & (v >= 0)
+            cups.append(np.array((start + u[at] * width + v[at], t[at], c[at])))
+    cells = np.repeat(np.array(codes, dtype=np.int8), np.diff(starts))
+    table, cups = (np.concatenate(blocks, axis=1) for blocks in (table, cups))
+    cells[table[0]] = OK
+    n_t = 1 + max(int(rows[1].max(initial=0)) for rows in (table, cups))
+    bad = _distinct(_xor(*((cell * n_t + t) * p + c for cell, t, c in (table, cups)))
+                    // (n_t * p)).tolist()
+    cells[bad] = MISMATCH
+    k = (starts.searchsorted(bad, "right") - 1).tolist()  # each failing cell's triple
+    mismatches = [(l1, component_names(p, l1)[i // w], l2, component_names(p, l2)[i % w], lt)
+                  for (l1, l2, lt), (_, w), i in zip([labels[j] for j in k], [shapes[j] for j in k],
+                                                     (bad - starts[k]).tolist())]
+
+    def value(rows: np.ndarray) -> NameCombo:  # the first failing cell's, by class name
+        named = hhs[kinds[k[0]][2]].classes
+        return {named[t].name: c for i, t, c in zip(*rows.tolist()) if i == bad[0]}
+    return VerificationReport(p, cells, mismatches, (value(table), value(cups)) if bad else None)

@@ -4,6 +4,8 @@
 the class representatives through ``cup`` to ``HHModule.project``.  The tests
 write cochains as dicts {n: coeff}: ``as_batch`` turns a list of them into a
 batch, and ``as_chains`` and ``as_rows`` turn a batch back into dicts.
+``project`` returns a batch over the class indices; ``named`` turns it into
+one {class name: coeff} per cochain.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from hh2.exactlin import coo_terms
-from hh2.koszulhh import Cochain, Cochains, HHClass, HHModule, cup
+from hh2.koszulhh import Cochain, Cochains, HHClass, HHModule, NameCombo, cup
 
 
 def as_batch(chains: Iterable[Cochain]) -> Cochains:
@@ -24,6 +26,12 @@ def as_chains(batch: Cochains) -> list[Cochain]:
     for o, n, c in zip(*(a.tolist() for a in batch[1:])):
         out[o][n] = c
     return out
+
+
+def named(hh: HHModule, batch: Cochains) -> list[NameCombo]:
+    """A batch over hh's class indices, as ``project`` returns, as one
+    {class name: coeff} per cochain."""
+    return [{hh.classes[t].name: c for t, c in chain.items()} for chain in as_chains(batch)]
 
 
 def as_rows(batch: Cochains, rows: int) -> list[list[Cochain]]:

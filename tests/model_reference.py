@@ -19,7 +19,7 @@ from hh2.exactlin import NotACocycle, combo_add
 from hh2.koszulhh import (Cochain, CochainModel, HHModule, NameCombo, NotHomogeneous,
                           UnrecognizedSignature)
 
-from batches import as_batch
+from batches import as_batch, named
 from dict_elimination import sparse_pivots, sparse_reduce
 
 _IMAGES = weakref.WeakKeyDictionary()  # model -> d of each pair, as dicts
@@ -88,4 +88,4 @@ def reference_project(hh: HHModule, chain: Cochain) -> NameCombo:
 
 def project_one(hh: HHModule, chain: Cochain) -> NameCombo:
     """The batched ``HHModule.project`` of one chain."""
-    return hh.project(as_batch([chain]))[0]
+    return named(hh, hh.project(as_batch([chain])))[0]

@@ -15,8 +15,8 @@ from hh2.cli import _club_associativity
 from hh2.exactlin import rank
 from hh2.koszulhh import bar_oracle, build_model, homology_named
 from hh2.operators import build_hhl, project
-from hh2.spadesuit import (OUT_OF_WINDOW, build_spade,
-                           duality_form, duality_form_checks,
+from hh2.spadesuit import (OUT_OF_WINDOW, build_spade, component_names,
+                           duality_form, duality_form_checks, name_table,
                            verify_first_principles)
 
 from batches import cup_rows
@@ -191,26 +191,30 @@ def test_criterion_8_spade_verification():
     for p in (3, 5):
         rep = verify_first_principles(NaturalMaps(p))
         assert not rep.mismatches, rep.summary()
-        # the named formulas all appear among the verified nonzero cells
+        # so every name table the check compared is its cup table; the named
+        # formulas are cells of those tables
         h = (p - 1) // 2
-        nonzero = {(c.kind1, c.name1, c.kind2, c.name2, c.target_kind): c.table_value
-                   for c in rep.cells if c.table_value}
-        star = nonzero[("chibar_star_minus", ("mu", h), "chibar_star_minus",
-                        ("mu", h), "chibar_minus")]
+
+        def cell(label1, name1, label2, name2, target):
+            names = [component_names(p, label) for label in (label1, label2, target)]
+            u, v, t, c = name_table(p, label1, label2, target)
+            at = (u == names[0].index(name1)) & (v == names[1].index(name2))
+            return {names[2][x]: y for x, y in zip(t[at].tolist(), c[at].tolist())}
+
+        star = cell("chibar_star_minus", ("mu", h), "chibar_star_minus", ("mu", h),
+                    "chibar_minus")
         assert star == {("c2", h): 1, ("c2", h + 1): p - 1}
-        tri = nonzero[("chi_under", ("z", h), "chi_under", ("z", h), "omega0_plus")]
+        tri = cell("chi_under", ("z", h), "chi_under", ("z", h), "omega0_plus")
         assert tri[("e", p)] == 1  # top-vertex value as stated
-        diam = nonzero[("chi", ("z", 0), "omega0_plus", ("e", p), "chi_under")]
+        diam = cell("chi", ("z", 0), "omega0_plus", ("e", p), "chi_under")
         assert diam == {("z", p - 1): 1}
-        box = nonzero[("chibar_plus", ("z", 0), "chibar_star_minus", ("soc", 1),
-                       "omega0_plus")]
+        box = cell("chibar_plus", ("z", 0), "chibar_star_minus", ("soc", 1), "omega0_plus")
         assert box == {("e", 1): 1}
         half = (p + 1) // 2
-        signed = nonzero[("chi", ("c2", h), "chibar_star_minus", ("soc", h),
-                          "chibar_star_minus")]
+        signed = cell("chi", ("c2", h), "chibar_star_minus", ("soc", h), "chibar_star_minus")
         assert signed == {("nu", 1): half}  # + one-half at s = h
-        signed = nonzero[("chi", ("c2", h + 1), "chibar_star_minus",
-                          ("soc", h + 1), "chibar_star_minus")]
+        signed = cell("chi", ("c2", h + 1), "chibar_star_minus", ("soc", h + 1),
+                      "chibar_star_minus")
         assert signed == {("nu", 1): (p - half) % p}  # - one-half next door
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0

@@ -310,11 +310,11 @@ def test_verify_fails_a_changed_chi_cup_product(monkeypatch):
 
     def project_once_changed(self, batch):
         out = project(self, batch)
-        if not changed and len(out) == len(self.classes) ** 2 == 49:
-            combo = next(res for res in out if res)
-            name = next(iter(combo))
-            combo[name] = 3 - combo[name]
-            changed.append(name)
+        if not changed and out.count == len(self.classes) ** 2 == 49:
+            val = out.val.copy()
+            val[0] = 3 - val[0]
+            changed.append(self.classes[int(out.n[0])].name)
+            out = out._replace(val=val)
         return out
 
     monkeypatch.setattr(HHModule, "project", project_once_changed)

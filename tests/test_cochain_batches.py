@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hh2.clubsuit import PRODUCT_TABLE, NaturalMaps
 from hh2.koszulhh import NotHomogeneous, cup
 
-from batches import as_batch, as_chains, as_rows
+from batches import as_batch, as_chains, as_rows, named
 from cup_reference import cup_one
 from model_reference import chain_degree
 
@@ -69,9 +69,9 @@ def test_empty_cochains_keep_their_place_in_cup_and_project(data):
     assert rows == [[cup_one(model_x, u, model_y, v, pairing, model_y) for v in vs]
                     for u in us]
     assert rows[-1] == [{}] * len(vs) and all(row[-1] == {} for row in rows)
-    named = hh.project(products)
-    assert len(named) == products.count and named[-1] == {}
-    assert hh.project(as_batch(vs))[-1] == {}
+    projected = named(hh, hh.project(products))
+    assert len(projected) == products.count and projected[-1] == {}
+    assert named(hh, hh.project(as_batch(vs)))[-1] == {}
 
 
 @settings(max_examples=60, deadline=None)

@@ -24,7 +24,7 @@ from hh2.clubsuit import NaturalMaps
 from hh2.exactlin import NotACocycle, combo_add
 from hh2.koszulhh import NotHomogeneous, UnrecognizedSignature
 
-from batches import as_batch, module
+from batches import as_batch, module, named
 from model_reference import differential, images, reference_project
 
 KINDS = ("omega", "theta", "theta-sigma", "omega-dual", "omega-ep-omega")
@@ -60,15 +60,17 @@ def test_batched_project_matches_reference(data):
     kind = data.draw(st.sampled_from(KINDS))
     model, hh = maps(p).models[kind], maps(p).homology[kind]
     chains = data.draw(cocycles(model, hh, p))
-    assert hh.project(as_batch(chains)) == [reference_project(hh, chain) for chain in chains]
+    assert named(hh, hh.project(as_batch(chains))) == [reference_project(hh, chain)
+                                                       for chain in chains]
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_named_representatives_and_empty_chains(p):
     for kind in KINDS:
         hh = maps(p).homology[kind]
-        assert hh.project(as_batch([])) == []
-        assert hh.project(as_batch([{}, *(cl.rep for cl in hh.classes), {}])) == [
+        assert named(hh, hh.project(as_batch([]))) == []
+        reps = as_batch([{}, *(cl.rep for cl in hh.classes), {}])
+        assert named(hh, hh.project(reps)) == [
             {}, *({cl.name: 1} for cl in hh.classes), {}]
 
 
@@ -88,7 +90,8 @@ def test_each_failure_is_raised_from_inside_a_batch(p):
         with pytest.raises(exc, match=re.escape(message)):
             reference_project(hh_case, chain)
         good = [c.rep for c in hh_case.classes]
-        assert hh_case.project(as_batch(good)) == [{c.name: 1} for c in hh_case.classes]
+        assert named(hh_case, hh_case.project(as_batch(good))) == [
+            {c.name: 1} for c in hh_case.classes]
         for where in (0, len(good) // 2, len(good)):
             with pytest.raises(exc, match=re.escape(message)):
                 hh_case.project(as_batch(good[:where] + [chain] + good[where:]))
@@ -105,6 +108,6 @@ def test_cocycle_outside_the_span_is_refused_from_inside_a_batch():
     keep = at != i
     hh._basis = (np.delete(lead, i), at[keep] - (at[keep] > i), row[keep], val[keep])
     good = [c.rep for n, c in enumerate(hh.classes) if n != t]
-    assert all(hh.project(as_batch(good)))
+    assert all(named(hh, hh.project(as_batch(good))))
     with pytest.raises(UnrecognizedSignature, match="cocycle not in span of named classes"):
         hh.project(as_batch(good + [hh.classes[t].rep] + good))

@@ -5,7 +5,9 @@ import pytest
 
 from hh2 import spadesuit
 from hh2.clubsuit import NaturalMaps
+from hh2.cli import run_verify
 from hh2.exactlin import NotOddPrime
+from hh2.koszulhh import HHClass, HHModule
 from hh2.quiver import BimoduleMap, Table
 from hh2.spadesuit import (CHI, CHIBAR_MINUS, CHIBARSTAR_MINUS, CHIUNDER,
                            OMEGA0, OUT_OF_WINDOW, augmentation, build_spade,
@@ -187,6 +189,75 @@ def test_verify_first_principles(p):
     if p == 3:
         assert (len(rep.cells), reasons) == (
             1591, {"class-degree": 586, "degree": 288, "slot": 336, "tensor": 192})
+
+
+# Two mutations of one projected cup term, each made on the first projection
+# onto one module's classes, which verify's first-principles check alone makes
+# at p = 3: each must fail that check at the mutated cell, naming it in the
+# report's summary
+
+def _changed_coefficient(hh, out):
+    """The first term's coefficient changed to another nonzero one."""
+    val = out.val.copy()
+    val[0] = val[0] % (hh.p - 1) + 1
+    return out._replace(val=val)
+
+
+def _moved_off_the_label(hh, out):
+    """The first term moved onto a new class z^0, which chi_under, the label of
+    the ideal's classes, lacks."""
+    hh.classes.append(HHClass(("z", 0), 0, 0, 0, {}))
+    n = out.n.copy()
+    n[0] = len(hh.classes) - 1
+    return out._replace(n=n)
+
+
+MUTATED_TERMS = [(_changed_coefficient, "Theta"), (_moved_off_the_label, "OmegaEpOmega")]
+
+
+def _mutate_first_projection(monkeypatch, mutate, module):
+    """HHModule.project with its first nonzero result onto the module's
+    classes mutated; returns [(the first term's class before, after, coeff
+    before, after)] once that happened."""
+    project, changed = HHModule.project, []
+
+    def mutated(self, batch):
+        out = project(self, batch)
+        if not changed and self.model.x_mod.name == module and len(out.n):
+            new = mutate(self, out)
+            changed.append(tuple(self.classes[int(b.n[0])].name for b in (out, new))
+                           + (int(out.val[0]), int(new.val[0])))
+            out = new
+        return out
+
+    monkeypatch.setattr(HHModule, "project", mutated)
+    return changed
+
+
+@pytest.mark.parametrize("mutate, module", MUTATED_TERMS,
+                         ids=[mutate.__name__.lstrip("_") for mutate, _ in MUTATED_TERMS])
+def test_a_mutated_cup_term_is_a_mismatch(mutate, module, monkeypatch):
+    changed = _mutate_first_projection(monkeypatch, mutate, module)
+    rep = verify_first_principles(NaturalMaps(3))
+    ((name, moved, c, new_c),) = changed
+    # only the mutated cell fails, in each label triple that holds it, and
+    # the first of them shows the term as the table and the cup have it
+    assert rep.mismatches and len({m[1::2] for m in rep.mismatches}) == 1
+    table, cup = rep.first
+    assert table[name] == c and cup[moved] == new_c
+    assert {n: v for n, v in table.items() if n != name} == {
+        n: v for n, v in cup.items() if n != moved}
+    assert len(rep.cells) == 1591
+    assert [spadesuit.STATUSES[code] for code in rep.cells].count("mismatch") == len(
+        rep.mismatches)
+    assert "first" in rep.summary()
+
+    changed.clear()
+    results = {name: (status, detail) for name, status, detail in run_verify(3)}
+    assert changed
+    assert {name for name, (status, _) in results.items() if status == "FAIL"} == {
+        "spade table vs cup (1591 cells)"}
+    assert "; first " in results["spade table vs cup (1591 cells)"][1]
 
 
 def test_moved_socle_embedding_entry_is_caught():
