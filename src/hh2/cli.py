@@ -131,8 +131,8 @@ def _products_text(names: list[str], x, y, t, c) -> str:
 
 
 def cmd_hh(p: int, coefficient: str, fmt: str) -> tuple[str, int]:
-    from .clubsuit import PRODUCT_TABLE, NaturalMaps
-    from .koszulhh import cup, format_name, idempotent_label
+    from .clubsuit import NaturalMaps
+    from .koszulhh import format_name, idempotent_label
 
     nm = NaturalMaps(p)
     hh = nm.homology[coefficient]
@@ -140,16 +140,14 @@ def cmd_hh(p: int, coefficient: str, fmt: str) -> tuple[str, int]:
              for cl in sorted(hh.classes, key=lambda c: (c.h, c.k, c.j, c.name))]
     products = ((),) * 5
     if fmt == "json":  # the CSV listing is the basis alone
-        model, chi_model = nm.models[coefficient], nm.models[KIND_OMEGA]
         chi = nm.homology[KIND_OMEGA]
-        pairing = nm.pairings[PRODUCT_TABLE[(KIND_OMEGA, coefficient, coefficient)]]
         # names: chi's classes, then hh's, each side's distinct; products by
         # the names of their sides, the terms of each by class name
         n = len(chi.classes)
         names = [format_name(cl.name) for cl in (*chi.classes, *hh.classes)]
         place = np.argsort(np.argsort(names))
         by_name = np.argsort(sorted(range(len(hh.classes)), key=lambda i: hh.classes[i].name))
-        _, owner, t, c = hh.project(cup(chi_model, chi.reps, model, hh.reps, pairing, model))
+        _, owner, t, c = nm.class_products[KIND_OMEGA, coefficient, coefficient]
         u, v = np.divmod(owner, len(hh.classes))
         order = np.lexsort((by_name[t], place[n + v], place[u]))
         products = (names, u[order], n + v[order], n + t[order], c[order])
@@ -270,7 +268,7 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
     does not run at this prime."""
     from .clubsuit import CHI, ClubWindow, ConstructionFailure, NaturalMaps
     from .exactlin import coo_pivot_rows
-    from .koszulhh import TooLarge, bar_oracle, bar_sizes, cup
+    from .koszulhh import TooLarge, bar_oracle, bar_sizes
     from .operators import build_hhl
     from .spadesuit import (build_spade, component_names, duality_form_checks, name_table,
                             verify_first_principles)
@@ -299,7 +297,7 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
         else:
             check(name, True)
 
-    models, hhs = nm.models, nm.homology
+    hhs = nm.homology
     expect = {KIND_OMEGA: 3 * p - 2, KIND_THETA: 2 * (p - 1), KIND_THETA_SIGMA: 2 * (p - 1),
               KIND_DUAL: p, KIND_IDEAL: p}
     for kind in COEFFS:
@@ -329,12 +327,10 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
 
     # chi's cup table, each class renumbered by its name's place among chi's
     # names, is chi's name table exactly
-    chi, chi_model = hhs[KIND_OMEGA], models[KIND_OMEGA]
     chi_names = {name: i for i, name in enumerate(component_names(p, CHI))}
     presented = Table.of(*name_table(p, CHI, CHI, CHI), p)
-    ren = np.array([chi_names[cl.name] for cl in chi.classes], dtype=np.int64)
-    _, uv, t, c = chi.project(cup(chi_model, chi.reps, chi_model, chi.reps, nm.pairings["mult"],
-                                  chi_model))
+    ren = np.array([chi_names[cl.name] for cl in hhs[KIND_OMEGA].classes], dtype=np.int64)
+    _, uv, t, c = nm.class_products[KIND_OMEGA, KIND_OMEGA, KIND_OMEGA]
     check("chi cup table matches presentation exactly", tables_equal(
         Table.of(ren[uv // len(ren)], ren[uv % len(ren)], ren[t], c, p), presented))
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import Hh2Error, quiver
 from .exactlin import coo_pivot_rows
-from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA,
-                       KIND_THETA_SIGMA, Pairing, build_model, homology_named)
+from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA, KIND_THETA_SIGMA, Cochains,
+                       Pairing, build_model, cup, homology_named)
 from .quiver import BasedBimodule, BimoduleMap, Table, WindowTable, window_table
 
 # spade labels: which piece of the class algebra a grid slot carries
@@ -132,7 +132,9 @@ class NaturalMaps:
     built when it is first read, so a caller pays only for what it reads;
     ``modules`` and ``pairings`` are ``BuiltOnRead`` mappings by name, and
     ``models`` and ``homology`` hold each module's Koszul cochain model and
-    its named Hochschild cohomology, by kind.
+    its named Hochschild cohomology, by kind.  ``class_products`` holds, by
+    (kind1, kind2, target) of ``PRODUCT_TABLE``, all classes of kind1 times all
+    of kind2, u * (classes of kind2) + v, by ``product_pairing``, projected.
     """
 
     def __init__(self, p: int):
@@ -148,6 +150,8 @@ class NaturalMaps:
         self.homology = BuiltOnRead({kind: lambda k=kind: homology_named(self.models[k], k)
                                      for kind in self.modules})
         self.pairings = BuiltOnRead(self._pairing_builders())
+        self.class_products = BuiltOnRead({key: partial(self._class_products, *key)
+                                           for key in PRODUCT_TABLE})
 
     # -- modules -------------------------------------------------------------
 
@@ -330,6 +334,14 @@ class NaturalMaps:
     def check_pairings(self) -> None:
         for pr in self.pairings.values():
             pr.check()
+
+    def _class_products(self, kind1: str, kind2: str, target: str) -> Cochains:
+        # through the inner pairing of one that factors, onto its codomain's classes
+        via = product_pairing(self, kind1, kind2, target)
+        inner, kind = (via.factor[0], KIND_THETA_SIGMA) if via.factor else (via, target)
+        hh, models = self.homology, self.models
+        return hh[kind].project(cup(models[kind1], hh[kind1].reps, models[kind2], hh[kind2].reps,
+                                    inner, models[kind]))
 
 # ---------------------------------------------------------------------------
 # grid components and the windowed algebra

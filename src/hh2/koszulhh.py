@@ -30,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import Hh2Error
-from .exactlin import (NotACocycle, TooLarge, _chunks, _expand, _summed, _within, combo_add,
-                       coo_pivot_rows, coo_reduce, coo_terms)
+from .exactlin import (NotACocycle, TooLarge, _among, _chunks, _distinct, _expand, _summed,
+                       _within, combo_add, coo_pivot_rows, coo_reduce, coo_terms)
 from .quiver import BasedAlgebra, BasedBimodule, OmegaAlgebra, Table, failing_triple
 
 Name = tuple  # ("z", l) | ("kz", l) | ("c2", s) | ("soc", s) | ("mu", l) | ("nu", l) | ("e", s)
@@ -737,44 +737,62 @@ def bar_sizes(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> tuple[list
     return chains, cochains
 
 
-# product entries per chunk of the d.d = 0 join: bounds its temporaries
-_DD_CHUNK = 1 << 19
+# cochains of degree n_max per block of whole buckets in ``bar_oracle``
+_BLOCK_CELLS = 1 << 11
+
+
+def _bar_differential(n: int, pos: np.ndarray, xi: np.ndarray, faces: list, left: tuple,
+                      right: tuple, width: int, nrows: int, p: int) -> tuple[np.ndarray, ...]:
+    """d_n on the cochains (pos[i], xi[i]) of degree n as (i, row, coeff),
+    nonzero mod p, by i and then row (a cochain id of degree n + 1, < nrows):
+    d(phi)(r0..rn) = r0 . phi(r1..rn) + sum_i (-1)^{i+1} phi(.. r_i r_{i+1} ..)
+                     + (-1)^{n+1} phi(r0..r_{n-1}) . rn.
+    faces and left, right: ``Cofaces`` and the actions, with the bounds of
+    each source chain's run and of each a * width + x in place of the keys."""
+    (hb, hr, ht), (cb, ct, cc), (tb, tr, tt) = faces
+    keys, vals = [], []
+    for bound, r, tgt, (ab, atgt, acoeff), sign in (
+            (hb, hr, ht, left, 1), (tb, tr, tt, right, -1 if (n + 1) % 2 else 1)):
+        c, f = _expand(bound[pos], bound[pos + 1] - bound[pos])  # each cochain's chain's cofaces
+        a = r[f] * width + xi[c]
+        at, e = _expand(ab[a], ab[a + 1] - ab[a])  # and the action on its value
+        c, f = c[at], f[at]
+        keys.append(c * nrows + tgt[f] * width + atgt[e])
+        vals.append(sign * acoeff[e])
+    c, f = _expand(cb[pos], cb[pos + 1] - cb[pos])
+    keys.append(c * nrows + ct[f] * width + xi[c])
+    vals.append(cc[f])
+    key, val = _summed(np.concatenate(keys), np.concatenate(vals), p)
+    return *np.divmod(key, nrows), val
 
 
 def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]:
     """dim HH^n(alg, x_mod) for n = 0..n_max via the reduced bar complex.
 
-    Cochains in degree n are A0-bimodule maps (rad A)^{(x)_{A0} n} -> X,
-    graded by the difference of internal (j, k) degrees, which d preserves.
-    No Koszulity is used anywhere.
+    Cochains in degree n are A0-bimodule maps (rad A)^{(x)_{A0} n} -> X; no
+    Koszulity is used.  Raises TooLarge before anything is built, from the
+    exact sizes of ``bar_sizes``: when the cochains of degrees 1..n_max+1
+    pass ``max_cells()``, or when the keys of a d_n or of its d.d = 0 check
+    would not index in int64.
 
-    Raises TooLarge before anything is built, from the exact sizes of
-    ``bar_sizes``: when the cochains of degrees 1..n_max+1 pass the cell cap
-    ``max_cells()``, or when the keys of a differential d_n or of the d.d = 0
-    check from it would not index in int64.  Checks d_{n+1} . d_n = 0 for
-    every n < n_max, and logs the shape and rank of each graded piece at
-    DEBUG level.
+    A cochain's id is (place of its chain in level n) * dim X + (index of its
+    value in X).  d keeps its bucket deg(x) - deg(chain) in (j, k), so the
+    complex is the direct sum of its buckets, and the oracle works on blocks
+    of whole buckets, in code order, of at most ``_BLOCK_CELLS`` cochains of
+    degree n_max (or one bucket): ``verify --p 5`` peaks at about 65 MB of
+    RSS, not 105 MB as with each d_n whole (x86-64 Linux).
 
-    A cochain of degree n is named by one integer, its id: the place of its
-    chain in level n times dim X plus the index of its value in X, for each
-    slot-matched (chain, x).  d_n is assembled as COO arrays by joining the
-    cofaces of each chain with the cochains of that chain, and then with the
-    action tables of X, stored as COO arrays sorted by (algebra index) *
-    dim X + (module index): heads with the left action, collapses with the
-    identity, tails with the right action and the sign (-1)^(n+1).  One sort
-    of col * (rows) + row and ``np.add.reduceat`` sum the entries mod p.
-    d_{n+1} . d_n = 0 is a join of the entries of d_n with the columns of
-    d_{n+1} on the middle id, summed the same way, run in chunks of whole
-    columns of d_n so that the temporaries stay bounded.
-
-    dim HH^n = |C^n| - rank d_n - rank d_{n-1}, and ``coo_pivot_rows`` ranks
-    d_n only on its columns off R, the pivot rows of d_{n-1} (both index the
-    cochains of degree n).  R is the set of leading rows of V = im d_{n-1},
-    {r : dim V_{>=r} > dim V_{>r}}, and a basis of V leading at R is
-    triangular with a nonzero diagonal on the coordinates R.  So V projects
-    isomorphically onto them, the coordinate vectors off R span a complement
-    of V, and d_n, which kills V (checked before any rank is taken), has its
-    full rank on them.  The result is exact in any elimination order.
+    Phase 1, per block: ``_bar_differential`` assembles d_0..d_{n_max}; each
+    entry's row must have its column's code, x's (slot, j, k) less the
+    chain's (else "leaves its bucket"), and d_n . d_{n-1} must vanish.
+    Phase 2, per block: ``coo_pivot_rows`` ranks d_n only on its columns off
+    R, the pivot rows of d_{n-1}, the leading rows of V = im d_{n-1}.  A
+    basis of V leading at R is triangular with a nonzero diagonal on R, so
+    the coordinate vectors off R span a complement of V, on which d_n,
+    killing V, has its full rank.  That needs d.d = 0, so no rank is taken
+    before phase 1 has checked every block; the result is exact in any
+    elimination order.  DEBUG lines give each bucket's shape and rank (the
+    pivots leading in its rows), by n and then by its first cochain.
     """
     cap = max_cells()
     chains, cells = bar_sizes(alg, x_mod, n_max + 2)
@@ -782,117 +800,92 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]
         raise TooLarge(f"bar complex would exceed {cap} cells")
     width = x_mod.dim
     for n in range(n_max + 1):
-        # d_n is keyed by col * rows + row, and its d.d = 0 join by (a rank
-        # among the columns of d_n) * (rows of d_{n+1}) + row
+        # d_n is keyed by col * rows + row, its d.d = 0 join by col * (rows of d_{n+1}) + row
         if chains[n] * width * max(chains[n + 1], chains[n + 2]) * width > 2 ** 63 - 1:
             raise TooLarge(f"the entries of d_{n} would not index in int64")
-    p = alg.p
-    bar = radical_chains(alg)
+    p, bar = alg.p, radical_chains(alg)
+    faces = [[(t[0].searchsorted(np.arange(chains[n] + 1)), *t[1:]) for t in bar.cofaces(n)]
+             for n in range(n_max + 1)]  # by the bounds of each chain's run, a dense index
 
-    # X by slot: its indices sorted by (left, right) vertex code, index order within
+    # codes of (slot, j, k) in digits of a base past twice any j or k difference
     x_left, x_right, x_j, x_k = _slots(x_mod.basis)
     vmax = 1 + max([0, *alg.vertices, *x_left.tolist(), *x_right.tolist()])
-    x_code = x_left * vmax + x_right
-    x_by_slot = np.argsort(x_code, kind="stable")
-    x_code = x_code[x_by_slot]
+    base = 1 + 2 * (n_max + 2) * max(abs(v) for b in (*alg.basis, *x_mod.basis) for v in (b.j, b.k))
+    x_slot = x_left * vmax + x_right
+    x_code = (x_slot * base + x_j) * base + x_k
+    ch_code = [((lv.lft * vmax + lv.rgt) * base + lv.j) * base + lv.k
+               for lv in map(bar.level, range(n_max + 2))]
+    x_by_slot = np.argsort(x_slot, kind="stable")
 
-    def sorted_by(key: np.ndarray, t: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
-        order = np.argsort(key, kind="stable")
-        return key[order], t[order], c[order]
+    def cochains(n: int) -> np.ndarray:
+        """The ids of the cochains of degree n, ascending."""
+        pos, idx = _within(x_slot[x_by_slot], bar.level(n).lft * vmax + bar.level(n).rgt)
+        return pos * width + x_by_slot[idx]
 
-    # the action tables as (a * width + x, target, coeff), sorted by key
-    a, x, t, c = x_mod.left
-    left = sorted_by(a * width + x, t, c)
-    x, a, t, c = x_mod.right
-    right = sorted_by(a * width + x, t, c)
+    def code(n: int, ids: np.ndarray) -> np.ndarray:
+        """x's code less its chain's, for ids of degree n: the bucket's iff slot-matched."""
+        q, x = np.divmod(ids, width)
+        return x_code[x] - ch_code[n][q]
 
-    def cochains(n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(place of the chain in level n, index in X) of each cochain of
-        degree n, in id order."""
-        lv = bar.level(n)
-        pos, idx = _within(x_code, lv.lft * vmax + lv.rgt)
-        return pos, x_by_slot[idx]
+    ids = [cochains(n) for n in range(n_max + 1)]
+    codes = [code(n, i) for n, i in enumerate(ids)]
+    buckets = _distinct(np.concatenate(codes))
+    of, fill = [-1], _BLOCK_CELLS + 1  # each bucket's block, after a -1
+    for t in np.bincount(buckets.searchsorted(codes[-1]), minlength=len(buckets)).tolist():
+        new, fill = (1, t) if fill + t > _BLOCK_CELLS else (0, fill + t)
+        of.append(of[-1] + new)
+    blk = [np.array(of[1:], dtype=np.int64)[buckets.searchsorted(c)] for c in codes]
 
-    def pieces(n: int, pos: np.ndarray, xi: np.ndarray) -> list[tuple[tuple[int, int], np.ndarray]]:
-        """(bucket, ids) of the cochains of degree n, bucketed by
-        (j(x) - j(chain), k(x) - k(chain)); buckets in the order of their
-        first cochain, ids ascending."""
-        if not len(pos):
-            return []
-        lv = bar.level(n)
-        dj, dk = x_j[xi] - lv.j[pos], x_k[xi] - lv.k[pos]
-        code = (dj - dj.min()) * (int(dk.max() - dk.min()) + 1) + (dk - dk.min())
-        _, first, bucket = np.unique(code, return_index=True, return_inverse=True)
-        ids = pos * width + xi
-        return [((int(dj[f]), int(dk[f])), ids[bucket == g])
-                for g, f in sorted(enumerate(first.tolist()), key=lambda gf: gf[1])]
+    lt, rt = x_mod.left, x_mod.right  # (a, x, a x, coeff) and (x, a, x a, coeff), sorted
+    by_a, keys = np.lexsort((rt.x, rt.y)), np.arange(alg.dim * width + 1)
+    left = (np.searchsorted(lt.x * width + lt.y, keys), lt.t, lt.c)
+    right = (np.searchsorted(rt.y[by_a] * width + rt.x[by_a], keys), rt.t[by_a], rt.c[by_a])
 
-    def differential(n: int, pos: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, ...]:
-        """d_n as (col, row, coeff) arrays, nonzero mod p, sorted by column and
-        then row; columns are the cochain ids of degree n, rows of n + 1:
-        d(phi)(r0..rn) = r0 . phi(r1..rn) + sum_i (-1)^{i+1} phi(.. r_i r_{i+1} ..)
-                         + (-1)^{n+1} phi(r0..r_{n-1}) . rn."""
-        col = pos * width + xi
-        nrows = len(bar.level(n + 1).lft) * width
-        heads, collapses, tails = bar.cofaces(n)
-        keys, vals = [], []
-        for (src, r, tgt), (akey, atgt, acoeff), sign in (
-                (heads, left, 1), (tails, right, -1 if (n + 1) % 2 else 1)):
-            c, f = _within(src, pos)  # the cofaces of each cochain's chain
-            at, e = _within(akey, r[f] * width + xi[c])  # and the action on its value
-            c, f = c[at], f[at]
-            keys.append(col[c] * nrows + tgt[f] * width + atgt[e])
-            vals.append(sign * acoeff[e])
-            del c, f, at, e
-        src, tgt, coeff = collapses
-        c, f = _within(src, pos)
-        keys.append(col[c] * nrows + tgt[f] * width + xi[c])
-        vals.append(coeff[f])
-        del c, f
-        key, val = _summed(np.concatenate(keys), np.concatenate(vals), p)
-        return key // max(1, nrows), key % max(1, nrows), val
+    def phase1(b: int) -> list[tuple[np.ndarray, ...]]:  # block b's d_n as (col, row, coeff)
+        d = []
+        for n in range(n_max + 1):
+            cols, c = (a[blk[n] == b] for a in (ids[n], codes[n]))
+            nrows = max(1, chains[n + 1] * width)
+            i, row, val = _bar_differential(n, *np.divmod(cols, max(1, width)), faces[n],
+                                            left, right, width, nrows, p)
+            if (code(n + 1, row) != c[i]).any():
+                raise AssertionError(f"bar differential d_{n} leaves its bucket")
+            col = cols[i]
+            if d:  # d_n . d_{n-1} = 0: the rows of d_{n-1} are columns of d_n in the block
+                lcol, lrow, lval = d[-1]
+                o, u = _within(col, lrow)
+                if len(_summed(lcol[o] * nrows + row[u], lval[o] * val[u], p, "quicksort")[0]):
+                    raise AssertionError("bar differential does not square to zero")
+            d.append((col, row, val))
+        return d
 
-    def check_d_squared(lower: tuple[np.ndarray, ...], upper: tuple[np.ndarray, ...],
-                        nrows: int) -> None:
-        """Raise unless upper . lower = 0; nrows counts the rows of upper."""
-        lcol, lrow, lval = lower
-        ucol, urow, uval = upper
-        lo = np.searchsorted(ucol, lrow)
-        count = np.searchsorted(ucol, lrow, "right") - lo
-        for a0, a1 in _chunks(lcol, count, _DD_CHUNK):
-            at, u = _expand(lo[a0:a1], count[a0:a1])
-            col = np.cumsum(np.diff(lcol[a0:a1], prepend=lcol[a0]) != 0)  # rank in the chunk
-            _, total = _summed(col[at] * nrows + urow[u], lval[a0:a1][at] * uval[u], p)
-            if len(total):
-                raise AssertionError("bar differential does not square to zero")
-
-    d = [differential(n, *cochains(n)) for n in range(n_max + 1)]
-
-    # d_{n+1} . d_n = 0 in every degree whose columns the ranks below use
-    for n in range(0, n_max):
-        check_d_squared(d[n], d[n + 1], len(bar.level(n + 2).lft) * width)
+    blocks = [phase1(b) for b in range(of[-1] + 1)]
 
     # imported here, not at module level, so that only the oracle's callers
     # pay for loading logging at start-up
     import logging
     log = logging.getLogger(__name__)
     debug = log.isEnabledFor(logging.DEBUG)
-    if debug:  # degree n_max + 1 counts only the rows of d_{n_max}
-        ids = [pieces(n, *cochains(n)) for n in range(n_max + 2)]
-        sizes = [{key: len(piece) for key, piece in level} for level in ids]
+    if debug:  # by bucket code: each degree's first cochain, and the rows of each d_n
+        from collections import Counter
+        first = [dict(zip(c[::-1].tolist(), i[::-1].tolist())) for i, c in zip(ids, codes)]
+        rows = [Counter(c.tolist()) for c in codes[1:] + [code(n_max + 1, cochains(n_max + 1))]]
 
-    dims = []
-    skip = np.zeros(0, dtype=np.int64)  # the pivot rows of d_{n-1}, ascending
-    for n in range(0, n_max + 1):
-        dcol, drow, dval = d[n]
-        off = ~np.isin(dcol, skip)
-        found = coo_pivot_rows(dcol[off], drow[off], dval[off], p)
-        if debug:  # d_n keeps buckets: a piece's rank counts the pivot rows among its rows
-            for key, piece in ids[n]:
-                _, idx = _within(dcol, piece)
-                log.debug("bar piece n=%d bucket=%s rows=%d cols=%d nnz=%d rank=%d", n, key,
-                          sizes[n + 1].get(key, 0), len(piece), len(idx),
-                          len(np.intersect1d(drow[idx], found)))
-        dims.append(cells[n] - len(found) - len(skip))
-        skip = found
+    dims, lines = cells[:n_max + 1], []  # less each block's ranks
+    for b in sorted(range(len(blocks)), key=lambda b: len(blocks[b][-1][0])):
+        d, blocks[b] = blocks[b], None  # phase 2, smallest first, each freed once ranked
+        skip = np.zeros(0, dtype=np.int64)  # the pivot rows of d_{n-1} in the block
+        for n, (dcol, drow, dval) in enumerate(d):
+            off = ~_among(skip, dcol)
+            found = coo_pivot_rows(dcol[off], drow[off], dval[off], p)
+            dims[n] -= len(found) + len(skip)
+            if debug:  # a pivot counts in the bucket of its leading row
+                nnz, pivots = (Counter(code(m, a).tolist()) for m, a in ((n, dcol), (n + 1, found)))
+                lines += [(n, first[n][k], k, rows[n][k], c, nnz[k], pivots[k])
+                          for k, c in Counter(codes[n][blk[n] == b].tolist()).items()]
+            skip = found
+    for n, _, k, *counts in sorted(lines):
+        dj, dk = divmod(k + base // 2, base)
+        log.debug("bar piece n=%d bucket=%s rows=%d cols=%d nnz=%d rank=%d", n,
+                  (dj, dk - base // 2), *counts)
     return dims

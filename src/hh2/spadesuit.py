@@ -38,8 +38,8 @@ from .clubsuit import (CHI, CHIBAR_MINUS, CHIBAR_PLUS, CHIBARSTAR_MINUS,
                        GridComponent, NaturalMaps, component_at, product_pairing)
 from .exactlin import (_among, _distinct, _summed, _within, _xor, check_odd_prime,
                        coo_pivot_rows)
-from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Cochains, Name, NameCombo, concrete_degree,
-                       cup, format_name, idempotent_label)
+from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Name, NameCombo, concrete_degree,
+                       format_name, idempotent_label)
 from .quiver import Table, WindowTable, failing_triple, table_of, tables_equal, window_table
 
 
@@ -235,21 +235,25 @@ def window_entry(table: WindowTable, basis: list, i: int, j: int):
     return OUT_OF_WINDOW if j in oy[lo:hi].tolist() else {}
 
 
+def window_slots(p: int, a_min: int, a_max: int) -> dict[tuple[int, int], GridComponent]:
+    """{(a, b): its grid component} over a, b in a_min..a_max; WindowEmpty if none."""
+    span = range(a_min, a_max + 1)
+    slots = {(a, b): comp for a in span for b in span if (comp := component_at(p, a, b))}
+    if not slots:
+        raise WindowEmpty("no grid slots in the requested window")
+    return slots
+
+
 class SpadeAlgebra:
     """Windowed realization with the closed-form product, read from its table."""
 
     def __init__(self, p: int, a_min: int, a_max: int):
         check_odd_prime(p)
         self.p = p
-        # the b-range mirrors the a-range, covering rows 2*a_min..2*a_max
         self.a_min, self.a_max = a_min, a_max
-        span = range(a_min, a_max + 1)
-        self.slots: dict[tuple[int, int], GridComponent] = {
-            (a, b): comp for a in span for b in span if (comp := component_at(p, a, b))}
+        self.slots = window_slots(p, a_min, a_max)
         self.basis = [make_element(p, a, b, name) for (a, b), comp in self.slots.items()
                       for name in component_names(p, comp.label)]
-        if not self.basis:
-            raise WindowEmpty("no grid slots in the requested window")
         self.index = {(m.a, m.b, m.name): i for i, m in enumerate(self.basis)}
         self._table: WindowTable | None = None
 
@@ -436,15 +440,6 @@ def verify_first_principles(nm: NaturalMaps, a_min: int = -3,
     if not tables_equal(image, expect):
         raise AssertionError("socle embedding does not match class reps")
 
-    @cache  # all classes of kind1 times all of kind2, over the target's classes
-    def projected(kind1: str, kind2: str, target: str) -> Cochains:
-        pairing = product_pairing(nm, kind1, kind2, target)
-        inner, kind = (pairing.factor[0], KIND_THETA_SIGMA) if pairing.factor else (pairing, target)
-        found = hhs[kind].project(cup(models[kind1], hhs[kind1].reps, models[kind2],
-                                     hhs[kind2].reps, inner, models[kind]))
-        n = found.n if pairing.factor is None else to[found.n]  # then the socle embedding
-        return Cochains(found.count, found.owner[n >= 0], n[n >= 0], found.val[n >= 0])
-
     @cache
     def classes(label: str, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """Each name's class (a KeyError if none), each class's place in the label or -1."""
@@ -454,9 +449,9 @@ def verify_first_principles(nm: NaturalMaps, a_min: int = -3,
                 np.array([names.index(n) if n in names else -1 for n in at], dtype=np.int64))
 
     paired = {(k1, k2) for k1, k2, _kt in PRODUCT_TABLE}
-    alg = build_spade(p, a_min, a_max)
     triples: dict[tuple, tuple] = {}  # (label1, label2, target label) -> their kinds
-    for ((a1, b1), s1), ((a2, b2), s2) in itertools.product(sorted(alg.slots.items()), repeat=2):
+    for ((a1, b1), s1), ((a2, b2), s2) in itertools.product(
+            sorted(window_slots(p, a_min, a_max).items()), repeat=2):
         s = component_at(p, a1 + a2, b1 + b2)  # the target slot, or None
         triples.setdefault((s1.label, s2.label, s and s.label), (s1.kind, s2.kind, s and s.kind))
     labels, kinds = list(triples), list(triples.values())
@@ -473,8 +468,11 @@ def verify_first_principles(nm: NaturalMaps, a_min: int = -3,
         codes.append(CLASS_DEGREE if lands else DEGREE if (k1, k2) in paired else TENSOR)
         u, v, t, c = name_table(p, label1, label2, label)
         table.append(np.array((start + u * width + v, classes(label, kt)[0][t], c)))
-        if lands:
-            _, owner, t, c = projected(k1, k2, kt)
+        if lands:  # all classes of k1 times all of k2, over the target's classes
+            _, owner, t, c = nm.class_products[k1, k2, kt]
+            if product_pairing(nm, k1, k2, kt).factor:  # then the socle embedding
+                at = to[t] >= 0
+                owner, t, c = owner[at], to[t[at]], c[at]
             u, v = np.divmod(owner, hhs[k2].reps.count)
             u, v = classes(label1, k1)[1][u], classes(label2, k2)[1][v]
             at = (u >= 0) & (v >= 0)

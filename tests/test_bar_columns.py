@@ -3,12 +3,13 @@
 ``ListChains``, ``pieces`` and ``d_columns`` are the list-of-tuples chains,
 cofaces and column builders that the array code replaced, kept verbatim as
 the reference.  Each call of ``coo_pivot_rows`` is recorded with the degree
-it ranks, read from the oracle's frame: ``n``, the whole d_n ``d[n]``, the
-pivot rows ``skip`` of d_{n-1} and the pieces ``ids[n]``, which the oracle
-lists for its DEBUG lines.
+it ranks, read from the oracle's frame: ``n``, the block's whole d_n
+``d[n]`` and the pivot rows ``skip`` of the block's d_{n-1}.  The pieces come
+in the order of the oracle's DEBUG lines.
 """
 import inspect
 import logging
+import re
 
 import pytest
 
@@ -124,11 +125,12 @@ def _columns(col, row, val) -> dict[int, dict]:
 
 
 def _handed_over(alg, x_mod, n_max, monkeypatch, caplog):
-    """[(n, key, cols)] in the order of the oracle's pieces, each piece's
-    columns read off the oracle's d_n, and its dims; asserts that each
-    elimination gets the columns of d_n off the pivot rows of d_{n-1}, sorted
-    by column and then row."""
-    seen = []
+    """The nonzero columns {id: column} of each d_n, read off the blocks'
+    d_n, and the (n, bucket) of the logged pieces in order; asserts that each
+    elimination gets the columns of its block's d_n off the pivot rows of its
+    d_{n-1}, sorted by column and then row, and that no two blocks share a
+    column."""
+    seen = [{} for _ in range(n_max + 1)]
 
     def recording(col, row, val, p):
         caller = inspect.currentframe().f_back.f_locals
@@ -137,22 +139,24 @@ def _handed_over(alg, x_mod, n_max, monkeypatch, caplog):
         assert _columns(col, row, val) == {c: v for c, v in full.items() if c not in skip}
         packed = col * (int(row.max(initial=0)) + 1) + row
         assert (packed[1:] > packed[:-1]).all()
-        seen.extend((n, key, [full.get(i, {}) for i in piece.tolist()])
-                    for key, piece in caller["ids"][n])
+        assert not seen[n].keys() & full.keys()
+        seen[n].update(full)
         return coo_pivot_rows(col, row, val, p)
 
     monkeypatch.setattr(koszulhh, "coo_pivot_rows", recording)
     with caplog.at_level(logging.DEBUG, logger="hh2.koszulhh"):
-        return seen, bar_oracle(alg, x_mod, n_max)
+        bar_oracle(alg, x_mod, n_max)
+    pieces = [re.match(r"bar piece n=(\d+) bucket=\((-?\d+), (-?\d+)\)", rec.getMessage())
+              for rec in caplog.records if rec.name == "hh2.koszulhh"]
+    return seen, [(int(n), (int(j), int(k))) for n, j, k in (m.groups() for m in pieces)]
 
 
 def _assert_reference_columns(alg, x_mod, n_max, monkeypatch, caplog):
     ref_pieces, ref_d = reference(alg, x_mod, n_max)
-    seen, _dims = _handed_over(alg, x_mod, n_max, monkeypatch, caplog)
-    expected = [(n, key) for n in range(n_max + 1) for key in ref_pieces[n]]
-    assert [(n, key) for n, key, _ in seen] == expected
-    for n, key, cols in seen:
-        assert cols == [ref_d[n][i] for i in ref_pieces[n][key]]
+    seen, logged = _handed_over(alg, x_mod, n_max, monkeypatch, caplog)
+    assert logged == [(n, key) for n in range(n_max + 1) for key in ref_pieces[n]]
+    for n in range(n_max + 1):
+        assert seen[n] == {i: column for i, column in ref_d[n].items() if column}
 
 
 @pytest.mark.parametrize("kind", ["omega", "theta", "theta-sigma",

@@ -303,7 +303,8 @@ def test_cell_cap_skips_only_the_bar_oracle(capsys, monkeypatch):
 
 def test_verify_fails_a_changed_chi_cup_product(monkeypatch):
     # one coefficient of chi's projected cup table changed (1 <-> 2 at p = 3)
-    # makes its check FAIL; the other checks keep their status
+    # makes its check FAIL, and the spade table check, which reads the same
+    # batch of NaturalMaps.class_products; the other checks keep their status
     import hh2.cli
     from hh2.koszulhh import HHModule
     project, changed = HHModule.project, []
@@ -321,6 +322,8 @@ def test_verify_fails_a_changed_chi_cup_product(monkeypatch):
     status = {name: s for name, s, _ in hh2.cli.run_verify(3)}
     assert changed
     assert status.pop("chi cup table matches presentation exactly") == "FAIL"
+    assert [status.pop(name) for name in list(status) if name.startswith("spade table vs cup")] \
+        == ["FAIL"]
     assert set(status.values()) == {"PASS"}
 
 

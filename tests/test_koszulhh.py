@@ -1,6 +1,7 @@
 import inspect
 import logging
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -364,11 +365,36 @@ def test_bar_oracle_fails_on_a_corrupted_module_action(side, maps3):
 
 
 def test_bar_oracle_checks_d_squared_in_small_chunks(maps3, monkeypatch):
-    # chunks of one column of d_n each give the same verdicts as one chunk
-    monkeypatch.setattr(koszulhh, "_DD_CHUNK", 1)
+    # blocks of one bucket each give the same verdicts as one block
+    monkeypatch.setattr(koszulhh, "_BLOCK_CELLS", 0)
     assert bar_oracle(maps3.omega, maps3.theta, 4) == [1, 1, 2, 0, 0]
     with pytest.raises(AssertionError, match="square to zero"):
         bar_oracle(_broken_omega3(maps3), maps3.theta, 3)
+
+
+@pytest.mark.parametrize("kind", ["omega", "theta"])
+def test_bar_oracle_rejects_an_entry_outside_its_bucket(kind, maps3, monkeypatch):
+    # d keeps each cochain's bucket: one entry of an assembled d_n moved onto a
+    # row of an earlier block (so of another bucket) fails before any d.d = 0
+    # check or rank
+    monkeypatch.setattr(koszulhh, "_BLOCK_CELLS", 0)  # one bucket per block
+    assemble, seen, moved, ranked = koszulhh._bar_differential, {}, [], []
+
+    def moving(n, *args):
+        lc, row, val = assemble(n, *args)
+        if len(row) and not moved:
+            if n in seen:
+                row = row.copy()
+                row[0] = seen[n]
+                moved.append(n)
+            seen[n] = int(row[0])
+        return lc, row, val
+
+    monkeypatch.setattr(koszulhh, "_bar_differential", moving)
+    monkeypatch.setattr(koszulhh, "coo_pivot_rows", lambda *args: ranked.append(args))
+    with pytest.raises(AssertionError, match="leaves its bucket"):
+        bar_oracle(maps3.omega, maps3.modules[kind], 3)
+    assert moved and ranked == []
 
 
 def test_bar_oracle_refuses_differentials_past_int64(maps3, monkeypatch):
@@ -399,30 +425,61 @@ def test_bar_oracle_checks_d_squared_before_any_rank(maps3, monkeypatch):
 @pytest.mark.parametrize("kind", ["omega", "theta", "theta-sigma",
                                   "omega-dual", "omega-ep-omega"])
 def test_bar_pieces_rank_like_their_full_columns_p3(kind, maps3, monkeypatch, caplog):
-    # d_n is ranked off the pivot rows of d_{n-1}; the logged rank of each
-    # piece must still be the rank of all its columns
-    full_rank, skipped = {}, []
+    # each block's d_n is ranked off the pivot rows of its d_{n-1}; the logged
+    # rank of each piece must still be the rank of all its columns
+    full, skipped = [{} for _ in range(5)], []
 
     def recording(col, row, val, p):
         caller = inspect.currentframe().f_back.f_locals
-        n, full = caller["n"], {}
+        n, block = caller["n"], {}
         for c, r, v in zip(*(a.tolist() for a in caller["d"][n])):
-            full.setdefault(c, {})[r] = v
-        for key, piece in caller["ids"][n]:
-            full_rank[(n, key)] = sparse_rank([full.get(i, {}) for i in piece.tolist()], p)
-        skipped.append(len(full) - len(set(col.tolist())))  # nonzero columns not handed over
+            block.setdefault(c, {})[r] = v
+        full[n].update(block)
+        skipped.append(len(block) - len(set(col.tolist())))  # nonzero columns not handed over
         return coo_pivot_rows(col, row, val, p)
 
+    x_mod = maps3.modules[kind]
+    monkeypatch.setattr(koszulhh, "_BLOCK_CELLS", 0)  # one bucket per block
     monkeypatch.setattr(koszulhh, "coo_pivot_rows", recording)
     with caplog.at_level(logging.DEBUG, logger="hh2.koszulhh"):
-        bar_oracle(maps3.omega, maps3.modules[kind], 4)
+        bar_oracle(maps3.omega, x_mod, 4)
     pattern = re.compile(r"bar piece n=(\d+) bucket=\((-?\d+), (-?\d+)\) "
                          r"rows=\d+ cols=\d+ nnz=\d+ rank=(\d+)$")
     logged = {(n, (j, k)): r for n, j, k, r in
               (map(int, pattern.match(rec.getMessage()).groups())
                for rec in caplog.records if rec.name == "hh2.koszulhh")}
-    assert logged == full_rank
+    bar = koszulhh.radical_chains(maps3.omega)
+
+    def bucket(n, i):  # (j(x) - j(chain), k(x) - k(chain)) of cochain i of degree n
+        q, x = divmod(i, x_mod.dim)
+        level, xb = bar.level(n), x_mod.basis[x]
+        return xb.j - int(level.j[q]), xb.k - int(level.k[q])
+
+    pieces = {}
+    for n, columns in enumerate(full):
+        for i, column in columns.items():
+            pieces.setdefault((n, bucket(n, i)), []).append(column)
+    assert pieces.keys() <= logged.keys()
+    assert logged == {key: sparse_rank(pieces.get(key, []), 3) for key in logged}
     assert sum(skipped) > 0
+
+
+def test_bar_oracle_p5_memory_stays_within_blocks(maps5):
+    # the five p = 5 oracles (h <= 3) hold one block's temporaries at a time:
+    # about 18 MB at their traced peak, where assembling, checking and
+    # ranking each d_n whole took about 45 MB
+    kinds = ["omega", "theta", "theta-sigma", "omega-dual", "omega-ep-omega"]
+    modules = [maps5.modules[kind] for kind in kinds]
+    koszulhh.radical_chains(maps5.omega).cofaces(3)  # kept with the algebra, built once
+    tracemalloc.start()
+    try:
+        dims = [bar_oracle(maps5.omega, x_mod, 3) for x_mod in modules]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dims == [[5, 4, 4, 0], [2, 2, 4, 0], [4, 2, 2, 0], [5, 0, 0, 0], [3, 2, 0, 0]]
+    assert all(type(dim) is int for row in dims for dim in row)
+    assert peak < 30e6
 
 
 def test_bar_chains_are_built_once_per_algebra(maps3, monkeypatch):
