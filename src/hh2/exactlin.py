@@ -9,11 +9,12 @@ join.  ``sparse_rank``, which only tests call, hands it dict columns.
 The join helpers (``_expand``, ``_within``, ``_summed``) work on sparse
 F_p tables held as int64 COO arrays: ``_within`` joins keys with the runs of
 a sorted key array that carry them, and ``_summed`` sums the values of equal
-keys mod p.  The elimination, the bar oracle (``koszulhh``), the identity
-scans (``quiver.failing_triple``) and the windowed associativity scan of the
-grid and club windows (``quiver.window_associativity``) are all such joins;
-each packs its indices into one int64 key and raises ``TooLarge`` before any
-join whose keys would not fit.
+keys mod p.  The elimination, the bar oracle's presentation and
+differentials (``koszulhh``), the identity scans (``quiver.failing_triple``)
+and the windowed associativity scan of the grid and club windows
+(``quiver.window_associativity``) are all such joins; each packs its indices
+into one int64 key and raises ``TooLarge`` before any join whose keys would
+not fit.
 
 The dense path (``rref``, ``rank``, ``rank_and_kernel``, ``Homology``) works
 on numpy int64 arrays reduced to [0, p) and pivots in a fixed column order.

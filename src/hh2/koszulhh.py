@@ -23,15 +23,14 @@ or 2); the model is graded by total (j, k) and d has degree (0, 1).
 from __future__ import annotations
 
 import os
-import weakref
 from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from . import Hh2Error
-from .exactlin import (NotACocycle, TooLarge, _among, _chunks, _distinct, _expand, _summed,
-                       _within, combo_add, coo_pivot_rows, coo_reduce, coo_terms)
+from .exactlin import (NotACocycle, TooLarge, _among, _chunks, _starts, _summed, _within,
+                       combo_add, coo_pivot_rows, coo_reduce, coo_terms)
 from .quiver import BasedAlgebra, BasedBimodule, OmegaAlgebra, Table, failing_triple
 
 Name = tuple  # ("z", l) | ("kz", l) | ("c2", s) | ("soc", s) | ("mu", l) | ("nu", l) | ("e", s)
@@ -116,6 +115,10 @@ class Cochains(NamedTuple):
     val: np.ndarray
 
 
+def _ints(*arrays) -> list[np.ndarray]:
+    return [np.asarray(a, dtype=np.int64) for a in arrays]
+
+
 class CochainModel:
     def __init__(self, c: BasedAlgebra, x_mod: BasedBimodule):
         if c.p != x_mod.p:
@@ -132,8 +135,8 @@ class CochainModel:
 
         # the slot-matched pairs (ci, xi), c_i from u to w and x_i from w to u,
         # in (ci, xi) order
-        c_left, c_right, c_j, c_k = _slots(c.basis)
-        x_left, x_right, x_j, x_k = _slots(x_mod.basis)
+        c_left, c_right, c_j, c_k = c.basis_slots
+        x_left, x_right, x_j, x_k = x_mod.basis_slots
         vmax = 1 + max(int(v.max(initial=0)) for v in (c_left, c_right, x_left, x_right))
         x_code = x_left * vmax + x_right
         by_code = np.argsort(x_code, kind="stable")
@@ -522,213 +525,27 @@ def cup(model_x: CochainModel, us: Cochains, model_y: CochainModel, vs: Cochains
     return out
 
 
+
 # ---------------------------------------------------------------------------
-# independent oracle: reduced relative bar complex over the vertex subalgebra
-
-def _ints(*arrays) -> list[np.ndarray]:
-    return [np.asarray(a, dtype=np.int64) for a in arrays]
-
-
-def _slots(basis) -> list[np.ndarray]:
-    """(left, right, j, k) of each basis element, as int64 arrays."""
-    return _ints(*zip(*((b.left, b.right, b.j, b.k) for b in basis))) if basis \
-        else _ints([], [], [], [])
-
-
-class ChainLevel(NamedTuple):
-    """The chains of one degree n as parallel int64 arrays, indexed by place.
-
-    ``chain`` has shape (count, n): row q holds the radical basis indices of
-    the chain at place q.  ``lft`` and ``rgt`` are its slot (the left vertex
-    of its first and the right vertex of its last term) and ``j``, ``k`` its
-    total degree.  ``parent`` and ``face`` are the places in level n - 1 of
-    ch[:-1] and ch[1:].  In degree 1 they are the places of the left and the
-    right vertex; degree 0 has no level below it and holds -1.
-    """
-    chain: np.ndarray
-    lft: np.ndarray
-    rgt: np.ndarray
-    j: np.ndarray
-    k: np.ndarray
-    parent: np.ndarray
-    face: np.ndarray
-
-
-class Cofaces(NamedTuple):
-    """The coefficient-free part of the bar differential from degree n, as
-    COO arrays from places of level n (``src``) to places of level n + 1
-    (``tgt``), each table sorted by ``src``:
-
-    * heads (src, r, tgt): tgt is (r,) + src;
-    * collapses (src, tgt, coeff): tgt is ch[:i] + (a, b) + ch[i + 1:] for
-      each (a, b) whose product a b has the coefficient c on ch[i], and
-      coeff = (-1)^(i+1) c;
-    * tails (src, r, tgt): tgt is src + (r,).
-    """
-    heads: tuple[np.ndarray, np.ndarray, np.ndarray]
-    collapses: tuple[np.ndarray, np.ndarray, np.ndarray]
-    tails: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-class RadicalChains:
-    """Composable chains of radical basis elements of an algebra: the basis
-    of the reduced bar complex over the vertex subalgebra, as arrays.
-
-    ``level(n)`` is a ``ChainLevel``.  Degree 0 holds the empty chain once
-    per vertex, in vertex order.  Degree 1 is the radical in index order.
-    Degree n + 1 lists, for each chain of degree n in order, its children
-    ch + (r,), one for each radical r leaving its right vertex, in index
-    order.  So every level of degree >= 1 is sorted lexicographically by
-    radical index, a place is the index of a chain in that order, and the
-    places are those of the tuples the chains stand for.  Levels are built
-    on first request and kept.
-
-    The children of a chain are contiguous in the next level, so the child
-    of place q by r is ``first[q]`` (its first child) plus the rank of r
-    among the radical elements with the same left vertex (degree 0 is the
-    exception: the child of a vertex by r is the place of (r,) in degree 1).
-    Then ``parent`` repeats each place once per child, and ``face`` follows
-    from one recursion: the face of parent + (r,) is the child of
-    face(parent) by r.
-
-    ``cofaces(n)`` is a ``Cofaces``, built on first request, with level
-    n + 1, and kept.  Heads and tails are the ``face`` and ``parent`` of level
-    n + 1 read backwards.  A collapse target ch[:i] + (a, b) + ch[i + 1:] is
-    reached by walking children from the place of ch[:i], an ancestor along
-    ``parent``, through a, b and the rest of the chain.
-    """
-
-    def __init__(self, alg: BasedAlgebra):
-        basis = alg.basis
-        left, right, bj, bk = _slots(basis)
-        self._left, self._right, self._j, self._k = left, right, bj, bk
-        rad = [i for i, b in enumerate(basis) if b.j != 0 or b.k != 0]
-        self._rad = np.array(rad, dtype=np.int64)
-        vertices = np.array(alg.vertices, dtype=np.int64)
-        n_vertex_ids = int(max(left.max(), right.max(), vertices.max())) + 1
-        self._vplace = np.full(n_vertex_ids, -1, dtype=np.int64)
-        self._vplace[vertices] = np.arange(len(vertices))
-        self._radpos = np.full(len(basis), -1, dtype=np.int64)
-        self._radpos[self._rad] = np.arange(len(rad))
-        # the radical grouped by left vertex, in index order within a group
-        self._by_left = self._rad[np.argsort(left[self._rad], kind="stable")]
-        self._n_by_left = np.bincount(left[self._rad], minlength=n_vertex_ids)
-        self._by_left_start = np.cumsum(self._n_by_left) - self._n_by_left
-        # the place of each radical element within its group
-        self._sibling = np.zeros(len(basis), dtype=np.int64)
-        self._sibling[self._by_left] = (np.arange(len(rad))
-                                        - self._by_left_start[left[self._by_left]])
-
-        # (m, a, b, coeff of m in a b) over composable radical a, b, stored
-        # by m as CSR arrays over the basis index
-        is_rad = self._radpos >= 0
-        a, b, mid, cm = alg.slot_products()
-        at = is_rad[a] & is_rad[b] & is_rad[mid]
-        a, b, mid, cm = a[at], b[at], mid[at], cm[at]
-        leaves = np.flatnonzero((left[a] != left[mid]) | (right[b] != right[mid]))
-        if len(leaves):
-            raise AssertionError(f"{basis[a[leaves[0]]].name}*{basis[b[leaves[0]]].name}"
-                                 " leaves its slot")
-        by_mid = np.argsort(mid, kind="stable")
-        self._split_a, self._split_b, self._split_c = a[by_mid], b[by_mid], cm[by_mid]
-        self._split_count = np.bincount(mid, minlength=len(basis))
-        self._split_start = np.cumsum(self._split_count) - self._split_count
-
-        none = np.full(len(vertices), -1, dtype=np.int64)
-        zero = np.zeros(len(vertices), dtype=np.int64)
-        self._levels = [ChainLevel(np.zeros((len(vertices), 0), dtype=np.int64),
-                                   vertices, vertices, zero, zero, none, none)]
-        self._first: list[np.ndarray | None] = []  # per level below the last
-        self._cofaces: list[Cofaces] = []
-
-    def _child(self, m: int, q: np.ndarray | None, r: np.ndarray) -> np.ndarray:
-        """The places in level m + 1 of the children by r of the places q of level m."""
-        if m == 0:
-            return self._radpos[r]
-        return self._first[m][q] + self._sibling[r]
-
-    def level(self, n: int) -> ChainLevel:
-        """The chains of degree n, built on first request from level n - 1."""
-        while len(self._levels) <= n:
-            m = len(self._levels) - 1
-            cur = self._levels[m]
-            if m == 0:
-                r = self._rad
-                chain, lft, j, k = r.reshape(-1, 1), self._left[r], self._j[r], self._k[r]
-                parent, face = self._vplace[lft], self._vplace[self._right[r]]
-                self._first.append(None)
-            else:
-                count = self._n_by_left[cur.rgt]
-                self._first.append(np.cumsum(count) - count)
-                parent, idx = _expand(self._by_left_start[cur.rgt], count)
-                r = self._by_left[idx]
-                face = self._child(m - 1, cur.face[parent], r)
-                chain = np.column_stack((cur.chain[parent], r))
-                lft, j, k = cur.lft[parent], cur.j[parent] + self._j[r], cur.k[parent] + self._k[r]
-            self._levels.append(ChainLevel(chain, lft, self._right[r], j, k, parent, face))
-        return self._levels[n]
-
-    def cofaces(self, n: int) -> Cofaces:
-        """The heads, collapses and tails from the chains of degree n."""
-        while len(self._cofaces) <= n:
-            m = len(self._cofaces)
-            up = self.level(m + 1)
-            by_face = np.argsort(up.face, kind="stable")
-            by_parent = np.argsort(up.parent, kind="stable")  # sorted already if m > 0
-            self._cofaces.append(Cofaces(
-                (up.face[by_face], up.chain[by_face, 0], by_face),
-                self._collapses(m),
-                (up.parent[by_parent], up.chain[by_parent, -1], by_parent)))
-        return self._cofaces[n]
-
-    def _collapses(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        lv = self.level(n)
-        # anc[i]: the place of ch[:i] in level i, for 1 <= i <= n
-        anc: list = [None] * n + [np.arange(len(lv.lft))]
-        for i in range(n - 1, 0, -1):
-            anc[i] = self.level(i + 1).parent[anc[i + 1]]
-        parts = []
-        for i in range(n):
-            mid = lv.chain[:, i]
-            src, e = _expand(self._split_start[mid], self._split_count[mid])
-            tgt = self._child(i, anc[i][src] if i else None, self._split_a[e])
-            for t in range(i, n):
-                tgt = self._child(t + 1, tgt, self._split_b[e] if t == i else lv.chain[src, t])
-            parts.append((src, tgt, (-1) ** (i + 1) * self._split_c[e]))
-        if not parts:
-            return tuple(_ints([], [], []))
-        src, tgt, coeff = (np.concatenate(part) for part in zip(*parts))
-        order = np.argsort(src, kind="stable")
-        return src[order], tgt[order], coeff[order]
-
-
-_CHAINS = weakref.WeakKeyDictionary()  # algebra -> its RadicalChains
-
-
-def radical_chains(alg: BasedAlgebra) -> RadicalChains:
-    """The ``RadicalChains`` of alg, made on the first call and kept while alg
-    lives, so its basis and products must not change after that."""
-    bar = _CHAINS.get(alg)
-    if bar is None:
-        bar = _CHAINS[alg] = RadicalChains(alg)
-    return bar
-
+# independent oracle: the bar complex reduced by algebraic Morse theory
 
 def bar_sizes(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> tuple[list[int], list[int]]:
-    """The numbers of chains and of cochains of the reduced bar complex in
+    """The numbers of chains and of cochains of the plain reduced bar complex
+    (the tests' reference; ``verify`` sets the oracle's depth by them) in
     each degree 0..n_max, counted by slot without building any chain.  If S
     and N count the radical basis of alg and the basis of x_mod by slot
     (left, right), degree n has S^n[u, w] chains from u to w and sum(S^n * N)
     slot-matched (chain, x) cochains; Python ints keep both exact."""
-    place = {v: i for i, v in enumerate(alg.vertices)}
-    s = np.zeros((len(place), len(place)), dtype=object)
-    n_x = np.zeros_like(s)
-    for b in alg.basis:
-        if b.j != 0 or b.k != 0:
-            s[place[b.left], place[b.right]] += 1
-    for b in x_mod.basis:
-        n_x[place[b.left], place[b.right]] += 1
-    power = np.identity(len(place), dtype=object)
+    n_v = len(alg.vertices)
+    place = np.zeros(1 + max(alg.vertices), dtype=np.int64)
+    place[alg.vertices] = np.arange(n_v)
+    left, right, bj, bk = alg.basis_slots
+    rad = (bj != 0) | (bk != 0)
+    x_left, x_right, _, _ = x_mod.basis_slots
+    s, n_x = (np.bincount(place[u] * n_v + place[w], minlength=n_v * n_v)
+              .reshape(n_v, n_v).astype(object)
+              for u, w in ((left[rad], right[rad]), (x_left, x_right)))
+    power = np.identity(n_v, dtype=object)
     chains, cochains = [], []
     for _ in range(n_max + 1):
         chains.append(int(power.sum()))
@@ -737,155 +554,221 @@ def bar_sizes(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> tuple[list
     return chains, cochains
 
 
-# cochains of degree n_max per block of whole buckets in ``bar_oracle``
-_BLOCK_CELLS = 1 << 11
+class Presentation(NamedTuple):
+    """A quiver presentation of an algebra read off its basis and products.
+
+    ``arrows`` are the radical basis elements (those of degree (j, k) other
+    than (0, 0)) that are no term of a product of two radical ones,
+    ascending.  The composable arrow pairs (g, h), ordered deg-lex by basis
+    index, split into the normal pairs, each the smallest pair whose product
+    is exactly 1 * w for its w (the weight-2 basis elements), and the
+    ``tips``, every other pair, as rows (g, h).  ``collapses`` (tip, u, v,
+    coeff) holds, for each term c w of a tip's product, the normal pair
+    (u, v) of w with coeff = -c mod p.  ``words`` counts the normal words,
+    those in which no two neighbours form a tip, by length from 1.
+    """
+    arrows: np.ndarray
+    tips: np.ndarray
+    collapses: tuple[np.ndarray, ...]
+    words: list[int]
 
 
-def _bar_differential(n: int, pos: np.ndarray, xi: np.ndarray, faces: list, left: tuple,
-                      right: tuple, width: int, nrows: int, p: int) -> tuple[np.ndarray, ...]:
-    """d_n on the cochains (pos[i], xi[i]) of degree n as (i, row, coeff),
-    nonzero mod p, by i and then row (a cochain id of degree n + 1, < nrows):
-    d(phi)(r0..rn) = r0 . phi(r1..rn) + sum_i (-1)^{i+1} phi(.. r_i r_{i+1} ..)
-                     + (-1)^{n+1} phi(r0..r_{n-1}) . rn.
-    faces and left, right: ``Cofaces`` and the actions, with the bounds of
-    each source chain's run and of each a * width + x in place of the keys."""
-    (hb, hr, ht), (cb, ct, cc), (tb, tr, tt) = faces
-    keys, vals = [], []
-    for bound, r, tgt, (ab, atgt, acoeff), sign in (
-            (hb, hr, ht, left, 1), (tb, tr, tt, right, -1 if (n + 1) % 2 else 1)):
-        c, f = _expand(bound[pos], bound[pos + 1] - bound[pos])  # each cochain's chain's cofaces
-        a = r[f] * width + xi[c]
-        at, e = _expand(ab[a], ab[a + 1] - ab[a])  # and the action on its value
-        c, f = c[at], f[at]
-        keys.append(c * nrows + tgt[f] * width + atgt[e])
-        vals.append(sign * acoeff[e])
-    c, f = _expand(cb[pos], cb[pos + 1] - cb[pos])
-    keys.append(c * nrows + ct[f] * width + xi[c])
-    vals.append(cc[f])
-    key, val = _summed(np.concatenate(keys), np.concatenate(vals), p)
-    return *np.divmod(key, nrows), val
+def _collapses(tip: np.ndarray, c: np.ndarray, u: np.ndarray, v: np.ndarray,
+               p: int) -> tuple[np.ndarray, ...]:
+    """The collapse terms of the tips' boundaries, (tip, u, v, -c mod p): a
+    term c w of a tip's product enters its relation as -c u v."""
+    return tip, u, v, -c % p
+
+
+def _presentation(alg: BasedAlgebra) -> Presentation:
+    """The ``Presentation`` of alg, with its tips checked to be a Groebner
+    basis whose tips do not overlap; raises AssertionError where that fails."""
+    basis, p, dim = alg.basis, alg.p, alg.dim
+    left, right, bj, bk = alg.basis_slots
+    rad = (bj != 0) | (bk != 0)
+    x, y, t, c = alg.slot_products()
+    at = rad[x] & rad[y]
+    x, y, t, c = x[at], y[at], t[at], c[at]
+    leaves = np.flatnonzero(~rad[t] | (left[t] != left[x]) | (right[t] != right[y]))
+    if len(leaves):
+        raise AssertionError(f"{basis[x[leaves[0]]].name}*{basis[y[leaves[0]]].name}"
+                             " leaves the radical of its slot")
+    key = x * dim + y  # the radical products' terms, by (x, y) as stored
+
+    def product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(w, exact) for the pairs a b: w the first term, exact if a b is 1 * w."""
+        lo, hi = (np.searchsorted(key, a * dim + b, side) for side in ("left", "right"))
+        w, one = np.append(t, -1)[lo], np.append(c, 0)[lo] == 1
+        return w, (hi - lo == 1) & one
+
+    is_arrow = rad.copy()
+    is_arrow[t] = False
+    arrows = np.flatnonzero(is_arrow)
+    by_left = arrows[np.argsort(left[arrows], kind="stable")]
+    s, e = _within(left[by_left], right[arrows])
+    g, h = arrows[s], by_left[e]  # the composable pairs, deg-lex
+    w, exact = product(g, h)
+    first = np.flatnonzero(exact)
+    first = first[np.argsort(w[first], kind="stable")]
+    first = first[_starts(w[first])]  # the smallest exact pair of each weight-2 element
+    normal = np.zeros(len(g), dtype=bool)
+    normal[first] = True
+    nu, nv = np.full(dim, -1, dtype=np.int64), np.full(dim, -1, dtype=np.int64)
+    nu[w[first]], nv[w[first]] = g[first], h[first]
+
+    def name(word) -> str:
+        return "|".join(basis[a].name for a in word)
+
+    # Bergman: the normal words evaluate to the radical basis, each element once
+    hits = np.zeros(dim, dtype=np.int64)
+    words, value, counts = arrows.reshape(-1, 1), arrows, []
+    ng, nh = g[normal], h[normal]  # the normal pairs, by g
+    while len(words):
+        counts.append(len(words))
+        np.add.at(hits, value, 1)
+        if hits.max() > 1:
+            raise AssertionError("the normal words are no basis: two evaluate to "
+                                 f"{basis[int(np.argmax(hits))].name}")
+        s, e = _within(ng, words[:, -1])
+        words = np.column_stack((words[s], nh[e]))
+        value, exact = product(value[s], nh[e])
+        if not exact.all():
+            raise AssertionError(f"the normal words are no basis: {name(words[~exact][0])}"
+                                 " does not evaluate to a basis element")
+    missed = np.flatnonzero(rad & (hits == 0))
+    if len(missed):
+        raise AssertionError("the normal words are no basis: none evaluates to "
+                             f"{basis[missed[0]].name}")
+
+    tg, th = g[~normal], h[~normal]
+    s, e = _within(key, tg * dim + th)  # each term c w of a tip's product
+    u, v = nu[t[e]], nv[t[e]]
+    smaller = (u >= 0) & ((u < tg[s]) | ((u == tg[s]) & (v < th[s])))
+    if not smaller.all():
+        i = s[np.argmin(smaller)]
+        raise AssertionError(f"the tip {name((tg[i], th[i]))} does not rewrite to"
+                             " smaller normal words")
+    overlap = np.flatnonzero(_among(np.sort(tg), th))
+    if len(overlap):
+        i = overlap[0]
+        after = tg.tolist().index(th[i])
+        raise AssertionError(f"the tips {name((tg[i], th[i]))} and {name((tg[after], th[after]))}"
+                             " overlap in an Anick 3-chain; the oracle builds no cells above 2")
+    return Presentation(arrows, np.column_stack((tg, th)), _collapses(s, c[e], u, v, p), counts)
 
 
 def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]:
-    """dim HH^n(alg, x_mod) for n = 0..n_max via the reduced bar complex.
+    """dim HH^n(alg, x_mod) for n = 0..n_max, from the bar resolution
+    reduced by algebraic Morse theory to the two-sided Anick resolution.
 
-    Cochains in degree n are A0-bimodule maps (rad A)^{(x)_{A0} n} -> X; no
-    Koszulity is used.  Raises TooLarge before anything is built, from the
-    exact sizes of ``bar_sizes``: when the cochains of degrees 1..n_max+1
-    pass ``max_cells()``, or when the keys of a d_n or of its d.d = 0 check
-    would not index in int64.
+    The lemma chain assumes, as the plain bar complex does, that A0, the
+    span of the vertex idempotents, acts on each basis element of alg by its
+    slot, and that the basis elements of degree (j, k) != (0, 0) span the
+    radical.  Every other step is checked:
 
-    A cochain's id is (place of its chain in level n) * dim X + (index of its
-    value in X).  d keeps its bucket deg(x) - deg(chain) in (j, k), so the
-    complex is the direct sum of its buckets, and the oracle works on blocks
-    of whole buckets, in code order, of at most ``_BLOCK_CELLS`` cochains of
-    degree n_max (or one bucket): ``verify --p 5`` peaks at about 65 MB of
-    RSS, not 105 MB as with each d_n whole (x86-64 Linux).
+    * (Bergman, Adv. Math. 29 (1978).)  Read a ``Presentation`` off the
+      basis: arrows, normal pairs and tips.  Each tip g|h rewrites to its
+      product sum c_w u_w v_w, with (u_w, v_w) the normal pair of w and
+      deg-lex smaller than (g, h) (checked).  So rewriting ends, and every
+      path of arrows is congruent to a combination of normal words modulo
+      the tips' relations.  For an associative table (checked), the normal
+      words evaluate to each radical basis element once, with coefficient 1
+      (checked).  So the tips' relations generate the kernel of the path
+      algebra onto alg, and they are a Groebner basis of it.
+    * (Anick, Trans. AMS 296 (1986); Skoeldberg, Trans. AMS 358 (2006);
+      Joellenbeck and Welker, Mem. AMS 197 (2009).)  A Morse matching of the
+      normalized bar resolution of alg over A0 leaves as critical cells the
+      Anick chains: the vertices in degree 0, the arrows in degree 1, the
+      tips in degree 2 and the overlaps of tips from degree 3 up.  When no
+      two tips overlap (checked), none is left above degree 2, so
+      HH^n(alg, X) = 0 for n >= 3.
+    * The Morse differential on a tip is the bar differential followed by
+      one zig-zag step: [g|h] meets g[h], [g]h and -[g h] = -sum c_w [w],
+      and each [w] is matched with [u_w|v_w], whose differential is
+      u_w[v_w] + [u_w]v_w - [w].
 
-    Phase 1, per block: ``_bar_differential`` assembles d_0..d_{n_max}; each
-    entry's row must have its column's code, x's (slot, j, k) less the
-    chain's (else "leaves its bucket"), and d_n . d_{n-1} must vanish.
-    Phase 2, per block: ``coo_pivot_rows`` ranks d_n only on its columns off
-    R, the pivot rows of d_{n-1}, the leading rows of V = im d_{n-1}.  A
-    basis of V leading at R is triangular with a nonzero diagonal on R, so
-    the coordinate vectors off R span a complement of V, on which d_n,
-    killing V, has its full rank.  That needs d.d = 0, so no rank is taken
-    before phase 1 has checked every block; the result is exact in any
-    elimination order.  DEBUG lines give each bucket's shape and rank (the
-    pivots leading in its rows), by n and then by its first cochain.
+    The cochains are the slot-matched elements x of X on the vertices, the
+    arrows and the tips, as ids (cell) * dim X + (x), with
+
+        d^0(x)(g) = g x - x g,
+        d^1(phi)(g|h) = g phi(h) + phi(g) h - sum_w c_w (u_w phi(v_w) + phi(u_w) v_w).
+
+    ``coo_pivot_rows`` ranks both; their entries must stay slot-matched,
+    and d^1 . d^0 must vanish (checked).  Every check raises AssertionError,
+    as do ``alg.check_associativity()`` and the bimodule axioms of x_mod over
+    alg, which run first.  So the dimensions rest on the checked presentation
+    and not on Koszulity: the oracle reads only the slots, degrees and
+    ``slot_products()`` of alg and the actions of x_mod, and none of the
+    Koszul model's code (``CochainModel``, the algebra c).  It reads no cap;
+    at p = 5 the complex of omega has (15, 20, 10) cochains.  It raises
+    TooLarge only when the keys of d^0, d^1 or of an identity scan would not
+    index in int64.  DEBUG lines give the presentation and each degree's
+    cochains, nonzero entries and rank.
     """
-    cap = max_cells()
-    chains, cells = bar_sizes(alg, x_mod, n_max + 2)
-    if sum(cells[1:n_max + 2]) > cap:
-        raise TooLarge(f"bar complex would exceed {cap} cells")
-    width = x_mod.dim
-    for n in range(n_max + 1):
-        # d_n is keyed by col * rows + row, its d.d = 0 join by col * (rows of d_{n+1}) + row
-        if chains[n] * width * max(chains[n + 1], chains[n + 2]) * width > 2 ** 63 - 1:
-            raise TooLarge(f"the entries of d_{n} would not index in int64")
-    p, bar = alg.p, radical_chains(alg)
-    faces = [[(t[0].searchsorted(np.arange(chains[n] + 1)), *t[1:]) for t in bar.cofaces(n)]
-             for n in range(n_max + 1)]  # by the bounds of each chain's run, a dense index
+    alg.check_associativity()
+    BasedBimodule(alg, x_mod.basis, x_mod.left, x_mod.right, x_mod.name).check_bimodule()
+    pres = _presentation(alg)
+    p, width, dim = alg.p, x_mod.dim, alg.dim
+    left, right, _, _ = alg.basis_slots
+    vertices, arrows = np.array(alg.vertices, dtype=np.int64), pres.arrows
+    g, h = pres.tips.T
+    vplace = np.zeros(1 + int(vertices.max()), dtype=np.int64)
+    vplace[vertices] = np.arange(len(vertices))
+    aplace = np.zeros(dim, dtype=np.int64)
+    aplace[arrows] = np.arange(len(arrows))
+    cells = [(vertices, vertices), (left[arrows], right[arrows]), (left[g], right[h])]
+    if max(len(u) for u, _ in cells) ** 2 * max(1, width) ** 2 > 2 ** 63 - 1:
+        raise TooLarge("the entries of d^0 and d^1 would not index in int64")
 
-    # codes of (slot, j, k) in digits of a base past twice any j or k difference
-    x_left, x_right, x_j, x_k = _slots(x_mod.basis)
-    vmax = 1 + max([0, *alg.vertices, *x_left.tolist(), *x_right.tolist()])
-    base = 1 + 2 * (n_max + 2) * max(abs(v) for b in (*alg.basis, *x_mod.basis) for v in (b.j, b.k))
+    # the boundary of each cell of degree n + 1 as its left terms (cell,
+    # lower, a, coeff), coeff a phi(lower), and its right terms, coeff
+    # phi(lower) a, with lower a place in degree n
+    k, one = np.arange(len(arrows)), np.ones(len(arrows), dtype=np.int64)
+    tip, u, v, coeff = (np.concatenate(part) for part in zip(
+        (np.arange(len(g)), g, h, np.ones(len(g), dtype=np.int64)), pres.collapses))
+    faces = [((k, vplace[right[arrows]], arrows, one), (k, vplace[left[arrows]], arrows, p - one)),
+             ((tip, aplace[v], u, coeff), (tip, aplace[u], v, coeff))]
+
+    x_left, x_right, _, _ = x_mod.basis_slots
+    vmax = 1 + int(max(vertices.max(), x_left.max(initial=0), x_right.max(initial=0)))
     x_slot = x_left * vmax + x_right
-    x_code = (x_slot * base + x_j) * base + x_k
-    ch_code = [((lv.lft * vmax + lv.rgt) * base + lv.j) * base + lv.k
-               for lv in map(bar.level, range(n_max + 2))]
     x_by_slot = np.argsort(x_slot, kind="stable")
-
-    def cochains(n: int) -> np.ndarray:
-        """The ids of the cochains of degree n, ascending."""
-        pos, idx = _within(x_slot[x_by_slot], bar.level(n).lft * vmax + bar.level(n).rgt)
-        return pos * width + x_by_slot[idx]
-
-    def code(n: int, ids: np.ndarray) -> np.ndarray:
-        """x's code less its chain's, for ids of degree n: the bucket's iff slot-matched."""
-        q, x = np.divmod(ids, width)
-        return x_code[x] - ch_code[n][q]
-
-    ids = [cochains(n) for n in range(n_max + 1)]
-    codes = [code(n, i) for n, i in enumerate(ids)]
-    buckets = _distinct(np.concatenate(codes))
-    of, fill = [-1], _BLOCK_CELLS + 1  # each bucket's block, after a -1
-    for t in np.bincount(buckets.searchsorted(codes[-1]), minlength=len(buckets)).tolist():
-        new, fill = (1, t) if fill + t > _BLOCK_CELLS else (0, fill + t)
-        of.append(of[-1] + new)
-    blk = [np.array(of[1:], dtype=np.int64)[buckets.searchsorted(c)] for c in codes]
-
+    x_sorted = x_slot[x_by_slot]
     lt, rt = x_mod.left, x_mod.right  # (a, x, a x, coeff) and (x, a, x a, coeff), sorted
-    by_a, keys = np.lexsort((rt.x, rt.y)), np.arange(alg.dim * width + 1)
-    left = (np.searchsorted(lt.x * width + lt.y, keys), lt.t, lt.c)
-    right = (np.searchsorted(rt.y[by_a] * width + rt.x[by_a], keys), rt.t[by_a], rt.c[by_a])
+    acts = ((lt, lt.x * width + lt.y, lambda a, x: a * width + x),
+            (rt, rt.x * dim + rt.y, lambda a, x: x * dim + a))
 
-    def phase1(b: int) -> list[tuple[np.ndarray, ...]]:  # block b's d_n as (col, row, coeff)
-        d = []
-        for n in range(n_max + 1):
-            cols, c = (a[blk[n] == b] for a in (ids[n], codes[n]))
-            nrows = max(1, chains[n + 1] * width)
-            i, row, val = _bar_differential(n, *np.divmod(cols, max(1, width)), faces[n],
-                                            left, right, width, nrows, p)
-            if (code(n + 1, row) != c[i]).any():
-                raise AssertionError(f"bar differential d_{n} leaves its bucket")
-            col = cols[i]
-            if d:  # d_n . d_{n-1} = 0: the rows of d_{n-1} are columns of d_n in the block
-                lcol, lrow, lval = d[-1]
-                o, u = _within(col, lrow)
-                if len(_summed(lcol[o] * nrows + row[u], lval[o] * val[u], p, "quicksort")[0]):
-                    raise AssertionError("bar differential does not square to zero")
-            d.append((col, row, val))
-        return d
+    def differential(n: int) -> tuple[np.ndarray, ...]:
+        """d^n as (col, row, val), nonzero mod p, by col and then row."""
+        below, above = cells[n], cells[n + 1]
+        nrows = max(1, len(above[0]) * width)
+        keys, vals = [], []
+        for (cell, lower, a, c), (table, table_key, key_of) in zip(faces[n], acts):
+            s, e = _within(x_sorted, below[0][lower] * vmax + below[1][lower])
+            xs = x_by_slot[e]  # each term with each x in its lower cell's slot
+            o, f = _within(table_key, key_of(a[s], xs))  # and each term of the action on x
+            s, xs = s[o], xs[o]
+            keys.append((lower[s] * width + xs) * nrows + cell[s] * width + table.t[f])
+            vals.append(c[s] * table.c[f])
+        key, val = _summed(np.concatenate(keys), np.concatenate(vals), p)
+        col, row = np.divmod(key, nrows)
+        cell, y = np.divmod(row, max(1, width))
+        if (x_slot[y] != above[0][cell] * vmax + above[1][cell]).any():
+            raise AssertionError(f"d^{n} leaves the slot-matched cochains")
+        return col, row, val
 
-    blocks = [phase1(b) for b in range(of[-1] + 1)]
+    d0, d1 = differential(0), differential(1)
+    o, e = _within(d1[0], d0[1])  # d^1 . d^0 = 0
+    if len(_summed(d0[0][o] * max(1, len(g) * width) + d1[1][e], d0[2][o] * d1[2][e], p)[0]):
+        raise AssertionError("d^1 . d^0 does not vanish")
+    sizes = [len(_within(x_sorted, cl * vmax + cr)[0]) for cl, cr in cells]
+    ranks = [len(coo_pivot_rows(*d, p)) for d in (d0, d1)] + [0]
+    dims = [sizes[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(3)]
 
-    # imported here, not at module level, so that only the oracle's callers
-    # pay for loading logging at start-up
-    import logging
+    import logging  # here, not at module level: only the oracle's callers load it
     log = logging.getLogger(__name__)
-    debug = log.isEnabledFor(logging.DEBUG)
-    if debug:  # by bucket code: each degree's first cochain, and the rows of each d_n
-        from collections import Counter
-        first = [dict(zip(c[::-1].tolist(), i[::-1].tolist())) for i, c in zip(ids, codes)]
-        rows = [Counter(c.tolist()) for c in codes[1:] + [code(n_max + 1, cochains(n_max + 1))]]
-
-    dims, lines = cells[:n_max + 1], []  # less each block's ranks
-    for b in sorted(range(len(blocks)), key=lambda b: len(blocks[b][-1][0])):
-        d, blocks[b] = blocks[b], None  # phase 2, smallest first, each freed once ranked
-        skip = np.zeros(0, dtype=np.int64)  # the pivot rows of d_{n-1} in the block
-        for n, (dcol, drow, dval) in enumerate(d):
-            off = ~_among(skip, dcol)
-            found = coo_pivot_rows(dcol[off], drow[off], dval[off], p)
-            dims[n] -= len(found) + len(skip)
-            if debug:  # a pivot counts in the bucket of its leading row
-                nnz, pivots = (Counter(code(m, a).tolist()) for m, a in ((n, dcol), (n + 1, found)))
-                lines += [(n, first[n][k], k, rows[n][k], c, nnz[k], pivots[k])
-                          for k, c in Counter(codes[n][blk[n] == b].tolist()).items()]
-            skip = found
-    for n, _, k, *counts in sorted(lines):
-        dj, dk = divmod(k + base // 2, base)
-        log.debug("bar piece n=%d bucket=%s rows=%d cols=%d nnz=%d rank=%d", n,
-                  (dj, dk - base // 2), *counts)
-    return dims
+    log.debug("morse presentation arrows=%d tips=%d normal words by length=%s",
+              len(arrows), len(g), pres.words)
+    for n, nnz in enumerate((len(d0[0]), len(d1[0]), 0)):
+        log.debug("morse cochains n=%d cells=%d nnz=%d rank=%d", n, sizes[n], nnz, ranks[n])
+    return (dims + [0] * n_max)[:n_max + 1]

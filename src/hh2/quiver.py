@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -218,11 +219,19 @@ def window_associativity(table: WindowTable, p: int) -> tuple[int, int]:
     return checked, failed
 
 
+def _slot_arrays(basis: list[BasisElement]) -> tuple[np.ndarray, ...]:
+    """(left, right, j, k) of each basis element, as int64 arrays."""
+    return tuple(np.fromiter((getattr(b, field) for b in basis), np.int64, len(basis))
+                 for field in ("left", "right", "j", "k"))
+
+
 class BasedAlgebra:
     """Finite-dimensional algebra with a fixed basis and structure constants.
 
     ``products`` is the ``Table`` of basis[i] o basis[j] (j acts first) at
-    (i, j).  ``idem[v]`` is the index of the idempotent e_v.
+    (i, j).  ``idem[v]`` is the index of the idempotent e_v.  ``basis_slots``
+    is (left, right, j, k) of each basis element as int64 arrays, made on
+    first read and kept.
     """
 
     def __init__(self, p: int, basis: list[BasisElement], products: Table,
@@ -239,6 +248,10 @@ class BasedAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def basis_slots(self) -> tuple[np.ndarray, ...]:
+        return _slot_arrays(self.basis)
 
     def unit(self) -> Combo:
         return {i: 1 for i in self.idem.values()}
@@ -261,8 +274,7 @@ class BasedAlgebra:
         Made on the first call and kept; it is ``products`` itself when every
         key is slot-matched, as for Omega.  Callers only read it."""
         if self._slot_products is None:
-            left, right = (np.array(side, dtype=np.int64)
-                           for side in zip(*((b.left, b.right) for b in self.basis)))
+            left, right, _, _ = self.basis_slots
             x, y, t, c = self.products
             keep = right[x] == left[y]
             self._slot_products = (self.products if keep.all()
@@ -281,7 +293,8 @@ class BasedBimodule:
     """Bimodule over a BasedAlgebra with explicit action constants.
 
     ``left`` is the ``Table`` of basis_a o m at (a, m) and ``right`` that of
-    m o basis_a at (m, a), both over the full algebra basis.
+    m o basis_a at (m, a), both over the full algebra basis.  ``basis_slots``
+    is as for ``BasedAlgebra``.
     """
 
     def __init__(self, over: BasedAlgebra, basis: list[BasisElement],
@@ -298,6 +311,10 @@ class BasedBimodule:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def basis_slots(self) -> tuple[np.ndarray, ...]:
+        return _slot_arrays(self.basis)
+
     def check_bimodule(self) -> None:
         alg, basis, name, p = self.over, self.basis, self.name, self.p
         # idempotent entries as stored: e_v m = m if v is the slot of m, else zero;
@@ -306,7 +323,7 @@ class BasedBimodule:
         vertex[list(alg.idem.values())] = list(alg.idem)
         idem = np.full(1 + max(alg.idem), -1, dtype=np.int64)  # the idempotent of each vertex
         idem[list(alg.idem)] = list(alg.idem.values())
-        slots = np.array([(b.left, b.right) for b in basis], dtype=np.int64).reshape(-1, 2).T
+        slots = np.stack(self.basis_slots[:2])
         right = self.right
         for side, (a, m, t, c) in enumerate((self.left, (right.y, right.x, right.t, right.c))):
             at = vertex[a] >= 0

@@ -9,7 +9,8 @@ tower products do, and ``component`` lists the grid elements of one slot.
 of its columns, the combos f(m), as it was stored before its table.  The
 per-index formulas of Omega's monomials (``word``, ``in_ideal``,
 ``theta_sigma_index``, ``ideal_partner``, ``theta_partner``) are the
-references for the partner arrays of ``OmegaAlgebra``.
+references for the partner arrays of ``OmegaAlgebra``.  ``broken_omega3``
+and ``corrupted_actions`` are inputs that both bar oracles must refuse.
 """
 
 import types
@@ -17,7 +18,8 @@ import types
 import numpy as np
 
 from hh2.clubsuit import OUT_OF_WINDOW
-from hh2.quiver import BimoduleMap, WindowTable, combo_add, table_of, window_table
+from hh2.quiver import (BasedAlgebra, BasedBimodule, BimoduleMap, WindowTable, combo_add,
+                        table_of, window_table)
 
 
 def as_dict(table) -> dict:
@@ -114,3 +116,30 @@ def theta_partner(omega, idx: int) -> int:
     left = src - a + b
     p = omega.p
     return omega.key[(left, src - 1 - a, p - 1 - b - src)]
+
+
+# -- inputs the bar oracles must refuse ---------------------------------------
+
+
+def broken_omega3(omega) -> BasedAlgebra:
+    """Omega at p = 3 with the product y1e1 * x1e2 doubled: not associative
+    on radical triples, so d_3 . d_2 of the plain bar complex is not zero."""
+    key = (omega.index["y1e1"], omega.index["x1e2"])
+    products = as_dict(omega.products)
+    products[key] = {t: 2 * c % 3 for t, c in products[key].items()}
+    return BasedAlgebra(3, omega.basis, table_of(products, 3), omega.idem)
+
+
+def corrupted_actions(omega, module, side: str):
+    """Copies of module, each with one action entry a . x (side "left") or
+    x . a (side "right") with a radical doubled: each breaks the bimodule
+    axioms."""
+    table = as_dict(getattr(module, side))
+    radical = {i for i, b in enumerate(omega.basis) if b.j or b.k}
+    for key, prod in table.items():
+        if prod and (key[0] if side == "left" else key[1]) in radical:
+            bad_table = dict(table)
+            bad_table[key] = {t: 2 * c % omega.p for t, c in prod.items()}
+            tables = {"left": module.left, "right": module.right,
+                      side: table_of(bad_table, omega.p)}
+            yield BasedBimodule(omega, module.basis, tables["left"], tables["right"], name="bad")

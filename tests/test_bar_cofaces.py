@@ -3,8 +3,9 @@ from collections import Counter
 
 import pytest
 
-from hh2.koszulhh import bar_oracle, radical_chains
 from hh2.quiver import BasedAlgebra
+
+from bar_reference import bar_oracle, radical_chains
 
 
 def _chains(bar, n):

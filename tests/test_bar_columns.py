@@ -1,4 +1,5 @@
-"""The bar oracle hands the elimination the columns of a list-based reference.
+"""The plain bar oracle of ``bar_reference`` hands the elimination the
+columns of a list-based reference.
 
 ``ListChains``, ``pieces`` and ``d_columns`` are the list-of-tuples chains,
 cofaces and column builders that the array code replaced, kept verbatim as
@@ -13,9 +14,10 @@ import re
 
 import pytest
 
-from hh2 import koszulhh
 from hh2.exactlin import coo_pivot_rows
-from hh2.koszulhh import bar_oracle
+
+import bar_reference
+from bar_reference import bar_oracle
 
 
 class ListChains:
@@ -143,11 +145,11 @@ def _handed_over(alg, x_mod, n_max, monkeypatch, caplog):
         seen[n].update(full)
         return coo_pivot_rows(col, row, val, p)
 
-    monkeypatch.setattr(koszulhh, "coo_pivot_rows", recording)
-    with caplog.at_level(logging.DEBUG, logger="hh2.koszulhh"):
+    monkeypatch.setattr(bar_reference, "coo_pivot_rows", recording)
+    with caplog.at_level(logging.DEBUG, logger="bar_reference"):
         bar_oracle(alg, x_mod, n_max)
     pieces = [re.match(r"bar piece n=(\d+) bucket=\((-?\d+), (-?\d+)\)", rec.getMessage())
-              for rec in caplog.records if rec.name == "hh2.koszulhh"]
+              for rec in caplog.records if rec.name == "bar_reference"]
     return seen, [(int(n), (int(j), int(k))) for n, j, k in (m.groups() for m in pieces)]
 
 

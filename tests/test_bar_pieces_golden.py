@@ -1,4 +1,4 @@
-"""The bar oracle logs the pieces, shapes and ranks that were recorded.
+"""The plain bar oracle of ``bar_reference`` logs the pieces, shapes and ranks that were recorded.
 
 ``tests/golden/bar_pieces_p<P>.txt`` holds the DEBUG lines
 ``bar piece n=.. bucket=.. rows=.. cols=.. nnz=.. rank=..`` that
@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from hh2.clubsuit import NaturalMaps
-from hh2.koszulhh import bar_oracle
+
+from bar_reference import bar_oracle
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 KINDS = ["omega", "theta", "theta-sigma", "omega-dual", "omega-ep-omega"]
@@ -30,7 +31,7 @@ class _Lines(logging.Handler):
 
 def piece_lines(nm: NaturalMaps, n_max: int) -> str:
     """The oracle's DEBUG lines for the five coefficients, as recorded."""
-    log = logging.getLogger("hh2.koszulhh")
+    log = logging.getLogger("bar_reference")
     handler, level = _Lines(), log.level
     log.addHandler(handler)
     log.setLevel(logging.DEBUG)

@@ -9,13 +9,14 @@ import pytest
 from hh2 import Hh2Error, koszulhh
 from hh2.exactlin import coo_pivot_rows, sparse_rank
 from hh2.koszulhh import (NotACocycle, NotHomogeneous, PairingDegreeMismatch,
-                          TooLarge, UnrecognizedSignature, bar_oracle,
-                          build_model, homology_named)
+                          TooLarge, UnrecognizedSignature, build_model, homology_named)
 from hh2.quiver import BasedAlgebra, BasedBimodule, table_of
+import bar_reference
+from bar_reference import bar_oracle  # the plain oracle: koszulhh.bar_oracle's reference
 from batches import as_batch
 from cup_reference import single_cup
 from model_reference import project_one
-from tables import as_dict
+from tables import as_dict, broken_omega3, corrupted_actions
 
 EMPTY = table_of({}, 3)
 
@@ -109,12 +110,12 @@ def test_bar_oracle_cap(maps3, monkeypatch):
 
 
 def test_bar_oracle_logs_each_piece(maps3, caplog):
-    with caplog.at_level(logging.DEBUG, logger="hh2.koszulhh"):
+    with caplog.at_level(logging.DEBUG, logger="bar_reference"):
         assert bar_oracle(maps3.omega, maps3.theta, 4) == [1, 1, 2, 0, 0]
     pattern = re.compile(r"bar piece n=(\d+) bucket=\((-?\d+), (-?\d+)\) "
                          r"rows=(\d+) cols=(\d+) nnz=(\d+) rank=(\d+)$")
     pieces = [tuple(map(int, pattern.match(rec.getMessage()).groups()))
-              for rec in caplog.records if rec.name == "hh2.koszulhh"]
+              for rec in caplog.records if rec.name == "bar_reference"]
     assert pieces and len({pc[:3] for pc in pieces}) == len(pieces)
     assert {pc[0] for pc in pieces} == set(range(5))
     for _n, _j, _k, rows, cols, nnz, rank_ in pieces:
@@ -125,7 +126,7 @@ def test_bar_oracle_logs_each_piece(maps3, caplog):
             - sum(r for n2, *_, r in pieces if n2 == n - 1) for n in range(5)]
     assert dims == [1, 1, 2, 0, 0]
     caplog.clear()
-    with caplog.at_level(logging.INFO, logger="hh2.koszulhh"):
+    with caplog.at_level(logging.INFO, logger="bar_reference"):
         bar_oracle(maps3.omega, maps3.theta, 4)
     assert not caplog.records
 
@@ -334,42 +335,24 @@ def test_bar_oracle_p7_low_degrees_and_guard():
         bar_oracle(nm.omega, nm.reg, 3)  # exceeds the default cell cap
 
 
-def _broken_omega3(maps3):
-    # as in test_bar_oracle_checks_d_squared_in_every_degree: d_3 . d_2 != 0
-    omega = maps3.omega
-    key = (omega.index["y1e1"], omega.index["x1e2"])
-    products = as_dict(omega.products)
-    products[key] = {t: 2 * c % 3 for t, c in products[key].items()}
-    return BasedAlgebra(3, omega.basis, table_of(products, 3), omega.idem)
-
-
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_bar_oracle_fails_on_a_corrupted_module_action(side, maps3):
     # doubling one action entry a . x (or x . a) with a radical breaks the
     # bimodule axioms, which d . d = 0 must catch through the head joins (the
     # left action) and the tail joins (the right action)
-    omega = maps3.omega
-    reg = maps3.modules["omega"]
-    table = as_dict(getattr(reg, side))
-    radical = {i for i, b in enumerate(omega.basis) if b.j or b.k}
-    keys = [key for key, prod in table.items() if prod
-            and (key[0] if side == "left" else key[1]) in radical]
-    assert keys
-    for key in keys:
-        bad_table = dict(table)
-        bad_table[key] = {t: 2 * c % 3 for t, c in table[key].items()}
-        tables = {"left": reg.left, "right": reg.right, side: table_of(bad_table, 3)}
-        bad = BasedBimodule(omega, reg.basis, tables["left"], tables["right"], name="bad")
+    bad_modules = list(corrupted_actions(maps3.omega, maps3.modules["omega"], side))
+    assert bad_modules
+    for bad in bad_modules:
         with pytest.raises(AssertionError, match="square to zero"):
-            bar_oracle(omega, bad, 3)
+            bar_oracle(maps3.omega, bad, 3)
 
 
 def test_bar_oracle_checks_d_squared_in_small_chunks(maps3, monkeypatch):
     # blocks of one bucket each give the same verdicts as one block
-    monkeypatch.setattr(koszulhh, "_BLOCK_CELLS", 0)
+    monkeypatch.setattr(bar_reference, "_BLOCK_CELLS", 0)
     assert bar_oracle(maps3.omega, maps3.theta, 4) == [1, 1, 2, 0, 0]
     with pytest.raises(AssertionError, match="square to zero"):
-        bar_oracle(_broken_omega3(maps3), maps3.theta, 3)
+        bar_oracle(broken_omega3(maps3.omega), maps3.theta, 3)
 
 
 @pytest.mark.parametrize("kind", ["omega", "theta"])
@@ -377,8 +360,8 @@ def test_bar_oracle_rejects_an_entry_outside_its_bucket(kind, maps3, monkeypatch
     # d keeps each cochain's bucket: one entry of an assembled d_n moved onto a
     # row of an earlier block (so of another bucket) fails before any d.d = 0
     # check or rank
-    monkeypatch.setattr(koszulhh, "_BLOCK_CELLS", 0)  # one bucket per block
-    assemble, seen, moved, ranked = koszulhh._bar_differential, {}, [], []
+    monkeypatch.setattr(bar_reference, "_BLOCK_CELLS", 0)  # one bucket per block
+    assemble, seen, moved, ranked = bar_reference._bar_differential, {}, [], []
 
     def moving(n, *args):
         lc, row, val = assemble(n, *args)
@@ -390,8 +373,8 @@ def test_bar_oracle_rejects_an_entry_outside_its_bucket(kind, maps3, monkeypatch
             seen[n] = int(row[0])
         return lc, row, val
 
-    monkeypatch.setattr(koszulhh, "_bar_differential", moving)
-    monkeypatch.setattr(koszulhh, "coo_pivot_rows", lambda *args: ranked.append(args))
+    monkeypatch.setattr(bar_reference, "_bar_differential", moving)
+    monkeypatch.setattr(bar_reference, "coo_pivot_rows", lambda *args: ranked.append(args))
     with pytest.raises(AssertionError, match="leaves its bucket"):
         bar_oracle(maps3.omega, maps3.modules[kind], 3)
     assert moved and ranked == []
@@ -400,8 +383,8 @@ def test_bar_oracle_rejects_an_entry_outside_its_bucket(kind, maps3, monkeypatch
 def test_bar_oracle_refuses_differentials_past_int64(maps3, monkeypatch):
     # entries of d_n are keyed by col * rows + row in int64; chain counts
     # that would overflow that key are refused before anything is assembled
-    monkeypatch.setattr(koszulhh, "bar_sizes", lambda alg, x_mod, n: ([2 ** 30] * (n + 1),
-                                                                       [0] * (n + 1)))
+    monkeypatch.setattr(bar_reference, "bar_sizes", lambda alg, x_mod, n: ([2 ** 30] * (n + 1),
+                                                                            [0] * (n + 1)))
     monkeypatch.setenv("HH2_MAX_CELLS", str(10 ** 30))
     with pytest.raises(TooLarge, match="int64"):
         bar_oracle(maps3.omega, maps3.reg, 1)
@@ -416,9 +399,9 @@ def test_bar_oracle_checks_d_squared_before_any_rank(maps3, monkeypatch):
         calls.append(len(col))
         return coo_pivot_rows(col, row, val, p)
 
-    monkeypatch.setattr(koszulhh, "coo_pivot_rows", recording)
+    monkeypatch.setattr(bar_reference, "coo_pivot_rows", recording)
     with pytest.raises(AssertionError, match="square to zero"):
-        bar_oracle(_broken_omega3(maps3), maps3.theta, 3)
+        bar_oracle(broken_omega3(maps3.omega), maps3.theta, 3)
     assert calls == []
 
 
@@ -439,16 +422,16 @@ def test_bar_pieces_rank_like_their_full_columns_p3(kind, maps3, monkeypatch, ca
         return coo_pivot_rows(col, row, val, p)
 
     x_mod = maps3.modules[kind]
-    monkeypatch.setattr(koszulhh, "_BLOCK_CELLS", 0)  # one bucket per block
-    monkeypatch.setattr(koszulhh, "coo_pivot_rows", recording)
-    with caplog.at_level(logging.DEBUG, logger="hh2.koszulhh"):
+    monkeypatch.setattr(bar_reference, "_BLOCK_CELLS", 0)  # one bucket per block
+    monkeypatch.setattr(bar_reference, "coo_pivot_rows", recording)
+    with caplog.at_level(logging.DEBUG, logger="bar_reference"):
         bar_oracle(maps3.omega, x_mod, 4)
     pattern = re.compile(r"bar piece n=(\d+) bucket=\((-?\d+), (-?\d+)\) "
                          r"rows=\d+ cols=\d+ nnz=\d+ rank=(\d+)$")
     logged = {(n, (j, k)): r for n, j, k, r in
               (map(int, pattern.match(rec.getMessage()).groups())
-               for rec in caplog.records if rec.name == "hh2.koszulhh")}
-    bar = koszulhh.radical_chains(maps3.omega)
+               for rec in caplog.records if rec.name == "bar_reference")}
+    bar = bar_reference.radical_chains(maps3.omega)
 
     def bucket(n, i):  # (j(x) - j(chain), k(x) - k(chain)) of cochain i of degree n
         q, x = divmod(i, x_mod.dim)
@@ -470,7 +453,7 @@ def test_bar_oracle_p5_memory_stays_within_blocks(maps5):
     # ranking each d_n whole took about 45 MB
     kinds = ["omega", "theta", "theta-sigma", "omega-dual", "omega-ep-omega"]
     modules = [maps5.modules[kind] for kind in kinds]
-    koszulhh.radical_chains(maps5.omega).cofaces(3)  # kept with the algebra, built once
+    bar_reference.radical_chains(maps5.omega).cofaces(3)  # kept with the algebra, built once
     tracemalloc.start()
     try:
         dims = [bar_oracle(maps5.omega, x_mod, 3) for x_mod in modules]
@@ -484,11 +467,11 @@ def test_bar_oracle_p5_memory_stays_within_blocks(maps5):
 
 def test_bar_chains_are_built_once_per_algebra(maps3, monkeypatch):
     omega = maps3.omega
-    bar = koszulhh.radical_chains(omega)
+    bar = bar_reference.radical_chains(omega)
     bar_oracle(omega, maps3.reg, 3)
     levels = [bar.level(n) for n in range(5)]
     bar_oracle(omega, maps3.theta, 3)
-    assert koszulhh.radical_chains(omega) is bar
+    assert bar_reference.radical_chains(omega) is bar
     assert all(bar.level(n) is levels[n] for n in range(5))
     chains, _ = koszulhh.bar_sizes(omega, maps3.reg, 5)
     assert chains == [len(bar.level(n).lft) for n in range(6)]
@@ -507,7 +490,7 @@ def test_bar_sizes_count_the_chains_and_cochains(prime, n_max, kind, maps3, maps
     nm = {3: maps3, 5: maps5}[prime]
     x_mod = nm.modules[kind]
     chains, cochains = koszulhh.bar_sizes(nm.omega, x_mod, n_max + 1)
-    bar = koszulhh.radical_chains(nm.omega)
+    bar = bar_reference.radical_chains(nm.omega)
     x_by_slot = Counter((b.left, b.right) for b in x_mod.basis)
     for n in range(n_max + 2):
         level = bar.level(n)
@@ -518,11 +501,11 @@ def test_bar_sizes_count_the_chains_and_cochains(prime, n_max, kind, maps3, maps
 
 def test_bar_sizes_match_the_logged_pieces_p3(maps3, caplog):
     # the cols of the logged pieces of degree n sum to the cochains of degree n
-    with caplog.at_level(logging.DEBUG, logger="hh2.koszulhh"):
+    with caplog.at_level(logging.DEBUG, logger="bar_reference"):
         bar_oracle(maps3.omega, maps3.theta, 4)
     cols = [0] * 5
     for rec in caplog.records:
-        if rec.name == "hh2.koszulhh":
+        if rec.name == "bar_reference":
             n, c = re.search(r"n=(\d+) .* cols=(\d+)", rec.getMessage()).groups()
             cols[int(n)] += int(c)
     assert cols == koszulhh.bar_sizes(maps3.omega, maps3.theta, 4)[1]
@@ -538,4 +521,4 @@ def test_bar_oracle_refuses_before_building_chains(prime, monkeypatch):
     for x_mod in nm.modules.values():
         with pytest.raises(TooLarge, match="exceed 1000000 cells"):
             bar_oracle(nm.omega, x_mod, 3)
-    assert nm.omega not in koszulhh._CHAINS
+    assert nm.omega not in bar_reference._CHAINS
