@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from . import Hh2Error, quiver
-from .exactlin import coo_pivot_rows
+from .exactlin import coo_pivot_rows, half_join, join_index
 from .koszulhh import (KIND_DUAL, KIND_IDEAL, KIND_OMEGA, KIND_THETA, KIND_THETA_SIGMA, Cochains,
                        Pairing, build_model, cup, homology_named)
 from .quiver import BasedBimodule, BimoduleMap, Table, WindowTable, window_table
@@ -88,9 +88,9 @@ def _compose(table: Table, mp: BimoduleMap, p: int, inner: bool = False) -> Tabl
     x, y, t, c = table
     f = mp.table  # mp(g) at (g, 0)
     if inner:
-        s, e = quiver.half_join(y, f.t)  # each term at (x, u) with each g that mp sends to u
+        s, e = half_join(y, join_index(f.t))  # each term at (x, u) with each g that mp sends to u
         return Table.of(x[s], f.x[e], t[s], c[s] * f.c[e], p)
-    s, e = quiver.half_join(t, f.x)  # each term t with the terms of mp(t)
+    s, e = half_join(t, f.by_x)  # each term t with the terms of mp(t)
     return Table.of(x[s], y[s], f.t[e], c[s] * f.c[e], p)
 
 

@@ -6,15 +6,15 @@ on request back-substitutes its pivot columns into the fully reduced basis
 of the span.  ``coo_reduce`` reduces a batch of vectors by that basis in one
 join.  ``sparse_rank``, which only tests call, hands it dict columns.
 
-The join helpers (``_expand``, ``_within``, ``_summed``) work on sparse
-F_p tables held as int64 COO arrays: ``_within`` joins keys with the runs of
-a sorted key array that carry them, and ``_summed`` sums the values of equal
-keys mod p.  The elimination, the bar oracle's presentation and
-differentials (``koszulhh``), the identity scans (``quiver.failing_triple``)
-and the windowed associativity scan of the grid and club windows
-(``quiver.window_associativity``) are all such joins; each packs its indices
-into one int64 key and raises ``TooLarge`` before any join whose keys would
-not fit.
+The join helpers work on sparse F_p tables held as int64 COO arrays:
+``_within`` and ``half_join`` join keys with the runs that carry them, of a
+sorted key array or of a column indexed once by ``join_index``, and
+``_summed`` sums the values of equal keys mod p.  The elimination, the bar
+oracle's presentation and differentials (``koszulhh``), the identity scans
+(``quiver.failing_triple``) and the windowed associativity scan of the grid
+and club windows (``quiver.window_associativity``) are all such joins; each
+packs its indices into one int64 key and raises ``TooLarge`` before any join
+whose keys would not fit.
 
 The dense path (``rref``, ``rank``, ``rank_and_kernel``, ``Homology``) works
 on numpy int64 arrays reduced to [0, p) and pivots in a fixed column order.
@@ -226,6 +226,23 @@ def _within(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.n
     of keys with the entries that carry them."""
     lo = np.searchsorted(sorted_keys, keys)
     return _expand(lo, np.searchsorted(sorted_keys, keys, "right") - lo)
+
+
+def join_index(on: np.ndarray, ordered: bool = False) -> tuple[np.ndarray | None, ...]:
+    """(order, start, count) of a column of keys >= 0: key k is at the places
+    order[start[k]:][:count[k]], with no order when the column is ``ordered``
+    (ascending); the last start, of count 0, stands for the keys past all."""
+    count = np.append(np.bincount(on), 0)
+    return None if ordered else np.argsort(on, kind="stable"), np.cumsum(count) - count, count
+
+
+def half_join(keys: np.ndarray, index: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``_expand`` over the places of a ``join_index``ed column equal to each
+    of keys (>= 0): (s, e) with on[e] == keys[s], by two gathers."""
+    order, start, count = index
+    at = np.minimum(keys, len(count) - 1)
+    s, e = _expand(start[at], count[at])
+    return s, e if order is None else order[e]
 
 
 def _chunks(owner: np.ndarray, work: np.ndarray, size: int):

@@ -23,6 +23,7 @@ or 2); the model is graded by total (j, k) and d has degree (0, 1).
 from __future__ import annotations
 
 import os
+import sys
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import Hh2Error
 from .exactlin import (NotACocycle, TooLarge, _among, _chunks, _starts, _summed, _within,
-                       combo_add, coo_pivot_rows, coo_reduce, coo_terms)
+                       combo_add, coo_pivot_rows, coo_reduce, coo_terms, half_join, join_index)
 from .quiver import BasedAlgebra, BasedBimodule, OmegaAlgebra, Table, failing_triple
 
 Name = tuple  # ("z", l) | ("kz", l) | ("c2", s) | ("soc", s) | ("mu", l) | ("nu", l) | ("e", s)
@@ -138,10 +139,7 @@ class CochainModel:
         c_left, c_right, c_j, c_k = c.basis_slots
         x_left, x_right, x_j, x_k = x_mod.basis_slots
         vmax = 1 + max(int(v.max(initial=0)) for v in (c_left, c_right, x_left, x_right))
-        x_code = x_left * vmax + x_right
-        by_code = np.argsort(x_code, kind="stable")
-        ci, e = _within(x_code[by_code], c_right * vmax + c_left)
-        xi = by_code[e]
+        ci, xi = half_join(c_right * vmax + c_left, join_index(x_left * vmax + x_right))
         # the pairs: their indices, codes (ascending) and odd k(x)
         self.ci, self.xi, self.code, self.odd = ci, xi, ci * x_mod.dim + xi, x_k[xi] % 2 == 1
 
@@ -192,8 +190,7 @@ class CochainModel:
         parts.append((n[q], ct[e], xt[f], cc[e] * xc[f]))
         # rho.ci (x) xi.rho*: c's terms (rho, ci), by ci, meet X's right terms (xi, rho*)
         at = np.flatnonzero(star[ca] >= 0)
-        at = at[np.argsort(cb[at], kind="stable")]
-        n, e = _within(cb[at], ci)
+        n, e = half_join(ci, join_index(cb[at]))
         xm, xa, xt, xc = x_mod.right
         q, f = _within(xm * n_omega + xa, xi[n] * n_omega + star[ca[at[e]]])
         n, e = n[q], at[e[q]]
@@ -604,9 +601,8 @@ def _presentation(alg: BasedAlgebra) -> Presentation:
     is_arrow = rad.copy()
     is_arrow[t] = False
     arrows = np.flatnonzero(is_arrow)
-    by_left = arrows[np.argsort(left[arrows], kind="stable")]
-    s, e = _within(left[by_left], right[arrows])
-    g, h = arrows[s], by_left[e]  # the composable pairs, deg-lex
+    s, e = half_join(right[arrows], join_index(left[arrows]))
+    g, h = arrows[s], arrows[e]  # the composable pairs, deg-lex
     w, exact = product(g, h)
     first = np.flatnonzero(exact)
     first = first[np.argsort(w[first], kind="stable")]
@@ -696,17 +692,21 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]
     ``coo_pivot_rows`` ranks both; their entries must stay slot-matched,
     and d^1 . d^0 must vanish (checked).  Every check raises AssertionError,
     as do ``alg.check_associativity()`` and the bimodule axioms of x_mod over
-    alg, which run first.  So the dimensions rest on the checked presentation
-    and not on Koszulity: the oracle reads only the slots, degrees and
-    ``slot_products()`` of alg and the actions of x_mod, and none of the
-    Koszul model's code (``CochainModel``, the algebra c).  It reads no cap;
-    at p = 5 the complex of omega has (15, 20, 10) cochains.  It raises
-    TooLarge only when the keys of d^0, d^1 or of an identity scan would not
-    index in int64.  DEBUG lines give the presentation and each degree's
-    cochains, nonzero entries and rank.
+    alg, which run first, once per object (a module over another algebra
+    is checked as one over alg on every call).  So the dimensions rest on
+    the checked presentation and not on Koszulity: the oracle reads only the
+    slots, degrees and ``slot_products()`` of alg and the actions of x_mod,
+    and none of the Koszul model's code (``CochainModel``, the algebra c).
+    It reads no cap; at p = 5 the complex of omega has (15, 20, 10)
+    cochains.  It raises TooLarge only when the keys of d^0, d^1 or of an
+    identity scan would not index in int64.  DEBUG lines give the
+    presentation and each degree's cochains, nonzero entries and rank, in a
+    process that has imported ``logging``.
     """
     alg.check_associativity()
-    BasedBimodule(alg, x_mod.basis, x_mod.left, x_mod.right, x_mod.name).check_bimodule()
+    if x_mod.over is not alg:
+        x_mod = BasedBimodule(alg, x_mod.basis, x_mod.left, x_mod.right, x_mod.name)
+    x_mod.check_bimodule()
     pres = _presentation(alg)
     p, width, dim = alg.p, x_mod.dim, alg.dim
     left, right, _, _ = alg.basis_slots
@@ -732,8 +732,7 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]
     x_left, x_right, _, _ = x_mod.basis_slots
     vmax = 1 + int(max(vertices.max(), x_left.max(initial=0), x_right.max(initial=0)))
     x_slot = x_left * vmax + x_right
-    x_by_slot = np.argsort(x_slot, kind="stable")
-    x_sorted = x_slot[x_by_slot]
+    by_slot = join_index(x_slot)
     lt, rt = x_mod.left, x_mod.right  # (a, x, a x, coeff) and (x, a, x a, coeff), sorted
     acts = ((lt, lt.x * width + lt.y, lambda a, x: a * width + x),
             (rt, rt.x * dim + rt.y, lambda a, x: x * dim + a))
@@ -744,8 +743,8 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]
         nrows = max(1, len(above[0]) * width)
         keys, vals = [], []
         for (cell, lower, a, c), (table, table_key, key_of) in zip(faces[n], acts):
-            s, e = _within(x_sorted, below[0][lower] * vmax + below[1][lower])
-            xs = x_by_slot[e]  # each term with each x in its lower cell's slot
+            # each term with each x in its lower cell's slot
+            s, xs = half_join(below[0][lower] * vmax + below[1][lower], by_slot)
             o, f = _within(table_key, key_of(a[s], xs))  # and each term of the action on x
             s, xs = s[o], xs[o]
             keys.append((lower[s] * width + xs) * nrows + cell[s] * width + table.t[f])
@@ -761,14 +760,15 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]
     o, e = _within(d1[0], d0[1])  # d^1 . d^0 = 0
     if len(_summed(d0[0][o] * max(1, len(g) * width) + d1[1][e], d0[2][o] * d1[2][e], p)[0]):
         raise AssertionError("d^1 . d^0 does not vanish")
-    sizes = [len(_within(x_sorted, cl * vmax + cr)[0]) for cl, cr in cells]
+    sizes = [len(half_join(cl * vmax + cr, by_slot)[0]) for cl, cr in cells]
     ranks = [len(coo_pivot_rows(*d, p)) for d in (d0, d1)] + [0]
     dims = [sizes[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(3)]
 
-    import logging  # here, not at module level: only the oracle's callers load it
-    log = logging.getLogger(__name__)
-    log.debug("morse presentation arrows=%d tips=%d normal words by length=%s",
-              len(arrows), len(g), pres.words)
-    for n, nnz in enumerate((len(d0[0]), len(d1[0]), 0)):
-        log.debug("morse cochains n=%d cells=%d nnz=%d rank=%d", n, sizes[n], nnz, ranks[n])
+    # a process that never imported logging has no handler for these DEBUG records
+    if (logging := sys.modules.get("logging")) is not None:
+        log = logging.getLogger(__name__)
+        log.debug("morse presentation arrows=%d tips=%d normal words by length=%s",
+                  len(arrows), len(g), pres.words)
+        for n, nnz in enumerate((len(d0[0]), len(d1[0]), 0)):
+            log.debug("morse cochains n=%d cells=%d nnz=%d rank=%d", n, sizes[n], nnz, ranks[n])
     return (dims + [0] * n_max)[:n_max + 1]

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import Hh2Error
-from .exactlin import _among, _distinct, _within
+from .exactlin import _among, _distinct, _within, half_join, join_index
 from .quiver import WindowTable, window_table
 from .spadesuit import MAX_PRODUCTS, SpadeAlgebra, augmentation, window_entry
 
@@ -158,11 +158,10 @@ class HHLAlgebra:
         key, outs = gx * g + gy, ox * g + oy  # each sorted
         i = j = np.zeros(n, dtype=np.int64)  # the pair of hh_0, if k_max leaves it
         if level:
-            order = np.argsort(f[:, 0], kind="stable")
-            both = _distinct(np.concatenate((key, outs)))
-            d, a = _within(f[order, 0], both // g)
-            o, b = _within(f[order, 0], both[d] % g)
-            i, j = order[a[o]], order[b]
+            first, both = join_index(f[:, 0]), _distinct(np.concatenate((key, outs)))
+            d, a = half_join(both // g, first)
+            o, j = half_join(both[d] % g, first)
+            i = a[o]
         out = []
         for q in range(level):
             has = _among(key, pair := f[i, q] * g + f[j, q])

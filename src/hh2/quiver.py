@@ -21,7 +21,7 @@ Every product, action and pairing table is a ``Table``: int64 arrays
 A ``BimoduleMap`` is one too, f(m) at (m, 0).  Builders make tables by array
 operations (Omega's from its closed form, the modules by masks, renumberings
 and swaps, the maps from Omega's partner arrays), the identity scans join
-their arrays as stored, and ``Table.get`` reads single entries as combos.
+them through the indexes each keeps, and ``Table.get`` reads single entries.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import Hh2Error
-from .exactlin import (TooLarge, _among, _distinct, _summed, _within, _xor, check_odd_prime,
-                       combo_add)
+from .exactlin import (TooLarge, _among, _distinct, _summed, _xor, check_odd_prime, combo_add,
+                       half_join, join_index)
 
 Combo = dict[int, int]
 
@@ -60,16 +60,22 @@ class Table:
     every c in [1, p).  Unpacking gives the four arrays.
 
     Tables are read-only once built: modules, maps and pairings share them
-    instead of copying.  ``get`` reads one entry as a combo; the rows it
-    reads are indexed on first read and kept, and the combos it returns are
-    shared, so callers only read them.
+    instead of copying, and keep what is read off them on first use: ``by_x``
+    and ``by_y``, the ``join_index`` of the x and y columns, and the rows that
+    ``get`` reads entries from as combos, which callers only read.
     """
-
-    __slots__ = ("x", "y", "t", "c", "_rows")
 
     def __init__(self, x: np.ndarray, y: np.ndarray, t: np.ndarray, c: np.ndarray):
         self.x, self.y, self.t, self.c = x, y, t, c
         self._rows: dict[int, dict[int, Combo]] = {}
+
+    @cached_property
+    def by_x(self) -> tuple:
+        return join_index(self.x, ordered=True)
+
+    @cached_property
+    def by_y(self) -> tuple:
+        return join_index(self.y)
 
     @classmethod
     def of(cls, x: np.ndarray, y: np.ndarray, t: np.ndarray, c: np.ndarray, p: int) -> "Table":
@@ -128,14 +134,6 @@ def window_table(n: int, terms: list[tuple[np.ndarray, ...]],
     return WindowTable(n, Table.of(x, y, t, c, p), np.divmod(_distinct(ox * n + oy), n))
 
 
-def half_join(keys: np.ndarray, on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One half of an identity scan's join, as index pairs (s, e): every
-    keys[s] == on[e]."""
-    order = np.argsort(on)
-    s, e = _within(on[order], keys)
-    return s, order[e]
-
-
 def failing_triple(a: Table, b: Table, c: Table, d: Table, p: int) -> tuple[int, int, int] | None:
     """The first (u, g, w), by g, then u, then w, at which
 
@@ -145,9 +143,9 @@ def failing_triple(a: Table, b: Table, c: Table, d: Table, p: int) -> tuple[int,
     intertwining maps and balanced equivariant pairings are all identities of
     this shape.
 
-    One sort-join over the tables' terms, read from their arrays as stored:
-    each term t of a[u, g] meets the terms of b[t, .] and each term t of
-    c[g, w] the terms of d[., t] (``half_join``, which the windowed scan
+    One join over the tables' terms, through the indexes they keep: each
+    term t of a[u, g] meets the terms of b[t, .] (``b.by_x``) and each term t
+    of c[g, w] the terms of d[., t] (``d.by_y``, ``half_join``, which
     ``window_associativity`` runs too), so a triple that no such pair reaches
     reads 0 = 0, and the work grows with the nonempty products.  Every product is
     keyed by (g, u, w, basis index), packed into one int64 with each index's
@@ -155,7 +153,7 @@ def failing_triple(a: Table, b: Table, c: Table, d: Table, p: int) -> tuple[int,
     (``_summed``); the smallest key left is the first failure.  Raises
     ``TooLarge`` before the join when the packed keys would pass int64.
     """
-    (au, ag, at, ac), (bt, bw, bi, bc), (cg, cw, ct, cc), (du, dt, di, dc) = a, b, c, d
+    (au, ag, at, ac), (_, bw, bi, bc), (cg, cw, ct, cc), (du, _, di, dc) = a, b, c, d
     sizes = [1 + int(max(x.max(initial=-1), y.max(initial=-1)))
              for x, y in ((ag, cg), (au, du), (bw, cw), (bi, di))]
     if math.prod(sizes) > 2 ** 63 - 1:
@@ -165,9 +163,9 @@ def failing_triple(a: Table, b: Table, c: Table, d: Table, p: int) -> tuple[int,
     def packed(g, u, w, i):
         return ((g * n_u + u) * n_w + w) * n_i + i
 
-    s, e = half_join(at, bt)  # each term of a[u, g] with the terms of b[t, .]
+    s, e = half_join(at, b.by_x)  # each term of a[u, g] with the terms of b[t, .]
     left_key, left_val = packed(ag[s], au[s], bw[e], bi[e]), ac[s] * bc[e]
-    s, e = half_join(ct, dt)  # each term of c[g, w] with the terms of d[., t]
+    s, e = half_join(ct, d.by_y)  # each term of c[g, w] with the terms of d[., t]
     right_key, right_val = packed(cg[s], du[e], cw[s], di[e]), -cc[s] * dc[e]
     key, _ = _summed(np.concatenate((left_key, right_key)),
                      np.concatenate((left_val, right_val)), p)
@@ -186,32 +184,35 @@ def window_associativity(table: WindowTable, p: int) -> tuple[int, int]:
     the window} less the spoiled triples, the ``half_join``s of the terms
     with the out-of-window pairs; the products, keyed (j, i, k, basis index)
     as in ``failing_triple``, join the terms with themselves.  Both keep the
-    triples whose other product is in the window.  Blocks of about 2,048
-    terms by j bound the joins: one block added 7 MB to verify's peak RSS at p = 13.
+    triples whose other product is in the window, read off a dense mask.
+    Blocks of about 2,048 terms by j, slices of the terms' indexes, bound the joins.
     """
-    n, (x, y, t, c), (ox, oy) = table
+    n, terms, (ox, oy) = table
+    x, y, t, c = terms
     if n ** 4 > 2 ** 63 - 1:
         raise TooLarge(f"a window of {n} elements packs keys past int64")
-    out = np.sort(ox * n + oy)
-
-    def inside(u, v):  # u v stays in the window
-        return ~_among(out, u * n + v)
-
+    inside = np.ones(n * n, dtype=bool)  # at u * n + v: whether u v stays in the window
+    inside[ox * n + oy] = False
+    by_ox, by_oy = join_index(ox, ordered=True), join_index(oy)
     checked, failed = int(np.dot(n - np.bincount(oy, minlength=n),
                                  n - np.bincount(ox, minlength=n))), 0
-    for js in np.array_split(np.arange(n), 1 + len(x) // 2048):
-        a, b = np.isin(y, js), np.isin(x, js)  # the terms i j and j k
+    blocks = 1 + len(x) // 2048
+    edges = np.arange(blocks + 1) * n // blocks
+    (_, x_at, _), (y_order, y_at, _) = terms.by_x, terms.by_y
+    x_at, y_at = (at[np.minimum(edges, len(at) - 1)] for at in (x_at, y_at))
+    for k in range(blocks):
+        a, b = y_order[y_at[k]:y_at[k + 1]], slice(x_at[k], x_at[k + 1])  # terms i j, j k
         xa, ya, ta, ca, xb, yb, tb, cb = x[a], y[a], t[a], c[a], x[b], y[b], t[b], c[b]
-        s, e = half_join(ta, ox)  # a term el of i j with el k out
-        spoiled = ((ya[s] * n + xa[s]) * n + oy[e])[inside(ya[s], oy[e])]
-        s, e = half_join(tb, oy)  # a term el of j k with i el out
+        s, e = half_join(ta, by_ox)  # a term el of i j with el k out
+        spoiled = ((ya[s] * n + xa[s]) * n + oy[e])[inside[ya[s] * n + oy[e]]]
+        s, e = half_join(tb, by_oy)  # a term el of j k with i el out
         spoiled = _distinct(np.concatenate(
-            (spoiled, ((xb[s] * n + ox[e]) * n + yb[s])[inside(ox[e], xb[s])])))
-        s, e = half_join(ta, x)  # (i j) k, term by term
-        m = inside(ya[s], y[e])
+            (spoiled, ((xb[s] * n + ox[e]) * n + yb[s])[inside[ox[e] * n + xb[s]]])))
+        s, e = half_join(ta, terms.by_x)  # (i j) k, term by term
+        m = inside[ya[s] * n + y[e]]
         key, val = (((ya[s] * n + xa[s]) * n + y[e]) * n + t[e])[m], (ca[s] * c[e])[m]
-        s, e = half_join(tb, y)  # i (j k), term by term
-        m = inside(x[e], xb[s])
+        s, e = half_join(tb, terms.by_y)  # i (j k), term by term
+        m = inside[x[e] * n + xb[s]]
         key, _ = _summed(np.concatenate((key, (((xb[s] * n + x[e]) * n + yb[s]) * n + t[e])[m])),
                          np.concatenate((val, (-cb[s] * c[e])[m])), p)
         checked -= len(spoiled)
@@ -244,6 +245,7 @@ class BasedAlgebra:
         self.index = {b.name: i for i, b in enumerate(basis)}
         self.vertices = sorted(idem)
         self._slot_products: Table | None = None
+        self._associative = False
 
     @property
     def dim(self) -> int:
@@ -282,11 +284,14 @@ class BasedAlgebra:
         return self._slot_products
 
     def check_associativity(self) -> None:
+        if self._associative:  # a pass is kept, as the table is read-only; a failure is not
+            return
         mul = self.slot_products()
         bad = failing_triple(mul, mul, mul, mul, self.p)
         if bad is not None:
             i, j, k = (self.basis[x].name for x in bad)
             raise AssertionError(f"associativity fails at {i}, {j}, {k}")
+        self._associative = True
 
 
 class BasedBimodule:
@@ -306,6 +311,7 @@ class BasedBimodule:
         self.right = right
         self.name = name
         self.index = {b.name: i for i, b in enumerate(basis)}
+        self._axioms_hold = False
 
     @property
     def dim(self) -> int:
@@ -316,6 +322,8 @@ class BasedBimodule:
         return _slot_arrays(self.basis)
 
     def check_bimodule(self) -> None:
+        if self._axioms_hold:  # a pass is kept, as the tables are read-only; a failure is not
+            return
         alg, basis, name, p = self.over, self.basis, self.name, self.p
         # idempotent entries as stored: e_v m = m if v is the slot of m, else zero;
         # the terms (m, e_v, t, c) found against those required, as packed keys
@@ -341,6 +349,7 @@ class BasedBimodule:
                             ((left, right, right, left), "(am)b != a(mb)")):
             if failing_triple(*tables, self.p) is not None:
                 raise AssertionError(f"{law} in {name}")
+        self._axioms_hold = True
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +463,9 @@ class OmegaAlgebra(BasedAlgebra):
         # block of indices i; their partners j end at s, and both lists
         # ascend, so the nonzero products come out sorted by (i, j)
         src, a, b = self.words
-        by_tgt = np.argsort(src - a + b, kind="stable")
-        bounds = np.searchsorted((src - a + b)[by_tgt], np.arange(1, p + 2))
-        starts = np.searchsorted(src, np.arange(1, p + 2))
+        (_, starts, _), (by_tgt, bounds, _) = join_index(src, ordered=True), join_index(src - a + b)
         parts = []
-        for s in range(p):
+        for s in range(1, p + 1):
             i, j = np.arange(starts[s], starts[s + 1]), by_tgt[bounds[s]:bounds[s + 1]]
             x, y = np.nonzero(src[j] - (a[i][:, None] + a[j]) >= 1)
             x, y = i[x], j[y]
@@ -558,10 +565,13 @@ class BimoduleMap:
         self.dk = dk
         self.name = name
 
+    @cached_property
+    def transposed(self) -> Table:  # f(m) at (0, m), kept with its indexes
+        return Table(self.table.y, self.table.x, self.table.t, self.table.c)
+
     def check_intertwines(self) -> None:
         # f(a m) = a f(m) and f(m a) = f(m) a, f as a table with a dummy index 0
-        f_m0 = self.table
-        f_0m = Table(f_m0.y, f_m0.x, f_m0.t, f_m0.c)
+        f_m0, f_0m = self.table, self.transposed
         src, tgt, p = self.source, self.target, self.source.p
         if failing_triple(src.left, f_m0, f_m0, tgt.left, p) is not None:
             raise AssertionError(f"{self.name}: left action not intertwined")
@@ -569,8 +579,7 @@ class BimoduleMap:
             raise AssertionError(f"{self.name}: right action not intertwined")
 
     def check_degree_shift(self) -> None:
-        src, tgt = (np.array([(b.j, b.k) for b in mod.basis], dtype=np.int64).reshape(-1, 2)
-                    for mod in (self.source, self.target))
+        (*_, src_j, src_k), (*_, tgt_j, tgt_k) = self.source.basis_slots, self.target.basis_slots
         m, _, t, _ = self.table
-        if np.any(tgt[t] - src[m] != (self.dj, self.dk)):
+        if np.any(tgt_j[t] - src_j[m] != self.dj) or np.any(tgt_k[t] - src_k[m] != self.dk):
             raise AssertionError(f"{self.name}: inhomogeneous degree shift")

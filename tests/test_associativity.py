@@ -208,6 +208,22 @@ def test_scan_matches_triple_loop(case):
     assert walker_associativity(summed(rows, p), p) == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(product_tables(), st.integers(0, 11))
+def test_scan_matches_walker_with_out_pairs_at_the_edges(case, r):
+    # the out-of-window mask at its corners (0, 0) and (n - 1, n - 1) and
+    # along a whole row
+    rows, p = case
+    n = len(rows)
+    if n:
+        rows = [list(row) for row in rows]
+        rows[0][0] = rows[n - 1][n - 1] = None
+        rows[r % n] = [None] * n
+    want = walker_associativity(summed(rows, p), p)
+    assert window_associativity(table_of(rows, p), p) == want == cubic_associativity(
+        summed(rows, p), p)
+
+
 def test_grid_counts():
     for p, lo, hi, want in ((3, -3, 4, (2256198, 0)), (5, -3, 4, (17332885, 0)),
                             (11, -2, 3, (46866503, 0))):
@@ -245,6 +261,17 @@ def test_grid_windows_match_walker():
         rows = corrupted(rows, p)
         assert window_associativity(table_of(rows, p), p) == walker_associativity(rows, p) \
             == (want[0], bad)
+
+
+def test_grid_window_with_out_pairs_at_the_edges_matches_walker():
+    rows = rows_of(build_spade(3, -3, 4).product_table())
+    n = len(rows)
+    rows[0][0] = rows[n - 1][n - 1] = None
+    rows[n // 2] = [None] * n
+    rows = corrupted(rows, 3)
+    checked, failed = walker_associativity(rows, 3)
+    assert window_associativity(table_of(rows, 3), 3) == (checked, failed)
+    assert checked < 2256198 and failed > 0
 
 
 def test_club_window_matches_walker():

@@ -5,23 +5,28 @@ four tables, on the int64 arrays and join helpers of ``exactlin`` that the
 bar oracle uses too.  Associativity, the bimodule axioms, intertwining maps
 and balanced equivariant pairings all call it.  Here each caller is
 compared with the loop over every tuple that it replaced, and the scan
-itself with the dict walker that it replaced; both are kept in this file as
-references, and run on small random structures that are mostly broken on
-purpose.
+itself with the dict walker that it replaced, and its ``half_join``, which
+reads the join indexes that each table keeps, with the sort-join that it
+replaced; all are kept in this file as references, and run on small random
+structures that are mostly broken on purpose.
 """
 
 import random
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hh2 import exactlin, koszulhh
+from hh2 import exactlin, koszulhh, quiver
+from hh2.clubsuit import NaturalMaps
 from hh2.koszulhh import Pairing
-from hh2.quiver import (BasedAlgebra, BasedBimodule, BasisElement, BimoduleMap,
-                        combo_add, failing_triple, table_of)
+from hh2.exactlin import half_join, join_index
+from hh2.quiver import (BasedAlgebra, BasedBimodule, BasisElement, BimoduleMap, build_omega,
+                        combo_add, failing_triple, table_of, window_associativity)
+from hh2.spadesuit import build_spade
 from tables import as_dict, column_map, columned
 
 # -- a bimodule acting on combos: the references below read only these -------
@@ -620,3 +625,69 @@ def test_scan_keys_that_would_not_fit_in_int64_raise():
         failing_triple(one, one, one, one, 3)
     assert koszulhh.TooLarge is exactlin.TooLarge
 
+
+
+# -- the indexed half-join against the sort-join it replaced --------------------
+
+
+def sorted_half_join(keys, on):
+    """``quiver.half_join`` as it stood before the join indexes: (s, e) with
+    keys[s] == on[e], by sorting on and searching it for every key."""
+    order = np.argsort(on)
+    s, e = exactlin._within(on[order], keys)
+    return s, order[e]
+
+
+def pairs(s, e) -> list:
+    return sorted(zip(s.tolist(), e.tolist()))
+
+
+@st.composite
+def joins(draw):
+    """(table, keys): a table over indices below 8 and up to 20 keys below
+    12, so that some keys lie past each column's range."""
+    combos = st.dictionaries(st.integers(0, 7), st.integers(1, 4), min_size=1, max_size=3)
+    entries = draw(st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 7)), combos,
+                                   max_size=12))
+    keys = draw(st.lists(st.integers(0, 11), max_size=20))
+    return table_of(entries, 5), np.array(keys, dtype=np.int64)
+
+
+@example((table_of({}, 5), np.arange(3)))  # an empty table
+@example((table_of({(2, 0): {1: 1}, (0, 2): {1: 1}}, 5), np.zeros(0, dtype=np.int64)))
+@example((table_of({(0, 3): {1: 1}, (0, 1): {1: 1}, (4, 1): {1: 2}}, 5), np.array([1, 9, 1, 3])))
+@settings(max_examples=200, deadline=None)
+@given(joins())
+def test_indexed_half_join_matches_sort_join(case):
+    # x is sorted and repeats; y and t are unsorted and repeat
+    table, keys = case
+    for index, on in ((table.by_x, table.x), (table.by_y, table.y),
+                      (join_index(table.t), table.t)):
+        assert pairs(*half_join(keys, index)) == pairs(*sorted_half_join(keys, on))
+
+
+def test_scans_build_each_index_once(monkeypatch):
+    mul, nm = build_omega(3).slot_products(), NaturalMaps(3)
+    maps = (nm.alpha, nm.beta, nm.gamma, nm.kappa, nm.lam, nm.mu)
+    table = build_spade(5, -3, 4).product_table()
+    built = []
+
+    def counted(on, ordered=False):
+        built.append(ordered)
+        return join_index(on, ordered)
+
+    monkeypatch.setattr(quiver, "join_index", counted)
+    for _ in range(2):
+        assert failing_triple(mul, mul, mul, mul, 3) is None
+    assert sorted(built) == [False, True]  # mul.by_y, then mul.by_x, once each
+    for mp in maps:
+        mp.check_intertwines()
+        first = len(built)
+        mp.check_intertwines()  # its table and the transposed one keep theirs
+        assert len(built) == first
+    # a window scan indexes its out pairs once per call, its terms once
+    assert len(table.terms.x) > 2048  # more than one block
+    for want in (4, 2):
+        del built[:]
+        assert window_associativity(table, 5) == (17332885, 0)
+        assert len(built) == want

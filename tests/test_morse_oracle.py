@@ -2,10 +2,15 @@
 against the plain bar oracle of ``bar_reference``, on inputs it must refuse,
 and under mutation."""
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hh2
 from hh2 import koszulhh, quiver
 from hh2.clubsuit import NaturalMaps
 from hh2.koszulhh import bar_oracle
@@ -52,6 +57,38 @@ def test_morse_oracle_refuses_each_corrupted_action(side, maps3):
     for bad in bad_modules:
         with pytest.raises(AssertionError, match=" in bad$"):
             bar_oracle(maps3.omega, bad, 3)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_remembered_pass_hides_no_fault(side, maps3):
+    # the scans remember a pass on the module they checked, and no failure
+    good = maps3.modules["omega"]
+    good.check_bimodule()
+    bar_oracle(maps3.omega, good, 3)
+    for bad in corrupted_actions(maps3.omega, good, side):
+        for _ in range(2):
+            with pytest.raises(AssertionError, match=" in bad$"):
+                bad.check_bimodule()
+            with pytest.raises(AssertionError, match=" in bad$"):
+                bar_oracle(maps3.omega, bad, 3)
+    broken = broken_omega3(maps3.omega)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="associativity fails"):
+            broken.check_associativity()
+
+
+def test_verify_does_not_import_logging():
+    # the oracle's DEBUG lines reach no handler in a process that never
+    # imported logging, so verify, which runs the oracle at p = 5, skips them
+    src = str(Path(hh2.__file__).resolve().parents[1])
+    script = ("import sys\n"
+              "from hh2.cli import run_verify\n"
+              "ran = [status for name, status, _ in run_verify(5) if 'bar oracle' in name]\n"
+              "assert ran == ['PASS'] * 5, ran\n"
+              "print('logging' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.stdout.split() == ["False"], done.stderr
 
 
 def _truncated_polynomials(top: int) -> BasedBimodule:
