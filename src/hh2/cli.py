@@ -5,7 +5,8 @@ emitted in a canonical sort order and scalars are integers in [0, p); the
 scalar 1/2 appears as (p+1)/2.
 
 Exit codes: 0 success (checks may PASS or SKIP), 2 invalid arguments or
-environment (including an empty or too large spadesuit window), 3 a check
+environment, or one of three refusals: a spadesuit window that is empty, one
+with too many products, and an hhl level too large to list, 3 a check
 failed or hh2 raised one of its own errors (an ``Hh2Error``, or an
 ``AssertionError`` from an internal invariant), 141 stdout was closed before
 the output was written (as ``hh2 verify --p 3 | head -3`` closes it; a shell
@@ -15,11 +16,11 @@ it propagates with its traceback and the interpreter exits 1.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -242,7 +243,7 @@ def _hh2_checks(p: int, spade, hh1) -> list[tuple[str, bool]]:
     s, e = _within(x1 * n1 + y1, proj[a] * n1 + proj[b])
     rhs = _summed((a[s] * n + b[s]) * n1 + t1[e], c1[e], p)
     mult_ok = tables_equal(lhs, rhs)
-    sc_ok = _supercommutativity(table, [e.k for e in hh2_.basis], p) == 0
+    sc_ok = _supercommutativity(table, hh2_.k, p) == 0
     return list(zip(HH2_CHECKS, (onto, mult_ok, sc_ok)))
 
 
@@ -252,12 +253,21 @@ def cmd_hhl(p: int, level: int, k_max: int | None, fmt: str) -> tuple[str, int]:
 
     spade = build_spade(p, -3, 4)
     alg = build_hhl(p, level, spade, k_max=k_max)
-    basis = sorted(((None, None, None, 0, "", el.j, el.k, el.display()) for el in alg.basis),
-                   key=lambda row: (row[6], row[5], row[7]))
-    ks = [row[6] for row in basis]  # the basis counted by k is the Hilbert series
+    f, k = alg.factors, alg.k
+    j = np.array([m.j for m in spade.basis], dtype=np.int64)[f[:, 0]] if level else alg.alpha
+    # sorted by k, j and text: no display is a prefix of another (each ends at
+    # the ")" of its "@(a,b)"), so the texts sort as their factors' displays do
+    shown = [m.display + " | " for m in spade.basis]
+    place = np.argsort(np.argsort(shown))
+    order = np.lexsort((*place[f[:, ::-1]].T, j, k))
+    basis = [(None, None, None, 0, "", jj, kk, f"({''.join(map(shown.__getitem__, row))}z^{a})")
+             for row, a, jj, kk in zip(f[order].tolist(), alg.alpha[order].tolist(),
+                                      j[order].tolist(), k[order].tolist())]
+    lo = int(k.min(initial=0))  # the basis counted by k is the Hilbert series
+    hilbert = {str(lo + d): n for d, n in enumerate(np.bincount(k - lo).tolist()) if n}
     doc = {"p": p, "object": f"hh_{level}", "version": __version__,
            "command": f"hhl --p {p} --l {level}" + (f" --k-max {k_max}" if k_max is not None else ""),
-           "checks": [], "hilbert": {str(k): ks.count(k) for k in sorted(set(ks))}}
+           "checks": [], "hilbert": hilbert}
     return _emit(doc, fmt, basis), 0
 
 
@@ -400,46 +410,118 @@ def cmd_verify(p: int, fmt: str) -> tuple[str, int]:
     return "\n".join(lines), 0 if ok_all else 3
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hh2", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# each command's help line and flags in usage order: flag -> (type, or its
+# choices, default, required, help), bool for a switch.  parse_args and the
+# help text both read this table.
+_COMMON = {"--p": (int, None, True, "odd prime >= 3"),
+           "--format": (("json", "csv"), "json", False, "output format")}
+COMMANDS = {
+    "hh": ("named classes of one coefficient case",
+           {**_COMMON, "--coefficient": (COEFFS, None, True, "coefficient bimodule")}),
+    "spadesuit": ("grid algebra basis and products",
+                  {**_COMMON, "--a-min": (int, -3, False, "least a of the window"),
+                   "--a-max": (int, 4, False, "greatest a of the window"),
+                   "--check-associativity": (bool, False, False, "scan the in-window triples"),
+                   "--verify-first-principles": (bool, False, False, "check against the cup")}),
+    "hhl": ("tower approximant basis",
+            {**_COMMON, "--l": (int, None, True, "level l >= 0"),
+             "--k-max": (int, None, False, "list the elements of k <= K_MAX only")}),
+    "verify": ("run the full invariant suite", _COMMON),
+}
+_TOP = {"--version": (bool, False, False, "print the version and exit")}  # before a command
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a value, not a flag, as argparse reads it
 
-    def common(sp):
-        sp.add_argument("--p", type=int, required=True, help="odd prime >= 3")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
 
-    sp = sub.add_parser("hh", help="named classes of one coefficient case")
-    common(sp)
-    sp.add_argument("--coefficient", choices=COEFFS, required=True)
+class _BadArgs(Exception):
+    pass
 
-    sp = sub.add_parser("spadesuit", help="grid algebra basis and products")
-    common(sp)
-    sp.add_argument("--a-min", type=int, default=-3)
-    sp.add_argument("--a-max", type=int, default=4)
-    sp.add_argument("--check-associativity", action="store_true")
-    sp.add_argument("--verify-first-principles", action="store_true")
 
-    sp = sub.add_parser("hhl", help="tower approximant basis")
-    common(sp)
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--k-max", type=int, default=None)
+def _read(token: str, names) -> tuple[str | None, str | None] | None:
+    """None if token is a value, else (its flag among names, None if it names
+    none; the text after "=", if any).  A flag may be cut to a prefix of no other."""
+    name, eq, value = token.partition("=")
+    hits = [name] if name in names else [flag for flag in names if flag.startswith(name)] \
+        if token[:2] == "--" and token != "--" else []
+    if len(hits) > 1:
+        raise _BadArgs(f"ambiguous option: {name} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], value if eq else None
+    return None if token[:1] != "-" or token == "-" or _NUMBER.match(token) or " " in token \
+        else (None, None)
 
-    sp = sub.add_parser("verify", help="run the full invariant suite")
-    common(sp)
-    return parser
+
+def _help(command: str | None) -> str:
+    """The help of command (None: of hh2 itself), its usage line first."""
+    text, flags = COMMANDS[command] if command else (__doc__, _TOP)
+    shown = {flag: flag if kind is bool else f"{flag} {{{','.join(kind)}}}"
+             if isinstance(kind, tuple) else f"{flag} {flag[2:].upper().replace('-', '_')}"
+             for flag, (kind, *_) in flags.items()}
+    words = [shown[flag] if flags[flag][2] else f"[{shown[flag]}]" for flag in flags]
+    usage = " ".join(["usage: hh2", command, "[-h]", *words] if command else
+                     ["usage: hh2 [-h]", *words, "{" + ",".join(COMMANDS) + "} ..."])
+    rows = [] if command else [(name, what) for name, (what, _) in COMMANDS.items()]
+    rows += [("-h, --help", "print this help and exit")] + [
+        (shown[flag], what + (f" (default {default})" if default not in (None, False) else ""))
+        for flag, (_, default, _, what) in flags.items()]
+    return "\n".join([usage, "", text.strip(), "", *(f"  {a:<27} {b}" for a, b in rows)])
+
+
+def parse_args(argv: list[str]) -> dict | int:
+    """argv's command and flag values by name, read as argparse read them: a
+    flag cut to a prefix of no other, ``--flag=value``, the last of a repeated
+    flag.  Or the exit status, once the help, the version, or the usage line
+    and an error naming the flag, is printed."""
+    command = argv[0] if argv[:1] and argv[0] in COMMANDS else None
+    flags = COMMANDS[command][1] if command else _TOP
+    args = {"command": command} | {flag[2:].replace("-", "_"): spec[1]
+                                   for flag, spec in flags.items()}
+    tokens, names, seen = argv[bool(command):], ("-h", "--help", *flags), set()
+    try:
+        while tokens:
+            token, *tokens = tokens
+            read = _read(token, names)
+            if read is None and command is None:
+                raise _BadArgs(f"argument command: invalid choice: {token!r}")
+            flag, value = read or (None, None)
+            if flag is None:
+                raise _BadArgs(f"unrecognized arguments: {token}")
+            kind = flags[flag][0] if flag in flags else bool
+            if kind is bool and value is not None:
+                raise _BadArgs(f"argument {flag}: ignored explicit argument {value!r}")
+            if flag in ("-h", "--help", "--version"):
+                return _print(__version__ if flag == "--version" else _help(command)) or 0
+            if kind is not bool and value is None:
+                if not tokens or _read(tokens[0], names) is not None:
+                    raise _BadArgs(f"argument {flag}: expected one argument")
+                value, *tokens = tokens
+            if isinstance(kind, tuple) and value not in kind:
+                raise _BadArgs(f"argument {flag}: invalid choice: {value!r}")
+            try:
+                args[flag[2:].replace("-", "_")] = kind is bool or (
+                    value if isinstance(kind, tuple) else int(value))
+            except ValueError:
+                raise _BadArgs(f"argument {flag}: invalid int value: {value!r}") from None
+            seen.add(flag)
+        missing = [flag for flag, (_, _, required, _) in flags.items()
+                   if required and flag not in seen] if command else ["command"]
+        if missing:
+            raise _BadArgs(f"the following arguments are required: {', '.join(missing)}")
+    except _BadArgs as exc:
+        print(_help(command).split("\n", 1)[0], f"hh2{' ' + command if command else ''}: "
+              f"error: {exc}", sep="\n", file=sys.stderr)
+        return 2
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    if not is_odd_prime(args.p):
-        print(f"error: --p must be an odd prime >= 3, got {args.p}", file=sys.stderr)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    if isinstance(args, int):
+        return args
+    command, p, fmt = args["command"], args["p"], args["format"]
+    if not is_odd_prime(p):
+        print(f"error: --p must be an odd prime >= 3, got {p}", file=sys.stderr)
         return 2
-    if args.command == "hhl" and args.l < 0:
+    if command == "hhl" and args["l"] < 0:
         print("error: --l must be >= 0", file=sys.stderr)
         return 2
     try:
@@ -448,31 +530,33 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "hh":
-            out, status = cmd_hh(args.p, args.coefficient, args.format)
-        elif args.command == "spadesuit":
-            out, status = cmd_spadesuit(args.p, args.a_min, args.a_max, args.format,
-                                        args.check_associativity,
-                                        args.verify_first_principles)
-        elif args.command == "hhl":
-            out, status = cmd_hhl(args.p, args.l, args.k_max, args.format)
-        elif args.command == "verify":
-            out, status = cmd_verify(args.p, args.format)
-        else:  # pragma: no cover
-            return 2
+        if command == "hh":
+            out, status = cmd_hh(p, args["coefficient"], fmt)
+        elif command == "spadesuit":
+            out, status = cmd_spadesuit(p, args["a_min"], args["a_max"], fmt,
+                                        args["check_associativity"],
+                                        args["verify_first_principles"])
+        elif command == "hhl":
+            out, status = cmd_hhl(p, args["l"], args["k_max"], fmt)
+        else:
+            out, status = cmd_verify(p, fmt)
     except (WindowEmpty, WindowTooLarge, UnboundedWindow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, Hh2Error) as exc:
         print(f"internal check failure: {exc}", file=sys.stderr)
         return 3
+    return _print(out) or status
+
+
+def _print(out: str) -> int | None:
+    """Write out to stdout; 141 if stdout was closed before it was written."""
     try:
         print(out, flush=True)
     except BrokenPipeError:
         # the unwritten rest would fail again at the interpreter's exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    return status
 
 
 if __name__ == "__main__":

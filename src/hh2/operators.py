@@ -54,15 +54,9 @@ class TowerElement:
     def j(self) -> int:
         return self.factors[0].j if self.factors else self.alpha
 
-    def display(self) -> str:
-        inner = " | ".join(m.display for m in self.factors)
-        return f"({inner} | z^{self.alpha})" if inner else f"(z^{self.alpha})"
 
-
-def _completions(spade: SpadeAlgebra, level: int
-                 ) -> tuple[dict[int, list], list[dict[int, dict[int, int]]]]:
-    """(rows, ways): rows[i] lists the elements of row i in basis order, and
-    ways[r][i] = {k: the number of r-factor tuples that start in row i and
+def _completions(spade: SpadeAlgebra, level: int) -> list[dict[int, dict[int, int]]]:
+    """ways[r][i] = {k: the number of r-factor tuples that start in row i and
     add k}, for r = 0..level, where each next factor lies in the row of the
     previous one's j.  A row that no such tuple starts in is absent; r = 0
     is one way, adding 0, after any row."""
@@ -80,7 +74,7 @@ def _completions(spade: SpadeAlgebra, level: int
             if at:
                 cur[i] = at
         ways.append(cur)
-    return rows, ways
+    return ways
 
 
 def _size(ways: list[dict[int, dict[int, int]]], k_max: int | None) -> int:
@@ -97,11 +91,13 @@ class HHLAlgebra:
     """The level-l approximant on a finite window.
 
     Basis: tuples (m^1, ..., m^l, alpha) with i(m^1) = 0, i(m^{q+1}) = j(m^q)
-    and alpha = j(m^l), of total k-degree within the window.
+    and alpha = j(m^l), of total k-degree within the window, as arrays in
+    basis order: ``factors``, the grid indices of m^1..m^l per row, ``alpha``
+    and ``k``.  Their ``TowerElement``s are made on the first read of ``basis``.
     """
 
     def __init__(self, p: int, level: int, spade: SpadeAlgebra, k_max: int | None = None):
-        rows, ways = _completions(spade, level)
+        ways = _completions(spade, level)
         size = _size(ways, k_max)
         if size > MAX_WINDOW:
             raise UnboundedWindow(f"hh_{level} has {size} basis elements, more than "
@@ -109,22 +105,30 @@ class HHLAlgebra:
         self.p = p
         self.level = level
         self.spade = spade
-        self.k_max = k_max
         bound = math.inf if k_max is None else k_max
-        tuples: list[tuple[tuple, int]] = [((), 0)]  # (factors, their k-degree)
+        si, sj, sk = (np.array([getattr(m, x) for m in spade.basis], dtype=np.int64) for x in "ijk")
+        lo = min(0, si.min(initial=0), sj.min(initial=0))
+        row = join_index(si - lo)  # each row's elements in basis order
+        # the tuples so far in basis order, their k-degree and the j of their
+        # last factor: at first the empty tuple, before row 0
+        f, (k, end) = np.zeros((1, 0), dtype=np.int64), np.zeros((2, 1), dtype=np.int64)
         for q in range(level):
-            new: list[tuple[tuple, int]] = []
-            # the least k that the remaining factors add after each row
-            rest = {i: min(at) for i, at in ways[level - q - 1].items()}
-            for tup, k in tuples:
-                for m in rows.get(tup[-1].j if q else 0, ()):
-                    # drop a tuple that no continuation completes within the bound
-                    if m.j in rest and k + m.k + rest[m.j] <= bound:
-                        new.append((tup + (m,), k + m.k))
-            tuples = new
-        self.basis = [TowerElement(tup, tup[-1].j if tup else 0) for tup, k in tuples
-                      if k <= bound]
+            # the least k that the remaining factors add after each element;
+            # NaN, which fails the bound, where no continuation completes
+            rest = ways[level - q - 1]
+            least = np.array([min(rest[m.j]) if m.j in rest else np.nan for m in spade.basis])
+            s, e = half_join(end - lo, row)
+            keep = k[s] + sk[e] + least[e] <= bound
+            s, e = s[keep], e[keep]
+            f, k, end = np.column_stack((f[s], e)), k[s] + sk[e], sj[e]
+        keep = k <= bound
+        self.factors, self.k, self.alpha = f[keep], k[keep], end[keep]
         self._table: WindowTable | None = None
+
+    @cached_property
+    def basis(self) -> list[TowerElement]:
+        return [TowerElement(tuple(map(self.spade.basis.__getitem__, row)), alpha)
+                for row, alpha in zip(self.factors.tolist(), self.alpha.tolist())]
 
     @cached_property  # only product, project and the hh_2 checks look elements up
     def index(self) -> dict[TowerElement, int]:
@@ -132,7 +136,7 @@ class HHLAlgebra:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.alpha)
 
     def product(self, e1: TowerElement, e2: TowerElement):
         """{TowerElement: coeff} or OUT_OF_WINDOW: the entry of ``product_table``
@@ -151,10 +155,8 @@ class HHLAlgebra:
             raise UnboundedWindow(f"hh_{level} has {n} elements, so {n * n} products: "
                                   f"more than {MAX_PRODUCTS}")
         g, (gx, gy, gt, gc), (ox, oy) = self.spade.product_table()
-        at = self.spade.index
-        f, ks = np.array([(at[m.a, m.b, m.name], m.k) for el in self.basis for m in el.factors],
-                         dtype=np.int64).reshape(n, level, 2).transpose(2, 0, 1)
-        alpha = np.array([el.alpha for el in self.basis], dtype=np.int64)
+        f, alpha = self.factors, self.alpha
+        ks = np.array([m.k for m in self.spade.basis], dtype=np.int64)[f]
         key, outs = gx * g + gy, ox * g + oy  # each sorted
         i = j = np.zeros(n, dtype=np.int64)  # the pair of hh_0, if k_max leaves it
         if level:

@@ -398,16 +398,16 @@ def test_hh_job_does_not_import_numpy_ma():
 
 def test_closed_stdout_is_not_a_crash():
     # as in `hh2 verify --p 3 | head -3`: the reader is gone before the
-    # output is written, so the write fails with a broken pipe
+    # output, or the help, is written, so the write fails with a broken pipe
     src = str(Path(hh2.__file__).resolve().parents[1])
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = subprocess.run([sys.executable, "-m", "hh2.cli", "hh", "--p", "3",
-                               "--coefficient", "omega"], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True,
-                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
-    finally:
-        os.close(write_end)
-    assert done.returncode == 141, done.stderr
-    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    for argv in (["hh", "--p", "3", "--coefficient", "omega"], ["-h"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "hh2.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True,
+                                  env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141, (argv, done.stderr)
+        assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr

@@ -26,7 +26,7 @@ from tables import pair_table
 
 def tower_size(spade: SpadeAlgebra, level: int, k_max: int | None = None) -> int:
     """The number of basis elements of hh_level over spade, without listing them."""
-    return _size(_completions(spade, level)[1], k_max)
+    return _size(_completions(spade, level), k_max)
 
 
 def hilbert_series(alg: HHLAlgebra, grading: str = "k") -> dict:
