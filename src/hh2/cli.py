@@ -46,63 +46,29 @@ _TAIL = '\n      ],\n      "right": %s\n    }'
 _TERM = '\n        {\n          "coeff": %d,\n          "name": %s\n        }'
 
 
-def _json(value, out: list[str], indent: str = "\n") -> None:
-    """Append the text of json.dumps(value, indent=2, sort_keys=True) to out.
-
-    json.dumps runs its pure-Python encoder whenever it indents; this walk
-    writes the same bytes in about half the time.  Keys must be strings.
-    """
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif type(value) is int:  # as json.dumps writes it, without its call
-        out.append(repr(value))
-    elif isinstance(value, dict) and value:
-        inner = indent + "  "
-        sep = "{"
-        for key, item in sorted(value.items()):
-            out += sep, inner, encode_basestring_ascii(key), ": "
-            _json(item, out, inner)
-            sep = ","
-        out += indent, "}"
-    elif isinstance(value, (list, tuple)) and value:
-        inner = indent + "  "
-        sep = "["
-        for item in value:
-            out += sep, inner
-            _json(item, out, inner)
-            sep = ","
-        out += indent, "]"
-    else:  # a number, a bool, None or an empty container
-        out.append(json.dumps(value))
-
-
 def _emit(doc: dict, fmt: str, basis: list[tuple] | None = None,
           products: tuple = ((),) * 5) -> str:
     """doc as JSON, the text of json.dumps(doc, indent=2, sort_keys=True), or its
     basis as CSV.  A listing passes its basis as rows of ``BASIS_KEYS`` values and
     its products as (names, x, y, t, c): terms c * names[t] in print order, each
     run of equal (x, y) the product names[x] * names[y].  Both go through their
-    row shape's templates, the rest of doc (all without a basis) through _json."""
+    row shape's templates; each other value of doc is json.dumps's text, indented
+    one level (it escapes every newline in a string)."""
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(("name", "a", "b", "i", "j", "k", "h", "idempotent"))
         writer.writerows((name, a, b, i, j, k, h, x) for a, b, h, i, x, j, k, name in basis)
         return out.getvalue().rstrip("\n")
-    parts: list[str] = []
     if basis is None:
-        _json(doc, parts)
-        return "".join(parts)
-    listings = {"basis": _basis_text(basis), "products": _products_text(*products)}
-    sep = "{"
-    for key, value in sorted({**doc, **listings}.items()):
-        parts += sep, "\n  ", encode_basestring_ascii(key), ": "
-        if key in listings:
-            parts.append(value)
-        else:
-            _json(value, parts, "\n  ")
-        sep = ","
-    parts.append("\n}")
+        return json.dumps(doc, indent=2, sort_keys=True)
+    texts = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+             for key, value in doc.items()}
+    texts |= {"basis": _basis_text(basis), "products": _products_text(*products)}
+    parts = ["{"]  # one join: the listings run to megabytes, so each copy shows
+    for key, text in sorted(texts.items()):
+        parts += "\n  ", json.dumps(key), ": ", text, ","
+    parts[-1] = "\n}"
     return "".join(parts)
 
 

@@ -54,14 +54,6 @@ class OutOfWindow:
 OUT_OF_WINDOW = OutOfWindow()
 
 
-def _positions(mod: BasedBimodule, n: int) -> np.ndarray:
-    """Where each of Omega's n monomials sits in the basis of a sub or
-    quotient module, -1 off it."""
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[mod.parent_index] = np.arange(mod.dim)
-    return pos
-
-
 def _restrict(table: Table, p: int, rows: np.ndarray | None = None,
               cols: np.ndarray | None = None) -> Table:
     """The terms whose row (col) index i has rows[i] >= 0 (cols[i] >= 0),
@@ -162,9 +154,6 @@ class NaturalMaps:
     ideal = cached_property(lambda self: quiver.sub_ideal_epep(self.omega))
     ideal_dual = cached_property(lambda self: quiver.dual(self.ideal))
     theta_dual = cached_property(lambda self: quiver.dual(self.theta))
-    # where each monomial of Omega sits in the ideal's (Theta's) basis, -1 off it
-    _pos_in_ideal = cached_property(lambda self: _positions(self.ideal, self.omega.dim))
-    _pos_in_theta = cached_property(lambda self: _positions(self.theta, self.omega.dim))
 
     # -- linear maps ---------------------------------------------------------
 
@@ -178,13 +167,13 @@ class NaturalMaps:
         # gamma: Omega* ->> ideal,  m* -> beta-partner(m) for ideal monomials
         # (the dual basis is indexed like Omega's)
         partner, p = self.omega.ideal_partner, self.p
-        image = np.where(partner >= 0, self._pos_in_ideal[partner], -1)
+        image = np.where(partner >= 0, self.ideal.position[partner], -1)
         return _map_of(self.dual, self.ideal, image, dj=2 - 2 * p, dk=2 * p - 2, name="gamma")
 
     @cached_property
     def kappa(self) -> BimoduleMap:
         # kappa: Omega ->> Theta
-        return _map_of(self.reg, self.theta, self._pos_in_theta, name="kappa")
+        return _map_of(self.reg, self.theta, self.theta.position, name="kappa")
 
     @cached_property
     def mu(self) -> BimoduleMap:
@@ -200,7 +189,7 @@ class NaturalMaps:
         # beta: ideal -> ideal* via the complementing form
         p = self.p
         return _map_of(self.ideal, self.ideal_dual,
-                       self._pos_in_ideal[self.omega.ideal_partner[self.ideal.parent_index]],
+                       self.ideal.position[self.omega.ideal_partner[self.ideal.parent_index]],
                        dj=2 * (p - 1), dk=-2 * (p - 1), name="beta")
 
     @cached_property
@@ -208,7 +197,7 @@ class NaturalMaps:
         # lam: Theta^sigma -> Theta* (self-injectivity)
         p = self.p
         return _map_of(self.theta_sigma, self.theta_dual,
-                       self._pos_in_theta[self.omega.theta_partner[self.theta.parent_index]],
+                       self.theta.position[self.omega.theta_partner[self.theta.parent_index]],
                        dj=p - 2, dk=-(p - 2), name="lambda")
 
     # -- pairings ------------------------------------------------------------
@@ -242,7 +231,7 @@ class NaturalMaps:
     def _mult_incl(self, side: str) -> Pairing:
         # Omega x I and I x Omega multiplication landing in the ambient algebra
         # (into the ideal itself they are the action pairings above)
-        reg, ideal, pos = self.reg, self.ideal, self._pos_in_ideal
+        reg, ideal, pos = self.reg, self.ideal, self.ideal.position
         if side == "l":
             return Pairing(reg, ideal, reg, _restrict(reg.left, self.p, cols=pos),
                            name="mult_incl_l")
@@ -254,12 +243,12 @@ class NaturalMaps:
         gamma = self.gamma.table
         gamma_inv = np.full(self.dual.dim, -1, dtype=np.int64)
         gamma_inv[gamma.x] = gamma.t
-        table = _restrict(self.dual.right, self.p, gamma_inv, self._pos_in_ideal)
+        table = _restrict(self.dual.right, self.p, gamma_inv, self.ideal.position)
         return Pairing(self.ideal, self.ideal, self.dual, table, name="eta")
 
     def _zeta(self, side: str) -> Pairing:
         # zeta_l / zeta_r: ideal acting on Omega*
-        ideal, dualm, pos = self.ideal, self.dual, self._pos_in_ideal
+        ideal, dualm, pos = self.ideal, self.dual, self.ideal.position
         if side == "l":
             return Pairing(ideal, dualm, dualm, _restrict(dualm.left, self.p, rows=pos),
                            name="zeta_l")
@@ -288,7 +277,7 @@ class NaturalMaps:
     @cached_property
     def _theta_mul(self) -> Table:
         # Theta's product: its right action on the monomials of Theta
-        return _restrict(self.theta.right, self.p, cols=self._pos_in_theta)
+        return _restrict(self.theta.right, self.p, cols=self.theta.position)
 
     def _collapse(self, tag: str) -> Pairing:
         # collapse pairings between the preprojective-type components: the
@@ -300,7 +289,7 @@ class NaturalMaps:
         z_mod = ths if x_sigma != y_sigma else theta
         sigma = None
         if x_sigma:  # an involution of Theta's basis, so it renumbers (m, sigma(n)) as (m, n)
-            sigma = self._pos_in_theta[self.omega.sigma[theta.parent_index]]
+            sigma = theta.position[self.omega.sigma[theta.parent_index]]
         return Pairing(x_mod, y_mod, z_mod, _restrict(self._theta_mul, self.p, cols=sigma),
                        name=f"collapse:{tag}")
 

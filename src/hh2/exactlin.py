@@ -287,12 +287,11 @@ def _starts(keys: np.ndarray) -> np.ndarray:
     return step
 
 
-def _summed(key: np.ndarray, val: np.ndarray, p: int,
-            kind: str = "stable") -> tuple[np.ndarray, np.ndarray]:
+def _summed(key: np.ndarray, val: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys, ascending, with their summed values mod p, nonzero
-    sums only: one sort, of any kind, and one ``np.add.reduceat``.  Keys that
-    come as a few sorted runs suit the stable sort (timsort), which merges them."""
-    order = np.argsort(key, kind=kind)
+    sums only: one sort and one ``np.add.reduceat``.  The sort is stable
+    (timsort), which merges keys that come as a few sorted runs."""
+    order = np.argsort(key, kind="stable")
     key, val = key[order], val[order]
     start = _starts(key).nonzero()[0]
     total = np.add.reduceat(val, start) % p if len(key) else val

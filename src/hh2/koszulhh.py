@@ -62,7 +62,10 @@ DEFAULT_MAX_CELLS = 1_000_000
 
 
 def max_cells() -> int:
-    """The bar oracle's cap on cochains: HH2_MAX_CELLS, a positive integer, if set."""
+    """HH2_MAX_CELLS, a positive integer, if set: the cell cap that sets the bar
+    oracle's depth in ``verify``, and with it that command's check names and
+    SKIPs, against ``bar_sizes`` of the plain bar complex.  The Morse oracle
+    itself reads no cap."""
     raw = os.environ.get("HH2_MAX_CELLS", str(DEFAULT_MAX_CELLS))
     try:
         cap = int(raw)

@@ -490,7 +490,8 @@ def regular_bimodule(omega: OmegaAlgebra) -> BasedBimodule:
 
 def _sub_bimodule(omega: OmegaAlgebra, keep: np.ndarray, name: str) -> BasedBimodule:
     # the products whose result and module factor both lie in keep, renumbered
-    # in keep's order, which is ascending, so the tables stay sorted
+    # in keep's order, which is ascending, so the tables stay sorted; new is
+    # where each Omega monomial sits in the module, -1 off it
     new = np.full(omega.dim, -1, dtype=np.int64)
     new[keep] = np.arange(len(keep))
     x, y, t, c = omega.slot_products()
@@ -499,7 +500,7 @@ def _sub_bimodule(omega: OmegaAlgebra, keep: np.ndarray, name: str) -> BasedBimo
     mod = BasedBimodule(omega, [omega.basis[i] for i in keep.tolist()],
                         Table(x[left], new[y[left]], new[t[left]], c[left]),
                         Table(new[x[right]], y[right], new[t[right]], c[right]), name=name)
-    mod.parent_index = keep.tolist()
+    mod.parent_index, mod.position = keep.tolist(), new
     return mod
 
 
@@ -536,7 +537,7 @@ def twist_sigma(mod: BasedBimodule) -> BasedBimodule:
     new_name = mod.name[:-5] if mod.name.endswith("Sigma") else mod.name + "Sigma"
     new = BasedBimodule(omega, basis, mod.left, right, name=new_name)
     if hasattr(mod, "parent_index"):
-        new.parent_index = mod.parent_index
+        new.parent_index, new.position = mod.parent_index, mod.position
     return new
 
 

@@ -317,7 +317,7 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]
             if d:  # d_n . d_{n-1} = 0: the rows of d_{n-1} are columns of d_n in the block
                 lcol, lrow, lval = d[-1]
                 o, u = _within(col, lrow)
-                if len(_summed(lcol[o] * nrows + row[u], lval[o] * val[u], p, "quicksort")[0]):
+                if len(_summed(lcol[o] * nrows + row[u], lval[o] * val[u], p)[0]):
                     raise AssertionError("bar differential does not square to zero")
             d.append((col, row, val))
         return d

@@ -597,8 +597,7 @@ def test_corrupted_last_pairing_fails_check_pairings():
     assert sorted(nm.pairings.built()) == sorted(NAMES)
 
 
-LAZY = ("reg", "theta", "theta_sigma", "dual", "ideal", "_pos_in_ideal", "_pos_in_theta",
-        "alpha", "gamma", "kappa", "mu")
+LAZY = ("reg", "theta", "theta_sigma", "dual", "ideal", "alpha", "gamma", "kappa", "mu")
 
 
 def test_modules_and_maps_are_built_when_first_read():

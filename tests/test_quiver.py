@@ -233,6 +233,18 @@ def test_twist_sigma_involution(maps5):
     assert as_dict(back.right) == as_dict(th.right) and as_dict(back.left) == as_dict(th.left)
 
 
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_sub_and_quotient_modules_record_where_omega_monomials_sit(p):
+    om = quiver.build_omega(p)
+    theta = quiver.quotient_theta(om)
+    for mod in (quiver.sub_ideal_epep(om), theta, quiver.twist_sigma(theta)):
+        assert mod.position.shape == (om.dim,), mod.name
+        assert (mod.position[mod.parent_index] == np.arange(mod.dim)).all(), mod.name
+        off = np.ones(om.dim, dtype=bool)
+        off[mod.parent_index] = False
+        assert (mod.position[off] == -1).all(), mod.name
+
+
 def test_twist_sigma_rejects_modules_seeing_top_vertex(maps3):
     with pytest.raises(IncompatibleAlgebras):
         quiver.twist_sigma(maps3.reg)
