@@ -16,7 +16,6 @@ it propagates with its traceback and the interpreter exits 1.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
@@ -37,13 +36,13 @@ from .spadesuit import WindowEmpty, WindowTooLarge
 COEFFS = (KIND_OMEGA, KIND_THETA, KIND_THETA_SIGMA, KIND_DUAL, KIND_IDEAL)
 HH2_CHECKS = ("hh_2 -> hh_1 surjective", "projection hh_2 -> hh_1 multiplicative",
               "hh_2 supercommutative in window")
-# a basis row's keys as json.dumps(sort_keys=True) orders them; the text that
-# json.dumps(indent=2) makes of a basis row, a product's head and tail, and a term
+# a basis row's keys as json.dumps(sort_keys=True) orders them; json.dumps(indent=2)'s
+# text around the values of a basis row, a product's factors and a term
 BASIS_KEYS = ("a", "b", "h", "i", "idempotent", "j", "k", "name")
-_ROW = "\n    {" + ",".join(f'\n      "{key}": %s' for key in BASIS_KEYS) + "\n    }"
-_HEAD = '\n    {\n      "left": %s,\n      "result": ['
-_TAIL = '\n      ],\n      "right": %s\n    }'
-_TERM = '\n        {\n          "coeff": %d,\n          "name": %s\n        }'
+_ROW = ("\n    {" + ",".join(f'\n      "{key}": %s' for key in BASIS_KEYS) + "\n    }").split("%s")
+_HEAD = ('\n    {\n      "left": ', ',\n      "result": [')
+_TAIL = ('\n      ],\n      "right": ', "\n    }")
+_TERM = ('\n        {\n          "coeff": ', ',\n          "name": ', "\n        }")
 
 
 def _emit(doc: dict, fmt: str, basis: list[tuple] | None = None,
@@ -51,14 +50,16 @@ def _emit(doc: dict, fmt: str, basis: list[tuple] | None = None,
     """doc as JSON, the text of json.dumps(doc, indent=2, sort_keys=True), or its
     basis as CSV.  A listing passes its basis as rows of ``BASIS_KEYS`` values and
     its products as (names, x, y, t, c): terms c * names[t] in print order, each
-    run of equal (x, y) the product names[x] * names[y].  Both go through their
-    row shape's templates; each other value of doc is json.dumps's text, indented
-    one level (it escapes every newline in a string)."""
+    run of equal (x, y) the product names[x] * names[y].  Both are written by
+    their row shape's fragments; each other value of doc is json.dumps's text,
+    indented one level (it escapes every newline in a string)."""
     if fmt == "csv":
+        import csv  # only here: a JSON job does not load it
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(("name", "a", "b", "i", "j", "k", "h", "idempotent"))
-        writer.writerows((name, a, b, i, j, k, h, x) for a, b, h, i, x, j, k, name in basis)
+        a, b, h, i, x, j, k, name = zip(*basis) if basis else ((),) * 8
+        writer.writerows(zip(name, a, b, i, j, k, h, x))
         return out.getvalue().rstrip("\n")
     if basis is None:
         return json.dumps(doc, indent=2, sort_keys=True)
@@ -72,29 +73,47 @@ def _emit(doc: dict, fmt: str, basis: list[tuple] | None = None,
     return "".join(parts)
 
 
+def _encoded(values) -> dict:
+    """The JSON text of each distinct str, int or None of values."""
+    return {v: encode_basestring_ascii(v) if isinstance(v, str) else "null" if v is None
+            else repr(v) for v in set(values)}
+
+
+def _listing(n: int, columns: list) -> str:
+    """The JSON list of n rows of the columns' texts (one, or one per row), by one join."""
+    parts = np.empty((n, len(columns)), dtype=object)
+    for i, column in enumerate(columns):
+        parts[:, i] = column
+    parts[0, 0] = parts[0, 0][1:]  # no "," before the first row
+    return "[" + "".join(parts.ravel().tolist()) + "\n  ]"
+
+
 def _basis_text(rows: list[tuple]) -> str:
-    texts = []
-    for column in zip(*rows):  # each distinct str, int or None of a column encoded once
-        text = {v: encode_basestring_ascii(v) if isinstance(v, str) else "null" if v is None
-                else repr(v) for v in set(column)}
-        texts.append(map(text.__getitem__, column))
-    return "[" + ",".join(map(_ROW.__mod__, zip(*texts))) + "\n  ]" if rows else "[]"
+    # the template between the values' texts; a column of one value is written into it
+    columns = ["," + _ROW[0]]
+    for fragment, column in zip(_ROW[1:], zip(*rows)):
+        text = _encoded(column)
+        if len(text) > 1:
+            columns += list(map(text.__getitem__, column)), fragment
+        else:
+            columns[-1] += next(iter(text.values())) + fragment
+    return _listing(len(rows), columns) if rows else "[]"
 
 
 def _products_text(names: list[str], x, y, t, c) -> str:
+    # a term's coeff and name, led by its product's head or ",", ended by its tail or nothing
     if not len(t):
         return "[]"
-    # the term texts joined by ",", each product's head put before its first
-    # term and its tail after its last
-    shown = [encode_basestring_ascii(name) for name in names]
-    text = np.array([_TERM % (v, shown[u]) for u, v in zip(
-        np.asarray(t).tolist(), np.asarray(c, dtype=object).tolist())], dtype=object)
+    shown = np.array(list(map(encode_basestring_ascii, names)), dtype=object)
     x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
     first = np.flatnonzero(np.diff(x, prepend=-1) | np.diff(y, prepend=-1))
-    last = np.append(first[1:], len(text)) - 1
-    text[first] = np.array([_HEAD % name for name in shown], dtype=object)[x[first]] + text[first]
-    text[last] += np.array([_TAIL % name for name in shown], dtype=object)[y[last]]
-    return "[" + ",".join(text.tolist()) + "\n  ]"
+    last = np.append(first[1:], len(t)) - 1
+    lead, end = (np.full(len(t), text, dtype=object) for text in ("," + _TERM[0], _TERM[2]))
+    lead[first] = ("," + _HEAD[0] + shown + _HEAD[1] + _TERM[0])[x[first]]
+    end[last] = (_TERM[2] + _TAIL[0] + shown + _TAIL[1])[y[last]]
+    c = np.asarray(c, dtype=object).tolist()
+    return _listing(len(t), [lead, list(map(_encoded(c).__getitem__, c)), _TERM[1],
+                             shown[np.asarray(t, dtype=np.int64)], end])
 
 
 def cmd_hh(p: int, coefficient: str, fmt: str) -> tuple[str, int]:
@@ -127,22 +146,20 @@ def cmd_spadesuit(p: int, a_min: int, a_max: int, fmt: str,
                   check_associativity: bool = False,
                   run_first_principles: bool = False) -> tuple[str, int]:
     from .clubsuit import NaturalMaps
-    from .spadesuit import build_spade, verify_first_principles
+    from .spadesuit import _names, build_spade, verify_first_principles
 
     alg = build_spade(p, a_min, a_max)
-    basis = [(m.a, m.b, None, m.i, m.x, m.j, m.k, m.display)
-             for m in sorted(alg.basis, key=lambda m: (m.a, m.b, m.k, m.j, str(m.name)))]
-    checks = []  # (name, holds)
     table = alg.product_table()
     products = ((),) * 5
     if fmt == "json":
         # the terms by (left, right, result) name, then coeff, from each
         # element's place among the names, which are distinct
-        names = [m.display for m in alg.basis]
+        names = alg.displays.tolist()
         place = np.argsort(np.argsort(names))
         x, y, t, c = table.terms
         order = np.lexsort((c, place[t], place[y], place[x]))
         products = (names, x[order], y[order], t[order], c[order])
+    checks = []  # (name, holds)
 
     if check_associativity:
         n_checked, n_failed = _spade_associativity(table, p)
@@ -153,6 +170,11 @@ def cmd_spadesuit(p: int, a_min: int, a_max: int, fmt: str,
     doc = {"p": p, "object": "spadesuit", "version": __version__,
            "command": f"spadesuit --p {p} --a-min {a_min} --a-max {a_max}",
            "checks": [{"name": name, "status": "PASS" if ok else "FAIL"} for name, ok in checks]}
+    # the basis by (a, b, k, j, str(name))
+    order = np.lexsort((_names(p).by_str[alg.name], alg.j, alg.k, alg.b, alg.a))
+    idem = np.array(["1", *(f"e_{s}" for s in range(1, p + 1))], dtype=object)[alg.x]
+    basis = list(zip(*(col[order].tolist() for col in (
+        alg.a, alg.b, np.full(alg.dim, None), alg.i, idem, alg.j, alg.k, alg.displays))))
     return _emit(doc, fmt, basis, products), 0 if all(ok for _, ok in checks) else 3
 
 
@@ -190,12 +212,14 @@ def _hh2_checks(p: int, spade, hh1) -> list[tuple[str, bool]]:
     proj[x] is the element of hh_1 that x maps to, -1 where x dies.  Both
     sides of proj(x y) = proj(x) proj(y) are summed COO arrays keyed (x, y,
     element of hh_1), the right one over the pairs in hh_2's window."""
-    from .operators import build_hhl, project
+    from .operators import build_hhl
 
     hh2_ = build_hhl(p, 2, spade, k_max=12)
     n1 = hh1.dim
-    proj = np.array([hh1.index.get(next(iter(project(hh2_, el, hh1)), None), -1)
-                     for el in hh2_.basis], dtype=np.int64)
+    place = np.full(spade.dim, -1, dtype=np.int64)
+    place[hh1.factors[:, 0]] = np.arange(n1)
+    f, one = hh2_.factors, spade.first[list(spade.slots).index((0, 0))]  # z^0 at (0, 0)
+    proj = np.where(f[:, 0] == one, place[f[:, 1]], -1)
     onto = len(_distinct(proj[proj >= 0])) == n1
     table = hh2_.product_table()
     n, (x, y, t, c), (ox, oy) = table
@@ -220,15 +244,18 @@ def cmd_hhl(p: int, level: int, k_max: int | None, fmt: str) -> tuple[str, int]:
     spade = build_spade(p, -3, 4)
     alg = build_hhl(p, level, spade, k_max=k_max)
     f, k = alg.factors, alg.k
-    j = np.array([m.j for m in spade.basis], dtype=np.int64)[f[:, 0]] if level else alg.alpha
+    j = spade.j[f[:, 0]] if level else alg.alpha
     # sorted by k, j and text: no display is a prefix of another (each ends at
     # the ")" of its "@(a,b)"), so the texts sort as their factors' displays do
-    shown = [m.display + " | " for m in spade.basis]
-    place = np.argsort(np.argsort(shown))
+    shown = spade.displays + " | "
+    place = np.argsort(np.argsort(shown.tolist()))
     order = np.lexsort((*place[f[:, ::-1]].T, j, k))
-    basis = [(None, None, None, 0, "", jj, kk, f"({''.join(map(shown.__getitem__, row))}z^{a})")
-             for row, a, jj, kk in zip(f[order].tolist(), alg.alpha[order].tolist(),
-                                      j[order].tolist(), k[order].tolist())]
+    alpha = alg.alpha[order].tolist()
+    tail = {a: f"z^{a})" for a in set(alpha)}
+    text = sum((shown[column] for column in f[order].T), np.full(len(order), "(", dtype=object))
+    n, text = len(order), text + np.array(list(map(tail.__getitem__, alpha)), dtype=object)
+    basis = list(zip(*([None] * n,) * 3, [0] * n, [""] * n, j[order].tolist(), k[order].tolist(),
+                     text.tolist()))
     lo = int(k.min(initial=0))  # the basis counted by k is the Hilbert series
     hilbert = {str(lo + d): n for d, n in enumerate(np.bincount(k - lo).tolist()) if n}
     doc = {"p": p, "object": f"hh_{level}", "version": __version__,
@@ -246,8 +273,8 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
     from .exactlin import coo_pivot_rows
     from .koszulhh import TooLarge, bar_oracle, bar_sizes
     from .operators import build_hhl
-    from .spadesuit import (build_spade, component_names, duality_form_checks, name_table,
-                            verify_first_principles)
+    from .spadesuit import (LABELS, _names, build_spade, component_names, duality_form_checks,
+                            name_table, verify_first_principles)
 
     results: list[tuple[str, str, str]] = []
 
@@ -339,7 +366,7 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
     table = spade.product_table()
     n_checked, n_bad = _spade_associativity(table, p)
     check(f"spade associativity ({n_checked} triples)", n_bad == 0)
-    sc_bad = _supercommutativity(table, [m.k for m in spade.basis], p)
+    sc_bad = _supercommutativity(table, spade.k, p)
     check("spade supercommutative on window", sc_bad == 0, f"{sc_bad} failures")
 
     hh0 = build_hhl(p, 0, spade)
@@ -347,7 +374,7 @@ def run_verify(p: int) -> list[tuple[str, str, str]]:
     check("hh_0 = F", hh0.dim == 1)
     # hh_1's table, each element renumbered by its name's place among chi's,
     # is chi's name table, with no pair out of the window
-    ren = np.array([chi_names.get(el.factors[0].name, -1) for el in hh1.basis], dtype=np.int64)
+    ren = _names(p).places[LABELS.index(CHI), spade.name[hh1.factors[:, 0]]]
     _, (x, y, t, c), (ox, _) = hh1.product_table()
     chi_ok = (len(_distinct(ren)) == hh1.dim == 3 * p - 2 and ren.min() >= 0 and not len(ox)
               and tables_equal(Table.of(ren[x], ren[y], ren[t], c, p), presented))

@@ -15,8 +15,8 @@ sigma-mirrored slots.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -335,8 +335,7 @@ class NaturalMaps:
 # ---------------------------------------------------------------------------
 # grid components and the windowed algebra
 
-@dataclass(frozen=True)
-class GridComponent:
+class GridComponent(NamedTuple):
     a: int
     b: int
     kind: str   # coefficient kind: which bimodule sits at the slot

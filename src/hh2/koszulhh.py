@@ -32,7 +32,7 @@ import numpy as np
 from . import Hh2Error
 from .exactlin import (NotACocycle, TooLarge, _among, _chunks, _starts, _summed, _within,
                        combo_add, coo_pivot_rows, coo_reduce, coo_terms, half_join, join_index)
-from .quiver import BasedAlgebra, BasedBimodule, OmegaAlgebra, Table, failing_triple
+from .quiver import BasedAlgebra, BasedBimodule, Basis, OmegaAlgebra, Table, failing_triple
 
 Name = tuple  # ("z", l) | ("kz", l) | ("c2", s) | ("soc", s) | ("mu", l) | ("nu", l) | ("e", s)
 NameCombo = dict[Name, int]
@@ -166,8 +166,8 @@ class CochainModel:
     def _arrows(self):
         c = self.c
         for m in range(1, self.p):
-            yield c.xi[m], self.omega.key[(m, 0, 1)]      # xi_m paired with y_m
-            yield c.eta[m], self.omega.key[(m + 1, 1, 0)]  # eta_m paired with x_m
+            yield c.xi[m], self.omega.places[m, 0, 1]      # xi_m paired with y_m
+            yield c.eta[m], self.omega.places[m + 1, 1, 0]  # eta_m paired with x_m
 
     def _differential(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """d of every pair n = (ci, xi) as arrays (n, m, coeff), sorted by n
@@ -396,8 +396,8 @@ def _classes(model: CochainModel, found: list[tuple[Name, list]]) -> list[HHClas
 
 def _x_index(x_mod: BasedBimodule, omega: OmegaAlgebra, src: int, a: int, b: int) -> int | None:
     """Index in x_mod of the Omega-monomial (src, a, b), if it survives there."""
-    at = omega.key.get((src, a, b))
-    return None if at is None else x_mod.index.get(omega.basis[at].name)
+    at = int(np.append(x_mod.position, -1)[omega.places[src, a, b]])  # -1 reads the -1
+    return None if at < 0 else at
 
 
 def canonical_chi_classes(model: CochainModel) -> list[HHClass]:
@@ -412,9 +412,9 @@ def canonical_chi_classes(model: CochainModel) -> list[HHClass]:
 
 
 def canonical_dual_classes(model: CochainModel) -> list[HHClass]:
-    """e_s (x) e_s* classes for X = Omega*."""
-    c, x_mod = model.c, model.x_mod
-    return _classes(model, [(("e", s), [(c.idem[s], x_mod.index[f"e{s}*"], 1)])
+    """e_s (x) e_s* classes for X = Omega*, which is indexed like Omega."""
+    c, place = model.c, model.x_mod.position
+    return _classes(model, [(("e", s), [(c.idem[s], int(place[model.omega.idem[s]]), 1)])
                             for s in range(1, model.p + 1)])
 
 
@@ -583,7 +583,7 @@ def _collapses(tip: np.ndarray, c: np.ndarray, u: np.ndarray, v: np.ndarray,
 def _presentation(alg: BasedAlgebra) -> Presentation:
     """The ``Presentation`` of alg, with its tips checked to be a Groebner
     basis whose tips do not overlap; raises AssertionError where that fails."""
-    basis, p, dim = alg.basis, alg.p, alg.dim
+    p, dim = alg.p, alg.dim
     left, right, bj, bk = alg.basis_slots
     rad = (bj != 0) | (bk != 0)
     x, y, t, c = alg.slot_products()
@@ -591,7 +591,7 @@ def _presentation(alg: BasedAlgebra) -> Presentation:
     x, y, t, c = x[at], y[at], t[at], c[at]
     leaves = np.flatnonzero(~rad[t] | (left[t] != left[x]) | (right[t] != right[y]))
     if len(leaves):
-        raise AssertionError(f"{basis[x[leaves[0]]].name}*{basis[y[leaves[0]]].name}"
+        raise AssertionError(f"{alg.basis[x[leaves[0]]].name}*{alg.basis[y[leaves[0]]].name}"
                              " leaves the radical of its slot")
     key = x * dim + y  # the radical products' terms, by (x, y) as stored
 
@@ -616,7 +616,7 @@ def _presentation(alg: BasedAlgebra) -> Presentation:
     nu[w[first]], nv[w[first]] = g[first], h[first]
 
     def name(word) -> str:
-        return "|".join(basis[a].name for a in word)
+        return "|".join(alg.basis[a].name for a in word)
 
     # Bergman: the normal words evaluate to the radical basis, each element once
     hits = np.zeros(dim, dtype=np.int64)
@@ -627,7 +627,7 @@ def _presentation(alg: BasedAlgebra) -> Presentation:
         np.add.at(hits, value, 1)
         if hits.max() > 1:
             raise AssertionError("the normal words are no basis: two evaluate to "
-                                 f"{basis[int(np.argmax(hits))].name}")
+                                 f"{alg.basis[int(np.argmax(hits))].name}")
         s, e = _within(ng, words[:, -1])
         words = np.column_stack((words[s], nh[e]))
         value, exact = product(value[s], nh[e])
@@ -637,7 +637,7 @@ def _presentation(alg: BasedAlgebra) -> Presentation:
     missed = np.flatnonzero(rad & (hits == 0))
     if len(missed):
         raise AssertionError("the normal words are no basis: none evaluates to "
-                             f"{basis[missed[0]].name}")
+                             f"{alg.basis[missed[0]].name}")
 
     tg, th = g[~normal], h[~normal]
     s, e = _within(key, tg * dim + th)  # each term c w of a tip's product
@@ -708,7 +708,8 @@ def bar_oracle(alg: BasedAlgebra, x_mod: BasedBimodule, n_max: int) -> list[int]
     """
     alg.check_associativity()
     if x_mod.over is not alg:
-        x_mod = BasedBimodule(alg, x_mod.basis, x_mod.left, x_mod.right, x_mod.name)
+        x_mod = BasedBimodule(alg, Basis(x_mod.basis_slots, x_mod._name_list), x_mod.left,
+                              x_mod.right, x_mod.name)
     x_mod.check_bimodule()
     pres = _presentation(alg)
     p, width, dim = alg.p, x_mod.dim, alg.dim

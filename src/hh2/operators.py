@@ -20,15 +20,15 @@ leave it zero.  ``HHLAlgebra.product_table`` holds all products as one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import Hh2Error
 from .exactlin import _among, _distinct, _within, half_join, join_index
 from .quiver import WindowTable, window_table
-from .spadesuit import MAX_PRODUCTS, SpadeAlgebra, augmentation, window_entry
+from .spadesuit import MAX_PRODUCTS, SpadeAlgebra, window_entry
 
 
 class UnboundedWindow(Hh2Error):
@@ -41,8 +41,7 @@ MAX_WINDOW = 250_000
 # ---------------------------------------------------------------------------
 # direct construction of the tower by weight-zero tuples
 
-@dataclass(frozen=True)
-class TowerElement:
+class TowerElement(NamedTuple):
     factors: tuple  # SpadeElements, outermost first
     alpha: int      # Laurent exponent
 
@@ -50,29 +49,23 @@ class TowerElement:
     def k(self) -> int:
         return sum(m.k for m in self.factors)
 
-    @property
-    def j(self) -> int:
-        return self.factors[0].j if self.factors else self.alpha
-
 
 def _completions(spade: SpadeAlgebra, level: int) -> list[dict[int, dict[int, int]]]:
     """ways[r][i] = {k: the number of r-factor tuples that start in row i and
     add k}, for r = 0..level, where each next factor lies in the row of the
     previous one's j.  A row that no such tuple starts in is absent; r = 0
     is one way, adding 0, after any row."""
-    rows: dict[int, list] = {}
-    for m in spade.basis:
-        rows.setdefault(m.i, []).append(m)
-    ways = [{i: {0: 1} for i in {0, *(m.j for m in spade.basis)}}]
+    steps: dict[tuple[int, int, int], int] = {}  # the number of elements of each (i, j, k)
+    for step in zip(spade.i.tolist(), spade.j.tolist(), spade.k.tolist()):
+        steps[step] = steps.get(step, 0) + 1
+    ways = [{i: {0: 1} for i in {0, *spade.j.tolist()}}]
     for _ in range(level):
         prev, cur = ways[-1], {}
-        for i, row in rows.items():
-            at: dict[int, int] = {}
-            for m in row:
-                for k, n in prev.get(m.j, {}).items():
-                    at[k + m.k] = at.get(k + m.k, 0) + n
-            if at:
-                cur[i] = at
+        for (i, j, k), m in steps.items():
+            if j in prev:
+                at = cur.setdefault(i, {})
+                for kk, n in prev[j].items():
+                    at[kk + k] = at.get(kk + k, 0) + m * n
         ways.append(cur)
     return ways
 
@@ -102,11 +95,9 @@ class HHLAlgebra:
         if size > MAX_WINDOW:
             raise UnboundedWindow(f"hh_{level} has {size} basis elements, more than "
                                   f"{MAX_WINDOW} can be enumerated")
-        self.p = p
-        self.level = level
-        self.spade = spade
+        self.p, self.level, self.spade = p, level, spade
         bound = math.inf if k_max is None else k_max
-        si, sj, sk = (np.array([getattr(m, x) for m in spade.basis], dtype=np.int64) for x in "ijk")
+        si, sj, sk = spade.i, spade.j, spade.k
         lo = min(0, si.min(initial=0), sj.min(initial=0))
         row = join_index(si - lo)  # each row's elements in basis order
         # the tuples so far in basis order, their k-degree and the j of their
@@ -116,7 +107,7 @@ class HHLAlgebra:
             # the least k that the remaining factors add after each element;
             # NaN, which fails the bound, where no continuation completes
             rest = ways[level - q - 1]
-            least = np.array([min(rest[m.j]) if m.j in rest else np.nan for m in spade.basis])
+            least = np.array([min(rest[j]) if j in rest else np.nan for j in sj.tolist()])
             s, e = half_join(end - lo, row)
             keep = k[s] + sk[e] + least[e] <= bound
             s, e = s[keep], e[keep]
@@ -130,7 +121,7 @@ class HHLAlgebra:
         return [TowerElement(tuple(map(self.spade.basis.__getitem__, row)), alpha)
                 for row, alpha in zip(self.factors.tolist(), self.alpha.tolist())]
 
-    @cached_property  # only product, project and the hh_2 checks look elements up
+    @cached_property  # only product and the tests look elements up
     def index(self) -> dict[TowerElement, int]:
         return {el: n for n, el in enumerate(self.basis)}
 
@@ -156,7 +147,7 @@ class HHLAlgebra:
                                   f"more than {MAX_PRODUCTS}")
         g, (gx, gy, gt, gc), (ox, oy) = self.spade.product_table()
         f, alpha = self.factors, self.alpha
-        ks = np.array([m.k for m in self.spade.basis], dtype=np.int64)[f]
+        ks = self.spade.k[f]
         key, outs = gx * g + gy, ox * g + oy  # each sorted
         i = j = np.zeros(n, dtype=np.int64)  # the pair of hh_0, if k_max leaves it
         if level:
@@ -189,15 +180,3 @@ class HHLAlgebra:
 
 def build_hhl(p: int, level: int, spade: SpadeAlgebra, k_max: int | None = None) -> HHLAlgebra:
     return HHLAlgebra(p, level, spade, k_max=k_max)
-
-
-def project(alg: HHLAlgebra, el: TowerElement, target: HHLAlgebra) -> dict:
-    """The tower surjection: augment the outermost factor away."""
-    if alg.level == 0:
-        raise ValueError("level-0 algebra has no projection")
-    if augmentation(el.factors[0]) == 0:
-        return {}
-    image = TowerElement(el.factors[1:], el.alpha)
-    if image not in target.index:
-        return {}
-    return {image: 1}

@@ -15,6 +15,9 @@ Conventions used throughout the package:
   two monomials is (src2, A1+A2, B1+B2) when the combined valley stays >= 1,
   and zero otherwise.
 
+A basis is int64 arrays, (left, right, j, k) of each element; its
+``BasisElement``s are made only when a caller reads them.
+
 Linear combinations (combos) are dicts {basis_index: coefficient mod p}.
 Every product, action and pairing table is a ``Table``: int64 arrays
 (x, y, t, c) sorted by (x, y, t), one term per (x, y, t), c in [1, p).
@@ -27,7 +30,7 @@ them through the indexes each keeps, and ``Table.get`` reads single entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cached_property
 from typing import NamedTuple
 
@@ -44,8 +47,7 @@ class IncompatibleAlgebras(Hh2Error):
     pass
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     name: str
     left: int
     right: int
@@ -220,40 +222,50 @@ def window_associativity(table: WindowTable, p: int) -> tuple[int, int]:
     return checked, failed
 
 
-def _slot_arrays(basis: list[BasisElement]) -> tuple[np.ndarray, ...]:
-    """(left, right, j, k) of each basis element, as int64 arrays."""
-    return tuple(np.fromiter((getattr(b, field) for b in basis), np.int64, len(basis))
-                 for field in ("left", "right", "j", "k"))
+class Basis(tuple):
+    """(left, right, j, k) of each element as int64 arrays, and the function listing their names."""
+    def __new__(cls, slots: tuple[np.ndarray, ...], names: Callable[[], list[str]]):
+        return super().__new__(cls, (slots, names))
 
 
-class BasedAlgebra:
-    """Finite-dimensional algebra with a fixed basis and structure constants.
+class _Based:
+    """The basis of an algebra or a bimodule, as ``BasisElement``s or as a ``Basis``;
+    ``basis`` and ``index`` by name are made on first read."""
 
-    ``products`` is the ``Table`` of basis[i] o basis[j] (j acts first) at
-    (i, j).  ``idem[v]`` is the index of the idempotent e_v.  ``basis_slots``
-    is (left, right, j, k) of each basis element as int64 arrays, made on
-    first read and kept.
-    """
+    def _set_basis(self, basis: list[BasisElement] | Basis) -> None:
+        if isinstance(basis, Basis):
+            self.basis_slots, self._name_list = basis
+        else:
+            self.basis, self._name_list = basis, lambda: [b.name for b in basis]
 
-    def __init__(self, p: int, basis: list[BasisElement], products: Table,
-                 idem: dict[int, int], name: str = ""):
-        self.p = p
-        self.basis = basis
-        self.products = products
-        self.idem = idem
-        self.name = name
-        self.index = {b.name: i for i, b in enumerate(basis)}
-        self.vertices = sorted(idem)
-        self._slot_products: Table | None = None
-        self._associative = False
+    basis = cached_property(lambda self: list(map(BasisElement, self._name_list(), *(
+        col.tolist() for col in self.basis_slots))))
+    basis_slots = cached_property(lambda self: tuple(np.array(
+        [[b.left, b.right, b.j, b.k] for b in self.basis], dtype=np.int64).reshape(-1, 4).T))
+    index = cached_property(lambda self: {name: i for i, name in enumerate(self._name_list())})
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.basis_slots[0])
 
-    @cached_property
-    def basis_slots(self) -> tuple[np.ndarray, ...]:
-        return _slot_arrays(self.basis)
+
+class BasedAlgebra(_Based):
+    """Finite-dimensional algebra with a fixed basis and structure constants.
+
+    ``products`` is the ``Table`` of basis[i] o basis[j] (j acts first) at
+    (i, j).  ``idem[v]`` is the index of the idempotent e_v.
+    """
+
+    def __init__(self, p: int, basis: list[BasisElement] | Basis, products: Table,
+                 idem: dict[int, int], name: str = ""):
+        self.p = p
+        self._set_basis(basis)
+        self.products = products
+        self.idem = idem
+        self.name = name
+        self.vertices = sorted(idem)
+        self._slot_products: Table | None = None
+        self._associative = False
 
     def unit(self) -> Combo:
         return {i: 1 for i in self.idem.values()}
@@ -294,37 +306,29 @@ class BasedAlgebra:
         self._associative = True
 
 
-class BasedBimodule:
+class BasedBimodule(_Based):
     """Bimodule over a BasedAlgebra with explicit action constants.
 
     ``left`` is the ``Table`` of basis_a o m at (a, m) and ``right`` that of
-    m o basis_a at (m, a), both over the full algebra basis.  ``basis_slots``
-    is as for ``BasedAlgebra``.
+    m o basis_a at (m, a), both over the full algebra basis.  A module made
+    from Omega's monomials keeps ``position``, the place of each monomial
+    in its basis or -1, and ``parent_index``, the monomial at each place.
     """
 
-    def __init__(self, over: BasedAlgebra, basis: list[BasisElement],
+    def __init__(self, over: BasedAlgebra, basis: list[BasisElement] | Basis,
                  left: Table, right: Table, name: str = ""):
         self.over = over
         self.p = over.p
-        self.basis = basis
+        self._set_basis(basis)
         self.left = left
         self.right = right
         self.name = name
-        self.index = {b.name: i for i, b in enumerate(basis)}
         self._axioms_hold = False
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @cached_property
-    def basis_slots(self) -> tuple[np.ndarray, ...]:
-        return _slot_arrays(self.basis)
 
     def check_bimodule(self) -> None:
         if self._axioms_hold:  # a pass is kept, as the tables are read-only; a failure is not
             return
-        alg, basis, name, p = self.over, self.basis, self.name, self.p
+        alg, name, p = self.over, self.name, self.p
         # idempotent entries as stored: e_v m = m if v is the slot of m, else zero;
         # the terms (m, e_v, t, c) found against those required, as packed keys
         vertex = np.full(alg.dim, -1, dtype=np.int64)  # the vertex of each idempotent
@@ -340,7 +344,7 @@ class BasedBimodule:
                        ((own * alg.dim + idem[slots[side, own]]) * self.dim + own) * p + 1)
             if len(bad):
                 m_bad, a_bad = divmod(int(bad[0]) // (self.dim * p), alg.dim)
-                v, el = vertex[a_bad], basis[m_bad].name
+                v, el = vertex[a_bad], self.basis[m_bad].name
                 raise AssertionError((f"e_{v} . {el}" if side == 0 else f"{el} . e_{v}")
                                      + f" wrong in {name}")
         mul, left, right = alg.slot_products(), self.left, self.right
@@ -364,40 +368,23 @@ def build_zigzag_c(p: int) -> BasedAlgebra:
     the loop at p is zero, and all length-3 paths vanish.
     """
     check_odd_prime(p)
-    basis: list[BasisElement] = []
-    idem: dict[int, int] = {}
-    for s in range(1, p + 1):
-        idem[s] = len(basis)
-        basis.append(BasisElement(f"e{s}", s, s, 0, 0))
-    xi: dict[int, int] = {}
-    eta: dict[int, int] = {}
-    for m in range(1, p):
-        xi[m] = len(basis)
-        basis.append(BasisElement(f"xi{m}", m, m + 1, 1, 0))
-    for m in range(1, p):
-        eta[m] = len(basis)
-        basis.append(BasisElement(f"eta{m}", m + 1, m, 1, 0))
-    loop: dict[int, int] = {}
-    for s in range(1, p):
-        loop[s] = len(basis)
-        basis.append(BasisElement(f"loop{s}", s, s, 2, 0))
-
-    terms: list[int] = []  # flat: [i, j, t, c, ...]
-    for i, b in enumerate(basis):
-        terms += idem[b.left], i, i, 1
-        if b.left != b.right or b.j > 0:  # e_s e_s is listed once
-            terms += i, idem[b.right], i, 1
-    for s in range(1, p):
-        terms += xi[s], eta[s], loop[s], 1
-    for s in range(1, p - 1):
-        terms += eta[s], xi[s], loop[s + 1], p - 1
-    # eta_{p-1} o xi_{p-1} (loop at p) is zero; all longer words vanish
-
-    products = Table.of(*np.array(terms, dtype=np.int64).reshape(-1, 4).T, p)
-    alg = BasedAlgebra(p, basis, products, idem, name="c")
-    alg.xi = xi
-    alg.eta = eta
-    alg.loop = loop
+    # the places of e_s, xi_m, eta_m and loop_s, one block after another
+    s, m = np.arange(1, p + 1), np.arange(1, p)
+    e, xi, eta, loop = s - 1, p + m - 1, 2 * p + m - 2, 3 * p + m - 3
+    left, right = np.concatenate((s, m, m + 1, m)), np.concatenate((s, m + 1, m, m))
+    j = np.repeat([0, 1, 1, 2], [p, p - 1, p - 1, p - 1])
+    names = [f"{word}{v}" for word, vs in (("e", s), ("xi", m), ("eta", m), ("loop", m))
+             for v in vs.tolist()]
+    # e_left b = b = b e_right (e_s e_s once), xi_s eta_s = loop_s, and
+    # eta_s xi_s = -loop_{s+1} but for s = p - 1; all longer words vanish
+    n = np.arange(len(j))
+    x, y, t = (np.concatenate(cols) for cols in ((e[left - 1], n[p:], xi, eta[:-1]),
+                                                 (n, e[right[p:] - 1], eta, xi[:-1]),
+                                                 (n, n[p:], loop, loop[1:])))
+    c = np.where(np.arange(len(x)) < len(x) - (p - 2), 1, p - 1)
+    alg = BasedAlgebra(p, Basis((left, right, j, 0 * j), lambda: names), Table.of(x, y, t, c, p),
+                       dict(zip(s.tolist(), e.tolist())), name="c")
+    alg.xi, alg.eta, alg.loop = (dict(zip(m.tolist(), v.tolist())) for v in (xi, eta, loop))
     return alg
 
 
@@ -419,8 +406,8 @@ class OmegaAlgebra(BasedAlgebra):
     """The quadratic dual: commuting up/down arrows with the bottom loop killed.
 
     ``words`` holds the (src, downs, ups) of every basis monomial as int64
-    arrays, and ``places[src, downs, ups]`` is the index of a monomial, -1 for
-    other words.  The product table comes from the closed form: i o j is
+    arrays, by src, downs and ups, and ``places[src, downs, ups]`` is the
+    index of a monomial, -1 for other words.  The product table comes from the closed form: i o j is
     (src_j, downs_i + downs_j, ups_i + ups_j) when j ends where i starts and
     src_j > downs_i + downs_j, else zero.
 
@@ -437,26 +424,22 @@ class OmegaAlgebra(BasedAlgebra):
 
     def __init__(self, p: int):
         check_odd_prime(p)
-        basis: list[BasisElement] = []
-        key: dict[tuple[int, int, int], int] = {}
-        for src in range(1, p + 1):
-            for a in range(0, src):
-                for b in range(0, p - (src - a) + 1):
-                    tgt = src - a + b
-                    key[(src, a, b)] = len(basis)
-                    basis.append(BasisElement(monomial_name(src, a, b), tgt, src, -(a + b), a + b))
-        idem = {s: key[(s, 0, 0)] for s in range(1, p + 1)}
-        self.words = tuple(np.array(w, dtype=np.int64) for w in zip(*key))
+        # the words by src, then a, then b: a < src and b <= p - src + a
+        src, a = np.nonzero(np.arange(p) < np.arange(p + 1)[:, None])
+        count = p - src + a + 1
+        b = np.arange(count.sum()) - (np.cumsum(count) - count).repeat(count)
+        self.words = src, a, b = src.repeat(count), a.repeat(count), b
         self.places = np.full((p + 1,) * 3, -1, dtype=np.int64)
-        self.places[self.words] = np.arange(len(basis))
-        super().__init__(p, basis, self._products(p), idem, name="Omega")
-        src, a, b = self.words
+        self.places[self.words] = np.arange(len(src))
+        idem = dict(zip(range(1, p + 1), self.places[1:, 0, 0].tolist()))
+        super().__init__(p, Basis((src - a + b, src, -(a + b), a + b), lambda: list(map(
+            monomial_name, *(w.tolist() for w in self.words)))), self._products(p), idem,
+            name="Omega")
         tgt, ideal = src - a + b, self.ideal_mask()
         # off its domain a partner's word may have a negative count, which wraps; np.where drops it
         self.sigma = np.where(ideal, -1, self.places[p - src, b, a])
         self.ideal_partner = np.where(ideal, self.places[tgt, p - 1 - a, p - 1 - b], -1)
         self.theta_partner = np.where(ideal, -1, self.places[tgt, src - 1 - a, p - 1 - b - src])
-        self.key = key
 
     def _products(self, p: int) -> Table:
         # the monomials are listed by src, so those starting at s are one
@@ -485,7 +468,10 @@ def build_omega(p: int) -> OmegaAlgebra:
 
 def regular_bimodule(omega: OmegaAlgebra) -> BasedBimodule:
     """Omega as a bimodule over itself: both actions are its product table."""
-    return BasedBimodule(omega, list(omega.basis), omega.products, omega.products, name="Omega")
+    mod = BasedBimodule(omega, Basis(omega.basis_slots, omega._name_list), omega.products,
+                        omega.products, name="Omega")
+    mod.position = np.arange(omega.dim)
+    return mod
 
 
 def _sub_bimodule(omega: OmegaAlgebra, keep: np.ndarray, name: str) -> BasedBimodule:
@@ -497,10 +483,12 @@ def _sub_bimodule(omega: OmegaAlgebra, keep: np.ndarray, name: str) -> BasedBimo
     x, y, t, c = omega.slot_products()
     inside = new[t] >= 0
     left, right = inside & (new[y] >= 0), inside & (new[x] >= 0)
-    mod = BasedBimodule(omega, [omega.basis[i] for i in keep.tolist()],
-                        Table(x[left], new[y[left]], new[t[left]], c[left]),
+    parent_index = keep.tolist()
+    basis = Basis(tuple(col[keep] for col in omega.basis_slots),
+                  lambda: list(map(omega._name_list().__getitem__, parent_index)))
+    mod = BasedBimodule(omega, basis, Table(x[left], new[y[left]], new[t[left]], c[left]),
                         Table(new[x[right]], y[right], new[t[right]], c[right]), name=name)
-    mod.parent_index, mod.position = keep.tolist(), new
+    mod.parent_index, mod.position = parent_index, new
     return mod
 
 
@@ -524,18 +512,17 @@ def twist_sigma(mod: BasedBimodule) -> BasedBimodule:
     omega = mod.over
     if not isinstance(omega, OmegaAlgebra):
         raise IncompatibleAlgebras("twist_sigma needs a module over the quadratic dual")
-    p = omega.p
-    for b in mod.basis:
-        if b.left == p or b.right == p:
-            raise IncompatibleAlgebras("twist_sigma only applies to modules killed by e_p")
-    basis = [BasisElement(b.name, b.left, p - b.right, b.j, b.k) for b in mod.basis]
+    p, (left, right, j, k) = omega.p, mod.basis_slots
+    if np.any((left == p) | (right == p)):
+        raise IncompatibleAlgebras("twist_sigma only applies to modules killed by e_p")
     # m . a here is m . sigma(a) there, and sigma is an involution of its domain
     x, y, t, c = mod.right
     sigma = omega.sigma
     keep = sigma[y] >= 0
-    right = Table.of(x[keep], sigma[y[keep]], t[keep], c[keep], p)
+    twisted = Table.of(x[keep], sigma[y[keep]], t[keep], c[keep], p)
     new_name = mod.name[:-5] if mod.name.endswith("Sigma") else mod.name + "Sigma"
-    new = BasedBimodule(omega, basis, mod.left, right, name=new_name)
+    new = BasedBimodule(omega, Basis((left, p - right, j, k), mod._name_list), mod.left,
+                        twisted, name=new_name)
     if hasattr(mod, "parent_index"):
         new.parent_index, new.position = mod.parent_index, mod.position
     return new
@@ -547,11 +534,14 @@ def dual(mod: BasedBimodule) -> BasedBimodule:
     With (a f b)(m) = f(b m a), the left action on duals is the transpose of
     the right action and vice versa: m . a = tgt gives a . tgt* = m*.
     """
-    basis = [BasisElement(b.name + "*", b.right, b.left, -b.j, -b.k) for b in mod.basis]
+    left, right, j, k = mod.basis_slots
+    basis = Basis((right, left, -j, -k), lambda: [name + "*" for name in mod._name_list()])
     (m, a, tgt, c), p = mod.right, mod.p
     left = Table.of(a, tgt, m, c, p)
     a, m, tgt, c = mod.left
-    return BasedBimodule(mod.over, basis, left, Table.of(tgt, a, m, c, p), name=mod.name + "*")
+    new = BasedBimodule(mod.over, basis, left, Table.of(tgt, a, m, c, p), name=mod.name + "*")
+    new.position = getattr(mod, "position", None)  # m* is where m is
+    return new
 
 
 class BimoduleMap:

@@ -18,17 +18,17 @@ table).  Each label's names are an ordered subset of one of three lists:
 chi's, the duals' or the vertex algebra's.  Each closed form is one array
 table over those lists, built once per prime from masks on the names'
 (family, exponent) arrays, and a label triple's ``name_table`` is its lists'
-table restricted to the labels' names.
-A window's ``product_table`` is built from those tables in one block per
-group of slot pairs, with a suspension sign for components whose k-shift is
-odd, and ``product`` reads it.
+table restricted to the labels' names.  A window keeps its basis as arrays
+and joins all its slot pairs with those tables into its ``product_table``, with
+a suspension sign for components whose k-shift is odd; ``product`` reads it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .clubsuit import (CHI, CHIBAR_MINUS, CHIBAR_PLUS, CHIBARSTAR_MINUS,
                        CHIBARSTAR_PLUS, CHIUNDER, OMEGA0, OUT_OF_WINDOW, PRODUCT_TABLE,
                        GridComponent, NaturalMaps, component_at, product_pairing)
 from .exactlin import (_among, _distinct, _summed, _within, _xor, check_odd_prime,
-                       coo_pivot_rows)
+                       coo_pivot_rows, half_join, join_index)
 from .koszulhh import (KIND_DUAL, KIND_THETA_SIGMA, Name, NameCombo, concrete_degree,
                        format_name, idempotent_label)
 from .quiver import Table, WindowTable, failing_triple, table_of, tables_equal, window_table
@@ -75,8 +75,7 @@ def component_names(p: int, kind: str) -> list[Name]:
     raise ValueError(kind)
 
 
-@dataclass(frozen=True)
-class SpadeElement:
+class SpadeElement(NamedTuple):
     a: int
     b: int
     name: Name
@@ -86,19 +85,6 @@ class SpadeElement:
     k: int
     x: str  # idempotent label: "1" or "e_s"
 
-    @cached_property  # made once per element, however many listings print it
-    def display(self) -> str:
-        return f"{format_name(self.name)}@({self.a},{self.b})"
-
-
-def make_element(p: int, a: int, b: int, name: Name) -> SpadeElement:
-    comp = component_at(p, a, b)
-    if comp is None:
-        raise ValueError(f"vacant slot {(a, b)}")
-    j, k, _h = concrete_degree(p, name)
-    return SpadeElement(a, b, name, comp.label, a + b, j + comp.jshift, k + comp.kshift,
-                        idempotent_label(name))
-
 
 # ---------------------------------------------------------------------------
 # frozen name-level product tables (values verified against cup products)
@@ -107,12 +93,31 @@ def half(p: int) -> int:
     return (p + 1) // 2  # the scalar 1/2 in F_p
 
 
-# the superset list each label's names are an ordered subset of: chi's for
-# the chi-type labels, the duals' for the star-type, the vertex algebra's
-_SUPERSET = {CHI: CHI, CHIBAR_MINUS: CHI, CHIBAR_PLUS: CHI, CHIUNDER: CHI,
-             CHIBARSTAR_MINUS: CHIBARSTAR_MINUS, CHIBARSTAR_PLUS: CHIBARSTAR_MINUS,
-             OMEGA0: OMEGA0}
+# the labels by code, and the superset list, by code, that each label's names
+# are an ordered subset of: chi's (0), the duals' (1) or the vertex algebra's (2)
+LABELS = (CHI, CHIBAR_MINUS, CHIBAR_PLUS, CHIUNDER, CHIBARSTAR_MINUS, CHIBARSTAR_PLUS, OMEGA0)
 _STAR = CHIBARSTAR_MINUS
+SUPERSETS, _SUPERSET = (CHI, _STAR, OMEGA0), np.array([0, 0, 0, 0, 1, 1, 2])
+_CHI, _UNDER, _OMEGA0 = (LABELS.index(label) for label in (CHI, CHIUNDER, OMEGA0))
+
+
+@lru_cache(maxsize=None)
+def _names(p: int) -> SimpleNamespace:
+    """The superset lists' ``names``, from ``start`` of each, with arrays of their ``j``, ``k``,
+    ``idem`` (s of e_s, 0 of 1), place ``by_str`` in str order and ``texts``; a label's
+    ``members`` and ``places[label, name]``, a name's place in its members or -1."""
+    names = [name for label in SUPERSETS for name in component_names(p, label)]
+    at = {name: n for n, name in enumerate(names)}
+    members = [np.array([at[name] for name in component_names(p, label)]) for label in LABELS]
+    places = np.full((len(LABELS), len(names)), -1, dtype=np.int64)
+    for code, member in enumerate(members):
+        places[code, member] = np.arange(len(member))
+    j, k, _ = np.array([concrete_degree(p, name) for name in names], dtype=np.int64).T
+    idem = np.array([0 if x == "1" else int(x[2:]) for x in map(idempotent_label, names)])
+    return SimpleNamespace(names=names, start=np.cumsum([0, 3 * p - 2, 2 * p - 2]), j=j, k=k,
+                           idem=idem, by_str=np.argsort(np.argsort(list(map(str, names)))),
+                           texts=np.array(list(map(format_name, names)), dtype=object),
+                           places=places, members=members)
 
 
 def _where(mask: np.ndarray, t, c) -> tuple[np.ndarray, ...]:
@@ -189,13 +194,13 @@ def _base_tables(p: int) -> dict[tuple[str, str, str], tuple[np.ndarray, ...]]:
     return tables
 
 
-@lru_cache(maxsize=None)
-def _places(p: int, label: str) -> np.ndarray:
-    """Each name of the label's superset list at its place among the
-    label's names, or -1 when the label lacks it."""
-    at = {name: i for i, name in enumerate(component_names(p, label))}
-    return np.array([at.get(name, -1) for name in component_names(p, _SUPERSET[label])],
-                    dtype=np.int64)
+def _ruled_out(l1, l2, target):
+    """Whether labels, by code, rule their supersets' products out: a vertex name only meets chi's,
+    chi x chi is a vertex only for the kernel squared, dual x dual only chi or a truncation."""
+    s1, s2 = _SUPERSET[l1], _SUPERSET[l2]
+    return ((((l1 == _OMEGA0) | (l2 == _OMEGA0)) & (l1 != _CHI) & (l2 != _CHI))
+            | ((target == _OMEGA0) & (s1 == 0) & (s2 == 0) & ((l1 != _UNDER) | (l2 != _UNDER)))
+            | ((target == _UNDER) & (s1 == 1) & (s2 == 1)))
 
 
 @lru_cache(maxsize=None)
@@ -207,19 +212,16 @@ def name_table(p: int, label1: str, label2: str, target: str) -> tuple[np.ndarra
 
     It is the superset labels' table of ``_base_tables`` restricted to the
     labels' names, so a product with a term off the target's names loses
-    that term, and zero where the labels rule it out: a vertex name
-    multiplies only with chi's, chi x chi lands in the vertex algebra only
-    for the kernel times itself, and dual x dual lands only in chi and the
-    truncations.  Made once per process and shared, so callers only read it.
+    that term, and zero where ``_ruled_out``.  Made once per process and
+    shared, so callers only read it.
     """
-    s1, s2 = _SUPERSET[label1], _SUPERSET[label2]
-    base = _base_tables(p).get((s1, s2, _SUPERSET[target]))
-    if (base is None or (OMEGA0 in (label1, label2) and CHI not in (label1, label2))
-            or (target == OMEGA0 and s1 == s2 == CHI and not label1 == label2 == CHIUNDER)
-            or (target == CHIUNDER and s1 == s2 == _STAR)):
+    codes = [LABELS.index(label) for label in (label1, label2, target)]
+    base = _base_tables(p).get(tuple(SUPERSETS[_SUPERSET[code]] for code in codes))
+    if base is None or _ruled_out(*codes):
         return (np.zeros(0, dtype=np.int64),) * 4
-    u, v, t, c = base
-    u, v, t = _places(p, label1)[u], _places(p, label2)[v], _places(p, target)[t]
+    names, (u, v, t, c) = _names(p), base
+    u, v, t = (names.places[code, names.start[_SUPERSET[code]] + col]
+               for code, col in zip(codes, (u, v, t)))
     keep = (u >= 0) & (v >= 0) & (t >= 0)
     return u[keep], v[keep], t[keep], c[keep]
 
@@ -245,21 +247,47 @@ def window_slots(p: int, a_min: int, a_max: int) -> dict[tuple[int, int], GridCo
 
 
 class SpadeAlgebra:
-    """Windowed realization with the closed-form product, read from its table."""
+    """Windowed realization with the closed-form product, read from its table.
+
+    The basis is int64 arrays, slot after slot from ``first`` of each: ``a``, ``b``,
+    ``label`` (a code of ``LABELS``), ``name`` (a place in ``_names``), ``i``, ``j``, ``k``,
+    idempotent ``x``, slot ``kshift``; ``basis`` and ``index`` are made on first read."""
 
     def __init__(self, p: int, a_min: int, a_max: int):
         check_odd_prime(p)
-        self.p = p
-        self.a_min, self.a_max = a_min, a_max
+        self.p, self.a_min, self.a_max = p, a_min, a_max
         self.slots = window_slots(p, a_min, a_max)
-        self.basis = [make_element(p, a, b, name) for (a, b), comp in self.slots.items()
-                      for name in component_names(p, comp.label)]
-        self.index = {(m.a, m.b, m.name): i for i, m in enumerate(self.basis)}
+        names = _names(p)
+        a, b, label, jshift, kshift = np.array(
+            [(a, b, LABELS.index(comp.label), comp.jshift, comp.kshift)
+             for (a, b), comp in self.slots.items()], dtype=np.int64).T
+        members = [names.members[code] for code in label.tolist()]
+        self.first = np.cumsum([0] + list(map(len, members)))
+        slot = np.repeat(np.arange(len(a)), np.diff(self.first))  # each element's
+        self.a, self.b, self.label, self.kshift = a[slot], b[slot], label[slot], kshift[slot]
+        self.name = np.concatenate(members)
+        self.i, self.j = self.a + self.b, names.j[self.name] + jshift[slot]
+        self.k, self.x = names.k[self.name] + self.kshift, names.idem[self.name]
         self._table: WindowTable | None = None
+
+    @cached_property
+    def basis(self) -> list[SpadeElement]:
+        names = _names(self.p).names
+        return [SpadeElement(a, b, names[n], LABELS[label], i, j, k, f"e_{x}" if x else "1")
+                for a, b, n, label, i, j, k, x in zip(*(col.tolist() for col in (
+                    self.a, self.b, self.name, self.label, self.i, self.j, self.k, self.x)))]
+
+    index = cached_property(lambda self: {(m.a, m.b, m.name): i for i, m in enumerate(self.basis)})
+
+    @cached_property
+    def displays(self) -> np.ndarray:
+        """Each element's text, name@(a,b), from one text per name and per slot."""
+        at = np.array([f"@({a},{b})" for a, b in self.slots], dtype=object)
+        return _names(self.p).texts[self.name] + at.repeat(np.diff(self.first))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.name)
 
     def unit(self) -> SpadeElement:
         return self.basis[self.index[(0, 0, ("z", 0))]]
@@ -271,55 +299,54 @@ class SpadeAlgebra:
                             self.index[m1.a, m1.b, m1.name], self.index[m2.a, m2.b, m2.name])
 
     def product_table(self) -> WindowTable:
-        """The window's products, made on the first call and kept.
-
-        The slot pairs with a target slot are grouped by their label triple
-        and whether the target is in the window.  Each group is one block,
-        the triple's ``name_table`` moved past its slots' first elements; a
-        group outside the window has its name pairs out.  A product is
-        signed -1 when the right factor's slot has odd k-shift and the left
-        factor's name odd k-degree: the Koszul sign of the odd k-suspension
-        of the plus-side components, the unique rule of this shape
-        compatible with associativity and supercommutativity on full windows.
-        """
+        """The window's products, made on the first call and kept: one join of the slot
+        pairs whose sum is a grid slot, unless ``_ruled_out``, with the rows of their
+        supersets' tables, each name placed among its label's by ``places`` (a row with
+        a name off them dropped) and moved past its slot's first element; a pair whose sum
+        is outside the window has its name pairs out.  A product is signed -1 when the
+        right factor's slot has odd k-shift and the left factor's name odd k-degree: the
+        Koszul sign of the odd k-suspension of the plus-side components, the unique rule
+        of this shape compatible with associativity and supercommutativity."""
         if self._table is not None:
             return self._table
-        p, basis, n = self.p, self.basis, self.dim
+        p, n, names = self.p, self.dim, _names(self.p)
         if n * n > MAX_PRODUCTS:
             raise WindowTooLarge(f"the window has {n} elements, so {n * n} products: "
                                  f"more than {MAX_PRODUCTS}")
-        shift = np.array([self.slots[m.a, m.b].kshift for m in basis], dtype=np.int64)
-        name_k = np.array([m.k for m in basis], dtype=np.int64) - shift
-        first = {(m.a, m.b): i for i, m in reversed(list(enumerate(basis)))}  # of each slot
-        groups: dict[tuple[str, str, str, bool], list[tuple[int, int, int]]] = {}
-        for (a1, b1), comp1 in self.slots.items():
-            for (a2, b2), comp2 in self.slots.items():
-                target = component_at(p, a1 + a2, b1 + b2)
-                if target is not None:
-                    at = first.get((target.a, target.b))  # None outside the window
-                    groups.setdefault((comp1.label, comp2.label, target.label, at is not None),
-                                      []).append((first[a1, b1], first[a2, b2], at or 0))
-        terms, out = [], []
-        for (label1, label2, label, inside), pairs in groups.items():
-            u, v, t, c = name_table(p, label1, label2, label)
-            f1, f2, ft = (np.array(col, dtype=np.int64)[:, None] for col in zip(*pairs))
-            x, y = f1 + u, f2 + v
-            if inside:
-                c = np.where((shift[y] * name_k[x]) % 2 == 1, p - c, c)
-                terms.append((x.ravel(), y.ravel(), (ft + t).ravel(), c.ravel()))
-            else:
-                out.append((x.ravel(), y.ravel()))
-        self._table = window_table(n, terms, out, p)
+        codes, rows = np.full((3,) * 3, -1), []  # the superset tables, names placed in _names
+        for code, (triple, (u, v, t, c)) in enumerate(_base_tables(p).items()):
+            s = [SUPERSETS.index(label) for label in triple]
+            codes[tuple(s)] = code
+            rows.append((np.full(len(u), code), *(names.start[s][:, None] + (u, v, t)), c))
+        which, u, v, t, c = (np.concatenate(col) for col in zip(*rows))
+        # each slot pair s1 s2 and the grid slot at its sum: its label, -1 if
+        # vacant, and its first element, -1 outside the window
+        first, lo, width = self.first[:-1], 2 * self.a_min, 2 * (self.a_max - self.a_min) + 1
+        sa, sb, sl, shift = (col[first] for col in (self.a, self.b, self.label, self.kshift))
+        at = dict(zip(self.slots, first.tolist()))
+        grid = np.array([(LABELS.index(comp.label), at.get((comp.a, comp.b), -1))
+                         if (comp := component_at(p, lo + a, lo + b)) else (-1, -1)
+                         for a in range(width) for b in range(width)])
+        s1, s2 = np.divmod(np.arange(len(first) ** 2), len(first))
+        lt, ft = grid[(sa[s1] + sa[s2] - lo) * width + sb[s1] + sb[s2] - lo].T
+        code = codes[_SUPERSET[sl[s1]], _SUPERSET[sl[s2]], _SUPERSET[lt]]
+        keep = (lt >= 0) & (code >= 0) & ~_ruled_out(sl[s1], sl[s2], lt)
+        s1, s2, lt, ft = s1[keep], s2[keep], lt[keep], ft[keep]
+        q, e = half_join(code[keep], join_index(which, ordered=True))
+        x, y, z = (names.places[label[q], col[e]] for label, col in
+                   ((sl[s1], u), (sl[s2], v), (lt, t)))
+        keep = (x >= 0) & (y >= 0) & (z >= 0)
+        q, e = q[keep], e[keep]
+        x, y, z = first[s1[q]] + x[keep], first[s2[q]] + y[keep], ft[q] + z[keep]
+        c = np.where(shift[s2[q]] * names.k[u[e]] % 2 == 1, p - c[e], c[e])
+        inside = ft[q] >= 0
+        self._table = window_table(n, [(x[inside], y[inside], z[inside], c[inside])],
+                                   [(x[~inside], y[~inside])], p)
         return self._table
 
 
 def build_spade(p: int, a_min: int, a_max: int) -> SpadeAlgebra:
     return SpadeAlgebra(p, a_min, a_max)
-
-
-def augmentation(m: SpadeElement) -> int:
-    """The splitting onto the ground field: 1 on the unit, 0 elsewhere."""
-    return 1 if (m.a, m.b, m.name) == (0, 0, ("z", 0)) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +404,7 @@ STATUSES = ("ok", "slot", "tensor", "degree", "class-degree", "mismatch")
 OK, SLOT, TENSOR, DEGREE, CLASS_DEGREE, MISMATCH = range(len(STATUSES))
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Each cell's code in ``cells``, in triple-then-(u, v) order: ok (nonzero
     and matching), the reason a matching cell is zero, or mismatch.  The
     failing cells as (label1, name1, label2, name2, target label) in

@@ -9,7 +9,10 @@ picks one by the labels) are the per-pair rule that ``name_table`` was
 enumerated from before it was built from arrays; ``name_table`` here is that
 enumeration.  ``product`` is ``SpadeAlgebra.product`` from before the
 window's table became its one product rule, with the window passed as
-``alg`` and the target slot read from ``component_at``.
+``alg`` and the target slot read from ``component_at``.  ``make_element`` is
+one element as ``SpadeAlgebra`` made each before it kept its basis as arrays,
+and ``augmentation`` the splitting onto the ground field that the tower's
+projection (``tower_reference.project``) reads.
 """
 
 from __future__ import annotations
@@ -21,9 +24,23 @@ import numpy as np
 from tables import pair_table
 from hh2.clubsuit import (CHI, CHIBAR_MINUS, CHIBAR_PLUS, CHIBARSTAR_MINUS, CHIBARSTAR_PLUS,
                           CHIUNDER, OMEGA0, OUT_OF_WINDOW, component_at)
-from hh2.koszulhh import Name, NameCombo
+from hh2.koszulhh import Name, NameCombo, concrete_degree, idempotent_label
 from hh2.quiver import WindowTable
 from hh2.spadesuit import SpadeAlgebra, SpadeElement, component_names, half
+
+
+def make_element(p: int, a: int, b: int, name: Name) -> SpadeElement:
+    comp = component_at(p, a, b)
+    if comp is None:
+        raise ValueError(f"vacant slot {(a, b)}")
+    j, k, _h = concrete_degree(p, name)
+    return SpadeElement(a, b, name, comp.label, a + b, j + comp.jshift, k + comp.kshift,
+                        idempotent_label(name))
+
+
+def augmentation(m: SpadeElement) -> int:
+    """The splitting onto the ground field: 1 on the unit, 0 elsewhere."""
+    return 1 if (m.a, m.b, m.name) == (0, 0, ("z", 0)) else 0
 
 
 def chi_mul(p: int, n1: Name, n2: Name) -> NameCombo:

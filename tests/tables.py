@@ -7,12 +7,13 @@ call per ordered pair, as the per-pair references of the grid, club and
 tower products do, and ``component`` lists the grid elements of one slot.
 ``column_map`` and ``columned`` make and read a ``BimoduleMap`` as the list
 of its columns, the combos f(m), as it was stored before its table.  The
-per-index formulas of Omega's monomials (``word``, ``in_ideal``,
+per-index formulas of Omega's monomials (``word``, ``omega_key``, ``in_ideal``,
 ``theta_sigma_index``, ``ideal_partner``, ``theta_partner``) are the
 references for the partner arrays of ``OmegaAlgebra``.  ``broken_omega3``
 and ``corrupted_actions`` are inputs that both bar oracles must refuse.
 """
 
+import functools
 import types
 
 import numpy as np
@@ -86,6 +87,12 @@ def data_of(b) -> tuple[int, int, int]:
     return src, a, length - a
 
 
+@functools.cache
+def omega_key(omega) -> dict:
+    """{(src, downs, ups): index} of Omega's monomials, read from their basis elements."""
+    return {data_of(b): i for i, b in enumerate(omega.basis)}
+
+
 def word(omega, idx: int) -> tuple[int, int, int]:
     """(src, downs, ups) of a basis monomial."""
     return data_of(omega.basis[idx])
@@ -100,14 +107,14 @@ def in_ideal(omega, idx: int) -> bool:
 def theta_sigma_index(omega, idx: int) -> int:
     """Index of the involution image of a non-ideal monomial (swap arrows, flip vertices)."""
     src, a, b = word(omega, idx)
-    return omega.key[(omega.p - src, b, a)]
+    return omega_key(omega)[(omega.p - src, b, a)]
 
 
 def ideal_partner(omega, idx: int) -> int:
     """beta-partner inside the ideal: complement the down/up counts to p-1."""
     src, a, b = word(omega, idx)
     left = src - a + b
-    return omega.key[(left, omega.p - 1 - a, omega.p - 1 - b)]
+    return omega_key(omega)[(left, omega.p - 1 - a, omega.p - 1 - b)]
 
 
 def theta_partner(omega, idx: int) -> int:
@@ -115,7 +122,7 @@ def theta_partner(omega, idx: int) -> int:
     src, a, b = word(omega, idx)
     left = src - a + b
     p = omega.p
-    return omega.key[(left, src - 1 - a, p - 1 - b - src)]
+    return omega_key(omega)[(left, src - 1 - a, p - 1 - b - src)]
 
 
 # -- inputs the bar oracles must refuse ---------------------------------------

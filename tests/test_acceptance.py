@@ -15,7 +15,7 @@ from hh2.cli import _club_associativity
 from hh2.exactlin import rank
 from hh2.koszulhh import bar_oracle as morse_oracle
 from hh2.koszulhh import build_model, homology_named
-from hh2.operators import build_hhl, project
+from hh2.operators import build_hhl
 from hh2.spadesuit import (OUT_OF_WINDOW, build_spade, component_names,
                            duality_form, duality_form_checks, name_table,
                            verify_first_principles)
@@ -25,6 +25,7 @@ from batches import cup_rows
 from club_reference import basis, form_dict, product, socle_evaluation
 from model_reference import project_one
 from spade_reference import chi_mul
+from tower_reference import project
 
 PASS_LINES = []
 

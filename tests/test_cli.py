@@ -364,6 +364,11 @@ def product_listings(draw):
 @given(DOCS, st.dictionaries(TEXT.filter(lambda key: key not in ("basis", "products")), DOCS,
                              max_size=3), BASIS_ROWS, product_listings())
 @example(None, {}, [], (["x"], []))
+@example(None, {}, [], (["r", "u", "v"], [(1, 1, 0, 1), (1, 2, 0, 2), (2, 1, 0, 2)]))
+@example(None, {}, [(1, 2, None, 0, "1", 3, 4, "n"), (5, 2, None, 0, "1", 7, 4, "n")], (["x"], []))
+@example(None, {}, [(0, 0, None, 0, "", 0, 0, "same")] * 2, (["x"], []))
+@example(2 ** 64, {"n": [None, -2 ** 70]}, [(2 ** 64, None, -2 ** 70, 2 ** 63, "e_1", None, 0, "")],
+         (["x", "y"], [(0, 1, 1, 2 ** 63), (1, 1, 0, 0)]))
 def test_json_writer_matches_json_dumps(doc, small, rows, listing):
     from hh2.cli import BASIS_KEYS, _emit
     assert _emit(doc, "json") == json.dumps(doc, indent=2, sort_keys=True)

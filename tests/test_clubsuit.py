@@ -10,6 +10,7 @@ from hh2.quiver import Table
 from club_reference import form_dict, module_of, product
 from club_reference import product_table as reference_table
 from club_reference import symmetry_form as reference_form
+from tables import omega_key
 from tensor_products import pairing_rank_on_tensor
 
 
@@ -145,7 +146,7 @@ def test_theta_partner_involution_via_sigma(maps5):
     for m in maps5.theta.parent_index:
         q = om.theta_partner[m]
         src, down, up = (int(w[m]) for w in om.words)
-        assert om.theta_partner[q] == om.key[(om.p - src, up, down)]
+        assert om.theta_partner[q] == omega_key(om)[(om.p - src, up, down)]
 
 
 def total_degree(win, comp, idx):

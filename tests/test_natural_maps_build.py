@@ -25,8 +25,8 @@ from hh2.clubsuit import NaturalMaps
 from hh2.koszulhh import KIND_OMEGA, Pairing
 from hh2.quiver import (BasedBimodule, BasisElement, BimoduleMap, Combo, IncompatibleAlgebras,
                         OmegaAlgebra, combo_add, table_of)
-from tables import (as_dict, columned, data_of, ideal_partner, in_ideal, theta_sigma_index,
-                    word)
+from tables import (as_dict, columned, data_of, ideal_partner, in_ideal, omega_key,
+                    theta_sigma_index, word)
 
 PRIMES = (3, 5, 7)
 
@@ -277,7 +277,7 @@ def dense_twist_sigma(mod: BasedBimodule) -> BasedBimodule:
             src, a, b = word(omega, i)
             tgt = src - a + b
             if tgt != p and src != p:
-                sigma_of[i] = omega.key[(p - src, b, a)]
+                sigma_of[i] = omega_key(omega)[(p - src, b, a)]
     right: dict[tuple[int, int], Combo] = {}
     for m in range(mod.dim):
         for a in range(omega.dim):
@@ -325,7 +325,7 @@ def test_pairings_match_dense_builders(maps):
 
 def test_omega_products_match_dense_loop(maps):
     om = maps.omega
-    assert as_dict(om.products) == dense_omega_products(om, om.basis, om.key)
+    assert as_dict(om.products) == dense_omega_products(om, om.basis, omega_key(om))
 
 
 def test_sub_bimodules_match_dense_loop(maps):
@@ -462,7 +462,7 @@ def dict_modules(nm: NaturalMaps) -> dict[str, BasedBimodule]:
     """The seven bimodules of nm, built by the dict builders from the walked
     Omega products: a copy of nm.omega whose products are that dict."""
     om = copy.copy(nm.omega)
-    om.products = om._slot_products = walked_omega_products(om, om.basis, om.key)
+    om.products = om._slot_products = walked_omega_products(om, om.basis, omega_key(om))
     reg = BasedBimodule(om, list(om.basis), om.products, om.products, name="Omega")
     ideal = dict_sub_bimodule(om, nm.ideal.parent_index, "OmegaEpOmega")
     theta = dict_sub_bimodule(om, nm.theta.parent_index, "Theta")

@@ -1,11 +1,11 @@
 """``SpadeAlgebra.product_table`` and ``product`` against the per-pair reference.
 
-``product_table`` builds the window's table from one name table per label
-triple and never calls ``product``; ``product`` reads that table.  Here both
-are compared, entry by entry, with ``tests/spade_reference.py``, the per-pair
-product rule that ``SpadeAlgebra.product`` was before.  ``name_table`` is
-built once per label triple of the window, and a second window over the same
-labels reads the cached tables without building any.
+``product_table`` builds the window's table by one join of its slot pairs
+with the superset tables of ``_base_tables`` and never calls ``product`` or
+``name_table``; ``product`` reads that table.  Here both are compared, entry
+by entry, with ``tests/spade_reference.py``, the per-pair product rule that
+``SpadeAlgebra.product`` was before.  ``_base_tables`` is built once per
+prime, and a second window at the same prime reads it without building it.
 """
 
 import pytest
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import spade_reference as ref
 from hh2 import spadesuit
-from hh2.clubsuit import OUT_OF_WINDOW, component_at
+from hh2.clubsuit import OUT_OF_WINDOW
 from hh2.spadesuit import build_spade
 from tables import component
 
@@ -22,7 +22,9 @@ from tables import component
 # None for the a-range, which the b-range mirrors
 WINDOWS = ([(p, -3, 4, None, None) for p in (3, 5, 7)]
            + [(p, -2, 3, None, None) for p in (3, 11, 13)]
-           + [(5, 0, 0, 0, 0)])     # one slot: the class algebra chi at (0, 0)
+           + [(5, 0, 0, 0, 0)]      # one slot: the class algebra chi at (0, 0)
+           + [(5, 1, 3, None, None)]  # the plus side alone
+           + [(7, -1, 2, None, None), (3, -5, 6, None, None)])  # asymmetric about 0
 
 
 def entries(table, dim):
@@ -38,14 +40,6 @@ def entries(table, dim):
     return nonzero, set(out)
 
 
-def label_triples(alg):
-    """The (left, right, target) labels of the window's slot pairs whose
-    target is a grid slot."""
-    return {(c1.label, c2.label, target.label)
-            for (a1, b1), c1 in alg.slots.items() for (a2, b2), c2 in alg.slots.items()
-            if (target := component_at(alg.p, a1 + a2, b1 + b2)) is not None}
-
-
 @pytest.mark.parametrize("window", WINDOWS, ids=str)
 def test_rows_match_one_call_per_pair(window, monkeypatch):
     p, a_min, a_max, b_min, b_max = window
@@ -58,13 +52,14 @@ def test_rows_match_one_call_per_pair(window, monkeypatch):
         nonlocal calls
         calls += 1
 
-    spadesuit.name_table.cache_clear()
+    spadesuit._base_tables.cache_clear()
     monkeypatch.setattr(spadesuit.SpadeAlgebra, "product", counted)
+    monkeypatch.setattr(spadesuit, "name_table", counted)
     table = alg.product_table()
     assert calls == 0
-    assert spadesuit.name_table.cache_info().misses == len(label_triples(alg))
-    build_spade(p, a_min, a_max).product_table()  # the name tables are cached
-    assert spadesuit.name_table.cache_info().misses == len(label_triples(alg))
+    assert spadesuit._base_tables.cache_info().misses == 1
+    build_spade(p, a_min, a_max).product_table()  # the base tables are cached
+    assert spadesuit._base_tables.cache_info().misses == 1 and calls == 0
     monkeypatch.undo()
     assert alg.product_table() is table
     assert entries(table, alg.dim) == entries(ref.product_table(alg), alg.dim)

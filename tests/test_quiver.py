@@ -5,7 +5,8 @@ from hh2 import quiver
 from hh2.exactlin import NotOddPrime, rank, zeros
 from hh2.quiver import IncompatibleAlgebras
 from presentations import arrow_images, dual_presentation, zigzag_presentation
-from tables import as_dict, column_map, ideal_partner, in_ideal, theta_partner, theta_sigma_index
+from tables import (as_dict, column_map, ideal_partner, in_ideal, omega_key, theta_partner,
+                    theta_sigma_index)
 from tensor_products import tensor_basis
 
 # -- degree additivity of every product, for algebras and bimodules ----------
@@ -40,7 +41,7 @@ def center_basis(self) -> list:
     """Omega's central elements: powers of the canonical degree-(-2,2) loop."""
     out = []
     for ell in range(self.p):
-        combo = {self.key[(s, ell, ell)]: 1 for s in range(ell + 1, self.p + 1)}
+        combo = {omega_key(self)[(s, ell, ell)]: 1 for s in range(ell + 1, self.p + 1)}
         out.append(combo)
     return out
 
@@ -166,14 +167,14 @@ def test_omega_relations_and_center():
         if p == 3:
             om.check_associativity()
         # x1 y1 = 0
-        y1 = om.key[(1, 0, 1)]
-        x1 = om.key[(2, 1, 0)]
+        y1 = omega_key(om)[(1, 0, 1)]
+        x1 = omega_key(om)[(2, 1, 0)]
         assert om.mul_basis(x1, y1) == {}
         # commutation at inner vertices: up-down = down-up
         for v in range(2, p):
-            up_down = om.mul_basis(om.key[(v + 1, 1, 0)], om.key[(v, 0, 1)])
-            down_up = om.mul_basis(om.key[(v - 1, 0, 1)], om.key[(v, 1, 0)])
-            assert up_down == down_up == {om.key[(v, 1, 1)]: 1}
+            up_down = om.mul_basis(omega_key(om)[(v + 1, 1, 0)], omega_key(om)[(v, 0, 1)])
+            down_up = om.mul_basis(omega_key(om)[(v - 1, 0, 1)], omega_key(om)[(v, 1, 0)])
+            assert up_down == down_up == {omega_key(om)[(v, 1, 1)]: 1}
         # center F[z]/z^p
         center = center_basis(om)
         assert len(center) == p
@@ -191,9 +192,9 @@ def test_omega_relations_and_center():
 
 def test_omega_p3_socle_examples():
     om = quiver.build_omega(3)
-    assert (3, 2, 2) in om.key          # z^2 e_3 survives
-    assert (2, 2, 2) not in om.key      # z^2 e_2 = 0
-    assert (1, 2, 2) not in om.key
+    assert (3, 2, 2) in omega_key(om)  # z^2 e_3 survives
+    assert (2, 2, 2) not in omega_key(om)  # z^2 e_2 = 0
+    assert (1, 2, 2) not in omega_key(om)
 
 
 def test_theta_dimensions_and_vanishing():
@@ -280,7 +281,7 @@ def test_theta_form_sigma_symmetry(maps5):
     for a in list(pairs):
         # partner of the partner is the sigma image
         src, down, up = (int(w[a]) for w in om.words)
-        sigma_a = om.key[(om.p - src, up, down)]
+        sigma_a = omega_key(om)[(om.p - src, up, down)]
         assert pairs[pairs[a]] == sigma_a
 
 

@@ -10,11 +10,10 @@ from hh2.exactlin import NotOddPrime
 from hh2.koszulhh import HHClass, HHModule
 from hh2.quiver import BimoduleMap, Table
 from hh2.spadesuit import (CHI, CHIBAR_MINUS, CHIBARSTAR_MINUS, CHIUNDER,
-                           OMEGA0, OUT_OF_WINDOW, augmentation, build_spade,
+                           OMEGA0, OUT_OF_WINDOW, build_spade,
                            component_names, duality_form,
-                           duality_form_checks, half, make_element,
-                           verify_first_principles)
-from spade_reference import chi_mul, chi_on_dual, truncate_to
+                           duality_form_checks, half, verify_first_principles)
+from spade_reference import augmentation, chi_mul, chi_on_dual, make_element, truncate_to
 from tables import component
 
 
@@ -49,6 +48,11 @@ def test_component_sizes_and_degrees():
     assert (el.j, el.k) == (2 - 5, 5 - 2)
     el = make_element(5, 2, 1, ("z", 0))   # truncation copy on the plus side
     assert (el.j, el.k) == (5, (2 - 1) * (1 - 5) + 1)
+    # the basis made from the window's arrays is the elements made one by one
+    for alg in (alg, alg3, build_spade(7, -1, 2), build_spade(5, 1, 3)):
+        assert alg.basis == [make_element(alg.p, m.a, m.b, m.name) for m in alg.basis]
+        if (0, 0) in alg.slots:
+            assert alg.unit() == make_element(alg.p, 0, 0, ("z", 0))
 
 
 def test_unit_and_augmentation():

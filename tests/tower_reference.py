@@ -3,8 +3,9 @@ tests: the contraction operator on bigraded algebras applied step by step,
 which ``tests/test_operators.py`` compares ``operators.build_hhl`` with, and
 the tower's product one pair of basis elements at a time, which
 ``HHLAlgebra.product_table`` is compared with; ``tower_size``, the size of
-the tower's basis counted without listing it; and ``hilbert_series``, the
-basis counted by degree.
+the tower's basis counted without listing it; ``hilbert_series``, the
+basis counted by degree; and ``project``, the tower surjection one element
+at a time, which ``verify``'s hh_2 checks read from the factor arrays.
 
 The operator contracts a trigraded algebra G against the j-grading of a
 bigraded algebra S:  O_G(S)^{ik} = sum_j G^{ijk1} (x) S^{jk2}, with the super
@@ -21,7 +22,20 @@ from hh2.operators import (MAX_WINDOW, HHLAlgebra, TowerElement, UnboundedWindow
                            _size)
 from hh2.quiver import WindowTable
 from hh2.spadesuit import OUT_OF_WINDOW, SpadeAlgebra
+from spade_reference import augmentation
 from tables import pair_table
+
+
+def project(alg: HHLAlgebra, el: TowerElement, target: HHLAlgebra) -> dict:
+    """The tower surjection: augment the outermost factor away."""
+    if alg.level == 0:
+        raise ValueError("level-0 algebra has no projection")
+    if augmentation(el.factors[0]) == 0:
+        return {}
+    image = TowerElement(el.factors[1:], el.alpha)
+    if image not in target.index:
+        return {}
+    return {image: 1}
 
 
 def tower_size(spade: SpadeAlgebra, level: int, k_max: int | None = None) -> int:
@@ -33,7 +47,7 @@ def hilbert_series(alg: HHLAlgebra, grading: str = "k") -> dict:
     """Exact basis counts per degree ('k' or 'jk')."""
     out: dict = {}
     for el in alg.basis:
-        key = el.k if grading == "k" else (el.j, el.k)
+        key = el.k if grading == "k" else (el.factors[0].j if el.factors else el.alpha, el.k)
         out[key] = out.get(key, 0) + 1
     return dict(sorted(out.items()))
 
